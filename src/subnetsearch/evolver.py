@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, Unevaluated
-from .objectives import ObjectiveVector
+from .objectives import ObjectiveVector, nondominated_fronts
 from .space import Genotype, SearchSpace, canonicalize, repair_genotype
 from .util import genes_bytes, stable_hash64, subseed
 
@@ -121,34 +121,13 @@ def _require_evaluated(pop: Sequence[Individual]) -> None:
 
 
 def non_dominated_sort(pop: Sequence[Individual]) -> list[list[int]]:
-    """Fast non-dominated sort; returns fronts as sorted index lists."""
+    """Non-dominated sort; returns fronts best first as sorted index lists.
+
+    Individuals with equal objective vectors share a front. Costs O(n log n)
+    for two objectives and O(m n^2) otherwise (see `nondominated_fronts`).
+    """
     _require_evaluated(pop)
-    n = len(pop)
-    if n == 0:
-        return []
-    pts = np.array([ind.objectives.canonical_min for ind in pop])
-    dominated_count = np.zeros(n, dtype=int)
-    dominates_idx: list[np.ndarray] = []
-    for i in range(n):
-        le = (pts[i] <= pts).all(axis=1)
-        lt = (pts[i] < pts).any(axis=1)
-        d = le & lt
-        d[i] = False
-        idx = np.nonzero(d)[0]
-        dominates_idx.append(idx)
-        dominated_count[idx] += 1
-    fronts: list[list[int]] = []
-    current = sorted(np.nonzero(dominated_count == 0)[0].tolist())
-    while current:
-        fronts.append(current)
-        nxt: list[int] = []
-        for i in current:
-            for j in dominates_idx[i]:
-                dominated_count[j] -= 1
-                if dominated_count[j] == 0:
-                    nxt.append(int(j))
-        current = sorted(nxt)
-    return fronts
+    return nondominated_fronts([ind.objectives.canonical_min for ind in pop])
 
 
 def crowding_distance(front: Sequence[Individual]) -> list[float]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     DegenerateNormalizer,
@@ -99,12 +101,81 @@ class ParetoFront:
         return iter(self.members)
 
 
+def nondominated_fronts(points) -> list[list[int]]:
+    """Rank canonical-min points into non-dominated fronts.
+
+    Returns the fronts best first, each a sorted list of indices into
+    `points`. Equal points never dominate each other, so they share a front.
+
+    Two objectives take an O(n log n) sweep: visit the points in (x, y) order
+    and bisect for the first front whose last member does not dominate the
+    point (Kung, Luccio & Preparata 1975; the ENS-BS sort of Zhang et al.
+    2015). Any other objective count takes the O(m n^2) counting sort of
+    NSGA-II (Deb et al. 2002).
+    """
+    points = list(points)
+    if not points:
+        return []
+    if len(points[0]) == 2:
+        fronts = _sweep_fronts_2d(points)
+    else:
+        fronts = _counting_fronts(points)
+    return [sorted(front) for front in fronts]
+
+
+def _sweep_fronts_2d(points) -> list[list[int]]:
+    # In (x, y) order each front's last member has its smallest y, so it
+    # dominates a later point (x, y) iff (last_y, last_x) < (y, x). Those keys
+    # increase strictly with the front rank, so a bisection finds the front.
+    fronts: list[list[int]] = []
+    lasts: list[tuple[float, float]] = []
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        x, y = points[i]
+        k = bisect.bisect_left(lasts, (y, x))
+        if k == len(fronts):
+            fronts.append([i])
+            lasts.append((y, x))
+        else:
+            fronts[k].append(i)
+            lasts[k] = (y, x)
+    return fronts
+
+
+def _counting_fronts(points) -> list[list[int]]:
+    pts = np.array(points, dtype=float)
+    n = len(pts)
+    dominated_count = np.zeros(n, dtype=int)
+    dominates_idx: list[np.ndarray] = []
+    for i in range(n):
+        le = (pts[i] <= pts).all(axis=1)
+        lt = (pts[i] < pts).any(axis=1)
+        d = le & lt
+        d[i] = False
+        idx = np.nonzero(d)[0]
+        dominates_idx.append(idx)
+        dominated_count[idx] += 1
+    fronts: list[list[int]] = []
+    current = np.nonzero(dominated_count == 0)[0].tolist()
+    while current:
+        fronts.append(current)
+        nxt: list[int] = []
+        for i in current:
+            for j in dominates_idx[i]:
+                dominated_count[j] -= 1
+                if dominated_count[j] == 0:
+                    nxt.append(int(j))
+        current = nxt
+    return fronts
+
+
 def pareto_front(records) -> ParetoFront:
     """Extract the non-dominated subset of evaluation records.
 
     Records sharing a canonical genotype are collapsed to the earliest one, so
     fronts are deterministic even when the same configuration was measured in
-    several batches.
+    several batches. Distinct genotypes with equal objective vectors are all
+    kept. Members come back in first-seen order. Costs O(n log n) for two
+    objectives and O(m n^2) otherwise (see `nondominated_fronts`).
     """
     records = list(records)
     if not records:
@@ -116,21 +187,8 @@ def pareto_front(records) -> ParetoFront:
             raise ObjectiveMismatch("records mix different objective spec lists")
         deduped.setdefault(rec.genotype.genes, rec)
     recs = list(deduped.values())
-    points = [r.objectives_raw.canonical_min for r in recs]
-    keep = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j, q in enumerate(points):
-            if i == j:
-                continue
-            if all(x <= y for x, y in zip(q, p)) and any(
-                x < y for x, y in zip(q, p)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(recs[i])
-    return ParetoFront(members=tuple(keep))
+    first = nondominated_fronts([r.objectives_raw.canonical_min for r in recs])[0]
+    return ParetoFront(members=tuple(recs[i] for i in first))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ConfigError,
@@ -280,6 +279,9 @@ def kendall_tau(a, b) -> float:
         raise ConfigError("kendall_tau needs length >= 2")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise UndefinedCorrelation("tau undefined for an all-constant vector")
+    # Imported here: scipy.stats dominates the package's import time and memory.
+    from scipy import stats
+
     res = stats.kendalltau(a, b, variant="b")
     return float(res.statistic)
 

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import subnetsearch
 from subnetsearch.cli import main
 from subnetsearch.space import save_space
 
@@ -269,3 +272,15 @@ def test_predict_bench_runs(tmp_path, toy_space_file, capsys):
     rows = out_csv.read_text().strip().splitlines()
     assert rows[0] == "train_size,mape_mean,mape_std,tau_mean"
     assert len(rows) == 3
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(subnetsearch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, subnetsearch.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

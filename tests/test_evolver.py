@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnetsearch.errors import ConfigError, Unevaluated
 from subnetsearch.evolver import (
@@ -87,6 +89,24 @@ def test_nds_matches_brute_force_ranks():
             got[i] = rank
     assert got == want
     assert sorted(i for f in fronts for i in f) == list(range(200))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_nds_matches_brute_force_on_tied_grids(m, data):
+    # A 5^m grid forces ties in single coordinates and exact duplicates;
+    # m = 3 exercises the counting path, m = 2 the sweep.
+    values = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=40))
+    specs = tuple(ObjectiveSpec(f"f{k}", "minimize") for k in range(m))
+    pop = [
+        Individual(Genotype((i,)), ObjectiveVector(v, specs))
+        for i, v in enumerate(values)
+    ]
+    fronts = non_dominated_sort(pop)
+    assert {i: rank for rank, f in enumerate(fronts) for i in f} == brute_rank(pop)
+    assert sorted(i for f in fronts for i in f) == list(range(len(pop)))
+    assert all(f == sorted(f) for f in fronts)
 
 
 # ---------------------------------------------------------------------------

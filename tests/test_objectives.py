@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnetsearch.errors import (
     ConfigError,
@@ -14,6 +16,7 @@ from subnetsearch.errors import (
     Unsupported2DOnly,
 )
 from subnetsearch.objectives import (
+    DIRECTIONS,
     IncrementalFront2D,
     LatencyNormalizer,
     ObjectiveSpec,
@@ -173,6 +176,26 @@ def test_front_matches_quadratic_oracle():
     got = {r.genotype.genes for r in pareto_front(recs)}
     want = {r.genotype.genes for r in brute_front(recs)}
     assert got == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_front_matches_oracle_with_repeats_and_mixed_directions(m, data):
+    directions = data.draw(st.tuples(*[st.sampled_from(DIRECTIONS)] * m))
+    specs = tuple(ObjectiveSpec(f"f{k}", d) for k, d in enumerate(directions))
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.tuples(*[st.integers(0, 4)] * m)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    recs = [Rec((g,), values, specs) for g, values in rows]
+    earliest = {}
+    for r in recs:
+        earliest.setdefault(r.genotype.genes, r)
+    assert list(pareto_front(recs)) == brute_front(list(earliest.values()))
 
 
 def test_front_dedupes_same_genotype_keeps_earliest():
