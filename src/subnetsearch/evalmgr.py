@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     EmptyInput,
     EvaluationTimeout,
+    InvalidGenotype,
     NonCanonicalInput,
     ObjectiveMismatch,
     ProtocolError,
@@ -214,28 +215,59 @@ class ResultStore:
 
     @classmethod
     def load(cls, path: str | Path, space: SearchSpace | None = None) -> "ResultStore":
-        """Replay a persisted log into an in-memory store."""
-        with open(path, encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or lines[0].get("type") != "run":
+        """Replay a persisted log into an in-memory store.
+
+        A torn or malformed line, a record without its fields, an unknown
+        record type, or (when `space` is given) a genotype of the wrong
+        length raises ConfigError naming `path:line`.
+        """
+        store = None
+        lineno = 0
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    doc = json.loads(line)
+                    if store is None:
+                        if doc.get("type") != "run":
+                            raise ConfigError("missing run header line")
+                        specs = tuple(
+                            ObjectiveSpec(o["name"], o["direction"], o.get("unit", ""))
+                            for o in doc["objectives"]
+                        )
+                        store = cls(specs, space=space)
+                    else:
+                        store._replay(doc)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: malformed record: {type(exc).__name__}: {exc}"
+            ) from exc
+        except (ConfigError, InvalidGenotype, ObjectiveMismatch) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if store is None:
             raise ConfigError(f"{path}: missing run header line")
-        specs = tuple(
-            ObjectiveSpec(o["name"], o["direction"], o.get("unit", ""))
-            for o in lines[0]["objectives"]
-        )
-        store = cls(specs, space=space)
-        for doc in lines[1:]:
-            g = Genotype(tuple(doc["genotype"]))
-            if doc["type"] == "failure":
-                store.append_failure(g, doc["error"], doc["evaluator_id"], doc.get("gen"))
-            elif doc["type"] == "eval":
-                vec = ObjectiveVector(
-                    tuple(doc["objectives_raw"][s.name] for s in specs), specs
-                )
-                store.append(g, vec, doc["source"], doc["evaluator_id"], doc.get("gen"))
-            else:
-                raise ConfigError(f"{path}: unknown record type {doc['type']!r}")
         return store
+
+    def _replay(self, doc: dict) -> None:
+        g = Genotype(tuple(doc["genotype"]))
+        if self.space is not None and len(g.genes) != self.space.genome_length:
+            raise InvalidGenotype(
+                f"genotype has {len(g.genes)} genes, space {self.space.name!r} "
+                f"has {self.space.genome_length}"
+            )
+        kind = doc["type"]
+        if kind == "failure":
+            self.append_failure(g, doc["error"], doc["evaluator_id"], doc.get("gen"))
+        elif kind == "eval":
+            vec = ObjectiveVector(
+                tuple(doc["objectives_raw"][s.name] for s in self.specs), self.specs
+            )
+            self.append(g, vec, doc["source"], doc["evaluator_id"], doc.get("gen"))
+        else:
+            raise ConfigError(f"unknown record type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

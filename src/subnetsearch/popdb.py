@@ -5,10 +5,23 @@ become noise), compute per-position value frequencies over non-noise points
 counting only active genes, exclude values whose frequency falls below a
 threshold, and rebuild a smaller search space.
 
-The clustering is an exact O(n^2) HDBSCAN: mutual-reachability distances from
-k-nearest core distances, a Prim minimum spanning tree, condensation of the
-single-linkage hierarchy at min_cluster_size, and excess-of-mass cluster
-selection (the root is never selected). Euclidean metric throughout.
+The clustering is an exact HDBSCAN (Campello, Moulavi & Sander, 2013):
+mutual-reachability distances from k-nearest core distances, a Prim minimum
+spanning tree, condensation of the single-linkage hierarchy at
+min_cluster_size, and excess-of-mass cluster selection (the root is never
+selected). Euclidean metric throughout. Time is O(n^2). Working memory is
+O(n) plus about 4 MB of row-chunk buffers for the core distances and one
+shrinking copy of the features for Prim. Prim stops updating a point once its
+best edge equals its own core distance, since no mutual-reachability distance
+to it can be smaller.
+
+The distances come from row-chunk and point-subset matrix products. Where
+those products are exact (ordinal features of parameters with two or three
+values, as in the mobilenetv3-like and resnet50-like presets), chunking
+cannot change the result. With features that round (objectives included, or
+four or more values per parameter), a product may differ in the last bit
+from a dense evaluation: a weight may move by one ulp and an exact tie may
+break the other way.
 """
 
 from __future__ import annotations
@@ -22,12 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet
-from .space import (
-    BlockRule,
-    ElasticParamSpec,
-    Genotype,
-    SearchSpace,
-)
+from .space import ElasticParamSpec, SearchSpace, _encode_row
 
 # ---------------------------------------------------------------------------
 # HDBSCAN
@@ -45,42 +53,73 @@ class ClusterLabeling:
 
 
 def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
-    """Distance to the min_samples-th nearest neighbor, self included."""
+    """Distance to the min_samples-th nearest neighbor, self included.
+
+    Squared distances are formed in place, in two preallocated row-chunk
+    buffers of about 4 MB, as (sq_i + sq_j) - 2 * gram; doubling an operand of
+    the product doubles the gram exactly. Clamping at zero and the square root
+    are monotone, so they are applied to the selected column only.
+    """
     n = X.shape[0]
     k = min(min_samples, n)
     sq = np.einsum("ij,ij->i", X, X)
     core = np.empty(n)
-    chunk = max(1, int(5_000_000 // max(n, 1)))
+    chunk = max(1, min(n, 2**19 // max(n, 1)))
+    gram = np.empty((chunk, n))
+    d2 = np.empty((chunk, n))
     for start in range(0, n, chunk):
-        rows = X[start : start + chunk]
-        d2 = sq[start : start + chunk, None] + sq[None, :] - 2.0 * (rows @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        core[start : start + chunk] = np.sqrt(
-            np.partition(d2, k - 1, axis=1)[:, k - 1]
-        )
-    return core
+        stop = min(start + chunk, n)
+        g, d = gram[: stop - start], d2[: stop - start]
+        np.matmul(2.0 * X[start:stop], X.T, out=g)
+        np.add(sq[start:stop, None], sq[None, :], out=d)
+        d -= g
+        d.partition(k - 1, axis=1)
+        core[start:stop] = d[:, k - 1]
+    np.maximum(core, 0.0, out=core)
+    return np.sqrt(core, out=core)
 
 
 def _mst_prim(X: np.ndarray, core: np.ndarray):
-    """MST of the complete mutual-reachability graph; O(n^2) time, O(n) memory."""
+    """MST of the complete mutual-reachability graph in O(n^2) time.
+
+    Prim from point 0; the next point is the lowest-index argmin of `best`,
+    and a point's parent changes only on a strict improvement. Because a
+    mutual-reachability distance is never below either endpoint's core
+    distance, a point whose `best` equals its own core distance is settled:
+    it can never improve again. Distance updates run over copies of the
+    points still open and unsettled, compacted in order every 64 steps; tree
+    members in them carry best = core = inf until then.
+    """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
-    in_tree = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)
     parent = np.full(n, -1, dtype=int)
+    act = np.arange(1, n)
+    Xa, sqa, corea, besta = X[act], sq[act], core[act], best[act]
     current = 0
-    in_tree[0] = True
     edges = []
-    for _ in range(n - 1):
-        d2 = sq + sq[current] - 2.0 * (X @ X[current])
-        np.maximum(d2, 0.0, out=d2)
-        mr = np.maximum(np.maximum(np.sqrt(d2), core), core[current])
-        improved = (~in_tree) & (mr < best)
-        best[improved] = mr[improved]
-        parent[improved] = current
-        nxt = int(np.argmin(np.where(in_tree, np.inf, best)))
+    for step in range(n - 1):
+        mr = Xa @ (2.0 * X[current])
+        np.subtract(sqa + sq[current], mr, out=mr)
+        np.maximum(mr, 0.0, out=mr)
+        np.sqrt(mr, out=mr)
+        np.maximum(mr, corea, out=mr)
+        np.maximum(mr, core[current], out=mr)
+        improved = np.flatnonzero(mr < besta)
+        if improved.size:
+            besta[improved] = mr[improved]
+            best[act[improved]] = mr[improved]
+            parent[act[improved]] = current
+        nxt = int(np.argmin(best))
         edges.append((float(best[nxt]), int(parent[nxt]), nxt))
-        in_tree[nxt] = True
+        best[nxt] = np.inf
+        pos = np.searchsorted(act, nxt)
+        if pos < act.size and act[pos] == nxt:
+            besta[pos] = corea[pos] = np.inf
+        if step % 64 == 63:  # drop settled points and tree members
+            alive = besta != corea
+            act = act[alive]
+            Xa, sqa, corea, besta = X[act], sq[act], corea[alive], besta[alive]
         current = nxt
     return edges
 
@@ -481,15 +520,9 @@ def history_features(
     if n > max_points:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(n, size=max_points, replace=False))
-    rows = []
-    for i in idx:
-        g = genotypes[int(i)]
-        row = np.empty(space.genome_length)
-        for pos, value in enumerate(g.genes):
-            k = len(space.allowed[pos])
-            row[pos] = 0.0 if k == 1 else space.value_rank(pos, value) / (k - 1)
-        rows.append(row)
-    feats = np.vstack(rows)
+    feats = np.vstack(
+        [_encode_row(genotypes[int(i)], space, "ordinal_normalized") for i in idx]
+    )
     if objective_vectors is not None:
         obj = np.array([objective_vectors[int(i)].canonical_min for i in idx])
         lo = obj.min(axis=0)

@@ -343,6 +343,10 @@ def encode_features(g: Genotype, s: SearchSpace, scheme: str) -> np.ndarray:
 
 
 def _encode_row(g: Genotype, s: SearchSpace, scheme: str) -> np.ndarray:
+    if len(g.genes) != s.genome_length:
+        raise InvalidGenotype(
+            f"genotype has {len(g.genes)} genes, space {s.name!r} has {s.genome_length}"
+        )
     if scheme == "one_hot":
         vec = np.zeros(feature_dim(s, scheme))
         offset = 0

@@ -196,6 +196,68 @@ def test_popdb_command_threshold_rule(tmp_path, toy_space_file):
     assert tuple(tuple(v) for v in doc["allowed"]) == expected.allowed
 
 
+def write_toy_history(path, toy_space, n=60):
+    from subnetsearch.evalmgr import ResultStore
+    from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
+    from subnetsearch.space import sample_uniform
+
+    specs = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
+    store = ResultStore(specs, space=toy_space, path=path)
+    genotypes = list(dict.fromkeys(sample_uniform(toy_space, 2 * n, 3)))[:n]
+    for i, g in enumerate(genotypes):
+        store.append(g, ObjectiveVector((float(i), float(n - i)), specs), "validation", "e1")
+    store.close()
+
+
+def tear_line(lines):
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    return len(lines)
+
+
+def drop_objectives(lines):
+    doc = json.loads(lines[5])
+    del doc["objectives_raw"]
+    lines[5] = json.dumps(doc) + "\n"
+    return 6
+
+
+def unknown_record_type(lines):
+    doc = json.loads(lines[3])
+    doc["type"] = "evaluation"
+    lines[3] = json.dumps(doc) + "\n"
+    return 4
+
+
+@pytest.mark.parametrize("corrupt", [tear_line, drop_objectives, unknown_record_type])
+def test_popdb_malformed_history_is_config_error(tmp_path, toy_space, toy_space_file,
+                                                 capsys, corrupt):
+    history = tmp_path / "evals.jsonl"
+    write_toy_history(history, toy_space)
+    lines = history.read_text().splitlines(keepends=True)
+    lineno = corrupt(lines)
+    history.write_text("".join(lines))
+    code = run_cli(
+        "popdb", "--history", str(history), "--space", toy_space_file,
+        "--out", str(tmp_path / "constraints.json"),
+    )
+    assert code == 2
+    assert f"{history}:{lineno}:" in capsys.readouterr().err
+    assert not (tmp_path / "constraints.json").exists()
+
+
+def test_popdb_history_of_another_genome_length_is_config_error(tmp_path, toy_space,
+                                                                 capsys):
+    history = tmp_path / "evals.jsonl"
+    write_toy_history(history, toy_space)  # 10 genes; mobilenetv3-like has 45
+    code = run_cli(
+        "popdb", "--history", str(history), "--space", "mobilenetv3-like",
+        "--out", str(tmp_path / "constraints.json"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{history}:2:" in err and "10 genes" in err
+
+
 def test_analyze_outputs(tmp_path, toy_space_file):
     run_dir = tmp_path / "run"
     assert run_cli(

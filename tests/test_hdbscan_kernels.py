@@ -1,0 +1,199 @@
+"""Oracle tests for the two O(n^2) HDBSCAN kernels: core distances and the
+Prim minimum spanning tree of the mutual-reachability graph."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
+
+from subnetsearch import popdb
+from subnetsearch.popdb import _core_distances, _mst_prim, hdbscan, history_features
+from subnetsearch.space import Genotype, canonicalize, get_preset, sample_uniform
+
+# ---------------------------------------------------------------------------
+# References: the straightforward kernels, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def reference_core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
+    """Distance to the min_samples-th nearest neighbor, self included."""
+    n = X.shape[0]
+    k = min(min_samples, n)
+    sq = np.einsum("ij,ij->i", X, X)
+    core = np.empty(n)
+    chunk = max(1, int(5_000_000 // max(n, 1)))
+    for start in range(0, n, chunk):
+        rows = X[start : start + chunk]
+        d2 = sq[start : start + chunk, None] + sq[None, :] - 2.0 * (rows @ X.T)
+        np.maximum(d2, 0.0, out=d2)
+        core[start : start + chunk] = np.sqrt(
+            np.partition(d2, k - 1, axis=1)[:, k - 1]
+        )
+    return core
+
+
+def reference_mst_prim(X: np.ndarray, core: np.ndarray):
+    """MST of the complete mutual-reachability graph; O(n^2) time, O(n) memory."""
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    parent = np.full(n, -1, dtype=int)
+    current = 0
+    in_tree[0] = True
+    edges = []
+    for _ in range(n - 1):
+        d2 = sq + sq[current] - 2.0 * (X @ X[current])
+        np.maximum(d2, 0.0, out=d2)
+        mr = np.maximum(np.maximum(np.sqrt(d2), core), core[current])
+        improved = (~in_tree) & (mr < best)
+        best[improved] = mr[improved]
+        parent[improved] = current
+        nxt = int(np.argmin(np.where(in_tree, np.inf, best)))
+        edges.append((float(best[nxt]), int(parent[nxt]), nxt))
+        in_tree[nxt] = True
+        current = nxt
+    return edges
+
+
+def brute_sq_distances(X: np.ndarray) -> np.ndarray:
+    diff = X[:, None, :] - X[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def tied_grid(seed: int, n: int, dim: int) -> np.ndarray:
+    """Points on {0, 0.5, 1}^dim: every distance is exact and ties abound."""
+    rng = np.random.default_rng(seed)
+    X = rng.choice([0.0, 0.5, 1.0], size=(n, dim))
+    dup = rng.random(n) < 0.2  # repeated rows as well
+    X[dup] = X[rng.integers(0, n, size=int(dup.sum()))]
+    return X
+
+
+def distinct_lattice(seed: int, n: int, dim: int) -> np.ndarray:
+    """Distinct points on a 1e-3 lattice in [0, 1]^dim; coordinates are not
+    dyadic, so the gram form rounds, but no two points are closer than 1e-3."""
+    rng = np.random.default_rng(seed)
+    X = np.unique(rng.integers(0, 1001, size=(n, dim)), axis=0) / 1000.0
+    return X[rng.permutation(len(X))]
+
+
+def cases(max_n: int):
+    """(seed, n, dim, min_samples)"""
+    return st.tuples(
+        st.integers(0, 2**32 - 1), st.integers(2, max_n), st.integers(1, 5), st.integers(1, 12)
+    )
+
+
+# ---------------------------------------------------------------------------
+# _core_distances
+# ---------------------------------------------------------------------------
+
+
+def kth_sorted_sq(X: np.ndarray, min_samples: int) -> np.ndarray:
+    k = min(min_samples, X.shape[0])
+    return np.sort(brute_sq_distances(X), axis=1)[:, k - 1]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=cases(300))
+def test_core_distances_exact_on_tied_grids(case):
+    seed, n, dim, min_samples = case
+    X = tied_grid(seed, n, dim)
+    assert np.array_equal(
+        _core_distances(X, min_samples), np.sqrt(kth_sorted_sq(X, min_samples))
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=cases(300))
+def test_core_distances_close_on_continuous_data(case):
+    # (sq_i + sq_j) - 2 * gram carries rounding in the squared distance,
+    # which a square root near zero would magnify, so compare squares
+    seed, n, dim, min_samples = case
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, dim))
+    core = _core_distances(X, min_samples)
+    np.testing.assert_allclose(core**2, kth_sorted_sq(X, min_samples), rtol=0, atol=1e-12)
+
+
+def test_core_distances_exact_across_row_chunks():
+    # 1,000 rows take two chunks, the second one partial
+    X = tied_grid(7, 1000, 3)
+    for min_samples in (1, 2, 10, 1000, 1500):
+        assert np.array_equal(
+            _core_distances(X, min_samples), np.sqrt(kth_sorted_sq(X, min_samples))
+        )
+
+
+# ---------------------------------------------------------------------------
+# _mst_prim
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=cases(300))
+def test_mst_prim_matches_reference_on_tied_grids(case):
+    seed, n, dim, min_samples = case
+    X = tied_grid(seed, n, dim)
+    core = _core_distances(X, min_samples)
+    assert _mst_prim(X, core) == reference_mst_prim(X, core)
+
+
+def test_mst_prim_matches_reference_on_large_tied_grids():
+    # long enough for many compactions of the settled points
+    for seed, dim in ((1, 2), (2, 4), (3, 8)):
+        X = tied_grid(seed, 1500, dim)
+        core = _core_distances(X, 10)
+        assert _mst_prim(X, core) == reference_mst_prim(X, core)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=cases(200))
+def test_mst_prim_weights_match_scipy_on_continuous_data(case):
+    seed, n, dim, min_samples = case
+    X = distinct_lattice(seed, n, dim)
+    n = len(X)
+    core = _core_distances(X, min_samples)
+    edges = _mst_prim(X, core)
+    assert sorted(child for _w, _p, child in edges) == list(range(1, n))
+    mr = np.maximum(np.sqrt(brute_sq_distances(X)), np.maximum.outer(core, core))
+    np.fill_diagonal(mr, 0.0)  # distinct points: every other entry is > 0
+    oracle = np.sort(minimum_spanning_tree(mr).data)
+    weights = np.sort([w for w, _p, _c in edges])
+    assert len(oracle) == n - 1
+    np.testing.assert_allclose(weights**2, oracle**2, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# hdbscan end to end
+# ---------------------------------------------------------------------------
+
+
+def clustered_history(space, n: int, seed: int):
+    """Three clusters of gene-flipped copies of random centres, 10% noise."""
+    rng = np.random.default_rng(seed)
+    centres = sample_uniform(space, 3, seed)
+    noise = iter(sample_uniform(space, n, seed + 1))
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            out.append(next(noise))
+            continue
+        genes = list(centres[int(rng.integers(3))].genes)
+        for pos in np.flatnonzero(rng.random(space.genome_length) < 0.05):
+            vals = space.allowed[pos]
+            genes[pos] = vals[int(rng.integers(len(vals)))]
+        out.append(canonicalize(Genotype(tuple(genes)), space))
+    return out
+
+
+def test_hdbscan_matches_reference_pipeline(monkeypatch):
+    space = get_preset("mobilenetv3-like")
+    feats, _ = history_features(clustered_history(space, 2000, 11), space)
+    labeling = hdbscan(feats, min_cluster_size=50, min_samples=10)
+    monkeypatch.setattr(popdb, "_core_distances", reference_core_distances)
+    monkeypatch.setattr(popdb, "_mst_prim", reference_mst_prim)
+    reference = hdbscan(feats, min_cluster_size=50, min_samples=10)
+    assert labeling.n_clusters >= 2
+    assert labeling.labels == reference.labels
+    assert labeling.probabilities == reference.probabilities

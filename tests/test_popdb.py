@@ -7,6 +7,7 @@ from subnetsearch.errors import (
     ConfigError,
     ConstraintMismatch,
     EmptyClusterSet,
+    InvalidGenotype,
 )
 from subnetsearch.popdb import (
     ClusterLabeling,
@@ -26,6 +27,7 @@ from subnetsearch.space import (
     build_space,
     canonicalize,
     cardinality,
+    encode_matrix,
     enumerate_genotypes,
     sample_uniform,
 )
@@ -319,6 +321,14 @@ def test_history_features_subsamples(toy_space):
     assert feats.shape == (40, toy_space.genome_length)
     assert len(idx) == 40
     assert sorted(set(int(i) for i in idx)) == sorted(int(i) for i in idx)
+
+
+def test_history_features_match_ordinal_encoding(toy_space):
+    gs = sample_uniform(toy_space, 30, seed=9)
+    feats, _ = history_features(gs, toy_space)
+    assert np.array_equal(feats, encode_matrix(gs, toy_space, "ordinal_normalized"))
+    with pytest.raises(InvalidGenotype):
+        history_features(gs + [Genotype(gs[0].genes[:-1])], toy_space)
 
 
 def test_history_features_joint_space(toy_space):

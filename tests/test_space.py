@@ -27,6 +27,7 @@ from subnetsearch.space import (
     save_space,
     space_from_dict,
     space_to_dict,
+    _encode_row,
 )
 
 
@@ -256,6 +257,14 @@ def test_encode_rejects_non_canonical(tiny_space):
     assert not is_canonical(g, tiny_space)
     with pytest.raises(NonCanonicalInput):
         encode_features(g, tiny_space, "one_hot")
+
+
+@pytest.mark.parametrize("scheme", ["one_hot", "ordinal_normalized"])
+def test_encode_row_rejects_wrong_genome_length(toy_space, scheme):
+    g = sample_uniform(toy_space, 1, 0)[0]
+    for genes in (g.genes[:-1], g.genes + (3,)):
+        with pytest.raises(InvalidGenotype):
+            _encode_row(Genotype(genes), toy_space, scheme)
 
 
 def test_one_hot_round_trip_entire_toy_space(toy_space):
