@@ -29,6 +29,7 @@ from .evolver import (
 )
 from .driver import (
     ConcurrentNasConfig,
+    FullSearchConfig,
     PredictorConfig,
     SearchReport,
     concurrent_search,

@@ -22,9 +22,11 @@ import numpy as np
 
 from .driver import (
     ConcurrentNasConfig,
+    FullSearchConfig,
     PredictorConfig,
     SearchReport,
     concurrent_search,
+    config_from_doc,
     fit_objective_predictor,
     full_search,
     hypervolume_trace,
@@ -44,7 +46,6 @@ from .evalmgr import (
     evaluate_batch,
     make_surface,
 )
-from .evolver import EvolverConfig
 from .objectives import (
     LatencyNormalizer,
     ObjectiveSpec,
@@ -68,11 +69,10 @@ from .space import (
     encode_matrix,
     genotype_id,
     resolve_space,
-    sample_uniform,
+    sample_unique,
     space_from_dict,
     space_to_dict,
 )
-from .util import subseed
 
 OUTPUT_DIR_ENV = "SUBNETSEARCH_OUTPUT_DIR"
 
@@ -99,17 +99,17 @@ def _parse_objective(text: str) -> ObjectiveSpec:
     return ObjectiveSpec(name, direction, unit)
 
 
-def _build_evaluator(args, space, declared_specs):
-    """Returns (evaluator, objective specs) from an evaluator spec string like
-    synthetic:clx-like, table:<path>, or external:<command>."""
-    spec_str = args.evaluator
+def _build_evaluator(run: dict, space, declared_specs):
+    """Returns (evaluator, objective specs) from the run's evaluator spec
+    string: synthetic:<preset>, table:<path>, or external:<command>."""
+    spec_str = run["evaluator"]
     kind, _, rest = spec_str.partition(":")
     if kind == "synthetic":
         surface = make_surface(
             space,
             rest or "clx-like",
-            noise_scale=getattr(args, "noise_scale", 0.0),
-            noise_seed=getattr(args, "noise_seed", 0),
+            noise_scale=run["noise_scale"],
+            noise_seed=run["noise_seed"],
         )
         return SyntheticSurfaceEvaluator(surface), surface.specs
     if kind == "table":
@@ -130,7 +130,7 @@ def _build_evaluator(args, space, declared_specs):
             rest,
             declared_specs,
             space_name=space.name,
-            timeout=getattr(args, "timeout", 600.0),
+            timeout=run["timeout"],
         )
         return ev, tuple(declared_specs)
     raise ConfigError(
@@ -139,19 +139,17 @@ def _build_evaluator(args, space, declared_specs):
     )
 
 
-def _resolve_out_dir(args, tactic: str) -> Path:
-    if args.out:
-        return Path(args.out)
+def _resolve_out_dir(out: str | None, tactic: str, seed: int) -> Path:
+    if out:
+        return Path(out)
     env = os.environ.get(OUTPUT_DIR_ENV)
     base = Path(env) if env else Path("runs")
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return base / f"{tactic}-seed{args.seed}-{stamp}"
+    return base / f"{tactic}-seed{seed}-{stamp}"
 
 
-def _load_config_defaults(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    path = Path(args.config)
+def _load_config(path: str) -> dict:
+    path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
@@ -161,46 +159,31 @@ def _load_config_defaults(args) -> dict:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
-def _space_from_args(args, cfg: dict):
-    if cfg.get("space_doc"):
-        return space_from_dict(cfg["space_doc"])
-    label = args.space or cfg.get("space")
-    if not label:
-        raise ConfigError("missing --space (preset name or space file)")
-    return resolve_space(label)
-
-
-def _warm_start_from(path: str, declared=None) -> list[Genotype]:
+def _warm_start_from(path: str, space) -> list[Genotype]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"warm-start file not found: {p}")
-    store = ResultStore.load(p)
-    recs = store.validation_records()
+    recs = ResultStore.load(p, space=space).validation_records()
     if not recs:
         raise ConfigError(f"warm-start log {p} has no validation records")
     return [r.genotype for r in pareto_front(recs)]
 
 
-def _predictor_config(args, cfg: dict) -> PredictorConfig:
-    pc = cfg.get("predictor", {})
-    families = dict(pc.get("families", {}))
-    for item in getattr(args, "predictor_for", None) or []:
+def _predictor_doc(args, base: dict) -> dict:
+    """The predictor section of a run config: `base` with every predictor
+    flag that was given laid over it."""
+    doc = dict(base)
+    for key in ("family", "encoding", "ridge_lambda"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
+    families = dict(doc.get("families") or {})
+    for item in args.predictor_for or []:
         name, _, fam = item.partition(":")
         if not fam:
             raise ConfigError(f"--predictor-for {item!r}: expected objective:family")
         families[name] = fam
-    return PredictorConfig(
-        family=args.predictor or pc.get("family", "ridge"),
-        encoding=getattr(args, "encoding", None) or pc.get("encoding", "one_hot"),
-        ridge_lambda=args.ridge_lambda
-        if args.ridge_lambda is not None
-        else pc.get("ridge_lambda", 1.0),
-        svr_c=pc.get("svr_c", 1.0),
-        svr_epsilon=pc.get("svr_epsilon", 0.01),
-        svr_kernel=pc.get("svr_kernel", "rbf"),
-        svr_gamma=pc.get("svr_gamma"),
-        families=families,
-    )
+    doc["families"] = families
+    return doc
 
 
 def _print_summary(report: SearchReport, outdir: Path, elapsed: float) -> None:
@@ -220,98 +203,40 @@ def _print_summary(report: SearchReport, outdir: Path, elapsed: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_search_full(args) -> int:
-    cfg = _load_config_defaults(args)
-    if cfg and cfg.get("tactic") not in (None, "full"):
-        raise ConfigError(f"--config has tactic {cfg.get('tactic')!r}, not 'full'")
-    space = _space_from_args(args, cfg)
-    declared = tuple(_parse_objective(o) for o in args.objective or [])
-    args.seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    args.evaluator = args.evaluator or cfg.get("evaluator")
-    if not args.evaluator:
+def _cmd_search(args) -> int:
+    """Both tactics: --config values first, then every flag given."""
+    cfg = _load_config(args.config) if args.config else {}
+    if cfg.get("tactic", args.tactic) != args.tactic:
+        raise ConfigError(f"--config has tactic {cfg['tactic']!r}, not {args.tactic!r}")
+    run = {"noise_scale": 0.0, "noise_seed": 0, **cfg}
+    run.update((k, v) for k, v in vars(args).items() if v is not None)
+    if cfg.get("space_doc") and not args.space:
+        space = space_from_dict(cfg["space_doc"])
+    elif run.get("space"):
+        space = resolve_space(run["space"])
+    else:
+        raise ConfigError("missing --space (preset name or space file)")
+    if not run.get("evaluator"):
         raise ConfigError("missing --evaluator")
-    evaluator, specs = _build_evaluator(args, space, declared)
-    warm = None
+    declared = [_parse_objective(o) for o in args.objective or ()] or [
+        ObjectiveSpec(**o) for o in cfg.get("objectives") or ()
+    ]
+    evaluator, specs = _build_evaluator(run, space, declared)
+    run["predictor"] = _predictor_doc(args, cfg.get("predictor") or {})
     if args.warm_start:
-        warm = _warm_start_from(args.warm_start)
-    elif cfg.get("warm_start"):
-        warm = [Genotype(tuple(g)) for g in cfg["warm_start"]]
-    evolver_cfg = EvolverConfig(
-        population_size=args.pop or cfg.get("population_size", 50),
-        generations=args.gens if args.gens is not None else cfg.get("generations", 200),
-        crossover_rate=cfg.get("crossover_rate", 0.9),
-        mutation_rate=cfg.get("mutation_rate"),
-        seed=args.seed,
+        run["warm_start"] = [g.genes for g in _warm_start_from(args.warm_start, space)]
+    tactic_cfg = config_from_doc(
+        FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig, run
     )
-    predictor_cfg = _predictor_config(args, cfg)
-    outdir = _resolve_out_dir(args, "full")
+    search = full_search if args.tactic == "full" else concurrent_search
+    outdir = _resolve_out_dir(args.out, args.tactic, tactic_cfg.seed)
     extra = {
-        "space": args.space or cfg.get("space", space.name),
+        "space": run.get("space", space.name),
         "space_doc": space_to_dict(space),
-        "evaluator": args.evaluator,
-        "noise_scale": getattr(args, "noise_scale", 0.0),
-        "noise_seed": getattr(args, "noise_seed", 0),
+        **{k: run[k] for k in ("evaluator", "noise_scale", "noise_seed")},
     }
     t0 = time.perf_counter()
-    report = full_search(
-        space,
-        specs,
-        evaluator,
-        predictor_cfg,
-        evolver_cfg,
-        n_train=args.train if args.train is not None else cfg.get("n_train", 500),
-        warm_start=warm,
-        config_extra=extra,
-    )
-    report.export(outdir)
-    _print_summary(report, outdir, time.perf_counter() - t0)
-    return EXIT_OK
-
-
-def _cmd_search_concurrent(args) -> int:
-    cfg = _load_config_defaults(args)
-    if cfg and cfg.get("tactic") not in (None, "concurrent"):
-        raise ConfigError(
-            f"--config has tactic {cfg.get('tactic')!r}, not 'concurrent'"
-        )
-    space = _space_from_args(args, cfg)
-    declared = tuple(_parse_objective(o) for o in args.objective or [])
-    args.seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    args.evaluator = args.evaluator or cfg.get("evaluator")
-    if not args.evaluator:
-        raise ConfigError("missing --evaluator")
-    evaluator, specs = _build_evaluator(args, space, declared)
-    warm = None
-    if args.warm_start:
-        warm = tuple(_warm_start_from(args.warm_start))
-    elif cfg.get("warm_start"):
-        warm = tuple(Genotype(tuple(g)) for g in cfg["warm_start"])
-    nas_cfg = ConcurrentNasConfig(
-        population_size=args.pop or cfg.get("population_size", 50),
-        iterations=args.iters or cfg.get("iterations", 3),
-        inner_generations=args.inner_gens
-        if args.inner_gens is not None
-        else cfg.get("inner_generations", 250),
-        predictor=_predictor_config(args, cfg),
-        validation_only_objectives=tuple(
-            args.validation_only or cfg.get("validation_only_objectives", [])
-        ),
-        warm_start=warm,
-        seed=args.seed,
-        inner_population=cfg.get("inner_population"),
-        crossover_rate=cfg.get("crossover_rate", 0.9),
-        mutation_rate=cfg.get("mutation_rate"),
-    )
-    outdir = _resolve_out_dir(args, "concurrent")
-    extra = {
-        "space": args.space or cfg.get("space", space.name),
-        "space_doc": space_to_dict(space),
-        "evaluator": args.evaluator,
-        "noise_scale": getattr(args, "noise_scale", 0.0),
-        "noise_seed": getattr(args, "noise_seed", 0),
-    }
-    t0 = time.perf_counter()
-    report = concurrent_search(space, specs, evaluator, nas_cfg, config_extra=extra)
+    report = search(space, specs, evaluator, tactic_cfg, config_extra=extra)
     report.export(outdir)
     _print_summary(report, outdir, time.perf_counter() - t0)
     return EXIT_OK
@@ -377,7 +302,7 @@ def _parse_sizes(text: str) -> list[int]:
 def _cmd_predict_bench(args) -> int:
     space = resolve_space(args.space)
     declared = tuple(_parse_objective(o) for o in args.objective_spec or [])
-    evaluator, specs = _build_evaluator(args, space, declared)
+    evaluator, specs = _build_evaluator(vars(args), space, declared)
     if args.objective not in {s.name for s in specs}:
         raise ConfigError(
             f"objective {args.objective!r} not provided by evaluator "
@@ -385,28 +310,17 @@ def _cmd_predict_bench(args) -> int:
         )
     sizes = _parse_sizes(args.train_sizes)
     needed = args.test_size + max(sizes)
-    pool: list[Genotype] = []
-    keys = set()
-    attempt = 0
-    while len(pool) < needed and attempt < 50:
-        for g in sample_uniform(
-            space, needed, subseed(args.seed, "bench-pool", attempt)
-        ):
-            if g.genes not in keys:
-                keys.add(g.genes)
-                pool.append(g)
-        attempt += 1
+    pool = sample_unique(space, needed, args.seed, "bench-pool")
     if len(pool) < needed:
         raise ConfigError(
             f"space too small for bench: need {needed} distinct genotypes"
         )
-    pool = pool[:needed]
     store = ResultStore(specs, space=space)
     recs = evaluate_batch(pool, evaluator, store)
     bad = [r for r in recs if not r.ok]
     if bad:
         raise EvaluationFailed(f"{len(bad)} bench evaluations failed: {bad[0].error}")
-    pcfg = _predictor_config(args, {})
+    pcfg = PredictorConfig(**_predictor_doc(args, {}))
     X = encode_matrix(pool, space, pcfg.encoding)
     y = np.array([r.objectives_raw.value_of(args.objective) for r in recs])
     results = run_prediction_trials(
@@ -585,46 +499,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Run flags default to None and their dests are config.json keys, so a
+    # flag given with --config overrides the config's value.
     def add_run_options(p, concurrent: bool):
         p.add_argument("--space", help="space preset name or JSON file")
         p.add_argument("--evaluator", help="synthetic:<preset> | table:<path> | external:<cmd>")
         p.add_argument("--objective", action="append",
                        help="name:direction[:unit]; needed for external evaluators")
-        p.add_argument("--pop", type=int, help="population size")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--pop", dest="population_size", type=int, help="population size")
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", help=f"artifacts directory (or ${OUTPUT_DIR_ENV})")
-        p.add_argument("--config", help="load defaults from a persisted config.json")
+        p.add_argument("--config", help="replay a persisted config.json")
         p.add_argument("--warm-start", help="evals.jsonl whose front seeds the search")
-        p.add_argument("--predictor", choices=["ridge", "svr", "none"], default=None)
+        p.add_argument("--predictor", dest="family", choices=["ridge", "svr", "none"])
         p.add_argument("--predictor-for", action="append",
                        help="objective:family per-objective override")
         p.add_argument("--encoding", choices=["one_hot", "ordinal_normalized"],
-                       default=None, help="predictor feature encoding")
-        p.add_argument("--ridge-lambda", type=float, default=None)
-        p.add_argument("--noise-scale", type=float, default=0.0)
-        p.add_argument("--noise-seed", type=int, default=0)
+                       help="predictor feature encoding")
+        p.add_argument("--ridge-lambda", type=float)
+        p.add_argument("--noise-scale", type=float)
+        p.add_argument("--noise-seed", type=int)
         p.add_argument("--timeout", type=float, default=600.0,
                        help="external evaluator response timeout (s)")
-        p.add_argument("--jobs", type=int, default=1, help="evaluation fan-out cap")
         if concurrent:
-            p.add_argument("--iters", type=int, help="ConcurrentNAS iterations")
-            p.add_argument("--inner-gens", type=int, default=None,
+            p.add_argument("--iters", dest="iterations", type=int,
+                           help="ConcurrentNAS iterations")
+            p.add_argument("--inner-gens", dest="inner_generations", type=int,
                            help="inner search generations per iteration")
-            p.add_argument("--validation-only", action="append",
-                           help="objective measured, never predicted")
+            p.add_argument("--validation-only", dest="validation_only_objectives",
+                           action="append", help="objective measured, never predicted")
         else:
-            p.add_argument("--gens", type=int, default=None, help="generations")
-            p.add_argument("--train", type=int, default=None,
+            p.add_argument("--gens", dest="generations", type=int, help="generations")
+            p.add_argument("--train", dest="n_train", type=int,
                            help="predictor training sample size")
+        p.set_defaults(func=_cmd_search)
 
     search = sub.add_parser("search", help="run a search tactic")
     search_sub = search.add_subparsers(dest="tactic", required=True)
-    p_full = search_sub.add_parser("full", help="predictors up front, then search")
-    add_run_options(p_full, concurrent=False)
-    p_full.set_defaults(func=_cmd_search_full)
-    p_conc = search_sub.add_parser("concurrent", help="iterative predictor-in-the-loop search")
-    add_run_options(p_conc, concurrent=True)
-    p_conc.set_defaults(func=_cmd_search_concurrent)
+    add_run_options(
+        search_sub.add_parser("full", help="predictors up front, then search"),
+        concurrent=False,
+    )
+    add_run_options(
+        search_sub.add_parser("concurrent", help="iterative predictor-in-the-loop search"),
+        concurrent=True,
+    )
 
     p_popdb = sub.add_parser("popdb", help="build constraints from search history")
     p_popdb.add_argument("--history", required=True, help="evals.jsonl of a prior run")
@@ -647,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--objective", required=True, help="objective to predict")
     p_bench.add_argument("--objective-spec", action="append",
                          help="name:direction[:unit] for external evaluators")
-    p_bench.add_argument("--predictor", choices=["ridge", "svr"], default="ridge")
+    p_bench.add_argument("--predictor", dest="family", choices=["ridge", "svr"],
+                         default="ridge")
     p_bench.add_argument("--predictor-for", action="append", help=argparse.SUPPRESS)
     p_bench.add_argument("--encoding", choices=["one_hot", "ordinal_normalized"],
                          default=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,14 @@ from .objectives import (
     pareto_front,
 )
 from .predict import KernelSpec, fit_ridge, fit_svr, predict
-from .space import Genotype, SearchSpace, encode_matrix, repair_genotype, sample_uniform
+from .space import (
+    Genotype,
+    SearchSpace,
+    encode_matrix,
+    repair_unique,
+    sample_uniform,
+    sample_unique,
+)
 from .util import subseed
 
 PREDICTOR_FAMILIES = ("ridge", "svr", "none")
@@ -71,6 +78,18 @@ class PredictorConfig:
 
 
 @dataclass(frozen=True)
+class FullSearchConfig:
+    population_size: int = 50
+    generations: int = 200
+    n_train: int = 500  # up-front validation sample; unused with family "none"
+    predictor: PredictorConfig = field(default_factory=PredictorConfig)
+    warm_start: tuple[Genotype, ...] | None = None
+    seed: int = 0
+    crossover_rate: float = 0.9
+    mutation_rate: float | None = None
+
+
+@dataclass(frozen=True)
 class ConcurrentNasConfig:
     population_size: int = 50
     iterations: int = 3
@@ -90,6 +109,42 @@ class ConcurrentNasConfig:
             raise ConfigError("iterations must be >= 1")
         if self.inner_generations < 1:
             raise ConfigError("inner_generations must be >= 1")
+
+
+def config_to_doc(
+    tactic: str, cfg, specs, reference, evaluator, extra: dict | None = None
+) -> dict:
+    """The run's config.json document: `tactic`, every field of the tactic
+    config, the run's objectives, HV reference and evaluator id, then
+    `extra` (facts the caller needs to rebuild the run)."""
+    doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    doc.update(
+        tactic=tactic,
+        predictor=asdict(cfg.predictor),
+        warm_start=[list(g.genes) for g in cfg.warm_start] if cfg.warm_start else None,
+        objectives=[asdict(s) for s in specs],
+        hv_reference=list(reference) if reference else None,
+        evaluator_id=evaluator.evaluator_id,
+    )
+    doc.update(extra or {})
+    return doc
+
+
+def config_from_doc(cls, doc: dict):
+    """Rebuild a tactic config (FullSearchConfig or ConcurrentNasConfig) from
+    a config.json document. Keys that are not fields are ignored; a missing
+    or null key takes the field's default."""
+    kw = {f.name: doc[f.name] for f in fields(cls) if doc.get(f.name) is not None}
+    if "predictor" in kw:
+        names = {f.name for f in fields(PredictorConfig)}
+        kw["predictor"] = PredictorConfig(
+            **{k: v for k, v in kw["predictor"].items() if k in names}
+        )
+    if "warm_start" in kw:
+        kw["warm_start"] = tuple(Genotype(tuple(g)) for g in kw["warm_start"])
+    if "validation_only_objectives" in kw:
+        kw["validation_only_objectives"] = tuple(kw["validation_only_objectives"])
+    return cls(**kw)
 
 
 @dataclass
@@ -315,16 +370,21 @@ def full_search(
     space: SearchSpace,
     objectives,
     evaluator,
-    predictor_cfg: PredictorConfig,
-    evolver_cfg: EvolverConfig,
-    n_train: int,
-    warm_start=None,
+    cfg: FullSearchConfig,
     store: ResultStore | None = None,
     config_extra: dict | None = None,
 ) -> SearchReport:
     """Train predictors from an up-front sample, search against them, then
     validate the predicted front. With predictor family "none" the evolver
     measures every child instead (no sampling phase)."""
+    evolver_cfg = EvolverConfig(
+        population_size=cfg.population_size,
+        generations=cfg.generations,
+        crossover_rate=cfg.crossover_rate,
+        mutation_rate=cfg.mutation_rate,
+        seed=cfg.seed,
+    )
+    predictor_cfg, n_train = cfg.predictor, cfg.n_train
     specs = tuple(objectives)
     check_unique_names(specs)
     if store is None:
@@ -340,7 +400,7 @@ def full_search(
             space,
             evolver_cfg,
             make_validation_evaluate(evaluator, store),
-            warm_start=warm_start,
+            warm_start=cfg.warm_start,
         )
         phase_seconds["search"] = time.perf_counter() - t0
         traces.append(trace)
@@ -372,7 +432,7 @@ def full_search(
             space,
             evolver_cfg,
             make_predictor_evaluate(space, specs, models, predictor_cfg),
-            warm_start=warm_start,
+            warm_start=cfg.warm_start,
             source="predicted",
         )
         phase_seconds["search"] = time.perf_counter() - t0
@@ -393,33 +453,6 @@ def full_search(
     hv_trace = (
         hypervolume_trace(store, reference) if reference is not None else []
     )
-    config = {
-        "tactic": "full",
-        "seed": evolver_cfg.seed,
-        "n_train": n_train,
-        "population_size": evolver_cfg.population_size,
-        "generations": evolver_cfg.generations,
-        "crossover_rate": evolver_cfg.crossover_rate,
-        "mutation_rate": evolver_cfg.resolved_mutation_rate,
-        "duplicate_retry_budget": evolver_cfg.resolved_retry_budget,
-        "predictor": {
-            "family": predictor_cfg.family,
-            "encoding": predictor_cfg.encoding,
-            "ridge_lambda": predictor_cfg.ridge_lambda,
-            "svr_c": predictor_cfg.svr_c,
-            "svr_epsilon": predictor_cfg.svr_epsilon,
-            "svr_kernel": predictor_cfg.svr_kernel,
-            "svr_gamma": predictor_cfg.svr_gamma,
-            "families": dict(predictor_cfg.families),
-        },
-        "objectives": [
-            {"name": s.name, "direction": s.direction, "unit": s.unit} for s in specs
-        ],
-        "warm_start": [list(g.genes) for g in warm_start] if warm_start else None,
-        "hv_reference": list(reference) if reference else None,
-        "evaluator_id": evaluator.evaluator_id,
-    }
-    config.update(config_extra or {})
     return SearchReport(
         tactic="full",
         space=space,
@@ -432,7 +465,7 @@ def full_search(
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,
-        config=config,
+        config=config_to_doc("full", cfg, specs, reference, evaluator, config_extra),
         warnings=warn_list,
         traces=traces,
     )
@@ -444,30 +477,20 @@ def full_search(
 
 
 def _initial_population(space, cfg: ConcurrentNasConfig) -> list[Genotype]:
-    chosen: list[Genotype] = []
-    keys: set[tuple[int, ...]] = set()
-    if cfg.warm_start:
-        for g in cfg.warm_start:
-            rg = repair_genotype(g, space)
-            if rg.genes not in keys:
-                keys.add(rg.genes)
-                chosen.append(rg)
-        if len(chosen) > cfg.population_size:
-            rng = np.random.default_rng(subseed(cfg.seed, "warm-subsample"))
-            idx = sorted(
-                int(i)
-                for i in rng.choice(len(chosen), cfg.population_size, replace=False)
-            )
-            chosen = [chosen[i] for i in idx]
-    attempt = 0
-    while len(chosen) < cfg.population_size and attempt < 100:
-        needed = cfg.population_size - len(chosen)
-        for g in sample_uniform(space, needed, subseed(cfg.seed, "init-pad", attempt)):
-            if g.genes not in keys and len(chosen) < cfg.population_size:
-                keys.add(g.genes)
-                chosen.append(g)
-        attempt += 1
-    return chosen
+    chosen = repair_unique(cfg.warm_start or (), space)
+    if len(chosen) > cfg.population_size:
+        rng = np.random.default_rng(subseed(cfg.seed, "warm-subsample"))
+        idx = sorted(
+            int(i) for i in rng.choice(len(chosen), cfg.population_size, replace=False)
+        )
+        chosen = [chosen[i] for i in idx]
+    return chosen + sample_unique(
+        space,
+        cfg.population_size - len(chosen),
+        cfg.seed,
+        "init-pad",
+        exclude={g.genes for g in chosen},
+    )
 
 
 def concurrent_search(
@@ -556,50 +579,19 @@ def concurrent_search(
                 pool, cfg.population_size - len(chosen), exclude=exclude
             )
         population = [ind.genotype for ind in chosen]
-        attempt = 0
-        keys = validated_keys | {g.genes for g in population}
-        while len(population) < cfg.population_size and attempt < 100:
-            needed = cfg.population_size - len(population)
-            for g in sample_uniform(
-                space, needed, subseed(cfg.seed, "iter-pad", i, attempt)
-            ):
-                if g.genes not in keys and len(population) < cfg.population_size:
-                    keys.add(g.genes)
-                    population.append(g)
-            attempt += 1
+        population += sample_unique(
+            space,
+            cfg.population_size - len(population),
+            cfg.seed,
+            "iter-pad",
+            i,
+            exclude=validated_keys | {g.genes for g in population},
+        )
 
     all_validated = store.validation_records()
     hv_trace = (
         hypervolume_trace(store, reference) if reference is not None else []
     )
-    config = {
-        "tactic": "concurrent",
-        "seed": cfg.seed,
-        "population_size": cfg.population_size,
-        "iterations": cfg.iterations,
-        "inner_generations": cfg.inner_generations,
-        "inner_population": cfg.inner_population or cfg.population_size,
-        "crossover_rate": cfg.crossover_rate,
-        "mutation_rate": cfg.mutation_rate,
-        "validation_only_objectives": list(cfg.validation_only_objectives),
-        "predictor": {
-            "family": cfg.predictor.family,
-            "encoding": cfg.predictor.encoding,
-            "ridge_lambda": cfg.predictor.ridge_lambda,
-            "svr_c": cfg.predictor.svr_c,
-            "svr_epsilon": cfg.predictor.svr_epsilon,
-            "svr_kernel": cfg.predictor.svr_kernel,
-            "svr_gamma": cfg.predictor.svr_gamma,
-            "families": dict(cfg.predictor.families),
-        },
-        "objectives": [
-            {"name": s.name, "direction": s.direction, "unit": s.unit} for s in specs
-        ],
-        "warm_start": [list(g.genes) for g in cfg.warm_start] if cfg.warm_start else None,
-        "hv_reference": list(reference) if reference else None,
-        "evaluator_id": evaluator.evaluator_id,
-    }
-    config.update(config_extra or {})
     return SearchReport(
         tactic="concurrent",
         space=space,
@@ -612,7 +604,9 @@ def concurrent_search(
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,
-        config=config,
+        config=config_to_doc(
+            "concurrent", cfg, specs, reference, evaluator, config_extra
+        ),
         warnings=warn_list,
         traces=traces,
     )

@@ -14,7 +14,6 @@ import queue
 import shlex
 import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -31,11 +30,10 @@ from .errors import (
     ProtocolError,
 )
 from .objectives import ObjectiveSpec, ObjectiveVector, check_unique_names
-from .space import Genotype, SearchSpace, encode_matrix, is_canonical
+from .space import Genotype, SearchSpace, _encode_row, encode_matrix, is_canonical
 from .util import pseudo_noise, subseed
 
 SOURCE_VALIDATION = "validation"
-SOURCE_PREDICTED = "predicted"
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,6 @@ def evaluate_batch(
     evaluator,
     store: ResultStore,
     gen: int | None = None,
-    jobs: int = 1,
 ) -> list[EvaluationRecord]:
     """Evaluate a batch, returning records aligned with the input.
 
@@ -305,7 +302,7 @@ def evaluate_batch(
             queued.add(g.genes)
             missing.append(g)
     if missing:
-        outs = _dispatch(evaluator, missing, jobs)
+        outs = evaluator.evaluate(missing)
         for g, out in zip(missing, outs):
             if isinstance(out, EvaluationFailure):
                 rec = store.append_failure(g, out.message, evaluator.evaluator_id, gen)
@@ -315,21 +312,6 @@ def evaluate_batch(
                 )
             results[g.genes] = rec
     return [results[g.genes] for g in genotypes]
-
-
-def _dispatch(evaluator, genotypes: list[Genotype], jobs: int):
-    if jobs <= 1 or len(genotypes) < 2 or not getattr(evaluator, "parallel_safe", False):
-        return list(evaluator.evaluate(genotypes))
-    chunks = [genotypes[i::jobs] for i in range(jobs)]
-    chunks = [c for c in chunks if c]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        chunk_outs = list(pool.map(evaluator.evaluate, chunks))
-    # reassemble in input order regardless of scheduling
-    out_by_genes = {}
-    for chunk, outs in zip(chunks, chunk_outs):
-        for g, o in zip(chunk, outs):
-            out_by_genes[g.genes] = o
-    return [out_by_genes[g.genes] for g in genotypes]
 
 
 def training_set(
@@ -395,10 +377,7 @@ def synthetic_evaluate(g: Genotype, surface: SyntheticSurface) -> ObjectiveVecto
     space = surface.space
     if not is_canonical(g, space):
         raise NonCanonicalInput(f"genotype {g.genes} is not canonical")
-    feats = np.empty(space.genome_length)
-    for pos, value in enumerate(g.genes):
-        k = len(space.allowed[pos])
-        feats[pos] = 0.0 if k == 1 else space.value_rank(pos, value) / (k - 1)
+    feats = _encode_row(g, space, "ordinal_normalized")
     acc = surface.accuracy_max - surface.accuracy_span * math.exp(
         -float(surface.accuracy_weights @ feats) / surface.temperature
     )
@@ -464,8 +443,6 @@ def make_surface(
 
 
 class SyntheticSurfaceEvaluator:
-    parallel_safe = True
-
     def __init__(self, surface: SyntheticSurface, evaluator_id: str | None = None):
         self.surface = surface
         self.evaluator_id = evaluator_id or f"synthetic:{surface.name}"
@@ -477,8 +454,6 @@ class SyntheticSurfaceEvaluator:
 class CallableEvaluator:
     """Wraps a genotype -> ObjectiveVector function; exceptions become
     per-genotype failures."""
-
-    parallel_safe = False
 
     def __init__(self, fn, evaluator_id: str = "callable"):
         self.fn = fn
@@ -496,8 +471,6 @@ class CallableEvaluator:
 
 class TableEvaluator:
     """Static lookup-table evaluator reading a genotype -> objectives file."""
-
-    parallel_safe = True
 
     def __init__(self, path: str | Path, evaluator_id: str | None = None):
         with open(path, encoding="utf-8") as fh:
@@ -550,8 +523,6 @@ class ExternalEvaluator:
     Responses may arrive out of order; they are re-associated by id. A crash
     mid-batch fails the outstanding genotypes and leaves completed ones intact.
     """
-
-    parallel_safe = False
 
     def __init__(
         self,

@@ -10,17 +10,15 @@ twice.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, Unevaluated
 from .objectives import ObjectiveVector, nondominated_fronts
-from .space import Genotype, SearchSpace, canonicalize, repair_genotype
+from .space import Genotype, SearchSpace, canonicalize, repair_unique
 from .util import genes_bytes, stable_hash64, subseed
 
 EvaluateFn = Callable[[Sequence[Genotype]], Sequence[ObjectiveVector]]
@@ -91,22 +89,6 @@ class SearchTrace:
 
     def evaluated_genotypes(self) -> set[tuple[int, ...]]:
         return {e.genotype.genes for e in self.evaluations}
-
-
-def trace_to_jsonl(trace: SearchTrace, path: str | Path) -> None:
-    """One record per evaluation, in evaluation order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in trace.evaluations:
-            record = {
-                "gen": e.gen,
-                "genotype": list(e.genotype.genes),
-                "objectives_raw": {
-                    s.name: v
-                    for s, v in zip(e.objectives_raw.specs, e.objectives_raw.values)
-                },
-                "source": e.source,
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +274,9 @@ def evolve(
         return [replace(ind) for ind in pop]
 
     # -- initial population --------------------------------------------------
-    init: list[Genotype] = []
-    init_keys: set[tuple[int, ...]] = set()
-    if warm_start:
-        for g in warm_start:
-            rg = repair_genotype(g, space)
-            if rg.genes not in init_keys:
-                init_keys.add(rg.genes)
-                init.append(rg)
-        trace.warm_start_size = len(init)
+    init = repair_unique(warm_start or (), space)
+    init_keys = {g.genes for g in init}
+    trace.warm_start_size = len(init)
     budget = retry_budget
     while len(init) < pop_size:
         g = _random_genotype(rng, space)

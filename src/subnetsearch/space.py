@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidGenotype, NonCanonicalInput
-from .util import genes_bytes, stable_hash64
+from .util import genes_bytes, stable_hash64, subseed
 
 ROLES = ("block_depth", "per_layer", "global")
 ENCODINGS = ("one_hot", "ordinal_normalized")
@@ -256,6 +256,12 @@ def repair_genotype(g: Genotype, s: SearchSpace) -> Genotype:
     return canonicalize(Genotype(tuple(genes)), s)
 
 
+def repair_unique(genotypes, s: SearchSpace) -> list[Genotype]:
+    """Repair each genotype into the space, keeping the first of each
+    canonical form in input order."""
+    return list(dict.fromkeys(repair_genotype(g, s) for g in genotypes))
+
+
 def cardinality(s: SearchSpace) -> int:
     """Number of distinct canonical genotypes (arbitrary precision)."""
     total = 1
@@ -287,6 +293,26 @@ def sample_uniform(s: SearchSpace, n: int, seed: int) -> list[Genotype]:
     for row in ranks:
         genes = tuple(s.allowed[pos][r] for pos, r in enumerate(row))
         out.append(canonicalize(Genotype(genes), s))
+    return out
+
+
+def sample_unique(
+    s: SearchSpace, n: int, seed: int, *labels, exclude=frozenset()
+) -> list[Genotype]:
+    """Up to n distinct canonical genotypes outside `exclude`.
+
+    Attempt k draws the shortfall uniformly with sub-seed (seed, *labels, k);
+    after 100 attempts a space too small to fill gives fewer than n.
+    """
+    out: list[Genotype] = []
+    seen = set(exclude)
+    for attempt in range(100):
+        if len(out) >= n:
+            break
+        for g in sample_uniform(s, n - len(out), subseed(seed, *labels, attempt)):
+            if g.genes not in seen:
+                seen.add(g.genes)
+                out.append(g)
     return out
 
 
@@ -369,18 +395,6 @@ def encode_matrix(genotypes, s: SearchSpace, scheme: str) -> np.ndarray:
     if not rows:
         return np.zeros((0, feature_dim(s, scheme)))
     return np.vstack(rows)
-
-
-def decode_one_hot(vec: np.ndarray, s: SearchSpace) -> Genotype:
-    """Invert one_hot encoding by taking the argmax of each position's block."""
-    genes = []
-    offset = 0
-    for pos in range(s.genome_length):
-        vals = s.allowed[pos]
-        block = vec[offset : offset + len(vals)]
-        genes.append(vals[int(np.argmax(block))])
-        offset += len(vals)
-    return Genotype(tuple(genes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, reruns, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import subnetsearch
 from subnetsearch.cli import main
-from subnetsearch.space import save_space
+from subnetsearch.space import save_space, space_to_dict
 
 DOUBLE = Path(__file__).parent / "doubles" / "scripted_evaluator.py"
 
@@ -61,22 +62,163 @@ def test_search_determinism_byte_identical_logs(tmp_path, toy_space_file):
     assert outs[0] == outs[1]
 
 
-def test_rerun_from_persisted_config(tmp_path, toy_space_file):
+RUN_SIZES = {
+    "concurrent": ("--pop", "8", "--iters", "2", "--inner-gens", "8"),
+    "full": ("--pop", "8", "--gens", "4", "--train", "40"),
+}
+
+
+@pytest.fixture(scope="module")
+def toy_table_file(tmp_path_factory, toy_space):
+    """Every canonical toy genotype with its v100-like surface objectives."""
+    from subnetsearch.evalmgr import make_surface, synthetic_evaluate
+    from subnetsearch.space import enumerate_genotypes
+
+    surface = make_surface(toy_space, "v100-like")
+    doc = {
+        "objectives": [dataclasses.asdict(s) for s in surface.specs],
+        "entries": [
+            {
+                "genes": list(g.genes),
+                "objectives": dict(
+                    zip([s.name for s in surface.specs],
+                        synthetic_evaluate(g, surface).values)
+                ),
+            }
+            for g in enumerate_genotypes(toy_space)
+        ],
+    }
+    path = tmp_path_factory.mktemp("table") / "toy_table.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("tactic", ["concurrent", "full"])
+@pytest.mark.parametrize("mode", ["noise", "table", "external", "warm-start"])
+def test_rerun_from_persisted_config(tmp_path, toy_space, toy_space_file,
+                                     toy_table_file, mode, tactic):
+    if mode == "noise":
+        run_args = ["--evaluator", "synthetic:clx-like",
+                    "--noise-scale", "0.05", "--noise-seed", "3"]
+    elif mode == "table":
+        run_args = ["--evaluator", f"table:{toy_table_file}"]
+    elif mode == "external":
+        run_args = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-sum",
+                    "--objective", "top1:maximize",
+                    "--objective", "latency_ms:minimize:ms"]
+    else:
+        history = tmp_path / "history.jsonl"
+        write_toy_history(history, toy_space)
+        run_args = ["--evaluator", "synthetic:clx-like", "--warm-start", str(history)]
     first = tmp_path / "first"
     assert run_cli(
-        "search", "concurrent",
-        "--space", toy_space_file,
-        "--evaluator", "synthetic:clx-like",
-        "--pop", "8", "--iters", "2", "--inner-gens", "8",
-        "--seed", "11", "--out", str(first),
+        "search", tactic, "--space", toy_space_file, *run_args,
+        *RUN_SIZES[tactic], "--seed", "11", "--out", str(first),
     ) == 0
     second = tmp_path / "second"
     assert run_cli(
-        "search", "concurrent",
-        "--config", str(first / "config.json"),
-        "--out", str(second),
+        "search", tactic, "--config", str(first / "config.json"), "--out", str(second),
     ) == 0
-    assert (first / "evals.jsonl").read_bytes() == (second / "evals.jsonl").read_bytes()
+    for name in ("evals.jsonl", "config.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_space_flag_overrides_config_space(tmp_path, toy_space_file, tiny_space):
+    first = tmp_path / "first"
+    assert run_cli(
+        "search", "concurrent", "--space", toy_space_file,
+        "--evaluator", "synthetic:clx-like", *RUN_SIZES["concurrent"],
+        "--out", str(first),
+    ) == 0
+    tiny_file = tmp_path / "tiny_space.json"
+    save_space(tiny_space, tiny_file)
+    second = tmp_path / "second"
+    assert run_cli(
+        "search", "concurrent", "--config", str(first / "config.json"),
+        "--space", str(tiny_file), "--out", str(second),
+    ) == 0
+    cfg = json.loads((second / "config.json").read_text())
+    assert cfg["space"] == str(tiny_file)
+    assert cfg["space_doc"] == space_to_dict(tiny_space)
+    from subnetsearch.evalmgr import ResultStore
+
+    recs = ResultStore.load(second / "evals.jsonl").validation_records()
+    assert {len(r.genotype.genes) for r in recs} == {tiny_space.genome_length}
+
+
+@pytest.mark.parametrize(
+    "tactic, flag", [("concurrent", "--pop"), ("concurrent", "--iters"), ("full", "--pop")]
+)
+def test_zero_run_size_is_config_error(tmp_path, toy_space_file, tactic, flag):
+    out = tmp_path / "run"
+    code = run_cli(
+        "search", tactic, "--space", toy_space_file,
+        "--evaluator", "synthetic:clx-like", *RUN_SIZES[tactic], flag, "0",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+def test_config_written_before_the_dataclass_schema_replays(tmp_path, toy_space,
+                                                             toy_space_file):
+    """A full-search config.json in the older format (resolved mutation_rate,
+    duplicate_retry_budget) replays to the log of the same run by flags."""
+    doc = {
+        "crossover_rate": 0.9,
+        "duplicate_retry_budget": 80,
+        "evaluator": "synthetic:clx-like",
+        "evaluator_id": "synthetic:clx-like",
+        "generations": 4,
+        "hv_reference": [-0.5, 60.0],
+        "mutation_rate": 0.125,
+        "n_train": 40,
+        "noise_scale": 0.0,
+        "noise_seed": 0,
+        "objectives": [
+            {"direction": "maximize", "name": "top1", "unit": "fraction"},
+            {"direction": "minimize", "name": "latency_ms", "unit": "ms"},
+        ],
+        "population_size": 8,
+        "predictor": {
+            "encoding": "one_hot",
+            "families": {},
+            "family": "ridge",
+            "ridge_lambda": 1.0,
+            "svr_c": 1.0,
+            "svr_epsilon": 0.01,
+            "svr_gamma": None,
+            "svr_kernel": "rbf",
+        },
+        "seed": 3,
+        "space": toy_space_file,
+        "space_doc": space_to_dict(toy_space),
+        "tactic": "full",
+        "warm_start": None,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    by_flags = tmp_path / "by_flags"
+    assert run_cli(
+        "search", "full", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        *RUN_SIZES["full"], "--seed", "3", "--out", str(by_flags),
+    ) == 0
+    replayed = tmp_path / "replayed"
+    assert run_cli("search", "full", "--config", str(config), "--out", str(replayed)) == 0
+    assert (by_flags / "evals.jsonl").read_bytes() == (replayed / "evals.jsonl").read_bytes()
+
+
+def test_warm_start_of_another_genome_length_is_config_error(tmp_path, toy_space,
+                                                              capsys):
+    history = tmp_path / "evals.jsonl"
+    write_toy_history(history, toy_space)  # 10 genes; mobilenetv3-like has 45
+    code = run_cli(
+        "search", "concurrent", "--space", "mobilenetv3-like",
+        "--evaluator", "synthetic:clx-like", "--warm-start", str(history),
+        *RUN_SIZES["concurrent"], "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert f"{history}:2:" in capsys.readouterr().err
 
 
 def test_search_full_and_warm_start(tmp_path, toy_space_file):

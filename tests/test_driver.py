@@ -8,6 +8,7 @@ import pytest
 
 from subnetsearch.driver import (
     ConcurrentNasConfig,
+    FullSearchConfig,
     PredictorConfig,
     concurrent_search,
     full_search,
@@ -21,7 +22,6 @@ from subnetsearch.evalmgr import (
     make_surface,
     synthetic_evaluate,
 )
-from subnetsearch.evolver import EvolverConfig
 from subnetsearch.objectives import (
     IncrementalFront2D,
     dominated_area,
@@ -68,9 +68,13 @@ def test_full_search_recovers_most_of_true_front(flat_toy_setup):
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
-        PredictorConfig(family="ridge", encoding="one_hot", ridge_lambda=1e-6),
-        EvolverConfig(population_size=30, generations=60, seed=0),
-        n_train=300,
+        FullSearchConfig(
+            population_size=30,
+            generations=60,
+            n_train=300,
+            predictor=PredictorConfig(family="ridge", encoding="one_hot", ridge_lambda=1e-6),
+            seed=0,
+        ),
     )
     found = {r.genotype.genes for r in report.validated_front}
     recovered = len(truth & found) / len(truth)
@@ -116,10 +120,13 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
         toy_space,
         specs,
         evaluator,
-        PredictorConfig(family="ridge", encoding="one_hot", ridge_lambda=1e-9),
-        EvolverConfig(population_size=40, generations=120, seed=1),
-        n_train=len(all_genotypes),
-        store=None,
+        FullSearchConfig(
+            population_size=40,
+            generations=120,
+            n_train=len(all_genotypes),
+            predictor=PredictorConfig(family="ridge", encoding="one_hot", ridge_lambda=1e-9),
+            seed=1,
+        ),
     )
     predicted = {r.genotype.genes for r in report.predicted_front}
     assert truth <= predicted  # every true front member is predicted optimal
@@ -133,9 +140,13 @@ def test_full_search_zero_generations_front_equals_sample_front(toy_setup):
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
-        PredictorConfig(family="ridge"),
-        EvolverConfig(population_size=10, generations=0, seed=1),
-        n_train=120,
+        FullSearchConfig(
+            population_size=10,
+            generations=0,
+            n_train=120,
+            predictor=PredictorConfig(family="ridge"),
+            seed=1,
+        ),
     )
     # with zero generations the predictor search sees only its initial
     # population; every validated-front member must come from the training
@@ -152,9 +163,13 @@ def test_full_search_validation_only_mode(toy_setup):
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
-        PredictorConfig(family="none"),
-        EvolverConfig(population_size=15, generations=10, seed=2),
-        n_train=0,
+        FullSearchConfig(
+            population_size=15,
+            generations=10,
+            n_train=0,
+            predictor=PredictorConfig(family="none"),
+            seed=2,
+        ),
     )
     assert report.predicted_front is None
     assert report.validation_count > 15
@@ -168,9 +183,13 @@ def test_full_search_warns_below_100_train(toy_setup):
             space,
             surface.specs,
             SyntheticSurfaceEvaluator(surface),
-            PredictorConfig(family="ridge"),
-            EvolverConfig(population_size=8, generations=2, seed=3),
-            n_train=50,
+            FullSearchConfig(
+                population_size=8,
+                generations=2,
+                n_train=50,
+                predictor=PredictorConfig(family="ridge"),
+                seed=3,
+            ),
         )
 
 
@@ -266,9 +285,13 @@ def test_concurrent_warm_start_from_other_preset(toy_setup):
         space,
         other.specs,
         SyntheticSurfaceEvaluator(other),
-        PredictorConfig(family="none"),
-        EvolverConfig(population_size=15, generations=15, seed=8),
-        n_train=0,
+        FullSearchConfig(
+            population_size=15,
+            generations=15,
+            n_train=0,
+            predictor=PredictorConfig(family="none"),
+            seed=8,
+        ),
     )
     seeds = tuple(r.genotype for r in source.validated_front)
     report = concurrent_search(

@@ -206,18 +206,6 @@ def test_batch_mixed_failure_keeps_successes(toy_space):
     assert len(store.validation_records()) == len(ok)
 
 
-def test_batch_parallel_jobs_matches_serial(toy_space):
-    surface = make_surface(toy_space, "clx-like")
-    ev = SyntheticSurfaceEvaluator(surface)
-    gs = sample_uniform(toy_space, 40, 5)
-    serial = evaluate_batch(gs, ev, ResultStore(surface.specs, space=toy_space))
-    parallel = evaluate_batch(
-        gs, ev, ResultStore(surface.specs, space=toy_space), jobs=4
-    )
-    for a, b in zip(serial, parallel):
-        assert a.objectives_raw.values == b.objectives_raw.values
-
-
 # ---------------------------------------------------------------------------
 # synthetic surfaces
 # ---------------------------------------------------------------------------

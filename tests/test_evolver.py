@@ -15,7 +15,6 @@ from subnetsearch.evolver import (
     evolve,
     non_dominated_sort,
     select_best,
-    trace_to_jsonl,
 )
 from subnetsearch.objectives import (
     IncrementalFront2D,
@@ -350,16 +349,3 @@ def test_select_best_excludes_and_backfills():
     chosen = select_best(pop, 3, exclude={(0,), (1,)})
     assert len(chosen) == 3
     assert all(c.genotype.genes not in {(0,), (1,)} for c in chosen)
-
-
-def test_trace_jsonl_export(tmp_path, tiny_space):
-    import json
-
-    evaluate = two_objective_evaluate(tiny_space)
-    trace = evolve(tiny_space, EvolverConfig(6, 2, seed=0), evaluate, source="predicted")
-    path = tmp_path / "trace.jsonl"
-    trace_to_jsonl(trace, path)
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == len(trace.evaluations)
-    assert set(lines[0]) == {"gen", "genotype", "objectives_raw", "source"}
-    assert lines[0]["source"] == "predicted"

@@ -14,7 +14,6 @@ from subnetsearch.space import (
     build_space,
     canonicalize,
     cardinality,
-    decode_one_hot,
     encode_features,
     encode_matrix,
     enumerate_genotypes,
@@ -265,12 +264,6 @@ def test_encode_row_rejects_wrong_genome_length(toy_space, scheme):
     for genes in (g.genes[:-1], g.genes + (3,)):
         with pytest.raises(InvalidGenotype):
             _encode_row(Genotype(genes), toy_space, scheme)
-
-
-def test_one_hot_round_trip_entire_toy_space(toy_space):
-    for g in enumerate_genotypes(toy_space):
-        vec = encode_features(g, toy_space, "one_hot")
-        assert decode_one_hot(vec, toy_space).genes == g.genes
 
 
 def test_one_hot_injective_on_canonical(tiny_space):
