@@ -21,7 +21,6 @@ from .evalmgr import (
 )
 from .evolver import (
     EvolverConfig,
-    Individual,
     SearchTrace,
     crowding_distance,
     evolve,

@@ -50,6 +50,7 @@ from .objectives import (
     LatencyNormalizer,
     ObjectiveSpec,
     default_reference,
+    hv_trace_to_csv,
     normalize_latency,
     pareto_front,
 )
@@ -154,9 +155,12 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _warm_start_from(path: str, space) -> list[Genotype]:
@@ -222,11 +226,18 @@ def _cmd_search(args) -> int:
         ObjectiveSpec(**o) for o in cfg.get("objectives") or ()
     ]
     evaluator, specs = _build_evaluator(run, space, declared)
-    run["predictor"] = _predictor_doc(args, cfg.get("predictor") or {})
+    predictor = cfg.get("predictor") or {}
+    if not isinstance(predictor, dict):
+        raise ConfigError(
+            f"{args.config}: predictor must be an object, got {predictor!r}"
+        )
+    run["predictor"] = _predictor_doc(args, predictor)
     if args.warm_start:
         run["warm_start"] = [g.genes for g in _warm_start_from(args.warm_start, space)]
     tactic_cfg = config_from_doc(
-        FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig, run
+        FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig,
+        run,
+        where=args.config or "flags",
     )
     search = full_search if args.tactic == "full" else concurrent_search
     outdir = _resolve_out_dir(args.out, args.tactic, tactic_cfg.seed)
@@ -419,11 +430,7 @@ def _cmd_analyze(args) -> int:
                 ]
             )
         trace = hypervolume_trace(store, tuple(reference))
-        with open(outdir / "hv_vs_evals.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["evaluation_count", "hypervolume"])
-            for count, hv in trace:
-                writer.writerow([count, repr(hv)])
+        hv_trace_to_csv(trace, outdir / "hv_vs_evals.csv")
 
     pop_dir = outdir / "populations"
     pop_dir.mkdir(exist_ok=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import time
+import types
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -25,13 +27,7 @@ from .evalmgr import (
     evaluate_batch,
     training_set,
 )
-from .evolver import (
-    EvolverConfig,
-    Individual,
-    SearchTrace,
-    evolve,
-    select_best,
-)
+from .evolver import EvolverConfig, SearchTrace, evolve, select_best
 from .objectives import (
     IncrementalFront2D,
     ObjectiveSpec,
@@ -130,29 +126,46 @@ def config_to_doc(
     return doc
 
 
-def config_from_doc(cls, doc: dict):
+_JSON_KINDS = {float: (int, float), tuple: list, PredictorConfig: dict}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can fill a field annotated `hint`."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    kind = typing.get_origin(hint) or hint
+    return isinstance(value, _JSON_KINDS.get(kind, kind))
+
+
+def _fields_from(cls, doc, where: str) -> dict:
+    """The non-null fields of `cls` in `doc`; a value whose JSON type does not
+    fit its field is a ConfigError naming `where`."""
+    hints = typing.get_type_hints(cls)
+    kw = {f.name: doc[f.name] for f in fields(cls) if doc.get(f.name) is not None}
+    for name, value in kw.items():
+        if not _fits(value, hint := hints[name]):
+            raise ConfigError(
+                f"{where}: {name} must be {getattr(hint, '__name__', hint)}, "
+                f"got {value!r}"
+            )
+    return kw
+
+
+def config_from_doc(cls, doc: dict, where: str = "config"):
     """Rebuild a tactic config (FullSearchConfig or ConcurrentNasConfig) from
     a config.json document. Keys that are not fields are ignored; a missing
-    or null key takes the field's default."""
-    kw = {f.name: doc[f.name] for f in fields(cls) if doc.get(f.name) is not None}
+    or null key takes the field's default; a value of the wrong JSON type is
+    a ConfigError naming `where`."""
+    kw = _fields_from(cls, doc, where)
     if "predictor" in kw:
-        names = {f.name for f in fields(PredictorConfig)}
         kw["predictor"] = PredictorConfig(
-            **{k: v for k, v in kw["predictor"].items() if k in names}
+            **_fields_from(PredictorConfig, kw["predictor"], where)
         )
     if "warm_start" in kw:
         kw["warm_start"] = tuple(Genotype(tuple(g)) for g in kw["warm_start"])
     if "validation_only_objectives" in kw:
         kw["validation_only_objectives"] = tuple(kw["validation_only_objectives"])
     return cls(**kw)
-
-
-@dataclass
-class _FrontEntry:
-    """Record shim so predicted fronts can reuse the front machinery."""
-
-    genotype: Genotype
-    objectives_raw: ObjectiveVector
 
 
 @dataclass
@@ -354,13 +367,6 @@ def _maybe_reference(specs, records):
     return default_reference([r.objectives_raw for r in records])
 
 
-def _trace_front(trace: SearchTrace) -> ParetoFront:
-    entries = [
-        _FrontEntry(e.genotype, e.objectives_raw) for e in trace.evaluations
-    ]
-    return pareto_front(entries)
-
-
 # ---------------------------------------------------------------------------
 # Full search
 # ---------------------------------------------------------------------------
@@ -437,7 +443,7 @@ def full_search(
         )
         phase_seconds["search"] = time.perf_counter() - t0
         traces.append(trace)
-        predicted_front = _trace_front(trace)
+        predicted_front = pareto_front(trace.evaluations)
 
         t0 = time.perf_counter()
         front_recs = evaluate_batch(
@@ -522,7 +528,6 @@ def concurrent_search(
     validated_keys: set[tuple[int, ...]] = set()
     validation_populations: list[list] = []
     reference = None
-    last_trace: SearchTrace | None = None
 
     for i in range(cfg.iterations):
         t0 = time.perf_counter()
@@ -567,18 +572,16 @@ def concurrent_search(
         )
         phase_seconds["search"] += time.perf_counter() - t0
         traces.append(trace)
-        last_trace = trace
 
-        chosen = select_best(trace.final_population, cfg.population_size, exclude=validated_keys)
+        chosen = select_best(
+            trace.final_population, cfg.population_size, exclude=validated_keys
+        )
         if len(chosen) < cfg.population_size:
-            pool = [
-                Individual(e.genotype, e.objectives_raw) for e in trace.evaluations
-            ]
-            exclude = validated_keys | {ind.genotype.genes for ind in chosen}
+            exclude = validated_keys | {rec.genotype.genes for _, rec in chosen}
             chosen += select_best(
-                pool, cfg.population_size - len(chosen), exclude=exclude
+                trace.evaluations, cfg.population_size - len(chosen), exclude=exclude
             )
-        population = [ind.genotype for ind in chosen]
+        population = [rec.genotype for _, rec in chosen]
         population += sample_unique(
             space,
             cfg.population_size - len(population),
@@ -598,7 +601,7 @@ def concurrent_search(
         specs=specs,
         store=store,
         validation_populations=validation_populations,
-        predicted_front=_trace_front(last_trace) if last_trace else None,
+        predicted_front=pareto_front(traces[-1].evaluations),
         validated_front=pareto_front(all_validated),
         final_candidates=population,
         hv_reference=reference,

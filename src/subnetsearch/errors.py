@@ -49,7 +49,7 @@ class Unsupported2DOnly(SubnetSearchError):
 # --- evolver -------------------------------------------------------------
 
 class Unevaluated(SubnetSearchError):
-    """Individual lacks an objective vector where one is required."""
+    """A record lacks an objective vector where one is required."""
 
 
 # --- predictors ----------------------------------------------------------

@@ -29,7 +29,12 @@ from .errors import (
     ObjectiveMismatch,
     ProtocolError,
 )
-from .objectives import ObjectiveSpec, ObjectiveVector, check_unique_names
+from .objectives import (
+    EvaluationRecord,
+    ObjectiveSpec,
+    ObjectiveVector,
+    check_unique_names,
+)
 from .space import Genotype, SearchSpace, _encode_row, encode_matrix, is_canonical
 from .util import pseudo_noise, subseed
 
@@ -41,21 +46,6 @@ class EvaluationFailure:
     """Per-genotype evaluation failure returned by evaluators."""
 
     message: str
-
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    genotype: Genotype
-    objectives_raw: ObjectiveVector | None
-    source: str
-    evaluator_id: str
-    sequence_number: int
-    gen: int | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 class ResultStore:

@@ -10,26 +10,23 @@ twice.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, Unevaluated
-from .objectives import ObjectiveVector, nondominated_fronts
+from .objectives import EvaluationRecord, ObjectiveVector, nondominated_fronts
 from .space import Genotype, SearchSpace, canonicalize, repair_unique
 from .util import genes_bytes, stable_hash64, subseed
 
 EvaluateFn = Callable[[Sequence[Genotype]], Sequence[ObjectiveVector]]
-
-
-@dataclass
-class Individual:
-    genotype: Genotype
-    objectives: ObjectiveVector | None = None
-    rank: int | None = None
-    crowding: float = 0.0
+TiebreakFn = Callable[[tuple[int, ...]], int]
+# A population slot's NSGA-II key, lower is better:
+# (front rank, -crowding distance, tie-break hash of the genotype).
+SlotKey = tuple[int, float, int]
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,6 @@ class EvolverConfig:
     crossover_rate: float = 0.9
     mutation_rate: float | None = None  # None -> 1 / population_size
     seed: int = 0
-    duplicate_retry_budget: int | None = None  # None -> 10 * population_size
 
     def __post_init__(self):
         if self.population_size < 1:
@@ -51,8 +47,6 @@ class EvolverConfig:
         rate = self.resolved_mutation_rate
         if not (0.0 < rate <= 1.0):
             raise ConfigError("mutation_rate must be in (0, 1]")
-        if self.resolved_retry_budget < 1:
-            raise ConfigError("duplicate retry budget must be positive")
 
     @property
     def resolved_mutation_rate(self) -> float:
@@ -60,35 +54,20 @@ class EvolverConfig:
             return 1.0 / self.population_size
         return self.mutation_rate
 
-    @property
-    def resolved_retry_budget(self) -> int:
-        if self.duplicate_retry_budget is None:
-            return 10 * self.population_size
-        return self.duplicate_retry_budget
-
-
-@dataclass
-class TraceEvaluation:
-    gen: int
-    genotype: Genotype
-    objectives_raw: ObjectiveVector
-    source: str
-
 
 @dataclass
 class SearchTrace:
-    space_name: str
-    populations: list[list[Individual]] = field(default_factory=list)
-    evaluations: list[TraceEvaluation] = field(default_factory=list)
+    """Every evaluation of one `evolve` call, in order, and the population
+    after each generation; both hold the same frozen records."""
+
+    populations: list[list[EvaluationRecord]] = field(default_factory=list)
+    evaluations: list[EvaluationRecord] = field(default_factory=list)
     duplicate_accepts: int = 0
     warm_start_size: int = 0
 
     @property
-    def final_population(self) -> list[Individual]:
+    def final_population(self) -> list[EvaluationRecord]:
         return self.populations[-1]
-
-    def evaluated_genotypes(self) -> set[tuple[int, ...]]:
-        return {e.genotype.genes for e in self.evaluations}
 
 
 # ---------------------------------------------------------------------------
@@ -96,24 +75,30 @@ class SearchTrace:
 # ---------------------------------------------------------------------------
 
 
-def _require_evaluated(pop: Sequence[Individual]) -> None:
-    for ind in pop:
-        if ind.objectives is None:
-            raise Unevaluated(f"individual {ind.genotype.genes} has no objectives")
+def tiebreak_hash(salt: int) -> TiebreakFn:
+    """Salted tie-break hash of a gene tuple, memoized for as long as the
+    returned function lives."""
+    return functools.cache(lambda genes: stable_hash64(genes_bytes(genes), salt))
 
 
-def non_dominated_sort(pop: Sequence[Individual]) -> list[list[int]]:
+def _require_evaluated(pop: Sequence[EvaluationRecord]) -> None:
+    for rec in pop:
+        if rec.objectives_raw is None:
+            raise Unevaluated(f"record {rec.genotype.genes} has no objectives")
+
+
+def non_dominated_sort(pop: Sequence[EvaluationRecord]) -> list[list[int]]:
     """Non-dominated sort; returns fronts best first as sorted index lists.
 
-    Individuals with equal objective vectors share a front. Costs O(n log n)
+    Records with equal objective vectors share a front. Costs O(n log n)
     for two objectives and O(m n^2) otherwise (see `nondominated_fronts`).
     """
     _require_evaluated(pop)
-    return nondominated_fronts([ind.objectives.canonical_min for ind in pop])
+    return nondominated_fronts([rec.objectives_raw.canonical_min for rec in pop])
 
 
-def crowding_distance(front: Sequence[Individual]) -> list[float]:
-    """Per-individual crowding; extremes of any varying objective get +inf.
+def crowding_distance(front: Sequence[EvaluationRecord]) -> list[float]:
+    """Per-record crowding; extremes of any varying objective get +inf.
 
     Zero-range objectives contribute nothing. Ties are broken by genotype so
     the result is invariant under permutation of the input.
@@ -124,10 +109,10 @@ def crowding_distance(front: Sequence[Individual]) -> list[float]:
         return []
     if n <= 2:
         return [math.inf] * n
-    m = len(front[0].objectives.canonical_min)
+    m = len(front[0].objectives_raw.canonical_min)
     dist = [0.0] * n
     for k in range(m):
-        vals = [ind.objectives.canonical_min[k] for ind in front]
+        vals = [rec.objectives_raw.canonical_min[k] for rec in front]
         vmin, vmax = min(vals), max(vals)
         span = vmax - vmin
         if span == 0.0:
@@ -143,42 +128,36 @@ def crowding_distance(front: Sequence[Individual]) -> list[float]:
     return dist
 
 
-def _quality_order(pop: Sequence[Individual], salt: int) -> list[Individual]:
-    """Total order by (front rank asc, crowding desc, genotype hash); also
-    stamps rank and crowding onto the individuals."""
-    fronts = non_dominated_sort(pop)
-    ordered: list[Individual] = []
-    for rank, front_idx in enumerate(fronts):
-        members = [pop[i] for i in front_idx]
-        crowd = crowding_distance(members)
-        for ind, c in zip(members, crowd):
-            ind.rank = rank
-            ind.crowding = c
-        members.sort(
-            key=lambda ind: (
-                -ind.crowding,
-                stable_hash64(genes_bytes(ind.genotype.genes), salt),
-            )
-        )
-        ordered.extend(members)
-    return ordered
+def slot_keys(pop: Sequence[EvaluationRecord], tiebreak: TiebreakFn) -> list[SlotKey]:
+    """The key of every slot of `pop`, aligned with it. A genotype held in
+    two slots may get two crowding distances, hence two keys."""
+    keys: list = [None] * len(pop)
+    for rank, front_idx in enumerate(non_dominated_sort(pop)):
+        crowd = crowding_distance([pop[i] for i in front_idx])
+        for i, c in zip(front_idx, crowd):
+            keys[i] = (rank, -c, tiebreak(pop[i].genotype.genes))
+    return keys
 
 
 def select_best(
-    pop: Sequence[Individual],
+    pop: Sequence[EvaluationRecord],
     k: int,
     exclude: set[tuple[int, ...]] | frozenset = frozenset(),
-    salt: int = 0,
-) -> list[Individual]:
-    """Top-k by non-dominated sort + crowding, skipping excluded genotypes and
-    duplicates, backfilling from later fronts."""
-    chosen: list[Individual] = []
+    tiebreak: TiebreakFn | None = None,
+) -> list[tuple[SlotKey, EvaluationRecord]]:
+    """Top-k (key, record) pairs by non-dominated sort + crowding, skipping
+    excluded genotypes and duplicates, backfilling from later fronts. The
+    keys rank the whole of `pop`; `tiebreak` defaults to the salt-0 hash."""
+    pop = list(pop)
+    keys = slot_keys(pop, tiebreak or tiebreak_hash(0))
+    chosen: list[tuple[SlotKey, EvaluationRecord]] = []
     seen: set[tuple[int, ...]] = set(exclude)
-    for ind in _quality_order(list(pop), salt):
-        if ind.genotype.genes in seen:
+    for i in sorted(range(len(pop)), key=keys.__getitem__):
+        genes = pop[i].genotype.genes
+        if genes in seen:
             continue
-        seen.add(ind.genotype.genes)
-        chosen.append(ind)
+        seen.add(genes)
+        chosen.append((keys[i], pop[i]))
         if len(chosen) == k:
             break
     return chosen
@@ -189,12 +168,10 @@ def select_best(
 # ---------------------------------------------------------------------------
 
 
-def _tournament(rng, pop: Sequence[Individual], salt: int) -> Individual:
-    a = pop[int(rng.integers(len(pop)))]
-    b = pop[int(rng.integers(len(pop)))]
-    ka = (a.rank, -a.crowding, stable_hash64(genes_bytes(a.genotype.genes), salt))
-    kb = (b.rank, -b.crowding, stable_hash64(genes_bytes(b.genotype.genes), salt))
-    return a if ka <= kb else b
+def _tournament(rng, ranked: Sequence[tuple[SlotKey, EvaluationRecord]]):
+    a = ranked[int(rng.integers(len(ranked)))]
+    b = ranked[int(rng.integers(len(ranked)))]
+    return (a if a[0] <= b[0] else b)[1]
 
 
 def _two_point_crossover(rng, g1: Genotype, g2: Genotype):
@@ -249,13 +226,13 @@ def evolve(
     in parallel internally.
     """
     rng = np.random.default_rng(subseed(cfg.seed, "evolver"))
-    salt = subseed(cfg.seed, "tiebreak")
+    tiebreak = tiebreak_hash(subseed(cfg.seed, "tiebreak"))
     pop_size = cfg.population_size
     mutation_rate = cfg.resolved_mutation_rate
-    retry_budget = cfg.resolved_retry_budget
+    retry_budget = 10 * pop_size
 
-    trace = SearchTrace(space_name=space.name)
-    known: dict[tuple[int, ...], ObjectiveVector] = {}
+    trace = SearchTrace()
+    known: dict[tuple[int, ...], EvaluationRecord] = {}
 
     def run_evaluations(gen: int, genotypes: list[Genotype]) -> None:
         if not genotypes:
@@ -267,11 +244,12 @@ def evolve(
                 f"{len(genotypes)} genotypes"
             )
         for g, v in zip(genotypes, vectors):
-            known[g.genes] = v
-            trace.evaluations.append(TraceEvaluation(gen, g, v, source))
-
-    def snapshot(pop: list[Individual]) -> list[Individual]:
-        return [replace(ind) for ind in pop]
+            rec = EvaluationRecord(
+                g, v, source, evaluator_id="",
+                sequence_number=len(trace.evaluations), gen=gen,
+            )
+            known[g.genes] = rec
+            trace.evaluations.append(rec)
 
     # -- initial population --------------------------------------------------
     init = repair_unique(warm_start or (), space)
@@ -291,12 +269,12 @@ def evolve(
 
     unique_init = list(dict.fromkeys(g.genes for g in init))
     run_evaluations(0, [Genotype(genes) for genes in unique_init])
-    population = [Individual(Genotype(k), known[k]) for k in (g.genes for g in init)]
-    if len(population) > pop_size:
-        population = select_best(population, pop_size, salt=salt)
+    members = [known[g.genes] for g in init]
+    if len(members) > pop_size:
+        ranked = select_best(members, pop_size, tiebreak=tiebreak)
     else:
-        _quality_order(population, salt)  # stamp rank/crowding
-    trace.populations.append(snapshot(population))
+        ranked = list(zip(slot_keys(members, tiebreak), members))
+    trace.populations.append([rec for _, rec in ranked])
 
     # -- generations -----------------------------------------------------------
     for gen in range(1, cfg.generations + 1):
@@ -304,8 +282,8 @@ def evolve(
         pending: set[tuple[int, ...]] = set()
         budget = retry_budget
         while len(children) < pop_size:
-            p1 = _tournament(rng, population, salt)
-            p2 = _tournament(rng, population, salt)
+            p1 = _tournament(rng, ranked)
+            p2 = _tournament(rng, ranked)
             if rng.random() < cfg.crossover_rate:
                 c1, c2 = _two_point_crossover(rng, p1.genotype, p2.genotype)
             else:
@@ -327,8 +305,8 @@ def evolve(
         fresh = [g for g in children if g.genes in pending]
         fresh = [Genotype(k) for k in dict.fromkeys(g.genes for g in fresh)]
         run_evaluations(gen, fresh)
-        offspring = [Individual(g, known[g.genes]) for g in children]
-        population = select_best(population + offspring, pop_size, salt=salt)
-        trace.populations.append(snapshot(population))
+        pool = trace.populations[-1] + [known[g.genes] for g in children]
+        ranked = select_best(pool, pop_size, tiebreak=tiebreak)
+        trace.populations.append([rec for _, rec in ranked])
 
     return trace

@@ -89,6 +89,24 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 @dataclass(frozen=True)
+class EvaluationRecord:
+    """One evaluated genotype, as held by logs, evolver traces, populations
+    and fronts; a failed measurement has `error` set and no objectives."""
+
+    genotype: Genotype
+    objectives_raw: ObjectiveVector | None
+    source: str
+    evaluator_id: str
+    sequence_number: int
+    gen: int | None = None
+    error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+@dataclass(frozen=True)
 class ParetoFront:
     """Non-dominated evaluation records, in first-seen order."""
 

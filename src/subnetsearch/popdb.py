@@ -220,6 +220,9 @@ def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
         raise ConfigError("points must be a 2-D matrix")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"point {int(np.argmin(finite))} has a non-finite feature")
     if min_cluster_size < 2:
         raise ConfigError("min_cluster_size must be >= 2")
     if min_samples < 1:

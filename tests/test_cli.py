@@ -160,6 +160,29 @@ def test_zero_run_size_is_config_error(tmp_path, toy_space_file, tactic, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tactic", ["concurrent", "full"])
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], {"population_size": "8"}, {"predictor": "ridge"},
+     {"predictor": {"ridge_lambda": "x"}}],
+    ids=["not-an-object", "mistyped-field", "mistyped-predictor",
+         "mistyped-predictor-field"],
+)
+def test_malformed_config_is_config_error(tmp_path, toy_space_file, capsys,
+                                          tactic, doc):
+    config = tmp_path / "bad_config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = run_cli(
+        "search", tactic, "--space", toy_space_file,
+        "--evaluator", "synthetic:clx-like", "--config", str(config),
+        "--out", str(out),
+    )
+    assert code == 2
+    assert str(config) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_written_before_the_dataclass_schema_replays(tmp_path, toy_space,
                                                              toy_space_file):
     """A full-search config.json in the older format (resolved mutation_rate,

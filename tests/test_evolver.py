@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from subnetsearch.errors import ConfigError, Unevaluated
 from subnetsearch.evolver import (
     EvolverConfig,
-    Individual,
     crowding_distance,
     evolve,
     non_dominated_sort,
     select_best,
+    slot_keys,
+    tiebreak_hash,
 )
 from subnetsearch.objectives import (
+    EvaluationRecord,
     IncrementalFront2D,
     ObjectiveSpec,
     ObjectiveVector,
@@ -28,16 +30,18 @@ from subnetsearch.space import Genotype, enumerate_genotypes, sample_uniform
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 
 
-def ind(genes, values):
-    return Individual(Genotype(genes), ObjectiveVector(values, MIN2))
+def ind(genes, values, specs=MIN2):
+    return EvaluationRecord(
+        Genotype(genes), ObjectiveVector(values, specs), "validation", "", 0
+    )
 
 
 def brute_rank(pop):
     """O(n^3) repeated peeling with a direct dominance oracle."""
 
     def dom(a, b):
-        av = a.objectives.canonical_min
-        bv = b.objectives.canonical_min
+        av = a.objectives_raw.canonical_min
+        bv = b.objectives_raw.canonical_min
         return all(x <= y for x, y in zip(av, bv)) and av != bv
 
     remaining = list(range(len(pop)))
@@ -74,7 +78,9 @@ def test_nds_chain_gives_singleton_fronts():
 
 def test_nds_requires_evaluation():
     with pytest.raises(Unevaluated):
-        non_dominated_sort([Individual(Genotype((0,)))])
+        non_dominated_sort(
+            [EvaluationRecord(Genotype((0,)), None, "validation", "", 0)]
+        )
 
 
 def test_nds_matches_brute_force_ranks():
@@ -98,10 +104,7 @@ def test_nds_matches_brute_force_on_tied_grids(m, data):
     # m = 3 exercises the counting path, m = 2 the sweep.
     values = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=40))
     specs = tuple(ObjectiveSpec(f"f{k}", "minimize") for k in range(m))
-    pop = [
-        Individual(Genotype((i,)), ObjectiveVector(v, specs))
-        for i, v in enumerate(values)
-    ]
+    pop = [ind((i,), v, specs) for i, v in enumerate(values)]
     fronts = non_dominated_sort(pop)
     assert {i: rank for rank, f in enumerate(fronts) for i in f} == brute_rank(pop)
     assert sorted(i for f in fronts for i in f) == list(range(len(pop)))
@@ -203,7 +206,6 @@ def test_config_defaults_match_convention():
     cfg = EvolverConfig(population_size=40, generations=5)
     assert cfg.crossover_rate == 0.9
     assert cfg.resolved_mutation_rate == pytest.approx(1 / 40)
-    assert cfg.resolved_retry_budget == 400
 
 
 def test_config_validation():
@@ -223,7 +225,7 @@ def test_evolve_finds_global_optimum_on_toy_problem(toy_space):
     )
     cfg = EvolverConfig(population_size=20, generations=30, seed=3)
     trace = evolve(toy_space, cfg, evaluate)
-    best_found = min(i.objectives.values[0] for i in trace.final_population)
+    best_found = min(r.objectives_raw.values[0] for r in trace.final_population)
     assert best_found == best_true
 
 
@@ -282,6 +284,126 @@ def test_duplicate_exhaustion_flagged_on_tiny_space(tiny_space):
     assert len(genes) == len(set(genes))  # log still unique
     assert trace.duplicate_accepts > 0  # but duplicates were admitted with a flag
     assert len(genes) <= 36
+
+
+# Trajectories recorded with the exact, integer-valued two_objective_evaluate;
+# no predictor or BLAS call is involved, so they hold on every platform. An
+# evaluation is gen:genes:f1:f2 with the genes as digits (every gene value in
+# these spaces is one digit); a population is its genotypes in slot order.
+TOY_EVALUATIONS = """
+0:2754425533:9:9 0:2536617343:9:9 0:2576413343:8:10 0:1733315363:5:13
+0:1534313333:2:16 0:1734317343:6:12 1:1534313343:3:15 1:2734613333:6:12
+1:1536317363:7:11 1:2554617343:9:9 1:2536413343:6:12 1:2574315333:6:12
+2:2754313343:6:12 2:1534317333:4:14 2:2753425533:8:10 2:2533613343:5:13
+2:1536315363:6:12 2:2734313333:4:14 3:2533315333:3:15 3:2754425734:11:7
+3:2553627343:9:9 3:2753425534:9:9 3:2754613343:8:10 3:2336617343:8:10
+"""
+TOY_POPULATIONS = [
+    (
+        "2754425533 2536617343 2576413343 1733315363 1534313333 1734317343"
+    ),
+    (
+        "2554617343 2754425533 2536617343 1534313333 1534313343 1733315363"
+    ),
+    (
+        "2554617343 2754425533 2536617343 1534313333 2753425533 1534313343"
+    ),
+    (
+        "2754425734 1534313333 1534313343 2533315333 2754613343 2336617343"
+    ),
+]
+TINY_EVALUATIONS = """
+0:110100:1:5 0:201200:3:3 0:200201:3:3 0:100110:1:5 0:211210:5:1 0:110200:2:4
+0:100200:1:5 0:201211:5:1 0:110110:2:4 0:201110:3:3 0:200211:4:2 0:211110:4:2
+0:200100:1:5 0:110211:4:2 0:110201:3:3 0:110210:3:3 0:100100:0:6 0:210110:3:3
+0:201100:2:4 0:100201:2:4 1:100211:3:3 1:200110:2:4 1:210211:5:1 1:100210:2:4
+1:200210:3:3 1:211200:4:2 1:201210:4:2 1:211211:6:0 1:210210:4:2 1:210100:2:4
+1:200200:2:4 1:210201:4:2 1:201201:4:2 2:211100:3:3 2:210200:3:3 2:211201:5:1
+"""
+TINY_POPULATIONS = [
+    (
+        "110100 201200 200201 100110 211210 110200 100200 201211 110110 201110 200211 "
+        "211110 200100 110211 110201 110210 100100 210110 201100 100201"
+    ),
+    (
+        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
+        "210110 210211 210201 110100 100200 210210 200201 110201 211110"
+    ),
+    (
+        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
+        "211100 210211 210201 110100 100200 210210 200201 110201 211110"
+    ),
+]
+TINY40_EVALUATIONS = """
+0:110100:1:5 0:201200:3:3 0:200201:3:3 0:100110:1:5 0:211210:5:1 0:110200:2:4
+0:100200:1:5 0:201211:5:1 0:110110:2:4 0:201110:3:3 0:200211:4:2 0:211110:4:2
+0:200100:1:5 0:110211:4:2 0:110201:3:3 0:110210:3:3 0:100100:0:6 0:210110:3:3
+0:201100:2:4 0:100201:2:4 0:200200:2:4 0:200110:2:4 0:211200:4:2 0:210210:4:2
+0:200210:3:3 0:100210:2:4 0:211211:6:0 0:201210:4:2 0:210201:4:2 0:100211:3:3
+0:210100:2:4 0:210200:3:3 0:210211:5:1 0:211201:5:1 0:211100:3:3 0:201201:4:2
+"""
+TINY40_POPULATIONS = [
+    (
+        "110100 201200 200201 100110 211210 110200 100200 201211 110110 201110 200211 "
+        "211110 200100 110211 110201 110210 100100 210110 201100 100201 200200 200110 "
+        "211200 210210 200210 100210 211211 201210 210201 100211 210100 210200 210211 "
+        "211201 211100 201201 200110 210211 200210 211110"
+    ),
+    (
+        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
+        "211100 210211 210201 110100 100200 210210 200201 110201 211110 100210 201210 "
+        "211201 200200 201100 110110 200211 110200 210200 200110 110210 201201 210110 "
+        "201110 200210 201200"
+    ),
+]
+
+
+def _digits(genes):
+    return "".join(str(g) for g in genes)
+
+
+def _parse_evaluations(text):
+    rows = (word.split(":") for word in text.split())
+    return [(int(g), genes, float(f1), float(f2)) for g, genes, f1, f2 in rows]
+
+
+@pytest.mark.parametrize(
+    "space_name, cfg, evaluations, populations, duplicate_accepts",
+    [
+        ("toy_space", EvolverConfig(6, 3, seed=5), TOY_EVALUATIONS,
+         TOY_POPULATIONS, 0),
+        ("tiny_space", EvolverConfig(20, 10, seed=2), TINY_EVALUATIONS,
+         TINY_POPULATIONS[:2] + TINY_POPULATIONS[2:] * 9, 184),
+        # 40 slots for 36 genotypes: the initial population holds some
+        # genotypes twice.
+        ("tiny_space", EvolverConfig(40, 3, seed=2), TINY40_EVALUATIONS,
+         TINY40_POPULATIONS[:1] + TINY40_POPULATIONS[1:] * 3, 124),
+    ],
+    ids=["toy", "tiny", "tiny-oversized-population"],
+)
+def test_evolve_trajectory_is_pinned(request, space_name, cfg, evaluations,
+                                     populations, duplicate_accepts):
+    space = request.getfixturevalue(space_name)
+    trace = evolve(space, cfg, two_objective_evaluate(space))
+    assert [
+        (e.gen, _digits(e.genotype.genes), *e.objectives_raw.values)
+        for e in trace.evaluations
+    ] == _parse_evaluations(evaluations)
+    assert [
+        " ".join(_digits(r.genotype.genes) for r in pop) for pop in trace.populations
+    ] == populations
+    assert trace.duplicate_accepts == duplicate_accepts
+
+
+def test_population_members_are_the_trace_records(tiny_space):
+    trace = evolve(tiny_space, EvolverConfig(20, 4, seed=2),
+                   two_objective_evaluate(tiny_space))
+    assert [e.sequence_number for e in trace.evaluations] == list(
+        range(len(trace.evaluations))
+    )
+    by_genes = {e.genotype.genes: e for e in trace.evaluations}
+    for pop in trace.populations:
+        assert all(r is by_genes[r.genotype.genes] for r in pop)
 
 
 def test_elitism_cumulative_front_hv_non_decreasing(toy_space):
@@ -344,8 +466,18 @@ def test_warm_start_repairs_invalid_entries(toy_space):
     assert all(is_canonical(i.genotype, toy_space) for i in trace.populations[0])
 
 
+def test_slot_keys_belong_to_slots_not_genotypes():
+    twin = ind((1,), (1.0, 1.0))
+    pop = [ind((0,), (0.0, 3.0)), twin, twin, ind((3,), (3.0, 0.0))]
+    keys = slot_keys(pop, tiebreak_hash(0))
+    assert [k[0] for k in keys] == [0, 0, 0, 0]
+    assert [-k[1] for k in keys] == [math.inf, pytest.approx(2 / 3),
+                                     pytest.approx(4 / 3), math.inf]
+    assert keys[1][2] == keys[2][2] == tiebreak_hash(0)((1,))
+
+
 def test_select_best_excludes_and_backfills():
     pop = [ind((i,), (float(i), float(10 - i))) for i in range(10)]
     chosen = select_best(pop, 3, exclude={(0,), (1,)})
     assert len(chosen) == 3
-    assert all(c.genotype.genes not in {(0,), (1,)} for c in chosen)
+    assert all(c.genotype.genes not in {(0,), (1,)} for _, c in chosen)

@@ -17,6 +17,7 @@ from subnetsearch.errors import (
 )
 from subnetsearch.objectives import (
     DIRECTIONS,
+    EvaluationRecord,
     IncrementalFront2D,
     LatencyNormalizer,
     ObjectiveSpec,
@@ -36,12 +37,10 @@ MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 MIXED = (ObjectiveSpec("acc", "maximize"), ObjectiveSpec("lat", "minimize"))
 
 
-class Rec:
-    """Minimal evaluation-record stand-in."""
-
-    def __init__(self, genes, values, specs=MIN2):
-        self.genotype = Genotype(genes)
-        self.objectives_raw = ObjectiveVector(values, specs)
+def rec(genes, values, specs=MIN2, seq=0):
+    return EvaluationRecord(
+        Genotype(genes), ObjectiveVector(values, specs), "validation", "", seq
+    )
 
 
 def vec(*values, specs=MIN2):
@@ -148,16 +147,16 @@ def test_dominates_matches_brute_force_on_random_pairs():
 
 
 def test_front_single_point():
-    front = pareto_front([Rec((0,), (1.0, 1.0))])
+    front = pareto_front([rec((0,), (1.0, 1.0))])
     assert len(front) == 1
 
 
 def test_front_simple_example():
     recs = [
-        Rec((0,), (1.0, 3.0)),
-        Rec((1,), (2.0, 2.0)),
-        Rec((2,), (3.0, 1.0)),
-        Rec((3,), (3.0, 3.0)),
+        rec((0,), (1.0, 3.0)),
+        rec((1,), (2.0, 2.0)),
+        rec((2,), (3.0, 1.0)),
+        rec((3,), (3.0, 3.0)),
     ]
     front = pareto_front(recs)
     assert [r.genotype.genes for r in front] == [(0,), (1,), (2,)]
@@ -171,7 +170,7 @@ def test_front_empty_input():
 def test_front_matches_quadratic_oracle():
     rng = np.random.default_rng(42)
     recs = [
-        Rec((i,), tuple(rng.uniform(0, 1, 2))) for i in range(500)
+        rec((i,), tuple(rng.uniform(0, 1, 2))) for i in range(500)
     ]
     got = {r.genotype.genes for r in pareto_front(recs)}
     want = {r.genotype.genes for r in brute_front(recs)}
@@ -191,7 +190,7 @@ def test_front_matches_oracle_with_repeats_and_mixed_directions(m, data):
             max_size=40,
         )
     )
-    recs = [Rec((g,), values, specs) for g, values in rows]
+    recs = [rec((g,), values, specs, seq=i) for i, (g, values) in enumerate(rows)]
     earliest = {}
     for r in recs:
         earliest.setdefault(r.genotype.genes, r)
@@ -199,21 +198,21 @@ def test_front_matches_oracle_with_repeats_and_mixed_directions(m, data):
 
 
 def test_front_dedupes_same_genotype_keeps_earliest():
-    first = Rec((0,), (1.0, 1.0))
-    later = Rec((0,), (1.0, 1.0))
-    front = pareto_front([first, later, Rec((1,), (0.5, 2.0))])
+    first = rec((0,), (1.0, 1.0))
+    later = rec((0,), (1.0, 1.0), seq=1)
+    front = pareto_front([first, later, rec((1,), (0.5, 2.0))])
     assert first in front.members
     assert later not in front.members
 
 
 def test_front_keeps_distinct_genotypes_with_tied_vectors():
-    recs = [Rec((0,), (1.0, 1.0)), Rec((1,), (1.0, 1.0))]
+    recs = [rec((0,), (1.0, 1.0)), rec((1,), (1.0, 1.0))]
     assert len(pareto_front(recs)) == 2
 
 
 def test_front_idempotent():
     rng = np.random.default_rng(3)
-    recs = [Rec((i,), tuple(rng.uniform(0, 1, 2))) for i in range(100)]
+    recs = [rec((i,), tuple(rng.uniform(0, 1, 2))) for i in range(100)]
     once = pareto_front(recs)
     twice = pareto_front(list(once))
     assert {r.genotype.genes for r in once} == {r.genotype.genes for r in twice}
@@ -295,10 +294,10 @@ def test_hv_reference_violation():
 
 def test_hv_front_api_and_arity_guard():
     specs3 = tuple(ObjectiveSpec(f"f{i}", "minimize") for i in range(3))
-    bad = ParetoFront(members=(Rec((0,), (0.1, 0.1, 0.1), specs=specs3),))
+    bad = ParetoFront(members=(rec((0,), (0.1, 0.1, 0.1), specs=specs3),))
     with pytest.raises(Unsupported2DOnly):
         hypervolume_2d(bad, (1.0, 1.0))
-    good = ParetoFront(members=(Rec((0,), (0.5, 0.5)),))
+    good = ParetoFront(members=(rec((0,), (0.5, 0.5)),))
     assert hypervolume_2d(good, (1.0, 1.0)) == pytest.approx(0.25)
 
 
@@ -329,7 +328,7 @@ def test_incremental_front_matches_batch():
     for p in pts:
         front.insert(p)
     # batch: filter non-dominated then strip-sum
-    recs = [Rec((i,), p) for i, p in enumerate(pts)]
+    recs = [rec((i,), p) for i, p in enumerate(pts)]
     batch_pts = [r.objectives_raw.canonical_min for r in pareto_front(recs)]
     assert front.hypervolume() == pytest.approx(dominated_area(batch_pts, (1.0, 1.0)))
 
@@ -345,7 +344,7 @@ def test_default_reference_pads_toward_worse():
 
 
 def test_front_csv_schema(tmp_path):
-    recs = [Rec((0, 1), (0.8, 10.0), specs=MIXED), Rec((1, 1), (0.6, 5.0), specs=MIXED)]
+    recs = [rec((0, 1), (0.8, 10.0), specs=MIXED), rec((1, 1), (0.6, 5.0), specs=MIXED)]
     front = pareto_front(recs)
     path = tmp_path / "front.csv"
     front_to_csv(front, path)

@@ -127,6 +127,17 @@ def test_hdbscan_validation():
         hdbscan(np.zeros((10, 2)), min_cluster_size=5, min_samples=0)
 
 
+@pytest.mark.parametrize("n", [60, 3])
+def test_hdbscan_rejects_non_finite_points(n):
+    # n = 3 is below min_cluster_size, where the all-noise answer would
+    # otherwise come back before any distance is taken.
+    pts = np.random.default_rng(0).uniform(size=(n, 3))
+    pts[n // 2, 1] = np.nan
+    pts[-1, 0] = np.inf
+    with pytest.raises(ConfigError, match=f"point {n // 2} "):
+        hdbscan(pts, min_cluster_size=5, min_samples=3)
+
+
 # ---------------------------------------------------------------------------
 # elastic_frequencies
 # ---------------------------------------------------------------------------
