@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     EvaluationFailed,
     EvaluationTimeout,
+    InvalidGenotype,
     ProtocolError,
     SubnetSearchError,
 )
@@ -163,6 +164,16 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _objectives_from(doc, where: str) -> list[ObjectiveSpec]:
+    """Objective specs from a config's `objectives` list of objects."""
+    if not isinstance(doc, list) or not all(isinstance(o, dict) for o in doc):
+        raise ConfigError(f"{where}: objectives must be a list of objects, got {doc!r}")
+    try:
+        return [ObjectiveSpec(**o) for o in doc]
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{where}: objectives: {exc}") from exc
+
+
 def _warm_start_from(path: str, space) -> list[Genotype]:
     p = Path(path)
     if not p.exists():
@@ -222,9 +233,12 @@ def _cmd_search(args) -> int:
         raise ConfigError("missing --space (preset name or space file)")
     if not run.get("evaluator"):
         raise ConfigError("missing --evaluator")
-    declared = [_parse_objective(o) for o in args.objective or ()] or [
-        ObjectiveSpec(**o) for o in cfg.get("objectives") or ()
-    ]
+    where = args.config or "flags"
+    if not isinstance(run["evaluator"], str):
+        raise ConfigError(f"{where}: evaluator must be a string, got {run['evaluator']!r}")
+    declared = [_parse_objective(o) for o in args.objective or ()] or (
+        _objectives_from(cfg.get("objectives") or [], where)
+    )
     evaluator, specs = _build_evaluator(run, space, declared)
     predictor = cfg.get("predictor") or {}
     if not isinstance(predictor, dict):
@@ -237,7 +251,7 @@ def _cmd_search(args) -> int:
     tactic_cfg = config_from_doc(
         FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig,
         run,
-        where=args.config or "flags",
+        where=where,
     )
     search = full_search if args.tactic == "full" else concurrent_search
     outdir = _resolve_out_dir(args.out, args.tactic, tactic_cfg.seed)
@@ -269,13 +283,17 @@ def _cmd_popdb(args) -> int:
         raise ConfigError(f"{history_path}: no validation records to cluster")
     genotypes = [r.genotype for r in recs]
     vectors = [r.objectives_raw for r in recs] if args.include_objectives else None
-    feats, idx = history_features(
-        genotypes,
-        space,
-        objective_vectors=vectors,
-        max_points=args.max_points,
-        seed=args.seed,
-    )
+    try:
+        feats, idx = history_features(
+            genotypes,
+            space,
+            objective_vectors=vectors,
+            max_points=args.max_points,
+            seed=args.seed,
+        )
+    except InvalidGenotype as exc:  # a gene value the space forbids
+        line = ResultStore.record_line(history_path, recs[exc.row].sequence_number)
+        raise ConfigError(f"{history_path}:{line}: {exc}") from exc
     labeling = hdbscan(feats, args.min_cluster_size, args.min_samples)
     kept = [genotypes[int(i)] for i in idx]
     freqs = elastic_frequencies(labeling, kept, space)

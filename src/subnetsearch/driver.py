@@ -162,6 +162,14 @@ def config_from_doc(cls, doc: dict, where: str = "config"):
             **_fields_from(PredictorConfig, kw["predictor"], where)
         )
     if "warm_start" in kw:
+        if not all(
+            isinstance(g, (list, tuple)) and all(isinstance(v, int) for v in g)
+            for g in kw["warm_start"]
+        ):
+            raise ConfigError(
+                f"{where}: warm_start must be a list of gene lists, "
+                f"got {kw['warm_start']!r}"
+            )
         kw["warm_start"] = tuple(Genotype(tuple(g)) for g in kw["warm_start"])
     if "validation_only_objectives" in kw:
         kw["validation_only_objectives"] = tuple(kw["validation_only_objectives"])
@@ -277,7 +285,7 @@ def make_predictor_evaluate(
 
     def evaluate(genotypes):
         X = encode_matrix(genotypes, space, pcfg.encoding)
-        cols = {name: predict(m, X) for name, m in models.items()}
+        cols = {name: predict(m, X).tolist() for name, m in models.items()}
         measured = {}
         if vo:
             recs = evaluate_batch(genotypes, evaluator, store, gen=gen)
@@ -296,14 +304,8 @@ def make_predictor_evaluate(
                                 f"validation-only measurement failed: {rec.error}"
                             )
                 measured[spec.name] = column
-        out = []
-        for k in range(len(genotypes)):
-            values = tuple(
-                measured[s.name][k] if s.name in vo else float(cols[s.name][k])
-                for s in specs
-            )
-            out.append(ObjectiveVector(values, specs))
-        return out
+        columns = [measured[s.name] if s.name in vo else cols[s.name] for s in specs]
+        return [ObjectiveVector(values, specs) for values in zip(*columns)]
 
     return evaluate
 

@@ -17,7 +17,14 @@ class ConfigError(SubnetSearchError):
 # --- space ---------------------------------------------------------------
 
 class InvalidGenotype(SubnetSearchError):
-    """Gene value outside its parameter's allowed set, or wrong length."""
+    """Gene value outside its parameter's allowed set, or wrong length.
+
+    `row` is the offending genotype's index when a batch was checked.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class NonCanonicalInput(SubnetSearchError):

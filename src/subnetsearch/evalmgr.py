@@ -35,7 +35,7 @@ from .objectives import (
     ObjectiveVector,
     check_unique_names,
 )
-from .space import Genotype, SearchSpace, _encode_row, encode_matrix, is_canonical
+from .space import Genotype, SearchSpace, encode_matrix, is_canonical
 from .util import pseudo_noise, subseed
 
 SOURCE_VALIDATION = "validation"
@@ -239,6 +239,18 @@ class ResultStore:
             raise ConfigError(f"{path}: missing run header line")
         return store
 
+    @staticmethod
+    def record_line(path: str | Path, sequence_number: int) -> int:
+        """The line of a persisted log that holds the record with this
+        sequence number: records follow the header line, blank lines
+        aside."""
+        with open(path, encoding="utf-8") as fh:
+            nonblank = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
+            for seq, lineno in enumerate(nonblank, -1):
+                if seq == sequence_number:
+                    return lineno
+        raise ConfigError(f"{path}: no record {sequence_number}")
+
     def _replay(self, doc: dict) -> None:
         g = Genotype(tuple(doc["genotype"]))
         if self.space is not None and len(g.genes) != self.space.genome_length:
@@ -365,9 +377,7 @@ class SyntheticSurface:
 
 def synthetic_evaluate(g: Genotype, surface: SyntheticSurface) -> ObjectiveVector:
     space = surface.space
-    if not is_canonical(g, space):
-        raise NonCanonicalInput(f"genotype {g.genes} is not canonical")
-    feats = _encode_row(g, space, "ordinal_normalized")
+    feats = encode_matrix([g], space, "ordinal_normalized")[0]
     acc = surface.accuracy_max - surface.accuracy_span * math.exp(
         -float(surface.accuracy_weights @ feats) / surface.temperature
     )
@@ -528,6 +538,7 @@ class ExternalEvaluator:
         self.timeout = timeout
         self.evaluator_id = evaluator_id or f"external:{Path(self.command[0]).name}"
         self._proc: subprocess.Popen | None = None
+        self._pump_thread: threading.Thread | None = None
         self._lines: queue.Queue = queue.Queue()
         self._next_id = 0
 
@@ -543,7 +554,8 @@ class ExternalEvaluator:
             text=True,
             bufsize=1,
         )
-        threading.Thread(target=self._pump, daemon=True).start()
+        self._pump_thread = threading.Thread(target=self._pump, daemon=True)
+        self._pump_thread.start()
         self._send({"type": "hello", "objectives": [s.name for s in self.specs],
                     "space": self.space_name})
         msg = self._read(self.timeout)
@@ -561,17 +573,28 @@ class ExternalEvaluator:
         self._lines.put(_EOF)
 
     def close(self) -> None:
-        if self._proc is None:
+        """Say bye, reap the child (killed if it has not exited within 5 s),
+        let the reader thread drain, and close both pipes. The next
+        `evaluate` starts a new child."""
+        proc = self._proc
+        if proc is None:
             return
         try:
             self._send({"type": "bye"})
         except (BrokenPipeError, OSError, ValueError):
             pass
-        try:
-            self._proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
         self._proc = None
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        self._pump_thread.join(timeout=5)
+        for pipe in (proc.stdin, proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass  # unflushed bytes for a child that is gone
 
     def __enter__(self):
         self.start()
@@ -625,7 +648,7 @@ class ExternalEvaluator:
             if msg is _EOF:
                 for idx in ids.values():
                     outs[idx] = EvaluationFailure("evaluator process exited mid-batch")
-                self._proc = None
+                self.close()
                 break
             mtype = msg.get("type")
             if mtype not in ("result", "error"):

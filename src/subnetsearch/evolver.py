@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, Unevaluated
 from .objectives import EvaluationRecord, ObjectiveVector, nondominated_fronts
 from .space import Genotype, SearchSpace, canonicalize, repair_unique
-from .util import genes_bytes, stable_hash64, subseed
+from .util import IntText, genes_bytes, stable_hash64, subseed
 
 EvaluateFn = Callable[[Sequence[Genotype]], Sequence[ObjectiveVector]]
 TiebreakFn = Callable[[tuple[int, ...]], int]
@@ -78,7 +78,11 @@ class SearchTrace:
 def tiebreak_hash(salt: int) -> TiebreakFn:
     """Salted tie-break hash of a gene tuple, memoized for as long as the
     returned function lives."""
-    return functools.cache(lambda genes: stable_hash64(genes_bytes(genes), salt))
+    salt_bytes = salt.to_bytes(16, "little", signed=True)  # as stable_hash64 does
+    text = IntText().__getitem__
+    return functools.cache(
+        lambda genes: stable_hash64(genes_bytes(genes, text), salt_bytes)
+    )
 
 
 def _require_evaluated(pop: Sequence[EvaluationRecord]) -> None:
@@ -97,6 +101,60 @@ def non_dominated_sort(pop: Sequence[EvaluationRecord]) -> list[list[int]]:
     return nondominated_fronts([rec.objectives_raw.canonical_min for rec in pop])
 
 
+def _objective_matrix(pop: Sequence[EvaluationRecord]) -> np.ndarray:
+    """(n, m) canonical-min objectives of evaluated records."""
+    m = len(pop[0].objectives_raw.values) if pop else 0
+    return np.array(
+        [rec.objectives_raw.canonical_min for rec in pop], dtype=float
+    ).reshape(len(pop), m)
+
+
+def _genotype_order(pop: Sequence[EvaluationRecord]) -> np.ndarray:
+    """Each slot's position when the slots are stably sorted by genotype."""
+    genes = [rec.genotype.genes for rec in pop]
+    order = sorted(range(len(pop)), key=genes.__getitem__)
+    pos = np.empty(len(pop), dtype=np.intp)
+    pos[order] = np.arange(len(pop))
+    return pos
+
+
+def _crowding(values: np.ndarray, front: np.ndarray, gene_pos: np.ndarray) -> np.ndarray:
+    """Crowding distance of every point within its front.
+
+    `values` is (n, m) canonical-min objectives, `front` each point's front
+    rank and `gene_pos` its `_genotype_order`, which breaks ties in value.
+    Per objective, one lexsort orders every front; points at a front's
+    extremes get +inf, interior points add (next - previous) / span, and an
+    objective without range in a front adds nothing there. Fronts of one or
+    two points are all +inf.
+    """
+    n = len(front)
+    dist = np.zeros(n)
+    if n == 0:
+        return dist
+    # fronts occupy contiguous runs of every objective's sort order
+    sizes = np.bincount(front)
+    in_order = np.sort(front)
+    first = (np.cumsum(sizes) - sizes)[in_order]
+    last = first + sizes[in_order] - 1
+    at = np.arange(n)
+    interior = (at > first) & (at < last)
+    nxt, prv = np.minimum(at + 1, n - 1), np.maximum(at - 1, 0)
+    for k in range(values.shape[1]):
+        order = np.lexsort((gene_pos, values[:, k], front))
+        v = values[order, k]
+        lo, hi = v[first], v[last]
+        span = hi - lo
+        varies = span > 0
+        step = np.zeros(n)
+        inner = interior & varies
+        step[inner] = (v[nxt] - v[prv])[inner] / span[inner]
+        step[varies & ((v == lo) | (v == hi))] = math.inf
+        dist[order] += step
+    dist[sizes[front] <= 2] = math.inf
+    return dist
+
+
 def crowding_distance(front: Sequence[EvaluationRecord]) -> list[float]:
     """Per-record crowding; extremes of any varying objective get +inf.
 
@@ -105,38 +163,29 @@ def crowding_distance(front: Sequence[EvaluationRecord]) -> list[float]:
     """
     _require_evaluated(front)
     n = len(front)
-    if n == 0:
-        return []
-    if n <= 2:
-        return [math.inf] * n
-    m = len(front[0].objectives_raw.canonical_min)
-    dist = [0.0] * n
-    for k in range(m):
-        vals = [rec.objectives_raw.canonical_min[k] for rec in front]
-        vmin, vmax = min(vals), max(vals)
-        span = vmax - vmin
-        if span == 0.0:
-            continue
-        order = sorted(range(n), key=lambda i: (vals[i], front[i].genotype.genes))
-        for pos, i in enumerate(order):
-            if vals[i] == vmin or vals[i] == vmax:
-                dist[i] = math.inf
-            elif dist[i] != math.inf:
-                above = vals[order[pos + 1]]
-                below = vals[order[pos - 1]]
-                dist[i] += (above - below) / span
-    return dist
+    return _crowding(
+        _objective_matrix(front), np.zeros(n, dtype=np.intp), _genotype_order(front)
+    ).tolist()
+
+
+def _ranked_slots(pop: Sequence[EvaluationRecord], tiebreak: TiebreakFn):
+    """Every slot's key, aligned with `pop`, and the slot indices in key
+    order (ties keep slot order)."""
+    rank = [0] * len(pop)
+    for r, idx in enumerate(non_dominated_sort(pop)):
+        for i in idx:
+            rank[i] = r
+    rank = np.array(rank, dtype=np.intp)
+    crowd = _crowding(_objective_matrix(pop), rank, _genotype_order(pop))
+    hashes = np.array([tiebreak(rec.genotype.genes) for rec in pop], dtype=np.uint64)
+    order = np.lexsort((hashes, -crowd, rank)).tolist()
+    return list(zip(rank.tolist(), (-crowd).tolist(), hashes.tolist())), order
 
 
 def slot_keys(pop: Sequence[EvaluationRecord], tiebreak: TiebreakFn) -> list[SlotKey]:
     """The key of every slot of `pop`, aligned with it. A genotype held in
     two slots may get two crowding distances, hence two keys."""
-    keys: list = [None] * len(pop)
-    for rank, front_idx in enumerate(non_dominated_sort(pop)):
-        crowd = crowding_distance([pop[i] for i in front_idx])
-        for i, c in zip(front_idx, crowd):
-            keys[i] = (rank, -c, tiebreak(pop[i].genotype.genes))
-    return keys
+    return _ranked_slots(pop, tiebreak)[0]
 
 
 def select_best(
@@ -149,10 +198,10 @@ def select_best(
     excluded genotypes and duplicates, backfilling from later fronts. The
     keys rank the whole of `pop`; `tiebreak` defaults to the salt-0 hash."""
     pop = list(pop)
-    keys = slot_keys(pop, tiebreak or tiebreak_hash(0))
+    keys, order = _ranked_slots(pop, tiebreak or tiebreak_hash(0))
     chosen: list[tuple[SlotKey, EvaluationRecord]] = []
     seen: set[tuple[int, ...]] = set(exclude)
-    for i in sorted(range(len(pop)), key=keys.__getitem__):
+    for i in order:
         genes = pop[i].genotype.genes
         if genes in seen:
             continue
@@ -178,20 +227,22 @@ def _two_point_crossover(rng, g1: Genotype, g2: Genotype):
     length = len(g1.genes)
     if length < 2:
         return g1.genes, g2.genes
-    a, b = sorted(int(c) for c in rng.choice(length + 1, size=2, replace=False))
+    a, b = sorted(rng.choice(length + 1, size=2, replace=False).tolist())
     c1 = g1.genes[:a] + g2.genes[a:b] + g1.genes[b:]
     c2 = g2.genes[:a] + g1.genes[a:b] + g2.genes[b:]
     return c1, c2
 
 
 def _mutate(rng, genes: tuple[int, ...], space: SearchSpace, rate: float):
+    hits = (rng.random(len(genes)) < rate).nonzero()[0].tolist()
+    if not hits:
+        return genes
     out = list(genes)
-    draws = rng.random(len(out))
-    for pos in np.nonzero(draws < rate)[0]:
+    for pos in hits:
         vals = space.allowed[pos]
         if len(vals) < 2:
             continue
-        r = space.value_rank(int(pos), out[pos])
+        r = space.rank_of_value[pos][out[pos]]
         alt = int(rng.integers(len(vals) - 1))
         if alt >= r:
             alt += 1  # always a *different* value
@@ -277,9 +328,12 @@ def evolve(
     trace.populations.append([rec for _, rec in ranked])
 
     # -- generations -----------------------------------------------------------
+    # Children of valid parents are valid by construction: their inactive
+    # genes are reset through the space's table without re-validation, and
+    # only fresh ones become Genotypes, without re-conversion.
     for gen in range(1, cfg.generations + 1):
-        children: list[Genotype] = []
-        pending: set[tuple[int, ...]] = set()
+        children: list[tuple[int, ...]] = []
+        pending: dict[tuple[int, ...], None] = {}
         budget = retry_budget
         while len(children) < pop_size:
             p1 = _tournament(rng, ranked)
@@ -291,21 +345,18 @@ def evolve(
             for genes in (c1, c2):
                 if len(children) >= pop_size:
                     break
-                mutated = _mutate(rng, genes, space, mutation_rate)
-                child = canonicalize(Genotype(mutated), space)
-                is_dup = child.genes in known or child.genes in pending
+                child = space.reset_inactive(_mutate(rng, genes, space, mutation_rate))
+                is_dup = child in known or child in pending
                 if is_dup and budget > 0:
                     budget -= 1
                     continue
                 if is_dup:
                     trace.duplicate_accepts += 1
                 else:
-                    pending.add(child.genes)
+                    pending[child] = None
                 children.append(child)
-        fresh = [g for g in children if g.genes in pending]
-        fresh = [Genotype(k) for k in dict.fromkeys(g.genes for g in fresh)]
-        run_evaluations(gen, fresh)
-        pool = trace.populations[-1] + [known[g.genes] for g in children]
+        run_evaluations(gen, [Genotype.of_ints(genes) for genes in pending])
+        pool = trace.populations[-1] + [known[genes] for genes in children]
         ranked = select_best(pool, pop_size, tiebreak=tiebreak)
         trace.populations.append([rec for _, rec in ranked])
 

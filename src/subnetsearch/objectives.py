@@ -55,13 +55,13 @@ class ObjectiveVector:
     specs: tuple[ObjectiveSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         object.__setattr__(self, "specs", tuple(self.specs))
         if len(self.values) != len(self.specs):
             raise ObjectiveMismatch(
                 f"{len(self.values)} values for {len(self.specs)} objective specs"
             )
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ObjectiveMismatch(f"non-finite objective value in {self.values}")
 
     @cached_property

@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet
-from .space import ElasticParamSpec, SearchSpace, _encode_row
+from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet, InvalidGenotype
+from .space import ElasticParamSpec, SearchSpace, encode_ranks, rank_matrix
 
 # ---------------------------------------------------------------------------
 # HDBSCAN
@@ -516,6 +516,8 @@ def history_features(
 
     Histories larger than max_points are uniformly subsampled to keep the
     O(n^2) spanning-tree stage tractable. Returns (features, kept_indices).
+    A gene value the space forbids raises InvalidGenotype whose `row`
+    indexes `genotypes`.
     """
     genotypes = list(genotypes)
     n = len(genotypes)
@@ -523,9 +525,11 @@ def history_features(
     if n > max_points:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(n, size=max_points, replace=False))
-    feats = np.vstack(
-        [_encode_row(genotypes[int(i)], space, "ordinal_normalized") for i in idx]
-    )
+    try:
+        ranks = rank_matrix([genotypes[i] for i in idx.tolist()], space)
+    except InvalidGenotype as exc:
+        raise InvalidGenotype(str(exc), row=int(idx[exc.row])) from None
+    feats = encode_ranks(ranks, space, "ordinal_normalized")
     if objective_vectors is not None:
         obj = np.array([objective_vectors[int(i)].canonical_min for i in idx])
         lo = obj.min(axis=0)

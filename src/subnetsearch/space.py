@@ -83,10 +83,19 @@ class Genotype:
     genes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "genes", tuple(int(g) for g in self.genes))
+        object.__setattr__(self, "genes", tuple(map(int, self.genes)))
 
     def __len__(self) -> int:
         return len(self.genes)
+
+    @classmethod
+    def of_ints(cls, genes: tuple[int, ...]) -> "Genotype":
+        """A Genotype of a tuple that already holds Python ints, such as a
+        child built from a space's allowed values; skips the conversion
+        `__init__` makes."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "genes", genes)
+        return g
 
 
 def genotype_id(g: Genotype) -> str:
@@ -128,24 +137,74 @@ class SearchSpace:
         )
 
     @cached_property
-    def _rank_of_value(self) -> tuple[dict[int, int], ...]:
+    def rank_of_value(self) -> tuple[dict[int, int], ...]:
+        """Per position, each allowed value's rank (its index in `allowed`)."""
         return tuple({v: r for r, v in enumerate(vals)} for vals in self.allowed)
 
     @cached_property
-    def _governing_block(self) -> tuple[int | None, ...]:
-        """Block index governing each position, None for depth/global genes."""
-        gov: list[int | None] = [None] * self.genome_length
-        for bi, b in enumerate(self.blocks):
-            for pos in b.governed_gene_indices:
-                gov[pos] = bi
-        return tuple(gov)
+    def _allowed_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(vals) for vals in self.allowed)
+
+    @cached_property
+    def _one_hot_offsets(self) -> np.ndarray:
+        """First one-hot column of each position."""
+        sizes = [len(vals) for vals in self.allowed]
+        return np.cumsum([0] + sizes[:-1]).astype(np.intp)
+
+    @cached_property
+    def _ordinal_scale(self) -> np.ndarray:
+        """Per position k - 1 for k allowed values, 1 when k is 1."""
+        return np.array([max(len(vals) - 1, 1) for vals in self.allowed], dtype=float)
+
+    @cached_property
+    def _rank_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, table): every value allowed anywhere, ascending, and per
+        position the rank of each of them there, -1 where it is forbidden."""
+        values = np.array(sorted(set().union(*self.allowed)), dtype=np.int64)
+        table = np.full((self.genome_length, len(values)), -1, dtype=np.intp)
+        for pos, vals in enumerate(self.allowed):
+            table[pos, np.searchsorted(values, vals)] = np.arange(len(vals))
+        return values, table
+
+    @cached_property
+    def _inactive_resets(self) -> tuple[tuple[int, dict], ...]:
+        """Per block: (depth gene index, {depth value: ((position, first
+        allowed value), ...) for every position that depth leaves inactive})."""
+        out = []
+        for b in self.blocks:
+            ppl = b.params_per_layer
+            by_depth = {
+                depth: tuple(
+                    (pos, self.allowed[pos][0])
+                    for slot, pos in enumerate(b.governed_gene_indices)
+                    if slot // ppl >= depth
+                )
+                for depth in self.allowed[b.depth_gene_index]
+            }
+            out.append((b.depth_gene_index, by_depth))
+        return tuple(out)
+
+    @cached_property
+    def _inactive_rank_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """(depth_col, below): a position is inactive in a rank row iff the
+        rank at depth_col is below `below`; `below` is 0 for positions no
+        block governs."""
+        depth_col = np.arange(self.genome_length)
+        below = np.zeros(self.genome_length, dtype=np.intp)
+        for b in self.blocks:
+            depths = self.allowed[b.depth_gene_index]
+            ppl = b.params_per_layer
+            for slot, pos in enumerate(b.governed_gene_indices):
+                depth_col[pos] = b.depth_gene_index
+                below[pos] = np.searchsorted(depths, slot // ppl, side="right")
+        return depth_col, below
 
     def param_at(self, position: int) -> ElasticParamSpec:
         return self.params[self.param_index_of_position[position]]
 
     def value_rank(self, position: int, value: int) -> int:
         try:
-            return self._rank_of_value[position][value]
+            return self.rank_of_value[position][value]
         except KeyError:
             raise InvalidGenotype(
                 f"value {value} not allowed at position {position} "
@@ -190,6 +249,11 @@ class SearchSpace:
     # -- genotype helpers ----------------------------------------------------
 
     def validate_genes(self, g: Genotype) -> None:
+        if len(g.genes) == self.genome_length and all(
+            map(frozenset.__contains__, self._allowed_sets, g.genes)
+        ):
+            return
+        # invalid: word the error for the first bad gene
         if len(g.genes) != self.genome_length:
             raise InvalidGenotype(
                 f"genotype length {len(g.genes)} != genome length {self.genome_length}"
@@ -208,6 +272,18 @@ class SearchSpace:
                     mask[pos] = False
         return mask
 
+    def reset_inactive(self, genes: tuple[int, ...]) -> tuple[int, ...]:
+        """`genes` with every inactive gene at its first allowed value; the
+        same tuple when nothing changes. The genes must be valid."""
+        out = None
+        for depth_pos, resets in self._inactive_resets:
+            for pos, first in resets[genes[depth_pos]]:
+                if genes[pos] != first:
+                    if out is None:
+                        out = list(genes)
+                    out[pos] = first
+        return genes if out is None else tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -217,22 +293,13 @@ class SearchSpace:
 def canonicalize(g: Genotype, s: SearchSpace) -> Genotype:
     """Reset every inactive gene to its parameter's first allowed value."""
     s.validate_genes(g)
-    genes = list(g.genes)
-    changed = False
-    for b in s.blocks:
-        depth = genes[b.depth_gene_index]
-        ppl = b.params_per_layer
-        for slot, pos in enumerate(b.governed_gene_indices):
-            if slot // ppl >= depth:
-                first = s.allowed[pos][0]
-                if genes[pos] != first:
-                    genes[pos] = first
-                    changed = True
-    return Genotype(tuple(genes)) if changed else g
+    genes = s.reset_inactive(g.genes)
+    return g if genes is g.genes else Genotype(genes)
 
 
 def is_canonical(g: Genotype, s: SearchSpace) -> bool:
-    return canonicalize(g, s).genes == g.genes
+    s.validate_genes(g)
+    return s.reset_inactive(g.genes) is g.genes
 
 
 def repair_genotype(g: Genotype, s: SearchSpace) -> Genotype:
@@ -249,7 +316,7 @@ def repair_genotype(g: Genotype, s: SearchSpace) -> Genotype:
     genes = []
     for pos, value in enumerate(g.genes):
         vals = s.allowed[pos]
-        if value in s._rank_of_value[pos]:
+        if value in s.rank_of_value[pos]:
             genes.append(value)
         else:
             genes.append(min(vals, key=lambda v: (abs(v - value), v)))
@@ -361,40 +428,60 @@ def feature_dim(s: SearchSpace, scheme: str) -> int:
     raise ConfigError(f"unknown encoding scheme {scheme!r}")
 
 
-def encode_features(g: Genotype, s: SearchSpace, scheme: str) -> np.ndarray:
-    """Encode one canonical genotype as a real feature vector."""
-    if not is_canonical(g, s):
-        raise NonCanonicalInput("encode_features requires a canonical genotype")
-    return _encode_row(g, s, scheme)
+def rank_matrix(genotypes, s: SearchSpace) -> np.ndarray:
+    """The (n x genome length) matrix of value ranks of many genotypes.
+
+    A wrong length or a value the space forbids raises InvalidGenotype,
+    worded for the first such genotype, whose index is the error's `row`.
+    """
+    rows = [g.genes for g in genotypes]
+    values, table = s._rank_lookup
+    try:
+        genes = np.array(rows, dtype=np.int64).reshape(len(rows), s.genome_length)
+    except (ValueError, OverflowError):
+        genes = None  # ragged or beyond int64: the loop below words it
+    if genes is not None:
+        idx = np.minimum(np.searchsorted(values, genes), len(values) - 1)
+        ranks = table[np.arange(s.genome_length), idx]
+        ranks[values[idx] != genes] = -1
+        if ranks.min(initial=0) >= 0:
+            return ranks
+    for i, row in enumerate(rows):
+        try:
+            s.validate_genes(Genotype(row))
+        except InvalidGenotype as exc:
+            raise InvalidGenotype(str(exc), row=i) from None
+    raise AssertionError("rank_matrix: no invalid row found")
 
 
-def _encode_row(g: Genotype, s: SearchSpace, scheme: str) -> np.ndarray:
-    if len(g.genes) != s.genome_length:
-        raise InvalidGenotype(
-            f"genotype has {len(g.genes)} genes, space {s.name!r} has {s.genome_length}"
-        )
+def encode_ranks(ranks: np.ndarray, s: SearchSpace, scheme: str) -> np.ndarray:
+    """Feature rows of a rank matrix: one-hot by offset indexing, or each
+    rank over (k - 1) for a parameter with k values (0 when k is 1)."""
     if scheme == "one_hot":
-        vec = np.zeros(feature_dim(s, scheme))
-        offset = 0
-        for pos, value in enumerate(g.genes):
-            vec[offset + s.value_rank(pos, value)] = 1.0
-            offset += len(s.allowed[pos])
-        return vec
+        X = np.zeros((len(ranks), feature_dim(s, scheme)))
+        X[np.arange(len(ranks))[:, None], ranks + s._one_hot_offsets] = 1.0
+        return X
     if scheme == "ordinal_normalized":
-        vec = np.empty(s.genome_length)
-        for pos, value in enumerate(g.genes):
-            k = len(s.allowed[pos])
-            vec[pos] = 0.0 if k == 1 else s.value_rank(pos, value) / (k - 1)
-        return vec
+        return ranks / s._ordinal_scale
     raise ConfigError(f"unknown encoding scheme {scheme!r}")
 
 
 def encode_matrix(genotypes, s: SearchSpace, scheme: str) -> np.ndarray:
-    """Stack feature rows for many canonical genotypes."""
-    rows = [encode_features(g, s, scheme) for g in genotypes]
-    if not rows:
-        return np.zeros((0, feature_dim(s, scheme)))
-    return np.vstack(rows)
+    """Feature rows for many canonical genotypes; InvalidGenotype (see
+    `rank_matrix`) or NonCanonicalInput names the first offending row."""
+    genotypes = list(genotypes)
+    ranks = rank_matrix(genotypes, s)
+    depth_col, below = s._inactive_rank_rule
+    off = ((ranks[:, depth_col] < below) & (ranks != 0)).any(axis=1)
+    if off.any():
+        bad = genotypes[int(np.argmax(off))]
+        raise NonCanonicalInput(f"genotype {bad.genes} is not canonical")
+    return encode_ranks(ranks, s, scheme)
+
+
+def encode_features(g: Genotype, s: SearchSpace, scheme: str) -> np.ndarray:
+    """Encode one canonical genotype as a real feature vector."""
+    return encode_matrix([g], s, scheme)[0]
 
 
 # ---------------------------------------------------------------------------

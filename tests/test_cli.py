@@ -164,18 +164,23 @@ def test_zero_run_size_is_config_error(tmp_path, toy_space_file, tactic, flag):
 @pytest.mark.parametrize(
     "doc",
     [[1, 2], {"population_size": "8"}, {"predictor": "ridge"},
-     {"predictor": {"ridge_lambda": "x"}}],
+     {"predictor": {"ridge_lambda": "x"}}, {"objectives": 5},
+     {"objectives": [{"name": "top1"}]}, {"warm_start": [1, 2]},
+     {"evaluator": 5}],
     ids=["not-an-object", "mistyped-field", "mistyped-predictor",
-         "mistyped-predictor-field"],
+         "mistyped-predictor-field", "mistyped-objectives",
+         "incomplete-objective", "mistyped-warm-start", "mistyped-evaluator"],
 )
 def test_malformed_config_is_config_error(tmp_path, toy_space_file, capsys,
                                           tactic, doc):
     config = tmp_path / "bad_config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "run"
+    # a flag would override the config's evaluator
+    evaluator = [] if "evaluator" in doc else ["--evaluator", "synthetic:clx-like"]
     code = run_cli(
         "search", tactic, "--space", toy_space_file,
-        "--evaluator", "synthetic:clx-like", "--config", str(config),
+        *evaluator, "--config", str(config),
         "--out", str(out),
     )
     assert code == 2
@@ -407,6 +412,26 @@ def test_popdb_malformed_history_is_config_error(tmp_path, toy_space, toy_space_
     )
     assert code == 2
     assert f"{history}:{lineno}:" in capsys.readouterr().err
+    assert not (tmp_path / "constraints.json").exists()
+
+
+def test_popdb_history_with_a_forbidden_gene_value_is_config_error(
+        tmp_path, toy_space, toy_space_file, capsys):
+    history = tmp_path / "evals.jsonl"
+    write_toy_history(history, toy_space)
+    lines = history.read_text().splitlines(keepends=True)
+    doc = json.loads(lines[6])
+    doc["genotype"][1] = 9  # kernel allows {3, 5, 7}
+    lines[6] = json.dumps(doc) + "\n"
+    lines.insert(3, "\n")  # blank lines do not count as records
+    history.write_text("".join(lines))
+    code = run_cli(
+        "popdb", "--history", str(history), "--space", toy_space_file,
+        "--out", str(tmp_path / "constraints.json"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{history}:8:" in err and "value 9 not allowed at position 1" in err
     assert not (tmp_path / "constraints.json").exists()
 
 

@@ -161,6 +161,84 @@ def test_crowding_zero_range_objective_contributes_zero():
     assert dist[1] == pytest.approx((2.0 - 0.0) / 3.0)
 
 
+def crowding_loop(front):
+    """The per-objective loop oracle for `crowding_distance`."""
+    n = len(front)
+    if n == 0:
+        return []
+    if n <= 2:
+        return [math.inf] * n
+    m = len(front[0].objectives_raw.canonical_min)
+    dist = [0.0] * n
+    for k in range(m):
+        vals = [rec.objectives_raw.canonical_min[k] for rec in front]
+        vmin, vmax = min(vals), max(vals)
+        span = vmax - vmin
+        if span == 0.0:
+            continue
+        order = sorted(range(n), key=lambda i: (vals[i], front[i].genotype.genes))
+        for pos, i in enumerate(order):
+            if vals[i] == vmin or vals[i] == vmax:
+                dist[i] = math.inf
+            elif dist[i] != math.inf:
+                above = vals[order[pos + 1]]
+                below = vals[order[pos - 1]]
+                dist[i] += (above - below) / span
+    return dist
+
+
+def slot_keys_loop(pop, tiebreak):
+    """The per-front loop oracle for `slot_keys`."""
+    keys = [None] * len(pop)
+    for rank, front_idx in enumerate(non_dominated_sort(pop)):
+        crowd = crowding_loop([pop[i] for i in front_idx])
+        for i, c in zip(front_idx, crowd):
+            keys[i] = (rank, -c, tiebreak(pop[i].genotype.genes))
+    return keys
+
+
+def select_best_loop(pop, k, exclude, tiebreak):
+    """The sorted-keys oracle for `select_best`."""
+    keys = slot_keys_loop(pop, tiebreak)
+    chosen, seen = [], set(exclude)
+    for i in sorted(range(len(pop)), key=keys.__getitem__):
+        if pop[i].genotype.genes not in seen:
+            seen.add(pop[i].genotype.genes)
+            chosen.append((keys[i], pop[i]))
+            if len(chosen) == k:
+                break
+    return chosen
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_vectorized_slot_keys_match_loop_oracles_on_tied_grids(m, data):
+    # Objectives on a 4^m grid and genotypes over a 3^2 alphabet force ties
+    # in value, in genotype and in both; twins put one record in two slots.
+    n = data.draw(st.integers(0, 30))
+    values = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
+                                min_size=n, max_size=n))
+    genes = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                               min_size=n, max_size=n))
+    specs = tuple(ObjectiveSpec(f"f{k}", "minimize") for k in range(m))
+    pop = [ind(g, tuple(map(float, v)), specs) for g, v in zip(genes, values)]
+    twins = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=5)) if n else []
+    pop += [pop[i] for i in twins]
+    tiebreak = tiebreak_hash(data.draw(st.integers(0, 3)))
+
+    assert crowding_distance(pop) == crowding_loop(pop)
+    keys = slot_keys(pop, tiebreak)
+    assert keys == slot_keys_loop(pop, tiebreak)
+    assert all(type(c) is float for _, c, _ in keys)
+    k = data.draw(st.integers(1, max(len(pop), 1)))
+    exclude = set(data.draw(st.lists(st.sampled_from(genes), max_size=3))) if n else set()
+    got = select_best(pop, k, exclude=exclude, tiebreak=tiebreak)
+    want = select_best_loop(pop, k, exclude, tiebreak)
+    assert [key for key, _ in got] == [key for key, _ in want]
+    assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -464,6 +542,14 @@ def test_warm_start_repairs_invalid_entries(toy_space):
     from subnetsearch.space import is_canonical
 
     assert all(is_canonical(i.genotype, toy_space) for i in trace.populations[0])
+
+
+def test_tiebreak_hash_is_the_salted_stable_hash():
+    from subnetsearch.util import genes_bytes, stable_hash64
+
+    for salt in (0, 7, -3, 2**63 + 5):
+        for genes in ((), (1,), (3, 5, 7, 2), (-1, 10**12)):
+            assert tiebreak_hash(salt)(genes) == stable_hash64(genes_bytes(genes), salt)
 
 
 def test_slot_keys_belong_to_slots_not_genotypes():

@@ -342,6 +342,30 @@ def test_history_features_match_ordinal_encoding(toy_space):
         history_features(gs + [Genotype(gs[0].genes[:-1])], toy_space)
 
 
+def test_history_features_error_row_indexes_the_full_history(toy_space):
+    gs = sample_uniform(toy_space, 100, seed=7)
+    bad = set(range(50, 100, 7))
+    for i in bad:
+        genes = list(gs[i].genes)
+        genes[1] = 9  # kernel allows {3, 5, 7}
+        gs[i] = Genotype(tuple(genes))
+    kept = np.sort(np.random.default_rng(0).choice(100, size=40, replace=False))
+    with pytest.raises(InvalidGenotype) as err:
+        history_features(gs, toy_space, max_points=40, seed=0)
+    assert err.value.row == min(int(i) for i in kept if i in bad)
+
+
+def test_history_features_keep_non_canonical_rows(toy_space):
+    """A history may hold non-canonical genotypes; only gene values are
+    checked, as the row loop did."""
+    top = [vals[-1] for vals in toy_space.allowed]
+    top[0] = 1  # block 0 at depth 1 leaves its second layer at top values
+    g = Genotype(tuple(top))
+    assert canonicalize(g, toy_space) != g
+    feats, _ = history_features([g], toy_space)
+    assert feats.tolist() == [[0.0] + [1.0] * (toy_space.genome_length - 1)]
+
+
 def test_history_features_joint_space(toy_space):
     from subnetsearch.evalmgr import make_surface, synthetic_evaluate
 

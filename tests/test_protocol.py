@@ -1,6 +1,7 @@
 """External-evaluator wire protocol conformance against a scripted double."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +85,44 @@ def test_crash_mid_batch_fails_remaining_persists_rest(toy_space):
     assert len(failed) == 4
     assert all("exited" in r.error for r in failed)
     assert len(store.validation_records()) == 2  # completed ones persisted
+
+
+def _released(proc) -> bool:
+    return proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
+
+
+def test_close_releases_pipes_and_reaps_child(toy_space):
+    ev = make_evaluator("echo")
+    ev.evaluate(sample_uniform(toy_space, 1, 0))
+    proc = ev._proc
+    ev.close()
+    assert _released(proc)
+    assert proc.returncode == 0
+
+
+def test_close_kills_and_reaps_a_child_that_outstays_bye(toy_space, monkeypatch):
+    ev = make_evaluator("echo")
+    ev.start()
+    proc = ev._proc
+    real_wait = proc.wait
+
+    def wait(timeout=None):
+        if timeout is not None:
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+        return real_wait()
+
+    monkeypatch.setattr(proc, "wait", wait)
+    ev.close()
+    assert _released(proc)
+
+
+def test_crash_mid_batch_releases_the_dead_child(toy_space):
+    ev = make_evaluator("crash-after=1")
+    ev.start()
+    proc = ev._proc
+    outs = ev.evaluate(sample_uniform(toy_space, 3, 3))
+    assert isinstance(outs[-1], EvaluationFailure)
+    assert _released(proc)
 
 
 def test_bad_handshake_raises_protocol_error(toy_space):

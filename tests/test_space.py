@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnetsearch.errors import ConfigError, InvalidGenotype, NonCanonicalInput
 from subnetsearch.space import (
@@ -17,6 +19,7 @@ from subnetsearch.space import (
     encode_features,
     encode_matrix,
     enumerate_genotypes,
+    PRESETS,
     feature_dim,
     get_preset,
     is_canonical,
@@ -26,8 +29,8 @@ from subnetsearch.space import (
     save_space,
     space_from_dict,
     space_to_dict,
-    _encode_row,
 )
+from subnetsearch.util import IntText, genes_bytes
 
 
 def brute_force_architecture(g, space):
@@ -50,6 +53,52 @@ def brute_force_architecture(g, space):
         tuple(g.genes[p] for p in range(space.genome_length) if p not in governed)
     )
     return tuple(arch)
+
+
+def canonicalize_loop(g, space):
+    """The per-block loop oracle for `canonicalize`."""
+    space.validate_genes(g)
+    genes = list(g.genes)
+    for b in space.blocks:
+        depth = genes[b.depth_gene_index]
+        ppl = b.params_per_layer
+        for slot, pos in enumerate(b.governed_gene_indices):
+            if slot // ppl >= depth:
+                genes[pos] = space.allowed[pos][0]
+    return Genotype(tuple(genes))
+
+
+def encode_row(g, space, scheme):
+    """The per-row loop oracle for `encode_matrix` (no canonicality check)."""
+    if len(g.genes) != space.genome_length:
+        raise InvalidGenotype("wrong genome length")
+    if scheme == "one_hot":
+        vec = np.zeros(feature_dim(space, scheme))
+        offset = 0
+        for pos, value in enumerate(g.genes):
+            vec[offset + space.value_rank(pos, value)] = 1.0
+            offset += len(space.allowed[pos])
+        return vec
+    vec = np.empty(space.genome_length)
+    for pos, value in enumerate(g.genes):
+        k = len(space.allowed[pos])
+        vec[pos] = 0.0 if k == 1 else space.value_rank(pos, value) / (k - 1)
+    return vec
+
+
+ORACLE_SPACES = ["tiny", "toy", "toy-global", *PRESETS]
+
+
+@pytest.fixture(scope="module")
+def oracle_spaces(tiny_space, toy_space, global_space):
+    spaces = {s.name: s for s in (tiny_space, toy_space, global_space)}
+    return {name: spaces.get(name) or get_preset(name) for name in ORACLE_SPACES}
+
+
+@st.composite
+def raw_genotypes(draw, space):
+    """A valid, possibly non-canonical genotype of `space`."""
+    return Genotype(tuple(draw(st.sampled_from(vals)) for vals in space.allowed))
 
 
 def all_raw_genotypes(space):
@@ -103,6 +152,12 @@ def test_genome_layout(tiny_space):
 # ---------------------------------------------------------------------------
 
 
+def test_genotype_of_ints_equals_the_converted_genotype():
+    g = Genotype.of_ints((2, 7, 5))
+    assert g == Genotype([2.0, 7, 5]) and hash(g) == hash(Genotype((2, 7, 5)))
+    assert g.genes == (2, 7, 5)
+
+
 def test_canonicalize_resets_inactive_layers():
     # one block, max_layers=4, kernels {3,5,7}; depth 2 leaves slots 2,3 inactive
     space = build_space("one", [("b", (2, 3, 4), 4, [("kernel", (3, 5, 7))])])
@@ -146,6 +201,28 @@ def test_canonicalize_idempotent_random(toy_space):
         )
         c1 = canonicalize(Genotype(genes), toy_space)
         assert canonicalize(c1, toy_space).genes == c1.genes
+
+
+@given(st.lists(st.integers(-(10**20), 10**20) | st.integers(-3, 12), max_size=50))
+def test_genes_bytes_matches_per_gene_encoding(genes):
+    """Genotype ids, evaluator noise and tie-break hashes read these bytes."""
+    expected = b",".join(str(g).encode("ascii") for g in genes)
+    assert genes_bytes(genes) == expected
+    assert genes_bytes(Genotype(tuple(genes)).genes) == expected
+    text = IntText().__getitem__
+    assert genes_bytes(genes, text) == expected
+    assert genes_bytes(genes, text) == expected  # now from the memo
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
+def test_table_canonicalize_matches_loop_oracle(oracle_spaces, name, data):
+    space = oracle_spaces[name]
+    g = data.draw(raw_genotypes(space))
+    expected = canonicalize_loop(g, space)
+    assert canonicalize(g, space).genes == expected.genes
+    assert is_canonical(g, space) == (expected.genes == g.genes)
+    assert space.reset_inactive(g.genes) == expected.genes
 
 
 def test_repair_snaps_to_nearest_allowed(toy_space):
@@ -263,7 +340,59 @@ def test_encode_row_rejects_wrong_genome_length(toy_space, scheme):
     g = sample_uniform(toy_space, 1, 0)[0]
     for genes in (g.genes[:-1], g.genes + (3,)):
         with pytest.raises(InvalidGenotype):
-            _encode_row(Genotype(genes), toy_space, scheme)
+            encode_row(Genotype(genes), toy_space, scheme)
+        with pytest.raises(InvalidGenotype) as err:
+            encode_matrix([g, Genotype(genes)], toy_space, scheme)
+        assert err.value.row == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), n=st.integers(0, 12), data=st.data())
+def test_batch_encoder_matches_row_loop_oracle(oracle_spaces, name, n, data):
+    space = oracle_spaces[name]
+    gs = [canonicalize(data.draw(raw_genotypes(space)), space) for _ in range(n)]
+    for scheme in ("one_hot", "ordinal_normalized"):
+        X = encode_matrix(gs, space, scheme)
+        assert X.shape == (n, feature_dim(space, scheme))
+        assert X.dtype == np.float64
+        if n:
+            expected = np.vstack([encode_row(g, space, scheme) for g in gs])
+            assert X.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
+def test_batch_encoder_raises_like_the_row_loop(oracle_spaces, name, data):
+    """A wrong length or a forbidden value raises InvalidGenotype and a
+    non-canonical row raises NonCanonicalInput, naming the first bad row."""
+    space = oracle_spaces[name]
+    good = canonicalize(data.draw(raw_genotypes(space)), space)
+    pos = data.draw(st.integers(0, space.genome_length - 1))
+    forbidden = data.draw(
+        st.integers(-3, 12).filter(lambda v: v not in space.allowed[pos])
+    )
+    genes = list(good.genes)
+    genes[pos] = forbidden
+    cases = [
+        (Genotype(good.genes[:-1]), InvalidGenotype),
+        (Genotype(good.genes + (good.genes[0],)), InvalidGenotype),
+        (Genotype(tuple(genes)), InvalidGenotype),
+        (Genotype((2**70,) + good.genes[1:]), InvalidGenotype),
+    ]
+    raw = data.draw(raw_genotypes(space))
+    if not is_canonical(raw, space):
+        cases.append((raw, NonCanonicalInput))
+    bad_at = data.draw(st.integers(0, 3))
+    for bad, exc_type in cases:
+        if exc_type is InvalidGenotype:
+            with pytest.raises(InvalidGenotype):
+                encode_row(bad, space, "one_hot")
+        batch = [good] * bad_at + [bad, good]
+        for scheme in ("one_hot", "ordinal_normalized"):
+            with pytest.raises(exc_type) as err:
+                encode_matrix(batch, space, scheme)
+            if exc_type is InvalidGenotype:
+                assert err.value.row == bad_at
 
 
 def test_one_hot_injective_on_canonical(tiny_space):
