@@ -70,7 +70,6 @@ from .space import (
     SearchSpace,
     canonicalize,
     cardinality,
-    encode_features,
     enumerate_genotypes,
     get_preset,
     sample_uniform,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import math
 import os
 import statistics
 import sys
@@ -75,6 +73,7 @@ from .space import (
     space_from_dict,
     space_to_dict,
 )
+from .util import read_json
 
 OUTPUT_DIR_ENV = "SUBNETSEARCH_OUTPUT_DIR"
 
@@ -117,8 +116,6 @@ def _build_evaluator(run: dict, space, declared_specs):
     if kind == "table":
         if not rest:
             raise ConfigError("table evaluator needs a file path: table:<path>")
-        if not Path(rest).exists():
-            raise ConfigError(f"table file not found: {rest}")
         ev = TableEvaluator(rest)
         return ev, ev.specs
     if kind == "external":
@@ -150,15 +147,8 @@ def _resolve_out_dir(out: str | None, tactic: str, seed: int) -> Path:
     return base / f"{tactic}-seed{seed}-{stamp}"
 
 
-def _load_config(path: str) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+def _load_config(path) -> dict:
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -319,13 +309,20 @@ def _cmd_popdb(args) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"--train-sizes {text!r}: expected lo:hi:step")
-        lo, hi, step = parts
-        return list(range(lo, hi + 1, step))
-    return [int(p) for p in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi, step = (int(p) for p in text.split(":"))
+            sizes = list(range(lo, hi + 1, step))
+        else:
+            sizes = [int(p) for p in text.split(",")]
+    except ValueError:  # not integers, not three parts, or a zero step
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(
+            f"--train-sizes {text!r}: expected lo:hi:step or a comma-separated "
+            "list, giving sizes >= 1"
+        )
+    return sizes
 
 
 def _cmd_predict_bench(args) -> int:
@@ -401,8 +398,16 @@ def _cmd_analyze(args) -> int:
         raise ConfigError(f"not a report directory: {run_dir}")
     config_path = _require_artifact(run_dir, "config.json")
     evals_path = _require_artifact(run_dir, "evals.jsonl")
-    with open(config_path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = _load_config(config_path)
+    reference = cfg.get("hv_reference")
+    if reference is not None and (
+        not isinstance(reference, list)
+        or len(reference) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in reference)
+    ):
+        raise ConfigError(
+            f"{config_path}: hv_reference must be two numbers or null, got {reference!r}"
+        )
     store = ResultStore.load(evals_path)
     recs = store.validation_records()
     if not recs:
@@ -437,7 +442,6 @@ def _cmd_analyze(args) -> int:
             writer.writerow(row)
 
     if len(specs) == 2:
-        reference = cfg.get("hv_reference")
         if reference is None:
             first_gen = min(r.gen if r.gen is not None else 0 for r in recs)
             reference = default_reference(

@@ -224,7 +224,7 @@ class SearchReport:
 def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str):
     family = pcfg.family_for(objective)
     if family == "ridge":
-        return fit_ridge(X, y, pcfg.ridge_lambda, encoding_scheme=pcfg.encoding)
+        return fit_ridge(X, y, pcfg.ridge_lambda)
     if family == "svr":
         return fit_svr(
             X,
@@ -232,7 +232,6 @@ def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str):
             C=pcfg.svr_c,
             epsilon=pcfg.svr_epsilon,
             kernel=KernelSpec(pcfg.svr_kernel, pcfg.svr_gamma),
-            encoding_scheme=pcfg.encoding,
         )
     raise ConfigError(f"cannot fit predictor family {family!r} for {objective}")
 
@@ -333,16 +332,12 @@ def make_validation_evaluate(evaluator, store: ResultStore):
 # ---------------------------------------------------------------------------
 
 
-def hypervolume_trace(
-    store: ResultStore, reference, stride: int = 1
-) -> list[tuple[int, float]]:
-    """Cumulative-front hypervolume after every `stride` validation records.
+def hypervolume_trace(store: ResultStore, reference) -> list[tuple[int, float]]:
+    """Cumulative-front hypervolume after every validation record.
 
     Records outside the (frozen) reference box are clamped out of the front
     with a warning rather than raising.
     """
-    if stride < 1:
-        raise ConfigError("stride must be >= 1")
     recs = store.validation_records()
     if not recs:
         raise EmptyInput("no validation records")
@@ -350,10 +345,7 @@ def hypervolume_trace(
     out = []
     for k, rec in enumerate(recs, 1):
         front.insert(rec.objectives_raw.canonical_min)
-        if k % stride == 0:
-            out.append((k, front.hypervolume()))
-    if len(recs) % stride != 0:
-        out.append((len(recs), front.hypervolume()))
+        out.append((k, front.hypervolume()))
     if front.clamped:
         warnings.warn(
             f"{front.clamped} evaluations fell outside the hypervolume "

@@ -35,8 +35,15 @@ from .objectives import (
     ObjectiveVector,
     check_unique_names,
 )
-from .space import Genotype, SearchSpace, encode_matrix, is_canonical
-from .util import pseudo_noise, subseed
+from .space import (
+    Genotype,
+    SearchSpace,
+    canonical_ranks,
+    encode_matrix,
+    encode_ranks,
+    is_canonical,
+)
+from .util import pseudo_noise, read_json, subseed
 
 SOURCE_VALIDATION = "validation"
 
@@ -377,17 +384,17 @@ class SyntheticSurface:
 
 def synthetic_evaluate(g: Genotype, surface: SyntheticSurface) -> ObjectiveVector:
     space = surface.space
-    feats = encode_matrix([g], space, "ordinal_normalized")[0]
+    ranks, inactive = canonical_ranks([g], space)
+    feats = encode_ranks(ranks, space, "ordinal_normalized")[0]
     acc = surface.accuracy_max - surface.accuracy_span * math.exp(
         -float(surface.accuracy_weights @ feats) / surface.temperature
     )
-    mask = space.active_mask(g)
+    active = ~inactive[0]
     lat = surface.latency_base
-    for pos, active in enumerate(mask):
-        if active:
-            lat += surface.latency_costs[pos] * (1.0 + feats[pos])
+    for pos in np.flatnonzero(active):
+        lat += surface.latency_costs[pos] * (1.0 + feats[pos])
     for p, q_pos, w in surface.latency_interactions:
-        if mask[p] and mask[q_pos]:
+        if active[p] and active[q_pos]:
             lat += w * (1.0 + feats[p]) * (1.0 + feats[q_pos])
     if surface.noise_scale > 0:
         acc += pseudo_noise(g.genes, surface.noise_seed, surface.specs[0].name) * surface.noise_scale
@@ -473,8 +480,7 @@ class TableEvaluator:
     """Static lookup-table evaluator reading a genotype -> objectives file."""
 
     def __init__(self, path: str | Path, evaluator_id: str | None = None):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         try:
             self.specs = tuple(
                 ObjectiveSpec(o["name"], o["direction"], o.get("unit", ""))

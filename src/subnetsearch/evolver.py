@@ -63,7 +63,6 @@ class SearchTrace:
     populations: list[list[EvaluationRecord]] = field(default_factory=list)
     evaluations: list[EvaluationRecord] = field(default_factory=list)
     duplicate_accepts: int = 0
-    warm_start_size: int = 0
 
     @property
     def final_population(self) -> list[EvaluationRecord]:
@@ -305,7 +304,6 @@ def evolve(
     # -- initial population --------------------------------------------------
     init = repair_unique(warm_start or (), space)
     init_keys = {g.genes for g in init}
-    trace.warm_start_size = len(init)
     budget = retry_budget
     while len(init) < pop_size:
         g = _random_genotype(rng, space)

@@ -35,7 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet, InvalidGenotype
-from .space import ElasticParamSpec, SearchSpace, encode_ranks, rank_matrix
+from .space import (
+    ElasticParamSpec,
+    SearchSpace,
+    encode_ranks,
+    inactive_genes,
+    rank_matrix,
+)
+from .util import read_json
 
 # ---------------------------------------------------------------------------
 # HDBSCAN
@@ -331,33 +338,25 @@ class FrequencyTable:
 def elastic_frequencies(
     labeling: ClusterLabeling, genotypes, space: SearchSpace
 ) -> FrequencyTable:
+    """Count the active genes of non-noise genotypes, canonical or not; a
+    gene value the space forbids raises InvalidGenotype."""
     genotypes = list(genotypes)
     if len(labeling.labels) != len(genotypes):
         raise ConfigError(
             f"{len(labeling.labels)} labels for {len(genotypes)} genotypes"
         )
-    length = space.genome_length
-    counts = [np.zeros(len(space.allowed[pos])) for pos in range(length)]
-    any_member = False
-    for label, g in zip(labeling.labels, genotypes):
-        if label < 0:
-            continue
-        any_member = True
-        mask = space.active_mask(g)
-        for pos in range(length):
-            if mask[pos]:
-                counts[pos][space.value_rank(pos, g.genes[pos])] += 1
-    if not any_member:
+    members = [g for label, g in zip(labeling.labels, genotypes) if label >= 0]
+    if not members:
         raise EmptyClusterSet("all points labeled noise; no frequencies to compute")
+    ranks = rank_matrix(members, space)
+    active = ~inactive_genes(ranks, space)
     freqs = []
     observations = []
-    for pos in range(length):
-        total = counts[pos].sum()
-        observations.append(int(total))
-        if total > 0:
-            freqs.append(tuple((counts[pos] / total).tolist()))
-        else:
-            freqs.append(tuple([0.0] * len(space.allowed[pos])))
+    for pos, vals in enumerate(space.allowed):
+        counts = np.bincount(ranks[active[:, pos], pos], minlength=len(vals))
+        total = int(counts.sum())
+        observations.append(total)
+        freqs.append(tuple((counts / max(total, 1)).tolist()))
     return FrequencyTable(
         space_name=space.name,
         frequencies=tuple(freqs),
@@ -495,8 +494,7 @@ def save_constraints(c: ConstraintSet, space: SearchSpace, path: str | Path) -> 
 
 
 def load_constraints(path: str | Path) -> ConstraintSet:
-    with open(path, encoding="utf-8") as fh:
-        return constraints_from_dict(json.load(fh))
+    return constraints_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

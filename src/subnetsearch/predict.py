@@ -2,15 +2,12 @@
 
 Ridge solves the normal equations on centered data (intercept unpenalized).
 The SVR solves the epsilon-insensitive dual by sequential optimization of
-maximal-violating variable pairs under the box and equality constraints,
-tracking the dual objective so callers can audit monotone progress.
+maximal-violating variable pairs under the box and equality constraints.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +19,7 @@ from .errors import (
     UndefinedCorrelation,
     ZeroDenominator,
 )
-from .util import stable_hash64, subseed
+from .util import subseed
 
 
 # ---------------------------------------------------------------------------
@@ -34,14 +31,9 @@ from .util import stable_hash64, subseed
 class RidgeModel:
     weights: np.ndarray
     bias: float
-    lam: float
-    encoding_scheme: str = "one_hot"
-    training_fingerprint: str | None = None
 
 
-def fit_ridge(
-    X, y, lam: float, encoding_scheme: str = "one_hot"
-) -> RidgeModel:
+def fit_ridge(X, y, lam: float) -> RidgeModel:
     """Regularized least squares with an unpenalized intercept."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -65,13 +57,7 @@ def fit_ridge(
         w = np.linalg.solve(A, Xc.T @ yc)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations singular: {exc}") from exc
-    return RidgeModel(
-        weights=w,
-        bias=float(y_mean - x_mean @ w),
-        lam=float(lam),
-        encoding_scheme=encoding_scheme,
-        training_fingerprint=_fingerprint(X, y),
-    )
+    return RidgeModel(weights=w, bias=float(y_mean - x_mean @ w))
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +97,8 @@ class SvrModel:
     epsilon: float
     feature_dim: int
     support_indices: tuple[int, ...] = ()
-    encoding_scheme: str = "one_hot"
     n_iter: int = 0
     converged: bool = True
-    dual_objective_history: tuple[float, ...] = ()
-    training_fingerprint: str | None = None
 
 
 def fit_svr(
@@ -126,7 +109,6 @@ def fit_svr(
     kernel: KernelSpec = KernelSpec("rbf"),
     tol: float = 1e-3,
     max_iter: int = 200_000,
-    encoding_scheme: str = "one_hot",
 ) -> SvrModel:
     """Solve the epsilon-insensitive dual to KKT tolerance `tol`.
 
@@ -153,7 +135,6 @@ def fit_svr(
     p = np.concatenate([epsilon - y, epsilon + y])
     z = np.zeros(2 * n)
     G = p.copy()
-    history: list[float] = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -195,7 +176,6 @@ def fit_svr(
         kcol_i = np.concatenate([K[:, bi], K[:, bi]])
         kcol_j = np.concatenate([K[:, bj], K[:, bj]])
         G += (q * kcol_i) * (q[i] * delta) + (q * kcol_j) * (q[j] * (-qq * delta))
-        history.append(-0.5 * float(z @ (G + p)))  # maximization form
 
     # bias from free variables, else midpoint of the KKT bounds
     score = -q * G
@@ -220,11 +200,8 @@ def fit_svr(
         epsilon=float(epsilon),
         feature_dim=d,
         support_indices=tuple(int(i) for i in np.nonzero(sv)[0]),
-        encoding_scheme=encoding_scheme,
         n_iter=it,
         converged=converged,
-        dual_objective_history=tuple(history),
-        training_fingerprint=_fingerprint(X, y),
     )
     if not converged:
         raise ConvergenceFailure(
@@ -284,85 +261,6 @@ def kendall_tau(a, b) -> float:
 
     res = stats.kendalltau(a, b, variant="b")
     return float(res.statistic)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def _fingerprint(X: np.ndarray, y: np.ndarray) -> str:
-    return format(stable_hash64(X.tobytes(), y.tobytes()), "016x")
-
-
-def model_to_dict(model: RidgeModel | SvrModel) -> dict:
-    if isinstance(model, RidgeModel):
-        return {
-            "family": "ridge",
-            "encoding_scheme": model.encoding_scheme,
-            "lambda": model.lam,
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "training_fingerprint": model.training_fingerprint,
-        }
-    if isinstance(model, SvrModel):
-        return {
-            "family": "svr",
-            "encoding_scheme": model.encoding_scheme,
-            "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
-            "C": model.C,
-            "epsilon": model.epsilon,
-            "support_vectors": model.support_vectors.tolist(),
-            "dual_coeffs": model.dual_coeffs.tolist(),
-            "bias": model.bias,
-            "feature_dim": model.feature_dim,
-            "support_indices": list(model.support_indices),
-            "training_fingerprint": model.training_fingerprint,
-        }
-    raise ConfigError(f"unknown model type {type(model).__name__}")
-
-
-def model_from_dict(d: dict) -> RidgeModel | SvrModel:
-    try:
-        family = d["family"]
-        if family == "ridge":
-            return RidgeModel(
-                weights=np.asarray(d["weights"], dtype=float),
-                bias=float(d["bias"]),
-                lam=float(d["lambda"]),
-                encoding_scheme=d["encoding_scheme"],
-                training_fingerprint=d.get("training_fingerprint"),
-            )
-        if family == "svr":
-            sv = np.asarray(d["support_vectors"], dtype=float)
-            if sv.size == 0:
-                sv = sv.reshape(0, int(d["feature_dim"]))
-            return SvrModel(
-                support_vectors=sv,
-                dual_coeffs=np.asarray(d["dual_coeffs"], dtype=float),
-                bias=float(d["bias"]),
-                kernel=KernelSpec(d["kernel"]["kind"], d["kernel"].get("gamma")),
-                C=float(d["C"]),
-                epsilon=float(d["epsilon"]),
-                feature_dim=int(d["feature_dim"]),
-                support_indices=tuple(d.get("support_indices", ())),
-                encoding_scheme=d["encoding_scheme"],
-                training_fingerprint=d.get("training_fingerprint"),
-            )
-        raise ConfigError(f"unknown model family {family!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed model document: {exc}") from exc
-
-
-def save_model(model, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
-
-
-def load_model(path: str | Path) -> RidgeModel | SvrModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

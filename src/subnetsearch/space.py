@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidGenotype, NonCanonicalInput
-from .util import genes_bytes, stable_hash64, subseed
+from .util import genes_bytes, read_json, stable_hash64, subseed
 
 ROLES = ("block_depth", "per_layer", "global")
 ENCODINGS = ("one_hot", "ordinal_normalized")
@@ -142,10 +142,6 @@ class SearchSpace:
         return tuple({v: r for r, v in enumerate(vals)} for vals in self.allowed)
 
     @cached_property
-    def _allowed_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(vals) for vals in self.allowed)
-
-    @cached_property
     def _one_hot_offsets(self) -> np.ndarray:
         """First one-hot column of each position."""
         sizes = [len(vals) for vals in self.allowed]
@@ -187,8 +183,8 @@ class SearchSpace:
     @cached_property
     def _inactive_rank_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """(depth_col, below): a position is inactive in a rank row iff the
-        rank at depth_col is below `below`; `below` is 0 for positions no
-        block governs."""
+        rank at depth_col is below `below`, that is, iff its block's depth is
+        at most its layer slot; `below` is 0 for positions no block governs."""
         depth_col = np.arange(self.genome_length)
         below = np.zeros(self.genome_length, dtype=np.intp)
         for b in self.blocks:
@@ -250,7 +246,7 @@ class SearchSpace:
 
     def validate_genes(self, g: Genotype) -> None:
         if len(g.genes) == self.genome_length and all(
-            map(frozenset.__contains__, self._allowed_sets, g.genes)
+            map(dict.__contains__, self.rank_of_value, g.genes)
         ):
             return
         # invalid: word the error for the first bad gene
@@ -260,17 +256,6 @@ class SearchSpace:
             )
         for pos, value in enumerate(g.genes):
             self.value_rank(pos, value)
-
-    def active_mask(self, g: Genotype) -> list[bool]:
-        """Per-position activity; depth and global genes are always active."""
-        mask = [True] * self.genome_length
-        for b in self.blocks:
-            depth = g.genes[b.depth_gene_index]
-            ppl = b.params_per_layer
-            for slot, pos in enumerate(b.governed_gene_indices):
-                if slot // ppl >= depth:
-                    mask[pos] = False
-        return mask
 
     def reset_inactive(self, genes: tuple[int, ...]) -> tuple[int, ...]:
         """`genes` with every inactive gene at its first allowed value; the
@@ -466,22 +451,30 @@ def encode_ranks(ranks: np.ndarray, s: SearchSpace, scheme: str) -> np.ndarray:
     raise ConfigError(f"unknown encoding scheme {scheme!r}")
 
 
-def encode_matrix(genotypes, s: SearchSpace, scheme: str) -> np.ndarray:
-    """Feature rows for many canonical genotypes; InvalidGenotype (see
-    `rank_matrix`) or NonCanonicalInput names the first offending row."""
+def inactive_genes(ranks: np.ndarray, s: SearchSpace) -> np.ndarray:
+    """Per entry of a rank matrix, whether the block rules leave it inactive;
+    depth and global genes are always active."""
+    depth_col, below = s._inactive_rank_rule
+    return ranks[:, depth_col] < below
+
+
+def canonical_ranks(genotypes, s: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(rank matrix, inactive mask) of many canonical genotypes;
+    InvalidGenotype (see `rank_matrix`) or NonCanonicalInput names the first
+    offending row."""
     genotypes = list(genotypes)
     ranks = rank_matrix(genotypes, s)
-    depth_col, below = s._inactive_rank_rule
-    off = ((ranks[:, depth_col] < below) & (ranks != 0)).any(axis=1)
+    inactive = inactive_genes(ranks, s)
+    off = (inactive & (ranks != 0)).any(axis=1)
     if off.any():
         bad = genotypes[int(np.argmax(off))]
         raise NonCanonicalInput(f"genotype {bad.genes} is not canonical")
-    return encode_ranks(ranks, s, scheme)
+    return ranks, inactive
 
 
-def encode_features(g: Genotype, s: SearchSpace, scheme: str) -> np.ndarray:
-    """Encode one canonical genotype as a real feature vector."""
-    return encode_matrix([g], s, scheme)[0]
+def encode_matrix(genotypes, s: SearchSpace, scheme: str) -> np.ndarray:
+    """Feature rows for many canonical genotypes; raises as `canonical_ranks`."""
+    return encode_ranks(canonical_ranks(genotypes, s)[0], s, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +530,7 @@ def space_from_dict(d: dict) -> SearchSpace:
 
 
 def load_space(path: str | Path) -> SearchSpace:
-    with open(path, encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
+    return space_from_dict(read_json(path))
 
 
 def save_space(s: SearchSpace, path: str | Path) -> None:

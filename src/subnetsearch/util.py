@@ -1,4 +1,4 @@
-"""Seed derivation and stable hashing helpers.
+"""Seed derivation, stable hashing and JSON input helpers.
 
 All randomness in a run flows from a single seed through named sub-seeds so
 that independent phases (sampling, evolution, noise) stay decoupled and
@@ -8,7 +8,11 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections.abc import Iterable
+from pathlib import Path
+
+from .errors import ConfigError
 
 
 def stable_hash64(*parts: bytes | str | int) -> int:
@@ -49,3 +53,18 @@ def pseudo_noise(genes: Iterable[int], noise_seed: int, label: str = "") -> floa
     """Deterministic zero-mean uniform noise in [-0.5, 0.5) keyed by genotype."""
     u = stable_hash64(genes_bytes(genes), noise_seed, label)
     return u / 2.0**64 - 0.5
+
+
+def read_json(path: str | Path):
+    """The JSON document in file `path`; an unreadable file, text that is not
+    UTF-8 or invalid JSON is a ConfigError naming the path (and, for invalid
+    JSON, the line)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None

@@ -1,8 +1,10 @@
-"""Shared fixtures: toy spaces small enough for exhaustive oracles."""
+"""Shared fixtures: toy spaces small enough for exhaustive oracles, and the
+per-gene loop oracle of the block activity rule."""
 
 import pytest
+from hypothesis import strategies as st
 
-from subnetsearch.space import build_space
+from subnetsearch.space import PRESETS, Genotype, build_space, get_preset
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +39,33 @@ def global_space():
     """One block plus a global gene, for constraint and encoding tests."""
     blocks = [("m", (1, 2, 3), 3, [("kernel", (3, 5, 7))])]
     return build_space("toy-global", blocks, [("width", (1, 2))])
+
+
+ORACLE_SPACES = ["tiny", "toy", "toy-global", *PRESETS]
+
+
+@pytest.fixture(scope="session")
+def oracle_spaces(tiny_space, toy_space, global_space):
+    """The toy spaces and the presets by name, as listed in ORACLE_SPACES."""
+    spaces = {s.name: s for s in (tiny_space, toy_space, global_space)}
+    return {name: spaces.get(name) or get_preset(name) for name in ORACLE_SPACES}
+
+
+@st.composite
+def raw_genotypes(draw, space):
+    """A valid, possibly non-canonical genotype of `space`."""
+    return Genotype(tuple(draw(st.sampled_from(vals)) for vals in space.allowed))
+
+
+def active_mask_loop(g, space):
+    """Per-position activity of one genotype by the block rules, gene by
+    gene: a governed gene is inactive iff its layer slot is at least its
+    block's depth; depth and global genes are always active."""
+    mask = [True] * space.genome_length
+    for b in space.blocks:
+        depth = g.genes[b.depth_gene_index]
+        ppl = b.params_per_layer
+        for slot, pos in enumerate(b.governed_gene_indices):
+            if slot // ppl >= depth:
+                mask[pos] = False
+    return mask

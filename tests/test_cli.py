@@ -497,6 +497,65 @@ def test_analyze_missing_artifact_diagnostic(tmp_path, capsys):
     assert "config.json" in err
 
 
+TORN = '{"objectives": [\n  {"name": "top1",'
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["search", "concurrent", "--space", "{doc}",
+          "--evaluator", "synthetic:clx-like", "--out", "{out}"], TORN),
+        (["space", "info", "--space", "mobilenetv3-like", "--constraints", "{doc}"],
+         TORN),
+        (["search", "full", "--space", "{space}", "--evaluator", "table:{doc}",
+          "--out", "{out}"], TORN),
+        (["analyze", "{run}"], TORN),
+        (["analyze", "{run}"], "[1, 2]"),
+        (["analyze", "{run}"], '{"hv_reference": [1]}'),
+        (["search", "concurrent", "--space", "{doc}",
+          "--evaluator", "synthetic:clx-like", "--out", "{out}"], b"\xff\xfe{}"),
+    ],
+    ids=["torn-space", "torn-constraints", "torn-table", "torn-run-config",
+         "run-config-not-an-object", "one-number-hv-reference", "space-not-utf8"],
+)
+def test_malformed_input_document_is_config_error(tmp_path, toy_space_file, capsys,
+                                                  argv, content):
+    run = tmp_path / "run"
+    if argv[0] == "analyze":
+        assert run_cli(
+            "search", "concurrent", "--space", toy_space_file,
+            "--evaluator", "synthetic:clx-like",
+            "--pop", "6", "--iters", "1", "--inner-gens", "2", "--out", str(run),
+        ) == 0
+        capsys.readouterr()
+        doc = run / "config.json"
+    else:
+        doc = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        doc.write_bytes(content)
+    else:
+        doc.write_text(content)
+    out = tmp_path / "out"
+    argv = [a.format(doc=doc, run=run, space=toy_space_file, out=out) for a in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert str(doc) in err
+    if content is TORN:
+        assert f"{doc}:2: invalid JSON" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["a,b", "100:50:10", "0,10", "10:100:0"])
+def test_predict_bench_bad_train_sizes_is_config_error(toy_space_file, capsys, sizes):
+    code = run_cli(
+        "predict", "bench", "--space", toy_space_file,
+        "--evaluator", "synthetic:clx-like", "--objective", "top1",
+        "--train-sizes", sizes, "--test-size", "100", "--trials", "1",
+    )
+    assert code == 2
+    assert "--train-sizes" in capsys.readouterr().err
+
+
 def test_space_info_and_constraints(tmp_path, toy_space_file, capsys):
     assert run_cli("space", "info", "--space", toy_space_file) == 0
     out = capsys.readouterr().out

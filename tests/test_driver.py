@@ -90,7 +90,7 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
 
     from subnetsearch.evalmgr import CallableEvaluator
     from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
-    from subnetsearch.space import encode_features
+    from subnetsearch.space import encode_matrix
 
     specs = (
         ObjectiveSpec("quality", "maximize"),
@@ -103,7 +103,7 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
     w_q, w_c = rng.uniform(0, 1, d), rng.uniform(0, 1, d)
 
     def measure(g):
-        x = encode_features(g, toy_space, "one_hot")
+        x = encode_matrix([g], toy_space, "one_hot")[0]
         return ObjectiveVector((float(w_q @ x), float(w_c @ x)), specs)
 
     all_genotypes = list(enumerate_genotypes(toy_space))
@@ -349,8 +349,8 @@ def test_hv_trace_non_decreasing_and_matches_recompute(toy_setup):
     ref = default_reference([r.objectives_raw for r in recs[:30]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trace = hypervolume_trace(store, ref, stride=7)
-    assert trace[-1][0] == len(recs)
+        trace = hypervolume_trace(store, ref)
+    assert [k for k, _ in trace] == list(range(1, len(recs) + 1))
     prev = 0.0
     for _, hv in trace:
         assert hv >= prev - 1e-12

@@ -1,6 +1,7 @@
 """Evaluation manager: caching, persistence, synthetic surfaces, training data."""
 
 import json
+import math
 import threading
 
 import numpy as np
@@ -29,8 +30,12 @@ from subnetsearch.space import (
     canonicalize,
     encode_matrix,
     enumerate_genotypes,
+    get_preset,
     sample_uniform,
 )
+from subnetsearch.util import pseudo_noise
+
+from conftest import active_mask_loop
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 
@@ -229,12 +234,49 @@ def test_surface_closed_form_at_all_minimum_genotype(toy_space):
     assert vec.values[0] == pytest.approx(
         surface.accuracy_max - surface.accuracy_span
     )
-    mask = toy_space.active_mask(g_min)
+    mask = active_mask_loop(g_min, toy_space)
     lat = surface.latency_base + sum(
         c for c, m in zip(surface.latency_costs, mask) if m
     )
     lat += sum(w for p, q, w in surface.latency_interactions if mask[p] and mask[q])
     assert vec.values[1] == pytest.approx(lat)
+
+
+def synthetic_evaluate_loop(g, surface):
+    """The per-gene loop oracle of `synthetic_evaluate`: ordinal features and
+    the activity mask one gene at a time, accumulated in the same order."""
+    space = surface.space
+    feats = np.array([
+        space.value_rank(pos, v) / max(len(vals) - 1, 1)
+        for pos, (v, vals) in enumerate(zip(g.genes, space.allowed))
+    ])
+    acc = surface.accuracy_max - surface.accuracy_span * math.exp(
+        -float(surface.accuracy_weights @ feats) / surface.temperature
+    )
+    mask = active_mask_loop(g, space)
+    lat = surface.latency_base
+    for pos, active in enumerate(mask):
+        if active:
+            lat += surface.latency_costs[pos] * (1.0 + feats[pos])
+    for p, q, w in surface.latency_interactions:
+        if mask[p] and mask[q]:
+            lat += w * (1.0 + feats[p]) * (1.0 + feats[q])
+    if surface.noise_scale > 0:
+        acc += pseudo_noise(g.genes, surface.noise_seed, "top1") * surface.noise_scale
+        lat += pseudo_noise(g.genes, surface.noise_seed, "latency_ms") * surface.noise_scale
+    return (acc, float(lat))
+
+
+@pytest.mark.parametrize("preset", ["clx-like", "v100-like"])
+@pytest.mark.parametrize("space_name", ["mobilenetv3-like", "resnet50-like", "transformer-like"])
+def test_surface_matches_per_gene_loop_oracle(space_name, preset):
+    space = get_preset(space_name)
+    for noise_scale in (0.0, 0.05):
+        surface = make_surface(space, preset, noise_scale=noise_scale, noise_seed=3)
+        for g in sample_uniform(space, 300, seed=17):
+            assert synthetic_evaluate(g, surface).values == synthetic_evaluate_loop(
+                g, surface
+            )
 
 
 def test_surface_latency_monotone_in_depth(toy_space):

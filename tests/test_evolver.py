@@ -25,7 +25,14 @@ from subnetsearch.objectives import (
     default_reference,
     pareto_front,
 )
-from subnetsearch.space import Genotype, enumerate_genotypes, sample_uniform
+from subnetsearch.space import (
+    Genotype,
+    enumerate_genotypes,
+    repair_unique,
+    sample_uniform,
+)
+
+from conftest import active_mask_loop
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 
@@ -251,7 +258,7 @@ def rank_sum_evaluate(space):
     def evaluate(genotypes):
         out = []
         for g in genotypes:
-            mask = space.active_mask(g)
+            mask = active_mask_loop(g, space)
             total = sum(
                 space.value_rank(pos, v)
                 for pos, (v, act) in enumerate(zip(g.genes, mask))
@@ -519,7 +526,8 @@ def test_warm_start_beats_random_init_at_gen_zero(toy_space):
         + [e.objectives_raw for e in warm.evaluations]
     )
     assert gen0_hv(warm, ref) >= gen0_hv(cold, ref)
-    assert warm.warm_start_size > 0
+    repaired = set(repair_unique(seeds, toy_space))
+    assert repaired and repaired <= {e.genotype for e in warm.evaluations if e.gen == 0}
 
 
 def test_warm_start_truncates_oversized_seed_list(toy_space):

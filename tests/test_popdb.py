@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnetsearch.errors import (
     ConfigError,
@@ -31,6 +33,8 @@ from subnetsearch.space import (
     enumerate_genotypes,
     sample_uniform,
 )
+
+from conftest import ORACLE_SPACES, active_mask_loop, raw_genotypes
 
 
 def two_blobs(n_per=200, sep=10.0, std=0.5, seed=0, dim=2):
@@ -194,6 +198,53 @@ def test_frequencies_rows_sum_to_one(toy_space):
     for pos in range(toy_space.genome_length):
         if table.observations[pos]:
             assert sum(table.frequencies[pos]) == pytest.approx(1.0, abs=1e-12)
+
+
+def elastic_frequencies_loop(labels, genotypes, space):
+    """The per-gene loop oracle of `elastic_frequencies`: (frequencies,
+    observations) over the active genes of non-noise genotypes."""
+    counts = [[0] * len(vals) for vals in space.allowed]
+    for label, g in zip(labels, genotypes):
+        if label >= 0:
+            for pos, active in enumerate(active_mask_loop(g, space)):
+                if active:
+                    counts[pos][space.value_rank(pos, g.genes[pos])] += 1
+    freqs = tuple(
+        tuple(c / sum(row) if sum(row) else 0.0 for c in row) for row in counts
+    )
+    return freqs, tuple(sum(row) for row in counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), n=st.integers(1, 30), data=st.data())
+def test_frequencies_match_per_gene_loop_oracle(oracle_spaces, name, n, data):
+    """Raw (possibly non-canonical) and canonical rows, any labels, including
+    all noise."""
+    space = oracle_spaces[name]
+    gs = []
+    for _ in range(n):
+        g = data.draw(raw_genotypes(space))
+        gs.append(canonicalize(g, space) if data.draw(st.booleans()) else g)
+    labels = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    labeling = ClusterLabeling(labels=tuple(labels), probabilities=(1.0,) * n)
+    if max(labels) < 0:
+        with pytest.raises(EmptyClusterSet):
+            elastic_frequencies(labeling, gs, space)
+        return
+    table = elastic_frequencies(labeling, gs, space)
+    assert (table.frequencies, table.observations) == elastic_frequencies_loop(
+        labels, gs, space
+    )
+
+
+def test_frequencies_reject_forbidden_value_and_label_count():
+    space = freq_space()
+    good = canonicalize(Genotype((2, 5, 5)), space)
+    labeling = ClusterLabeling(labels=(0, 0), probabilities=(1.0, 1.0))
+    with pytest.raises(InvalidGenotype):
+        elastic_frequencies(labeling, [good, Genotype((2, 4, 5))], space)
+    with pytest.raises(ConfigError):
+        elastic_frequencies(labeling, [good], space)
 
 
 def test_frequencies_all_noise_raises():

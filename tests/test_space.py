@@ -16,14 +16,14 @@ from subnetsearch.space import (
     build_space,
     canonicalize,
     cardinality,
-    encode_features,
     encode_matrix,
     enumerate_genotypes,
-    PRESETS,
     feature_dim,
     get_preset,
+    inactive_genes,
     is_canonical,
     load_space,
+    rank_matrix,
     repair_genotype,
     sample_uniform,
     save_space,
@@ -31,6 +31,8 @@ from subnetsearch.space import (
     space_to_dict,
 )
 from subnetsearch.util import IntText, genes_bytes
+
+from conftest import ORACLE_SPACES, active_mask_loop, raw_genotypes
 
 
 def brute_force_architecture(g, space):
@@ -84,21 +86,6 @@ def encode_row(g, space, scheme):
         k = len(space.allowed[pos])
         vec[pos] = 0.0 if k == 1 else space.value_rank(pos, value) / (k - 1)
     return vec
-
-
-ORACLE_SPACES = ["tiny", "toy", "toy-global", *PRESETS]
-
-
-@pytest.fixture(scope="module")
-def oracle_spaces(tiny_space, toy_space, global_space):
-    spaces = {s.name: s for s in (tiny_space, toy_space, global_space)}
-    return {name: spaces.get(name) or get_preset(name) for name in ORACLE_SPACES}
-
-
-@st.composite
-def raw_genotypes(draw, space):
-    """A valid, possibly non-canonical genotype of `space`."""
-    return Genotype(tuple(draw(st.sampled_from(vals)) for vals in space.allowed))
 
 
 def all_raw_genotypes(space):
@@ -295,7 +282,7 @@ def test_sample_gene_frequencies_near_uniform():
         counts = dict.fromkeys(vals, 0)
         active_total = 0
         for g in sample:
-            if space.active_mask(g)[pos]:
+            if active_mask_loop(g, space)[pos]:
                 counts[g.genes[pos]] += 1
                 active_total += 1
         if active_total < 100:
@@ -309,14 +296,14 @@ def test_sample_gene_frequencies_near_uniform():
 
 
 # ---------------------------------------------------------------------------
-# encode_features
+# encode_matrix
 # ---------------------------------------------------------------------------
 
 
 def test_one_hot_single_gene():
     space = build_space("s", [("b", (1,), 1, [("k", (3, 5, 7))])])
     g = canonicalize(Genotype((1, 5)), space)
-    vec = encode_features(g, space, "one_hot")
+    vec = encode_matrix([g], space, "one_hot")[0]
     # depth {1} -> (1.0,), kernel 5 -> (0,1,0)
     assert vec.tolist() == [1.0, 0.0, 1.0, 0.0]
 
@@ -324,7 +311,7 @@ def test_one_hot_single_gene():
 def test_ordinal_normalized_values():
     space = build_space("s", [("b", (1,), 1, [("k", (3, 5, 7))])])
     g = canonicalize(Genotype((1, 7)), space)
-    vec = encode_features(g, space, "ordinal_normalized")
+    vec = encode_matrix([g], space, "ordinal_normalized")[0]
     assert vec.tolist() == [0.0, 1.0]  # singleton param -> 0.0, rank 2/2 -> 1.0
 
 
@@ -332,7 +319,7 @@ def test_encode_rejects_non_canonical(tiny_space):
     g = Genotype((1, 0, 1, 1, 0, 0))  # block a depth 1, slot 1 not at first value
     assert not is_canonical(g, tiny_space)
     with pytest.raises(NonCanonicalInput):
-        encode_features(g, tiny_space, "one_hot")
+        encode_matrix([g], tiny_space, "one_hot")
 
 
 @pytest.mark.parametrize("scheme", ["one_hot", "ordinal_normalized"])
@@ -344,6 +331,15 @@ def test_encode_row_rejects_wrong_genome_length(toy_space, scheme):
         with pytest.raises(InvalidGenotype) as err:
             encode_matrix([g, Genotype(genes)], toy_space, scheme)
         assert err.value.row == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), n=st.integers(1, 12), data=st.data())
+def test_inactive_genes_match_per_gene_loop_oracle(oracle_spaces, name, n, data):
+    space = oracle_spaces[name]
+    gs = [data.draw(raw_genotypes(space)) for _ in range(n)]
+    inactive = inactive_genes(rank_matrix(gs, space), space)
+    assert inactive.tolist() == [[not a for a in active_mask_loop(g, space)] for g in gs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,7 +394,7 @@ def test_batch_encoder_raises_like_the_row_loop(oracle_spaces, name, data):
 def test_one_hot_injective_on_canonical(tiny_space):
     seen = {}
     for g in enumerate_genotypes(tiny_space):
-        key = tuple(encode_features(g, tiny_space, "one_hot").tolist())
+        key = tuple(encode_matrix([g], tiny_space, "one_hot")[0].tolist())
         assert key not in seen
         seen[key] = g
 
