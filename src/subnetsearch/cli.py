@@ -31,6 +31,8 @@ from .driver import (
 )
 from .errors import (
     ConfigError,
+    ConstraintMismatch,
+    EmptyClusterSet,
     EvaluationFailed,
     EvaluationTimeout,
     InvalidGenotype,
@@ -286,7 +288,14 @@ def _cmd_popdb(args) -> int:
         raise ConfigError(f"{history_path}:{line}: {exc}") from exc
     labeling = hdbscan(feats, args.min_cluster_size, args.min_samples)
     kept = [genotypes[int(i)] for i in idx]
-    freqs = elastic_frequencies(labeling, kept, space)
+    try:
+        freqs = elastic_frequencies(labeling, kept, space)
+    except EmptyClusterSet as exc:  # too sparse a history for these settings
+        raise ConfigError(
+            f"{history_path}: all {len(kept)} points labeled noise with "
+            f"--min-cluster-size {args.min_cluster_size} "
+            f"--min-samples {args.min_samples}; no frequencies to compute"
+        ) from exc
     constraints = build_constraints(
         freqs, args.threshold, space, source_run_id=str(history_path)
     )
@@ -499,7 +508,10 @@ def _cmd_space_info(args) -> int:
     space = resolve_space(args.space)
     if args.constraints:
         constraints = load_constraints(args.constraints)
-        space = constrain_space(space, constraints)
+        try:
+            space = constrain_space(space, constraints)
+        except ConstraintMismatch as exc:
+            raise ConfigError(f"{args.constraints}: {exc}") from exc
     size = cardinality(space)
     print(f"space:         {space.name}")
     print(f"genome length: {space.genome_length}")

@@ -10,18 +10,29 @@ mutual-reachability distances from k-nearest core distances, a Prim minimum
 spanning tree, condensation of the single-linkage hierarchy at
 min_cluster_size, and excess-of-mass cluster selection (the root is never
 selected). Euclidean metric throughout. Time is O(n^2). Working memory is
-O(n) plus about 4 MB of row-chunk buffers for the core distances and one
-shrinking copy of the features for Prim. Prim stops updating a point once its
-best edge equals its own core distance, since no mutual-reachability distance
-to it can be smaller.
+O(n) plus two row-chunk buffers of 2**19 entries for the core distances and
+one shrinking copy of the features for Prim. Prim stops updating a point once
+its best edge equals its own core distance, since no mutual-reachability
+distance to it can be smaller.
 
-The distances come from row-chunk and point-subset matrix products. Where
-those products are exact (ordinal features of parameters with two or three
-values, as in the mobilenetv3-like and resnet50-like presets), chunking
-cannot change the result. With features that round (objectives included, or
-four or more values per parameter), a product may differ in the last bit
-from a dense evaluation: a weight may move by one ulp and an exact tie may
-break the other way.
+Both O(n^2) kernels work on squared distances: mutual reachability is
+compared as max(d^2, core_i^2, core_j^2), and only an emitted edge weight
+takes a square root. A correctly rounded square root is monotone, so that
+weight equals max(d, core_i, core_j) of a square-root-domain kernel bit for
+bit. The distances come from row-chunk and point-subset matrix products, in a
+dtype chosen once per call. Where every squared distance, norm and gram
+partial sum is an exact float32 (a small dyadic grid: ordinal features of
+parameters with two or three values, as in every preset but transformer-like)
+the kernels run in float32. There neither chunking nor the BLAS summation
+order can change the result, which equals a dense float64 evaluation bit for
+bit, and the buffers (2 MB each) and the Prim copy take half the memory.
+Otherwise (transformer-like, whose six-value depths fall on steps of 1/5, or
+objectives included) they run in float64, and a product may differ in the
+last bit from a dense evaluation: a weight may move by one ulp and an exact
+tie may break the other way. Ties between squared values are not always ties
+between their square roots, so there an exact tie may also resolve
+differently from a square-root-domain kernel, with the same multiset of
+weights up to that last bit.
 """
 
 from __future__ import annotations
@@ -59,21 +70,45 @@ class ClusterLabeling:
         return len({l for l in self.labels if l >= 0})
 
 
+def _kernel_dtype(X: np.ndarray):
+    """float32 when the points lie on a dyadic grid on which every squared
+    distance, norm and gram partial sum is an exact float32, else float64.
+
+    With Y = X * 2^s integral and |Y| <= m, every such quantity is an integer
+    of magnitude at most 4 * d * m^2 times 2^(-2s); below 2^24 it is exact in
+    float32 whatever the order of summation. Integrality at some s implies it
+    at every larger s, so only the largest s that keeps the bound is tested.
+    """
+    d = X.shape[1]
+    top = float(np.abs(X).max(initial=0.0))
+    if top == 0.0:
+        return np.float32
+    # top * 2^s < 2^(11 - ceil(log2(d) / 2)), so 4 * d * (top * 2^s)^2 < 2^24
+    s = 11 - math.frexp(top)[1] - math.ceil(math.log2(d) / 2)
+    if not -60 <= s <= 60:  # keeps every nonzero quantity a normal float32
+        return np.float64
+    while 4 * d * math.ldexp(top, s + 1) ** 2 < 2**24:
+        s += 1
+    Y = np.ldexp(X, s)
+    return np.float32 if np.array_equal(Y, np.rint(Y)) else np.float64
+
+
 def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
-    """Distance to the min_samples-th nearest neighbor, self included.
+    """Squared distance to the min_samples-th nearest neighbor, self
+    included, in the dtype of X.
 
     Squared distances are formed in place, in two preallocated row-chunk
-    buffers of about 4 MB, as (sq_i + sq_j) - 2 * gram; doubling an operand of
-    the product doubles the gram exactly. Clamping at zero and the square root
-    are monotone, so they are applied to the selected column only.
+    buffers of 2**19 entries, as (sq_i + sq_j) - 2 * gram; doubling an
+    operand of the product doubles the gram exactly. Clamping at zero is
+    monotone, so it is applied to the selected column only.
     """
     n = X.shape[0]
     k = min(min_samples, n)
     sq = np.einsum("ij,ij->i", X, X)
-    core = np.empty(n)
+    core = np.empty(n, dtype=X.dtype)
     chunk = max(1, min(n, 2**19 // max(n, 1)))
-    gram = np.empty((chunk, n))
-    d2 = np.empty((chunk, n))
+    gram = np.empty((chunk, n), dtype=X.dtype)
+    d2 = np.empty((chunk, n), dtype=X.dtype)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         g, d = gram[: stop - start], d2[: stop - start]
@@ -82,12 +117,18 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
         d -= g
         d.partition(k - 1, axis=1)
         core[start:stop] = d[:, k - 1]
-    np.maximum(core, 0.0, out=core)
-    return np.sqrt(core, out=core)
+    return np.maximum(core, 0.0, out=core)
 
 
 def _mst_prim(X: np.ndarray, core: np.ndarray):
-    """MST of the complete mutual-reachability graph in O(n^2) time.
+    """MST of the complete mutual-reachability graph in O(n^2) time, from
+    the squared core distances `core`, in the dtype of X.
+
+    The kernel compares squared mutual-reachability distances
+    max(d^2, core_i, core_j); `core` >= 0 makes the clamp of d^2 at zero
+    implicit. An edge's weight is the correctly rounded square root of that
+    value, which equals max(sqrt(d^2), sqrt(core_i), sqrt(core_j)) bit for bit,
+    since such a square root is monotone.
 
     Prim from point 0; the next point is the lowest-index argmin of `best`,
     and a point's parent changes only on a strict improvement. Because a
@@ -99,7 +140,7 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
-    best = np.full(n, np.inf)
+    best = np.full(n, np.inf, dtype=X.dtype)
     parent = np.full(n, -1, dtype=int)
     act = np.arange(1, n)
     Xa, sqa, corea, besta = X[act], sq[act], core[act], best[act]
@@ -108,8 +149,6 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     for step in range(n - 1):
         mr = Xa @ (2.0 * X[current])
         np.subtract(sqa + sq[current], mr, out=mr)
-        np.maximum(mr, 0.0, out=mr)
-        np.sqrt(mr, out=mr)
         np.maximum(mr, corea, out=mr)
         np.maximum(mr, core[current], out=mr)
         improved = np.flatnonzero(mr < besta)
@@ -118,7 +157,7 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
             best[act[improved]] = mr[improved]
             parent[act[improved]] = current
         nxt = int(np.argmin(best))
-        edges.append((float(best[nxt]), int(parent[nxt]), nxt))
+        edges.append((math.sqrt(best[nxt]), int(parent[nxt]), nxt))
         best[nxt] = np.inf
         pos = np.searchsorted(act, nxt)
         if pos < act.size and act[pos] == nxt:
@@ -238,6 +277,7 @@ def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
     if n < min_cluster_size:
         return ClusterLabeling(labels=(-1,) * n, probabilities=(0.0,) * n)
 
+    X = X.astype(_kernel_dtype(X), copy=False)
     core = _core_distances(X, min_samples)
     merges = _single_linkage(_mst_prim(X, core), n)
     entries, root_cid = _condense(merges, n, min_cluster_size)

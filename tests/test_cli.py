@@ -563,6 +563,35 @@ def test_space_info_and_constraints(tmp_path, toy_space_file, capsys):
     assert "genome length: 10" in out
 
 
+def test_popdb_history_of_noise_only_is_config_error(tmp_path, toy_space, toy_space_file,
+                                                    capsys):
+    history = tmp_path / "evals.jsonl"
+    write_toy_history(history, toy_space)  # 60 records
+    code = run_cli(
+        "popdb", "--history", str(history), "--space", toy_space_file,
+        "--min-cluster-size", "61", "--min-samples", "3",
+        "--out", str(tmp_path / "constraints.json"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(history) in err and "all 60 points labeled noise" in err
+    assert "--min-cluster-size 61 --min-samples 3" in err
+    assert not (tmp_path / "constraints.json").exists()
+
+
+def test_space_info_with_constraints_of_another_space_is_config_error(
+        tmp_path, toy_space, capsys):
+    from subnetsearch.popdb import ConstraintSet, save_constraints
+
+    constraints = tmp_path / "constraints.json"
+    save_constraints(ConstraintSet(allowed=toy_space.allowed), toy_space, constraints)
+    assert run_cli(
+        "space", "info", "--space", "resnet50-like", "--constraints", str(constraints)
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"{constraints}: constraints cover 10 positions, space has 16" in err
+
+
 def test_space_info_preset(capsys):
     assert run_cli("space", "info", "--space", "mobilenetv3-like") == 0
     assert "2.1759e+19" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Oracle tests for the two O(n^2) HDBSCAN kernels: core distances and the
-Prim minimum spanning tree of the mutual-reachability graph."""
+Prim minimum spanning tree of the mutual-reachability graph. The kernels work
+on squared distances, in float32 on exact dyadic grids; the references work
+on distances, in float64."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +9,13 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from subnetsearch import popdb
-from subnetsearch.popdb import _core_distances, _mst_prim, hdbscan, history_features
+from subnetsearch.popdb import (
+    _core_distances,
+    _kernel_dtype,
+    _mst_prim,
+    hdbscan,
+    history_features,
+)
 from subnetsearch.space import Genotype, canonicalize, get_preset, sample_uniform
 
 # ---------------------------------------------------------------------------
@@ -70,6 +78,16 @@ def tied_grid(seed: int, n: int, dim: int) -> np.ndarray:
     return X
 
 
+def dyadic_grid(seed: int, n: int, dim: int, step: float) -> np.ndarray:
+    """Points on step * {-8, ..., 8}^dim with repeated rows: every squared
+    distance, norm and gram partial sum is an exact float32."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-8, 9, size=(n, dim)) * step
+    dup = rng.random(n) < 0.2
+    X[dup] = X[rng.integers(0, n, size=int(dup.sum()))]
+    return X
+
+
 def distinct_lattice(seed: int, n: int, dim: int) -> np.ndarray:
     """Distinct points on a 1e-3 lattice in [0, 1]^dim; coordinates are not
     dyadic, so the gram form rounds, but no two points are closer than 1e-3."""
@@ -101,7 +119,7 @@ def test_core_distances_exact_on_tied_grids(case):
     seed, n, dim, min_samples = case
     X = tied_grid(seed, n, dim)
     assert np.array_equal(
-        _core_distances(X, min_samples), np.sqrt(kth_sorted_sq(X, min_samples))
+        np.sqrt(_core_distances(X, min_samples)), np.sqrt(kth_sorted_sq(X, min_samples))
     )
 
 
@@ -112,8 +130,8 @@ def test_core_distances_close_on_continuous_data(case):
     # which a square root near zero would magnify, so compare squares
     seed, n, dim, min_samples = case
     X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, dim))
-    core = _core_distances(X, min_samples)
-    np.testing.assert_allclose(core**2, kth_sorted_sq(X, min_samples), rtol=0, atol=1e-12)
+    core_sq = _core_distances(X, min_samples)
+    np.testing.assert_allclose(core_sq, kth_sorted_sq(X, min_samples), rtol=0, atol=1e-12)
 
 
 def test_core_distances_exact_across_row_chunks():
@@ -121,7 +139,7 @@ def test_core_distances_exact_across_row_chunks():
     X = tied_grid(7, 1000, 3)
     for min_samples in (1, 2, 10, 1000, 1500):
         assert np.array_equal(
-            _core_distances(X, min_samples), np.sqrt(kth_sorted_sq(X, min_samples))
+            np.sqrt(_core_distances(X, min_samples)), np.sqrt(kth_sorted_sq(X, min_samples))
         )
 
 
@@ -135,16 +153,16 @@ def test_core_distances_exact_across_row_chunks():
 def test_mst_prim_matches_reference_on_tied_grids(case):
     seed, n, dim, min_samples = case
     X = tied_grid(seed, n, dim)
-    core = _core_distances(X, min_samples)
-    assert _mst_prim(X, core) == reference_mst_prim(X, core)
+    core_sq = _core_distances(X, min_samples)
+    assert _mst_prim(X, core_sq) == reference_mst_prim(X, np.sqrt(core_sq))
 
 
 def test_mst_prim_matches_reference_on_large_tied_grids():
     # long enough for many compactions of the settled points
     for seed, dim in ((1, 2), (2, 4), (3, 8)):
         X = tied_grid(seed, 1500, dim)
-        core = _core_distances(X, 10)
-        assert _mst_prim(X, core) == reference_mst_prim(X, core)
+        core_sq = _core_distances(X, 10)
+        assert _mst_prim(X, core_sq) == reference_mst_prim(X, np.sqrt(core_sq))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -153,8 +171,9 @@ def test_mst_prim_weights_match_scipy_on_continuous_data(case):
     seed, n, dim, min_samples = case
     X = distinct_lattice(seed, n, dim)
     n = len(X)
-    core = _core_distances(X, min_samples)
-    edges = _mst_prim(X, core)
+    core_sq = _core_distances(X, min_samples)
+    edges = _mst_prim(X, core_sq)
+    core = np.sqrt(core_sq)
     assert sorted(child for _w, _p, child in edges) == list(range(1, n))
     mr = np.maximum(np.sqrt(brute_sq_distances(X)), np.maximum.outer(core, core))
     np.fill_diagonal(mr, 0.0)  # distinct points: every other entry is > 0
@@ -162,6 +181,56 @@ def test_mst_prim_weights_match_scipy_on_continuous_data(case):
     weights = np.sort([w for w, _p, _c in edges])
     assert len(oracle) == n - 1
     np.testing.assert_allclose(weights**2, oracle**2, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Kernel dtype: float32 only where it is exact
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_dtype_is_float32_only_on_exact_dyadic_grids():
+    rng = np.random.default_rng(3)
+    assert _kernel_dtype(np.zeros((4, 3))) == np.float32
+    assert _kernel_dtype(rng.integers(0, 3, size=(50, 45)) / 2.0) == np.float32
+    assert _kernel_dtype(np.arange(12.0).reshape(4, 3) / 3.0) == np.float64
+    assert _kernel_dtype(rng.uniform(-1.0, 1.0, size=(50, 4))) == np.float64
+    # d = 4 with a half step: Y = 2X, and 4 * d * max|Y|^2 must stay below 2^24
+    under = np.zeros((3, 4))
+    under[0, 3], under[1, 0], under[2, 1] = 0.5, 511.5, -511.5
+    assert _kernel_dtype(under) == np.float32  # max|Y| = 1023: 16 * 1023^2 < 2^24
+    past = under.copy()
+    past[1, 0] = 512.0  # max|Y| = 1024: 4 * 4 * 1024^2 = 2^24
+    assert _kernel_dtype(past) == np.float64
+    past[1, 0], past[2, 1] = 511.5, -512.0
+    assert _kernel_dtype(past) == np.float64
+    # exact grids whose squares would overflow or leave float32's normal range
+    assert _kernel_dtype(np.array([[0.0], [2.0**100]])) == np.float64
+    assert _kernel_dtype(np.array([[0.0], [2.0**-100]])) == np.float64
+
+
+def test_kernel_dtype_of_preset_histories():
+    for name, dtype in (
+        ("mobilenetv3-like", np.float32),
+        ("resnet50-like", np.float32),
+        ("transformer-like", np.float64),  # 6-value parameters: steps of 1/5
+    ):
+        space = get_preset(name)
+        feats, _ = history_features(sample_uniform(space, 200, 5), space)
+        assert _kernel_dtype(feats) == dtype, name
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=cases(300), step=st.sampled_from([1.0, 0.5, 0.25, 0.125]))
+def test_float32_kernels_equal_references_on_dyadic_grids(case, step):
+    seed, n, dim, min_samples = case
+    X = dyadic_grid(seed, n, dim, step)
+    assert _kernel_dtype(X) == np.float32
+    X32 = X.astype(np.float32)
+    core_sq = _core_distances(X32, min_samples)
+    assert core_sq.dtype == np.float32
+    core = reference_core_distances(X, min_samples)
+    assert np.array_equal(np.sqrt(core_sq.astype(float)), core)
+    assert _mst_prim(X32, core_sq) == reference_mst_prim(X, core)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +256,30 @@ def clustered_history(space, n: int, seed: int):
     return out
 
 
-def test_hdbscan_matches_reference_pipeline(monkeypatch):
-    space = get_preset("mobilenetv3-like")
-    feats, _ = history_features(clustered_history(space, 2000, 11), space)
-    labeling = hdbscan(feats, min_cluster_size=50, min_samples=10)
-    monkeypatch.setattr(popdb, "_core_distances", reference_core_distances)
-    monkeypatch.setattr(popdb, "_mst_prim", reference_mst_prim)
-    reference = hdbscan(feats, min_cluster_size=50, min_samples=10)
+def assert_hdbscan_matches_references(monkeypatch, feats, min_cluster_size: int):
+    """hdbscan gives the labels and probabilities it gives when it runs the
+    references, which get float64 input whatever kernel dtype it chose."""
+    labeling = hdbscan(feats, min_cluster_size=min_cluster_size, min_samples=10)
+    monkeypatch.setattr(
+        popdb, "_core_distances", lambda X, k: reference_core_distances(X.astype(float), k)
+    )
+    monkeypatch.setattr(
+        popdb, "_mst_prim", lambda X, core: reference_mst_prim(X.astype(float), core)
+    )
+    reference = hdbscan(feats, min_cluster_size=min_cluster_size, min_samples=10)
     assert labeling.n_clusters >= 2
     assert labeling.labels == reference.labels
     assert labeling.probabilities == reference.probabilities
+
+
+def test_hdbscan_matches_reference_pipeline(monkeypatch):
+    space = get_preset("mobilenetv3-like")
+    feats, _ = history_features(clustered_history(space, 2000, 11), space)
+    assert_hdbscan_matches_references(monkeypatch, feats, 50)
+
+
+def test_hdbscan_matches_reference_pipeline_on_float64_features(monkeypatch):
+    space = get_preset("transformer-like")
+    feats, _ = history_features(clustered_history(space, 1500, 5), space)
+    assert _kernel_dtype(feats) == np.float64
+    assert_hdbscan_matches_references(monkeypatch, feats, 30)
