@@ -336,16 +336,19 @@ def hypervolume_trace(store: ResultStore, reference) -> list[tuple[int, float]]:
     """Cumulative-front hypervolume after every validation record.
 
     Records outside the (frozen) reference box are clamped out of the front
-    with a warning rather than raising.
+    with a warning rather than raising. The hypervolume is recomputed only
+    when an insertion changes the front.
     """
     recs = store.validation_records()
     if not recs:
         raise EmptyInput("no validation records")
     front = IncrementalFront2D(reference)
     out = []
+    hv = front.hypervolume()
     for k, rec in enumerate(recs, 1):
-        front.insert(rec.objectives_raw.canonical_min)
-        out.append((k, front.hypervolume()))
+        if front.insert(rec.objectives_raw.canonical_min):
+            hv = front.hypervolume()
+        out.append((k, hv))
     if front.clamped:
         warnings.warn(
             f"{front.clamped} evaluations fell outside the hypervolume "
@@ -568,14 +571,15 @@ def concurrent_search(
         traces.append(trace)
 
         chosen = select_best(
-            trace.final_population, cfg.population_size, exclude=validated_keys
-        )
+            trace.slots(trace.final_population), cfg.population_size,
+            exclude=validated_keys,
+        ).records
         if len(chosen) < cfg.population_size:
-            exclude = validated_keys | {rec.genotype.genes for _, rec in chosen}
+            exclude = validated_keys | {rec.genotype.genes for rec in chosen}
             chosen += select_best(
-                trace.evaluations, cfg.population_size - len(chosen), exclude=exclude
-            )
-        population = [rec.genotype for _, rec in chosen]
+                trace.table, cfg.population_size - len(chosen), exclude=exclude
+            ).records
+        population = [rec.genotype for rec in chosen]
         population += sample_unique(
             space,
             cfg.population_size - len(population),

@@ -163,22 +163,10 @@ class SearchSpace:
         return values, table
 
     @cached_property
-    def _inactive_resets(self) -> tuple[tuple[int, dict], ...]:
-        """Per block: (depth gene index, {depth value: ((position, first
-        allowed value), ...) for every position that depth leaves inactive})."""
-        out = []
-        for b in self.blocks:
-            ppl = b.params_per_layer
-            by_depth = {
-                depth: tuple(
-                    (pos, self.allowed[pos][0])
-                    for slot, pos in enumerate(b.governed_gene_indices)
-                    if slot // ppl >= depth
-                )
-                for depth in self.allowed[b.depth_gene_index]
-            }
-            out.append((b.depth_gene_index, by_depth))
-        return tuple(out)
+    def _flat_values(self) -> np.ndarray:
+        """Every position's allowed values, one after another (the one-hot
+        column order)."""
+        return np.array([v for vals in self.allowed for v in vals], dtype=np.int64)
 
     @cached_property
     def _inactive_rank_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -259,15 +247,11 @@ class SearchSpace:
 
     def reset_inactive(self, genes: tuple[int, ...]) -> tuple[int, ...]:
         """`genes` with every inactive gene at its first allowed value; the
-        same tuple when nothing changes. The genes must be valid."""
-        out = None
-        for depth_pos, resets in self._inactive_resets:
-            for pos, first in resets[genes[depth_pos]]:
-                if genes[pos] != first:
-                    if out is None:
-                        out = list(genes)
-                    out[pos] = first
-        return genes if out is None else tuple(out)
+        same tuple when nothing changes. Invalid genes raise InvalidGenotype."""
+        ranks = rank_matrix([Genotype.of_ints(genes)], self)
+        ranks[inactive_genes(ranks, self)] = 0
+        out = rank_genes(ranks, self)[0]
+        return genes if out == genes else out
 
 
 # ---------------------------------------------------------------------------
@@ -277,41 +261,41 @@ class SearchSpace:
 
 def canonicalize(g: Genotype, s: SearchSpace) -> Genotype:
     """Reset every inactive gene to its parameter's first allowed value."""
-    s.validate_genes(g)
     genes = s.reset_inactive(g.genes)
     return g if genes is g.genes else Genotype(genes)
 
 
 def is_canonical(g: Genotype, s: SearchSpace) -> bool:
-    s.validate_genes(g)
     return s.reset_inactive(g.genes) is g.genes
 
 
 def repair_genotype(g: Genotype, s: SearchSpace) -> Genotype:
-    """Snap out-of-set genes to the nearest allowed value, then canonicalize.
-
-    Used when transferring genotypes into a space they were not sampled from
-    (warm starts across constrained spaces). Ties go to the smaller value.
-    """
-    if len(g.genes) != s.genome_length:
-        raise InvalidGenotype(
-            f"cannot repair genotype of length {len(g.genes)} "
-            f"for genome length {s.genome_length}"
-        )
-    genes = []
-    for pos, value in enumerate(g.genes):
-        vals = s.allowed[pos]
-        if value in s.rank_of_value[pos]:
-            genes.append(value)
-        else:
-            genes.append(min(vals, key=lambda v: (abs(v - value), v)))
-    return canonicalize(Genotype(tuple(genes)), s)
+    """`repair_unique` of one genotype."""
+    return repair_unique([g], s)[0]
 
 
 def repair_unique(genotypes, s: SearchSpace) -> list[Genotype]:
-    """Repair each genotype into the space, keeping the first of each
-    canonical form in input order."""
-    return list(dict.fromkeys(repair_genotype(g, s) for g in genotypes))
+    """Snap each genotype's out-of-set genes to the nearest allowed value
+    (ties go to the smaller), canonicalize, and keep the first of each
+    canonical form in input order.
+
+    Used when transferring genotypes into a space they were not sampled from
+    (warm starts across constrained spaces).
+    """
+    snapped = []
+    for g in genotypes:
+        if len(g.genes) != s.genome_length:
+            raise InvalidGenotype(
+                f"cannot repair genotype of length {len(g.genes)} "
+                f"for genome length {s.genome_length}"
+            )
+        snapped.append(Genotype(tuple(
+            v if v in ranks else min(vals, key=lambda a: (abs(a - v), a))
+            for v, vals, ranks in zip(g.genes, s.allowed, s.rank_of_value)
+        )))
+    ranks = rank_matrix(snapped, s)
+    ranks[inactive_genes(ranks, s)] = 0
+    return list(map(Genotype.of_ints, dict.fromkeys(rank_genes(ranks, s))))
 
 
 def cardinality(s: SearchSpace) -> int:
@@ -341,11 +325,8 @@ def sample_uniform(s: SearchSpace, n: int, seed: int) -> list[Genotype]:
     rng = np.random.default_rng(seed)
     counts = np.array([len(vals) for vals in s.allowed])
     ranks = rng.integers(0, counts, size=(n, s.genome_length))
-    out = []
-    for row in ranks:
-        genes = tuple(s.allowed[pos][r] for pos, r in enumerate(row))
-        out.append(canonicalize(Genotype(genes), s))
-    return out
+    ranks[inactive_genes(ranks, s)] = 0
+    return list(map(Genotype.of_ints, rank_genes(ranks, s)))
 
 
 def sample_unique(
@@ -437,6 +418,12 @@ def rank_matrix(genotypes, s: SearchSpace) -> np.ndarray:
         except InvalidGenotype as exc:
             raise InvalidGenotype(str(exc), row=i) from None
     raise AssertionError("rank_matrix: no invalid row found")
+
+
+def rank_genes(ranks: np.ndarray, s: SearchSpace) -> list[tuple[int, ...]]:
+    """The gene tuples of a rank matrix's rows; inverse of `rank_matrix`."""
+    values = np.take(s._flat_values, ranks + s._one_hot_offsets)
+    return list(map(tuple, values.tolist()))
 
 
 def encode_ranks(ranks: np.ndarray, s: SearchSpace, scheme: str) -> np.ndarray:

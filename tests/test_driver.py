@@ -444,3 +444,25 @@ def test_oracle_predictors_match_validation_search(toy_setup):
     for entry in report.predicted_front:
         truth = synthetic_evaluate(entry.genotype, surface).values
         assert entry.objectives_raw.values == pytest.approx(truth)
+
+
+def test_hv_trace_equals_full_recompute_exactly(toy_setup):
+    # The trace recomputes the area only when the front changes; every
+    # value must equal a fresh strip sum over the same front, bit for bit.
+    space, surface = toy_setup
+    store = ResultStore(surface.specs, space=space)
+    from subnetsearch.evalmgr import evaluate_batch
+    from subnetsearch.objectives import default_reference, dominated_area
+
+    gs = sample_uniform(space, 150, seed=12)
+    evaluate_batch(gs, SyntheticSurfaceEvaluator(surface), store)
+    recs = store.validation_records()
+    ref = default_reference([r.objectives_raw for r in recs[:20]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = hypervolume_trace(store, ref)
+    front = IncrementalFront2D(ref)
+    for (k, hv), rec in zip(trace, recs):
+        front.insert(rec.objectives_raw.canonical_min)
+        assert hv == (dominated_area(front._points, ref) if front._points else 0.0)
+    assert front.clamped > 0

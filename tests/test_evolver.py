@@ -1,6 +1,7 @@
 """NSGA-II internals and the generational loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from hypothesis import strategies as st
 from subnetsearch.errors import ConfigError, Unevaluated
 from subnetsearch.evolver import (
     EvolverConfig,
+    Slots,
+    _admit,
+    _cut_points,
+    _other_rank,
+    _row_hasher,
     crowding_distance,
     evolve,
     non_dominated_sort,
@@ -27,10 +33,14 @@ from subnetsearch.objectives import (
 )
 from subnetsearch.space import (
     Genotype,
+    SearchSpace,
     enumerate_genotypes,
+    inactive_genes,
+    rank_genes,
     repair_unique,
     sample_uniform,
 )
+from subnetsearch.util import subseed
 
 from conftest import active_mask_loop
 
@@ -376,43 +386,43 @@ def test_duplicate_exhaustion_flagged_on_tiny_space(tiny_space):
 # evaluation is gen:genes:f1:f2 with the genes as digits (every gene value in
 # these spaces is one digit); a population is its genotypes in slot order.
 TOY_EVALUATIONS = """
-0:2754425533:9:9 0:2536617343:9:9 0:2576413343:8:10 0:1733315363:5:13
-0:1534313333:2:16 0:1734317343:6:12 1:1534313343:3:15 1:2734613333:6:12
-1:1536317363:7:11 1:2554617343:9:9 1:2536413343:6:12 1:2574315333:6:12
-2:2754313343:6:12 2:1534317333:4:14 2:2753425533:8:10 2:2533613343:5:13
-2:1536315363:6:12 2:2734313333:4:14 3:2533315333:3:15 3:2754425734:11:7
-3:2553627343:9:9 3:2753425534:9:9 3:2754613343:8:10 3:2336617343:8:10
+0:2556427743:12:6 0:2534315333:4:14 0:2736415363:9:9 0:1533317333:3:15
+0:2556415333:7:11 0:2356327746:12:6 1:1536317343:6:12 1:2573315363:7:11
+1:2736327746:13:5 1:2756315363:9:9 1:2736417343:9:9 1:2556425334:9:9
+2:1534317343:5:13 2:2534415333:5:13 2:1533315333:2:16 2:2533425744:9:9
+2:2334313363:4:14 2:2554315333:5:13 3:2534315343:5:13 3:1736325743:9:9
+3:1736327746:12:6 3:1536327743:9:9 3:2733315333:4:14 3:2533615333:5:13
 """
 TOY_POPULATIONS = [
     (
-        "2754425533 2536617343 2576413343 1733315363 1534313333 1734317343"
+        "2556427743 2356327746 1533317333 2736415363 2556415333 2534315333"
     ),
     (
-        "2554617343 2754425533 2536617343 1534313333 1534313343 1733315363"
+        "2736327746 1533317333 2534315333 1536317343 2756315363 2556425334"
     ),
     (
-        "2554617343 2754425533 2536617343 1534313333 2753425533 1534313343"
+        "1533315333 2736327746 1536317343 2756315363 2533425744 1533317333"
     ),
     (
-        "2754425734 1534313333 1534313343 2533315333 2754613343 2336617343"
+        "1533315333 2736327746 1736327746 1536317343 2756315363 1536327743"
     ),
 ]
 TINY_EVALUATIONS = """
-0:110100:1:5 0:201200:3:3 0:200201:3:3 0:100110:1:5 0:211210:5:1 0:110200:2:4
-0:100200:1:5 0:201211:5:1 0:110110:2:4 0:201110:3:3 0:200211:4:2 0:211110:4:2
-0:200100:1:5 0:110211:4:2 0:110201:3:3 0:110210:3:3 0:100100:0:6 0:210110:3:3
-0:201100:2:4 0:100201:2:4 1:100211:3:3 1:200110:2:4 1:210211:5:1 1:100210:2:4
-1:200210:3:3 1:211200:4:2 1:201210:4:2 1:211211:6:0 1:210210:4:2 1:210100:2:4
-1:200200:2:4 1:210201:4:2 1:201201:4:2 2:211100:3:3 2:210200:3:3 2:211201:5:1
+0:110100:1:5 0:211110:4:2 0:201100:2:4 0:201201:4:2 0:100200:1:5 0:200211:4:2
+0:110210:3:3 0:100210:2:4 0:110200:2:4 0:100201:2:4 0:201211:5:1 0:211200:4:2
+0:110201:3:3 0:110110:2:4 0:100110:1:5 0:200210:3:3 0:100100:0:6 0:200100:1:5
+0:110211:4:2 0:100211:3:3 1:200110:2:4 1:210200:3:3 1:200200:2:4 1:210210:4:2
+1:200201:3:3 1:211100:3:3 1:211210:5:1 1:210211:5:1 1:201110:3:3 1:211201:5:1
+1:211211:6:0 1:201200:3:3 1:210100:2:4 1:201210:4:2 1:210110:3:3 2:210201:4:2
 """
 TINY_POPULATIONS = [
     (
-        "110100 201200 200201 100110 211210 110200 100200 201211 110110 201110 200211 "
-        "211110 200100 110211 110201 110210 100100 210110 201100 100201"
+        "201211 100100 100211 100110 211200 110211 200100 201100 100201 200210 110100 "
+        "100200 110201 211110 100210 110110 200211 110200 110210 201201"
     ),
     (
         "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
-        "210110 210211 210201 110100 100200 210210 200201 110201 211110"
+        "211100 210211 110100 100200 210210 200201 110201 211110 100210"
     ),
     (
         "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
@@ -420,19 +430,19 @@ TINY_POPULATIONS = [
     ),
 ]
 TINY40_EVALUATIONS = """
-0:110100:1:5 0:201200:3:3 0:200201:3:3 0:100110:1:5 0:211210:5:1 0:110200:2:4
-0:100200:1:5 0:201211:5:1 0:110110:2:4 0:201110:3:3 0:200211:4:2 0:211110:4:2
-0:200100:1:5 0:110211:4:2 0:110201:3:3 0:110210:3:3 0:100100:0:6 0:210110:3:3
-0:201100:2:4 0:100201:2:4 0:200200:2:4 0:200110:2:4 0:211200:4:2 0:210210:4:2
-0:200210:3:3 0:100210:2:4 0:211211:6:0 0:201210:4:2 0:210201:4:2 0:100211:3:3
-0:210100:2:4 0:210200:3:3 0:210211:5:1 0:211201:5:1 0:211100:3:3 0:201201:4:2
+0:110100:1:5 0:211110:4:2 0:201100:2:4 0:201201:4:2 0:100200:1:5 0:200211:4:2
+0:110210:3:3 0:100210:2:4 0:110200:2:4 0:100201:2:4 0:201211:5:1 0:211200:4:2
+0:110201:3:3 0:110110:2:4 0:100110:1:5 0:200210:3:3 0:100100:0:6 0:200100:1:5
+0:110211:4:2 0:100211:3:3 0:200200:2:4 0:211100:3:3 0:210210:4:2 0:210100:2:4
+0:210201:4:2 0:200110:2:4 0:211211:6:0 0:211201:5:1 0:201110:3:3 0:201210:4:2
+0:210200:3:3 0:210110:3:3 0:211210:5:1 0:210211:5:1 0:201200:3:3 0:200201:3:3
 """
 TINY40_POPULATIONS = [
     (
-        "110100 201200 200201 100110 211210 110200 100200 201211 110110 201110 200211 "
-        "211110 200100 110211 110201 110210 100100 210110 201100 100201 200200 200110 "
-        "211200 210210 200210 100210 211211 201210 210201 100211 210100 210200 210211 "
-        "211201 211100 201201 200110 210211 200210 211110"
+        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
+        "211100 210211 210201 110100 100200 210210 200201 110201 211110 211110 211200 "
+        "100210 201210 211201 200200 201100 110110 200211 110200 210200 200110 110210 "
+        "201201 210110 201110 201110 200210 200210 201200"
     ),
     (
         "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
@@ -575,3 +585,109 @@ def test_select_best_excludes_and_backfills():
     chosen = select_best(pop, 3, exclude={(0,), (1,)})
     assert len(chosen) == 3
     assert all(c.genotype.genes not in {(0,), (1,)} for _, c in chosen)
+
+
+# ---------------------------------------------------------------------------
+# Batched variation: exhaustive oracles over the draw domains
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8])
+def test_cut_points_cover_every_pair_equally_often(length):
+    a, b = _cut_points(np.arange((length + 1) * length), length)
+    assert (a < b).all() and a.min() >= 0 and b.max() <= length
+    counts = Counter(zip(a.tolist(), b.tolist()))
+    every_pair = {(i, j) for i in range(length + 1) for j in range(i + 1, length + 1)}
+    assert set(counts) == every_pair
+    assert set(counts.values()) == {2}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_other_rank_gives_each_other_rank_once(k):
+    draws = np.arange(k - 1)
+    for rank in range(k):
+        got = _other_rank(np.full(k - 1, rank), draws).tolist()
+        assert sorted(got) == [r for r in range(k) if r != rank]
+
+
+def admit_sequential(candidates, known, need, budget):
+    """The child-by-child duplicate rule: the oracle for `_admit`."""
+    taken, fresh, accepted = [], {}, 0
+    for genes in candidates:
+        if len(taken) == need:
+            break
+        is_dup = genes in known or genes in fresh
+        if is_dup and budget > 0:
+            budget -= 1
+            continue
+        if is_dup:
+            accepted += 1
+        else:
+            fresh[genes] = None
+        taken.append(genes)
+    return taken, list(fresh), accepted
+
+
+@pytest.mark.parametrize("budget", [0, 3, 100])
+@pytest.mark.parametrize("batch", [1, 2, 5, 64])
+def test_batched_duplicate_rule_matches_sequential_rule(budget, batch):
+    # a scripted stream of children over 6 genotypes, 2 of them known
+    stream = [(g,) for g in [0, 1, 2, 2, 3, 0, 4, 4, 4, 5, 1, 3, 2, 5, 5, 0] * 4]
+    known = {(0,): 0, (1,): 1}
+    need = 12
+    want = admit_sequential(stream, known, need, budget)
+    taken, fresh, accepted, left = [], {}, 0, budget
+    for start in range(0, len(stream), batch):
+        if len(taken) == need:
+            break  # the rest of the stream is never drawn
+        chunk = stream[start:start + batch]
+        idx, left, dups = _admit(chunk, known, fresh, need - len(taken), left)
+        taken += [chunk[i] for i in idx]
+        accepted += dups
+    assert (taken, list(fresh), accepted) == want
+    assert (accepted > 0) == (budget != 100)  # budgets 0 and 3 run out
+
+
+def test_slots_select_matches_loop_oracle(toy_space):
+    # The array path (rank rows, row-hashed ties, ids) ranks a pool as the
+    # sorted-keys oracle does, twins and value ties included.
+    rng = np.random.default_rng(5)
+    counts = [len(vals) for vals in toy_space.allowed]
+    ranks = rng.integers(0, counts, size=(40, toy_space.genome_length)).astype(np.uint8)
+    ranks[inactive_genes(ranks, toy_space)] = 0
+    ranks = np.concatenate([ranks, ranks[:6]])  # twins
+    genes = rank_genes(ranks, toy_space)
+    values = rng.integers(0, 4, size=(len(genes), 2)).astype(float)
+    pop = [ind(g, tuple(v)) for g, v in zip(genes, values)]
+    salt = 11
+    hashes = _row_hasher(toy_space, salt)(ranks)
+    assert hashes.tolist() == [tiebreak_hash(salt)(g) for g in genes]
+    first = {}
+    slots = Slots(pop, ranks, values, hashes,
+                  np.array([first.setdefault(g, i) for i, g in enumerate(genes)]))
+    for k in (1, 10, 40, 46):
+        got = select_best(slots, k)
+        want = select_best_loop(pop, k, set(), tiebreak_hash(salt))
+        assert all(a is b for a, (_, b) in zip(got.records, want, strict=True))
+
+
+def test_trace_table_is_aligned_with_evaluations(toy_space):
+    trace = evolve(toy_space, EvolverConfig(10, 4, seed=3),
+                   two_objective_evaluate(toy_space))
+    table = trace.table
+    assert table.records is trace.evaluations
+    genes = [e.genotype.genes for e in trace.evaluations]
+    assert rank_genes(table.ranks, toy_space) == genes
+    assert table.values.tolist() == [list(e.objectives_raw.canonical_min)
+                                     for e in trace.evaluations]
+    salt = subseed(3, "tiebreak")
+    assert table.hashes.tolist() == [tiebreak_hash(salt)(e.genotype.genes)
+                                     for e in trace.evaluations]
+    final = trace.slots(trace.final_population)
+    assert final.records == trace.final_population
+
+
+def test_evolve_rejects_a_space_without_genes():
+    with pytest.raises(ConfigError, match="no genes"):
+        evolve(SearchSpace("empty", (), ()), EvolverConfig(4, 1),
+               lambda gs: [ObjectiveVector((0.0, 0.0), MIN2) for _ in gs])

@@ -23,8 +23,10 @@ from subnetsearch.space import (
     inactive_genes,
     is_canonical,
     load_space,
+    rank_genes,
     rank_matrix,
     repair_genotype,
+    repair_unique,
     sample_uniform,
     save_space,
     space_from_dict,
@@ -444,3 +446,28 @@ def test_resnet50_depth_zero_block_fully_inactive():
     b = space.blocks[0]
     for pos in b.governed_gene_indices:
         assert c.genes[pos] == space.allowed[pos][0]
+
+
+def repair_loop(g, space):
+    """The gene-by-gene oracle for `repair_genotype`: snap each gene to the
+    nearest allowed value, ties to the smaller, then canonicalize."""
+    genes = tuple(min(vals, key=lambda a: (abs(a - v), a))
+                  for v, vals in zip(g.genes, space.allowed))
+    return canonicalize_loop(Genotype(genes), space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
+def test_batch_repair_unique_matches_gene_by_gene_repair(oracle_spaces, name, data):
+    space = oracle_spaces[name]
+    values = sorted(set().union(*space.allowed))
+    gs = data.draw(st.lists(st.one_of(
+        raw_genotypes(space),
+        st.tuples(*[st.integers(values[0] - 2, values[-1] + 2)] * space.genome_length)
+        .map(Genotype),
+    ), min_size=1, max_size=8))
+    gs += data.draw(st.lists(st.sampled_from(gs), max_size=4))  # repeats
+    want = list(dict.fromkeys(repair_loop(g, space) for g in gs))
+    assert repair_unique(gs, space) == want
+    assert [repair_genotype(g, space) for g in gs] == [repair_loop(g, space) for g in gs]
+    assert rank_genes(rank_matrix(want, space), space) == [g.genes for g in want]
