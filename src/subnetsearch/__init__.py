@@ -22,7 +22,6 @@ from .evalmgr import (
 from .evolver import (
     EvolverConfig,
     SearchTrace,
-    crowding_distance,
     evolve,
     non_dominated_sort,
 )

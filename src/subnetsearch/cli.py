@@ -67,6 +67,7 @@ from .popdb import (
 from .predict import run_prediction_trials
 from .space import (
     Genotype,
+    canonical_ranks,
     cardinality,
     encode_matrix,
     genotype_id,
@@ -356,7 +357,7 @@ def _cmd_predict_bench(args) -> int:
     if bad:
         raise EvaluationFailed(f"{len(bad)} bench evaluations failed: {bad[0].error}")
     pcfg = PredictorConfig(**_predictor_doc(args, {}))
-    X = encode_matrix(pool, space, pcfg.encoding)
+    X = encode_matrix(canonical_ranks(pool, space)[0], space, pcfg.encoding)
     y = np.array([r.objectives_raw.value_of(args.objective) for r in recs])
     results = run_prediction_trials(
         X,

@@ -11,6 +11,7 @@ validation population.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 import types
@@ -31,7 +32,6 @@ from .evolver import EvolverConfig, SearchTrace, evolve, select_best
 from .objectives import (
     IncrementalFront2D,
     ObjectiveSpec,
-    ObjectiveVector,
     ParetoFront,
     check_unique_names,
     default_reference,
@@ -44,6 +44,7 @@ from .space import (
     Genotype,
     SearchSpace,
     encode_matrix,
+    rank_genes,
     repair_unique,
     sample_uniform,
     sample_unique,
@@ -276,53 +277,51 @@ def make_predictor_evaluate(
     gen: int | None = None,
     warn_sink: list | None = None,
 ):
-    """Evaluate function mixing surrogate predictions with real measurements
-    for objectives pinned to validation."""
+    """Evaluate function (see `evolver.EvaluateFn`) mixing surrogate
+    predictions, straight from the encoded rank rows, with real measurements
+    for objectives pinned to validation; only those measurements turn the
+    rows into `Genotype`s, for `evaluate_batch`."""
     vo = set(validation_only)
     if vo and (evaluator is None or store is None):
         raise ConfigError("validation-only objectives need an evaluator and store")
 
-    def evaluate(genotypes):
-        X = encode_matrix(genotypes, space, pcfg.encoding)
-        cols = {name: predict(m, X).tolist() for name, m in models.items()}
-        measured = {}
+    def evaluate(ranks):
+        X = encode_matrix(ranks, space, pcfg.encoding)
         if vo:
+            genotypes = list(map(Genotype.of_ints, rank_genes(ranks, space)))
             recs = evaluate_batch(genotypes, evaluator, store, gen=gen)
             worst = _worst_observed(store)
-            for spec in specs:
-                if spec.name not in vo:
-                    continue
-                column = []
-                for rec in recs:
-                    if rec.ok:
-                        column.append(rec.objectives_raw.value_of(spec.name))
-                    else:
-                        column.append(worst[spec.name])
-                        if warn_sink is not None:
-                            warn_sink.append(
-                                f"validation-only measurement failed: {rec.error}"
-                            )
-                measured[spec.name] = column
-        columns = [measured[s.name] if s.name in vo else cols[s.name] for s in specs]
-        return [ObjectiveVector(values, specs) for values in zip(*columns)]
+            failed = [f"validation-only measurement failed: {r.error}" for r in recs if not r.ok]
+        columns = []
+        for spec in specs:
+            if spec.name not in vo:
+                columns.append(predict(models[spec.name], X))
+                continue
+            columns.append([
+                r.objectives_raw.value_of(spec.name) if r.ok else worst[spec.name]
+                for r in recs
+            ])
+            if warn_sink is not None:
+                warn_sink.extend(failed)
+        return np.column_stack(columns)
 
     return evaluate
 
 
-def make_validation_evaluate(evaluator, store: ResultStore):
-    """Evaluate function that measures every genotype; batch index becomes the
-    gen tag in the log."""
-    counter = {"gen": -1}
+def make_validation_evaluate(space: SearchSpace, evaluator, store: ResultStore):
+    """Evaluate function (see `evolver.EvaluateFn`) that measures every rank
+    row as a `Genotype`; batch index becomes the gen tag in the log."""
+    batches = itertools.count()
 
-    def evaluate(genotypes):
-        counter["gen"] += 1
-        recs = evaluate_batch(genotypes, evaluator, store, gen=counter["gen"])
+    def evaluate(ranks):
+        genotypes = list(map(Genotype.of_ints, rank_genes(ranks, space)))
+        recs = evaluate_batch(genotypes, evaluator, store, gen=next(batches))
         bad = [r for r in recs if not r.ok]
         if bad:
             raise EvaluationFailed(
                 f"{len(bad)} validation evaluations failed; first: {bad[0].error}"
             )
-        return [r.objectives_raw for r in recs]
+        return [r.objectives_raw.values for r in recs]
 
     return evaluate
 
@@ -402,7 +401,8 @@ def full_search(
         trace = evolve(
             space,
             evolver_cfg,
-            make_validation_evaluate(evaluator, store),
+            make_validation_evaluate(space, evaluator, store),
+            specs,
             warm_start=cfg.warm_start,
         )
         phase_seconds["search"] = time.perf_counter() - t0
@@ -435,12 +435,13 @@ def full_search(
             space,
             evolver_cfg,
             make_predictor_evaluate(space, specs, models, predictor_cfg),
+            specs,
             warm_start=cfg.warm_start,
             source="predicted",
         )
         phase_seconds["search"] = time.perf_counter() - t0
         traces.append(trace)
-        predicted_front = pareto_front(trace.evaluations)
+        predicted_front = pareto_front(trace.front())
 
         t0 = time.perf_counter()
         front_recs = evaluate_batch(
@@ -522,7 +523,7 @@ def concurrent_search(
     ]
 
     population = _initial_population(space, cfg)
-    validated_keys: set[tuple[int, ...]] = set()
+    validated: dict[tuple[int, ...], Genotype] = {}
     validation_populations: list[list] = []
     reference = None
 
@@ -534,7 +535,7 @@ def concurrent_search(
         warn_list.extend(r.error for r in recs if not r.ok)
         if not ok:
             raise EvaluationFailed(f"iteration {i}: every validation failed")
-        validated_keys.update(r.genotype.genes for r in recs)
+        validated.update((r.genotype.genes, r.genotype) for r in recs)
         validation_populations.append(ok)
         if reference is None:
             reference = _maybe_reference(specs, ok)
@@ -565,28 +566,30 @@ def concurrent_search(
         )
         t0 = time.perf_counter()
         trace = evolve(
-            space, inner_cfg, evaluate_fn, warm_start=inner_warm, source="predicted"
+            space, inner_cfg, evaluate_fn, specs, warm_start=inner_warm,
+            source="predicted",
         )
         phase_seconds["search"] += time.perf_counter() - t0
         traces.append(trace)
 
+        validated_ids = trace.ids_of(validated.values())
         chosen = select_best(
-            trace.slots(trace.final_population), cfg.population_size,
-            exclude=validated_keys,
-        ).records
+            trace.table.take(trace.population_ids[-1]), cfg.population_size,
+            exclude=validated_ids,
+        )
         if len(chosen) < cfg.population_size:
-            exclude = validated_keys | {rec.genotype.genes for rec in chosen}
             chosen += select_best(
-                trace.table, cfg.population_size - len(chosen), exclude=exclude
-            ).records
-        population = [rec.genotype for rec in chosen]
+                trace.table, cfg.population_size - len(chosen),
+                exclude=np.concatenate([validated_ids, chosen.ids]),
+            )
+        population = trace.genotypes(chosen)
         population += sample_unique(
             space,
             cfg.population_size - len(population),
             cfg.seed,
             "iter-pad",
             i,
-            exclude=validated_keys | {g.genes for g in population},
+            exclude=validated.keys() | {g.genes for g in population},
         )
 
     all_validated = store.validation_records()
@@ -599,7 +602,7 @@ def concurrent_search(
         specs=specs,
         store=store,
         validation_populations=validation_populations,
-        predicted_front=pareto_front(traces[-1].evaluations),
+        predicted_front=pareto_front(traces[-1].front()),
         validated_front=pareto_front(all_validated),
         final_candidates=population,
         hv_reference=reference,

@@ -53,12 +53,6 @@ class Unsupported2DOnly(SubnetSearchError):
     """Hypervolume is implemented for exactly two objectives."""
 
 
-# --- evolver -------------------------------------------------------------
-
-class Unevaluated(SubnetSearchError):
-    """A record lacks an objective vector where one is required."""
-
-
 # --- predictors ----------------------------------------------------------
 
 class SingularSystem(SubnetSearchError):

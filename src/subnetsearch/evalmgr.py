@@ -39,7 +39,6 @@ from .space import (
     SearchSpace,
     canonical_ranks,
     encode_matrix,
-    encode_ranks,
     is_canonical,  # noqa: F401  (a trace site of perfbench/runner.py)
 )
 from .util import pseudo_noise, read_json, subseed
@@ -345,7 +344,8 @@ def training_set(
             continue
         seen.add(r.genotype.genes)
         deduped.append(r)
-    X = encode_matrix([r.genotype for r in deduped], store.space, scheme)
+    ranks = canonical_ranks([r.genotype for r in deduped], store.space)[0]
+    X = encode_matrix(ranks, store.space, scheme)
     y = np.array([r.objectives_raw.value_of(objective) for r in deduped])
     return X, y
 
@@ -382,7 +382,7 @@ class SyntheticSurface:
 def synthetic_evaluate(g: Genotype, surface: SyntheticSurface) -> ObjectiveVector:
     space = surface.space
     ranks, inactive = canonical_ranks([g], space)
-    feats = encode_ranks(ranks, space, "ordinal_normalized")[0]
+    feats = encode_matrix(ranks, space, "ordinal_normalized")[0]
     acc = surface.accuracy_max - surface.accuracy_span * math.exp(
         -float(surface.accuracy_weights @ feats) / surface.temperature
     )

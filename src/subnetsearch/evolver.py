@@ -1,24 +1,26 @@
-"""NSGA-II over integer genotypes with canonical-duplicate prevention.
+"""NSGA-II over rank rows with canonical-duplicate prevention.
 
 The generational loop follows the classic recipe (binary tournament on
 rank/crowding, two-point crossover, per-gene mutation, elitist truncation)
-with one twist: children are canonicalized before anything else, and a child
-whose canonical form was already evaluated anywhere in the run is rejected and
-retried, so configurations differing only in inactive genes are never measured
-twice.
+with one twist: a child's inactive genes are reset to rank 0 as soon as it is
+drawn, and a child whose canonical row was already evaluated anywhere in the
+run is rejected and retried, so configurations differing only in inactive
+genes are never measured twice.
 
-Populations are `Slots`: genotypes as rows of value ranks, with objectives
-and tie-break hashes beside them. A generation is made in rounds of p pairs,
-one pair per child still needed; a round draws (1) a (2p, 2) block of slot
-indices, the slot earlier in key order winning each tournament, (2) p
-crossover uniforms and p cut-point draws (`_cut_points`), (3) a (2p, L) block
-of mutation uniforms and one draw per hit gene (`_other_rank`). Inactive
-genes are reset to rank 0, and `_admit` examines the children in order;
-leftovers are discarded. The initial population draws one (n, L) block of
-uniform ranks per round, one row per empty slot. This draw order fixes
-trajectories: a log written by a version that drew child by child does not
-replay byte-identically under this one, while a replay within one version
-is exact.
+A genotype is a row of value ranks from start to finish: the evaluate
+function takes an (n, L) rank matrix and returns an (n, m) matrix of raw
+objectives, the vectorized problem contract of pymoo (Blank & Deb 2020).
+Populations are `Slots`: rank rows with objectives and tie-break hashes
+beside them. A generation is made in rounds of p pairs, one pair per child
+still needed; a round draws (1) a (2p, 2) block of slot indices, the slot
+earlier in key order winning each tournament, (2) p crossover uniforms and p
+cut-point draws (`_cut_points`), (3) a (2p, L) block of mutation uniforms and
+one draw per hit gene (`_other_rank`); `_admit` examines the children in
+order and leftovers are discarded. The initial population draws one (n, L)
+block of uniform ranks per round, one row per empty slot. This draw order
+fixes trajectories: a log written by a version that drew child by child does
+not replay byte-identically under this one, while a replay within one
+version is exact.
 """
 
 from __future__ import annotations
@@ -27,13 +29,18 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, Unevaluated
-from .objectives import EvaluationRecord, ObjectiveVector, nondominated_fronts
+from .errors import ConfigError, ObjectiveMismatch
+from .objectives import (
+    EvaluationRecord,
+    ObjectiveSpec,
+    ObjectiveVector,
+    nondominated_fronts,
+)
 from .space import (
     Genotype,
     SearchSpace,
@@ -45,11 +52,8 @@ from .space import (
 )
 from .util import genes_bytes, stable_hash64, subseed
 
-EvaluateFn = Callable[[Sequence[Genotype]], Sequence[ObjectiveVector]]
-TiebreakFn = Callable[[tuple[int, ...]], int]
-# A population slot's NSGA-II key, lower is better:
-# (front rank, -crowding distance, tie-break hash of the genotype).
-SlotKey = tuple[int, float, int]
+# (n, L) canonical rank rows -> (n, m) raw objectives, aligned with the rows
+EvaluateFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -78,65 +82,89 @@ class EvolverConfig:
         return self.mutation_rate
 
 
+def _row_keys(ranks: np.ndarray) -> np.ndarray:
+    """Per rank row, its big-endian bytes: keys that sort and compare as the
+    rows' genotypes do (rank order is value order)."""
+    rows = np.ascontiguousarray(ranks, dtype=ranks.dtype.newbyteorder(">"))
+    return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+
+
 @dataclass(frozen=True)
 class Slots:
-    """Population slots as aligned arrays: each slot's record, the rank row
-    of its genotype, its canonical-min objectives, its tie-break hash and an
-    id that two slots share iff they hold the same genotype. Slots of records
-    of no space (`select_best` on records) have no rank rows and are never
-    joined or taken."""
+    """Population slots as aligned arrays: the rank row of each slot's
+    genotype, its canonical-min objectives, its tie-break hash and an id
+    that two slots share iff they hold the same genotype."""
 
-    records: list[EvaluationRecord]
-    ranks: np.ndarray | None
+    ranks: np.ndarray
     values: np.ndarray
     hashes: np.ndarray
     ids: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __add__(self, other: Slots) -> Slots:
         join = np.concatenate
         return Slots(
-            self.records + other.records, join([self.ranks, other.ranks]),
-            join([self.values, other.values]), join([self.hashes, other.hashes]),
-            join([self.ids, other.ids]),
+            join([self.ranks, other.ranks]), join([self.values, other.values]),
+            join([self.hashes, other.hashes]), join([self.ids, other.ids]),
         )
 
     def take(self, idx: np.ndarray) -> Slots:
-        return Slots(
-            [self.records[i] for i in idx.tolist()], self.ranks[idx],
-            self.values[idx], self.hashes[idx], self.ids[idx],
-        )
-
-    def gene_order(self) -> np.ndarray:
-        """Per slot, a key that sorts the slots by genotype: for rank rows,
-        their big-endian bytes (rank order is value order)."""
-        if self.ranks is None:
-            return _genotype_order(self.records)
-        rows = np.ascontiguousarray(self.ranks, dtype=self.ranks.dtype.newbyteorder(">"))
-        return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+        return Slots(self.ranks[idx], self.values[idx], self.hashes[idx], self.ids[idx])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchTrace:
-    """Every evaluation of one `evolve` call, in order, and the population
-    after each generation; both hold the same frozen records. `table` holds
-    every evaluation as `Slots`, aligned with `evaluations`."""
+    """One `evolve` call. `table` holds every evaluation in order, its ids
+    the evaluation order, and `gens` the generation of each; the population
+    after each generation is a row of `population_ids` into the table.
+    Records are made only on demand, for what leaves the engine."""
 
-    populations: list[list[EvaluationRecord]] = field(default_factory=list)
-    evaluations: list[EvaluationRecord] = field(default_factory=list)
-    duplicate_accepts: int = 0
-    table: Slots | None = None
+    space: SearchSpace
+    specs: tuple[ObjectiveSpec, ...]
+    source: str
+    table: Slots
+    gens: list[int]
+    population_ids: list[np.ndarray]
+    duplicate_accepts: int
+
+    def genotypes(self, slots: Slots) -> list[Genotype]:
+        """The genotypes of slots of this trace."""
+        return list(map(Genotype.of_ints, rank_genes(slots.ranks, self.space)))
+
+    def records(self, slots: Slots) -> list[EvaluationRecord]:
+        """The evaluation records of slots of this trace."""
+        sign = [1.0 if s.direction == "minimize" else -1.0 for s in self.specs]
+        raw = (slots.values * sign).tolist()
+        return [
+            EvaluationRecord(g, ObjectiveVector(v, self.specs), self.source, "", i, self.gens[i])
+            for g, v, i in zip(self.genotypes(slots), raw, slots.ids.tolist())
+        ]
+
+    @functools.cached_property
+    def evaluations(self) -> list[EvaluationRecord]:
+        return self.records(self.table)
+
+    @property
+    def populations(self) -> list[list[EvaluationRecord]]:
+        evaluations = self.evaluations
+        return [[evaluations[i] for i in ids.tolist()] for ids in self.population_ids]
 
     @property
     def final_population(self) -> list[EvaluationRecord]:
         return self.populations[-1]
 
-    def slots(self, records: Sequence[EvaluationRecord]) -> Slots:
-        """The slots of records of this trace."""
-        ids = np.array([rec.sequence_number for rec in records], dtype=np.intp)
-        return self.table.take(ids)
+    def front(self) -> list[EvaluationRecord]:
+        """The records of the table's first non-dominated front, in
+        evaluation order."""
+        return self.records(self.table.take(non_dominated_sort(self.table)[0]))
+
+    def ids_of(self, genotypes) -> np.ndarray:
+        """The table ids of those of `genotypes` (of this trace's space)
+        that this trace evaluated, ascending."""
+        rows = rank_matrix(genotypes, self.space).astype(self.table.ranks.dtype)
+        return np.flatnonzero(np.isin(_row_keys(self.table.ranks), _row_keys(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +172,7 @@ class SearchTrace:
 # ---------------------------------------------------------------------------
 
 
-def tiebreak_hash(salt: int) -> TiebreakFn:
+def tiebreak_hash(salt: int) -> Callable[[tuple[int, ...]], int]:
     """Salted tie-break hash of a gene tuple: `stable_hash64` of its
     `genes_bytes` and the salt."""
     return lambda genes: stable_hash64(genes_bytes(genes), salt)
@@ -175,47 +203,21 @@ def _row_hasher(space: SearchSpace, salt: int) -> Callable[[np.ndarray], np.ndar
     return hashes
 
 
-def _require_evaluated(pop: Sequence[EvaluationRecord]) -> None:
-    for rec in pop:
-        if rec.objectives_raw is None:
-            raise Unevaluated(f"record {rec.genotype.genes} has no objectives")
+def non_dominated_sort(pop: Slots) -> list[list[int]]:
+    """Non-dominated sort of `Slots`; returns fronts best first as sorted
+    index lists.
 
-
-def non_dominated_sort(pop: Sequence[EvaluationRecord] | Slots) -> list[list[int]]:
-    """Non-dominated sort of records or `Slots`; returns fronts best first
-    as sorted index lists.
-
-    Records with equal objective vectors share a front. Costs O(n log n)
-    for two objectives and O(m n^2) otherwise (see `nondominated_fronts`).
+    Slots with equal objective vectors share a front. Costs O(n log n) for
+    two objectives and O(m n^2) otherwise (see `nondominated_fronts`).
     """
-    if isinstance(pop, Slots):
-        return nondominated_fronts(pop.values.tolist())
-    _require_evaluated(pop)
-    return nondominated_fronts([rec.objectives_raw.canonical_min for rec in pop])
-
-
-def _objective_matrix(pop: Sequence[EvaluationRecord]) -> np.ndarray:
-    """(n, m) canonical-min objectives of evaluated records."""
-    m = len(pop[0].objectives_raw.values) if pop else 0
-    return np.array(
-        [rec.objectives_raw.canonical_min for rec in pop], dtype=float
-    ).reshape(len(pop), m)
-
-
-def _genotype_order(pop: Sequence[EvaluationRecord]) -> np.ndarray:
-    """Each slot's position when the slots are stably sorted by genotype."""
-    genes = [rec.genotype.genes for rec in pop]
-    order = sorted(range(len(pop)), key=genes.__getitem__)
-    pos = np.empty(len(pop), dtype=np.intp)
-    pos[order] = np.arange(len(pop))
-    return pos
+    return nondominated_fronts(pop.values.tolist())
 
 
 def _crowding(values: np.ndarray, front: np.ndarray, gene_pos: np.ndarray) -> np.ndarray:
     """Crowding distance of every point within its front.
 
     `values` is (n, m) canonical-min objectives, `front` each point's front
-    rank and `gene_pos` a key in genotype order (`Slots.gene_order`), which
+    rank and `gene_pos` a key in genotype order (`_row_keys`), which
     breaks ties in value.
     Per objective, one lexsort orders every front; points at a front's
     extremes get +inf, interior points add (next - previous) / span, and an
@@ -249,80 +251,28 @@ def _crowding(values: np.ndarray, front: np.ndarray, gene_pos: np.ndarray) -> np
     return dist
 
 
-def crowding_distance(front: Sequence[EvaluationRecord]) -> list[float]:
-    """Per-record crowding; extremes of any varying objective get +inf.
-
-    Zero-range objectives contribute nothing. Ties are broken by genotype so
-    the result is invariant under permutation of the input.
-    """
-    _require_evaluated(front)
-    n = len(front)
-    return _crowding(
-        _objective_matrix(front), np.zeros(n, dtype=np.intp), _genotype_order(front)
-    ).tolist()
-
-
-def _record_slots(pop: list[EvaluationRecord], tiebreak: TiebreakFn) -> Slots:
-    _require_evaluated(pop)
-    first: dict[tuple[int, ...], int] = {}
-    ids = [first.setdefault(rec.genotype.genes, i) for i, rec in enumerate(pop)]
-    hashes = [tiebreak(rec.genotype.genes) for rec in pop]
-    return Slots(
-        pop,
-        None,
-        _objective_matrix(pop),
-        np.array(hashes, dtype=np.uint64),
-        np.array(ids, dtype=np.intp),
-    )
-
-
 def _ranked(slots: Slots):
     """Every slot's front rank and crowding distance, and the slot indices
-    in key order (ties keep slot order)."""
+    in key order (front rank, -crowding, tie-break hash; ties keep slot
+    order). A genotype held in two slots may get two crowding distances."""
     fronts = non_dominated_sort(slots)
     rank = np.zeros(len(slots), dtype=np.intp)
     at = list(itertools.chain.from_iterable(fronts))
     rank[at] = np.repeat(np.arange(len(fronts)), list(map(len, fronts)))
-    crowd = _crowding(slots.values, rank, slots.gene_order())
+    crowd = _crowding(slots.values, rank, _row_keys(slots.ranks))
     return rank, crowd, np.lexsort((slots.hashes, -crowd, rank))
 
 
-def slot_keys(pop: Sequence[EvaluationRecord], tiebreak: TiebreakFn) -> list[SlotKey]:
-    """The key of every slot of `pop`, aligned with it. A genotype held in
-    two slots may get two crowding distances, hence two keys."""
-    slots = _record_slots(list(pop), tiebreak)
-    rank, crowd, _ = _ranked(slots)
-    return list(zip(rank.tolist(), (-crowd).tolist(), slots.hashes.tolist()))
-
-
-def select_best(
-    pop: Sequence[EvaluationRecord] | Slots,
-    k: int,
-    exclude: set[tuple[int, ...]] | frozenset = frozenset(),
-    tiebreak: TiebreakFn | None = None,
-):
-    """Top-k slots by non-dominated sort + crowding, skipping excluded
-    genotypes and duplicates, backfilling from later fronts; the keys rank
-    the whole of `pop`. Given `Slots`, returns the chosen `Slots` in key
-    order. Given records, returns (key, record) pairs in key order, with
-    `tiebreak` defaulting to the salt-0 hash."""
-    if isinstance(pop, Slots):
-        slots = pop
-    else:
-        slots = _record_slots(list(pop), tiebreak or tiebreak_hash(0))
-    rank, crowd, order = _ranked(slots)
-    if exclude:
-        records = slots.records
-        keep = [records[i].genotype.genes not in exclude for i in order.tolist()]
-        order = order[np.array(keep, dtype=bool)]
-    first = np.unique(slots.ids[order], return_index=True)[1]
-    chosen = order[np.sort(first)[:k]]
-    if slots is pop:
-        return slots.take(chosen)
-    keys = zip(
-        rank[chosen].tolist(), (-crowd[chosen]).tolist(), slots.hashes[chosen].tolist()
-    )
-    return [(key, slots.records[i]) for key, i in zip(keys, chosen.tolist())]
+def select_best(pop: Slots, k: int, exclude: Sequence[int] | np.ndarray = ()) -> Slots:
+    """The top-k slots of `pop` by non-dominated sort + crowding, in key
+    order: slots whose ids are in `exclude` and all but the first slot of
+    each id are skipped, and later fronts backfill; the keys rank the whole
+    of `pop`."""
+    order = _ranked(pop)[2]
+    if len(exclude):
+        order = order[~np.isin(pop.ids[order], exclude)]
+    first = np.unique(pop.ids[order], return_index=True)[1]
+    return pop.take(order[np.sort(first)[:k]])
 
 
 # ---------------------------------------------------------------------------
@@ -396,50 +346,61 @@ def evolve(
     space: SearchSpace,
     cfg: EvolverConfig,
     evaluate: EvaluateFn,
+    specs: Sequence[ObjectiveSpec],
     warm_start: Sequence[Genotype] | None = None,
     source: str = "validation",
 ) -> SearchTrace:
     """Run the generational loop; deterministic for a fixed config and a
     deterministic evaluate function.
 
-    The evaluate callable receives a batch of canonical genotypes and must
-    return objective vectors aligned with its input; it may evaluate the batch
-    in parallel internally.
+    `evaluate` receives an (n, L) matrix of distinct canonical rank rows,
+    none evaluated before in this run, and returns an (n, m) matrix of raw
+    objectives in the order of `specs`; it may evaluate the batch in
+    parallel internally. A batch of the wrong row count is a ConfigError;
+    one of the wrong column count or with a non-finite value is an
+    ObjectiveMismatch.
     """
     if space.genome_length == 0:
         raise ConfigError(f"space {space.name!r} has no genes to evolve")
+    specs = tuple(specs)
     rng = np.random.default_rng(subseed(cfg.seed, "evolver"))
     tie_hashes = _row_hasher(space, subseed(cfg.seed, "tiebreak"))
+    sign = np.array([1.0 if s.direction == "minimize" else -1.0 for s in specs])
     pop_size, length = cfg.population_size, space.genome_length
     counts = np.array([len(vals) for vals in space.allowed])
     dtype = np.min_scalar_type(counts.max() - 1)
     row_bytes = np.dtype((np.void, length * dtype.itemsize))
-    trace = SearchTrace()
-    # Per evaluated genotype, by sequence number: its rank row, canonical-min
-    # objectives and tie-break hash; `known` maps rank-row bytes to it.
+    # Per evaluated genotype, by evaluation order: its rank row, canonical-min
+    # objectives, tie-break hash and generation; `known` maps rank-row bytes
+    # to that order.
     rows_seen: list[np.ndarray] = []
     mins: list[list[float]] = []
     ties: list[int] = []
+    gens: list[int] = []
     known: dict[bytes, int] = {}
+    population_ids: list[np.ndarray] = []
+    duplicate_accepts = 0
 
     def run_evaluations(gen: int, fresh: list[bytes]) -> None:
         rows = np.frombuffer(b"".join(fresh), dtype=dtype).reshape(len(fresh), length)
-        genotypes = list(map(Genotype.of_ints, rank_genes(rows, space)))
-        vectors = list(evaluate(genotypes))
-        if len(vectors) != len(genotypes):
+        values = np.asarray(evaluate(rows), dtype=float)
+        if values.shape[:1] != rows.shape[:1]:
             raise ConfigError(
-                f"evaluate returned {len(vectors)} vectors for "
-                f"{len(genotypes)} genotypes"
+                f"evaluate returned objectives of shape {values.shape} for "
+                f"{len(rows)} genotypes"
             )
-        start = len(trace.evaluations)
-        known.update(zip(fresh, itertools.count(start)))
-        trace.evaluations += map(
-            EvaluationRecord, genotypes, vectors, itertools.repeat(source),
-            itertools.repeat(""), itertools.count(start), itertools.repeat(gen),
-        )
-        sign = [1.0 if s.direction == "minimize" else -1.0 for s in vectors[0].specs]
-        mins.extend((np.array([v.values for v in vectors]) * sign).tolist())
+        if values.shape[1:] != sign.shape:
+            raise ObjectiveMismatch(
+                f"evaluate returned objectives of shape {values.shape} for "
+                f"{len(specs)} objective specs"
+            )
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ObjectiveMismatch(f"non-finite objective value in {values[np.argmin(finite)]}")
+        known.update(zip(fresh, itertools.count(len(mins))))
+        mins.extend((values * sign).tolist())
         ties.extend(tie_hashes(rows).tolist())
+        gens.extend([gen] * len(rows))
         rows_seen.append(rows)
 
     def breed(gen: int, draw, seeds: np.ndarray) -> Slots:
@@ -447,6 +408,7 @@ def evolve(
         of children of rounds of `draw(need)`, taken under the duplicate rule
         until there are pop_size; the fresh genotypes among them are
         evaluated as generation `gen`."""
+        nonlocal duplicate_accepts
         keys = np.ascontiguousarray(seeds).view(row_bytes).ravel().tolist()
         fresh, rows, budget = dict.fromkeys(keys), [seeds], 10 * pop_size
         while len(keys) < pop_size:
@@ -455,14 +417,13 @@ def evolve(
             kids[inactive_genes(kids, space)] = 0
             kid_keys = kids.view(row_bytes).ravel().tolist()
             taken, budget, accepted = _admit(kid_keys, known, fresh, need, budget)
-            trace.duplicate_accepts += accepted
+            duplicate_accepts += accepted
             keys += [kid_keys[i] for i in taken]
             rows.append(kids[taken])
         if fresh:
             run_evaluations(gen, list(fresh))
         ids = list(map(known.__getitem__, keys))
         return Slots(
-            list(map(trace.evaluations.__getitem__, ids)),
             np.concatenate(rows),
             np.array(list(map(mins.__getitem__, ids))),
             np.array(list(map(ties.__getitem__, ids)), dtype=np.uint64),
@@ -477,17 +438,18 @@ def evolve(
         parents = select_best(members, pop_size)
     else:
         parents = members.take(_ranked(members)[2])
-    trace.populations.append(parents.records)
+    population_ids.append(parents.ids)
     for gen in range(1, cfg.generations + 1):
         draw = functools.partial(_offspring, rng, parents, counts, cfg)
         parents = select_best(parents + breed(gen, draw, warm[:0]), pop_size)
-        trace.populations.append(parents.records)
+        population_ids.append(parents.ids)
 
-    trace.table = Slots(
-        trace.evaluations,
+    table = Slots(
         np.concatenate(rows_seen),
         np.array(mins),
         np.array(ties, dtype=np.uint64),
         np.arange(len(mins)),
     )
-    return trace
+    return SearchTrace(
+        space, specs, source, table, gens, population_ids, duplicate_accepts
+    )

@@ -49,7 +49,7 @@ from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet, InvalidGen
 from .space import (
     ElasticParamSpec,
     SearchSpace,
-    encode_ranks,
+    encode_matrix,
     inactive_genes,
     rank_matrix,
 )
@@ -567,7 +567,7 @@ def history_features(
         ranks = rank_matrix([genotypes[i] for i in idx.tolist()], space)
     except InvalidGenotype as exc:
         raise InvalidGenotype(str(exc), row=int(idx[exc.row])) from None
-    feats = encode_ranks(ranks, space, "ordinal_normalized")
+    feats = encode_matrix(ranks, space, "ordinal_normalized")
     if objective_vectors is not None:
         obj = np.array([objective_vectors[int(i)].canonical_min for i in idx])
         lo = obj.min(axis=0)

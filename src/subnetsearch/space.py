@@ -269,11 +269,6 @@ def is_canonical(g: Genotype, s: SearchSpace) -> bool:
     return s.reset_inactive(g.genes) is g.genes
 
 
-def repair_genotype(g: Genotype, s: SearchSpace) -> Genotype:
-    """`repair_unique` of one genotype."""
-    return repair_unique([g], s)[0]
-
-
 def repair_unique(genotypes, s: SearchSpace) -> list[Genotype]:
     """Snap each genotype's out-of-set genes to the nearest allowed value
     (ties go to the smaller), canonicalize, and keep the first of each
@@ -426,9 +421,10 @@ def rank_genes(ranks: np.ndarray, s: SearchSpace) -> list[tuple[int, ...]]:
     return list(map(tuple, values.tolist()))
 
 
-def encode_ranks(ranks: np.ndarray, s: SearchSpace, scheme: str) -> np.ndarray:
+def encode_matrix(ranks: np.ndarray, s: SearchSpace, scheme: str) -> np.ndarray:
     """Feature rows of a rank matrix: one-hot by offset indexing, or each
-    rank over (k - 1) for a parameter with k values (0 when k is 1)."""
+    rank over (k - 1) for a parameter with k values (0 when k is 1).
+    Genotypes from outside the engine go through `canonical_ranks` first."""
     if scheme == "one_hot":
         X = np.zeros((len(ranks), feature_dim(s, scheme)))
         X[np.arange(len(ranks))[:, None], ranks + s._one_hot_offsets] = 1.0
@@ -457,11 +453,6 @@ def canonical_ranks(genotypes, s: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
         bad = genotypes[int(np.argmax(off))]
         raise NonCanonicalInput(f"genotype {bad.genes} is not canonical")
     return ranks, inactive
-
-
-def encode_matrix(genotypes, s: SearchSpace, scheme: str) -> np.ndarray:
-    """Feature rows for many canonical genotypes; raises as `canonical_ranks`."""
-    return encode_ranks(canonical_ranks(genotypes, s)[0], s, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,10 @@ def subseed(seed: int, *labels: str | int) -> int:
     return stable_hash64(seed, *labels)
 
 
-class IntText(dict):
-    """A memo of str(v) for ints v: look values up through it where the same
-    gene values are written many times."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
-
-
-def genes_bytes(genes: Iterable[int], text=str) -> bytes:
+def genes_bytes(genes: Iterable[int]) -> bytes:
     """Compact byte serialization of a gene vector for hashing: the decimal
-    genes joined by commas. `text` writes one gene (`str` or an
-    `IntText().__getitem__`)."""
-    return ",".join(map(text, genes)).encode("ascii")
+    genes joined by commas."""
+    return ",".join(map(str, genes)).encode("ascii")
 
 
 def pseudo_noise(genes: Iterable[int], noise_seed: int, label: str = "") -> float:

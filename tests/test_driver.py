@@ -27,7 +27,7 @@ from subnetsearch.objectives import (
     dominated_area,
     pareto_front,
 )
-from subnetsearch.space import enumerate_genotypes, sample_uniform
+from subnetsearch.space import Genotype, enumerate_genotypes, rank_genes, sample_uniform
 
 
 def true_front_genes(space, surface):
@@ -90,7 +90,7 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
 
     from subnetsearch.evalmgr import CallableEvaluator
     from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
-    from subnetsearch.space import encode_matrix
+    from subnetsearch.space import canonical_ranks, encode_matrix
 
     specs = (
         ObjectiveSpec("quality", "maximize"),
@@ -103,7 +103,7 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
     w_q, w_c = rng.uniform(0, 1, d), rng.uniform(0, 1, d)
 
     def measure(g):
-        x = encode_matrix([g], toy_space, "one_hot")[0]
+        x = encode_matrix(canonical_ranks([g], toy_space)[0], toy_space, "one_hot")[0]
         return ObjectiveVector((float(w_q @ x), float(w_c @ x)), specs)
 
     all_genotypes = list(enumerate_genotypes(toy_space))
@@ -423,8 +423,9 @@ def test_oracle_predictors_match_validation_search(toy_setup):
     orig = drv.make_predictor_evaluate
 
     def oracle(space_, specs_, models, pcfg, **kw):
-        def evaluate(gs):
-            return [synthetic_evaluate(g, surface) for g in gs]
+        def evaluate(ranks):
+            return [synthetic_evaluate(Genotype(genes), surface).values
+                    for genes in rank_genes(ranks, space_)]
 
         return evaluate
 

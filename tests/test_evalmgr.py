@@ -27,6 +27,7 @@ from subnetsearch.evalmgr import (
 from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
 from subnetsearch.space import (
     Genotype,
+    canonical_ranks,
     canonicalize,
     encode_matrix,
     enumerate_genotypes,
@@ -365,7 +366,8 @@ def test_training_set_filters_predicted_and_dedupes(toy_space):
     X, y = training_set(store, "f1", "one_hot")
     assert X.shape[0] == 3
     assert y.tolist() == [0.0, 1.0, 2.0]
-    assert np.allclose(X, encode_matrix(gs[:3], toy_space, "one_hot"))
+    ranks = canonical_ranks(gs[:3], toy_space)[0]
+    assert np.allclose(X, encode_matrix(ranks, toy_space, "one_hot"))
 
 
 def test_training_set_first_evaluator_wins_without_filter(toy_space):

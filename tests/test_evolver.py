@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnetsearch.errors import ConfigError, Unevaluated
+from subnetsearch.errors import ConfigError, ObjectiveMismatch
 from subnetsearch.evolver import (
     EvolverConfig,
     Slots,
     _admit,
+    _crowding,
     _cut_points,
     _other_rank,
+    _ranked,
     _row_hasher,
-    crowding_distance,
+    _row_keys,
     evolve,
     non_dominated_sort,
     select_best,
-    slot_keys,
     tiebreak_hash,
 )
 from subnetsearch.objectives import (
@@ -37,6 +38,7 @@ from subnetsearch.space import (
     enumerate_genotypes,
     inactive_genes,
     rank_genes,
+    rank_matrix,
     repair_unique,
     sample_uniform,
 )
@@ -51,6 +53,28 @@ def ind(genes, values, specs=MIN2):
     return EvaluationRecord(
         Genotype(genes), ObjectiveVector(values, specs), "validation", "", 0
     )
+
+
+def slots_of(pop, salt=0):
+    """The array form of records whose genes are small ranks: each slot's
+    genes as its rank row, the salted tie-break hash, and the index of the
+    genotype's first slot as its id."""
+    genes = [rec.genotype.genes for rec in pop]
+    length, m = (len(genes[0]), len(pop[0].objectives_raw.values)) if pop else (1, 2)
+    ranks = np.array(genes, dtype=np.uint8).reshape(len(pop), length)
+    values = np.array([rec.objectives_raw.canonical_min for rec in pop]).reshape(len(pop), m)
+    first = {}
+    return Slots(
+        ranks, values,
+        np.array([tiebreak_hash(salt)(g) for g in genes], dtype=np.uint64),
+        np.array([first.setdefault(g, i) for i, g in enumerate(genes)], dtype=np.intp),
+    )
+
+
+def crowding(front):
+    """Crowding of records taken as one front, by the array form."""
+    s = slots_of(front)
+    return _crowding(s.values, np.zeros(len(s), dtype=np.intp), _row_keys(s.ranks)).tolist()
 
 
 def brute_rank(pop):
@@ -84,26 +108,19 @@ def brute_rank(pop):
 
 def test_nds_single_front_when_mutually_nondominated():
     pop = [ind((i,), (float(i), float(9 - i))) for i in range(10)]
-    fronts = non_dominated_sort(pop)
+    fronts = non_dominated_sort(slots_of(pop))
     assert fronts == [list(range(10))]
 
 
 def test_nds_chain_gives_singleton_fronts():
     pop = [ind((0,), (1.0, 1.0)), ind((1,), (2.0, 2.0)), ind((2,), (3.0, 3.0))]
-    assert non_dominated_sort(pop) == [[0], [1], [2]]
-
-
-def test_nds_requires_evaluation():
-    with pytest.raises(Unevaluated):
-        non_dominated_sort(
-            [EvaluationRecord(Genotype((0,)), None, "validation", "", 0)]
-        )
+    assert non_dominated_sort(slots_of(pop)) == [[0], [1], [2]]
 
 
 def test_nds_matches_brute_force_ranks():
     rng = np.random.default_rng(17)
     pop = [ind((i,), tuple(rng.uniform(0, 1, 2))) for i in range(200)]
-    fronts = non_dominated_sort(pop)
+    fronts = non_dominated_sort(slots_of(pop))
     want = brute_rank(pop)
     got = {}
     for rank, front in enumerate(fronts):
@@ -122,26 +139,26 @@ def test_nds_matches_brute_force_on_tied_grids(m, data):
     values = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=40))
     specs = tuple(ObjectiveSpec(f"f{k}", "minimize") for k in range(m))
     pop = [ind((i,), v, specs) for i, v in enumerate(values)]
-    fronts = non_dominated_sort(pop)
+    fronts = non_dominated_sort(slots_of(pop))
     assert {i: rank for rank, f in enumerate(fronts) for i in f} == brute_rank(pop)
     assert sorted(i for f in fronts for i in f) == list(range(len(pop)))
     assert all(f == sorted(f) for f in fronts)
 
 
 # ---------------------------------------------------------------------------
-# crowding_distance
+# crowding distance
 # ---------------------------------------------------------------------------
 
 
 def test_crowding_small_fronts_all_infinite():
-    assert crowding_distance([ind((0,), (1.0, 2.0))]) == [math.inf]
+    assert crowding([ind((0,), (1.0, 2.0))]) == [math.inf]
     two = [ind((0,), (1.0, 2.0)), ind((1,), (2.0, 1.0))]
-    assert crowding_distance(two) == [math.inf, math.inf]
+    assert crowding(two) == [math.inf, math.inf]
 
 
 def test_crowding_three_collinear_equally_spaced():
     front = [ind((0,), (0.0, 1.0)), ind((1,), (0.5, 0.5)), ind((2,), (1.0, 0.0))]
-    dist = crowding_distance(front)
+    dist = crowding(front)
     assert dist[0] == math.inf and dist[2] == math.inf
     # per objective: (above - below) / span = 1.0; summed over 2 objectives
     assert dist[1] == pytest.approx(2.0)
@@ -154,7 +171,7 @@ def test_crowding_direct_formula_interior_point():
         ind((2,), (0.6, 0.4)),
         ind((3,), (1.0, 0.0)),
     ]
-    dist = crowding_distance(front)
+    dist = crowding(front)
     # point 1: f1 neighbors 0.0/0.6 span 1.0 -> 0.6; f2 neighbors 1.0/0.4 span 1.0 -> 0.6
     assert dist[1] == pytest.approx(1.2)
     assert dist[2] == pytest.approx((1.0 - 0.2) / 1.0 + (0.7 - 0.0) / 1.0)
@@ -163,23 +180,23 @@ def test_crowding_direct_formula_interior_point():
 def test_crowding_permutation_invariant():
     rng = np.random.default_rng(23)
     front = [ind((i,), tuple(rng.uniform(0, 1, 2))) for i in range(30)]
-    base = crowding_distance(front)
+    base = crowding(front)
     perm = rng.permutation(30)
     shuffled = [front[i] for i in perm]
-    redone = crowding_distance(shuffled)
+    redone = crowding(shuffled)
     for new_pos, old_pos in enumerate(perm):
         assert redone[new_pos] == base[old_pos]
 
 
 def test_crowding_zero_range_objective_contributes_zero():
     front = [ind((i,), (float(i), 5.0)) for i in range(4)]
-    dist = crowding_distance(front)
+    dist = crowding(front)
     assert dist[0] == math.inf and dist[3] == math.inf
     assert dist[1] == pytest.approx((2.0 - 0.0) / 3.0)
 
 
 def crowding_loop(front):
-    """The per-objective loop oracle for `crowding_distance`."""
+    """The per-objective loop oracle for the crowding of one front."""
     n = len(front)
     if n == 0:
         return []
@@ -205,13 +222,32 @@ def crowding_loop(front):
 
 
 def slot_keys_loop(pop, tiebreak):
-    """The per-front loop oracle for `slot_keys`."""
+    """The per-front loop oracle for the slot keys of `_ranked`: per slot,
+    (front rank, -crowding, tie-break hash), lower is better."""
     keys = [None] * len(pop)
-    for rank, front_idx in enumerate(non_dominated_sort(pop)):
+    for rank, front_idx in enumerate(brute_fronts(pop)):
         crowd = crowding_loop([pop[i] for i in front_idx])
         for i, c in zip(front_idx, crowd):
             keys[i] = (rank, -c, tiebreak(pop[i].genotype.genes))
     return keys
+
+
+def brute_fronts(pop):
+    """The fronts of `brute_rank`, best first, as sorted index lists."""
+    ranks = brute_rank(pop)
+    return [sorted(i for i in ranks if ranks[i] == r) for r in range(len(set(ranks.values())))]
+
+
+def slot_keys(slots):
+    """Per slot, its key from `_ranked`."""
+    rank, crowd, _ = _ranked(slots)
+    return list(zip(rank.tolist(), (-crowd).tolist(), slots.hashes.tolist()))
+
+
+def assert_same_slots(slots, records):
+    """`slots` hold the genotypes and objectives of `records`, in order."""
+    assert slots.ranks.tolist() == [list(r.genotype.genes) for r in records]
+    assert slots.values.tolist() == [list(r.objectives_raw.canonical_min) for r in records]
 
 
 def select_best_loop(pop, k, exclude, tiebreak):
@@ -242,18 +278,20 @@ def test_vectorized_slot_keys_match_loop_oracles_on_tied_grids(m, data):
     pop = [ind(g, tuple(map(float, v)), specs) for g, v in zip(genes, values)]
     twins = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=5)) if n else []
     pop += [pop[i] for i in twins]
-    tiebreak = tiebreak_hash(data.draw(st.integers(0, 3)))
+    salt = data.draw(st.integers(0, 3))
+    tiebreak = tiebreak_hash(salt)
+    slots = slots_of(pop, salt)
 
-    assert crowding_distance(pop) == crowding_loop(pop)
-    keys = slot_keys(pop, tiebreak)
+    assert crowding(pop) == crowding_loop(pop)
+    keys = slot_keys(slots)
     assert keys == slot_keys_loop(pop, tiebreak)
     assert all(type(c) is float for _, c, _ in keys)
     k = data.draw(st.integers(1, max(len(pop), 1)))
     exclude = set(data.draw(st.lists(st.sampled_from(genes), max_size=3))) if n else set()
-    got = select_best(pop, k, exclude=exclude, tiebreak=tiebreak)
+    excluded_ids = [i for i, rec in enumerate(pop) if rec.genotype.genes in exclude]
+    got = select_best(slots, k, exclude=excluded_ids)
     want = select_best_loop(pop, k, exclude, tiebreak)
-    assert [key for key, _ in got] == [key for key, _ in want]
-    assert all(a is b for (_, a), (_, b) in zip(got, want))
+    assert_same_slots(got, [rec for _, rec in want])
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +303,17 @@ def rank_sum_evaluate(space):
     """Single-objective-ish toy: minimize the sum of ordinal gene ranks of
     active genes (second objective constant)."""
 
-    def evaluate(genotypes):
+    def evaluate(rows):
         out = []
-        for g in genotypes:
-            mask = active_mask_loop(g, space)
+        for genes in rank_genes(rows, space):
+            mask = active_mask_loop(Genotype(genes), space)
             total = sum(
                 space.value_rank(pos, v)
-                for pos, (v, act) in enumerate(zip(g.genes, mask))
+                for pos, (v, act) in enumerate(zip(genes, mask))
                 if act
             )
-            out.append(ObjectiveVector((float(total), 0.0), MIN2))
-        return out
+            out.append((float(total), 0.0))
+        return np.array(out)
 
     return evaluate
 
@@ -283,16 +321,15 @@ def rank_sum_evaluate(space):
 def two_objective_evaluate(space):
     """Conflicting objectives: sum of ranks vs sum of reversed ranks."""
 
-    def evaluate(genotypes):
+    def evaluate(rows):
         out = []
-        for g in genotypes:
-            ranks = [space.value_rank(pos, v) for pos, v in enumerate(g.genes)]
+        for ranks in rows.tolist():
             f1 = float(sum(ranks))
             f2 = float(
                 sum(len(space.allowed[p]) - 1 - r for p, r in enumerate(ranks))
             )
-            out.append(ObjectiveVector((f1, f2), MIN2))
-        return out
+            out.append((f1, f2))
+        return np.array(out)
 
     return evaluate
 
@@ -315,11 +352,11 @@ def test_config_validation():
 def test_evolve_finds_global_optimum_on_toy_problem(toy_space):
     """Exhaustive-enumeration oracle for the convex rank-sum problem."""
     evaluate = rank_sum_evaluate(toy_space)
-    best_true = min(
-        evaluate([g])[0].values[0] for g in enumerate_genotypes(toy_space)
-    )
+    best_true = evaluate(
+        rank_matrix(list(enumerate_genotypes(toy_space)), toy_space)
+    )[:, 0].min()
     cfg = EvolverConfig(population_size=20, generations=30, seed=3)
-    trace = evolve(toy_space, cfg, evaluate)
+    trace = evolve(toy_space, cfg, evaluate, MIN2)
     best_found = min(r.objectives_raw.values[0] for r in trace.final_population)
     assert best_found == best_true
 
@@ -327,7 +364,7 @@ def test_evolve_finds_global_optimum_on_toy_problem(toy_space):
 def test_evolve_zero_generations_front_is_initial_front(tiny_space):
     evaluate = two_objective_evaluate(tiny_space)
     cfg = EvolverConfig(population_size=10, generations=0, seed=1)
-    trace = evolve(tiny_space, cfg, evaluate)
+    trace = evolve(tiny_space, cfg, evaluate, MIN2)
     assert len(trace.populations) == 1
     front_from_trace = pareto_front(trace.evaluations)
     init_genes = {i.genotype.genes for i in trace.populations[0]}
@@ -337,8 +374,8 @@ def test_evolve_zero_generations_front_is_initial_front(tiny_space):
 def test_evolve_deterministic(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     cfg = EvolverConfig(population_size=16, generations=12, seed=99)
-    t1 = evolve(toy_space, cfg, evaluate)
-    t2 = evolve(toy_space, cfg, evaluate)
+    t1 = evolve(toy_space, cfg, evaluate, MIN2)
+    t2 = evolve(toy_space, cfg, evaluate, MIN2)
     assert [(e.gen, e.genotype.genes, e.objectives_raw.values) for e in t1.evaluations] == [
         (e.gen, e.genotype.genes, e.objectives_raw.values) for e in t2.evaluations
     ]
@@ -349,8 +386,8 @@ def test_evolve_deterministic(toy_space):
 
 def test_evolve_seed_changes_trace(toy_space):
     evaluate = two_objective_evaluate(toy_space)
-    t1 = evolve(toy_space, EvolverConfig(16, 12, seed=1), evaluate)
-    t2 = evolve(toy_space, EvolverConfig(16, 12, seed=2), evaluate)
+    t1 = evolve(toy_space, EvolverConfig(16, 12, seed=1), evaluate, MIN2)
+    t2 = evolve(toy_space, EvolverConfig(16, 12, seed=2), evaluate, MIN2)
     assert [e.genotype.genes for e in t1.evaluations] != [
         e.genotype.genes for e in t2.evaluations
     ]
@@ -358,7 +395,7 @@ def test_evolve_seed_changes_trace(toy_space):
 
 def test_evaluation_log_has_no_duplicates(toy_space):
     evaluate = two_objective_evaluate(toy_space)
-    trace = evolve(toy_space, EvolverConfig(20, 25, seed=5), evaluate)
+    trace = evolve(toy_space, EvolverConfig(20, 25, seed=5), evaluate, MIN2)
     genes = [e.genotype.genes for e in trace.evaluations]
     assert len(genes) == len(set(genes))
 
@@ -367,14 +404,14 @@ def test_children_are_canonical(toy_space):
     from subnetsearch.space import is_canonical
 
     evaluate = two_objective_evaluate(toy_space)
-    trace = evolve(toy_space, EvolverConfig(15, 10, seed=8), evaluate)
+    trace = evolve(toy_space, EvolverConfig(15, 10, seed=8), evaluate, MIN2)
     assert all(is_canonical(e.genotype, toy_space) for e in trace.evaluations)
 
 
 def test_duplicate_exhaustion_flagged_on_tiny_space(tiny_space):
     # 36 genotypes total; a 20x10 run must exhaust the space and accept dupes
     evaluate = two_objective_evaluate(tiny_space)
-    trace = evolve(tiny_space, EvolverConfig(20, 10, seed=2), evaluate)
+    trace = evolve(tiny_space, EvolverConfig(20, 10, seed=2), evaluate, MIN2)
     genes = [e.genotype.genes for e in trace.evaluations]
     assert len(genes) == len(set(genes))  # log still unique
     assert trace.duplicate_accepts > 0  # but duplicates were admitted with a flag
@@ -479,7 +516,7 @@ def _parse_evaluations(text):
 def test_evolve_trajectory_is_pinned(request, space_name, cfg, evaluations,
                                      populations, duplicate_accepts):
     space = request.getfixturevalue(space_name)
-    trace = evolve(space, cfg, two_objective_evaluate(space))
+    trace = evolve(space, cfg, two_objective_evaluate(space), MIN2)
     assert [
         (e.gen, _digits(e.genotype.genes), *e.objectives_raw.values)
         for e in trace.evaluations
@@ -492,7 +529,7 @@ def test_evolve_trajectory_is_pinned(request, space_name, cfg, evaluations,
 
 def test_population_members_are_the_trace_records(tiny_space):
     trace = evolve(tiny_space, EvolverConfig(20, 4, seed=2),
-                   two_objective_evaluate(tiny_space))
+                   two_objective_evaluate(tiny_space), MIN2)
     assert [e.sequence_number for e in trace.evaluations] == list(
         range(len(trace.evaluations))
     )
@@ -503,7 +540,7 @@ def test_population_members_are_the_trace_records(tiny_space):
 
 def test_elitism_cumulative_front_hv_non_decreasing(toy_space):
     evaluate = two_objective_evaluate(toy_space)
-    trace = evolve(toy_space, EvolverConfig(12, 20, seed=4), evaluate)
+    trace = evolve(toy_space, EvolverConfig(12, 20, seed=4), evaluate, MIN2)
     gen0 = [e for e in trace.evaluations if e.gen == 0]
     ref = default_reference([e.objectives_raw for e in gen0])
     front = IncrementalFront2D(ref)
@@ -518,12 +555,12 @@ def test_elitism_cumulative_front_hv_non_decreasing(toy_space):
 def test_warm_start_beats_random_init_at_gen_zero(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     # near-optimal seeds from a long-run front
-    long = evolve(toy_space, EvolverConfig(20, 30, seed=7), evaluate)
+    long = evolve(toy_space, EvolverConfig(20, 30, seed=7), evaluate, MIN2)
     seeds = [r.genotype for r in pareto_front(long.evaluations)]
 
     cfg = EvolverConfig(population_size=12, generations=0, seed=11)
-    warm = evolve(toy_space, cfg, evaluate, warm_start=seeds)
-    cold = evolve(toy_space, cfg, evaluate)
+    warm = evolve(toy_space, cfg, evaluate, MIN2, warm_start=seeds)
+    cold = evolve(toy_space, cfg, evaluate, MIN2)
 
     def gen0_hv(trace, ref):
         front = IncrementalFront2D(ref)
@@ -544,7 +581,7 @@ def test_warm_start_truncates_oversized_seed_list(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     seeds = sample_uniform(toy_space, 30, seed=1)
     cfg = EvolverConfig(population_size=10, generations=1, seed=0)
-    trace = evolve(toy_space, cfg, evaluate, warm_start=seeds)
+    trace = evolve(toy_space, cfg, evaluate, MIN2, warm_start=seeds)
     assert len(trace.populations[0]) == 10
     # every distinct seed was evaluated before truncation
     seed_keys = {g.genes for g in seeds}
@@ -556,7 +593,7 @@ def test_warm_start_repairs_invalid_entries(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     bad = Genotype((9,) * toy_space.genome_length)
     cfg = EvolverConfig(population_size=6, generations=1, seed=0)
-    trace = evolve(toy_space, cfg, evaluate, warm_start=[bad])
+    trace = evolve(toy_space, cfg, evaluate, MIN2, warm_start=[bad])
     from subnetsearch.space import is_canonical
 
     assert all(is_canonical(i.genotype, toy_space) for i in trace.populations[0])
@@ -573,7 +610,7 @@ def test_tiebreak_hash_is_the_salted_stable_hash():
 def test_slot_keys_belong_to_slots_not_genotypes():
     twin = ind((1,), (1.0, 1.0))
     pop = [ind((0,), (0.0, 3.0)), twin, twin, ind((3,), (3.0, 0.0))]
-    keys = slot_keys(pop, tiebreak_hash(0))
+    keys = slot_keys(slots_of(pop))
     assert [k[0] for k in keys] == [0, 0, 0, 0]
     assert [-k[1] for k in keys] == [math.inf, pytest.approx(2 / 3),
                                      pytest.approx(4 / 3), math.inf]
@@ -582,9 +619,9 @@ def test_slot_keys_belong_to_slots_not_genotypes():
 
 def test_select_best_excludes_and_backfills():
     pop = [ind((i,), (float(i), float(10 - i))) for i in range(10)]
-    chosen = select_best(pop, 3, exclude={(0,), (1,)})
+    chosen = select_best(slots_of(pop), 3, exclude=[0, 1])
     assert len(chosen) == 3
-    assert all(c.genotype.genes not in {(0,), (1,)} for _, c in chosen)
+    assert not set(chosen.ranks.ravel().tolist()) & {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -663,19 +700,20 @@ def test_slots_select_matches_loop_oracle(toy_space):
     hashes = _row_hasher(toy_space, salt)(ranks)
     assert hashes.tolist() == [tiebreak_hash(salt)(g) for g in genes]
     first = {}
-    slots = Slots(pop, ranks, values, hashes,
+    slots = Slots(ranks, values, hashes,
                   np.array([first.setdefault(g, i) for i, g in enumerate(genes)]))
     for k in (1, 10, 40, 46):
         got = select_best(slots, k)
-        want = select_best_loop(pop, k, set(), tiebreak_hash(salt))
-        assert all(a is b for a, (_, b) in zip(got.records, want, strict=True))
+        want = [rec for _, rec in select_best_loop(pop, k, set(), tiebreak_hash(salt))]
+        assert rank_genes(got.ranks, toy_space) == [r.genotype.genes for r in want]
+        assert got.values.tolist() == [list(r.objectives_raw.canonical_min) for r in want]
 
 
 def test_trace_table_is_aligned_with_evaluations(toy_space):
     trace = evolve(toy_space, EvolverConfig(10, 4, seed=3),
-                   two_objective_evaluate(toy_space))
+                   two_objective_evaluate(toy_space), MIN2)
     table = trace.table
-    assert table.records is trace.evaluations
+    assert table.ids.tolist() == [e.sequence_number for e in trace.evaluations]
     genes = [e.genotype.genes for e in trace.evaluations]
     assert rank_genes(table.ranks, toy_space) == genes
     assert table.values.tolist() == [list(e.objectives_raw.canonical_min)
@@ -683,11 +721,30 @@ def test_trace_table_is_aligned_with_evaluations(toy_space):
     salt = subseed(3, "tiebreak")
     assert table.hashes.tolist() == [tiebreak_hash(salt)(e.genotype.genes)
                                      for e in trace.evaluations]
-    final = trace.slots(trace.final_population)
-    assert final.records == trace.final_population
+    final = trace.table.take(trace.population_ids[-1])
+    assert trace.records(final) == trace.final_population
+
+
+def nan_in_last_row(values):
+    values = values.copy()
+    values[-1, 1] = math.nan
+    return values
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda values: values[:-1], ConfigError),
+    (lambda values: values[:, :1], ObjectiveMismatch),
+    (nan_in_last_row, ObjectiveMismatch),
+], ids=["one-row-too-few", "one-column-too-few", "nan"])
+def test_evaluate_batch_guards(toy_space, corrupt, error):
+    """Each batch of objectives is checked once at the evaluate boundary:
+    its row count, its column count and that every value is finite."""
+    evaluate = two_objective_evaluate(toy_space)
+    with pytest.raises(error):
+        evolve(toy_space, EvolverConfig(6, 2), lambda rows: corrupt(evaluate(rows)), MIN2)
 
 
 def test_evolve_rejects_a_space_without_genes():
     with pytest.raises(ConfigError, match="no genes"):
         evolve(SearchSpace("empty", (), ()), EvolverConfig(4, 1),
-               lambda gs: [ObjectiveVector((0.0, 0.0), MIN2) for _ in gs])
+               lambda rows: np.zeros((len(rows), 2)), MIN2)

@@ -27,6 +27,7 @@ from subnetsearch.popdb import (
 from subnetsearch.space import (
     Genotype,
     build_space,
+    canonical_ranks,
     canonicalize,
     cardinality,
     encode_matrix,
@@ -388,7 +389,8 @@ def test_history_features_subsamples(toy_space):
 def test_history_features_match_ordinal_encoding(toy_space):
     gs = sample_uniform(toy_space, 30, seed=9)
     feats, _ = history_features(gs, toy_space)
-    assert np.array_equal(feats, encode_matrix(gs, toy_space, "ordinal_normalized"))
+    ranks = canonical_ranks(gs, toy_space)[0]
+    assert np.array_equal(feats, encode_matrix(ranks, toy_space, "ordinal_normalized"))
     with pytest.raises(InvalidGenotype):
         history_features(gs + [Genotype(gs[0].genes[:-1])], toy_space)
 

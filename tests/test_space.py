@@ -14,6 +14,7 @@ from subnetsearch.space import (
     Genotype,
     SearchSpace,
     build_space,
+    canonical_ranks,
     canonicalize,
     cardinality,
     encode_matrix,
@@ -25,14 +26,13 @@ from subnetsearch.space import (
     load_space,
     rank_genes,
     rank_matrix,
-    repair_genotype,
     repair_unique,
     sample_uniform,
     save_space,
     space_from_dict,
     space_to_dict,
 )
-from subnetsearch.util import IntText, genes_bytes
+from subnetsearch.util import genes_bytes
 
 from conftest import ORACLE_SPACES, active_mask_loop, raw_genotypes
 
@@ -72,8 +72,14 @@ def canonicalize_loop(g, space):
     return Genotype(tuple(genes))
 
 
+def encode(genotypes, space, scheme):
+    """Genotypes from outside the engine are encoded through
+    `canonical_ranks`, which checks them."""
+    return encode_matrix(canonical_ranks(genotypes, space)[0], space, scheme)
+
+
 def encode_row(g, space, scheme):
-    """The per-row loop oracle for `encode_matrix` (no canonicality check)."""
+    """The per-row loop oracle for `encode` (no canonicality check)."""
     if len(g.genes) != space.genome_length:
         raise InvalidGenotype("wrong genome length")
     if scheme == "one_hot":
@@ -198,9 +204,6 @@ def test_genes_bytes_matches_per_gene_encoding(genes):
     expected = b",".join(str(g).encode("ascii") for g in genes)
     assert genes_bytes(genes) == expected
     assert genes_bytes(Genotype(tuple(genes)).genes) == expected
-    text = IntText().__getitem__
-    assert genes_bytes(genes, text) == expected
-    assert genes_bytes(genes, text) == expected  # now from the memo
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,7 +221,7 @@ def test_repair_snaps_to_nearest_allowed(toy_space):
     raw = list(next(iter(sample_uniform(toy_space, 1, 3))).genes)
     raw[1] = 4  # kernel allows {3,5,7}; 4 ties 3/5 -> smaller wins
     raw[2] = 9  # -> 7
-    fixed = repair_genotype(Genotype(tuple(raw)), toy_space)
+    fixed = repair_unique([Genotype(tuple(raw))], toy_space)[0]
     assert fixed.genes[1] in (3, 5)
     assert fixed.genes[1] == 3
     assert is_canonical(fixed, toy_space)
@@ -305,7 +308,7 @@ def test_sample_gene_frequencies_near_uniform():
 def test_one_hot_single_gene():
     space = build_space("s", [("b", (1,), 1, [("k", (3, 5, 7))])])
     g = canonicalize(Genotype((1, 5)), space)
-    vec = encode_matrix([g], space, "one_hot")[0]
+    vec = encode([g], space, "one_hot")[0]
     # depth {1} -> (1.0,), kernel 5 -> (0,1,0)
     assert vec.tolist() == [1.0, 0.0, 1.0, 0.0]
 
@@ -313,7 +316,7 @@ def test_one_hot_single_gene():
 def test_ordinal_normalized_values():
     space = build_space("s", [("b", (1,), 1, [("k", (3, 5, 7))])])
     g = canonicalize(Genotype((1, 7)), space)
-    vec = encode_matrix([g], space, "ordinal_normalized")[0]
+    vec = encode([g], space, "ordinal_normalized")[0]
     assert vec.tolist() == [0.0, 1.0]  # singleton param -> 0.0, rank 2/2 -> 1.0
 
 
@@ -321,7 +324,7 @@ def test_encode_rejects_non_canonical(tiny_space):
     g = Genotype((1, 0, 1, 1, 0, 0))  # block a depth 1, slot 1 not at first value
     assert not is_canonical(g, tiny_space)
     with pytest.raises(NonCanonicalInput):
-        encode_matrix([g], tiny_space, "one_hot")
+        encode([g], tiny_space, "one_hot")
 
 
 @pytest.mark.parametrize("scheme", ["one_hot", "ordinal_normalized"])
@@ -331,7 +334,7 @@ def test_encode_row_rejects_wrong_genome_length(toy_space, scheme):
         with pytest.raises(InvalidGenotype):
             encode_row(Genotype(genes), toy_space, scheme)
         with pytest.raises(InvalidGenotype) as err:
-            encode_matrix([g, Genotype(genes)], toy_space, scheme)
+            encode([g, Genotype(genes)], toy_space, scheme)
         assert err.value.row == 1
 
 
@@ -350,12 +353,15 @@ def test_batch_encoder_matches_row_loop_oracle(oracle_spaces, name, n, data):
     space = oracle_spaces[name]
     gs = [canonicalize(data.draw(raw_genotypes(space)), space) for _ in range(n)]
     for scheme in ("one_hot", "ordinal_normalized"):
-        X = encode_matrix(gs, space, scheme)
+        X = encode(gs, space, scheme)
         assert X.shape == (n, feature_dim(space, scheme))
         assert X.dtype == np.float64
         if n:
             expected = np.vstack([encode_row(g, space, scheme) for g in gs])
             assert X.tobytes() == expected.tobytes()
+            # the inner search's rows are the narrowest unsigned rank type
+            narrow = canonical_ranks(gs, space)[0].astype(np.uint8)
+            assert encode_matrix(narrow, space, scheme).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,7 +394,7 @@ def test_batch_encoder_raises_like_the_row_loop(oracle_spaces, name, data):
         batch = [good] * bad_at + [bad, good]
         for scheme in ("one_hot", "ordinal_normalized"):
             with pytest.raises(exc_type) as err:
-                encode_matrix(batch, space, scheme)
+                encode(batch, space, scheme)
             if exc_type is InvalidGenotype:
                 assert err.value.row == bad_at
 
@@ -396,7 +402,7 @@ def test_batch_encoder_raises_like_the_row_loop(oracle_spaces, name, data):
 def test_one_hot_injective_on_canonical(tiny_space):
     seen = {}
     for g in enumerate_genotypes(tiny_space):
-        key = tuple(encode_matrix([g], tiny_space, "one_hot")[0].tolist())
+        key = tuple(encode([g], tiny_space, "one_hot")[0].tolist())
         assert key not in seen
         seen[key] = g
 
@@ -404,7 +410,7 @@ def test_one_hot_injective_on_canonical(tiny_space):
 def test_encode_matrix_shape(toy_space):
     gs = sample_uniform(toy_space, 10, 1)
     for scheme in ("one_hot", "ordinal_normalized"):
-        X = encode_matrix(gs, toy_space, scheme)
+        X = encode(gs, toy_space, scheme)
         assert X.shape == (10, feature_dim(toy_space, scheme))
 
 
@@ -449,7 +455,7 @@ def test_resnet50_depth_zero_block_fully_inactive():
 
 
 def repair_loop(g, space):
-    """The gene-by-gene oracle for `repair_genotype`: snap each gene to the
+    """The gene-by-gene oracle for `repair_unique`: snap each gene to the
     nearest allowed value, ties to the smaller, then canonicalize."""
     genes = tuple(min(vals, key=lambda a: (abs(a - v), a))
                   for v, vals in zip(g.genes, space.allowed))
@@ -469,5 +475,5 @@ def test_batch_repair_unique_matches_gene_by_gene_repair(oracle_spaces, name, da
     gs += data.draw(st.lists(st.sampled_from(gs), max_size=4))  # repeats
     want = list(dict.fromkeys(repair_loop(g, space) for g in gs))
     assert repair_unique(gs, space) == want
-    assert [repair_genotype(g, space) for g in gs] == [repair_loop(g, space) for g in gs]
+    assert [repair_unique([g], space) for g in gs] == [[repair_loop(g, space)] for g in gs]
     assert rank_genes(rank_matrix(want, space), space) == [g.genes for g in want]
