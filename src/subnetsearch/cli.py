@@ -71,6 +71,7 @@ from .space import (
     cardinality,
     encode_matrix,
     genotype_id,
+    rank_matrix,
     resolve_space,
     sample_unique,
     space_from_dict,
@@ -271,29 +272,30 @@ def _cmd_popdb(args) -> int:
         raise ConfigError(f"history file not found: {history_path}")
     space = resolve_space(args.space)
     store = ResultStore.load(history_path, space=space)
-    recs = store.validation_records()
-    if not recs:
+    seqs, genes, raw = store.validation_columns()
+    if not len(seqs):
         raise ConfigError(f"{history_path}: no validation records to cluster")
-    genotypes = [r.genotype for r in recs]
-    vectors = [r.objectives_raw for r in recs] if args.include_objectives else None
     try:
-        feats, idx = history_features(
-            genotypes,
-            space,
-            objective_vectors=vectors,
-            max_points=args.max_points,
-            seed=args.seed,
-        )
+        ranks = rank_matrix(genes, space)
     except InvalidGenotype as exc:  # a gene value the space forbids
-        line = ResultStore.record_line(history_path, recs[exc.row].sequence_number)
+        line = ResultStore.record_line(history_path, int(seqs[exc.row]))
         raise ConfigError(f"{history_path}:{line}: {exc}") from exc
+    objectives = None
+    if args.include_objectives:
+        objectives = raw * [1.0 if s.direction == "minimize" else -1.0 for s in store.specs]
+    feats, idx = history_features(
+        ranks,
+        space,
+        objectives=objectives,
+        max_points=args.max_points,
+        seed=args.seed,
+    )
     labeling = hdbscan(feats, args.min_cluster_size, args.min_samples)
-    kept = [genotypes[int(i)] for i in idx]
     try:
-        freqs = elastic_frequencies(labeling, kept, space)
+        freqs = elastic_frequencies(labeling, ranks[idx], space)
     except EmptyClusterSet as exc:  # too sparse a history for these settings
         raise ConfigError(
-            f"{history_path}: all {len(kept)} points labeled noise with "
+            f"{history_path}: all {len(idx)} points labeled noise with "
             f"--min-cluster-size {args.min_cluster_size} "
             f"--min-samples {args.min_samples}; no frequencies to compute"
         ) from exc
@@ -303,10 +305,10 @@ def _cmd_popdb(args) -> int:
     out = Path(args.out) if args.out else history_path.parent / "constraints.json"
     save_constraints(constraints, space, out)
     reduced = constrain_space(space, constraints)
-    print(f"points clustered: {len(kept)}")
+    print(f"points clustered: {len(idx)}")
     print(f"clusters found:   {labeling.n_clusters}")
     noise = sum(1 for l in labeling.labels if l < 0)
-    print(f"noise points:     {noise} ({noise / len(kept):.1%})")
+    print(f"noise points:     {noise} ({noise / len(idx):.1%})")
     print(f"|original space|: {cardinality(space):.4e}")
     print(f"|reduced space|:  {cardinality(reduced):.4e}")
     print(f"constraints:      {out}")

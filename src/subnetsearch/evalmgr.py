@@ -53,8 +53,83 @@ class EvaluationFailure:
     message: str
 
 
+_NO_GEN = -(2**63)  # a null gen, in the gen column
+_BLOCK = 256  # rows per block of whole-log passes, which bounds their temporaries
+
+
+def _line(doc: dict) -> str:
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _doc(seq, genes, names, values, gen, source, evaluator_id, error) -> dict:
+    """The log-line document of one record."""
+    if error is not None:
+        return {
+            "type": "failure",
+            "seq": seq,
+            "gen": gen,
+            "genotype": genes,
+            "error": error,
+            "evaluator_id": evaluator_id,
+        }
+    return {
+        "type": "eval",
+        "seq": seq,
+        "gen": gen,
+        "genotype": genes,
+        "objectives_raw": dict(zip(names, values)),
+        "source": source,
+        "evaluator_id": evaluator_id,
+    }
+
+
+def _first_repeat(genes: np.ndarray, rows: np.ndarray, tags: list) -> int | None:
+    """The first of `rows` whose row of `genes`, with its tag, equals that
+    of an earlier one."""
+    width = genes.shape[1] * genes.itemsize
+    seen = set()
+    for start in range(0, len(rows), _BLOCK):
+        blob = genes[rows[start : start + _BLOCK]].tobytes()
+        for i, tag in enumerate(tags[start : start + _BLOCK], start):
+            key = (blob[(i - start) * width : (i - start + 1) * width], tag)
+            if key in seen:
+                return int(rows[i])
+            seen.add(key)
+    return None
+
+
+def _columns(rows: int, length: int, objectives: int) -> np.ndarray:
+    """Uninitialized columns of `rows` records of `length` genes and
+    `objectives` objective values."""
+    return np.empty(rows, np.dtype([
+        ("genes", np.int64, (length,)),
+        ("objectives", np.float64, (objectives,)),
+        ("gen", np.int64),
+        ("source", np.int32),
+        ("evaluator", np.int32),
+        ("failed", np.bool_),
+    ], align=True))
+
+
+def _room(cols: np.ndarray, rows: int) -> np.ndarray:
+    """`cols`, or a copy at least twice as long when it has fewer than
+    `rows` rows."""
+    if rows <= len(cols):
+        return cols
+    grown = np.empty(max(rows, 2 * len(cols), 64), cols.dtype)
+    grown[: len(cols)] = cols
+    return grown
+
+
 class ResultStore:
-    """Append-only evaluation log with a validation cache.
+    """Append-only evaluation log with a validation cache, held as columns.
+
+    Row i holds the record with sequence number i: its gene values as logged
+    (a warm start may load values from outside the space), its raw objective
+    values (NaN for a failure), its gen, and codes of its source and
+    evaluator id; a failure's message is kept beside the columns.
+    `EvaluationRecord`s are built from rows only when `records`, `lookup` or
+    `validation_records` asks for them, and kept.
 
     Concurrent appends are serialized under a lock; sequence numbers define
     the total order. When `path` is given every record is written as one JSON
@@ -71,15 +146,20 @@ class ResultStore:
         check_unique_names(specs)
         self.specs = tuple(specs)
         self.space = space
-        self._records: list[EvaluationRecord] = []
-        self._index: dict[tuple[tuple[int, ...], str], EvaluationRecord] = {}
+        self._n = 0
+        self._cols = _columns(0, space.genome_length if space is not None else 0, len(self.specs))
+        self._errors: dict[int, str] = {}
+        self._sources: dict[str, int] = {}  # value -> code, in code order
+        self._evaluators: dict[str, int] = {}
+        self._recs: list[EvaluationRecord | None] = []
+        # (genes, evaluator id) -> row of each successful validation; built
+        # on first use after a load
+        self._index: dict[tuple[tuple[int, ...], str], int] | None = {}
         self._lock = threading.Lock()
         self._fh = None
         if path is not None:
             self._fh = open(path, "w", encoding="utf-8")
-            self._fh.write(
-                json.dumps(self._header_doc(), separators=(",", ":")) + "\n"
-            )
+            self._fh.write(_line(self._header_doc()))
             self._fh.flush()
 
     # -- writing -----------------------------------------------------------
@@ -93,24 +173,16 @@ class ResultStore:
         gen: int | None = None,
     ) -> EvaluationRecord:
         with self._lock:
+            index = self._validation_index() if source == SOURCE_VALIDATION else None
             key = (genotype.genes, evaluator_id)
-            if source == SOURCE_VALIDATION and key in self._index:
+            if index is not None and key in index:
                 raise ConfigError(
                     "duplicate validation record for genotype "
                     f"{genotype.genes} under evaluator {evaluator_id!r}"
                 )
-            rec = EvaluationRecord(
-                genotype=genotype,
-                objectives_raw=objectives_raw,
-                source=source,
-                evaluator_id=evaluator_id,
-                sequence_number=len(self._records),
-                gen=gen,
-            )
-            self._records.append(rec)
-            if source == SOURCE_VALIDATION:
-                self._index[key] = rec
-            self._write(rec)
+            rec = self._add(genotype, objectives_raw, source, evaluator_id, gen, None)
+            if index is not None:
+                index[key] = rec.sequence_number
             return rec
 
     def append_failure(
@@ -120,41 +192,72 @@ class ResultStore:
         evaluator_id: str,
         gen: int | None = None,
     ) -> EvaluationRecord:
-        with self._lock:
-            rec = EvaluationRecord(
-                genotype=genotype,
-                objectives_raw=None,
-                source=SOURCE_VALIDATION,
-                evaluator_id=evaluator_id,
-                sequence_number=len(self._records),
-                gen=gen,
-                error=message,
-            )
-            self._records.append(rec)  # logged but never indexed/cached
-            self._write(rec)
-            return rec
+        with self._lock:  # logged but never indexed/cached
+            return self._add(genotype, None, SOURCE_VALIDATION, evaluator_id, gen, message)
 
-    def _doc_for(self, rec: EvaluationRecord) -> dict:
-        if rec.error is not None:
-            return {
-                "type": "failure",
-                "seq": rec.sequence_number,
-                "gen": rec.gen,
-                "genotype": list(rec.genotype.genes),
-                "error": rec.error,
-                "evaluator_id": rec.evaluator_id,
-            }
-        return {
-            "type": "eval",
-            "seq": rec.sequence_number,
-            "gen": rec.gen,
-            "genotype": list(rec.genotype.genes),
-            "objectives_raw": {
-                s.name: v for s, v in zip(self.specs, rec.objectives_raw.values)
-            },
-            "source": rec.source,
-            "evaluator_id": rec.evaluator_id,
-        }
+    def _add(self, genotype, objectives_raw, source, evaluator_id, gen, error):
+        """Fill the next row, keep its record and stream its line; the
+        caller holds the lock."""
+        i, genes = self._n, genotype.genes
+        length = self._cols.dtype["genes"].shape[0]
+        if len(genes) != length:
+            if self.space is not None or i:
+                raise InvalidGenotype(
+                    f"genotype has {len(genes)} genes, the log's genotypes have {length}"
+                )
+            self._cols = _columns(0, len(genes), len(self.specs))  # a spaceless log's first
+        self._cols = _room(self._cols, i + 1)
+        failed = error is not None
+        values = (math.nan,) * len(self.specs) if failed else objectives_raw.values
+        self._cols[i] = (
+            genes,
+            values,
+            _NO_GEN if gen is None else gen,
+            self._sources.setdefault(source, len(self._sources)),
+            self._evaluators.setdefault(evaluator_id, len(self._evaluators)),
+            failed,
+        )
+        if failed:
+            self._errors[i] = error
+        rec = EvaluationRecord(
+            genotype=genotype,
+            objectives_raw=objectives_raw,
+            source=source,
+            evaluator_id=evaluator_id,
+            sequence_number=i,
+            gen=gen,
+            error=error,
+        )
+        self._recs.append(rec)
+        self._n = i + 1
+        if self._fh is not None:
+            names = [s.name for s in self.specs]
+            self._fh.write(_line(_doc(i, genes, names, values, gen, source, evaluator_id, error)))
+            self._fh.flush()
+        return rec
+
+    def _rows(self, rows: np.ndarray):
+        """(sequence number, genes, objective values, gen, source, evaluator
+        id, error) of the rows with these sequence numbers, as Python
+        values."""
+        sources, evaluators = list(self._sources), list(self._evaluators)
+        cols = self._cols[rows]
+        seqs = rows.tolist()
+        return zip(
+            seqs,
+            cols["genes"].tolist(),
+            cols["objectives"].tolist(),
+            [None if g == _NO_GEN else g for g in cols["gen"].tolist()],
+            [sources[c] for c in cols["source"].tolist()],
+            [evaluators[c] for c in cols["evaluator"].tolist()],
+            [self._errors.get(i) for i in seqs],
+        )
+
+    def _docs(self, rows: np.ndarray):
+        """The log-line documents of the rows with these sequence numbers."""
+        names = [s.name for s in self.specs]
+        for seq, genes, values, gen, source, evaluator_id, error in self._rows(rows):
+            yield _doc(seq, genes, names, values, gen, source, evaluator_id, error)
 
     def _header_doc(self) -> dict:
         return {
@@ -166,18 +269,13 @@ class ResultStore:
             ],
         }
 
-    def _write(self, rec: EvaluationRecord) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(self._doc_for(rec), separators=(",", ":")) + "\n")
-        self._fh.flush()
-
     def dump(self, path: str | Path) -> None:
         """Write the full log (header plus every record) to a new file."""
         with self._lock, open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self._header_doc(), separators=(",", ":")) + "\n")
-            for rec in self._records:
-                fh.write(json.dumps(self._doc_for(rec), separators=(",", ":")) + "\n")
+            fh.write(_line(self._header_doc()))
+            for start in range(0, self._n, _BLOCK):
+                rows = np.arange(start, min(start + _BLOCK, self._n))
+                fh.writelines(map(_line, self._docs(rows)))
 
     def close(self) -> None:
         if self._fh is not None:
@@ -186,63 +284,68 @@ class ResultStore:
 
     # -- reading -----------------------------------------------------------
 
+    def _records_of(self, rows) -> list[EvaluationRecord]:
+        """The records of rows (sequence numbers), building those not built
+        yet; the caller holds the lock."""
+        missing = [i for i in rows if self._recs[i] is None]
+        for start in range(0, len(missing), _BLOCK):
+            block = self._rows(np.array(missing[start : start + _BLOCK]))
+            for seq, genes, values, gen, source, evaluator_id, error in block:
+                self._recs[seq] = EvaluationRecord(
+                    genotype=Genotype.of_ints(tuple(genes)),
+                    objectives_raw=(
+                        None if error is not None else ObjectiveVector(tuple(values), self.specs)
+                    ),
+                    source=source,
+                    evaluator_id=evaluator_id,
+                    sequence_number=seq,
+                    gen=gen,
+                    error=error,
+                )
+        return [self._recs[i] for i in rows]
+
+    def _validation_rows(self, evaluator_id: str | None) -> np.ndarray:
+        cols = self._cols[: self._n]
+        ok = ~cols["failed"] & (cols["source"] == self._sources.get(SOURCE_VALIDATION, -1))
+        if evaluator_id is not None:
+            ok &= cols["evaluator"] == self._evaluators.get(evaluator_id, -1)
+        return np.flatnonzero(ok)
+
+    def _validation_index(self) -> dict:
+        if self._index is None:
+            rows = self._validation_rows(None)
+            evaluators = list(self._evaluators)
+            cols = self._cols[rows]
+            self._index = {
+                (tuple(genes), evaluators[code]): seq
+                for genes, code, seq in zip(
+                    cols["genes"].tolist(), cols["evaluator"].tolist(), rows.tolist()
+                )
+            }
+        return self._index
+
     @property
     def records(self) -> list[EvaluationRecord]:
         with self._lock:
-            return list(self._records)
+            return self._records_of(range(self._n))
 
     def lookup(self, genotype: Genotype, evaluator_id: str) -> EvaluationRecord | None:
         with self._lock:
-            return self._index.get((genotype.genes, evaluator_id))
+            seq = self._validation_index().get((genotype.genes, evaluator_id))
+            return None if seq is None else self._records_of([seq])[0]
 
     def validation_records(self, evaluator_id: str | None = None) -> list[EvaluationRecord]:
         """Successful validation records in sequence order."""
         with self._lock:
-            return [
-                r
-                for r in self._records
-                if r.source == SOURCE_VALIDATION
-                and r.ok
-                and (evaluator_id is None or r.evaluator_id == evaluator_id)
-            ]
+            return self._records_of(self._validation_rows(evaluator_id).tolist())
 
-    @classmethod
-    def load(cls, path: str | Path, space: SearchSpace | None = None) -> "ResultStore":
-        """Replay a persisted log into an in-memory store.
-
-        A torn or malformed line, a record without its fields, an unknown
-        record type, or (when `space` is given) a genotype of the wrong
-        length raises ConfigError naming `path:line`.
-        """
-        store = None
-        lineno = 0
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    doc = json.loads(line)
-                    if store is None:
-                        if doc.get("type") != "run":
-                            raise ConfigError("missing run header line")
-                        specs = tuple(
-                            ObjectiveSpec(o["name"], o["direction"], o.get("unit", ""))
-                            for o in doc["objectives"]
-                        )
-                        store = cls(specs, space=space)
-                    else:
-                        store._replay(doc)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(
-                f"{path}:{lineno}: malformed record: {type(exc).__name__}: {exc}"
-            ) from exc
-        except (ConfigError, InvalidGenotype, ObjectiveMismatch) as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if store is None:
-            raise ConfigError(f"{path}: missing run header line")
-        return store
+    def validation_columns(self, evaluator_id: str | None = None):
+        """(sequence numbers, gene-value matrix, raw-objective matrix) of the
+        successful validation records, in sequence order; builds no record."""
+        with self._lock:
+            rows = self._validation_rows(evaluator_id)
+            cols = self._cols[rows]
+            return rows, cols["genes"], cols["objectives"]
 
     @staticmethod
     def record_line(path: str | Path, sequence_number: int) -> int:
@@ -256,23 +359,149 @@ class ResultStore:
                     return lineno
         raise ConfigError(f"{path}: no record {sequence_number}")
 
-    def _replay(self, doc: dict) -> None:
-        g = Genotype(tuple(doc["genotype"]))
-        if self.space is not None and len(g.genes) != self.space.genome_length:
-            raise InvalidGenotype(
-                f"genotype has {len(g.genes)} genes, space {self.space.name!r} "
-                f"has {self.space.genome_length}"
+    @classmethod
+    def load(cls, path: str | Path, space: SearchSpace | None = None) -> "ResultStore":
+        """Replay a persisted log: each line is parsed with `json.loads` and
+        its values go into the columns a block of records at a time; no
+        record is built.
+
+        The first faulty line raises ConfigError naming `path:line`: a torn
+        or malformed line, a missing or mistyped field, an unknown record
+        type, a non-finite objective, a genotype of the wrong length (against
+        `space`, else against the first record) or a second validation record
+        of a genotype under one evaluator. Gene values are not checked
+        against `space`.
+        """
+        store = cols = fault = None
+        lineno = n = 0
+        # the records read since the last flush into the columns, with their
+        # lines; genes and values are kept flat, so that no list of a record
+        # outlives its line (a block of such lists makes the cyclic garbage
+        # collector run full passes)
+        genes, values, gens, sources, evaluators, lines = [], [], [], [], [], []
+        errors: dict[int, str] = {}
+        source_codes: dict[str, int] = {}
+        evaluator_codes: dict[str, int] = {}
+
+        def flush() -> None:
+            """Move the pending records into the columns. Where numpy cannot
+            read a genotype as int64 values, the records before it are moved
+            and the error is raised with `lineno` set to its line."""
+            nonlocal n, cols, lineno
+            if not gens:
+                return
+            cols = _room(cols, n + len(gens))
+            block = cols[n : n + len(gens)]
+            try:
+                block["genes"] = np.array(genes, dtype=np.int64).reshape(len(gens), length)
+            except (TypeError, ValueError, OverflowError):
+                for k in range(len(gens)):
+                    try:
+                        np.array(genes[k * length : (k + 1) * length], dtype=np.int64)
+                    except (TypeError, ValueError, OverflowError):
+                        lineno = lines[k]
+                        del genes[k * length :], values[k * len(names) :]
+                        del gens[k:], sources[k:], evaluators[k:]
+                        flush()
+                        raise
+            block["objectives"] = np.reshape(values, (len(gens), len(names)))
+            block["gen"] = gens
+            block["source"] = sources
+            block["evaluator"] = evaluators
+            block["failed"] = False
+            n += len(gens)
+            for column in (genes, values, gens, sources, evaluators, lines):
+                column.clear()
+
+        try:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    for lineno, line in enumerate(fh, 1):
+                        if not line.strip():
+                            continue
+                        doc = json.loads(line)
+                        if store is None:
+                            if doc.get("type") != "run":
+                                raise ConfigError("missing run header line")
+                            specs = tuple(
+                                ObjectiveSpec(o["name"], o["direction"], o.get("unit", ""))
+                                for o in doc["objectives"]
+                            )
+                            store = cls(specs, space=space)
+                            names = [s.name for s in specs]
+                            nan_row = [math.nan] * len(names)
+                            length = space.genome_length if space is not None else None
+                            continue
+                        g, kind, error = doc["genotype"], doc["type"], None
+                        if kind == "eval":
+                            raw = doc["objectives_raw"]
+                            row = [float(raw[name]) for name in names]
+                            if not all(map(math.isfinite, row)):
+                                raise ConfigError(f"non-finite objective value in {tuple(row)}")
+                            source = doc["source"]
+                        elif kind == "failure":
+                            row, source, error = nan_row, SOURCE_VALIDATION, doc["error"]
+                        else:
+                            raise ConfigError(f"unknown record type {kind!r}")
+                        if length is None:
+                            length = len(g)
+                        if len(g) != length:
+                            raise InvalidGenotype(
+                                f"genotype has {len(g)} genes, "
+                                + (f"space {space.name!r}" if space is not None
+                                   else "the first record")
+                                + f" has {length}"
+                            )
+                        gen = doc.get("gen")
+                        if gen is None:
+                            gen = _NO_GEN
+                        elif type(gen) is not int or not _NO_GEN < gen < 2**63:
+                            raise ConfigError(f"gen must be an integer or null, got {gen!r}")
+                        evaluator = evaluator_codes.setdefault(
+                            doc["evaluator_id"], len(evaluator_codes)
+                        )
+                        if kind == "failure":
+                            errors[n + len(gens)] = error
+                        genes.extend(g)
+                        values.extend(row)
+                        gens.append(gen)
+                        sources.append(source_codes.setdefault(source, len(source_codes)))
+                        evaluators.append(evaluator)
+                        lines.append(lineno)
+                        if cols is None:
+                            cols = _columns(0, length, len(names))
+                        if len(gens) == _BLOCK:
+                            flush()
+            finally:
+                flush()  # the records read before a faulty line precede it
+        except json.JSONDecodeError as exc:
+            fault = ConfigError(f"{path}:{lineno}: malformed JSON: {exc.msg}")
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            fault = ConfigError(
+                f"{path}:{lineno}: malformed record: {type(exc).__name__}: {exc}"
             )
-        kind = doc["type"]
-        if kind == "failure":
-            self.append_failure(g, doc["error"], doc["evaluator_id"], doc.get("gen"))
-        elif kind == "eval":
-            vec = ObjectiveVector(
-                tuple(doc["objectives_raw"][s.name] for s in self.specs), self.specs
+        except (ConfigError, InvalidGenotype) as exc:
+            fault = ConfigError(f"{path}:{lineno}: {exc}")
+        if store is None:
+            raise fault or ConfigError(f"{path}: missing run header line")
+        cols = store._cols if cols is None else cols[:n]
+        cols["failed"][[i for i in errors if i < n]] = True
+        rows = np.flatnonzero(
+            ~cols["failed"] & (cols["source"] == source_codes.get(SOURCE_VALIDATION, -1))
+        )
+        i = _first_repeat(cols["genes"], rows, cols["evaluator"][rows].tolist())
+        if i is not None:  # its line precedes a fault's
+            raise ConfigError(
+                f"{path}:{cls.record_line(path, i)}: duplicate validation record for "
+                f"genotype {tuple(cols['genes'][i].tolist())} under evaluator "
+                f"{list(evaluator_codes)[cols['evaluator'][i]]!r}"
             )
-            self.append(g, vec, doc["source"], doc["evaluator_id"], doc.get("gen"))
-        else:
-            raise ConfigError(f"unknown record type {kind!r}")
+        if fault is not None:
+            raise fault
+        store._cols, store._n, store._recs = cols, n, [None] * n
+        store._errors, store._sources, store._evaluators = errors, source_codes, evaluator_codes
+        store._index = None
+        return store
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ mutual-reachability distances from k-nearest core distances, a Prim minimum
 spanning tree, condensation of the single-linkage hierarchy at
 min_cluster_size, and excess-of-mass cluster selection (the root is never
 selected). Euclidean metric throughout. Time is O(n^2). Working memory is
-O(n) plus two row-chunk buffers of 2**19 entries for the core distances and
-one shrinking copy of the features for Prim. Prim stops updating a point once
-its best edge equals its own core distance, since no mutual-reachability
-distance to it can be smaller.
+O(n) plus one row-chunk buffer of 2**19 entries for the core distances and,
+for Prim, one shrinking transposed copy of the open points and up to 64 rows
+of distances to them. Prim stops updating a point once its best edge equals
+its own core distance, since no mutual-reachability distance to it can be
+smaller, and keeps such settled points in a heap.
 
 Both O(n^2) kernels work on squared distances: mutual reachability is
 compared as max(d^2, core_i^2, core_j^2), and only an emitted edge weight
@@ -25,7 +26,7 @@ partial sum is an exact float32 (a small dyadic grid: ordinal features of
 parameters with two or three values, as in every preset but transformer-like)
 the kernels run in float32. There neither chunking nor the BLAS summation
 order can change the result, which equals a dense float64 evaluation bit for
-bit, and the buffers (2 MB each) and the Prim copy take half the memory.
+bit, and the buffer (2 MB) and the Prim copy take half the memory.
 Otherwise (transformer-like, whose six-value depths fall on steps of 1/5, or
 objectives included) they run in float64, and a product may differ in the
 last bit from a dense evaluation: a weight may move by one ulp and an exact
@@ -37,6 +38,7 @@ weights up to that last bit.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import defaultdict, deque
@@ -45,14 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet, InvalidGenotype
-from .space import (
-    ElasticParamSpec,
-    SearchSpace,
-    encode_matrix,
-    inactive_genes,
-    rank_matrix,
-)
+from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet
+from .space import ElasticParamSpec, SearchSpace, encode_matrix, inactive_genes
 from .util import read_json
 
 # ---------------------------------------------------------------------------
@@ -97,26 +93,30 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
     """Squared distance to the min_samples-th nearest neighbor, self
     included, in the dtype of X.
 
-    Squared distances are formed in place, in two preallocated row-chunk
-    buffers of 2**19 entries, as (sq_i + sq_j) - 2 * gram; doubling an
-    operand of the product doubles the gram exactly. Clamping at zero is
-    monotone, so it is applied to the selected column only.
+    Each row chunk [x_i, 1] is multiplied by the augmented operand
+    [-2 X^T; sq], which gives sq_j - 2 x_i . x_j in one product, into one
+    preallocated buffer of 2**19 entries; multiplying an operand by -2 is
+    exact. Adding the row's constant sq_i does not change which entry the
+    partition selects, so it is added to the selected entry only, as is the
+    clamp at zero, which is monotone. On exact float32 grids this equals
+    the k-th smallest of sq_i + sq_j - 2 x_i . x_j bit for bit; in float64
+    the changed order of the sums may move the last bit.
     """
     n = X.shape[0]
     k = min(min_samples, n)
     sq = np.einsum("ij,ij->i", X, X)
+    rows = np.hstack([X, np.ones((n, 1), dtype=X.dtype)])
+    operand = np.vstack([-2.0 * X.T, sq])
     core = np.empty(n, dtype=X.dtype)
     chunk = max(1, min(n, 2**19 // max(n, 1)))
-    gram = np.empty((chunk, n), dtype=X.dtype)
-    d2 = np.empty((chunk, n), dtype=X.dtype)
+    buf = np.empty((chunk, n), dtype=X.dtype)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        g, d = gram[: stop - start], d2[: stop - start]
-        np.matmul(2.0 * X[start:stop], X.T, out=g)
-        np.add(sq[start:stop, None], sq[None, :], out=d)
-        d -= g
-        d.partition(k - 1, axis=1)
-        core[start:stop] = d[:, k - 1]
+        part = buf[: stop - start]
+        np.matmul(rows[start:stop], operand, out=part)
+        part.partition(k - 1, axis=1)
+        core[start:stop] = part[:, k - 1]
+    core += sq
     return np.maximum(core, 0.0, out=core)
 
 
@@ -130,42 +130,69 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     value, which equals max(sqrt(d^2), sqrt(core_i), sqrt(core_j)) bit for bit,
     since such a square root is monotone.
 
-    Prim from point 0; the next point is the lowest-index argmin of `best`,
-    and a point's parent changes only on a strict improvement. Because a
-    mutual-reachability distance is never below either endpoint's core
-    distance, a point whose `best` equals its own core distance is settled:
-    it can never improve again. Distance updates run over copies of the
-    points still open and unsettled, compacted in order every 64 steps; tree
-    members in them carry best = core = inf until then.
+    Prim from point 0; the next point is the one with the lowest `best`,
+    the lower index on a tie, and a point's parent changes only on a strict
+    improvement. Because a mutual-reachability distance is never below
+    either endpoint's core distance, a point whose `best` equals its own
+    core distance is settled: it can never improve again. The open points
+    are kept transposed, with their squared norms and ones as extra rows,
+    so one product with the current point's row [-2 x_c, 1, sq_c] gives
+    sq_a - 2 x_a . x_c + sq_c for all of them. Every 64 steps they are
+    compacted in order: tree members leave, and settled points move to a
+    heap ordered by (best, index). Each step then takes the lower of the
+    heap's top and the open points' argmin; tree members among the open
+    points carry best = core = inf until the compaction.
+
+    The heap only shrinks between compactions, so the heap points that can
+    become current before the next one are its next entries in order. When
+    a popped point becomes current, one product gives its row and those of
+    the next heap entries up to the compaction, and later steps take their
+    rows from it.
     """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
-    best = np.full(n, np.inf, dtype=X.dtype)
+    ones = np.ones(n, dtype=X.dtype)
+    steps = np.column_stack([-2.0 * X, ones, sq])
+    cores = core.tolist()
     parent = np.full(n, -1, dtype=int)
     act = np.arange(1, n)
-    Xa, sqa, corea, besta = X[act], sq[act], core[act], best[act]
-    current = 0
+    opened = np.vstack([X[act].T, sq[act], ones[act]])
+    corea = core[act]
+    besta = np.full(len(act), np.inf, dtype=X.dtype)
+    settled: list[tuple[float, int]] = []
+    ahead: dict[int, np.ndarray] = {}  # heap points' rows until the compaction
+    current, popped = 0, False
     edges = []
     for step in range(n - 1):
-        mr = Xa @ (2.0 * X[current])
-        np.subtract(sqa + sq[current], mr, out=mr)
+        if popped and current not in ahead:
+            batch = [current] + [i for _w, i in heapq.nsmallest(63 - step % 64, settled)]
+            ahead = dict(zip(batch, steps[batch] @ opened))
+        mr = ahead.pop(current) if popped else steps[current] @ opened
         np.maximum(mr, corea, out=mr)
-        np.maximum(mr, core[current], out=mr)
-        improved = np.flatnonzero(mr < besta)
+        np.maximum(mr, cores[current], out=mr)
+        improved = (mr < besta).nonzero()[0]
         if improved.size:
             besta[improved] = mr[improved]
-            best[act[improved]] = mr[improved]
             parent[act[improved]] = current
-        nxt = int(np.argmin(best))
-        edges.append((math.sqrt(best[nxt]), int(parent[nxt]), nxt))
-        best[nxt] = np.inf
-        pos = np.searchsorted(act, nxt)
-        if pos < act.size and act[pos] == nxt:
+        pos = int(besta.argmin()) if besta.size else -1
+        popped = pos < 0 or (
+            len(settled) > 0 and settled[0] < (float(besta[pos]), int(act[pos]))
+        )
+        if popped:
+            weight, nxt = heapq.heappop(settled)
+        else:
+            weight, nxt = float(besta[pos]), int(act[pos])
             besta[pos] = corea[pos] = np.inf
-        if step % 64 == 63:  # drop settled points and tree members
-            alive = besta != corea
-            act = act[alive]
-            Xa, sqa, corea, besta = X[act], sq[act], corea[alive], besta[alive]
+        edges.append((math.sqrt(weight), int(parent[nxt]), nxt))
+        if step % 64 == 63:  # tree members leave, settled points go to the heap
+            done = besta == corea
+            for w, i in zip(besta[done].tolist(), act[done].tolist()):
+                if w != math.inf:
+                    heapq.heappush(settled, (w, i))
+            alive = ~done
+            act, corea, besta = act[alive], corea[alive], besta[alive]
+            opened = opened[:, alive]
+            ahead = {}
         current = nxt
     return edges
 
@@ -376,19 +403,15 @@ class FrequencyTable:
 
 
 def elastic_frequencies(
-    labeling: ClusterLabeling, genotypes, space: SearchSpace
+    labeling: ClusterLabeling, ranks: np.ndarray, space: SearchSpace
 ) -> FrequencyTable:
-    """Count the active genes of non-noise genotypes, canonical or not; a
-    gene value the space forbids raises InvalidGenotype."""
-    genotypes = list(genotypes)
-    if len(labeling.labels) != len(genotypes):
-        raise ConfigError(
-            f"{len(labeling.labels)} labels for {len(genotypes)} genotypes"
-        )
-    members = [g for label, g in zip(labeling.labels, genotypes) if label >= 0]
-    if not members:
+    """Count the active genes of the non-noise rows of a rank matrix,
+    canonical or not."""
+    if len(labeling.labels) != len(ranks):
+        raise ConfigError(f"{len(labeling.labels)} labels for {len(ranks)} rank rows")
+    ranks = ranks[np.asarray(labeling.labels, dtype=int) >= 0]
+    if not len(ranks):
         raise EmptyClusterSet("all points labeled noise; no frequencies to compute")
-    ranks = rank_matrix(members, space)
     active = ~inactive_genes(ranks, space)
     freqs = []
     observations = []
@@ -543,33 +566,27 @@ def load_constraints(path: str | Path) -> ConstraintSet:
 
 
 def history_features(
-    genotypes,
+    ranks: np.ndarray,
     space: SearchSpace,
-    objective_vectors=None,
+    objectives: np.ndarray | None = None,
     max_points: int = 20_000,
     seed: int = 0,
 ):
-    """Encode search history for clustering: ordinal-normalized genotypes,
-    optionally augmented with min-max normalized objective coordinates.
+    """Encode search history for clustering: ordinal-normalized rank rows,
+    optionally augmented with min-max normalized coordinates of the
+    canonical-min objective matrix `objectives` (one row per rank row).
 
     Histories larger than max_points are uniformly subsampled to keep the
     O(n^2) spanning-tree stage tractable. Returns (features, kept_indices).
-    A gene value the space forbids raises InvalidGenotype whose `row`
-    indexes `genotypes`.
     """
-    genotypes = list(genotypes)
-    n = len(genotypes)
+    n = len(ranks)
     idx = np.arange(n)
     if n > max_points:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(n, size=max_points, replace=False))
-    try:
-        ranks = rank_matrix([genotypes[i] for i in idx.tolist()], space)
-    except InvalidGenotype as exc:
-        raise InvalidGenotype(str(exc), row=int(idx[exc.row])) from None
-    feats = encode_matrix(ranks, space, "ordinal_normalized")
-    if objective_vectors is not None:
-        obj = np.array([objective_vectors[int(i)].canonical_min for i in idx])
+    feats = encode_matrix(ranks[idx], space, "ordinal_normalized")
+    if objectives is not None:
+        obj = objectives[idx]
         lo = obj.min(axis=0)
         span = obj.max(axis=0) - lo
         span[span == 0] = 1.0

@@ -390,15 +390,16 @@ def feature_dim(s: SearchSpace, scheme: str) -> int:
 
 
 def rank_matrix(genotypes, s: SearchSpace) -> np.ndarray:
-    """The (n x genome length) matrix of value ranks of many genotypes.
+    """The (n x genome length) matrix of value ranks of many genotypes,
+    given as Genotypes or as a matrix of gene values.
 
     A wrong length or a value the space forbids raises InvalidGenotype,
     worded for the first such genotype, whose index is the error's `row`.
     """
-    rows = [g.genes for g in genotypes]
+    rows = genotypes if isinstance(genotypes, np.ndarray) else [g.genes for g in genotypes]
     values, table = s._rank_lookup
     try:
-        genes = np.array(rows, dtype=np.int64).reshape(len(rows), s.genome_length)
+        genes = np.asarray(rows, dtype=np.int64).reshape(len(rows), s.genome_length)
     except (ValueError, OverflowError):
         genes = None  # ragged or beyond int64: the loop below words it
     if genes is not None:

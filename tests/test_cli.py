@@ -354,14 +354,14 @@ def test_popdb_command_threshold_rule(tmp_path, toy_space_file):
         hdbscan,
         history_features,
     )
-    from subnetsearch.space import load_space
+    from subnetsearch.space import load_space, rank_matrix
 
     space = load_space(toy_space_file)
     store = ResultStore.load(run_dir / "evals.jsonl", space=space)
-    recs = store.validation_records()
-    feats, idx = history_features([r.genotype for r in recs], space)
+    ranks = rank_matrix([r.genotype for r in store.validation_records()], space)
+    feats, idx = history_features(ranks, space)
     labeling = hdbscan(feats, 20, 5)
-    table = elastic_frequencies(labeling, [recs[int(i)].genotype for i in idx], space)
+    table = elastic_frequencies(labeling, ranks[idx], space)
     expected = build_constraints(table, 0.01, space)
     assert tuple(tuple(v) for v in doc["allowed"]) == expected.allowed
 
@@ -398,7 +398,14 @@ def unknown_record_type(lines):
     return 4
 
 
-@pytest.mark.parametrize("corrupt", [tear_line, drop_objectives, unknown_record_type])
+def duplicate_validation(lines):
+    lines[4] = lines[1]  # record 0 again, under the same evaluator
+    return 5
+
+
+@pytest.mark.parametrize(
+    "corrupt", [tear_line, drop_objectives, unknown_record_type, duplicate_validation]
+)
 def test_popdb_malformed_history_is_config_error(tmp_path, toy_space, toy_space_file,
                                                  capsys, corrupt):
     history = tmp_path / "evals.jsonl"

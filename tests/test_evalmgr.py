@@ -13,6 +13,7 @@ from subnetsearch.errors import (
     NonCanonicalInput,
     ObjectiveMismatch,
 )
+from subnetsearch import evalmgr
 from subnetsearch.evalmgr import (
     CallableEvaluator,
     EvaluationFailure,
@@ -92,6 +93,139 @@ def test_store_replay_round_trip(tmp_path, toy_space):
         assert replayed.lookup(g, "e1").objectives_raw.values == store.lookup(
             g, "e1"
         ).objectives_raw.values
+
+
+def mixed_log(path, toy_space):
+    """A streamed log with failures, a null gen, two evaluator ids, a
+    non-validation record and gene values the space forbids, one of them
+    beyond 32 bits; returns its store."""
+    store = ResultStore(MIN2, space=toy_space, path=path)
+    gs = sample_uniform(toy_space, 4, 4)
+    outside = Genotype((-1, 2**40) + gs[3].genes[2:])
+    store.append(gs[0], ObjectiveVector((1.5, -0.0), MIN2), "validation", "e1", gen=0)
+    store.append(gs[0], ObjectiveVector((2.5, 1e-300), MIN2), "validation", "e2")
+    store.append_failure(gs[1], "exploded", "e1", gen=1)
+    store.append(gs[1], ObjectiveVector((0.1, 0.2), MIN2), "validation", "e1", gen=1)
+    store.append(gs[2], ObjectiveVector((9.0, 9.0), MIN2), "predicted", "e1", gen=2)
+    store.append(outside, ObjectiveVector((3.0, 4.0), MIN2), "validation", "e2", gen=2)
+    store.close()
+    return store
+
+
+def record_fields(rec):
+    values = rec.objectives_raw.values if rec.ok else None
+    return (rec.genotype.genes, values, rec.source, rec.evaluator_id,
+            rec.sequence_number, rec.gen, rec.error)
+
+
+def test_store_load_keeps_every_column_and_dumps_the_same_bytes(tmp_path, toy_space):
+    path = tmp_path / "evals.jsonl"
+    store = mixed_log(path, toy_space)
+    # the compact form the store writes, and the same documents with spaces
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("".join(
+        json.dumps(json.loads(line)) + "\n" for line in path.read_text().splitlines()
+    ))
+    for log in (path, spaced):
+        replayed = ResultStore.load(log, space=toy_space)
+        assert list(map(record_fields, replayed.records)) == list(
+            map(record_fields, store.records)
+        )
+        copy = tmp_path / "copy.jsonl"
+        replayed.dump(copy)
+        assert copy.read_bytes() == path.read_bytes()
+        seqs, genes, raw = replayed.validation_columns("e2")
+        assert seqs.tolist() == [1, 5]
+        assert genes[1].tolist()[:2] == [-1, 2**40]
+        assert raw.tolist() == [[2.5, 1e-300], [3.0, 4.0]]
+        assert [r.sequence_number for r in replayed.validation_records()] == [0, 1, 3, 5]
+        assert replayed.lookup(store.records[3].genotype, "e1").objectives_raw.values == (
+            0.1, 0.2)
+
+
+def bad_log_lines(path, toy_space):
+    """Header, two records, a blank line and a third record: the third
+    record is on line 5."""
+    store = ResultStore(MIN2, space=toy_space, path=path)
+    for i, g in enumerate(sample_uniform(toy_space, 3, 6)):
+        store.append(g, ObjectiveVector((float(i), 1.0), MIN2), "validation", "e1", gen=i)
+    store.close()
+    lines = path.read_text().splitlines(keepends=True)
+    return lines[:3] + ["\n"] + lines[3:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc, first: doc.update(gen="2"), "gen must be an integer or null"),
+    (lambda doc, first: doc["genotype"].__setitem__(0, "x"), "malformed record"),
+    (lambda doc, first: doc["genotype"].__setitem__(0, 2**70), "malformed record"),
+    (lambda doc, first: doc["genotype"].pop(), "genotype has 9 genes"),
+    (lambda doc, first: doc["objectives_raw"].update(f2=math.inf), "non-finite objective"),
+    (lambda doc, first: doc.pop("evaluator_id"), "malformed record: KeyError"),
+    (lambda doc, first: doc.update(type="evaluation"), "unknown record type"),
+    (lambda doc, first: doc.update(genotype=first["genotype"]), "duplicate validation record"),
+], ids=["gen", "gene", "huge_gene", "length", "non_finite", "missing_field", "type",
+        "duplicate"])
+def test_store_load_names_the_line_of_a_bad_record(tmp_path, toy_space, edit, message):
+    path = tmp_path / "evals.jsonl"
+    lines = bad_log_lines(path, toy_space)
+    doc = json.loads(lines[4])
+    edit(doc, json.loads(lines[1]))
+    lines[4] = json.dumps(doc, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=f"^{path}:5: {message}"):
+        ResultStore.load(path, space=toy_space)
+
+
+FAULTS = {
+    "gene": (lambda doc, first: doc["genotype"].__setitem__(0, "x"), "malformed record"),
+    "torn": (None, "malformed JSON"),
+    "non_finite": (
+        lambda doc, first: doc["objectives_raw"].update(f2=math.inf), "non-finite objective"),
+    "duplicate": (
+        lambda doc, first: doc.update(genotype=first["genotype"]), "duplicate validation record"),
+}
+
+
+@pytest.mark.parametrize("block", [2, 256])
+@pytest.mark.parametrize("early, late", [
+    (a, b) for a in FAULTS for b in FAULTS if a != b
+])
+def test_store_load_names_the_first_of_two_faulty_lines(
+    tmp_path, toy_space, monkeypatch, early, late, block
+):
+    """Faults found when a block of genotypes is read (a gene numpy cannot
+    read) or after the whole log (a duplicate) are still reported before a
+    fault on a later line, and after one on an earlier line."""
+    monkeypatch.setattr(evalmgr, "_BLOCK", block)
+    path = tmp_path / "evals.jsonl"
+    store = ResultStore(MIN2, space=toy_space, path=path)
+    for i, g in enumerate(sample_uniform(toy_space, 6, 6)):
+        store.append(g, ObjectiveVector((float(i), 1.0), MIN2), "validation", "e1", gen=i)
+    store.close()
+    lines = path.read_text().splitlines(keepends=True)
+    for lineno, kind in ((4, early), (6, late)):
+        edit = FAULTS[kind][0]
+        if edit is None:
+            lines[lineno - 1] = lines[lineno - 1][:20] + "\n"
+        else:
+            doc = json.loads(lines[lineno - 1])
+            edit(doc, json.loads(lines[1]))
+            lines[lineno - 1] = json.dumps(doc, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=f"^{path}:4: {FAULTS[early][1]}"):
+        ResultStore.load(path, space=toy_space)
+
+
+def test_spaceless_load_measures_genotypes_against_the_first_record(tmp_path, toy_space):
+    path = tmp_path / "evals.jsonl"
+    lines = bad_log_lines(path, toy_space)
+    doc = json.loads(lines[4])
+    doc["genotype"].pop()
+    lines[4] = json.dumps(doc, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    message = "genotype has 9 genes, the first record has 10"
+    with pytest.raises(ConfigError, match=f"^{path}:5: {message}"):
+        ResultStore.load(path)
 
 
 def test_store_dump_equals_streamed_log(tmp_path, toy_space):

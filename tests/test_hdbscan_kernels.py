@@ -16,7 +16,7 @@ from subnetsearch.popdb import (
     hdbscan,
     history_features,
 )
-from subnetsearch.space import Genotype, canonicalize, get_preset, sample_uniform
+from subnetsearch.space import Genotype, canonicalize, get_preset, rank_matrix, sample_uniform
 
 # ---------------------------------------------------------------------------
 # References: the straightforward kernels, kept as oracles
@@ -183,6 +183,37 @@ def test_mst_prim_weights_match_scipy_on_continuous_data(case):
     np.testing.assert_allclose(weights**2, oracle**2, rtol=0, atol=1e-12)
 
 
+def assert_prim_matches_reference(X: np.ndarray, min_samples: int):
+    core_sq = _core_distances(X, min_samples)
+    core = np.sqrt(core_sq.astype(float))
+    assert _mst_prim(X, core_sq) == reference_mst_prim(X.astype(float), core)
+
+
+def test_mst_prim_on_identical_points():
+    # every point settles at the first step, so after the first compaction
+    # every pick comes from the heap and the open points run out
+    for n in (2, 64, 65, 200):
+        assert_prim_matches_reference(np.ones((n, 3), dtype=np.float32), 5)
+
+
+def test_mst_prim_on_two_points_and_min_samples_of_at_least_n():
+    for X in (np.array([[0.0, 0.5], [1.0, 0.0]]), tied_grid(5, 120, 2)):
+        for min_samples in (1, len(X), len(X) + 7):
+            assert_prim_matches_reference(X.astype(np.float32), min_samples)
+
+
+def test_mst_prim_ties_between_heap_and_open_points_go_to_the_lower_index():
+    # On a shuffled 20 x 20 unit lattice with min_samples 2 every core
+    # distance is 1, so a point settles once a lattice neighbour joins the
+    # tree. Points settled before a compaction wait in the heap, later ones
+    # among the open points, all at best 1: the heap's top and the open
+    # points' argmin tie, with the lower index on either side.
+    lattice = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)), -1).reshape(-1, 2)
+    for seed in range(3):
+        X = lattice[np.random.default_rng(seed).permutation(len(lattice))]
+        assert_prim_matches_reference(X.astype(np.float32), 2)
+
+
 # ---------------------------------------------------------------------------
 # Kernel dtype: float32 only where it is exact
 # ---------------------------------------------------------------------------
@@ -215,7 +246,7 @@ def test_kernel_dtype_of_preset_histories():
         ("transformer-like", np.float64),  # 6-value parameters: steps of 1/5
     ):
         space = get_preset(name)
-        feats, _ = history_features(sample_uniform(space, 200, 5), space)
+        feats, _ = history_features(rank_matrix(sample_uniform(space, 200, 5), space), space)
         assert _kernel_dtype(feats) == dtype, name
 
 
@@ -274,12 +305,12 @@ def assert_hdbscan_matches_references(monkeypatch, feats, min_cluster_size: int)
 
 def test_hdbscan_matches_reference_pipeline(monkeypatch):
     space = get_preset("mobilenetv3-like")
-    feats, _ = history_features(clustered_history(space, 2000, 11), space)
+    feats, _ = history_features(rank_matrix(clustered_history(space, 2000, 11), space), space)
     assert_hdbscan_matches_references(monkeypatch, feats, 50)
 
 
 def test_hdbscan_matches_reference_pipeline_on_float64_features(monkeypatch):
     space = get_preset("transformer-like")
-    feats, _ = history_features(clustered_history(space, 1500, 5), space)
+    feats, _ = history_features(rank_matrix(clustered_history(space, 1500, 5), space), space)
     assert _kernel_dtype(feats) == np.float64
     assert_hdbscan_matches_references(monkeypatch, feats, 30)

@@ -32,6 +32,7 @@ from subnetsearch.space import (
     cardinality,
     encode_matrix,
     enumerate_genotypes,
+    rank_matrix,
     sample_uniform,
 )
 
@@ -157,7 +158,7 @@ def test_frequencies_single_cluster_single_value():
     space = freq_space()
     g = canonicalize(Genotype((2, 5, 5)), space)
     labeling = ClusterLabeling(labels=(0, 0, 0), probabilities=(1.0, 1.0, 1.0))
-    table = elastic_frequencies(labeling, [g, g, g], space)
+    table = elastic_frequencies(labeling, rank_matrix([g, g, g], space), space)
     pos = 1  # first kernel slot
     assert table.frequencies[pos][space.value_rank(pos, 5)] == pytest.approx(1.0)
 
@@ -179,7 +180,7 @@ def test_frequencies_hand_counted_fixture():
     labeling = ClusterLabeling(
         labels=(0, 0, 1, 1, -1, -1), probabilities=(1.0,) * 6
     )
-    table = elastic_frequencies(labeling, gs, space)
+    table = elastic_frequencies(labeling, rank_matrix(gs, space), space)
     # depth gene: members have depths 2,2,1,1
     assert table.observations[0] == 4
     assert table.frequencies[0] == pytest.approx((0.5, 0.5))
@@ -195,7 +196,7 @@ def test_frequencies_rows_sum_to_one(toy_space):
     gs = sample_uniform(toy_space, 200, seed=1)
     labels = tuple(0 if i % 3 else -1 for i in range(len(gs)))
     labeling = ClusterLabeling(labels=labels, probabilities=(1.0,) * len(gs))
-    table = elastic_frequencies(labeling, gs, toy_space)
+    table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
     for pos in range(toy_space.genome_length):
         if table.observations[pos]:
             assert sum(table.frequencies[pos]) == pytest.approx(1.0, abs=1e-12)
@@ -230,9 +231,9 @@ def test_frequencies_match_per_gene_loop_oracle(oracle_spaces, name, n, data):
     labeling = ClusterLabeling(labels=tuple(labels), probabilities=(1.0,) * n)
     if max(labels) < 0:
         with pytest.raises(EmptyClusterSet):
-            elastic_frequencies(labeling, gs, space)
+            elastic_frequencies(labeling, rank_matrix(gs, space), space)
         return
-    table = elastic_frequencies(labeling, gs, space)
+    table = elastic_frequencies(labeling, rank_matrix(gs, space), space)
     assert (table.frequencies, table.observations) == elastic_frequencies_loop(
         labels, gs, space
     )
@@ -243,9 +244,9 @@ def test_frequencies_reject_forbidden_value_and_label_count():
     good = canonicalize(Genotype((2, 5, 5)), space)
     labeling = ClusterLabeling(labels=(0, 0), probabilities=(1.0, 1.0))
     with pytest.raises(InvalidGenotype):
-        elastic_frequencies(labeling, [good, Genotype((2, 4, 5))], space)
+        elastic_frequencies(labeling, rank_matrix([good, Genotype((2, 4, 5))], space), space)
     with pytest.raises(ConfigError):
-        elastic_frequencies(labeling, [good], space)
+        elastic_frequencies(labeling, rank_matrix([good], space), space)
 
 
 def test_frequencies_all_noise_raises():
@@ -253,7 +254,7 @@ def test_frequencies_all_noise_raises():
     g = canonicalize(Genotype((1, 3, 3)), space)
     labeling = ClusterLabeling(labels=(-1,), probabilities=(0.0,))
     with pytest.raises(EmptyClusterSet):
-        elastic_frequencies(labeling, [g], space)
+        elastic_frequencies(labeling, rank_matrix([g], space), space)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def test_threshold_rule_direct():
 def test_threshold_zero_keeps_everything(toy_space):
     gs = sample_uniform(toy_space, 100, seed=2)
     labeling = ClusterLabeling(labels=(0,) * 100, probabilities=(1.0,) * 100)
-    table = elastic_frequencies(labeling, gs, toy_space)
+    table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
     cs = build_constraints(table, 0.0, toy_space)
     assert cs.allowed == toy_space.allowed
     assert constrain_space(toy_space, cs).allowed == toy_space.allowed
@@ -299,7 +300,7 @@ def test_unobserved_positions_left_unconstrained():
     space = freq_space()  # layer-1 kernel never active if all depths are 1
     gs = [canonicalize(Genotype((1, v, 3)), space) for v in (3, 5, 7)]
     labeling = ClusterLabeling(labels=(0, 0, 0), probabilities=(1.0,) * 3)
-    table = elastic_frequencies(labeling, gs, space)
+    table = elastic_frequencies(labeling, rank_matrix(gs, space), space)
     cs = build_constraints(table, 0.5, space)
     assert cs.allowed[2] == space.allowed[2]
 
@@ -307,7 +308,7 @@ def test_unobserved_positions_left_unconstrained():
 def test_threshold_monotone(toy_space):
     gs = sample_uniform(toy_space, 300, seed=3)
     labeling = ClusterLabeling(labels=(0,) * 300, probabilities=(1.0,) * 300)
-    table = elastic_frequencies(labeling, gs, toy_space)
+    table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
     prev = None
     for threshold in (0.0, 0.05, 0.2, 0.4, 0.8):
         cs = build_constraints(table, threshold, toy_space)
@@ -330,7 +331,7 @@ def test_constrained_cardinality_drops(toy_space):
 def test_constrained_space_is_subset(toy_space):
     gs = sample_uniform(toy_space, 400, seed=4)
     labeling = ClusterLabeling(labels=(0,) * 400, probabilities=(1.0,) * 400)
-    table = elastic_frequencies(labeling, gs, toy_space)
+    table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
     cs = build_constraints(table, 0.2, toy_space)
     reduced = constrain_space(toy_space, cs)
     assert cardinality(reduced) <= cardinality(toy_space)
@@ -380,7 +381,7 @@ def test_constraints_document_round_trip(tmp_path, toy_space):
 
 def test_history_features_subsamples(toy_space):
     gs = sample_uniform(toy_space, 100, seed=7)
-    feats, idx = history_features(gs, toy_space, max_points=40, seed=0)
+    feats, idx = history_features(rank_matrix(gs, toy_space), toy_space, max_points=40, seed=0)
     assert feats.shape == (40, toy_space.genome_length)
     assert len(idx) == 40
     assert sorted(set(int(i) for i in idx)) == sorted(int(i) for i in idx)
@@ -388,24 +389,25 @@ def test_history_features_subsamples(toy_space):
 
 def test_history_features_match_ordinal_encoding(toy_space):
     gs = sample_uniform(toy_space, 30, seed=9)
-    feats, _ = history_features(gs, toy_space)
+    feats, _ = history_features(rank_matrix(gs, toy_space), toy_space)
     ranks = canonical_ranks(gs, toy_space)[0]
     assert np.array_equal(feats, encode_matrix(ranks, toy_space, "ordinal_normalized"))
     with pytest.raises(InvalidGenotype):
-        history_features(gs + [Genotype(gs[0].genes[:-1])], toy_space)
+        history_features(rank_matrix(gs + [Genotype(gs[0].genes[:-1])], toy_space), toy_space)
 
 
 def test_history_features_error_row_indexes_the_full_history(toy_space):
+    """Gene values are checked once, by ranking the whole history before it
+    is subsampled, so the error row is the first bad row of the history."""
     gs = sample_uniform(toy_space, 100, seed=7)
     bad = set(range(50, 100, 7))
     for i in bad:
         genes = list(gs[i].genes)
         genes[1] = 9  # kernel allows {3, 5, 7}
         gs[i] = Genotype(tuple(genes))
-    kept = np.sort(np.random.default_rng(0).choice(100, size=40, replace=False))
     with pytest.raises(InvalidGenotype) as err:
-        history_features(gs, toy_space, max_points=40, seed=0)
-    assert err.value.row == min(int(i) for i in kept if i in bad)
+        history_features(rank_matrix(gs, toy_space), toy_space, max_points=40, seed=0)
+    assert err.value.row == min(bad)
 
 
 def test_history_features_keep_non_canonical_rows(toy_space):
@@ -415,7 +417,7 @@ def test_history_features_keep_non_canonical_rows(toy_space):
     top[0] = 1  # block 0 at depth 1 leaves its second layer at top values
     g = Genotype(tuple(top))
     assert canonicalize(g, toy_space) != g
-    feats, _ = history_features([g], toy_space)
+    feats, _ = history_features(rank_matrix([g], toy_space), toy_space)
     assert feats.tolist() == [[0.0] + [1.0] * (toy_space.genome_length - 1)]
 
 
@@ -425,6 +427,7 @@ def test_history_features_joint_space(toy_space):
     surface = make_surface(toy_space, "clx-like")
     gs = sample_uniform(toy_space, 50, seed=8)
     vectors = [synthetic_evaluate(g, surface) for g in gs]
-    feats, _ = history_features(gs, toy_space, objective_vectors=vectors)
+    objectives = np.array([v.canonical_min for v in vectors])
+    feats, _ = history_features(rank_matrix(gs, toy_space), toy_space, objectives=objectives)
     assert feats.shape == (50, toy_space.genome_length + 2)
     assert feats[:, -2:].min() >= 0.0 and feats[:, -2:].max() <= 1.0
