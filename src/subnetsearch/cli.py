@@ -23,6 +23,7 @@ from .driver import (
     FullSearchConfig,
     PredictorConfig,
     SearchReport,
+    check_objectives,
     concurrent_search,
     config_from_doc,
     fit_objective_predictor,
@@ -247,6 +248,7 @@ def _cmd_search(args) -> int:
         run,
         where=where,
     )
+    check_objectives(tactic_cfg, specs)
     search = full_search if args.tactic == "full" else concurrent_search
     outdir = _resolve_out_dir(args.out, args.tactic, tactic_cfg.seed)
     extra = {
@@ -255,8 +257,15 @@ def _cmd_search(args) -> int:
         **{k: run[k] for k in ("evaluator", "noise_scale", "noise_seed")},
     }
     t0 = time.perf_counter()
-    report = search(space, specs, evaluator, tactic_cfg, config_extra=extra)
-    report.export(outdir)
+    # every check above precedes the run directory; the log streams into it
+    # from the first batch, replacing the log of a run already there
+    outdir.mkdir(parents=True, exist_ok=True)
+    store = ResultStore(specs, space=space, path=outdir / "evals.jsonl")
+    try:
+        report = search(space, specs, evaluator, tactic_cfg, store=store, config_extra=extra)
+        report.export(outdir)
+    finally:
+        store.close()
     _print_summary(report, outdir, time.perf_counter() - t0)
     return EXIT_OK
 

@@ -85,6 +85,11 @@ class FullSearchConfig:
     crossover_rate: float = 0.9
     mutation_rate: float | None = None
 
+    def __post_init__(self):
+        _evolver_config(self, self.population_size, self.generations, self.seed)
+        if self.predictor.family != "none" and self.n_train < 1:
+            raise ConfigError("n_train must be >= 1")
+
 
 @dataclass(frozen=True)
 class ConcurrentNasConfig:
@@ -106,6 +111,40 @@ class ConcurrentNasConfig:
             raise ConfigError("iterations must be >= 1")
         if self.inner_generations < 1:
             raise ConfigError("inner_generations must be >= 1")
+        _evolver_config(
+            self, self.inner_population or self.population_size,
+            self.inner_generations, self.seed,
+        )
+
+
+def _evolver_config(cfg, population_size: int, generations: int, seed: int):
+    """The EvolverConfig of a search under tactic config `cfg`; raises
+    ConfigError on a bad size or rate."""
+    return EvolverConfig(
+        population_size=population_size,
+        generations=generations,
+        crossover_rate=cfg.crossover_rate,
+        mutation_rate=cfg.mutation_rate,
+        seed=seed,
+    )
+
+
+def check_objectives(cfg, specs) -> None:
+    """Raise the ConfigError that a search under tactic config `cfg` with
+    objectives `specs` would raise before its first evaluation: duplicate
+    objective names, an unknown validation-only objective, or a predicted
+    objective whose predictor family is "none"."""
+    check_unique_names(specs)
+    names = [s.name for s in specs]
+    validation_only = getattr(cfg, "validation_only_objectives", ())
+    for name in validation_only:
+        if name not in names:
+            raise ConfigError(f"validation-only objective {name!r} not in run objectives")
+    if isinstance(cfg, FullSearchConfig) and cfg.predictor.family == "none":
+        return  # the evolver measures every child; nothing is predicted
+    for name in names:
+        if name not in validation_only and cfg.predictor.family_for(name) == "none":
+            raise ConfigError(f"objective {name!r} is predicted with predictor family 'none'")
 
 
 def config_to_doc(
@@ -202,14 +241,19 @@ class SearchReport:
         return self.hv_trace[-1][1] if self.hv_trace else None
 
     def export(self, outdir: str | Path) -> Path:
-        """Write front.csv, hv_trace.csv, evals.jsonl, config.json (and the
-        predicted front when one exists)."""
+        """Write front.csv, hv_trace.csv, config.json, the predicted front
+        when one exists, and evals.jsonl. A store that already streams into
+        `outdir/evals.jsonl` is closed instead of dumped."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "config.json", "w", encoding="utf-8") as fh:
             json.dump(self.config, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self.store.dump(outdir / "evals.jsonl")
+        log = outdir / "evals.jsonl"
+        if self.store.path is not None and self.store.path.resolve() == log.resolve():
+            self.store.close()
+        else:
+            self.store.dump(log)
         front_to_csv(self.validated_front, outdir / "front.csv")
         if self.predicted_front is not None and len(self.predicted_front):
             front_to_csv(self.predicted_front, outdir / "predicted_front.csv")
@@ -379,16 +423,10 @@ def full_search(
     """Train predictors from an up-front sample, search against them, then
     validate the predicted front. With predictor family "none" the evolver
     measures every child instead (no sampling phase)."""
-    evolver_cfg = EvolverConfig(
-        population_size=cfg.population_size,
-        generations=cfg.generations,
-        crossover_rate=cfg.crossover_rate,
-        mutation_rate=cfg.mutation_rate,
-        seed=cfg.seed,
-    )
+    evolver_cfg = _evolver_config(cfg, cfg.population_size, cfg.generations, cfg.seed)
     predictor_cfg, n_train = cfg.predictor, cfg.n_train
     specs = tuple(objectives)
-    check_unique_names(specs)
+    check_objectives(cfg, specs)
     if store is None:
         store = ResultStore(specs, space=space)
     phase_seconds: dict[str, float] = {}
@@ -409,8 +447,6 @@ def full_search(
         traces.append(trace)
         validation_populations = [store.validation_records()]
     else:
-        if n_train < 1:
-            raise ConfigError("n_train must be >= 1")
         if n_train < 100:
             warnings.warn(
                 f"n_train={n_train} is small; predictors may be unreliable below "
@@ -509,10 +545,7 @@ def concurrent_search(
     validation data, search the predictor landscape, and promote the best
     not-yet-validated configurations into the next population."""
     specs = tuple(objectives)
-    check_unique_names(specs)
-    for name in cfg.validation_only_objectives:
-        if name not in {s.name for s in specs}:
-            raise ConfigError(f"validation-only objective {name!r} not in run objectives")
+    check_objectives(cfg, specs)
     if store is None:
         store = ResultStore(specs, space=space)
     phase_seconds = {"validate": 0.0, "train_predictors": 0.0, "search": 0.0}
@@ -544,12 +577,9 @@ def concurrent_search(
         models = _train_models(store, cfg.predictor, predicted_names)
         phase_seconds["train_predictors"] += time.perf_counter() - t0
 
-        inner_cfg = EvolverConfig(
-            population_size=cfg.inner_population or cfg.population_size,
-            generations=cfg.inner_generations,
-            crossover_rate=cfg.crossover_rate,
-            mutation_rate=cfg.mutation_rate,
-            seed=subseed(cfg.seed, "inner", i),
+        inner_cfg = _evolver_config(
+            cfg, cfg.inner_population or cfg.population_size,
+            cfg.inner_generations, subseed(cfg.seed, "inner", i),
         )
         validated_front = pareto_front(store.validation_records())
         inner_warm = [r.genotype for r in validated_front] + population

@@ -2,8 +2,11 @@
 
 Evaluators are duck-typed: an `evaluator_id` string plus an
 `evaluate(genotypes) -> list[ObjectiveVector | EvaluationFailure]` method.
-Validation results are cached per (canonical genotype, evaluator) in an
-append-only store whose JSON-lines log replays to the identical index.
+An evaluator interrupted mid-batch may raise a `SubnetSearchError` with a
+`completed` attribute, {batch index: output} of the results that did arrive;
+`evaluate_batch` logs those before the error propagates. Validation results
+are cached per (canonical genotype, evaluator) in an append-only store whose
+JSON-lines log replays to the identical index.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyInput,
+    EvaluationFailed,
     EvaluationTimeout,
     InvalidGenotype,
     ObjectiveMismatch,
     ProtocolError,
+    SubnetSearchError,
 )
 from .objectives import (
     EvaluationRecord,
@@ -57,30 +62,15 @@ _NO_GEN = -(2**63)  # a null gen, in the gen column
 _BLOCK = 256  # rows per block of whole-log passes, which bounds their temporaries
 
 
-def _line(doc: dict) -> str:
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps's output, built once
 
 
-def _doc(seq, genes, names, values, gen, source, evaluator_id, error) -> dict:
-    """The log-line document of one record."""
-    if error is not None:
-        return {
-            "type": "failure",
-            "seq": seq,
-            "gen": gen,
-            "genotype": genes,
-            "error": error,
-            "evaluator_id": evaluator_id,
-        }
-    return {
-        "type": "eval",
-        "seq": seq,
-        "gen": gen,
-        "genotype": genes,
-        "objectives_raw": dict(zip(names, values)),
-        "source": source,
-        "evaluator_id": evaluator_id,
-    }
+class _GeneText(dict):
+    """int -> its decimal text, made on first use."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
 
 
 def _first_repeat(genes: np.ndarray, rows: np.ndarray, tags: list) -> int | None:
@@ -132,9 +122,10 @@ class ResultStore:
     `validation_records` asks for them, and kept.
 
     Concurrent appends are serialized under a lock; sequence numbers define
-    the total order. When `path` is given every record is written as one JSON
-    line, preceded by a header line carrying the objective specs so the file
-    replays without outside context.
+    the total order. When `path` is given the store streams: the file starts
+    with a header line carrying the objective specs, so that it replays
+    without outside context, and every appended batch is written to it as
+    one JSON line per record and flushed, with the same bytes `dump` writes.
     """
 
     def __init__(
@@ -152,89 +143,102 @@ class ResultStore:
         self._sources: dict[str, int] = {}  # value -> code, in code order
         self._evaluators: dict[str, int] = {}
         self._recs: list[EvaluationRecord | None] = []
+        self._gene_text = _GeneText()
         # (genes, evaluator id) -> row of each successful validation; built
         # on first use after a load
         self._index: dict[tuple[tuple[int, ...], str], int] | None = {}
         self._lock = threading.Lock()
+        self.path = None if path is None else Path(path)
         self._fh = None
         if path is not None:
             self._fh = open(path, "w", encoding="utf-8")
-            self._fh.write(_line(self._header_doc()))
+            self._fh.write(self._header_line())
             self._fh.flush()
 
     # -- writing -----------------------------------------------------------
 
-    def append(
+    def append_batch(
         self,
-        genotype: Genotype,
-        objectives_raw: ObjectiveVector,
-        source: str,
+        genotypes: Sequence[Genotype],
+        outputs: Sequence[ObjectiveVector | EvaluationFailure],
         evaluator_id: str,
         gen: int | None = None,
-    ) -> EvaluationRecord:
+        source: str = SOURCE_VALIDATION,
+    ) -> list[EvaluationRecord]:
+        """Append one batch of evaluator outputs, successes and failures, in
+        order, and return their records; a single record is a batch of one.
+
+        The batch is checked whole before anything is appended: a genotype of
+        another length than the log's is an InvalidGenotype, and a successful
+        validation of a genotype already cached under `evaluator_id`, or
+        twice in the batch, a ConfigError. Its rows go into the columns in
+        one block. Successful validations are cached; failures are logged but
+        never cached. A streaming store writes the batch's lines at once and
+        flushes them before returning.
+        """
+        if len(outputs) != len(genotypes):
+            raise EvaluationFailed(
+                f"{len(outputs)} evaluator outputs for {len(genotypes)} genotypes"
+            )
+        if not genotypes:
+            return []
+        genes = [g.genes for g in genotypes]
+        failed = [isinstance(out, EvaluationFailure) for out in outputs]
         with self._lock:
-            index = self._validation_index() if source == SOURCE_VALIDATION else None
-            key = (genotype.genes, evaluator_id)
-            if index is not None and key in index:
-                raise ConfigError(
-                    "duplicate validation record for genotype "
-                    f"{genotype.genes} under evaluator {evaluator_id!r}"
-                )
-            rec = self._add(genotype, objectives_raw, source, evaluator_id, gen, None)
-            if index is not None:
-                index[key] = rec.sequence_number
-            return rec
-
-    def append_failure(
-        self,
-        genotype: Genotype,
-        message: str,
-        evaluator_id: str,
-        gen: int | None = None,
-    ) -> EvaluationRecord:
-        with self._lock:  # logged but never indexed/cached
-            return self._add(genotype, None, SOURCE_VALIDATION, evaluator_id, gen, message)
-
-    def _add(self, genotype, objectives_raw, source, evaluator_id, gen, error):
-        """Fill the next row, keep its record and stream its line; the
-        caller holds the lock."""
-        i, genes = self._n, genotype.genes
-        length = self._cols.dtype["genes"].shape[0]
-        if len(genes) != length:
-            if self.space is not None or i:
+            if self.path is not None and self._fh is None:
+                raise ValueError(f"append to the closed result log {self.path}")
+            i, k = self._n, len(genes)
+            length = self._cols.dtype["genes"].shape[0]
+            if self.space is None and not i:
+                length = len(genes[0])  # a spaceless log's first batch
+            if set(map(len, genes)) != {length}:
+                bad = next(g for g in genes if len(g) != length)
                 raise InvalidGenotype(
-                    f"genotype has {len(genes)} genes, the log's genotypes have {length}"
+                    f"genotype has {len(bad)} genes, the log's genotypes have {length}"
                 )
-            self._cols = _columns(0, len(genes), len(self.specs))  # a spaceless log's first
-        self._cols = _room(self._cols, i + 1)
-        failed = error is not None
-        values = (math.nan,) * len(self.specs) if failed else objectives_raw.values
-        self._cols[i] = (
-            genes,
-            values,
-            _NO_GEN if gen is None else gen,
-            self._sources.setdefault(source, len(self._sources)),
-            self._evaluators.setdefault(evaluator_id, len(self._evaluators)),
-            failed,
-        )
-        if failed:
-            self._errors[i] = error
-        rec = EvaluationRecord(
-            genotype=genotype,
-            objectives_raw=objectives_raw,
-            source=source,
-            evaluator_id=evaluator_id,
-            sequence_number=i,
-            gen=gen,
-            error=error,
-        )
-        self._recs.append(rec)
-        self._n = i + 1
-        if self._fh is not None:
-            names = [s.name for s in self.specs]
-            self._fh.write(_line(_doc(i, genes, names, values, gen, source, evaluator_id, error)))
-            self._fh.flush()
-        return rec
+            index = self._validation_index() if source == SOURCE_VALIDATION else None
+            if index is not None:
+                measured = [g for g, bad in zip(genes, failed) if not bad]
+                keys = [(g, evaluator_id) for g in measured]
+                if len(set(measured)) < len(measured) or not index.keys().isdisjoint(keys):
+                    seen = set()
+                    for g, key in zip(measured, keys):
+                        if key in index or key in seen:
+                            raise ConfigError(
+                                "duplicate validation record for genotype "
+                                f"{g} under evaluator {evaluator_id!r}"
+                            )
+                        seen.add(key)
+            if length != self._cols.dtype["genes"].shape[0]:
+                self._cols = _columns(0, length, len(self.specs))
+            self._cols = _room(self._cols, i + k)
+            nan_row = (math.nan,) * len(self.specs)
+            block = self._cols[i : i + k]
+            block["genes"] = genes
+            block["objectives"] = [
+                nan_row if bad else out.values for out, bad in zip(outputs, failed)
+            ]
+            block["gen"] = _NO_GEN if gen is None else gen
+            block["source"] = self._sources.setdefault(source, len(self._sources))
+            block["evaluator"] = self._evaluators.setdefault(
+                evaluator_id, len(self._evaluators)
+            )
+            block["failed"] = failed
+            recs = [
+                EvaluationRecord(g, None, source, evaluator_id, seq, gen, out.message)
+                if bad else EvaluationRecord(g, out, source, evaluator_id, seq, gen)
+                for seq, g, out, bad in zip(range(i, i + k), genotypes, outputs, failed)
+            ]
+            if any(failed):
+                self._errors.update((r.sequence_number, r.error) for r in recs if not r.ok)
+            self._recs.extend(recs)
+            if index is not None:
+                index.update(zip(keys, (r.sequence_number for r in recs if r.ok)))
+            self._n = i + k
+            if self._fh is not None:
+                self._fh.writelines(self._lines(i, i + k))
+                self._fh.flush()
+            return recs
 
     def _rows(self, rows: np.ndarray):
         """(sequence number, genes, objective values, gen, source, evaluator
@@ -253,29 +257,62 @@ class ResultStore:
             [self._errors.get(i) for i in seqs],
         )
 
-    def _docs(self, rows: np.ndarray):
-        """The log-line documents of the rows with these sequence numbers."""
-        names = [s.name for s in self.specs]
-        for seq, genes, values, gen, source, evaluator_id, error in self._rows(rows):
-            yield _doc(seq, genes, names, values, gen, source, evaluator_id, error)
+    def _lines(self, start: int, stop: int) -> list[str]:
+        """The log lines of the rows from `start` to `stop`; the caller holds
+        the lock. Each is the `json.dumps(doc, separators=(",", ":"))` of the
+        record's document, made by formatting: ints print as json prints
+        them, strings go through json's encoder, and an eval record's
+        objective values are finite (ObjectiveVector and `load` reject
+        others), so their repr is json's."""
+        def quoted(value: str) -> str:
+            return _ENCODER.encode(value).replace("%", "%%")
 
-    def _header_doc(self) -> dict:
-        return {
+        objectives = ",".join(quoted(s.name) + ":%r" for s in self.specs)
+        eval_format = (
+            '{"type":"eval","seq":%d,"gen":%s,"genotype":[%s],'
+            f'"objectives_raw":{{{objectives}}},"source":%s,"evaluator_id":%s}}\n'
+        )
+        failure_format = (
+            '{"type":"failure","seq":%d,"gen":%s,"genotype":[%s],'
+            '"error":%s,"evaluator_id":%s}\n'
+        )
+        sources = list(map(_ENCODER.encode, self._sources))
+        evaluators = list(map(_ENCODER.encode, self._evaluators))
+        text = self._gene_text
+        cols = self._cols[start:stop]
+        genes = [",".join(map(text.__getitem__, row)) for row in cols["genes"].tolist()]
+        gens = ["null" if gen == _NO_GEN else gen for gen in cols["gen"].tolist()]
+        return [
+            failure_format % (seq, gen, g, _ENCODER.encode(self._errors[seq]), evaluators[e])
+            if failed
+            else eval_format % (seq, gen, g, *values, sources[source], evaluators[e])
+            for seq, g, values, gen, source, e, failed in zip(
+                range(start, stop),
+                genes,
+                cols["objectives"].tolist(),
+                gens,
+                cols["source"].tolist(),
+                cols["evaluator"].tolist(),
+                cols["failed"].tolist(),
+            )
+        ]
+
+    def _header_line(self) -> str:
+        return _ENCODER.encode({
             "type": "run",
             "space": self.space.name if self.space is not None else "",
             "objectives": [
                 {"name": s.name, "direction": s.direction, "unit": s.unit}
                 for s in self.specs
             ],
-        }
+        }) + "\n"
 
     def dump(self, path: str | Path) -> None:
         """Write the full log (header plus every record) to a new file."""
         with self._lock, open(path, "w", encoding="utf-8") as fh:
-            fh.write(_line(self._header_doc()))
+            fh.write(self._header_line())
             for start in range(0, self._n, _BLOCK):
-                rows = np.arange(start, min(start + _BLOCK, self._n))
-                fh.writelines(map(_line, self._docs(rows)))
+                fh.writelines(self._lines(start, min(start + _BLOCK, self._n)))
 
     def close(self) -> None:
         if self._fh is not None:
@@ -330,9 +367,18 @@ class ResultStore:
             return self._records_of(range(self._n))
 
     def lookup(self, genotype: Genotype, evaluator_id: str) -> EvaluationRecord | None:
+        return self.cached([genotype], evaluator_id).get(genotype.genes)
+
+    def cached(
+        self, genotypes: Sequence[Genotype], evaluator_id: str
+    ) -> dict[tuple[int, ...], EvaluationRecord]:
+        """{genes: record} of the successful validations of these genotypes
+        under `evaluator_id`, looked up under one lock."""
         with self._lock:
-            seq = self._validation_index().get((genotype.genes, evaluator_id))
-            return None if seq is None else self._records_of([seq])[0]
+            index = self._validation_index()
+            seqs = {g.genes: index.get((g.genes, evaluator_id)) for g in genotypes}
+            hits = {genes: seq for genes, seq in seqs.items() if seq is not None}
+            return dict(zip(hits, self._records_of(list(hits.values()))))
 
     def validation_records(self, evaluator_id: str | None = None) -> list[EvaluationRecord]:
         """Successful validation records in sequence order."""
@@ -517,34 +563,32 @@ def evaluate_batch(
 ) -> list[EvaluationRecord]:
     """Evaluate a batch, returning records aligned with the input.
 
-    Cache hits (same canonical genotype and evaluator) perform no dispatch.
+    Cache hits (same canonical genotype and evaluator) perform no dispatch;
+    the dispatched genotypes are appended to the store as one batch.
     Failures are logged and returned with `error` set; they are not cached, so
-    a later batch may retry them.
+    a later batch may retry them. When the evaluator raises, the outputs it
+    carries as `completed` are appended before the error propagates.
     """
     if store.space is not None:
         canonical_ranks(genotypes, store.space)  # raises on the first bad one
-    results: dict[tuple[int, ...], EvaluationRecord] = {}
-    missing: list[Genotype] = []
-    queued: set[tuple[int, ...]] = set()
+    results = store.cached(genotypes, evaluator.evaluator_id)
+    queued: dict[tuple[int, ...], Genotype] = {}
     for g in genotypes:
-        if g.genes in results or g.genes in queued:
-            continue
-        cached = store.lookup(g, evaluator.evaluator_id)
-        if cached is not None:
-            results[g.genes] = cached
-        else:
-            queued.add(g.genes)
-            missing.append(g)
+        if g.genes not in results:
+            queued.setdefault(g.genes, g)
+    missing = list(queued.values())
     if missing:
-        outs = evaluator.evaluate(missing)
-        for g, out in zip(missing, outs):
-            if isinstance(out, EvaluationFailure):
-                rec = store.append_failure(g, out.message, evaluator.evaluator_id, gen)
-            else:
-                rec = store.append(
-                    g, out, SOURCE_VALIDATION, evaluator.evaluator_id, gen
-                )
-            results[g.genes] = rec
+        try:
+            outs = evaluator.evaluate(missing)
+        except SubnetSearchError as exc:
+            done = sorted(getattr(exc, "completed", {}).items())
+            store.append_batch(
+                [missing[j] for j, _ in done], [out for _, out in done],
+                evaluator.evaluator_id, gen,
+            )
+            raise
+        recs = store.append_batch(missing, outs, evaluator.evaluator_id, gen)
+        results.update(zip(queued, recs))
     return [results[g.genes] for g in genotypes]
 
 
@@ -754,6 +798,8 @@ class ExternalEvaluator:
 
     Responses may arrive out of order; they are re-associated by id. A crash
     mid-batch fails the outstanding genotypes and leaves completed ones intact.
+    A timeout, a protocol fault or a result missing an objective interrupts
+    the batch: the error carries the outputs that arrived as `completed`.
     """
 
     def __init__(
@@ -875,32 +921,38 @@ class ExternalEvaluator:
                 del ids[self._next_id]
                 outs[idx] = EvaluationFailure("evaluator process exited")
                 crashed = True
-        while ids:
-            msg = self._read(self.timeout)
-            if msg is _EOF:
-                for idx in ids.values():
-                    outs[idx] = EvaluationFailure("evaluator process exited mid-batch")
-                self.close()
-                break
-            mtype = msg.get("type")
-            if mtype not in ("result", "error"):
-                raise ProtocolError(
-                    f"unexpected message type {mtype!r}", payload=json.dumps(msg)
+        try:
+            while ids:
+                msg = self._read(self.timeout)
+                if msg is _EOF:
+                    for idx in ids.values():
+                        outs[idx] = EvaluationFailure("evaluator process exited mid-batch")
+                    self.close()
+                    break
+                mtype = msg.get("type")
+                if mtype not in ("result", "error"):
+                    raise ProtocolError(
+                        f"unexpected message type {mtype!r}", payload=json.dumps(msg)
+                    )
+                mid = msg.get("id")
+                if mid not in ids:
+                    raise ProtocolError(
+                        f"unknown response id {mid!r}", payload=json.dumps(msg)
+                    )
+                idx = ids.pop(mid)
+                if mtype == "error":
+                    outs[idx] = EvaluationFailure(str(msg.get("message", "evaluator error")))
+                    continue
+                objs = msg.get("objectives", {})
+                missing = [s.name for s in self.specs if s.name not in objs]
+                if missing:
+                    raise ObjectiveMismatch(
+                        f"response missing objectives {missing}: {json.dumps(msg)}"
+                    )
+                outs[idx] = ObjectiveVector(
+                    tuple(float(objs[s.name]) for s in self.specs), self.specs
                 )
-            mid = msg.get("id")
-            if mid not in ids:
-                raise ProtocolError(f"unknown response id {mid!r}", payload=json.dumps(msg))
-            idx = ids.pop(mid)
-            if mtype == "error":
-                outs[idx] = EvaluationFailure(str(msg.get("message", "evaluator error")))
-                continue
-            objs = msg.get("objectives", {})
-            missing = [s.name for s in self.specs if s.name not in objs]
-            if missing:
-                raise ObjectiveMismatch(
-                    f"response missing objectives {missing}: {json.dumps(msg)}"
-                )
-            outs[idx] = ObjectiveVector(
-                tuple(float(objs[s.name]) for s in self.specs), self.specs
-            )
+        except (EvaluationTimeout, ProtocolError, ObjectiveMismatch) as exc:
+            exc.completed = {idx: out for idx, out in enumerate(outs) if out is not None}
+            raise
         return outs

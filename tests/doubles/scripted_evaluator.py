@@ -13,6 +13,8 @@ chosen by argv, so protocol tests can exercise the full error taxonomy:
   malformed            emit one non-JSON line instead of the first result
   omit-last            results missing the last declared objective
   stall                accept requests but never answer them
+  stall-after=N        answer the first N requests as genes-sum does, then
+                       accept requests but never answer them
   record=PATH          append every received raw line to PATH (composable,
                        pass as the second argument)
 """
@@ -28,10 +30,13 @@ def main() -> int:
         if arg.startswith("record="):
             record_path = arg.split("=", 1)[1]
 
-    crash_after = None
+    crash_after = stall_after = None
     if mode.startswith("crash-after="):
         crash_after = int(mode.split("=", 1)[1])
         mode = "crash-after"
+    if mode.startswith("stall-after="):
+        stall_after = int(mode.split("=", 1)[1])
+        mode = "genes-sum"
 
     def record(line: str) -> None:
         if record_path:
@@ -65,7 +70,7 @@ def main() -> int:
             break
         if msg["type"] != "eval":
             continue
-        if mode == "stall":
+        if mode == "stall" or (stall_after is not None and answered >= stall_after):
             continue
         if mode == "shuffle":
             pending.append(msg)

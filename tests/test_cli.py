@@ -1,11 +1,15 @@
 """Command-line interface: artifacts, determinism, reruns, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +161,26 @@ def test_zero_run_size_is_config_error(tmp_path, toy_space_file, tactic, flag):
         "--out", str(out),
     )
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tactic, flags", [
+    ("full", ["--train", "0"]),
+    ("concurrent", ["--predictor", "none"]),
+    ("concurrent", ["--predictor-for", "top1:none"]),
+    ("concurrent", ["--validation-only", "energy"]),
+    ("full", ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-sum",
+              "--objective", "top1:maximize", "--objective", "top1:minimize"]),
+], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
+        "duplicate-objective"])
+def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
+                                                        tactic, flags):
+    out = tmp_path / "run"
+    code = run_cli(
+        "search", tactic, "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        *RUN_SIZES[tactic], *flags, "--out", str(out),
+    )
+    assert code == 2, capsys.readouterr().err
     assert not out.exists()
 
 
@@ -325,6 +349,98 @@ def test_external_evaluator_end_to_end(tmp_path, toy_space_file):
     assert (out / "evals.jsonl").exists()
 
 
+def cli_process(*argv, **popen_kw):
+    """The CLI run in a child process, with this checkout's package."""
+    src = str(Path(subnetsearch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "subnetsearch.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=pythonpath), **popen_kw,
+    )
+
+
+EXTERNAL_FULL = (
+    "search", "full", "--predictor", "none",
+    "--objective", "top1:maximize", "--objective", "latency_ms:minimize:ms",
+    "--pop", "8", "--gens", "4", "--seed", "5",
+)
+
+
+def test_interrupted_batch_keeps_the_answered_results(tmp_path, toy_space_file):
+    """A batch cut short by a timeout exits 3, and the log keeps exactly the
+    genotypes the evaluator answered."""
+    out, wire = tmp_path / "run", tmp_path / "wire.log"
+    cmd = f"{sys.executable} {DOUBLE} stall-after=3 record={wire}"
+    proc = cli_process(
+        *EXTERNAL_FULL, "--space", toy_space_file, "--evaluator", f"external:{cmd}",
+        "--timeout", "2", "--out", str(out), stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.wait(timeout=60) == 3
+    assert "no evaluator response" in proc.stderr.read()
+    proc.stderr.close()
+    requests = [json.loads(line) for line in wire.read_text().splitlines()[1:4]]
+    from subnetsearch.evalmgr import ResultStore
+
+    recs = ResultStore.load(out / "evals.jsonl").records
+    assert [r.genotype.genes for r in recs] == [tuple(r["genes"]) for r in requests]
+    assert all(r.ok and r.gen == 0 for r in recs)
+
+
+def test_killed_run_keeps_every_completed_batch(tmp_path, toy_space, toy_space_file):
+    """SIGKILL while a batch is outstanding: the log holds the batches before
+    it, replays without error, and equals the start of an uninterrupted
+    run's log."""
+    from subnetsearch.evalmgr import ResultStore
+
+    whole = tmp_path / "whole"
+    genes_sum = f"external:{sys.executable} {DOUBLE} genes-sum"
+    assert cli_process(
+        *EXTERNAL_FULL, "--space", toy_space_file, "--evaluator", genes_sum,
+        "--out", str(whole), stdout=subprocess.DEVNULL,
+    ).wait(timeout=60) == 0
+    whole_recs = ResultStore.load(whole / "evals.jsonl", space=toy_space).records
+    kept = [r.gen for r in whole_recs].index(2)  # the records of batches 0 and 1
+
+    killed = tmp_path / "killed"
+    log = killed / "evals.jsonl"
+    cmd = f"{sys.executable} {DOUBLE} stall-after={kept + 1}"
+    proc = cli_process(
+        *EXTERNAL_FULL, "--space", toy_space_file, "--evaluator", f"external:{cmd}",
+        "--out", str(killed), start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not log.exists() or log.read_bytes().count(b"\n") < kept + 1:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # gone if it exited early
+            os.killpg(proc.pid, signal.SIGKILL)  # the CLI and its evaluator child
+        proc.wait()
+    replayed = ResultStore.load(log, space=toy_space).records
+    fields = lambda r: (r.genotype.genes, r.objectives_raw, r.gen, r.sequence_number,
+                        r.evaluator_id, r.error)
+    assert list(map(fields, replayed)) == list(map(fields, whole_recs[:kept]))
+    assert (whole / "evals.jsonl").read_bytes().startswith(log.read_bytes())
+
+
+def test_warm_start_from_the_run_directory_it_replaces(tmp_path, toy_space_file):
+    """`--warm-start x/evals.jsonl --out x` reads the old log before the
+    new run's log replaces it."""
+    run = ("search", "concurrent", "--space", toy_space_file, *RUN_SIZES["concurrent"])
+    x = tmp_path / "x"
+    assert run_cli(*run, "--evaluator", "synthetic:v100-like", "--out", str(x)) == 0
+    old = tmp_path / "old.jsonl"
+    shutil.copyfile(x / "evals.jsonl", old)
+    ref = tmp_path / "ref"
+    warm = ("--evaluator", "synthetic:clx-like", "--warm-start")
+    assert run_cli(*run, *warm, str(old), "--out", str(ref)) == 0
+    assert run_cli(*run, *warm, str(x / "evals.jsonl"), "--out", str(x)) == 0
+    assert json.loads((x / "config.json").read_text())["warm_start"]
+    for name in ("evals.jsonl", "config.json"):
+        assert (x / name).read_bytes() == (ref / name).read_bytes(), name
+
+
 def test_popdb_command_threshold_rule(tmp_path, toy_space_file):
     run_dir = tmp_path / "history"
     assert run_cli(
@@ -374,8 +490,8 @@ def write_toy_history(path, toy_space, n=60):
     specs = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
     store = ResultStore(specs, space=toy_space, path=path)
     genotypes = list(dict.fromkeys(sample_uniform(toy_space, 2 * n, 3)))[:n]
-    for i, g in enumerate(genotypes):
-        store.append(g, ObjectiveVector((float(i), float(n - i)), specs), "validation", "e1")
+    outs = [ObjectiveVector((float(i), float(n - i)), specs) for i in range(len(genotypes))]
+    store.append_batch(genotypes, outs, "e1")
     store.close()
 
 

@@ -328,7 +328,7 @@ def test_hv_trace_single_record(toy_setup):
     store = ResultStore(surface.specs, space=space)
     g = sample_uniform(space, 1, 0)[0]
     vec = synthetic_evaluate(g, surface)
-    store.append(g, vec, "validation", "e1")
+    store.append_batch([g], [vec], "e1")
     ref = (vec.canonical_min[0] + 1.0, vec.canonical_min[1] + 10.0)
     trace = hypervolume_trace(store, ref)
     assert len(trace) == 1

@@ -6,10 +6,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnetsearch.errors import (
     ConfigError,
     EmptyInput,
+    EvaluationFailed,
+    InvalidGenotype,
     NonCanonicalInput,
     ObjectiveMismatch,
 )
@@ -56,7 +60,7 @@ def constant_evaluator(values=(1.0, 2.0), specs=MIN2, evaluator_id="const"):
 def test_store_appends_and_indexes(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    rec = store.append(g, ObjectiveVector((1.0, 2.0), MIN2), "validation", "e1")
+    [rec] = store.append_batch([g], [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
     assert rec.sequence_number == 0
     assert store.lookup(g, "e1") is rec
     assert store.lookup(g, "e2") is None
@@ -65,20 +69,20 @@ def test_store_appends_and_indexes(toy_space):
 def test_store_rejects_duplicate_validation(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    store.append(g, ObjectiveVector((1.0, 2.0), MIN2), "validation", "e1")
+    store.append_batch([g], [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
     with pytest.raises(ConfigError):
-        store.append(g, ObjectiveVector((1.0, 2.0), MIN2), "validation", "e1")
+        store.append_batch([g], [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
     # same genotype under a different evaluator is a separate measurement
-    store.append(g, ObjectiveVector((1.0, 3.0), MIN2), "validation", "e2")
+    store.append_batch([g], [ObjectiveVector((1.0, 3.0), MIN2)], "e2")
 
 
 def test_store_replay_round_trip(tmp_path, toy_space):
     path = tmp_path / "evals.jsonl"
     store = ResultStore(MIN2, space=toy_space, path=path)
     gs = sample_uniform(toy_space, 5, 1)
-    for i, g in enumerate(gs):
-        store.append(g, ObjectiveVector((float(i), 1.0), MIN2), "validation", "e1", gen=0)
-    store.append_failure(gs[0], "exploded", "e1", gen=1)
+    outs = [ObjectiveVector((float(i), 1.0), MIN2) for i in range(len(gs))]
+    store.append_batch(gs, outs, "e1", gen=0)
+    store.append_batch([gs[0]], [EvaluationFailure("exploded")], "e1", gen=1)
     store.close()
 
     replayed = ResultStore.load(path, space=toy_space)
@@ -102,12 +106,16 @@ def mixed_log(path, toy_space):
     store = ResultStore(MIN2, space=toy_space, path=path)
     gs = sample_uniform(toy_space, 4, 4)
     outside = Genotype((-1, 2**40) + gs[3].genes[2:])
-    store.append(gs[0], ObjectiveVector((1.5, -0.0), MIN2), "validation", "e1", gen=0)
-    store.append(gs[0], ObjectiveVector((2.5, 1e-300), MIN2), "validation", "e2")
-    store.append_failure(gs[1], "exploded", "e1", gen=1)
-    store.append(gs[1], ObjectiveVector((0.1, 0.2), MIN2), "validation", "e1", gen=1)
-    store.append(gs[2], ObjectiveVector((9.0, 9.0), MIN2), "predicted", "e1", gen=2)
-    store.append(outside, ObjectiveVector((3.0, 4.0), MIN2), "validation", "e2", gen=2)
+    store.append_batch([gs[0]], [ObjectiveVector((1.5, -0.0), MIN2)], "e1", gen=0)
+    store.append_batch([gs[0]], [ObjectiveVector((2.5, 1e-300), MIN2)], "e2")
+    store.append_batch(
+        [gs[1], gs[1]], [EvaluationFailure("exploded"), ObjectiveVector((0.1, 0.2), MIN2)],
+        "e1", gen=1,
+    )
+    store.append_batch(
+        [gs[2]], [ObjectiveVector((9.0, 9.0), MIN2)], "e1", gen=2, source="predicted"
+    )
+    store.append_batch([outside], [ObjectiveVector((3.0, 4.0), MIN2)], "e2", gen=2)
     store.close()
     return store
 
@@ -148,7 +156,7 @@ def bad_log_lines(path, toy_space):
     record is on line 5."""
     store = ResultStore(MIN2, space=toy_space, path=path)
     for i, g in enumerate(sample_uniform(toy_space, 3, 6)):
-        store.append(g, ObjectiveVector((float(i), 1.0), MIN2), "validation", "e1", gen=i)
+        store.append_batch([g], [ObjectiveVector((float(i), 1.0), MIN2)], "e1", gen=i)
     store.close()
     lines = path.read_text().splitlines(keepends=True)
     return lines[:3] + ["\n"] + lines[3:]
@@ -200,7 +208,7 @@ def test_store_load_names_the_first_of_two_faulty_lines(
     path = tmp_path / "evals.jsonl"
     store = ResultStore(MIN2, space=toy_space, path=path)
     for i, g in enumerate(sample_uniform(toy_space, 6, 6)):
-        store.append(g, ObjectiveVector((float(i), 1.0), MIN2), "validation", "e1", gen=i)
+        store.append_batch([g], [ObjectiveVector((float(i), 1.0), MIN2)], "e1", gen=i)
     store.close()
     lines = path.read_text().splitlines(keepends=True)
     for lineno, kind in ((4, early), (6, late)):
@@ -229,14 +237,100 @@ def test_spaceless_load_measures_genotypes_against_the_first_record(tmp_path, to
 
 
 def test_store_dump_equals_streamed_log(tmp_path, toy_space):
+    """Batches that mix successes and failures stream the bytes `dump`
+    writes, and each batch's lines are on disk when its append returns."""
     path = tmp_path / "a.jsonl"
     store = ResultStore(MIN2, space=toy_space, path=path)
-    for i, g in enumerate(sample_uniform(toy_space, 4, 2)):
-        store.append(g, ObjectiveVector((float(i), 0.0), MIN2), "validation", "e1")
-    store.close()
+    gs = sample_uniform(toy_space, 6, 2)
+    batches = [
+        (gs[:3], [ObjectiveVector((0.0, 0.0), MIN2), EvaluationFailure('say "boom"\n'),
+                  ObjectiveVector((2.0, -0.0), MIN2)], 0),
+        ([gs[1], *gs[3:]], [ObjectiveVector((1.0, 1e-300), MIN2), EvaluationFailure("x"),
+                            ObjectiveVector((3.5, 4.25), MIN2), EvaluationFailure("y")], None),
+    ]
     dumped = tmp_path / "b.jsonl"
-    store.dump(dumped)
+    lines = 1
+    for genotypes, outs, gen in batches:
+        store.append_batch(genotypes, outs, "e1", gen=gen)
+        lines += len(outs)
+        on_disk = path.read_bytes()
+        assert on_disk.count(b"\n") == lines
+        store.dump(dumped)
+        assert on_disk == dumped.read_bytes()
+    store.close()
     assert path.read_bytes() == dumped.read_bytes()
+    assert [r.ok for r in ResultStore.load(path, space=toy_space).records] == [
+        True, False, True, True, False, True, False]
+
+
+TEXT = st.text(st.characters(), max_size=6)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(TEXT, min_size=1, max_size=3, unique=True),
+    batches=st.lists(st.tuples(
+        st.lists(st.tuples(st.lists(st.integers(-2**63 + 1, 2**63 - 1), min_size=3,
+                                    max_size=3), st.one_of(TEXT, st.none()), FLOATS),
+                 min_size=1, max_size=4),
+        st.one_of(st.none(), st.integers(-2**63 + 1, 2**63 - 1)),
+        TEXT.filter(lambda source: source != "validation"), TEXT,
+    ), max_size=4),
+)
+def test_store_lines_are_json_dumps_of_each_record(tmp_path_factory, names, batches):
+    """The formatted log lines equal `json.dumps` of each record's document,
+    for any strings, integers in int64 range and finite floats."""
+    specs = tuple(ObjectiveSpec(name, "minimize") for name in names)
+    store = ResultStore(specs)
+    expected = [{"type": "run", "space": "", "objectives": [
+        {"name": s.name, "direction": s.direction, "unit": s.unit} for s in specs]}]
+    for rows, gen, source, evaluator_id in batches:
+        genotypes, outs = [], []
+        for genes, error, value in rows:
+            doc = {"type": "eval" if error is None else "failure", "seq": len(expected) - 1,
+                   "gen": gen, "genotype": genes}
+            if error is None:
+                values = tuple(value + k for k in range(len(specs)))
+                outs.append(ObjectiveVector(values, specs))
+                doc.update(objectives_raw=dict(zip(names, values)), source=source)
+            else:
+                outs.append(EvaluationFailure(error))
+                doc.update(error=error)
+            doc.update(evaluator_id=evaluator_id)
+            expected.append(doc)
+            genotypes.append(Genotype(tuple(genes)))
+        store.append_batch(genotypes, outs, evaluator_id, gen=gen, source=source)
+    path = tmp_path_factory.mktemp("log") / "evals.jsonl"
+    store.dump(path)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        json.dumps(doc, separators=(",", ":")) for doc in expected]
+
+
+def test_store_rejects_a_faulty_batch_whole(tmp_path, toy_space):
+    path = tmp_path / "evals.jsonl"
+    store = ResultStore(MIN2, space=toy_space, path=path)
+    gs = sample_uniform(toy_space, 3, 8)
+    ok = ObjectiveVector((1.0, 2.0), MIN2)
+    store.append_batch(gs[:1], [ok], "e1")
+    # a genotype twice in the batch, or already cached, or of another length
+    for batch, error in (
+        ([gs[1], gs[1]], ConfigError),
+        ([gs[2], gs[0]], ConfigError),
+        ([gs[2], Genotype(gs[2].genes[:-1])], InvalidGenotype),
+    ):
+        with pytest.raises(error):
+            store.append_batch(batch, [ok, ok], "e1")
+    with pytest.raises(EvaluationFailed):  # an output short
+        store.append_batch(gs[1:], [ok], "e1")
+    # a failure and a success of one genotype are not duplicates
+    store.append_batch([gs[1], gs[1]], [EvaluationFailure("x"), ok], "e1")
+    assert [r.sequence_number for r in store.records] == [0, 1, 2]
+    assert store.lookup(gs[1], "e1").sequence_number == 2
+    store.close()
+    assert len(path.read_text().splitlines()) == 4
+    with pytest.raises(ValueError, match="closed"):
+        store.append_batch(gs[2:], [ok], "e1")
 
 
 def test_store_concurrent_appends_keep_total_order(toy_space):
@@ -245,7 +339,9 @@ def test_store_concurrent_appends_keep_total_order(toy_space):
 
     def worker(chunk):
         for g in chunk:
-            store.append(g, ObjectiveVector((0.0, 0.0), MIN2), "predicted", "e1")
+            store.append_batch(
+                [g], [ObjectiveVector((0.0, 0.0), MIN2)], "e1", source="predicted"
+            )
 
     threads = [threading.Thread(target=worker, args=(gs[i::4],)) for i in range(4)]
     for t in threads:
@@ -493,10 +589,10 @@ def test_table_evaluator_lookup_and_missing(tmp_path, tiny_space):
 def test_training_set_filters_predicted_and_dedupes(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     gs = sample_uniform(toy_space, 5, 6)
-    for i, g in enumerate(gs[:3]):
-        store.append(g, ObjectiveVector((float(i), 0.0), MIN2), "validation", "e1")
-    for g in gs[3:]:
-        store.append(g, ObjectiveVector((9.0, 9.0), MIN2), "predicted", "e1")
+    store.append_batch(gs[:3], [ObjectiveVector((float(i), 0.0), MIN2) for i in range(3)], "e1")
+    store.append_batch(
+        gs[3:], [ObjectiveVector((9.0, 9.0), MIN2)] * 2, "e1", source="predicted"
+    )
     X, y = training_set(store, "f1", "one_hot")
     assert X.shape[0] == 3
     assert y.tolist() == [0.0, 1.0, 2.0]
@@ -507,8 +603,8 @@ def test_training_set_filters_predicted_and_dedupes(toy_space):
 def test_training_set_first_evaluator_wins_without_filter(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    store.append(g, ObjectiveVector((1.0, 0.0), MIN2), "validation", "cpu")
-    store.append(g, ObjectiveVector((2.0, 0.0), MIN2), "validation", "gpu")
+    store.append_batch([g], [ObjectiveVector((1.0, 0.0), MIN2)], "cpu")
+    store.append_batch([g], [ObjectiveVector((2.0, 0.0), MIN2)], "gpu")
     _, y = training_set(store, "f1", "one_hot")
     assert y.tolist() == [1.0]
     _, y_gpu = training_set(store, "f1", "one_hot", evaluator_id="gpu")
@@ -518,7 +614,7 @@ def test_training_set_first_evaluator_wins_without_filter(toy_space):
 def test_training_set_unknown_objective(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    store.append(g, ObjectiveVector((1.0, 0.0), MIN2), "validation", "e1")
+    store.append_batch([g], [ObjectiveVector((1.0, 0.0), MIN2)], "e1")
     with pytest.raises(ObjectiveMismatch):
         training_set(store, "nope", "one_hot")
     with pytest.raises(EmptyInput):
