@@ -100,6 +100,11 @@ class ProtocolError(SubnetSearchError):
         self.payload = payload
 
 
+class MissingObjective(ProtocolError, ObjectiveMismatch):
+    """An evaluator's result lacks a declared objective: a fault on the
+    wire, unlike the ObjectiveMismatch that engine code raises."""
+
+
 # --- popdb ---------------------------------------------------------------
 
 class EmptyClusterSet(SubnetSearchError):

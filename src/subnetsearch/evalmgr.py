@@ -29,6 +29,7 @@ from .errors import (
     EvaluationFailed,
     EvaluationTimeout,
     InvalidGenotype,
+    MissingObjective,
     ObjectiveMismatch,
     ProtocolError,
     SubnetSearchError,
@@ -137,6 +138,8 @@ class ResultStore:
         check_unique_names(specs)
         self.specs = tuple(specs)
         self.space = space
+        # the header's space name; a spaceless load keeps the one it read
+        self.space_name = space.name if space is not None else ""
         self._n = 0
         self._cols = _columns(0, space.genome_length if space is not None else 0, len(self.specs))
         self._errors: dict[int, str] = {}
@@ -300,7 +303,7 @@ class ResultStore:
     def _header_line(self) -> str:
         return _ENCODER.encode({
             "type": "run",
-            "space": self.space.name if self.space is not None else "",
+            "space": self.space_name,
             "objectives": [
                 {"name": s.name, "direction": s.direction, "unit": s.unit}
                 for s in self.specs
@@ -474,6 +477,8 @@ class ResultStore:
                                 for o in doc["objectives"]
                             )
                             store = cls(specs, space=space)
+                            if space is None:
+                                store.space_name = doc.get("space", "")
                             names = [s.name for s in specs]
                             nan_row = [math.nan] * len(names)
                             length = space.genome_length if space is not None else None
@@ -946,8 +951,8 @@ class ExternalEvaluator:
                 objs = msg.get("objectives", {})
                 missing = [s.name for s in self.specs if s.name not in objs]
                 if missing:
-                    raise ObjectiveMismatch(
-                        f"response missing objectives {missing}: {json.dumps(msg)}"
+                    raise MissingObjective(
+                        f"response missing objectives {missing}", payload=json.dumps(msg)
                     )
                 outs[idx] = ObjectiveVector(
                     tuple(float(objs[s.name]) for s in self.specs), self.specs

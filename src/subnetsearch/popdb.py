@@ -14,23 +14,27 @@ O(n) plus one row-chunk buffer of 2**19 entries for the core distances and,
 for Prim, one shrinking transposed copy of the open points and up to 64 rows
 of distances to them. Prim stops updating a point once its best edge equals
 its own core distance, since no mutual-reachability distance to it can be
-smaller, and keeps such settled points in a heap.
+smaller, and merges such settled points into a list sorted in descending
+(best, index) order, whose tail is the next settled point to join the tree.
 
 Both O(n^2) kernels work on squared distances: mutual reachability is
 compared as max(d^2, core_i^2, core_j^2), and only an emitted edge weight
 takes a square root. A correctly rounded square root is monotone, so that
 weight equals max(d, core_i, core_j) of a square-root-domain kernel bit for
 bit. The distances come from row-chunk and point-subset matrix products, in a
-dtype chosen once per call. Where every squared distance, norm and gram
-partial sum is an exact float32 (a small dyadic grid: ordinal features of
-parameters with two or three values, as in every preset but transformer-like)
-the kernels run in float32. There neither chunking nor the BLAS summation
-order can change the result, which equals a dense float64 evaluation bit for
-bit, and the buffer (2 MB) and the Prim copy take half the memory.
-Otherwise (transformer-like, whose six-value depths fall on steps of 1/5, or
-objectives included) they run in float64, and a product may differ in the
-last bit from a dense evaluation: a weight may move by one ulp and an exact
-tie may break the other way. Ties between squared values are not always ties
+dtype chosen once per call; the core-distance product is fused, giving
+sq_i + sq_j - 2 x_i . x_j itself, and its k-th smallest entry is selected by
+integer bit order. Where every squared distance, norm and gram partial sum
+is an exact float32 (a small dyadic grid: ordinal features of parameters
+with two or three values, as in every preset but transformer-like) the
+kernels run in float32. There neither chunking nor the BLAS summation order
+can change the result, which equals a dense float64 evaluation bit for bit
+and is never negative, and the buffer (2 MB) and the Prim copy take half the
+memory. Otherwise (transformer-like, whose six-value depths fall on steps of
+1/5, or objectives included) they run in float64, where a product can round
+below zero and is clamped at zero, and it may differ in the last bit from a
+dense evaluation: a weight may move by one ulp and an exact tie may break
+the other way. Ties between squared values are not always ties
 between their square roots, so there an exact tie may also resolve
 differently from a square-root-domain kernel, with the same multiset of
 weights up to that last bit.
@@ -38,7 +42,6 @@ weights up to that last bit.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import defaultdict, deque
@@ -93,31 +96,43 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
     """Squared distance to the min_samples-th nearest neighbor, self
     included, in the dtype of X.
 
-    Each row chunk [x_i, 1] is multiplied by the augmented operand
-    [-2 X^T; sq], which gives sq_j - 2 x_i . x_j in one product, into one
-    preallocated buffer of 2**19 entries; multiplying an operand by -2 is
-    exact. Adding the row's constant sq_i does not change which entry the
-    partition selects, so it is added to the selected entry only, as is the
-    clamp at zero, which is monotone. On exact float32 grids this equals
-    the k-th smallest of sq_i + sq_j - 2 x_i . x_j bit for bit; in float64
-    the changed order of the sums may move the last bit.
+    Each row chunk [x_i, 1, sq_i] is multiplied by the augmented operand
+    [-2 X^T; sq; 1], which gives d^2_ij = sq_i + sq_j - 2 x_i . x_j in one
+    product, into one preallocated buffer of 2**19 entries; multiplying an
+    operand by -2 is exact. The k-th smallest entry of each row is then
+    selected by partitioning the same buffer viewed as signed integers of
+    the same width: for IEEE floats that are non-negative and not -0.0, the
+    order of the bit patterns is the order of the values.
+
+    On exact float32 grids every partial sum of the product, in any order,
+    is an integer times 2^(-2s) of magnitude at most d m^2 + d m^2 + 2 d m^2
+    (sq_i, sq_j and the gram terms), which the bound 4 * d * m^2 < 2^24 of
+    `_kernel_dtype` keeps exact; so each entry is d^2_ij bit for bit and
+    never negative. Nor is it -0.0: the terms sq_i and sq_j are +0.0 or
+    positive, and an exact cancellation rounds to +0.0. A float64 product
+    may round below zero, so there the buffer is clamped at zero before the
+    selection, and the changed order of the sums may move the last bit.
     """
     n = X.shape[0]
     k = min(min_samples, n)
     sq = np.einsum("ij,ij->i", X, X)
-    rows = np.hstack([X, np.ones((n, 1), dtype=X.dtype)])
-    operand = np.vstack([-2.0 * X.T, sq])
+    ones = np.ones(n, dtype=X.dtype)
+    rows = np.column_stack([X, ones, sq])
+    operand = np.vstack([-2.0 * X.T, sq, ones])
+    exact = X.dtype == np.float32
     core = np.empty(n, dtype=X.dtype)
     chunk = max(1, min(n, 2**19 // max(n, 1)))
     buf = np.empty((chunk, n), dtype=X.dtype)
+    bits = buf.view(np.int32 if exact else np.int64)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         part = buf[: stop - start]
         np.matmul(rows[start:stop], operand, out=part)
-        part.partition(k - 1, axis=1)
+        if not exact:
+            np.maximum(part, 0.0, out=part)
+        bits[: stop - start].partition(k - 1, axis=1)
         core[start:stop] = part[:, k - 1]
-    core += sq
-    return np.maximum(core, 0.0, out=core)
+    return core
 
 
 def _mst_prim(X: np.ndarray, core: np.ndarray):
@@ -137,17 +152,22 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     core distance is settled: it can never improve again. The open points
     are kept transposed, with their squared norms and ones as extra rows,
     so one product with the current point's row [-2 x_c, 1, sq_c] gives
-    sq_a - 2 x_a . x_c + sq_c for all of them. Every 64 steps they are
-    compacted in order: tree members leave, and settled points move to a
-    heap ordered by (best, index). Each step then takes the lower of the
-    heap's top and the open points' argmin; tree members among the open
-    points carry best = core = inf until the compaction.
+    sq_a - 2 x_a . x_c + sq_c for all of them. Of the points where
+    max(d^2, core_a) < best_a, those whose `best` also lies above the
+    current point's core distance c improve, to max(d^2, core_a, c): the
+    full-length test max(d^2, core_a, c) < best_a, with one pass fewer.
+    Every 64 steps the open points are compacted in order: tree members
+    leave, and settled points are merged into a list sorted in descending
+    (best, index) order, whose tail is the next settled point. Each step
+    then takes the lower of that tail and the open points' argmin; tree
+    members among the open points carry best = core = inf until the
+    compaction.
 
-    The heap only shrinks between compactions, so the heap points that can
-    become current before the next one are its next entries in order. When
-    a popped point becomes current, one product gives its row and those of
-    the next heap entries up to the compaction, and later steps take their
-    rows from it.
+    The settled list only shrinks from its tail between compactions, so the
+    settled points that can become current before the next one are its
+    last entries. When a settled point becomes current, one product gives
+    its row and those of the list's tail up to the compaction, and later
+    steps take their rows from it.
     """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
@@ -159,36 +179,42 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     opened = np.vstack([X[act].T, sq[act], ones[act]])
     corea = core[act]
     besta = np.full(len(act), np.inf, dtype=X.dtype)
-    settled: list[tuple[float, int]] = []
-    ahead: dict[int, np.ndarray] = {}  # heap points' rows until the compaction
+    settled: list[tuple[float, int]] = []  # descending (best, index)
+    ahead: dict[int, np.ndarray] = {}  # settled points' rows until the compaction
     current, popped = 0, False
     edges = []
     for step in range(n - 1):
         if popped and current not in ahead:
-            batch = [current] + [i for _w, i in heapq.nsmallest(63 - step % 64, settled)]
+            tail = settled[max(0, len(settled) - 63 + step % 64) :]
+            batch = [current] + [i for _w, i in tail]
             ahead = dict(zip(batch, steps[batch] @ opened))
         mr = ahead.pop(current) if popped else steps[current] @ opened
         np.maximum(mr, corea, out=mr)
-        np.maximum(mr, cores[current], out=mr)
         improved = (mr < besta).nonzero()[0]
         if improved.size:
-            besta[improved] = mr[improved]
+            cc = cores[current]
+            improved = improved[besta[improved] > cc]
+            besta[improved] = np.maximum(mr[improved], cc)
             parent[act[improved]] = current
         pos = int(besta.argmin()) if besta.size else -1
         popped = pos < 0 or (
-            len(settled) > 0 and settled[0] < (float(besta[pos]), int(act[pos]))
+            len(settled) > 0 and settled[-1] < (float(besta[pos]), int(act[pos]))
         )
         if popped:
-            weight, nxt = heapq.heappop(settled)
+            weight, nxt = settled.pop()
         else:
             weight, nxt = float(besta[pos]), int(act[pos])
             besta[pos] = corea[pos] = np.inf
         edges.append((math.sqrt(weight), int(parent[nxt]), nxt))
-        if step % 64 == 63:  # tree members leave, settled points go to the heap
+        if step % 64 == 63:  # tree members leave, settled points join the list
             done = besta == corea
-            for w, i in zip(besta[done].tolist(), act[done].tolist()):
-                if w != math.inf:
-                    heapq.heappush(settled, (w, i))
+            fresh = [
+                (w, i)
+                for w, i in zip(besta[done].tolist(), act[done].tolist())
+                if w != math.inf
+            ]
+            if fresh:
+                settled = sorted(settled + fresh, reverse=True)
             alive = ~done
             act, corea, besta = act[alive], corea[alive], besta[alive]
             opened = opened[:, alive]

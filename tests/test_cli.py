@@ -366,6 +366,29 @@ EXTERNAL_FULL = (
 )
 
 
+def test_evaluator_result_missing_an_objective_exit_code(tmp_path, toy_space_file, capsys):
+    cmd = f"{sys.executable} {DOUBLE} omit-last"
+    code = run_cli(
+        *EXTERNAL_FULL, "--space", toy_space_file, "--evaluator", f"external:{cmd}",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluator error:") and "latency_ms" in err
+
+
+def test_engine_objective_mismatch_is_an_internal_error(monkeypatch, capsys):
+    from subnetsearch import cli
+    from subnetsearch.errors import ObjectiveMismatch
+
+    def mismatch(args):
+        raise ObjectiveMismatch("records mix different objective spec lists")
+
+    monkeypatch.setattr(cli, "_cmd_space_info", mismatch)
+    assert run_cli("space", "info", "--space", "mobilenetv3-like") == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_interrupted_batch_keeps_the_answered_results(tmp_path, toy_space_file):
     """A batch cut short by a timeout exits 3, and the log keeps exactly the
     genotypes the evaluator answered."""

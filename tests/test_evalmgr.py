@@ -151,6 +151,18 @@ def test_store_load_keeps_every_column_and_dumps_the_same_bytes(tmp_path, toy_sp
             0.1, 0.2)
 
 
+def test_spaceless_load_keeps_the_space_name_and_dumps_the_same_bytes(tmp_path, toy_space):
+    """A load without a space, as `analyze` makes, keeps the header's space
+    name, so its dump is the streamed log byte for byte."""
+    path = tmp_path / "evals.jsonl"
+    mixed_log(path, toy_space)
+    replayed = ResultStore.load(path)
+    assert replayed.space is None and replayed.space_name == toy_space.name
+    copy = tmp_path / "copy.jsonl"
+    replayed.dump(copy)
+    assert copy.read_bytes() == path.read_bytes()
+
+
 def bad_log_lines(path, toy_space):
     """Header, two records, a blank line and a third record: the third
     record is on line 5."""

@@ -3,6 +3,9 @@ Prim minimum spanning tree of the mutual-reachability graph. The kernels work
 on squared distances, in float32 on exact dyadic grids; the references work
 on distances, in float64."""
 
+import builtins
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +146,104 @@ def test_core_distances_exact_across_row_chunks():
         )
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    data=st.data(),
+)
+def test_kth_by_integer_bit_order_equals_float_partition(dtype, data):
+    # non-negative rows with zeros, subnormals, repeats and ties: the k-th
+    # entry selected through a same-width integer view is np.partition's
+    width = 32 if dtype == np.float32 else 64
+    pool = data.draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from([1.0, 0.25, 2.0**-140 if width == 32 else 5e-324]),
+                st.floats(min_value=0.0, max_value=2.0**100, width=width),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+    picks = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols, max_size=rows * cols)
+    )
+    a = np.array([pool[i] for i in picks], dtype=dtype).reshape(rows, cols) + dtype(0.0)
+    k = data.draw(st.integers(1, cols))
+    expected = np.partition(a, k - 1, axis=1)[:, k - 1]
+    b = a.copy()
+    b.view(np.int32 if width == 32 else np.int64).partition(k - 1, axis=1)
+    assert np.array_equal(b[:, k - 1], expected)
+    assert not np.signbit(b[:, k - 1]).any()
+
+
+def duplicate_rows(seed: int, n: int, dim: int, dtype) -> np.ndarray:
+    """Continuous rows, each repeated, plus zero rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n // 3, dim))
+    X = np.vstack([X, X, np.zeros((n - 2 * len(X), dim))])
+    return X[rng.permutation(n)].astype(dtype)
+
+
+def test_no_core_distance_or_weight_is_negative_zero_on_duplicate_rows():
+    for dtype, X in (
+        (np.float32, tied_grid(4, 300, 3).astype(np.float32)),
+        (np.float32, np.zeros((70, 2), dtype=np.float32)),
+        (np.float64, duplicate_rows(5, 300, 4, np.float64)),
+        (np.float64, duplicate_rows(6, 130, 45, np.float64)),
+    ):
+        for min_samples in (1, 2, 5):
+            core_sq = _core_distances(X, min_samples)
+            assert core_sq.dtype == dtype
+            assert not np.signbit(core_sq).any()
+            if min_samples == 2:
+                assert (core_sq == 0).sum() >= len(X) // 2  # the duplicates
+            weights = [w for w, _p, _c in _mst_prim(X, core_sq)]
+            assert not any(math.copysign(1.0, w) < 0 for w in weights)
+
+
+def test_float64_products_that_round_below_zero_are_clamped():
+    # near-duplicate continuous points: sq_i + sq_j - 2 x_i . x_j cancels
+    # to a value whose rounding error exceeds it, often below zero
+    rng = np.random.default_rng(8)
+    base = rng.uniform(-1.0, 1.0, size=(100, 6))
+    X = np.vstack([base, base + rng.normal(0.0, 1e-9, size=base.shape)])
+    X = X[rng.permutation(len(X))]
+    assert _kernel_dtype(X) == np.float64
+    sq = np.einsum("ij,ij->i", X, X)
+    fused = np.column_stack([X, np.ones(len(X)), sq]) @ np.vstack(
+        [-2.0 * X.T, sq, np.ones(len(X))]
+    )
+    assert (fused < 0).any()  # the fixture reaches the clamp
+    for min_samples in (2, 3):
+        core_sq = _core_distances(X, min_samples)
+        assert (core_sq >= 0).all() and not np.signbit(core_sq).any()
+        np.testing.assert_allclose(
+            core_sq, kth_sorted_sq(X, min_samples), rtol=0, atol=1e-12
+        )
+
+
+def test_float32_grid_at_the_dtype_bound_equals_float64_references():
+    # d = 4, a half step and max|2X| = 1023: 4 * d * 1023^2 is the largest
+    # bound below 2^24, and the corners (+-511.5, ...) reach it in the
+    # fused product's partial sums
+    rng = np.random.default_rng(9)
+    X = rng.integers(-1023, 1024, size=(300, 4)) / 2.0
+    X[:40] = rng.choice([-511.5, 511.5], size=(40, 4))
+    X[40:60] = X[:20]
+    X = X[rng.permutation(len(X))]
+    assert _kernel_dtype(X) == np.float32
+    X32 = X.astype(np.float32)
+    for min_samples in (1, 2, 10):
+        core_sq = _core_distances(X32, min_samples)
+        assert np.array_equal(core_sq.astype(float), kth_sorted_sq(X, min_samples))
+        core = reference_core_distances(X, min_samples)
+        assert np.array_equal(np.sqrt(core_sq.astype(float)), core)
+        assert _mst_prim(X32, core_sq) == reference_mst_prim(X, core)
+
+
 # ---------------------------------------------------------------------------
 # _mst_prim
 # ---------------------------------------------------------------------------
@@ -191,7 +292,7 @@ def assert_prim_matches_reference(X: np.ndarray, min_samples: int):
 
 def test_mst_prim_on_identical_points():
     # every point settles at the first step, so after the first compaction
-    # every pick comes from the heap and the open points run out
+    # every pick comes from the settled list and the open points run out
     for n in (2, 64, 65, 200):
         assert_prim_matches_reference(np.ones((n, 3), dtype=np.float32), 5)
 
@@ -202,16 +303,37 @@ def test_mst_prim_on_two_points_and_min_samples_of_at_least_n():
             assert_prim_matches_reference(X.astype(np.float32), min_samples)
 
 
-def test_mst_prim_ties_between_heap_and_open_points_go_to_the_lower_index():
+def test_mst_prim_ties_between_settled_and_open_points_go_to_the_lower_index():
     # On a shuffled 20 x 20 unit lattice with min_samples 2 every core
     # distance is 1, so a point settles once a lattice neighbour joins the
-    # tree. Points settled before a compaction wait in the heap, later ones
-    # among the open points, all at best 1: the heap's top and the open
-    # points' argmin tie, with the lower index on either side.
+    # tree. Points settled before a compaction wait in the settled list,
+    # later ones among the open points, all at best 1: the list's tail and
+    # the open points' argmin tie, with the lower index on either side.
     lattice = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)), -1).reshape(-1, 2)
     for seed in range(3):
         X = lattice[np.random.default_rng(seed).permutation(len(lattice))]
         assert_prim_matches_reference(X.astype(np.float32), 2)
+
+
+def test_mst_prim_matches_reference_across_merges_into_a_non_empty_settled_list(
+    monkeypatch,
+):
+    # On a shuffled 50 x 50 unit lattice with min_samples 2 the tree's whole
+    # frontier is settled at best 1, so most compactions merge newly settled
+    # points into a list that still holds earlier ones. A spy on the merge
+    # counts the entries each merge carries over from the previous one.
+    carried, merged = [], [[]]
+
+    def spy(items, **kw):
+        carried.append(len(set(items) & set(merged[-1])))
+        merged.append(builtins.sorted(items, **kw))
+        return merged[-1]
+
+    monkeypatch.setattr(popdb, "sorted", spy, raising=False)
+    lattice = np.stack(np.meshgrid(np.arange(50.0), np.arange(50.0)), -1).reshape(-1, 2)
+    X = lattice[np.random.default_rng(4).permutation(len(lattice))]
+    assert_prim_matches_reference(X.astype(np.float32), 2)
+    assert sum(c > 0 for c in carried) >= 10
 
 
 # ---------------------------------------------------------------------------
