@@ -46,7 +46,6 @@ from .objectives import (
 )
 from .popdb import (
     ClusterLabeling,
-    ConstraintSet,
     build_constraints,
     constrain_space,
     elastic_frequencies,

@@ -32,7 +32,6 @@ from .driver import (
 )
 from .errors import (
     ConfigError,
-    ConstraintMismatch,
     EmptyClusterSet,
     EvaluationFailed,
     EvaluationTimeout,
@@ -62,8 +61,6 @@ from .popdb import (
     elastic_frequencies,
     hdbscan,
     history_features,
-    load_constraints,
-    save_constraints,
 )
 from .predict import run_prediction_trials
 from .space import (
@@ -75,6 +72,7 @@ from .space import (
     rank_matrix,
     resolve_space,
     sample_unique,
+    save_space,
     space_from_dict,
     space_to_dict,
 )
@@ -308,19 +306,24 @@ def _cmd_popdb(args) -> int:
             f"--min-cluster-size {args.min_cluster_size} "
             f"--min-samples {args.min_samples}; no frequencies to compute"
         ) from exc
-    constraints = build_constraints(
-        freqs, args.threshold, space, source_run_id=str(history_path)
-    )
+    allowed = build_constraints(freqs, args.threshold, space)
+    reduced = constrain_space(space, allowed)
     out = Path(args.out) if args.out else history_path.parent / "constraints.json"
-    save_constraints(constraints, space, out)
-    reduced = constrain_space(space, constraints)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_space(
+        reduced,
+        out,
+        allowed=[list(vals) for vals in allowed],
+        history=str(history_path),
+        threshold=args.threshold,
+    )
     print(f"points clustered: {len(idx)}")
     print(f"clusters found:   {labeling.n_clusters}")
     noise = sum(1 for l in labeling.labels if l < 0)
     print(f"noise points:     {noise} ({noise / len(idx):.1%})")
     print(f"|original space|: {cardinality(space):.4e}")
     print(f"|reduced space|:  {cardinality(reduced):.4e}")
-    print(f"constraints:      {out}")
+    print(f"space document:   {out}")
     return EXIT_OK
 
 
@@ -393,6 +396,7 @@ def _cmd_predict_bench(args) -> int:
         print(f"{size:10d}  {mape_mean:9.4f}  {mape_std:8.4f}  {tau_mean:8.4f}")
         out_rows.append([size, mape_mean, mape_std, tau_mean])
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["train_size", "mape_mean", "mape_std", "tau_mean"])
@@ -518,12 +522,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_space_info(args) -> int:
     space = resolve_space(args.space)
-    if args.constraints:
-        constraints = load_constraints(args.constraints)
-        try:
-            space = constrain_space(space, constraints)
-        except ConstraintMismatch as exc:
-            raise ConfigError(f"{args.constraints}: {exc}") from exc
     size = cardinality(space)
     print(f"space:         {space.name}")
     print(f"genome length: {space.genome_length}")
@@ -598,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         concurrent=True,
     )
 
-    p_popdb = sub.add_parser("popdb", help="build constraints from search history")
+    p_popdb = sub.add_parser("popdb", help="reduce a space from search history")
     p_popdb.add_argument("--history", required=True, help="evals.jsonl of a prior run")
     p_popdb.add_argument("--space", required=True)
     p_popdb.add_argument("--threshold", type=float, default=0.01)
@@ -608,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_popdb.add_argument("--include-objectives", action="store_true",
                          help="cluster in joint genotype+objective space")
     p_popdb.add_argument("--seed", type=int, default=0)
-    p_popdb.add_argument("--out", help="constraints output path")
+    p_popdb.add_argument("--out", help="reduced space document path")
     p_popdb.set_defaults(func=_cmd_popdb)
 
     predict_p = sub.add_parser("predict", help="predictor tools")
@@ -644,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     space_sub = space_p.add_subparsers(dest="space_cmd", required=True)
     p_info = space_sub.add_parser("info", help="cardinality and genome layout")
     p_info.add_argument("--space", required=True)
-    p_info.add_argument("--constraints", help="apply a constraints file first")
     p_info.set_defaults(func=_cmd_space_info)
 
     return parser

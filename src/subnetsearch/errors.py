@@ -109,7 +109,3 @@ class MissingObjective(ProtocolError, ObjectiveMismatch):
 
 class EmptyClusterSet(SubnetSearchError):
     """No non-noise points to compute frequencies from."""
-
-
-class ConstraintMismatch(SubnetSearchError):
-    """ConstraintSet does not match the search space it is applied to."""

@@ -16,6 +16,7 @@ import math
 import queue
 import shlex
 import subprocess
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -803,8 +804,10 @@ class ExternalEvaluator:
 
     Responses may arrive out of order; they are re-associated by id. A crash
     mid-batch fails the outstanding genotypes and leaves completed ones intact.
-    A timeout, a protocol fault or a result missing an objective interrupts
-    the batch: the error carries the outputs that arrived as `completed`.
+    A timeout, a protocol fault, a result missing an objective or one whose
+    objective value is not a finite JSON number (a bool is not one)
+    interrupts the batch: the error carries the outputs that arrived as
+    `completed`.
     """
 
     def __init__(
@@ -903,9 +906,12 @@ class ExternalEvaluator:
         if line is _EOF:
             return _EOF
         try:
-            return json.loads(line)
+            msg = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"malformed response: {exc}", payload=line)
+        if not isinstance(msg, dict):
+            raise ProtocolError("malformed response: not a JSON object", payload=line)
+        return msg
 
     # -- evaluation ------------------------------------------------------------
 
@@ -949,14 +955,24 @@ class ExternalEvaluator:
                     outs[idx] = EvaluationFailure(str(msg.get("message", "evaluator error")))
                     continue
                 objs = msg.get("objectives", {})
+                if not isinstance(objs, dict):
+                    raise ProtocolError(
+                        "result objectives are not a JSON object", payload=json.dumps(msg)
+                    )
                 missing = [s.name for s in self.specs if s.name not in objs]
                 if missing:
                     raise MissingObjective(
                         f"response missing objectives {missing}", payload=json.dumps(msg)
                     )
-                outs[idx] = ObjectiveVector(
-                    tuple(float(objs[s.name]) for s in self.specs), self.specs
-                )
+                values = [objs[s.name] for s in self.specs]
+                if not all(
+                    type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values
+                ):
+                    raise ProtocolError(
+                        f"objective values {values} are not all finite numbers",
+                        payload=json.dumps(msg),
+                    )
+                outs[idx] = ObjectiveVector(tuple(map(float, values)), self.specs)
         except (EvaluationTimeout, ProtocolError, ObjectiveMismatch) as exc:
             exc.completed = {idx: out for idx, out in enumerate(outs) if out is not None}
             raise

@@ -42,17 +42,14 @@ weights up to that last bit.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintMismatch, EmptyClusterSet
+from .errors import ConfigError, EmptyClusterSet
 from .space import ElasticParamSpec, SearchSpace, encode_matrix, inactive_genes
-from .util import read_json
 
 # ---------------------------------------------------------------------------
 # HDBSCAN
@@ -62,7 +59,6 @@ from .util import read_json
 @dataclass(frozen=True)
 class ClusterLabeling:
     labels: tuple[int, ...]  # -1 = noise, >= 0 = cluster id
-    probabilities: tuple[float, ...]
 
     @property
     def n_clusters(self) -> int:
@@ -328,7 +324,7 @@ def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
         raise ConfigError("min_samples must be >= 1")
     n = X.shape[0]
     if n < min_cluster_size:
-        return ClusterLabeling(labels=(-1,) * n, probabilities=(0.0,) * n)
+        return ClusterLabeling(labels=(-1,) * n)
 
     X = X.astype(_kernel_dtype(X), copy=False)
     core = _core_distances(X, min_samples)
@@ -372,10 +368,7 @@ def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
 
     # assign points to the nearest selected ancestor of their fall-out cluster
     cluster_parent = {child: parent for parent, child, _l, _s in entries if child >= n}
-    fall_out: dict[int, tuple[int, float]] = {}
-    for parent, child, lam, _size in entries:
-        if child < n:
-            fall_out[child] = (parent, lam)
+    fall_out = {child: parent for parent, child, _l, _s in entries if child < n}
     nearest_selected: dict[int, int | None] = {}
 
     def resolve(cid: int):
@@ -393,28 +386,15 @@ def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
         return nearest_selected.setdefault(cid, anchor)
 
     labels = [-1] * n
-    lambdas = [0.0] * n
-    owners: dict[int, list[int]] = defaultdict(list)
-    for p, (cid, lam) in fall_out.items():
+    for p, cid in fall_out.items():
         anchor = resolve(cid)
         if anchor is not None:
             labels[p] = label_of_cid[anchor]
-            lambdas[p] = lam
-            owners[anchor].append(p)
-
-    probabilities = [0.0] * n
-    for anchor, members in owners.items():
-        lam_max = max(lambdas[p] for p in members)
-        for p in members:
-            if math.isfinite(lam_max) and lam_max > 0:
-                probabilities[p] = min(lambdas[p], lam_max) / lam_max
-            else:
-                probabilities[p] = 1.0
-    return ClusterLabeling(labels=tuple(labels), probabilities=tuple(probabilities))
+    return ClusterLabeling(labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
-# Frequencies and constraints
+# Frequencies and the reduced space
 # ---------------------------------------------------------------------------
 
 
@@ -423,7 +403,6 @@ class FrequencyTable:
     """Per genome position: relative frequency of each allowed value among
     active genes of non-noise points, plus the observation count."""
 
-    space_name: str
     frequencies: tuple[tuple[float, ...], ...]
     observations: tuple[int, ...]
 
@@ -446,80 +425,50 @@ def elastic_frequencies(
         total = int(counts.sum())
         observations.append(total)
         freqs.append(tuple((counts / max(total, 1)).tolist()))
-    return FrequencyTable(
-        space_name=space.name,
-        frequencies=tuple(freqs),
-        observations=tuple(observations),
-    )
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Per-position allowed-value subsets plus provenance."""
-
-    allowed: tuple[tuple[int, ...], ...]
-    source_run_id: str = ""
-    threshold: float = 0.0
+    return FrequencyTable(frequencies=tuple(freqs), observations=tuple(observations))
 
 
 def build_constraints(
-    freqs: FrequencyTable,
-    threshold: float,
-    space: SearchSpace,
-    source_run_id: str = "",
-) -> ConstraintSet:
-    """Exclude values with frequency below `threshold`; a position that would
-    end up empty keeps its single highest-frequency value instead. Positions
-    with no active observations are left unconstrained."""
+    freqs: FrequencyTable, threshold: float, space: SearchSpace
+) -> tuple[tuple[int, ...], ...]:
+    """The allowed values per genome position: those with frequency at least
+    `threshold`, in the space's order; a position that would end up empty
+    keeps its single highest-frequency value instead. Positions with no
+    active observations are left unconstrained."""
     if not (0.0 <= threshold <= 1.0):
         raise ConfigError("threshold must be in [0, 1]")
     if len(freqs.frequencies) != space.genome_length:
-        raise ConstraintMismatch(
-            "frequency table does not match space genome length"
-        )
+        raise ConfigError("frequency table does not match space genome length")
     allowed = []
-    for pos in range(space.genome_length):
-        vals = space.allowed[pos]
-        f = freqs.frequencies[pos]
-        if freqs.observations[pos] == 0:
-            allowed.append(vals)
-            continue
-        keep = tuple(v for v, fr in zip(vals, f) if fr >= threshold)
-        if not keep:
-            keep = (vals[int(np.argmax(f))],)
-        allowed.append(keep)
-    return ConstraintSet(
-        allowed=tuple(allowed),
-        source_run_id=source_run_id,
-        threshold=threshold,
-    )
+    for vals, f, seen in zip(space.allowed, freqs.frequencies, freqs.observations):
+        keep = tuple(v for v, fr in zip(vals, f) if fr >= threshold) if seen else vals
+        allowed.append(keep or (vals[int(np.argmax(f))],))
+    return tuple(allowed)
 
 
-def constrain_space(s: SearchSpace, c: ConstraintSet) -> SearchSpace:
-    """Rebuild the space with constrained allowed sets; genome positions and
-    block rules are preserved, so downstream code is unaffected.
+def constrain_space(s: SearchSpace, allowed) -> SearchSpace:
+    """Rebuild the space with the given allowed values per genome position,
+    each a subset of the space's; genome positions and block rules are
+    preserved, so downstream code is unaffected.
 
     A parameter whose positions end up with different allowed sets is split
     into one parameter per run of equal sets.
     """
-    if len(c.allowed) != s.genome_length:
-        raise ConstraintMismatch(
-            f"constraints cover {len(c.allowed)} positions, "
-            f"space has {s.genome_length}"
+    if len(allowed) != s.genome_length:
+        raise ConfigError(
+            f"constraints cover {len(allowed)} positions, space has {s.genome_length}"
         )
-    for pos, keep in enumerate(c.allowed):
-        if not keep:
-            raise ConstraintMismatch(f"empty allowed set at position {pos}")
-        if not set(keep) <= set(s.allowed[pos]):
-            raise ConstraintMismatch(
-                f"position {pos}: {keep} is not a subset of {s.allowed[pos]}"
+    for pos, keep in enumerate(allowed):
+        if not keep or not set(keep) <= set(s.allowed[pos]):
+            raise ConfigError(
+                f"position {pos}: {keep} is not a non-empty subset of {s.allowed[pos]}"
             )
     new_params: list[ElasticParamSpec] = []
     pos = 0
     for p in s.params:
         runs: list[tuple[int, tuple[int, ...]]] = []  # (count, allowed)
         for k in range(p.position_count):
-            vals = tuple(sorted(c.allowed[pos + k]))
+            vals = tuple(sorted(allowed[pos + k]))
             if runs and runs[-1][1] == vals:
                 runs[-1] = (runs[-1][0] + 1, vals)
             else:
@@ -544,49 +493,6 @@ def constrain_space(s: SearchSpace, c: ConstraintSet) -> SearchSpace:
 
 
 # ---------------------------------------------------------------------------
-# Constraint document I/O
-# ---------------------------------------------------------------------------
-
-
-def constraints_to_dict(c: ConstraintSet, space: SearchSpace) -> dict:
-    eliminations: dict[str, dict[str, int]] = {}
-    for pos in range(space.genome_length):
-        role = space.param_at(pos).role
-        slot = eliminations.setdefault(role, {"eliminated_positions": 0, "total_positions": 0})
-        slot["total_positions"] += 1
-        if len(c.allowed[pos]) < len(space.allowed[pos]):
-            slot["eliminated_positions"] += 1
-    return {
-        "space": space.name,
-        "source_run_id": c.source_run_id,
-        "threshold": c.threshold,
-        "allowed": [list(vals) for vals in c.allowed],
-        "eliminations": eliminations,
-    }
-
-
-def constraints_from_dict(d: dict) -> ConstraintSet:
-    try:
-        return ConstraintSet(
-            allowed=tuple(tuple(int(v) for v in vals) for vals in d["allowed"]),
-            source_run_id=d.get("source_run_id", ""),
-            threshold=float(d.get("threshold", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed constraints document: {exc}") from exc
-
-
-def save_constraints(c: ConstraintSet, space: SearchSpace, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(constraints_to_dict(c, space), fh, indent=2)
-        fh.write("\n")
-
-
-def load_constraints(path: str | Path) -> ConstraintSet:
-    return constraints_from_dict(read_json(path))
-
-
-# ---------------------------------------------------------------------------
 # History featurization
 # ---------------------------------------------------------------------------
 
@@ -605,6 +511,8 @@ def history_features(
     Histories larger than max_points are uniformly subsampled to keep the
     O(n^2) spanning-tree stage tractable. Returns (features, kept_indices).
     """
+    if max_points < 1:
+        raise ConfigError(f"max_points must be >= 1, got {max_points}")
     n = len(ranks)
     idx = np.arange(n)
     if n > max_points:

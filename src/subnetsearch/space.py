@@ -512,9 +512,11 @@ def load_space(path: str | Path) -> SearchSpace:
     return space_from_dict(read_json(path))
 
 
-def save_space(s: SearchSpace, path: str | Path) -> None:
+def save_space(s: SearchSpace, path: str | Path, **extra) -> None:
+    """Write the space document of `s`, with `extra` as further top-level
+    keys, which `space_from_dict` ignores."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_dict(s), fh, indent=2)
+        json.dump({**space_to_dict(s), **extra}, fh, indent=2)
         fh.write("\n")
 
 

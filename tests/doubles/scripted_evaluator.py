@@ -11,10 +11,14 @@ chosen by argv, so protocol tests can exercise the full error taxonomy:
   bad-handshake        reply {"type":"nope"} to hello
   no-handshake         exit immediately
   malformed            emit one non-JSON line instead of the first result
+  reply=LINE           answer every request with the raw line LINE
   omit-last            results missing the last declared objective
   stall                accept requests but never answer them
   stall-after=N        answer the first N requests as genes-sum does, then
                        accept requests but never answer them
+  bad-value-after=N:V  answer the first N requests as genes-sum does, then
+                       send the JSON text V (say "fast", null, NaN or true)
+                       as the value of the last declared objective
   record=PATH          append every received raw line to PATH (composable,
                        pass as the second argument)
 """
@@ -30,12 +34,18 @@ def main() -> int:
         if arg.startswith("record="):
             record_path = arg.split("=", 1)[1]
 
-    crash_after = stall_after = None
+    crash_after = stall_after = bad_after = reply = None
     if mode.startswith("crash-after="):
         crash_after = int(mode.split("=", 1)[1])
         mode = "crash-after"
     if mode.startswith("stall-after="):
         stall_after = int(mode.split("=", 1)[1])
+        mode = "genes-sum"
+    if mode.startswith("reply="):
+        reply = mode.split("=", 1)[1]
+    if mode.startswith("bad-value-after="):
+        count, _, text = mode.split("=", 1)[1].partition(":")
+        bad_after, bad_value = int(count), json.loads(text)
         mode = "genes-sum"
 
     def record(line: str) -> None:
@@ -84,6 +94,10 @@ def main() -> int:
                     send({"type": "result", "id": queued["id"], "objectives": values})
                 pending.clear()
             continue
+        if reply is not None:
+            sys.stdout.write(reply + "\n")
+            sys.stdout.flush()
+            continue
         if mode == "malformed" and answered == 0:
             sys.stdout.write("this is not json\n")
             sys.stdout.flush()
@@ -99,6 +113,8 @@ def main() -> int:
             values = {name: float(k + 1) for k, name in enumerate(objectives)}
         if mode == "omit-last" and objectives:
             values.pop(objectives[-1])
+        if bad_after is not None and answered >= bad_after:
+            values[objectives[-1]] = bad_value
         send({"type": "result", "id": msg["id"], "objectives": values})
         answered += 1
         if crash_after is not None and answered >= crash_after:

@@ -16,7 +16,7 @@ import pytest
 
 import subnetsearch
 from subnetsearch.cli import main
-from subnetsearch.space import save_space, space_to_dict
+from subnetsearch.space import save_space, space_from_dict, space_to_dict
 
 DOUBLE = Path(__file__).parent / "doubles" / "scripted_evaluator.py"
 
@@ -377,6 +377,27 @@ def test_evaluator_result_missing_an_objective_exit_code(tmp_path, toy_space_fil
     assert err.startswith("evaluator error:") and "latency_ms" in err
 
 
+@pytest.mark.parametrize("value", ['"fast"', "null", "NaN", "true"])
+def test_evaluator_objective_not_a_finite_number_exit_code(tmp_path, toy_space_file,
+                                                           capsys, value):
+    """A result whose objective value is not a finite JSON number exits 3,
+    and the results of the batch that arrived before it are logged."""
+    out, wire = tmp_path / "x", tmp_path / "wire.log"
+    cmd = f"{sys.executable} {DOUBLE} 'bad-value-after=3:{value}' record={wire}"
+    code = run_cli(
+        *EXTERNAL_FULL, "--space", toy_space_file, "--evaluator", f"external:{cmd}",
+        "--out", str(out),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluator error:") and "not all finite numbers" in err
+    requests = [json.loads(line) for line in wire.read_text().splitlines()[1:4]]
+    from subnetsearch.evalmgr import ResultStore
+
+    recs = ResultStore.load(out / "evals.jsonl").records
+    assert [r.genotype.genes for r in recs] == [tuple(r["genes"]) for r in requests]
+
+
 def test_engine_objective_mismatch_is_an_internal_error(monkeypatch, capsys):
     from subnetsearch import cli
     from subnetsearch.errors import ObjectiveMismatch
@@ -502,7 +523,77 @@ def test_popdb_command_threshold_rule(tmp_path, toy_space_file):
     labeling = hdbscan(feats, 20, 5)
     table = elastic_frequencies(labeling, ranks[idx], space)
     expected = build_constraints(table, 0.01, space)
-    assert tuple(tuple(v) for v in doc["allowed"]) == expected.allowed
+    assert tuple(tuple(v) for v in doc["allowed"]) == expected
+
+
+def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space_file, capsys):
+    """History, then popdb, then a search on the reduced space it writes,
+    through the CLI alone; `space info` reads the same document."""
+    from subnetsearch.evalmgr import ResultStore
+    from subnetsearch.space import cardinality
+
+    history, doc_path = tmp_path / "history", tmp_path / "doc.json"
+    assert run_cli(
+        "search", "full", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        "--predictor", "none", "--pop", "20", "--gens", "30", "--seed", "5",
+        "--out", str(history),
+    ) == 0
+    assert run_cli(
+        "popdb", "--history", str(history / "evals.jsonl"), "--space", toy_space_file,
+        "--threshold", "0.2", "--min-cluster-size", "20", "--min-samples", "5",
+        "--out", str(doc_path),
+    ) == 0
+    doc = json.loads(doc_path.read_text())
+    assert doc["history"] == str(history / "evals.jsonl") and doc["threshold"] == 0.2
+    reduced = space_from_dict(doc)
+    assert [list(vals) for vals in reduced.allowed] == doc["allowed"]
+    assert cardinality(reduced) < 8100  # some value was excluded
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    assert run_cli(
+        "search", "concurrent", "--space", str(doc_path), "--evaluator", "synthetic:clx-like",
+        "--pop", "20", "--iters", "2", "--inner-gens", "8", "--seed", "3", "--out", str(run),
+    ) == 0
+    assert run_cli("search", "concurrent", "--config", str(run / "config.json"),
+                   "--out", str(replay)) == 0
+    for name in ("evals.jsonl", "config.json"):
+        assert (run / name).read_bytes() == (replay / name).read_bytes(), name
+    recs = ResultStore.load(run / "evals.jsonl").records
+    assert len(recs) == 40
+    for r in recs:
+        assert all(v in vals for v, vals in zip(r.genotype.genes, doc["allowed"]))
+    capsys.readouterr()
+    assert run_cli("space", "info", "--space", str(doc_path)) == 0
+    assert f"cardinality:   {cardinality(reduced):.4e}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["popdb", "predict bench"])
+def test_out_in_a_new_directory_is_created(tmp_path, toy_space, toy_space_file, command):
+    out = tmp_path / "new" / "dir" / "out"
+    if command == "popdb":
+        history = tmp_path / "evals.jsonl"
+        write_toy_history(history, toy_space, n=200)
+        argv = ("popdb", "--history", str(history), "--space", toy_space_file,
+                "--min-cluster-size", "5", "--min-samples", "3")
+    else:
+        argv = ("predict", "bench", "--space", toy_space_file,
+                "--evaluator", "synthetic:clx-like", "--objective", "top1",
+                "--train-sizes", "20", "--test-size", "20", "--trials", "1")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.is_file()
+
+
+@pytest.mark.parametrize("max_points", ["0", "-1"])
+def test_popdb_max_points_below_one_is_config_error(tmp_path, toy_space, toy_space_file,
+                                                    capsys, max_points):
+    history = tmp_path / "evals.jsonl"
+    write_toy_history(history, toy_space)
+    code = run_cli(
+        "popdb", "--history", str(history), "--space", toy_space_file,
+        "--max-points", max_points, "--out", str(tmp_path / "doc.json"),
+    )
+    assert code == 2
+    assert f"max_points must be >= 1, got {max_points}" in capsys.readouterr().err
+    assert not (tmp_path / "doc.json").exists()
 
 
 def write_toy_history(path, toy_space, n=60):
@@ -651,8 +742,7 @@ TORN = '{"objectives": [\n  {"name": "top1",'
     [
         (["search", "concurrent", "--space", "{doc}",
           "--evaluator", "synthetic:clx-like", "--out", "{out}"], TORN),
-        (["space", "info", "--space", "mobilenetv3-like", "--constraints", "{doc}"],
-         TORN),
+        (["space", "info", "--space", "{doc}"], TORN),
         (["search", "full", "--space", "{space}", "--evaluator", "table:{doc}",
           "--out", "{out}"], TORN),
         (["analyze", "{run}"], TORN),
@@ -661,7 +751,7 @@ TORN = '{"objectives": [\n  {"name": "top1",'
         (["search", "concurrent", "--space", "{doc}",
           "--evaluator", "synthetic:clx-like", "--out", "{out}"], b"\xff\xfe{}"),
     ],
-    ids=["torn-space", "torn-constraints", "torn-table", "torn-run-config",
+    ids=["torn-space", "torn-space-info", "torn-table", "torn-run-config",
          "run-config-not-an-object", "one-number-hv-reference", "space-not-utf8"],
 )
 def test_malformed_input_document_is_config_error(tmp_path, toy_space_file, capsys,
@@ -723,19 +813,6 @@ def test_popdb_history_of_noise_only_is_config_error(tmp_path, toy_space, toy_sp
     assert str(history) in err and "all 60 points labeled noise" in err
     assert "--min-cluster-size 61 --min-samples 3" in err
     assert not (tmp_path / "constraints.json").exists()
-
-
-def test_space_info_with_constraints_of_another_space_is_config_error(
-        tmp_path, toy_space, capsys):
-    from subnetsearch.popdb import ConstraintSet, save_constraints
-
-    constraints = tmp_path / "constraints.json"
-    save_constraints(ConstraintSet(allowed=toy_space.allowed), toy_space, constraints)
-    assert run_cli(
-        "space", "info", "--space", "resnet50-like", "--constraints", str(constraints)
-    ) == 2
-    err = capsys.readouterr().err
-    assert f"{constraints}: constraints cover 10 positions, space has 16" in err
 
 
 def test_space_info_preset(capsys):

@@ -1,28 +1,18 @@
-"""HDBSCAN clustering, elastic-value frequencies, constraint construction."""
+"""HDBSCAN clustering, elastic-value frequencies, the reduced space."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnetsearch.errors import (
-    ConfigError,
-    ConstraintMismatch,
-    EmptyClusterSet,
-    InvalidGenotype,
-)
+from subnetsearch.errors import ConfigError, EmptyClusterSet, InvalidGenotype
 from subnetsearch.popdb import (
     ClusterLabeling,
-    ConstraintSet,
     build_constraints,
     constrain_space,
-    constraints_from_dict,
-    constraints_to_dict,
     elastic_frequencies,
     hdbscan,
     history_features,
-    load_constraints,
-    save_constraints,
 )
 from subnetsearch.space import (
     Genotype,
@@ -97,16 +87,6 @@ def test_fewer_points_than_min_cluster_size_all_noise():
     rng = np.random.default_rng(3)
     labeling = hdbscan(rng.normal(size=(20, 2)), min_cluster_size=50, min_samples=5)
     assert all(l == -1 for l in labeling.labels)
-    assert all(p == 0.0 for p in labeling.probabilities)
-
-
-def test_probabilities_in_unit_interval_and_noise_zero():
-    pts, _ = two_blobs(seed=4)
-    labeling = hdbscan(pts, min_cluster_size=50, min_samples=10)
-    for label, prob in zip(labeling.labels, labeling.probabilities):
-        assert 0.0 <= prob <= 1.0
-        if label < 0:
-            assert prob == 0.0
 
 
 def test_clusters_meet_min_cluster_size():
@@ -123,7 +103,6 @@ def test_hdbscan_deterministic():
     a = hdbscan(pts, min_cluster_size=50, min_samples=10)
     b = hdbscan(pts, min_cluster_size=50, min_samples=10)
     assert a.labels == b.labels
-    assert a.probabilities == b.probabilities
 
 
 def test_hdbscan_validation():
@@ -157,7 +136,7 @@ def freq_space():
 def test_frequencies_single_cluster_single_value():
     space = freq_space()
     g = canonicalize(Genotype((2, 5, 5)), space)
-    labeling = ClusterLabeling(labels=(0, 0, 0), probabilities=(1.0, 1.0, 1.0))
+    labeling = ClusterLabeling(labels=(0, 0, 0))
     table = elastic_frequencies(labeling, rank_matrix([g, g, g], space), space)
     pos = 1  # first kernel slot
     assert table.frequencies[pos][space.value_rank(pos, 5)] == pytest.approx(1.0)
@@ -177,9 +156,7 @@ def test_frequencies_hand_counted_fixture():
             (1, 3, 3),  # noise
         ]
     ]
-    labeling = ClusterLabeling(
-        labels=(0, 0, 1, 1, -1, -1), probabilities=(1.0,) * 6
-    )
+    labeling = ClusterLabeling(labels=(0, 0, 1, 1, -1, -1))
     table = elastic_frequencies(labeling, rank_matrix(gs, space), space)
     # depth gene: members have depths 2,2,1,1
     assert table.observations[0] == 4
@@ -195,7 +172,7 @@ def test_frequencies_hand_counted_fixture():
 def test_frequencies_rows_sum_to_one(toy_space):
     gs = sample_uniform(toy_space, 200, seed=1)
     labels = tuple(0 if i % 3 else -1 for i in range(len(gs)))
-    labeling = ClusterLabeling(labels=labels, probabilities=(1.0,) * len(gs))
+    labeling = ClusterLabeling(labels=labels)
     table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
     for pos in range(toy_space.genome_length):
         if table.observations[pos]:
@@ -228,7 +205,7 @@ def test_frequencies_match_per_gene_loop_oracle(oracle_spaces, name, n, data):
         g = data.draw(raw_genotypes(space))
         gs.append(canonicalize(g, space) if data.draw(st.booleans()) else g)
     labels = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
-    labeling = ClusterLabeling(labels=tuple(labels), probabilities=(1.0,) * n)
+    labeling = ClusterLabeling(labels=tuple(labels))
     if max(labels) < 0:
         with pytest.raises(EmptyClusterSet):
             elastic_frequencies(labeling, rank_matrix(gs, space), space)
@@ -242,7 +219,7 @@ def test_frequencies_match_per_gene_loop_oracle(oracle_spaces, name, n, data):
 def test_frequencies_reject_forbidden_value_and_label_count():
     space = freq_space()
     good = canonicalize(Genotype((2, 5, 5)), space)
-    labeling = ClusterLabeling(labels=(0, 0), probabilities=(1.0, 1.0))
+    labeling = ClusterLabeling(labels=(0, 0))
     with pytest.raises(InvalidGenotype):
         elastic_frequencies(labeling, rank_matrix([good, Genotype((2, 4, 5))], space), space)
     with pytest.raises(ConfigError):
@@ -252,7 +229,7 @@ def test_frequencies_reject_forbidden_value_and_label_count():
 def test_frequencies_all_noise_raises():
     space = freq_space()
     g = canonicalize(Genotype((1, 3, 3)), space)
-    labeling = ClusterLabeling(labels=(-1,), probabilities=(0.0,))
+    labeling = ClusterLabeling(labels=(-1,))
     with pytest.raises(EmptyClusterSet):
         elastic_frequencies(labeling, rank_matrix([g], space), space)
 
@@ -267,7 +244,6 @@ def table_for(space, freq_rows, observations=None):
 
     obs = observations or tuple(1 for _ in freq_rows)
     return FrequencyTable(
-        space_name=space.name,
         frequencies=tuple(tuple(r) for r in freq_rows),
         observations=tuple(obs),
     )
@@ -276,46 +252,43 @@ def table_for(space, freq_rows, observations=None):
 def test_threshold_rule_direct():
     space = build_space("s", [("b", (1,), 1, [("k", (3, 5, 7))])])
     table = table_for(space, [(1.0,), (0.005, 0.495, 0.50)])
-    cs = build_constraints(table, 0.01, space)
-    assert cs.allowed[1] == (5, 7)
+    assert build_constraints(table, 0.01, space)[1] == (5, 7)
 
 
 def test_threshold_zero_keeps_everything(toy_space):
     gs = sample_uniform(toy_space, 100, seed=2)
-    labeling = ClusterLabeling(labels=(0,) * 100, probabilities=(1.0,) * 100)
+    labeling = ClusterLabeling(labels=(0,) * 100)
     table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
-    cs = build_constraints(table, 0.0, toy_space)
-    assert cs.allowed == toy_space.allowed
-    assert constrain_space(toy_space, cs).allowed == toy_space.allowed
+    allowed = build_constraints(table, 0.0, toy_space)
+    assert allowed == toy_space.allowed
+    assert constrain_space(toy_space, allowed).allowed == toy_space.allowed
 
 
 def test_empty_position_keeps_single_best_value():
     space = build_space("s", [("b", (1,), 1, [("k", (3, 5, 7))])])
     table = table_for(space, [(1.0,), (0.2, 0.5, 0.3)])
-    cs = build_constraints(table, 0.9, space)
-    assert cs.allowed[1] == (5,)
+    assert build_constraints(table, 0.9, space)[1] == (5,)
 
 
 def test_unobserved_positions_left_unconstrained():
     space = freq_space()  # layer-1 kernel never active if all depths are 1
     gs = [canonicalize(Genotype((1, v, 3)), space) for v in (3, 5, 7)]
-    labeling = ClusterLabeling(labels=(0, 0, 0), probabilities=(1.0,) * 3)
+    labeling = ClusterLabeling(labels=(0, 0, 0))
     table = elastic_frequencies(labeling, rank_matrix(gs, space), space)
-    cs = build_constraints(table, 0.5, space)
-    assert cs.allowed[2] == space.allowed[2]
+    assert build_constraints(table, 0.5, space)[2] == space.allowed[2]
 
 
 def test_threshold_monotone(toy_space):
     gs = sample_uniform(toy_space, 300, seed=3)
-    labeling = ClusterLabeling(labels=(0,) * 300, probabilities=(1.0,) * 300)
+    labeling = ClusterLabeling(labels=(0,) * 300)
     table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
     prev = None
     for threshold in (0.0, 0.05, 0.2, 0.4, 0.8):
-        cs = build_constraints(table, threshold, toy_space)
+        allowed = build_constraints(table, threshold, toy_space)
         if prev is not None:
-            for cur_vals, prev_vals in zip(cs.allowed, prev.allowed):
+            for cur_vals, prev_vals in zip(allowed, prev):
                 assert set(cur_vals) <= set(prev_vals)
-        prev = cs
+        prev = allowed
 
 
 def test_constrained_cardinality_drops(toy_space):
@@ -323,17 +296,16 @@ def test_constrained_cardinality_drops(toy_space):
     # drop one kernel value from the first per-layer position
     pos = toy_space.blocks[0].governed_gene_indices[0]
     cs_allowed[pos] = tuple(cs_allowed[pos][1:])
-    cs = ConstraintSet(allowed=tuple(cs_allowed))
-    reduced = constrain_space(toy_space, cs)
+    reduced = constrain_space(toy_space, cs_allowed)
     assert cardinality(reduced) < cardinality(toy_space)
 
 
 def test_constrained_space_is_subset(toy_space):
     gs = sample_uniform(toy_space, 400, seed=4)
-    labeling = ClusterLabeling(labels=(0,) * 400, probabilities=(1.0,) * 400)
+    labeling = ClusterLabeling(labels=(0,) * 400)
     table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
-    cs = build_constraints(table, 0.2, toy_space)
-    reduced = constrain_space(toy_space, cs)
+    allowed = build_constraints(table, 0.2, toy_space)
+    reduced = constrain_space(toy_space, allowed)
     assert cardinality(reduced) <= cardinality(toy_space)
     # every canonical genotype of the reduced space is valid in the original
     for g in enumerate_genotypes(reduced):
@@ -341,42 +313,27 @@ def test_constrained_space_is_subset(toy_space):
     # sampling the reduced space never emits excluded values
     for g in sample_uniform(reduced, 100, seed=5):
         for pos, v in enumerate(g.genes):
-            assert v in cs.allowed[pos]
+            assert v in allowed[pos]
 
 
 def test_depth_constraint_respected(global_space):
     cs_allowed = list(global_space.allowed)
     cs_allowed[0] = (2, 3)  # depth gene loses value 1
-    cs = ConstraintSet(allowed=tuple(cs_allowed))
-    reduced = constrain_space(global_space, cs)
+    reduced = constrain_space(global_space, cs_allowed)
     for g in sample_uniform(reduced, 50, seed=6):
         assert g.genes[0] in (2, 3)
 
 
 def test_constraint_mismatch_errors(toy_space):
-    with pytest.raises(ConstraintMismatch):
-        constrain_space(toy_space, ConstraintSet(allowed=((3,),)))
+    with pytest.raises(ConfigError, match="cover 1 positions, space has 10"):
+        constrain_space(toy_space, ((3,),))
     bad = list(toy_space.allowed)
     bad[0] = (99,)
-    with pytest.raises(ConstraintMismatch):
-        constrain_space(toy_space, ConstraintSet(allowed=tuple(bad)))
-
-
-def test_constraints_document_round_trip(tmp_path, toy_space):
-    cs_allowed = list(toy_space.allowed)
-    pos = toy_space.blocks[0].governed_gene_indices[0]
-    cs_allowed[pos] = tuple(cs_allowed[pos][:2])
-    cs = ConstraintSet(allowed=tuple(cs_allowed), source_run_id="run1", threshold=0.01)
-    path = tmp_path / "constraints.json"
-    save_constraints(cs, toy_space, path)
-    loaded = load_constraints(path)
-    assert loaded == cs
-    doc = constraints_to_dict(cs, toy_space)
-    assert doc["source_run_id"] == "run1"
-    assert doc["threshold"] == 0.01
-    per_layer = doc["eliminations"]["per_layer"]
-    assert per_layer["eliminated_positions"] == 1
-    assert per_layer["total_positions"] == 8
+    with pytest.raises(ConfigError, match="position 0"):
+        constrain_space(toy_space, bad)
+    bad[0] = ()
+    with pytest.raises(ConfigError, match="position 0"):
+        constrain_space(toy_space, bad)
 
 
 def test_history_features_subsamples(toy_space):

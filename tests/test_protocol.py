@@ -149,6 +149,17 @@ def test_malformed_response_carries_raw_payload(toy_space):
     ev.close()
 
 
+@pytest.mark.parametrize(
+    "line", ["[1]", '{"type":"result","id":1,"objectives":"top1 latency_ms"}']
+)
+def test_response_of_the_wrong_shape_raises_protocol_error(toy_space, line):
+    ev = make_evaluator(f"reply={line}")
+    with pytest.raises(ProtocolError) as excinfo:
+        ev.evaluate(sample_uniform(toy_space, 1, 4))
+    assert json.loads(excinfo.value.payload) == json.loads(line)
+    ev.close()
+
+
 def test_timeout_raises_evaluation_timeout(toy_space):
     gs = sample_uniform(toy_space, 2, 5)
     ev = make_evaluator("stall", timeout=0.5)
