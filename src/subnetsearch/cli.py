@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ from .evalmgr import (
 from .objectives import (
     LatencyNormalizer,
     ObjectiveSpec,
+    canonical_matrix,
     default_reference,
     hv_trace_to_csv,
     normalize_latency,
@@ -171,10 +173,10 @@ def _warm_start_from(path: str, space) -> list[Genotype]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"warm-start file not found: {p}")
-    recs = ResultStore.load(p, space=space).validation_records()
-    if not recs:
+    store = ResultStore.load(p, space=space)
+    if not len(store.validation_columns()[0]):
         raise ConfigError(f"warm-start log {p} has no validation records")
-    return [r.genotype for r in pareto_front(recs)]
+    return [r.genotype for r in pareto_front(store)]
 
 
 def _predictor_doc(args, base: dict) -> dict:
@@ -287,9 +289,7 @@ def _cmd_popdb(args) -> int:
     except InvalidGenotype as exc:  # a gene value the space forbids
         line = ResultStore.record_line(history_path, int(seqs[exc.row]))
         raise ConfigError(f"{history_path}:{line}: {exc}") from exc
-    objectives = None
-    if args.include_objectives:
-        objectives = raw * [1.0 if s.direction == "minimize" else -1.0 for s in store.specs]
+    objectives = canonical_matrix(raw, store.specs) if args.include_objectives else None
     feats, idx = history_features(
         ranks,
         space,
@@ -466,24 +466,18 @@ def _cmd_analyze(args) -> int:
                 )
             writer.writerow(row)
 
+    by_gen: dict[int, list] = {}
+    for r in recs:
+        by_gen.setdefault(r.gen if r.gen is not None else 0, []).append(r)
     if len(specs) == 2:
         if reference is None:
-            first_gen = min(r.gen if r.gen is not None else 0 for r in recs)
-            reference = default_reference(
-                [
-                    r.objectives_raw
-                    for r in recs
-                    if (r.gen if r.gen is not None else 0) == first_gen
-                ]
-            )
+            first = by_gen[min(by_gen)]
+            reference = default_reference([r.objectives_raw.canonical_min for r in first])
         trace = hypervolume_trace(store, tuple(reference))
         hv_trace_to_csv(trace, outdir / "hv_vs_evals.csv")
 
     pop_dir = outdir / "populations"
     pop_dir.mkdir(exist_ok=True)
-    by_gen: dict[int, list] = {}
-    for r in recs:
-        by_gen.setdefault(r.gen if r.gen is not None else 0, []).append(r)
     for gen, rows in sorted(by_gen.items()):
         with open(pop_dir / f"gen_{gen:04d}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -650,20 +644,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ProtocolError, EvaluationTimeout, EvaluationFailed) as exc:
-        print(f"evaluator error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATOR
-    except SubnetSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # noqa: BLE001 - top-level exit-code mapping
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    # the engine's warnings (UserWarnings) reach the user as one line without a
+    # source location; others are shown as before; settings come back after
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def one_line(message, category, *args, **kwargs):
+            if not issubclass(category, UserWarning):
+                return show(message, category, *args, **kwargs)
+            print(f"warning: {message}", file=sys.stderr)
+        warnings.showwarning = one_line
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ProtocolError, EvaluationTimeout, EvaluationFailed) as exc:
+            print(f"evaluator error: {exc}", file=sys.stderr)
+            return EXIT_EVALUATOR
+        except SubnetSearchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except Exception as exc:  # noqa: BLE001 - top-level exit-code mapping
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

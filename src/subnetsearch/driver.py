@@ -33,6 +33,7 @@ from .objectives import (
     IncrementalFront2D,
     ObjectiveSpec,
     ParetoFront,
+    canonical_matrix,
     check_unique_names,
     default_reference,
     front_to_csv,
@@ -235,7 +236,7 @@ class SearchReport:
 
     @property
     def validation_count(self) -> int:
-        return len(self.store.validation_records())
+        return len(self.store.validation_columns()[0])
 
     def final_hypervolume(self) -> float | None:
         return self.hv_trace[-1][1] if self.hv_trace else None
@@ -297,17 +298,13 @@ def _train_models(store: ResultStore, pcfg: PredictorConfig, objectives):
 def _worst_observed(store: ResultStore):
     """Per-objective worst raw value seen so far, used as a stand-in when a
     validation-only measurement fails inside the inner search."""
-    worst = {}
-    for rec in store.validation_records():
-        for spec, value in zip(store.specs, rec.objectives_raw.values):
-            cur = worst.get(spec.name)
-            if cur is None:
-                worst[spec.name] = value
-            elif spec.direction == "minimize":
-                worst[spec.name] = max(cur, value)
-            else:
-                worst[spec.name] = min(cur, value)
-    return worst
+    raw = store.validation_columns()[2]
+    if not len(raw):
+        return {}
+    return {
+        s.name: float(col.max() if s.direction == "minimize" else col.min())
+        for s, col in zip(store.specs, raw.T)
+    }
 
 
 def make_predictor_evaluate(
@@ -376,20 +373,19 @@ def make_validation_evaluate(space: SearchSpace, evaluator, store: ResultStore):
 
 
 def hypervolume_trace(store: ResultStore, reference) -> list[tuple[int, float]]:
-    """Cumulative-front hypervolume after every validation record.
-
-    Records outside the (frozen) reference box are clamped out of the front
-    with a warning rather than raising. The hypervolume is recomputed only
-    when an insertion changes the front.
+    """Cumulative-front hypervolume after every validation record, read from
+    the store's columns: the exact strip sum of `dominated_area` over the
+    front at that point. Records outside the (frozen) reference box are
+    clamped out of the front with a warning rather than raising.
     """
-    recs = store.validation_records()
-    if not recs:
+    raw = store.validation_columns()[2]
+    if not len(raw):
         raise EmptyInput("no validation records")
     front = IncrementalFront2D(reference)
     out = []
     hv = front.hypervolume()
-    for k, rec in enumerate(recs, 1):
-        if front.insert(rec.objectives_raw.canonical_min):
+    for k, point in enumerate(canonical_matrix(raw, store.specs).tolist(), 1):
+        if front.insert(point):
             hv = front.hypervolume()
         out.append((k, hv))
     if front.clamped:
@@ -401,10 +397,12 @@ def hypervolume_trace(store: ResultStore, reference) -> list[tuple[int, float]]:
     return out
 
 
-def _maybe_reference(specs, records):
+def _maybe_reference(specs, raw):
+    """The HV reference of a run whose first validated population has these
+    raw objective rows; None unless there are two objectives."""
     if len(specs) != 2:
         return None
-    return default_reference([r.objectives_raw for r in records])
+    return default_reference(canonical_matrix(raw, specs))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +444,7 @@ def full_search(
         phase_seconds["search"] = time.perf_counter() - t0
         traces.append(trace)
         validation_populations = [store.validation_records()]
+        first_raw = store.validation_columns()[2]
     else:
         if n_train < 100:
             warnings.warn(
@@ -486,13 +485,10 @@ def full_search(
         warn_list.extend(r.error for r in front_recs if not r.ok)
         phase_seconds["validate_front"] = time.perf_counter() - t0
         validation_populations = [ok, [r for r in front_recs if r.ok]]
+        first_raw = [r.objectives_raw.values for r in ok]
 
-    all_validated = store.validation_records()
-    first_pop = validation_populations[0]
-    reference = _maybe_reference(specs, first_pop if first_pop else all_validated)
-    hv_trace = (
-        hypervolume_trace(store, reference) if reference is not None else []
-    )
+    reference = _maybe_reference(specs, first_raw)
+    hv_trace = hypervolume_trace(store, reference) if reference is not None else []
     return SearchReport(
         tactic="full",
         space=space,
@@ -500,7 +496,7 @@ def full_search(
         store=store,
         validation_populations=validation_populations,
         predicted_front=predicted_front,
-        validated_front=pareto_front(all_validated),
+        validated_front=pareto_front(store),
         final_candidates=[],
         hv_reference=reference,
         hv_trace=hv_trace,
@@ -571,7 +567,7 @@ def concurrent_search(
         validated.update((r.genotype.genes, r.genotype) for r in recs)
         validation_populations.append(ok)
         if reference is None:
-            reference = _maybe_reference(specs, ok)
+            reference = _maybe_reference(specs, [r.objectives_raw.values for r in ok])
 
         t0 = time.perf_counter()
         models = _train_models(store, cfg.predictor, predicted_names)
@@ -581,7 +577,7 @@ def concurrent_search(
             cfg, cfg.inner_population or cfg.population_size,
             cfg.inner_generations, subseed(cfg.seed, "inner", i),
         )
-        validated_front = pareto_front(store.validation_records())
+        validated_front = pareto_front(store)
         inner_warm = [r.genotype for r in validated_front] + population
         evaluate_fn = make_predictor_evaluate(
             space,
@@ -622,10 +618,7 @@ def concurrent_search(
             exclude=validated.keys() | {g.genes for g in population},
         )
 
-    all_validated = store.validation_records()
-    hv_trace = (
-        hypervolume_trace(store, reference) if reference is not None else []
-    )
+    hv_trace = hypervolume_trace(store, reference) if reference is not None else []
     return SearchReport(
         tactic="concurrent",
         space=space,
@@ -633,7 +626,7 @@ def concurrent_search(
         store=store,
         validation_populations=validation_populations,
         predicted_front=pareto_front(traces[-1].front()),
-        validated_front=pareto_front(all_validated),
+        validated_front=pareto_front(store),
         final_candidates=population,
         hv_reference=reference,
         hv_trace=hv_trace,

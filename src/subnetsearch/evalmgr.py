@@ -370,6 +370,17 @@ class ResultStore:
         with self._lock:
             return self._records_of(range(self._n))
 
+    @property
+    def evaluator_ids(self) -> tuple[str, ...]:
+        """The evaluator ids in the log, in the order first logged."""
+        with self._lock:
+            return tuple(self._evaluators)
+
+    def records_at(self, seqs: Sequence[int]) -> list[EvaluationRecord]:
+        """The records with these sequence numbers, in the order given."""
+        with self._lock:
+            return self._records_of(seqs)
+
     def lookup(self, genotype: Genotype, evaluator_id: str) -> EvaluationRecord | None:
         return self.cached([genotype], evaluator_id).get(genotype.genes)
 
@@ -394,8 +405,8 @@ class ResultStore:
         successful validation records, in sequence order; builds no record."""
         with self._lock:
             rows = self._validation_rows(evaluator_id)
-            cols = self._cols[rows]
-            return rows, cols["genes"], cols["objectives"]
+            cols = self._cols[: self._n]
+            return rows, cols["genes"][rows], cols["objectives"][rows]
 
     @staticmethod
     def record_line(path: str | Path, sequence_number: int) -> int:
@@ -616,16 +627,12 @@ def training_set(
     recs = store.validation_records(evaluator_id)
     if not recs:
         raise EmptyInput("no validation records to train from")
-    seen: set[tuple[int, ...]] = set()
-    deduped = []
+    deduped: dict[tuple[int, ...], EvaluationRecord] = {}
     for r in recs:
-        if r.genotype.genes in seen:
-            continue
-        seen.add(r.genotype.genes)
-        deduped.append(r)
-    ranks = canonical_ranks([r.genotype for r in deduped], store.space)[0]
+        deduped.setdefault(r.genotype.genes, r)
+    ranks = canonical_ranks([r.genotype for r in deduped.values()], store.space)[0]
     X = encode_matrix(ranks, store.space, scheme)
-    y = np.array([r.objectives_raw.value_of(objective) for r in deduped])
+    y = np.array([r.objectives_raw.value_of(objective) for r in deduped.values()])
     return X, y
 
 

@@ -39,6 +39,7 @@ from .objectives import (
     EvaluationRecord,
     ObjectiveSpec,
     ObjectiveVector,
+    first_front,
     nondominated_fronts,
 )
 from .space import (
@@ -158,7 +159,7 @@ class SearchTrace:
     def front(self) -> list[EvaluationRecord]:
         """The records of the table's first non-dominated front, in
         evaluation order."""
-        return self.records(self.table.take(non_dominated_sort(self.table)[0]))
+        return self.records(self.table.take(first_front(self.table.values)))
 
     def ids_of(self, genotypes) -> np.ndarray:
         """The table ids of those of `genotypes` (of this trace's space)

@@ -161,29 +161,49 @@ def _sweep_fronts_2d(points) -> list[list[int]]:
 
 def _counting_fronts(points) -> list[list[int]]:
     pts = np.array(points, dtype=float)
-    n = len(pts)
-    dominated_count = np.zeros(n, dtype=int)
+    dominated_count = np.zeros(len(pts), dtype=int)
     dominates_idx: list[np.ndarray] = []
-    for i in range(n):
-        le = (pts[i] <= pts).all(axis=1)
-        lt = (pts[i] < pts).any(axis=1)
-        d = le & lt
-        d[i] = False
-        idx = np.nonzero(d)[0]
+    for p in pts:
+        idx = np.flatnonzero((p <= pts).all(axis=1) & (p < pts).any(axis=1))
         dominates_idx.append(idx)
         dominated_count[idx] += 1
     fronts: list[list[int]] = []
-    current = np.nonzero(dominated_count == 0)[0].tolist()
-    while current:
-        fronts.append(current)
-        nxt: list[int] = []
+    current = np.flatnonzero(dominated_count == 0)
+    while len(current):
+        fronts.append(current.tolist())
+        # no point of this front or a later one dominates a point of this one
+        dominated_count[current] = -1
         for i in current:
-            for j in dominates_idx[i]:
-                dominated_count[j] -= 1
-                if dominated_count[j] == 0:
-                    nxt.append(int(j))
-        current = nxt
+            dominated_count[dominates_idx[i]] -= 1
+        current = np.flatnonzero(dominated_count == 0)
     return fronts
+
+
+def first_front(points) -> np.ndarray:
+    """Ascending indices of the canonical-min rows that no row dominates;
+    equal rows share the front. Two objectives take one sort: in (x, y) order
+    a row is on the front iff its y is below every earlier y, or it equals
+    the row before it and that row is. Other counts take the first front of
+    `_counting_fronts`."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[1] != 2:
+        return np.array(_counting_fronts(pts)[0], dtype=np.intp)
+    n = len(pts)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    x, y = pts[order].T
+    below = np.ones(n, dtype=bool)
+    below[1:] = y[1:] < np.minimum.accumulate(y)[:-1]
+    repeat = np.zeros(n, dtype=bool)
+    repeat[1:] = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
+    run_start = np.maximum.accumulate(np.where(repeat, 0, np.arange(n)))
+    return np.sort(order[below[run_start]])
+
+
+def canonical_matrix(raw, specs) -> np.ndarray:
+    """Rows of raw objective values in canonical-min form: the columns of
+    maximized objectives negated, bit for bit as `canonical_min` does."""
+    signs = [1.0 if s.direction == "minimize" else -1.0 for s in specs]
+    return np.asarray(raw, dtype=float) * signs
 
 
 def pareto_front(records) -> ParetoFront:
@@ -192,9 +212,20 @@ def pareto_front(records) -> ParetoFront:
     Records sharing a canonical genotype are collapsed to the earliest one, so
     fronts are deterministic even when the same configuration was measured in
     several batches. Distinct genotypes with equal objective vectors are all
-    kept. Members come back in first-seen order. Costs O(n log n) for two
-    objectives and O(m n^2) otherwise (see `nondominated_fronts`).
+    kept. Members come back in first-seen order (see `first_front`).
+    `records` may also be a `ResultStore`: its successful validation records
+    are then read from its columns, and only the front's records are built.
     """
+    if hasattr(records, "validation_columns"):
+        store = records
+        seqs, genes, raw = store.validation_columns()
+        if not len(seqs):
+            raise EmptyInput("pareto_front requires at least one record")
+        rows = np.arange(len(seqs))
+        if len(store.evaluator_ids) > 1:  # else no genotype is logged twice
+            rows = np.sort(np.unique(genes, axis=0, return_index=True)[1])
+        members = rows[first_front(canonical_matrix(raw[rows], store.specs))]
+        return ParetoFront(members=tuple(store.records_at(seqs[members].tolist())))
     records = list(records)
     if not records:
         raise EmptyInput("pareto_front requires at least one record")
@@ -205,7 +236,7 @@ def pareto_front(records) -> ParetoFront:
             raise ObjectiveMismatch("records mix different objective spec lists")
         deduped.setdefault(rec.genotype.genes, rec)
     recs = list(deduped.values())
-    first = nondominated_fronts([r.objectives_raw.canonical_min for r in recs])[0]
+    first = first_front([r.objectives_raw.canonical_min for r in recs])
     return ParetoFront(members=tuple(recs[i] for i in first))
 
 
@@ -278,22 +309,18 @@ def hypervolume_2d(front: ParetoFront, reference) -> float:
     return dominated_area(points, reference)
 
 
-def default_reference(vectors) -> tuple[float, ...]:
-    """Frozen hypervolume reference: worst observed canonical value per
-    objective, padded 5% toward the worse side so observed points stay strictly
-    inside the box.
+def default_reference(points) -> tuple[float, ...]:
+    """Frozen hypervolume reference for canonical-min points (rows): worst
+    observed value per objective, padded 5% toward the worse side so observed
+    points stay strictly inside the box.
     """
-    vectors = list(vectors)
-    if not vectors:
+    pts = np.asarray(points, dtype=float)
+    if not len(pts):
         raise EmptyInput("need at least one vector to place a reference point")
-    m = len(vectors[0].canonical_min)
-    ref = []
-    for k in range(m):
-        col = [v.canonical_min[k] for v in vectors]
-        worst, best = max(col), min(col)
-        pad = 0.05 * max(abs(worst), worst - best, 1e-9)
-        ref.append(worst + pad)
-    return tuple(ref)
+    return tuple(
+        worst + 0.05 * max(abs(worst), worst - best, 1e-9)
+        for worst, best in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist())
+    )
 
 
 class IncrementalFront2D:
@@ -301,7 +328,10 @@ class IncrementalFront2D:
 
     Points at or outside the reference box are dropped (counted, not raised):
     cumulative traces freeze their reference early, and later exploration may
-    legally produce points worse than it.
+    legally produce points worse than it. The running strip sums of
+    `dominated_area` are kept in x order and redone from an insertion's
+    position on, with the same additions in the same order: `hypervolume` is
+    O(1) and equals `dominated_area` of the front bit for bit.
     """
 
     def __init__(self, reference):
@@ -309,12 +339,14 @@ class IncrementalFront2D:
             raise Unsupported2DOnly("reference point must be 2-D")
         self.reference = (float(reference[0]), float(reference[1]))
         self._points: list[tuple[float, float]] = []  # sorted by x asc, y desc
+        self._areas: list[float] = []  # _areas[i]: strip sum of _points[: i + 1]
         self.clamped = 0
 
     def insert(self, point) -> bool:
         """Insert a canonical-min point; returns True if the front changed."""
         x, y = float(point[0]), float(point[1])
-        if x >= self.reference[0] or y >= self.reference[1]:
+        ref_x, ref_y = self.reference
+        if x >= ref_x or y >= ref_y:
             self.clamped += 1
             return False
         pts = self._points
@@ -327,14 +359,18 @@ class IncrementalFront2D:
         k = i
         while k < len(pts) and pts[k][1] >= y:
             k += 1
-        del pts[i:k]
-        pts.insert(i, (x, y))
+        pts[i:k] = [(x, y)]
+        areas = self._areas
+        del areas[i:]
+        area, prev_y = (areas[-1], pts[i - 1][1]) if i else (0.0, ref_y)
+        for px, py in pts[i:]:
+            area += (ref_x - px) * (prev_y - py)
+            areas.append(area)
+            prev_y = py
         return True
 
     def hypervolume(self) -> float:
-        if not self._points:
-            return 0.0
-        return dominated_area(self._points, self.reference)
+        return self._areas[-1] if self._areas else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +402,7 @@ def front_to_csv(front: ParetoFront, path: str | Path) -> None:
 
 
 def hv_trace_to_csv(trace, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["evaluation_count", "hypervolume"])
-        for count, hv in trace:
-            writer.writerow([count, repr(hv)])
+    """Columns: evaluation_count, hypervolume; written in one write, with the
+    csv module's \\r\\n line ends."""
+    rows = "".join(f"{count},{hv!r}\r\n" for count, hv in trace)
+    Path(path).write_text("evaluation_count,hypervolume\r\n" + rows, "utf-8", newline="")

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -847,3 +848,37 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_predict_bench_loads_no_scipy(toy_space_file):
+    src = str(Path(subnetsearch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["predict", "bench", "--space", toy_space_file, "--evaluator",
+            "synthetic:clx-like", "--objective", "top1", "--train-sizes", "20,40",
+            "--test-size", "30", "--trials", "2"]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from subnetsearch.cli import main\n"
+         f"assert main({argv!r}) == 0\n"
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_engine_warning_is_one_line_without_its_source(tmp_path, toy_space_file, capsys):
+    shown = warnings.showwarning
+    code = run_cli(
+        "search", "concurrent", "--space", toy_space_file,
+        "--evaluator", "synthetic:clx-like", "--pop", "10", "--iters", "2",
+        "--inner-gens", "10", "--seed", "4", "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "warning: 3 evaluations fell outside the hypervolume reference box "
+        "and were clamped out of the front\n"
+    )
+    assert "driver.py:" not in err
+    assert warnings.showwarning is shown

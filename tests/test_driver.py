@@ -17,13 +17,18 @@ from subnetsearch.driver import (
 )
 from subnetsearch.errors import ConfigError, EmptyInput
 from subnetsearch.evalmgr import (
+    EvaluationFailure,
     ResultStore,
     SyntheticSurfaceEvaluator,
+    evaluate_batch,
     make_surface,
     synthetic_evaluate,
 )
 from subnetsearch.objectives import (
     IncrementalFront2D,
+    ObjectiveVector,
+    canonical_matrix,
+    default_reference,
     dominated_area,
     pareto_front,
 )
@@ -346,7 +351,7 @@ def test_hv_trace_non_decreasing_and_matches_recompute(toy_setup):
     recs = store.validation_records()
     from subnetsearch.objectives import default_reference
 
-    ref = default_reference([r.objectives_raw for r in recs[:30]])
+    ref = default_reference([r.objectives_raw.canonical_min for r in recs[:30]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         trace = hypervolume_trace(store, ref)
@@ -458,7 +463,7 @@ def test_hv_trace_equals_full_recompute_exactly(toy_setup):
     gs = sample_uniform(space, 150, seed=12)
     evaluate_batch(gs, SyntheticSurfaceEvaluator(surface), store)
     recs = store.validation_records()
-    ref = default_reference([r.objectives_raw for r in recs[:20]])
+    ref = default_reference([r.objectives_raw.canonical_min for r in recs[:20]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         trace = hypervolume_trace(store, ref)
@@ -467,3 +472,94 @@ def test_hv_trace_equals_full_recompute_exactly(toy_setup):
         front.insert(rec.objectives_raw.canonical_min)
         assert hv == (dominated_area(front._points, ref) if front._points else 0.0)
     assert front.clamped > 0
+
+
+# ---------------------------------------------------------------------------
+# columnar end of run: HV trace, HV reference and validated front
+# ---------------------------------------------------------------------------
+
+
+def mixed_log(space, surface):
+    """A log with a failure row and a second evaluator id, which validates a
+    new genotype and again one that the first evaluator validated, with
+    objectives that dominate every other record."""
+    store = ResultStore(surface.specs, space=space)
+    gs = sample_uniform(space, 60, seed=21)
+    evaluator = SyntheticSurfaceEvaluator(surface)
+    evaluate_batch(gs[:50], evaluator, store)
+    store.append_batch([gs[50]], [EvaluationFailure("crashed")], evaluator.evaluator_id)
+    recs = store.validation_records()
+    top1 = max(r.objectives_raw.value_of("top1") for r in recs) + 1.0
+    latency = min(r.objectives_raw.value_of("latency_ms") for r in recs) / 2
+    store.append_batch(
+        [gs[3], gs[51]],
+        [ObjectiveVector((top1, latency), surface.specs),
+         synthetic_evaluate(gs[51], surface)],
+        "second",
+    )
+    return store
+
+
+def test_mixed_log_repeats_a_genotype_under_a_second_evaluator(toy_setup):
+    space, surface = toy_setup
+    recs = mixed_log(space, surface).validation_records()
+    assert {r.evaluator_id for r in recs} == {"synthetic:clx-like", "second"}
+    assert len({r.genotype for r in recs}) == len(recs) - 1
+
+
+def test_column_front_and_reference_equal_the_record_forms(toy_setup, tmp_path):
+    space, surface = toy_setup
+    store = mixed_log(space, surface)
+    recs = store.validation_records()
+    expected = [r.sequence_number for r in pareto_front(recs)]
+    assert [r.sequence_number for r in pareto_front(store)] == expected
+    assert default_reference(
+        canonical_matrix(store.validation_columns()[2], store.specs)
+    ) == default_reference([r.objectives_raw.canonical_min for r in recs])
+    # a loaded log builds the records of the front's members only
+    store.dump(tmp_path / "evals.jsonl")
+    loaded = ResultStore.load(tmp_path / "evals.jsonl", space=space)
+    front = pareto_front(loaded)
+    assert [r.sequence_number for r in front] == expected
+    assert sum(r is not None for r in loaded._recs) == len(front)
+
+
+def test_hv_trace_equals_dominated_area_of_every_prefix(toy_setup):
+    space, surface = toy_setup
+    store = mixed_log(space, surface)
+    recs = store.validation_records()
+    ref = default_reference([r.objectives_raw.canonical_min for r in recs[:3]])
+    with pytest.warns(UserWarning, match="clamped"):
+        trace = hypervolume_trace(store, ref)
+    assert [k for k, _ in trace] == list(range(1, len(recs) + 1))
+    points = [r.objectives_raw.canonical_min for r in recs]
+    for k, hv in trace:
+        inside = [p for p in points[:k] if p[0] < ref[0] and p[1] < ref[1]]
+        assert hv == dominated_area(inside, ref)
+
+
+@pytest.mark.parametrize("tactic", ["concurrent", "full-ridge", "full-none"])
+def test_run_reference_and_front_equal_the_record_forms(toy_setup, tactic):
+    space, surface = toy_setup
+    evaluator = SyntheticSurfaceEvaluator(surface)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if tactic == "concurrent":
+            report = concurrent_search(
+                space, surface.specs, evaluator,
+                ConcurrentNasConfig(population_size=10, iterations=3,
+                                    inner_generations=10, seed=4),
+            )
+        else:
+            family = tactic.partition("-")[2]
+            report = full_search(
+                space, surface.specs, evaluator,
+                FullSearchConfig(population_size=10, generations=5, n_train=30, seed=4,
+                                 predictor=PredictorConfig(family=family)),
+            )
+    recs = report.store.validation_records()
+    first = recs if tactic == "full-none" else [r for r in recs if r.gen == 0]
+    assert report.hv_reference == default_reference(
+        [r.objectives_raw.canonical_min for r in first]
+    )
+    assert report.validated_front.members == pareto_front(recs).members

@@ -130,12 +130,12 @@ def test_nds_matches_brute_force_ranks():
     assert sorted(i for f in fronts for i in f) == list(range(200))
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_nds_matches_brute_force_on_tied_grids(m, data):
     # A 5^m grid forces ties in single coordinates and exact duplicates;
-    # m = 3 exercises the counting path, m = 2 the sweep.
+    # m = 3 and 4 exercise the counting path, m = 2 the sweep.
     values = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=40))
     specs = tuple(ObjectiveSpec(f"f{k}", "minimize") for k in range(m))
     pop = [ind((i,), v, specs) for i, v in enumerate(values)]
@@ -542,7 +542,7 @@ def test_elitism_cumulative_front_hv_non_decreasing(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     trace = evolve(toy_space, EvolverConfig(12, 20, seed=4), evaluate, MIN2)
     gen0 = [e for e in trace.evaluations if e.gen == 0]
-    ref = default_reference([e.objectives_raw for e in gen0])
+    ref = default_reference([e.objectives_raw.canonical_min for e in gen0])
     front = IncrementalFront2D(ref)
     hv = 0.0
     for e in trace.evaluations:
@@ -569,8 +569,8 @@ def test_warm_start_beats_random_init_at_gen_zero(toy_space):
         return front.hypervolume()
 
     ref = default_reference(
-        [e.objectives_raw for e in cold.evaluations]
-        + [e.objectives_raw for e in warm.evaluations]
+        [e.objectives_raw.canonical_min for e in cold.evaluations]
+        + [e.objectives_raw.canonical_min for e in warm.evaluations]
     )
     assert gen0_hv(warm, ref) >= gen0_hv(cold, ref)
     repaired = set(repair_unique(seeds, toy_space))

@@ -1,5 +1,6 @@
 """Dominance, Pareto extraction, latency normalization, 2-D hypervolume."""
 
+import csv
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from subnetsearch.objectives import (
     dominated_area,
     dominates,
     front_to_csv,
+    hv_trace_to_csv,
     hypervolume_2d,
     normalize_latency,
     pareto_front,
@@ -333,9 +335,32 @@ def test_incremental_front_matches_batch():
     assert front.hypervolume() == pytest.approx(dominated_area(batch_pts, (1.0, 1.0)))
 
 
+# Coordinates on and around the box of reference (1, 1): grid values repeat,
+# so points are duplicated or share an x or a y; 1.0 lies on the box and
+# 1.25 outside it.
+BOX_COORDS = st.one_of(
+    st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25]),
+    st.floats(-1.0, 1.5, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(BOX_COORDS, BOX_COORDS), max_size=60))
+def test_incremental_hypervolume_equals_dominated_area_after_every_insert(points):
+    ref = (1.0, 1.0)
+    front = IncrementalFront2D(ref)
+    inside = []
+    for p in points:
+        front.insert(p)
+        if p[0] < ref[0] and p[1] < ref[1]:
+            inside.append(p)
+        assert front.hypervolume() == dominated_area(inside, ref)
+    assert front.clamped == len(points) - len(inside)
+
+
 def test_default_reference_pads_toward_worse():
     vectors = [vec(0.7, 100.0, specs=MIXED), vec(0.5, 40.0, specs=MIXED)]
-    ref = default_reference(vectors)
+    ref = default_reference([v.canonical_min for v in vectors])
     # canonical worst: (-0.5, 100.0); pad must be strictly worse than both
     assert ref[0] > -0.5
     assert ref[1] > 100.0
@@ -351,3 +376,16 @@ def test_front_csv_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "genotype_id,acc_raw,lat_raw,acc_canonical,lat_canonical"
     assert len(lines) == 1 + len(front)
+
+
+def test_hv_trace_csv_equals_the_csv_module_output(tmp_path):
+    # signed zeros, repeated values, subnormal and large values
+    third = 0.1 + 0.2
+    trace = [(1, 0.0), (2, -0.0), (3, third), (4, third), (5, 0.1 + 0.2),
+             (6, 5e-324), (7, 5e-324), (8, 1.2345678901234567e300)]
+    hv_trace_to_csv(trace, tmp_path / "hv_trace.csv")
+    with open(tmp_path / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["evaluation_count", "hypervolume"])
+        writer.writerows([count, repr(hv)] for count, hv in trace)
+    assert (tmp_path / "hv_trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -397,3 +397,23 @@ def test_run_prediction_trials_needs_enough_samples():
         run_prediction_trials(
             np.zeros((10, 2)), np.zeros(10), None, [8], test_size=5, trials=1
         )
+
+
+# 300 and 513 values take two blocks of 256 rows of pairs, the second of 43
+# rows and of a full 256
+@pytest.mark.parametrize("n", [2, 50, 300, 513])
+def test_kendall_tau_b_matches_scipy(n):
+    from scipy.stats import kendalltau
+
+    rng = np.random.default_rng(n)
+    cases = [
+        (rng.normal(size=n), rng.normal(size=n)),
+        (rng.integers(0, 4, n).astype(float), rng.integers(0, 3, n).astype(float)),
+        (rng.integers(0, 3, n).astype(float), rng.normal(size=n)),
+        (np.repeat([1.0, 2.0], n // 2), np.arange(n // 2 * 2, dtype=float)),
+    ]
+    for a, b in cases:
+        if np.all(a == a[0]) or np.all(b == b[0]):
+            continue
+        expected = kendalltau(a, b, variant="b").statistic
+        assert abs(kendall_tau(a, b) - expected) <= 1e-12
