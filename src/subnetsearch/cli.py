@@ -306,17 +306,10 @@ def _cmd_popdb(args) -> int:
             f"--min-cluster-size {args.min_cluster_size} "
             f"--min-samples {args.min_samples}; no frequencies to compute"
         ) from exc
-    allowed = build_constraints(freqs, args.threshold, space)
-    reduced = constrain_space(space, allowed)
+    reduced = constrain_space(space, build_constraints(freqs, args.threshold, space))
     out = Path(args.out) if args.out else history_path.parent / "constraints.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_space(
-        reduced,
-        out,
-        allowed=[list(vals) for vals in allowed],
-        history=str(history_path),
-        threshold=args.threshold,
-    )
+    save_space(reduced, out, history=str(history_path), threshold=args.threshold)
     print(f"points clustered: {len(idx)}")
     print(f"clusters found:   {labeling.n_clusters}")
     noise = sum(1 for l in labeling.labels if l < 0)
@@ -529,6 +522,11 @@ def _cmd_space_info(args) -> int:
         )
         print(f"  {span:>10} {p.name:<28} {p.role:<12} values={list(p.allowed_values)}")
         pos += p.position_count
+    if space.reduction is not None:
+        print("reduced positions:")
+        for pos, (keep, vals) in enumerate(zip(space.reduction, space.allowed)):
+            if keep != vals:
+                print(f"  {f'[{pos}]':>10} {space.param_at(pos).name:<28} allowed={list(keep)}")
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from .evalmgr import (
     evaluate_batch,
     training_set,
 )
-from .evolver import EvolverConfig, SearchTrace, evolve, select_best
+from .evolver import EvolverConfig, evolve, select_best
 from .objectives import (
     IncrementalFront2D,
     ObjectiveSpec,
@@ -223,16 +223,13 @@ class SearchReport:
     space: SearchSpace
     specs: tuple[ObjectiveSpec, ...]
     store: ResultStore
-    validation_populations: list[list]
     predicted_front: ParetoFront | None
     validated_front: ParetoFront
-    final_candidates: list[Genotype]
     hv_reference: tuple[float, ...] | None
     hv_trace: list[tuple[int, float]]
     phase_seconds: dict[str, float]
     config: dict
     warnings: list[str]
-    traces: list[SearchTrace]
 
     @property
     def validation_count(self) -> int:
@@ -429,12 +426,11 @@ def full_search(
         store = ResultStore(specs, space=space)
     phase_seconds: dict[str, float] = {}
     warn_list: list[str] = []
-    traces: list[SearchTrace] = []
     predicted_front = None
 
     if predictor_cfg.family == "none":
         t0 = time.perf_counter()
-        trace = evolve(
+        evolve(
             space,
             evolver_cfg,
             make_validation_evaluate(space, evaluator, store),
@@ -442,8 +438,6 @@ def full_search(
             warm_start=cfg.warm_start,
         )
         phase_seconds["search"] = time.perf_counter() - t0
-        traces.append(trace)
-        validation_populations = [store.validation_records()]
         first_raw = store.validation_columns()[2]
     else:
         if n_train < 100:
@@ -475,7 +469,6 @@ def full_search(
             source="predicted",
         )
         phase_seconds["search"] = time.perf_counter() - t0
-        traces.append(trace)
         predicted_front = pareto_front(trace.front())
 
         t0 = time.perf_counter()
@@ -484,7 +477,6 @@ def full_search(
         )
         warn_list.extend(r.error for r in front_recs if not r.ok)
         phase_seconds["validate_front"] = time.perf_counter() - t0
-        validation_populations = [ok, [r for r in front_recs if r.ok]]
         first_raw = [r.objectives_raw.values for r in ok]
 
     reference = _maybe_reference(specs, first_raw)
@@ -494,16 +486,13 @@ def full_search(
         space=space,
         specs=specs,
         store=store,
-        validation_populations=validation_populations,
         predicted_front=predicted_front,
         validated_front=pareto_front(store),
-        final_candidates=[],
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,
         config=config_to_doc("full", cfg, specs, reference, evaluator, config_extra),
         warnings=warn_list,
-        traces=traces,
     )
 
 
@@ -546,14 +535,12 @@ def concurrent_search(
         store = ResultStore(specs, space=space)
     phase_seconds = {"validate": 0.0, "train_predictors": 0.0, "search": 0.0}
     warn_list: list[str] = []
-    traces: list[SearchTrace] = []
     predicted_names = [
         s.name for s in specs if s.name not in set(cfg.validation_only_objectives)
     ]
 
     population = _initial_population(space, cfg)
     validated: dict[tuple[int, ...], Genotype] = {}
-    validation_populations: list[list] = []
     reference = None
 
     for i in range(cfg.iterations):
@@ -565,7 +552,6 @@ def concurrent_search(
         if not ok:
             raise EvaluationFailed(f"iteration {i}: every validation failed")
         validated.update((r.genotype.genes, r.genotype) for r in recs)
-        validation_populations.append(ok)
         if reference is None:
             reference = _maybe_reference(specs, [r.objectives_raw.values for r in ok])
 
@@ -596,7 +582,8 @@ def concurrent_search(
             source="predicted",
         )
         phase_seconds["search"] += time.perf_counter() - t0
-        traces.append(trace)
+        if i == cfg.iterations - 1:
+            break  # the last search gives the predicted front, not a population
 
         validated_ids = trace.ids_of(validated.values())
         chosen = select_best(
@@ -624,10 +611,8 @@ def concurrent_search(
         space=space,
         specs=specs,
         store=store,
-        validation_populations=validation_populations,
-        predicted_front=pareto_front(traces[-1].front()),
+        predicted_front=pareto_front(trace.front()),
         validated_front=pareto_front(store),
-        final_candidates=population,
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,
@@ -635,5 +620,4 @@ def concurrent_search(
             "concurrent", cfg, specs, reference, evaluator, config_extra
         ),
         warnings=warn_list,
-        traces=traces,
     )

@@ -2,10 +2,10 @@
 
 The generational loop follows the classic recipe (binary tournament on
 rank/crowding, two-point crossover, per-gene mutation, elitist truncation)
-with one twist: a child's inactive genes are reset to rank 0 as soon as it is
-drawn, and a child whose canonical row was already evaluated anywhere in the
-run is rejected and retried, so configurations differing only in inactive
-genes are never measured twice.
+with one twist: a child is put in canonical form (`space.canonical_form`) as
+soon as it is drawn, and a child whose canonical row was already evaluated
+anywhere in the run is rejected and retried, so configurations differing only
+in inactive genes are never measured twice.
 
 A genotype is a row of value ranks from start to finish: the evaluate
 function takes an (n, L) rank matrix and returns an (n, m) matrix of raw
@@ -17,10 +17,11 @@ earlier in key order winning each tournament, (2) p crossover uniforms and p
 cut-point draws (`_cut_points`), (3) a (2p, L) block of mutation uniforms and
 one draw per hit gene (`_other_rank`); `_admit` examines the children in
 order and leftovers are discarded. The initial population draws one (n, L)
-block of uniform ranks per round, one row per empty slot. This draw order
-fixes trajectories: a log written by a version that drew child by child does
-not replay byte-identically under this one, while a replay within one
-version is exact.
+block of uniform ranks per round, one row per empty slot. Every draw picks
+among the ranks an active gene may take, mapped by `SearchSpace.active_ranks`
+(the identity without a reduction). This draw order fixes trajectories: a
+log written by a version that drew child by child does not replay
+byte-identically under this one, while a replay within one version is exact.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .objectives import (
 from .space import (
     Genotype,
     SearchSpace,
+    canonical_form,
     canonicalize,  # noqa: F401  (a trace site of perfbench/runner.py)
-    inactive_genes,
     rank_genes,
     rank_matrix,
     repair_unique,
@@ -295,11 +296,11 @@ def _other_rank(rank: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u + (u >= rank)
 
 
-def _offspring(rng, parents: Slots, counts: np.ndarray, cfg: EvolverConfig,
+def _offspring(rng, parents: Slots, active_ranks, cfg: EvolverConfig,
                pairs: int) -> np.ndarray:
     """The rank rows of 2 * `pairs` children of `parents` (in key order),
     those of one pair adjacent, drawn as the module docstring says;
-    `counts` is each position's number of allowed values."""
+    `active_ranks` is the space's, with the table in the rows' dtype."""
     n, length = parents.ranks.shape
     duels = rng.integers(n, size=(2 * pairs, 2))
     family = parents.ranks[np.minimum(duels[:, 0], duels[:, 1])].reshape(pairs, 2, -1)
@@ -310,9 +311,11 @@ def _offspring(rng, parents: Slots, counts: np.ndarray, cfg: EvolverConfig,
         swap = (at >= lo[:, None]) & (at < np.where(cross, hi, lo)[:, None])
         family = np.where(swap[:, None, :], family[:, ::-1], family)
     kids = family.reshape(2 * pairs, length)
+    counts, table, slot = active_ranks
     rates = np.where(counts > 1, cfg.resolved_mutation_rate, 0.0)
     row, col = np.divmod(np.flatnonzero(rng.random(kids.shape) < rates), length)
-    kids[row, col] = _other_rank(kids[row, col], rng.integers(counts[col] - 1))
+    other = _other_rank(slot[col, kids[row, col]], rng.integers(counts[col] - 1))
+    kids[row, col] = table[col, other]
     return kids
 
 
@@ -368,8 +371,9 @@ def evolve(
     tie_hashes = _row_hasher(space, subseed(cfg.seed, "tiebreak"))
     sign = np.array([1.0 if s.direction == "minimize" else -1.0 for s in specs])
     pop_size, length = cfg.population_size, space.genome_length
-    counts = np.array([len(vals) for vals in space.allowed])
-    dtype = np.min_scalar_type(counts.max() - 1)
+    dtype = np.min_scalar_type(max(map(len, space.allowed)) - 1)
+    counts, table, slot = space.active_ranks
+    table, at = table.astype(dtype), np.arange(length)
     row_bytes = np.dtype((np.void, length * dtype.itemsize))
     # Per evaluated genotype, by evaluation order: its rank row, canonical-min
     # objectives, tie-break hash and generation; `known` maps rank-row bytes
@@ -414,8 +418,7 @@ def evolve(
         fresh, rows, budget = dict.fromkeys(keys), [seeds], 10 * pop_size
         while len(keys) < pop_size:
             need = pop_size - len(keys)
-            kids = draw(need)
-            kids[inactive_genes(kids, space)] = 0
+            kids = canonical_form(draw(need), space)
             kid_keys = kids.view(row_bytes).ravel().tolist()
             taken, budget, accepted = _admit(kid_keys, known, fresh, need, budget)
             duplicate_accepts += accepted
@@ -433,7 +436,7 @@ def evolve(
 
     warm = rank_matrix(repair_unique(warm_start or (), space), space).astype(dtype)
     members = breed(
-        0, lambda need: rng.integers(0, counts, size=(need, length), dtype=dtype), warm
+        0, lambda need: table[at, rng.integers(0, counts, size=(need, length), dtype=dtype)], warm
     )
     if len(members) > pop_size:
         parents = select_best(members, pop_size)
@@ -441,7 +444,7 @@ def evolve(
         parents = members.take(_ranked(members)[2])
     population_ids.append(parents.ids)
     for gen in range(1, cfg.generations + 1):
-        draw = functools.partial(_offspring, rng, parents, counts, cfg)
+        draw = functools.partial(_offspring, rng, parents, (counts, table, slot), cfg)
         parents = select_best(parents + breed(gen, draw, warm[:0]), pop_size)
         population_ids.append(parents.ids)
 

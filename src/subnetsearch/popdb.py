@@ -3,7 +3,7 @@
 Pipeline: cluster explored genotypes with density-based clustering (outliers
 become noise), compute per-position value frequencies over non-noise points
 counting only active genes, exclude values whose frequency falls below a
-threshold, and rebuild a smaller search space.
+threshold, and reduce the space to the values kept at each position.
 
 The clustering is an exact HDBSCAN (Campello, Moulavi & Sander, 2013):
 mutual-reachability distances from k-nearest core distances, a Prim minimum
@@ -42,6 +42,7 @@ weights up to that last bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyClusterSet
-from .space import ElasticParamSpec, SearchSpace, encode_matrix, inactive_genes
+from .space import SearchSpace, encode_matrix, inactive_genes
 
 # ---------------------------------------------------------------------------
 # HDBSCAN
@@ -431,65 +432,27 @@ def elastic_frequencies(
 def build_constraints(
     freqs: FrequencyTable, threshold: float, space: SearchSpace
 ) -> tuple[tuple[int, ...], ...]:
-    """The allowed values per genome position: those with frequency at least
-    `threshold`, in the space's order; a position that would end up empty
-    keeps its single highest-frequency value instead. Positions with no
-    active observations are left unconstrained."""
+    """The allowed values per genome position: those of the space's
+    `active_values` (so a reduced space only narrows) with frequency at least
+    `threshold`, in order; a position that would end up empty keeps its single
+    highest-frequency value instead, and one never observed active keeps all."""
     if not (0.0 <= threshold <= 1.0):
         raise ConfigError("threshold must be in [0, 1]")
     if len(freqs.frequencies) != space.genome_length:
         raise ConfigError("frequency table does not match space genome length")
     allowed = []
-    for vals, f, seen in zip(space.allowed, freqs.frequencies, freqs.observations):
-        keep = tuple(v for v, fr in zip(vals, f) if fr >= threshold) if seen else vals
-        allowed.append(keep or (vals[int(np.argmax(f))],))
+    for vals, ranks, f, seen in zip(space.active_values, space.rank_of_value,
+                                    freqs.frequencies, freqs.observations):
+        freq = [f[ranks[v]] for v in vals]
+        keep = tuple(v for v, fr in zip(vals, freq) if fr >= threshold) if seen else vals
+        allowed.append(keep or (vals[int(np.argmax(freq))],))
     return tuple(allowed)
 
 
 def constrain_space(s: SearchSpace, allowed) -> SearchSpace:
-    """Rebuild the space with the given allowed values per genome position,
-    each a subset of the space's; genome positions and block rules are
-    preserved, so downstream code is unaffected.
-
-    A parameter whose positions end up with different allowed sets is split
-    into one parameter per run of equal sets.
-    """
-    if len(allowed) != s.genome_length:
-        raise ConfigError(
-            f"constraints cover {len(allowed)} positions, space has {s.genome_length}"
-        )
-    for pos, keep in enumerate(allowed):
-        if not keep or not set(keep) <= set(s.allowed[pos]):
-            raise ConfigError(
-                f"position {pos}: {keep} is not a non-empty subset of {s.allowed[pos]}"
-            )
-    new_params: list[ElasticParamSpec] = []
-    pos = 0
-    for p in s.params:
-        runs: list[tuple[int, tuple[int, ...]]] = []  # (count, allowed)
-        for k in range(p.position_count):
-            vals = tuple(sorted(allowed[pos + k]))
-            if runs and runs[-1][1] == vals:
-                runs[-1] = (runs[-1][0] + 1, vals)
-            else:
-                runs.append((1, vals))
-        if len(runs) == 1:
-            new_params.append(
-                ElasticParamSpec(p.name, p.position_count, runs[0][1], p.role)
-            )
-        else:
-            offset = 0
-            for count, vals in runs:
-                new_params.append(
-                    ElasticParamSpec(f"{p.name}_p{pos + offset}", count, vals, p.role)
-                )
-                offset += count
-        pos += p.position_count
-    return SearchSpace(
-        name=f"{s.name}-constrained",
-        params=tuple(new_params),
-        blocks=s.blocks,
-    )
+    """The space `s` reduced to the given values per genome position, each a
+    non-empty subset of the parameter's values there (ConfigError if not)."""
+    return dataclasses.replace(s, reduction=allowed)
 
 
 # ---------------------------------------------------------------------------

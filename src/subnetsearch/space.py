@@ -105,15 +105,24 @@ def genotype_id(g: Genotype) -> str:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Ordered parameters plus block activity rules; immutable after build."""
+    """Ordered parameters plus block activity rules; immutable after build.
+
+    A reduced space adds a reduction: per genome position, the values (a
+    non-empty subset of its parameter's) that an active gene may take. It
+    keeps its parent's name, parameters and value ranks, so its genotypes
+    are canonical genotypes of the parent and score on its surfaces."""
 
     name: str
     params: tuple[ElasticParamSpec, ...]
     blocks: tuple[BlockRule, ...]
+    reduction: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        if self.reduction is not None:
+            reduction = tuple(tuple(sorted(set(map(int, v)))) for v in self.reduction)
+            object.__setattr__(self, "reduction", reduction)
         self._validate()
 
     # -- derived layout ----------------------------------------------------
@@ -135,6 +144,24 @@ class SearchSpace:
         return tuple(
             self.params[i].allowed_values for i in self.param_index_of_position
         )
+
+    @cached_property
+    def active_values(self) -> tuple[tuple[int, ...], ...]:
+        """Per position, the values an active gene may take: the reduction's,
+        else every allowed value."""
+        return self.allowed if self.reduction is None else self.reduction
+
+    @cached_property
+    def active_ranks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(counts, table, slot): per position, how many ranks an active gene
+        may take; a row starting with those ranks, ascending; and each rank's
+        index in that row (0 for a rank not among them). Without a reduction
+        the table is the identity."""
+        mask = np.zeros((self.genome_length, max(map(len, self.allowed), default=1)), bool)
+        for pos, vals in enumerate(self.active_values):
+            mask[pos, [self.rank_of_value[pos][v] for v in vals]] = True
+        slot = np.where(mask, mask.cumsum(axis=1) - 1, 0)
+        return mask.sum(axis=1), np.argsort(~mask, axis=1, kind="stable"), slot
 
     @cached_property
     def rank_of_value(self) -> tuple[dict[int, int], ...]:
@@ -229,6 +256,12 @@ class SearchSpace:
         for pos in range(n):
             if self.param_at(pos).role == "per_layer" and pos not in governed_by:
                 raise ConfigError(f"per_layer gene {pos} is governed by no block")
+        reduction = self.reduction
+        if reduction is not None and len(reduction) != n:
+            raise ConfigError(f"allowed values cover {len(reduction)} positions, space has {n}")
+        for pos, (keep, vals) in enumerate(zip(reduction or (), self.allowed)):
+            if not keep or not set(keep) <= set(vals):
+                raise ConfigError(f"position {pos}: {keep} is not a non-empty subset of {vals}")
 
     # -- genotype helpers ----------------------------------------------------
 
@@ -246,10 +279,9 @@ class SearchSpace:
             self.value_rank(pos, value)
 
     def reset_inactive(self, genes: tuple[int, ...]) -> tuple[int, ...]:
-        """`genes` with every inactive gene at its first allowed value; the
-        same tuple when nothing changes. Invalid genes raise InvalidGenotype."""
-        ranks = rank_matrix([Genotype.of_ints(genes)], self)
-        ranks[inactive_genes(ranks, self)] = 0
+        """`genes` in canonical form (see `canonical_form`); the same tuple
+        when nothing changes. Invalid genes raise InvalidGenotype."""
+        ranks = canonical_form(rank_matrix([Genotype.of_ints(genes)], self), self)
         out = rank_genes(ranks, self)[0]
         return genes if out == genes else out
 
@@ -259,8 +291,20 @@ class SearchSpace:
 # ---------------------------------------------------------------------------
 
 
+def canonical_form(ranks: np.ndarray, s: SearchSpace) -> np.ndarray:
+    """Put rank rows in canonical form, in place, and return them: an active
+    gene whose value the reduction leaves out takes the position's first
+    value it keeps, and an inactive gene its parameter's first value."""
+    if s.reduction is not None:
+        _, table, slot = s.active_ranks
+        at = np.arange(s.genome_length)
+        ranks[...] = table[at, slot[at, ranks]]
+    ranks[inactive_genes(ranks, s)] = 0
+    return ranks
+
+
 def canonicalize(g: Genotype, s: SearchSpace) -> Genotype:
-    """Reset every inactive gene to its parameter's first allowed value."""
+    """`g` in canonical form (see `canonical_form`)."""
     genes = s.reset_inactive(g.genes)
     return g if genes is g.genes else Genotype(genes)
 
@@ -270,12 +314,12 @@ def is_canonical(g: Genotype, s: SearchSpace) -> bool:
 
 
 def repair_unique(genotypes, s: SearchSpace) -> list[Genotype]:
-    """Snap each genotype's out-of-set genes to the nearest allowed value
-    (ties go to the smaller), canonicalize, and keep the first of each
+    """Snap each genotype's genes to the nearest value an active gene may
+    take (ties go to the smaller), canonicalize, and keep the first of each
     canonical form in input order.
 
     Used when transferring genotypes into a space they were not sampled from
-    (warm starts across constrained spaces).
+    (warm starts across reduced spaces).
     """
     snapped = []
     for g in genotypes:
@@ -285,16 +329,16 @@ def repair_unique(genotypes, s: SearchSpace) -> list[Genotype]:
                 f"for genome length {s.genome_length}"
             )
         snapped.append(Genotype(tuple(
-            v if v in ranks else min(vals, key=lambda a: (abs(a - v), a))
-            for v, vals, ranks in zip(g.genes, s.allowed, s.rank_of_value)
+            v if v in vals else min(vals, key=lambda a: (abs(a - v), a))
+            for v, vals in zip(g.genes, s.active_values)
         )))
-    ranks = rank_matrix(snapped, s)
-    ranks[inactive_genes(ranks, s)] = 0
+    ranks = canonical_form(rank_matrix(snapped, s), s)
     return list(map(Genotype.of_ints, dict.fromkeys(rank_genes(ranks, s))))
 
 
 def cardinality(s: SearchSpace) -> int:
     """Number of distinct canonical genotypes (arbitrary precision)."""
+    allowed = s.active_values
     total = 1
     consumed: set[int] = set()
     for b in s.blocks:
@@ -302,25 +346,26 @@ def cardinality(s: SearchSpace) -> int:
         layer_combos = []
         for layer in range(b.max_layers):
             slots = b.governed_gene_indices[layer * ppl : (layer + 1) * ppl]
-            layer_combos.append(math.prod(len(s.allowed[pos]) for pos in slots))
-        depth_values = s.allowed[b.depth_gene_index]
+            layer_combos.append(math.prod(len(allowed[pos]) for pos in slots))
+        depth_values = allowed[b.depth_gene_index]
         total *= sum(math.prod(layer_combos[:d]) for d in depth_values)
         consumed.add(b.depth_gene_index)
         consumed.update(b.governed_gene_indices)
     for pos in range(s.genome_length):
         if pos not in consumed:
-            total *= len(s.allowed[pos])
+            total *= len(allowed[pos])
     return total
 
 
 def sample_uniform(s: SearchSpace, n: int, seed: int) -> list[Genotype]:
-    """Draw n canonical genotypes, each gene uniform over its allowed values."""
+    """Draw n canonical genotypes, each gene uniform over the values an
+    active gene may take at its position."""
     if n < 1:
         raise ConfigError("sample_uniform: n must be >= 1")
     rng = np.random.default_rng(seed)
-    counts = np.array([len(vals) for vals in s.allowed])
-    ranks = rng.integers(0, counts, size=(n, s.genome_length))
-    ranks[inactive_genes(ranks, s)] = 0
+    counts, table, _ = s.active_ranks
+    at = np.arange(s.genome_length)
+    ranks = canonical_form(table[at, rng.integers(0, counts, size=(n, len(at)))], s)
     return list(map(Genotype.of_ints, rank_genes(ranks, s)))
 
 
@@ -347,6 +392,7 @@ def sample_unique(
 def enumerate_genotypes(s: SearchSpace):
     """Yield every canonical genotype; intended for toy spaces only."""
     base = [vals[0] for vals in s.allowed]
+    allowed = s.active_values
     block_positions: set[int] = set()
     per_block: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     for b in s.blocks:
@@ -354,9 +400,9 @@ def enumerate_genotypes(s: SearchSpace):
         block_positions.update(b.governed_gene_indices)
         ppl = b.params_per_layer
         assignments = []
-        for depth in s.allowed[b.depth_gene_index]:
+        for depth in allowed[b.depth_gene_index]:
             active = b.governed_gene_indices[: depth * ppl]
-            for combo in itertools.product(*(s.allowed[pos] for pos in active)):
+            for combo in itertools.product(*(allowed[pos] for pos in active)):
                 positions = (b.depth_gene_index,) + active
                 values = (depth,) + combo
                 assignments.append((positions, values))
@@ -364,7 +410,7 @@ def enumerate_genotypes(s: SearchSpace):
     free_positions = [
         pos for pos in range(s.genome_length) if pos not in block_positions
     ]
-    free_choices = itertools.product(*(s.allowed[pos] for pos in free_positions))
+    free_choices = itertools.product(*(allowed[pos] for pos in free_positions))
     for free_values in free_choices:
         for blocks_choice in itertools.product(*per_block):
             genes = list(base)
@@ -448,12 +494,11 @@ def canonical_ranks(genotypes, s: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
     offending row."""
     genotypes = list(genotypes)
     ranks = rank_matrix(genotypes, s)
-    inactive = inactive_genes(ranks, s)
-    off = (inactive & (ranks != 0)).any(axis=1)
+    off = (canonical_form(ranks.copy(), s) != ranks).any(axis=1)
     if off.any():
         bad = genotypes[int(np.argmax(off))]
         raise NonCanonicalInput(f"genotype {bad.genes} is not canonical")
-    return ranks, inactive
+    return ranks, inactive_genes(ranks, s)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +507,8 @@ def canonical_ranks(genotypes, s: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def space_to_dict(s: SearchSpace) -> dict:
-    return {
+    """The space document of `s`; its reduction, if any, is `allowed`."""
+    doc = {
         "name": s.name,
         "params": [
             {
@@ -482,6 +528,9 @@ def space_to_dict(s: SearchSpace) -> dict:
             for b in s.blocks
         ],
     }
+    if s.reduction is not None:
+        doc["allowed"] = [list(vals) for vals in s.reduction]
+    return doc
 
 
 def space_from_dict(d: dict) -> SearchSpace:
@@ -503,7 +552,7 @@ def space_from_dict(d: dict) -> SearchSpace:
             )
             for b in d.get("blocks", [])
         )
-        return SearchSpace(name=d["name"], params=params, blocks=blocks)
+        return SearchSpace(d["name"], params, blocks, d.get("allowed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed search-space document: {exc}") from exc
 

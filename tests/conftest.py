@@ -57,6 +57,27 @@ def raw_genotypes(draw, space):
     return Genotype(tuple(draw(st.sampled_from(vals)) for vals in space.allowed))
 
 
+@st.composite
+def reductions(draw, space):
+    """A reduction of `space`: per position, a non-empty subset of its values."""
+    return tuple(
+        tuple(sorted(draw(st.sets(st.sampled_from(vals), min_size=1))))
+        for vals in space.allowed
+    )
+
+
+def in_reduced_form_loop(g, space, reduction):
+    """Whether a genotype is canonical in `space` reduced by `reduction`, gene
+    by gene: every active gene takes an allowed value, and every inactive
+    gene its parameter's first value."""
+    return all(
+        v in keep if active else v == vals[0]
+        for v, keep, vals, active in zip(
+            g.genes, reduction, space.allowed, active_mask_loop(g, space)
+        )
+    )
+
+
 def active_mask_loop(g, space):
     """Per-position activity of one genotype by the block rules, gene by
     gene: a governed gene is inactive iff its layer slot is at least its

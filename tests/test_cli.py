@@ -527,11 +527,14 @@ def test_popdb_command_threshold_rule(tmp_path, toy_space_file):
     assert tuple(tuple(v) for v in doc["allowed"]) == expected
 
 
-def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space_file, capsys):
+def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space, toy_space_file,
+                                                      capsys):
     """History, then popdb, then a search on the reduced space it writes,
-    through the CLI alone; `space info` reads the same document."""
-    from subnetsearch.evalmgr import ResultStore
-    from subnetsearch.space import cardinality
+    through the CLI alone; `space info` reads the same document. The reduced
+    run logs canonical genotypes of the full space, scored on its surface,
+    and warm starts cross between the two spaces either way."""
+    from subnetsearch.evalmgr import ResultStore, make_surface, synthetic_evaluate
+    from subnetsearch.space import canonical_ranks, cardinality
 
     history, doc_path = tmp_path / "history", tmp_path / "doc.json"
     assert run_cli(
@@ -546,8 +549,10 @@ def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space_file, c
     ) == 0
     doc = json.loads(doc_path.read_text())
     assert doc["history"] == str(history / "evals.jsonl") and doc["threshold"] == 0.2
+    # the parent's document plus the values kept per position
+    assert {k: doc[k] for k in ("name", "params", "blocks")} == space_to_dict(toy_space)
     reduced = space_from_dict(doc)
-    assert [list(vals) for vals in reduced.allowed] == doc["allowed"]
+    assert [list(vals) for vals in reduced.reduction] == doc["allowed"]
     assert cardinality(reduced) < 8100  # some value was excluded
     run, replay = tmp_path / "run", tmp_path / "replay"
     assert run_cli(
@@ -558,10 +563,23 @@ def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space_file, c
                    "--out", str(replay)) == 0
     for name in ("evals.jsonl", "config.json"):
         assert (run / name).read_bytes() == (replay / name).read_bytes(), name
-    recs = ResultStore.load(run / "evals.jsonl").records
-    assert len(recs) == 40
-    for r in recs:
-        assert all(v in vals for v, vals in zip(r.genotype.genes, doc["allowed"]))
+    store = ResultStore.load(run / "evals.jsonl")
+    recs = store.records
+    assert len(recs) == 40 and store.space_name == "toy"
+    # canonical in the full space, every active gene allowed, full-surface objectives
+    inactive = canonical_ranks([r.genotype for r in recs], toy_space)[1]
+    surface = make_surface(toy_space, "clx-like")
+    for r, off in zip(recs, inactive):
+        assert all(o or v in vals for v, vals, o in zip(r.genotype.genes, doc["allowed"], off))
+        assert r.objectives_raw.values == synthetic_evaluate(r.genotype, surface).values
+    for space, warm in ((toy_space_file, run), (str(doc_path), history)):
+        assert run_cli(
+            "search", "concurrent", "--space", space, "--evaluator", "synthetic:clx-like",
+            "--pop", "10", "--iters", "1", "--inner-gens", "4", "--seed", "4",
+            "--warm-start", str(warm / "evals.jsonl"), "--out", str(tmp_path / "warm"),
+        ) == 0
+    for r in ResultStore.load(tmp_path / "warm" / "evals.jsonl", space=reduced).records:
+        assert r.genotype.genes == reduced.reset_inactive(r.genotype.genes)
     capsys.readouterr()
     assert run_cli("space", "info", "--space", str(doc_path)) == 0
     assert f"cardinality:   {cardinality(reduced):.4e}" in capsys.readouterr().out
@@ -798,6 +816,30 @@ def test_space_info_and_constraints(tmp_path, toy_space_file, capsys):
     out = capsys.readouterr().out
     assert "8100" in out
     assert "genome length: 10" in out
+    assert "reduced positions" not in out
+
+
+def test_space_info_on_a_reduced_document(tmp_path, toy_space, capsys):
+    """The parent's layout, a cardinality that honours the reduction, and the
+    allowed values of every reduced position."""
+    from subnetsearch.popdb import constrain_space
+    from subnetsearch.space import cardinality
+
+    allowed = list(toy_space.allowed)
+    allowed[0] = (2,)  # blk0 always two layers deep
+    allowed[1] = (5, 7)  # blk0's layer-0 kernel loses 3
+    reduced = constrain_space(toy_space, allowed)
+    save_space(reduced, tmp_path / "reduced.json")
+    assert run_cli("space", "info", "--space", str(tmp_path / "reduced.json")) == 0
+    out = capsys.readouterr().out
+    assert "space:         toy\n" in out
+    assert f"cardinality:   {cardinality(reduced):.4e} ({6 * 9 * 90})" in out
+    assert "[1..2] blk0_kernel" in out and "values=[3, 5, 7]" in out
+    reduced_lines = out.split("reduced positions:\n")[1].splitlines()
+    assert [line.split() for line in reduced_lines] == [
+        ["[0]", "blk0_depth", "allowed=[2]"],
+        ["[1]", "blk0_kernel", "allowed=[5,", "7]"],
+    ]
 
 
 def test_popdb_history_of_noise_only_is_config_error(tmp_path, toy_space, toy_space_file,

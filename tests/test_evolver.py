@@ -1,5 +1,6 @@
 """NSGA-II internals and the generational loop."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -15,6 +16,7 @@ from subnetsearch.evolver import (
     _admit,
     _crowding,
     _cut_points,
+    _offspring,
     _other_rank,
     _ranked,
     _row_hasher,
@@ -44,7 +46,13 @@ from subnetsearch.space import (
 )
 from subnetsearch.util import subseed
 
-from conftest import active_mask_loop
+from conftest import (
+    ORACLE_SPACES,
+    active_mask_loop,
+    in_reduced_form_loop,
+    raw_genotypes,
+    reductions,
+)
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 
@@ -748,3 +756,75 @@ def test_evolve_rejects_a_space_without_genes():
     with pytest.raises(ConfigError, match="no genes"):
         evolve(SearchSpace("empty", (), ()), EvolverConfig(4, 1),
                lambda rows: np.zeros((len(rows), 2)), MIN2)
+
+
+# ---------------------------------------------------------------------------
+# reduced spaces
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
+def test_reduced_space_draws_keep_active_genes_allowed(oracle_spaces, name, data):
+    """Sampling, warm-start repair and the evolver's draws, crossover and
+    mutation give canonical genotypes of the parent whose active genes all
+    take allowed values."""
+    space = oracle_spaces[name]
+    reduction = data.draw(reductions(space))
+    reduced = dataclasses.replace(space, reduction=reduction)
+    seed = data.draw(st.integers(0, 2**16))
+    warm = data.draw(st.lists(raw_genotypes(space), max_size=6))
+    cfg = EvolverConfig(8, 4, mutation_rate=0.3, seed=seed)
+    trace = evolve(reduced, cfg, two_objective_evaluate(space), MIN2, warm_start=warm)
+    for gs in (sample_uniform(reduced, 20, seed), repair_unique(warm, reduced),
+               trace.genotypes(trace.table)):
+        assert all(in_reduced_form_loop(g, space, reduction) for g in gs)
+
+
+@pytest.mark.parametrize("name", ["toy", "mobilenetv3-like", "transformer-like"])
+def test_a_reduction_allowing_every_value_draws_as_no_reduction(oracle_spaces, name):
+    space = oracle_spaces[name]
+    full = dataclasses.replace(space, reduction=space.allowed)
+    assert sample_uniform(full, 50, 3) == sample_uniform(space, 50, 3)
+    warm = sample_uniform(space, 10, 4)
+    assert repair_unique(warm, full) == repair_unique(warm, space)
+    cfg = EvolverConfig(12, 6, mutation_rate=0.2, seed=5)
+    a, b = (evolve(s, cfg, two_objective_evaluate(space), MIN2, warm_start=warm)
+            for s in (full, space))
+    assert np.array_equal(a.table.ranks, b.table.ranks)
+    assert a.population_ids[-1].tolist() == b.population_ids[-1].tolist()
+
+
+def deep_reduced_toy(toy_space):
+    """The toy space at full depth everywhere (so every gene is active), with
+    reductions that drop a parameter's first, middle and last values."""
+    cut = dict(enumerate(toy_space.allowed))
+    cut.update({0: (2,), 5: (2,), 1: (5, 7), 3: (3, 6), 7: (3, 5), 9: (4,)})
+    return dataclasses.replace(toy_space, reduction=tuple(cut.values()))
+
+
+def test_reduced_draws_reach_every_allowed_value(toy_space):
+    """Uniform draws, in sampling and in the evolver's initial population,
+    pick among the allowed values: each of them turns up, and no other."""
+    reduced = deep_reduced_toy(toy_space)
+    trace = evolve(reduced, EvolverConfig(60, 0, seed=2), two_objective_evaluate(toy_space), MIN2)
+    for gs in (sample_uniform(reduced, 200, 1), trace.genotypes(trace.table)):
+        seen = [sorted({g.genes[pos] for g in gs}) for pos in range(toy_space.genome_length)]
+        assert seen == [list(vals) for vals in reduced.reduction]
+
+
+def test_reduced_mutation_draws_another_allowed_value(toy_space):
+    """With every gene hit, a mutated gene takes an allowed value other than
+    its parent's, each of them in turn; a gene with one allowed value stays."""
+    reduced = deep_reduced_toy(toy_space)
+    counts, table, slot = reduced.active_ranks
+    parent = rank_matrix([Genotype(tuple(vals[-1] for vals in reduced.reduction))], reduced)
+    parents = Slots(np.repeat(parent, 4, axis=0).astype(np.uint8), np.zeros((4, 2)),
+                    np.zeros(4, dtype=np.uint64), np.arange(4))
+    cfg = EvolverConfig(4, 1, crossover_rate=0.0, mutation_rate=1.0)
+    kids = _offspring(np.random.default_rng(0), parents, (counts, table.astype(np.uint8), slot),
+                      cfg, pairs=100)
+    genes = rank_genes(kids, reduced)
+    for pos, vals in enumerate(reduced.reduction):
+        others = [v for v in vals if v != vals[-1]] or [vals[-1]]
+        assert sorted({g[pos] for g in genes}) == others

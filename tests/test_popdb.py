@@ -261,7 +261,7 @@ def test_threshold_zero_keeps_everything(toy_space):
     table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
     allowed = build_constraints(table, 0.0, toy_space)
     assert allowed == toy_space.allowed
-    assert constrain_space(toy_space, allowed).allowed == toy_space.allowed
+    assert constrain_space(toy_space, allowed).reduction == toy_space.allowed
 
 
 def test_empty_position_keeps_single_best_value():
@@ -310,10 +310,34 @@ def test_constrained_space_is_subset(toy_space):
     # every canonical genotype of the reduced space is valid in the original
     for g in enumerate_genotypes(reduced):
         toy_space.validate_genes(g)
-    # sampling the reduced space never emits excluded values
-    for g in sample_uniform(reduced, 100, seed=5):
+    # sampling the reduced space gives canonical genotypes of the full space
+    # whose active genes take allowed values
+    gs = sample_uniform(reduced, 100, seed=5)
+    inactive = canonical_ranks(gs, toy_space)[1]
+    for g, off in zip(gs, inactive):
         for pos, v in enumerate(g.genes):
-            assert v in allowed[pos]
+            assert off[pos] or v in allowed[pos]
+
+
+def test_popdb_on_a_reduced_space_only_narrows_it(toy_space):
+    """build_constraints starts from the input's allowed sets: values it left
+    out stay out even where the history favours them, and the fallback for
+    an emptied position picks among the values it kept."""
+    allowed = list(toy_space.allowed)
+    allowed[0] = (2,)
+    allowed[1] = (5, 7)
+    allowed[3] = (3, 6)
+    reduced = constrain_space(toy_space, allowed)
+    gs = sample_uniform(toy_space, 300, seed=12)  # full-space history
+    labeling = ClusterLabeling(labels=(0,) * len(gs))
+    table = elastic_frequencies(labeling, rank_matrix(gs, toy_space), toy_space)
+    for threshold in (0.0, 0.2, 0.4, 0.9):
+        again = build_constraints(table, threshold, reduced)
+        assert all(set(a) <= set(r) for a, r in zip(again, reduced.reduction))
+        assert constrain_space(reduced, again).reduction == again
+    table = table_for(toy_space, [(0.9, 0.1)] + [(0.6, 0.3, 0.1)] * 9)
+    again = build_constraints(table, 0.95, reduced)
+    assert again[:4] == ((2,), (5,), (3,), (3,))
 
 
 def test_depth_constraint_respected(global_space):

@@ -1,5 +1,6 @@
 """Space construction, canonicalization, cardinality, sampling, encoding."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,13 @@ from subnetsearch.space import (
 )
 from subnetsearch.util import genes_bytes
 
-from conftest import ORACLE_SPACES, active_mask_loop, raw_genotypes
+from conftest import (
+    ORACLE_SPACES,
+    active_mask_loop,
+    in_reduced_form_loop,
+    raw_genotypes,
+    reductions,
+)
 
 
 def brute_force_architecture(g, space):
@@ -477,3 +484,101 @@ def test_batch_repair_unique_matches_gene_by_gene_repair(oracle_spaces, name, da
     assert repair_unique(gs, space) == want
     assert [repair_unique([g], space) for g in gs] == [[repair_loop(g, space)] for g in gs]
     assert rank_genes(rank_matrix(want, space), space) == [g.genes for g in want]
+
+
+# ---------------------------------------------------------------------------
+# reduced spaces
+# ---------------------------------------------------------------------------
+
+
+def reduce(space, **cut):
+    """`space` with the values at positions `p<i>` cut to the given ones."""
+    allowed = list(space.allowed)
+    for key, vals in cut.items():
+        allowed[int(key[1:])] = vals
+    return dataclasses.replace(space, reduction=tuple(allowed))
+
+
+def reduced_form_loop(g, space):
+    """The gene-by-gene oracle of canonical form in a reduced space: a gene
+    outside the reduction takes the position's first allowed value (depth
+    genes first, as they decide activity), then an inactive gene takes its
+    parameter's first value."""
+    snapped = Genotype(tuple(
+        v if v in keep else keep[0] for v, keep in zip(g.genes, space.reduction)
+    ))
+    return Genotype(tuple(
+        v if active else vals[0]
+        for v, vals, active in zip(snapped.genes, space.allowed,
+                                   active_mask_loop(snapped, space))
+    ))
+
+
+# toy layout: [0] blk0_depth, [1..2] blk0_kernel, [3..4] blk0_expand, [5] blk1_depth, ...;
+# [2] is blk0's layer-1 kernel and [8] blk1's layer-0 expand
+TOY_CUTS = {
+    "per-layer value removed": {"p2": (5, 7)},
+    "depth value removed": {"p0": (2,)},
+    "position cut to one value": {"p8": (6,)},
+    "all three": {"p2": (5, 7), "p0": (2,), "p8": (6,)},
+}
+
+
+@pytest.mark.parametrize("cut", TOY_CUTS.values(), ids=TOY_CUTS)
+def test_reduced_cardinality_and_enumeration_match_brute_force(toy_space, cut):
+    reduced = reduce(toy_space, **cut)
+    want = {
+        g.genes for g in enumerate_genotypes(toy_space)
+        if in_reduced_form_loop(g, toy_space, reduced.reduction)
+    }
+    got = [g.genes for g in enumerate_genotypes(reduced)]
+    assert cardinality(reduced) == len(set(got)) == len(got) == len(want) < 8100
+    assert set(got) == want
+    canonical_ranks(list(map(Genotype, got)), toy_space)  # canonical in the full space
+    canonical_ranks(list(map(Genotype, got)), reduced)
+    # every raw genotype canonicalizes into the reduced space, as the oracle does
+    canon = {canonicalize(g, reduced).genes for g in all_raw_genotypes(toy_space)}
+    assert canon == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
+def test_reduced_canonical_form_matches_loop_oracle(oracle_spaces, name, data):
+    space = oracle_spaces[name]
+    reduced = dataclasses.replace(space, reduction=data.draw(reductions(space)))
+    g = data.draw(raw_genotypes(space))
+    expected = reduced_form_loop(g, reduced)
+    assert canonicalize(g, reduced) == expected
+    assert is_canonical(g, reduced) == (expected == g)
+    assert in_reduced_form_loop(expected, space, reduced.reduction)
+    if expected != g:
+        with pytest.raises(NonCanonicalInput):
+            canonical_ranks([g], reduced)
+
+
+def test_reduced_space_keeps_the_parent_and_round_trips(tmp_path, toy_space):
+    reduced = reduce(toy_space, p2=(7, 5), p0=(2,))
+    assert reduced.reduction[2] == (5, 7)  # kept in the parameter's order
+    assert (reduced.name, reduced.params, reduced.blocks, reduced.allowed) == (
+        toy_space.name, toy_space.params, toy_space.blocks, toy_space.allowed)
+    doc = space_to_dict(reduced)
+    assert {k: doc[k] for k in ("name", "params", "blocks")} == space_to_dict(toy_space)
+    assert doc["allowed"] == [list(vals) for vals in reduced.reduction]
+    assert space_from_dict(doc) == reduced
+    save_space(reduced, tmp_path / "r.json")
+    assert load_space(tmp_path / "r.json") == reduced
+    # the parent's surface ranks: encoding does not depend on the reduction
+    gs = sample_uniform(reduced, 20, 1)
+    for scheme in ("one_hot", "ordinal_normalized"):
+        assert np.array_equal(encode(gs, reduced, scheme), encode(gs, toy_space, scheme))
+
+
+@pytest.mark.parametrize("allowed, match", [
+    ([[3]], "cover 1 positions, space has 10"),
+    ([[1]] + [[9]] * 9, "position 1"),
+    ([[]] * 10, "position 0"),
+    ("x" * 10, "malformed"),
+])
+def test_malformed_allowed_is_config_error(toy_space, allowed, match):
+    with pytest.raises(ConfigError, match=match):
+        space_from_dict({**space_to_dict(toy_space), "allowed": allowed})
