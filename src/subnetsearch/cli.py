@@ -70,7 +70,7 @@ from .space import (
     canonical_ranks,
     cardinality,
     encode_matrix,
-    genotype_id,
+    genotype_ids,
     rank_matrix,
     resolve_space,
     sample_unique,
@@ -446,8 +446,8 @@ def _cmd_analyze(args) -> int:
             f"{s.name}_normalized" for s in latency_specs
         ]
         writer.writerow(header)
-        for rec in front:
-            row = [genotype_id(rec.genotype)]
+        for rec, gid in zip(front, genotype_ids(rec.genotype for rec in front)):
+            row = [gid]
             row += [repr(v) for v in rec.objectives_raw.values]
             for s in latency_specs:
                 row.append(
@@ -475,9 +475,9 @@ def _cmd_analyze(args) -> int:
         with open(pop_dir / f"gen_{gen:04d}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["genotype_id"] + [s.name for s in specs] + ["genes"])
-            for r in rows:
+            for r, gid in zip(rows, genotype_ids(r.genotype for r in rows)):
                 writer.writerow(
-                    [genotype_id(r.genotype)]
+                    [gid]
                     + [repr(v) for v in r.objectives_raw.values]
                     + [" ".join(str(g) for g in r.genotype.genes)]
                 )

@@ -26,7 +26,7 @@ from .errors import ConfigError, EmptyInput, EvaluationFailed
 from .evalmgr import (
     ResultStore,
     evaluate_batch,
-    training_set,
+    training_rows,
 )
 from .evolver import EvolverConfig, evolve, select_best
 from .objectives import (
@@ -280,9 +280,12 @@ def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str):
 
 
 def _train_models(store: ResultStore, pcfg: PredictorConfig, objectives):
+    """A predictor per objective, all fitted on one encoding of `training_rows`."""
+    X, raw = training_rows(store, pcfg.encoding)
+    names = [s.name for s in store.specs]
     models = {}
     for name in objectives:
-        X, y = training_set(store, name, pcfg.encoding)
+        y = np.ascontiguousarray(raw[:, names.index(name)])
         try:
             models[name] = fit_objective_predictor(pcfg, X, y, name)
         except Exception as exc:
@@ -330,18 +333,18 @@ def make_predictor_evaluate(
             recs = evaluate_batch(genotypes, evaluator, store, gen=gen)
             worst = _worst_observed(store)
             failed = [f"validation-only measurement failed: {r.error}" for r in recs if not r.ok]
-        columns = []
-        for spec in specs:
+        out = np.empty((len(ranks), len(specs)))
+        for k, spec in enumerate(specs):
             if spec.name not in vo:
-                columns.append(predict(models[spec.name], X))
+                out[:, k] = predict(models[spec.name], X)
                 continue
-            columns.append([
+            out[:, k] = [
                 r.objectives_raw.value_of(spec.name) if r.ok else worst[spec.name]
                 for r in recs
-            ])
+            ]
             if warn_sink is not None:
                 warn_sink.extend(failed)
-        return np.column_stack(columns)
+        return out
 
     return evaluate
 
@@ -590,12 +593,12 @@ def concurrent_search(
             trace.table.take(trace.population_ids[-1]), cfg.population_size,
             exclude=validated_ids,
         )
+        population = trace.genotypes(chosen)
         if len(chosen) < cfg.population_size:
-            chosen += select_best(
+            population += trace.genotypes(select_best(
                 trace.table, cfg.population_size - len(chosen),
                 exclude=np.concatenate([validated_ids, chosen.ids]),
-            )
-        population = trace.genotypes(chosen)
+            ))
         population += sample_unique(
             space,
             cfg.population_size - len(population),

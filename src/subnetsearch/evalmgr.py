@@ -48,7 +48,7 @@ from .space import (
     encode_matrix,
     is_canonical,  # noqa: F401  (a trace site of perfbench/runner.py)
 )
-from .util import pseudo_noise, read_json, subseed
+from .util import GeneText, pseudo_noise, read_json, subseed
 
 SOURCE_VALIDATION = "validation"
 
@@ -65,14 +65,6 @@ _BLOCK = 256  # rows per block of whole-log passes, which bounds their temporari
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps's output, built once
-
-
-class _GeneText(dict):
-    """int -> its decimal text, made on first use."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
 
 
 def _first_repeat(genes: np.ndarray, rows: np.ndarray, tags: list) -> int | None:
@@ -147,7 +139,7 @@ class ResultStore:
         self._sources: dict[str, int] = {}  # value -> code, in code order
         self._evaluators: dict[str, int] = {}
         self._recs: list[EvaluationRecord | None] = []
-        self._gene_text = _GeneText()
+        self._gene_text = GeneText()
         # (genes, evaluator id) -> row of each successful validation; built
         # on first use after a load
         self._index: dict[tuple[tuple[int, ...], str], int] | None = {}
@@ -609,31 +601,30 @@ def evaluate_batch(
     return [results[g.genes] for g in genotypes]
 
 
-def training_set(
-    store: ResultStore,
-    objective: str,
-    scheme: str,
-    evaluator_id: str | None = None,
-):
-    """Encoded features and raw targets from validation records.
-
-    Records are deduplicated by canonical genotype (first evaluation wins) and
-    ordered by sequence number.
-    """
-    if objective not in {s.name for s in store.specs}:
-        raise ObjectiveMismatch(f"store has no objective named {objective!r}")
+def training_rows(store: ResultStore, scheme: str, evaluator_id: str | None = None):
+    """(X, raw): encoded features and the raw objective matrix (columns in
+    spec order) of the successful validation records, read from the store's
+    columns in sequence order. A genotype logged under more than one
+    evaluator id keeps its first row."""
     if store.space is None:
         raise ConfigError("store has no search space attached")
-    recs = store.validation_records(evaluator_id)
-    if not recs:
+    seqs, genes, raw = store.validation_columns(evaluator_id)
+    if not len(seqs):
         raise EmptyInput("no validation records to train from")
-    deduped: dict[tuple[int, ...], EvaluationRecord] = {}
-    for r in recs:
-        deduped.setdefault(r.genotype.genes, r)
-    ranks = canonical_ranks([r.genotype for r in deduped.values()], store.space)[0]
-    X = encode_matrix(ranks, store.space, scheme)
-    y = np.array([r.objectives_raw.value_of(objective) for r in deduped.values()])
-    return X, y
+    if len(store.evaluator_ids) > 1:  # else no genotype is logged twice
+        rows = np.sort(np.unique(genes, axis=0, return_index=True)[1])
+        genes, raw = genes[rows], raw[rows]
+    ranks = canonical_ranks(genes, store.space)[0]
+    return encode_matrix(ranks, store.space, scheme), raw
+
+
+def training_set(store: ResultStore, objective: str, scheme: str, evaluator_id: str | None = None):
+    """Encoded features and raw targets of one objective (see `training_rows`)."""
+    names = [s.name for s in store.specs]
+    if objective not in names:
+        raise ObjectiveMismatch(f"store has no objective named {objective!r}")
+    X, raw = training_rows(store, scheme, evaluator_id)
+    return X, np.ascontiguousarray(raw[:, names.index(objective)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,26 +9,29 @@ in inactive genes are never measured twice.
 
 A genotype is a row of value ranks from start to finish: the evaluate
 function takes an (n, L) rank matrix and returns an (n, m) matrix of raw
-objectives, the vectorized problem contract of pymoo (Blank & Deb 2020).
-Populations are `Slots`: rank rows with objectives and tie-break hashes
-beside them. A generation is made in rounds of p pairs, one pair per child
-still needed; a round draws (1) a (2p, 2) block of slot indices, the slot
-earlier in key order winning each tournament, (2) p crossover uniforms and p
-cut-point draws (`_cut_points`), (3) a (2p, L) block of mutation uniforms and
-one draw per hit gene (`_other_rank`); `_admit` examines the children in
-order and leftovers are discarded. The initial population draws one (n, L)
-block of uniform ranks per round, one row per empty slot. Every draw picks
-among the ranks an active gene may take, mapped by `SearchSpace.active_ranks`
-(the identity without a reduction). This draw order fixes trajectories: a
-log written by a version that drew child by child does not replay
-byte-identically under this one, while a replay within one version is exact.
+objectives, the vectorized problem contract of pymoo (Blank & Deb 2020). Each
+evaluated genotype's rank row, objectives and tie-break hash are stored at
+its id (evaluation order) in arrays sized for the run; populations are
+`Slots` gathered from them. A pool is ordered by front rank
+(`objectives.front_ranks`), crowding and tie-break hash, and `select_best`
+keeps the first slot of each id in one walk of that order. A generation is
+made in rounds of p pairs, one pair per child still needed; a round draws (1)
+a (2p, 2) block of slot indices, the slot earlier in key order winning each
+tournament, (2) p crossover uniforms and p cut-point draws (`_cut_points`),
+(3) a (2p, L) block of mutation uniforms and one draw per hit gene
+(`_other_rank`); `_admit` examines the children in order and leftovers are
+discarded. The initial population draws one (n, L) block of uniform ranks per
+round, one row per empty slot. Every draw picks among the ranks an active
+gene may take, mapped by `SearchSpace.active_ranks` (the identity without a
+reduction). This draw order fixes trajectories: a log written by a version
+that drew child by child does not replay byte-identically under this one,
+while a replay within one version is exact.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,6 +44,7 @@ from .objectives import (
     ObjectiveSpec,
     ObjectiveVector,
     first_front,
+    front_ranks,
     nondominated_fronts,
 )
 from .space import (
@@ -50,7 +54,7 @@ from .space import (
     canonicalize,  # noqa: F401  (a trace site of perfbench/runner.py)
     rank_genes,
     rank_matrix,
-    repair_unique,
+    repaired_ranks,
 )
 from .util import genes_bytes, stable_hash64, subseed
 
@@ -105,15 +109,9 @@ class Slots:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __add__(self, other: Slots) -> Slots:
-        join = np.concatenate
-        return Slots(
-            join([self.ranks, other.ranks]), join([self.values, other.values]),
-            join([self.hashes, other.hashes]), join([self.ids, other.ids]),
-        )
-
     def take(self, idx: np.ndarray) -> Slots:
-        return Slots(self.ranks[idx], self.values[idx], self.hashes[idx], self.ids[idx])
+        return Slots(self.ranks.take(idx, axis=0), self.values.take(idx, axis=0),
+                     self.hashes[idx], self.ids[idx])
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,8 @@ class SearchTrace:
         """The table ids of those of `genotypes` (of this trace's space)
         that this trace evaluated, ascending."""
         rows = rank_matrix(genotypes, self.space).astype(self.table.ranks.dtype)
-        return np.flatnonzero(np.isin(_row_keys(self.table.ranks), _row_keys(rows)))
+        wanted = set(_row_keys(rows).tolist())
+        return np.flatnonzero([key in wanted for key in _row_keys(self.table.ranks).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -183,73 +182,69 @@ def tiebreak_hash(salt: int) -> Callable[[tuple[int, ...]], int]:
 def _row_hasher(space: SearchSpace, salt: int) -> Callable[[np.ndarray], np.ndarray]:
     """A function from rank rows of `space` to the uint64 `tiebreak_hash(salt)`
     of their genotypes. One gather from a table of each (position, rank)'s
-    text "value," padded with NULs writes the hashed bytes of every row."""
-    texts = [f"{v},".encode("ascii") for vals in space.allowed for v in vals]
+    text padded with NULs writes the hashed bytes of every row: "value," at
+    every position but the last, whose "value\n" ends the row."""
+    ends = [b","] * (space.genome_length - 1) + [b"\n"]
+    texts = [b"%d%s" % (v, end) for vals, end in zip(space.allowed, ends) for v in vals]
     offsets = np.cumsum([0] + [len(vals) for vals in space.allowed[:-1]])
     width = max(map(len, texts))
     table = np.array([list(t.ljust(width, b"\0")) for t in texts], dtype=np.uint8)
-    step = width * space.genome_length
     tail = b"\x1f" + salt.to_bytes(16, "little", signed=True) + b"\x1f"
 
     def hashes(rows: np.ndarray) -> np.ndarray:
-        data = np.take(table, rows + offsets, axis=0).tobytes()
-        # one row's text: its genes' padded pieces, NULs and last comma dropped
-        row_texts = (
-            data[i:i + step].replace(b"\0", b"")[:-1] for i in range(0, len(data), step)
-        )
-        digests = b"".join(
-            hashlib.blake2b(t + tail, digest_size=8).digest() for t in row_texts
-        )
+        data = table.take(rows + offsets, axis=0).tobytes()
+        row_texts = data.replace(b"\0", b"").split(b"\n")[:-1]
+        digests = b"".join([hashlib.blake2b(t + tail, digest_size=8).digest() for t in row_texts])
         return np.frombuffer(digests, dtype="<u8")
 
     return hashes
 
 
 def non_dominated_sort(pop: Slots) -> list[list[int]]:
-    """Non-dominated sort of `Slots`; returns fronts best first as sorted
-    index lists.
-
-    Slots with equal objective vectors share a front. Costs O(n log n) for
-    two objectives and O(m n^2) otherwise (see `nondominated_fronts`).
-    """
+    """Non-dominated sort of `Slots`: the fronts best first as sorted index
+    lists (`nondominated_fronts`); slots with equal objectives share one."""
     return nondominated_fronts(pop.values.tolist())
 
 
-def _crowding(values: np.ndarray, front: np.ndarray, gene_pos: np.ndarray) -> np.ndarray:
+def _crowding(values: np.ndarray, front: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Crowding distance of every point within its front.
 
     `values` is (n, m) canonical-min objectives, `front` each point's front
-    rank and `gene_pos` a key in genotype order (`_row_keys`), which
-    breaks ties in value.
-    Per objective, one lexsort orders every front; points at a front's
+    rank and `ranks` the points' rank rows, whose genotype order
+    (`_row_keys`) breaks ties in value: it is sorted on only for an objective
+    with such a tie, since long keys compare slowly. Per objective (a row of
+    (m, n) arrays), one lexsort orders every front; points at a front's
     extremes get +inf, interior points add (next - previous) / span, and an
     objective without range in a front adds nothing there. Fronts of one or
-    two points are all +inf.
-    """
-    n = len(front)
+    two points are all +inf."""
+    n, m = values.shape
     dist = np.zeros(n)
     if n == 0:
         return dist
-    # fronts occupy contiguous runs of every objective's sort order
-    sizes = np.bincount(front)
+    order, v = np.empty((m, n), dtype=np.intp), np.empty((m, n))
+    # fronts occupy the same contiguous runs of every objective's order
     in_order = np.sort(front)
-    first = (np.cumsum(sizes) - sizes)[in_order]
-    last = first + sizes[in_order] - 1
-    at = np.arange(n)
-    interior = (at > first) & (at < last)
-    nxt, prv = np.minimum(at + 1, n - 1), np.maximum(at - 1, 0)
-    for k in range(values.shape[1]):
-        order = np.lexsort((gene_pos, values[:, k], front))
-        v = values[order, k]
-        lo, hi = v[first], v[last]
-        span = hi - lo
-        varies = span > 0
-        step = np.zeros(n)
-        inner = interior & varies
-        step[inner] = (v[nxt] - v[prv])[inner] / span[inner]
-        step[varies & ((v == lo) | (v == hi))] = math.inf
-        dist[order] += step
-    dist[sizes[front] <= 2] = math.inf
+    same_front = in_order[1:] == in_order[:-1]
+    for k, col in enumerate(values.T):
+        order[k] = np.lexsort((col, front))
+        v[k] = col[order[k]]
+        if (same_front & (v[k, 1:] == v[k, :-1])).any():
+            order[k] = np.lexsort((_row_keys(ranks), col, front))
+            v[k] = col[order[k]]
+    first = np.searchsorted(in_order, in_order)
+    last = np.searchsorted(in_order, in_order, side="right") - 1
+    lo, hi = v.take(first, axis=1), v.take(last, axis=1)
+    span = hi - lo
+    gap = np.full((m, n), math.inf)  # the two ends are front extremes
+    np.subtract(v[:, 2:], v[:, :-2], out=gap[:, 1:-1])
+    # the quotient may divide across fronts or by a zero span at a front's
+    # extremes (and its points equal to them), where it is masked
+    with np.errstate(all="ignore"):
+        step = np.where((v == lo) | (v == hi), math.inf, gap / span)
+    step[span <= 0] = 0.0
+    step[:, last - first < 2] = math.inf
+    for k in range(m):
+        dist[order[k]] += step[k]
     return dist
 
 
@@ -257,11 +252,8 @@ def _ranked(slots: Slots):
     """Every slot's front rank and crowding distance, and the slot indices
     in key order (front rank, -crowding, tie-break hash; ties keep slot
     order). A genotype held in two slots may get two crowding distances."""
-    fronts = non_dominated_sort(slots)
-    rank = np.zeros(len(slots), dtype=np.intp)
-    at = list(itertools.chain.from_iterable(fronts))
-    rank[at] = np.repeat(np.arange(len(fronts)), list(map(len, fronts)))
-    crowd = _crowding(slots.values, rank, _row_keys(slots.ranks))
+    rank = front_ranks(slots.values)
+    crowd = _crowding(slots.values, rank, slots.ranks)
     return rank, crowd, np.lexsort((slots.hashes, -crowd, rank))
 
 
@@ -271,10 +263,11 @@ def select_best(pop: Slots, k: int, exclude: Sequence[int] | np.ndarray = ()) ->
     each id are skipped, and later fronts backfill; the keys rank the whole
     of `pop`."""
     order = _ranked(pop)[2]
-    if len(exclude):
-        order = order[~np.isin(pop.ids[order], exclude)]
-    first = np.unique(pop.ids[order], return_index=True)[1]
-    return pop.take(order[np.sort(first)[:k]])
+    seen = set(np.asarray(exclude).tolist())
+    # the first slot of each id not seen yet; `seen.add` returns None
+    keep = [slot for slot, i in zip(order.tolist(), pop.ids[order].tolist())
+            if not (i in seen or seen.add(i))]
+    return pop.take(np.array(keep[:k], dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +289,41 @@ def _other_rank(rank: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u + (u >= rank)
 
 
-def _offspring(rng, parents: Slots, active_ranks, cfg: EvolverConfig,
-               pairs: int) -> np.ndarray:
+def _variation_tables(space: SearchSpace, cfg: EvolverConfig, dtype):
+    """The constants of one search's `_offspring` calls: a table whose row c
+    marks the positions before cut point c; per position, the mutation rate
+    (0 where an active gene has one rank) and the count of other active
+    ranks; and the space's `active_ranks` table (in `dtype`, the rank rows')
+    and slot, flattened, with their row width w: (p, r) is at p * w + r."""
+    counts, table, slot = space.active_ranks
+    at = np.arange(space.genome_length)
+    rates = np.where(counts > 1, cfg.resolved_mutation_rate, 0.0)
+    before = at < np.arange(len(at) + 1)[:, None]
+    return before, rates, counts - 1, table.shape[1], table.astype(dtype).ravel(), slot.ravel()
+
+
+def _offspring(rng, parents: Slots, tables, cfg: EvolverConfig, pairs: int) -> np.ndarray:
     """The rank rows of 2 * `pairs` children of `parents` (in key order),
-    those of one pair adjacent, drawn as the module docstring says;
-    `active_ranks` is the space's, with the table in the rows' dtype."""
+    those of one pair adjacent, drawn as the module docstring says with the
+    constants `tables` (`_variation_tables`)."""
     n, length = parents.ranks.shape
+    before, rates, others, width, table, slot = tables
     duels = rng.integers(n, size=(2 * pairs, 2))
-    family = parents.ranks[np.minimum(duels[:, 0], duels[:, 1])].reshape(pairs, 2, -1)
+    family = parents.ranks.take(np.minimum(duels[:, 0], duels[:, 1]), axis=0).reshape(pairs, 2, -1)
     cross = rng.random(pairs) < cfg.crossover_rate
     if length >= 2:
         lo, hi = _cut_points(rng.integers((length + 1) * length, size=pairs), length)
-        at = np.arange(length)
-        swap = (at >= lo[:, None]) & (at < np.where(cross, hi, lo)[:, None])
-        family = np.where(swap[:, None, :], family[:, ::-1], family)
+        # swap the pair's genes in [lo, hi), or none without crossover
+        inside = before.take(np.where(cross, hi, lo), axis=0) > before.take(lo, axis=0)
+        diff = (family[:, 0] ^ family[:, 1]) * inside
+        family[:, 0] ^= diff
+        family[:, 1] ^= diff
     kids = family.reshape(2 * pairs, length)
-    counts, table, slot = active_ranks
-    rates = np.where(counts > 1, cfg.resolved_mutation_rate, 0.0)
-    row, col = np.divmod(np.flatnonzero(rng.random(kids.shape) < rates), length)
-    other = _other_rank(slot[col, kids[row, col]], rng.integers(counts[col] - 1))
-    kids[row, col] = table[col, other]
+    hit = np.flatnonzero(rng.random(kids.shape) < rates)
+    col = hit % length
+    genes, at = kids.reshape(-1), col * width
+    other = _other_rank(slot[at + genes[hit]], rng.integers(others[col]))
+    genes[hit] = table[at + other]
     return kids
 
 
@@ -372,15 +380,16 @@ def evolve(
     sign = np.array([1.0 if s.direction == "minimize" else -1.0 for s in specs])
     pop_size, length = cfg.population_size, space.genome_length
     dtype = np.min_scalar_type(max(map(len, space.allowed)) - 1)
-    counts, table, slot = space.active_ranks
+    tables = _variation_tables(space, cfg, dtype)
+    counts, table, _ = space.active_ranks
     table, at = table.astype(dtype), np.arange(length)
     row_bytes = np.dtype((np.void, length * dtype.itemsize))
-    # Per evaluated genotype, by evaluation order: its rank row, canonical-min
-    # objectives, tie-break hash and generation; `known` maps rank-row bytes
-    # to that order.
-    rows_seen: list[np.ndarray] = []
-    mins: list[list[float]] = []
-    ties: list[int] = []
+    warm = repaired_ranks(warm_start or (), space).astype(dtype)
+    # At each id: rank row, canonical-min objectives, tie-break hash and gen
+    # (a generation evaluates at most pop_size); `known` maps row bytes to ids.
+    most = max(pop_size, len(warm)) + cfg.generations * pop_size
+    ranks, mins = np.empty((most, length), dtype), np.empty((most, len(specs)))
+    ties = np.empty(most, np.uint64)
     gens: list[int] = []
     known: dict[bytes, int] = {}
     population_ids: list[np.ndarray] = []
@@ -399,61 +408,51 @@ def evolve(
                 f"evaluate returned objectives of shape {values.shape} for "
                 f"{len(specs)} objective specs"
             )
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise ObjectiveMismatch(f"non-finite objective value in {values[np.argmin(finite)]}")
-        known.update(zip(fresh, itertools.count(len(mins))))
-        mins.extend((values * sign).tolist())
-        ties.extend(tie_hashes(rows).tolist())
+        if not np.isfinite(values).all():
+            bad = values[np.argmin(np.isfinite(values).all(axis=1))]
+            raise ObjectiveMismatch(f"non-finite objective value in {bad}")
+        done = slice(len(gens), len(gens) + len(rows))
+        known.update(zip(fresh, range(done.start, done.stop)))
+        ranks[done], mins[done], ties[done] = rows, values * sign, tie_hashes(rows)
         gens.extend([gen] * len(rows))
-        rows_seen.append(rows)
 
-    def breed(gen: int, draw, seeds: np.ndarray) -> Slots:
-        """Slots of the `seeds` (distinct rank rows, none evaluated yet) and
-        of children of rounds of `draw(need)`, taken under the duplicate rule
-        until there are pop_size; the fresh genotypes among them are
+    def breed(gen: int, draw, seeds: np.ndarray) -> np.ndarray:
+        """The ids of the `seeds` (distinct rank rows, none evaluated yet)
+        and of children of rounds of `draw(need)`, taken under the duplicate
+        rule until there are pop_size; the fresh genotypes among them are
         evaluated as generation `gen`."""
         nonlocal duplicate_accepts
-        keys = np.ascontiguousarray(seeds).view(row_bytes).ravel().tolist()
-        fresh, rows, budget = dict.fromkeys(keys), [seeds], 10 * pop_size
+        keys = seeds.view(row_bytes).ravel().tolist()
+        fresh, budget = dict.fromkeys(keys), 10 * pop_size
         while len(keys) < pop_size:
             need = pop_size - len(keys)
-            kids = canonical_form(draw(need), space)
-            kid_keys = kids.view(row_bytes).ravel().tolist()
+            kid_keys = canonical_form(draw(need), space).view(row_bytes).ravel().tolist()
             taken, budget, accepted = _admit(kid_keys, known, fresh, need, budget)
             duplicate_accepts += accepted
             keys += [kid_keys[i] for i in taken]
-            rows.append(kids[taken])
         if fresh:
             run_evaluations(gen, list(fresh))
-        ids = list(map(known.__getitem__, keys))
-        return Slots(
-            np.concatenate(rows),
-            np.array(list(map(mins.__getitem__, ids))),
-            np.array(list(map(ties.__getitem__, ids)), dtype=np.uint64),
-            np.array(ids, dtype=np.intp),
-        )
+        return np.fromiter(map(known.__getitem__, keys), np.intp, len(keys))
 
-    warm = rank_matrix(repair_unique(warm_start or (), space), space).astype(dtype)
-    members = breed(
+    def slots(ids: np.ndarray) -> Slots:
+        return Slots(ranks.take(ids, axis=0), mins.take(ids, axis=0), ties[ids], ids)
+
+    members = slots(breed(
         0, lambda need: table[at, rng.integers(0, counts, size=(need, length), dtype=dtype)], warm
-    )
+    ))
     if len(members) > pop_size:
         parents = select_best(members, pop_size)
     else:
         parents = members.take(_ranked(members)[2])
     population_ids.append(parents.ids)
     for gen in range(1, cfg.generations + 1):
-        draw = functools.partial(_offspring, rng, parents, (counts, table, slot), cfg)
-        parents = select_best(parents + breed(gen, draw, warm[:0]), pop_size)
+        draw = functools.partial(_offspring, rng, parents, tables, cfg)
+        pool = slots(np.concatenate([parents.ids, breed(gen, draw, warm[:0])]))
+        parents = select_best(pool, pop_size)
         population_ids.append(parents.ids)
 
-    table = Slots(
-        np.concatenate(rows_seen),
-        np.array(mins),
-        np.array(ties, dtype=np.uint64),
-        np.arange(len(mins)),
-    )
+    n = len(gens)
+    table = Slots(ranks[:n], mins[:n], ties[:n], np.arange(n))
     return SearchTrace(
         space, specs, source, table, gens, population_ids, duplicate_accepts
     )

@@ -23,7 +23,7 @@ from .errors import (
     ReferenceViolation,
     Unsupported2DOnly,
 )
-from .space import Genotype, genotype_id
+from .space import Genotype, genotype_ids
 
 DIRECTIONS = ("minimize", "maximize")
 
@@ -123,40 +123,52 @@ def nondominated_fronts(points) -> list[list[int]]:
     """Rank canonical-min points into non-dominated fronts.
 
     Returns the fronts best first, each a sorted list of indices into
-    `points`. Equal points never dominate each other, so they share a front.
-
-    Two objectives take an O(n log n) sweep: visit the points in (x, y) order
-    and bisect for the first front whose last member does not dominate the
-    point (Kung, Luccio & Preparata 1975; the ENS-BS sort of Zhang et al.
-    2015). Any other objective count takes the O(m n^2) counting sort of
-    NSGA-II (Deb et al. 2002).
+    `points`: the index lists of `front_ranks`. Equal points never dominate
+    each other, so they share a front.
     """
-    points = list(points)
-    if not points:
-        return []
-    if len(points[0]) == 2:
-        fronts = _sweep_fronts_2d(points)
-    else:
-        fronts = _counting_fronts(points)
-    return [sorted(front) for front in fronts]
+    rank = front_ranks(points)
+    return [np.flatnonzero(rank == k).tolist() for k in range(rank.max(initial=-1) + 1)]
 
 
-def _sweep_fronts_2d(points) -> list[list[int]]:
-    # In (x, y) order each front's last member has its smallest y, so it
-    # dominates a later point (x, y) iff (last_y, last_x) < (y, x). Those keys
-    # increase strictly with the front rank, so a bisection finds the front.
-    fronts: list[list[int]] = []
-    lasts: list[tuple[float, float]] = []
-    for i in sorted(range(len(points)), key=points.__getitem__):
-        x, y = points[i]
-        k = bisect.bisect_left(lasts, (y, x))
-        if k == len(fronts):
-            fronts.append([i])
-            lasts.append((y, x))
+def front_ranks(points) -> np.ndarray:
+    """Each canonical-min point's non-dominated front rank, 0 for the best.
+
+    Two objectives take an O(n log n) sweep (Kung, Luccio & Preparata 1975;
+    Jensen 2003): in stable (x, y) order each front's last member has its
+    smallest y, so it dominates a later point iff its (y, x) is smaller, and
+    those keys rise with the rank; a bisection over the points' dense ranks
+    in (y, x) order finds the first front that does not dominate a point.
+    Other objective counts take NSGA-II's O(m n^2) counting sort (Deb et al.
+    2002)."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    rank = np.zeros(n, dtype=np.intp)
+    if not n:
+        return rank
+    if pts.shape[1] != 2:
+        for k, front in enumerate(_counting_fronts(pts)):
+            rank[front] = k
+        return rank
+    x, y = pts.T
+    by_yx = np.lexsort((x, y))
+    xs, ys = x[by_yx], y[by_yx]
+    new = np.zeros(n, dtype=np.intp)
+    new[1:] = (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1])
+    yx = np.empty(n, dtype=np.intp)
+    yx[by_yx] = np.cumsum(new)
+    order = np.lexsort((y, x))
+    lasts: list[int] = []
+    ranks = []
+    bisect_left = bisect.bisect_left
+    for key in yx[order].tolist():
+        k = bisect_left(lasts, key)
+        if k == len(lasts):
+            lasts.append(key)
         else:
-            fronts[k].append(i)
-            lasts[k] = (y, x)
-    return fronts
+            lasts[k] = key
+        ranks.append(k)
+    rank[order] = ranks
+    return rank
 
 
 def _counting_fronts(points) -> list[list[int]]:
@@ -392,10 +404,10 @@ def front_to_csv(front: ParetoFront, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rec in rows:
+        for rec, gid in zip(rows, genotype_ids(rec.genotype for rec in rows)):
             vec = rec.objectives_raw
             writer.writerow(
-                [genotype_id(rec.genotype)]
+                [gid]
                 + [repr(v) for v in vec.values]
                 + [repr(v) for v in vec.canonical_min]
             )

@@ -9,6 +9,7 @@ value so architecturally identical configurations compare equal.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidGenotype, NonCanonicalInput
-from .util import genes_bytes, read_json, stable_hash64, subseed
+from .util import GeneText, read_json, subseed
 
 ROLES = ("block_depth", "per_layer", "global")
 ENCODINGS = ("one_hot", "ordinal_normalized")
@@ -98,9 +99,13 @@ class Genotype:
         return g
 
 
-def genotype_id(g: Genotype) -> str:
-    """Short stable hex id used to join CSV exports with evaluation logs."""
-    return format(stable_hash64(genes_bytes(g.genes)), "016x")
+def genotype_ids(genotypes) -> list[str]:
+    """Short stable hex ids used to join CSV exports with evaluation logs:
+    `stable_hash64` of each genotype's `genes_bytes`, in 16 hex digits, made
+    in one pass that writes each distinct gene value's text once."""
+    text = GeneText()
+    joined = (",".join(map(text.__getitem__, g.genes)).encode("ascii") for g in genotypes)
+    return [hashlib.blake2b(b + b"\x1f", digest_size=8).digest()[::-1].hex() for b in joined]
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,8 @@ class SearchSpace:
     def _inactive_rank_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """(depth_col, below): a position is inactive in a rank row iff the
         rank at depth_col is below `below`, that is, iff its block's depth is
-        at most its layer slot; `below` is 0 for positions no block governs."""
+        at most its layer slot; `below` is 0 for positions no block governs,
+        and in the smallest dtype that holds it (comparisons stay narrow)."""
         depth_col = np.arange(self.genome_length)
         below = np.zeros(self.genome_length, dtype=np.intp)
         for b in self.blocks:
@@ -208,7 +214,7 @@ class SearchSpace:
             for slot, pos in enumerate(b.governed_gene_indices):
                 depth_col[pos] = b.depth_gene_index
                 below[pos] = np.searchsorted(depths, slot // ppl, side="right")
-        return depth_col, below
+        return depth_col, below.astype(np.min_scalar_type(below.max(initial=0)))
 
     def param_at(self, position: int) -> ElasticParamSpec:
         return self.params[self.param_index_of_position[position]]
@@ -299,7 +305,8 @@ def canonical_form(ranks: np.ndarray, s: SearchSpace) -> np.ndarray:
         _, table, slot = s.active_ranks
         at = np.arange(s.genome_length)
         ranks[...] = table[at, slot[at, ranks]]
-    ranks[inactive_genes(ranks, s)] = 0
+    depth_col, below = s._inactive_rank_rule
+    ranks *= ranks.take(depth_col, axis=1) >= below  # inactive genes take rank 0
     return ranks
 
 
@@ -321,19 +328,36 @@ def repair_unique(genotypes, s: SearchSpace) -> list[Genotype]:
     Used when transferring genotypes into a space they were not sampled from
     (warm starts across reduced spaces).
     """
-    snapped = []
-    for g in genotypes:
-        if len(g.genes) != s.genome_length:
-            raise InvalidGenotype(
-                f"cannot repair genotype of length {len(g.genes)} "
-                f"for genome length {s.genome_length}"
-            )
-        snapped.append(Genotype(tuple(
-            v if v in vals else min(vals, key=lambda a: (abs(a - v), a))
-            for v, vals in zip(g.genes, s.active_values)
-        )))
-    ranks = canonical_form(rank_matrix(snapped, s), s)
-    return list(map(Genotype.of_ints, dict.fromkeys(rank_genes(ranks, s))))
+    return list(map(Genotype.of_ints, rank_genes(repaired_ranks(genotypes, s), s)))
+
+
+def repaired_ranks(genotypes, s: SearchSpace) -> np.ndarray:
+    """The rank rows of `repair_unique(genotypes, s)`."""
+    rows = [g.genes for g in genotypes]
+    bad = [len(genes) for genes in rows if len(genes) != s.genome_length]
+    if bad:
+        raise InvalidGenotype(
+            f"cannot repair genotype of length {bad[0]} for genome length {s.genome_length}"
+        )
+    if not rows:
+        return np.zeros((0, s.genome_length), dtype=np.intp)
+    counts, table, _ = s.active_ranks
+    # per position, the values an active gene may take, ascending; `far`
+    # marks the table's entries beyond them
+    far = np.arange(table.shape[1]) >= counts[:, None]
+    values = s._flat_values[s._one_hot_offsets[:, None] + np.where(far, 0, table)]
+    low, high = int(values.min(initial=0)) - 1, int(values.max(initial=0)) + 1
+    try:
+        genes = np.clip(np.array(rows, dtype=np.int64), low, high)
+    except OverflowError:  # beyond int64: clipping first snaps them the same
+        genes = np.array([[min(max(v, low), high) for v in r] for r in rows])
+    # the nearest of those values; the first of two as near is the smaller
+    dist = np.where(far, high - low + 1, np.abs(genes[:, :, None] - values))
+    nearest = table[np.arange(s.genome_length), dist.argmin(axis=2)]
+    repaired = canonical_form(nearest, s)
+    index: dict[bytes, int] = {}
+    keys = repaired.view(np.dtype((np.void, repaired.itemsize * s.genome_length))).ravel().tolist()
+    return repaired[[i for i, key in enumerate(keys) if index.setdefault(key, i) == i]]
 
 
 def cardinality(s: SearchSpace) -> int:
@@ -473,8 +497,9 @@ def encode_matrix(ranks: np.ndarray, s: SearchSpace, scheme: str) -> np.ndarray:
     rank over (k - 1) for a parameter with k values (0 when k is 1).
     Genotypes from outside the engine go through `canonical_ranks` first."""
     if scheme == "one_hot":
-        X = np.zeros((len(ranks), feature_dim(s, scheme)))
-        X[np.arange(len(ranks))[:, None], ranks + s._one_hot_offsets] = 1.0
+        X = np.zeros((len(ranks), len(s._flat_values)))  # one column per allowed value
+        rows = np.arange(len(ranks))[:, None] * X.shape[1]
+        X.ravel()[ranks + (s._one_hot_offsets + rows)] = 1.0
         return X
     if scheme == "ordinal_normalized":
         return ranks / s._ordinal_scale
@@ -489,15 +514,14 @@ def inactive_genes(ranks: np.ndarray, s: SearchSpace) -> np.ndarray:
 
 
 def canonical_ranks(genotypes, s: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(rank matrix, inactive mask) of many canonical genotypes;
+    """(rank matrix, inactive mask) of many canonical genotypes, given as
+    Genotypes or as a matrix of gene values;
     InvalidGenotype (see `rank_matrix`) or NonCanonicalInput names the first
     offending row."""
-    genotypes = list(genotypes)
     ranks = rank_matrix(genotypes, s)
     off = (canonical_form(ranks.copy(), s) != ranks).any(axis=1)
     if off.any():
-        bad = genotypes[int(np.argmax(off))]
-        raise NonCanonicalInput(f"genotype {bad.genes} is not canonical")
+        raise NonCanonicalInput(f"genotype {rank_genes(ranks[off][:1], s)[0]} is not canonical")
     return ranks, inactive_genes(ranks, s)
 
 

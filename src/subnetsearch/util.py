@@ -39,6 +39,14 @@ def genes_bytes(genes: Iterable[int]) -> bytes:
     return ",".join(map(str, genes)).encode("ascii")
 
 
+class GeneText(dict):
+    """int -> its decimal text, made on first use."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def pseudo_noise(genes: Iterable[int], noise_seed: int, label: str = "") -> float:
     """Deterministic zero-mean uniform noise in [-0.5, 0.5) keyed by genotype."""
     u = stable_hash64(genes_bytes(genes), noise_seed, label)

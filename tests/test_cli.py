@@ -909,6 +909,28 @@ def test_predict_bench_loads_no_scipy(toy_space_file):
     assert out.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "concurrent", "--pop", "50", "--iters", "2", "--inner-gens", "5"],
+    ["search", "full", "--predictor", "none", "--pop", "50", "--gens", "5"],
+], ids=["concurrent", "full-validation-only"])
+def test_search_loads_no_numpy_ma(tmp_path, toy_space_file, argv):
+    # numpy.ma costs a search ~14 ms to import; np.unique's hash path (as
+    # np.isin calls it) is what imports it
+    src = str(Path(subnetsearch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv += ["--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+             "--seed", "3", "--out", str(tmp_path / "run")]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from subnetsearch.cli import main\n"
+         f"assert main({argv!r}) == 0\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"],
+        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_engine_warning_is_one_line_without_its_source(tmp_path, toy_space_file, capsys):
     shown = warnings.showwarning
     code = run_cli(

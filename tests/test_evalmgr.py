@@ -27,9 +27,11 @@ from subnetsearch.evalmgr import (
     evaluate_batch,
     make_surface,
     synthetic_evaluate,
+    training_rows,
     training_set,
 )
 from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
+from subnetsearch.predict import fit_ridge
 from subnetsearch.space import (
     Genotype,
     canonical_ranks,
@@ -621,6 +623,40 @@ def test_training_set_first_evaluator_wins_without_filter(toy_space):
     assert y.tolist() == [1.0]
     _, y_gpu = training_set(store, "f1", "one_hot", evaluator_id="gpu")
     assert y_gpu.tolist() == [2.0]
+
+
+def training_set_by_records(store, objective, scheme, evaluator_id=None):
+    """`training_set` from validation records, the first of each genotype
+    kept: the oracle for the columnar training rows."""
+    deduped = {}
+    for r in store.validation_records(evaluator_id):
+        deduped.setdefault(r.genotype.genes, r)
+    ranks = canonical_ranks([r.genotype for r in deduped.values()], store.space)[0]
+    y = np.array([r.objectives_raw.value_of(objective) for r in deduped.values()])
+    return encode_matrix(ranks, store.space, scheme), y
+
+
+def test_training_rows_match_records(toy_space):
+    """A log with a failure, a predicted row, a genotype measured under two
+    evaluator ids and one measured only by the second: the same rows,
+    targets and ridge coefficients, bit for bit, as from the records."""
+    store = ResultStore(MIN2, space=toy_space)
+    gs = sample_uniform(toy_space, 8, 11)
+    vec = [ObjectiveVector((0.1 * i, 1.0 / (i + 1)), MIN2) for i in range(8)]
+    store.append_batch(gs[:3], vec[:2] + [EvaluationFailure("exploded")], "e1")
+    store.append_batch(gs[3:5], vec[3:5], "e1", source="predicted")
+    store.append_batch([gs[1], gs[5], gs[6]], vec[5:8], "e2")
+    store.append_batch([gs[2], gs[7]], vec[2:4], "e1")
+    for scheme in ("one_hot", "ordinal_normalized"):
+        for evaluator_id in (None, "e1", "e2"):
+            X, raw = training_rows(store, scheme, evaluator_id)
+            for k, spec in enumerate(MIN2):
+                want_X, want_y = training_set_by_records(store, spec.name, scheme, evaluator_id)
+                got_X, got_y = training_set(store, spec.name, scheme, evaluator_id)
+                assert X.tobytes() == got_X.tobytes() == want_X.tobytes()
+                assert raw[:, k].tolist() == got_y.tolist() == want_y.tolist()
+                got, want = fit_ridge(got_X, got_y, 1.0), fit_ridge(want_X, want_y, 1.0)
+                assert (got.weights.tobytes(), got.bias) == (want.weights.tobytes(), want.bias)
 
 
 def test_training_set_unknown_objective(toy_space):

@@ -1,6 +1,7 @@
 """NSGA-II internals and the generational loop."""
 
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -20,7 +21,7 @@ from subnetsearch.evolver import (
     _other_rank,
     _ranked,
     _row_hasher,
-    _row_keys,
+    _variation_tables,
     evolve,
     non_dominated_sort,
     select_best,
@@ -32,12 +33,15 @@ from subnetsearch.objectives import (
     ObjectiveSpec,
     ObjectiveVector,
     default_reference,
+    front_ranks,
+    nondominated_fronts,
     pareto_front,
 )
 from subnetsearch.space import (
     Genotype,
     SearchSpace,
     enumerate_genotypes,
+    get_preset,
     inactive_genes,
     rank_genes,
     rank_matrix,
@@ -82,7 +86,7 @@ def slots_of(pop, salt=0):
 def crowding(front):
     """Crowding of records taken as one front, by the array form."""
     s = slots_of(front)
-    return _crowding(s.values, np.zeros(len(s), dtype=np.intp), _row_keys(s.ranks)).tolist()
+    return _crowding(s.values, np.zeros(len(s), dtype=np.intp), s.ranks).tolist()
 
 
 def brute_rank(pop):
@@ -151,6 +155,62 @@ def test_nds_matches_brute_force_on_tied_grids(m, data):
     assert {i: rank for rank, f in enumerate(fronts) for i in f} == brute_rank(pop)
     assert sorted(i for f in fronts for i in f) == list(range(len(pop)))
     assert all(f == sorted(f) for f in fronts)
+
+
+def ranks_by_peeling(points):
+    """Front ranks by repeated peeling with a dominance matrix: the oracle
+    for `front_ranks`. Equal points (-0.0 equals 0.0) dominate neither way."""
+    pts = np.asarray(points, dtype=float)
+    dominated_by = (
+        (pts[None, :, :] <= pts[:, None, :]).all(axis=2)
+        & (pts[None, :, :] < pts[:, None, :]).any(axis=2)
+    )  # [i, j]: point j dominates point i
+    rank = np.full(len(pts), -1)
+    k = 0
+    while (rank < 0).any():
+        left = rank < 0
+        rank[left & ~(dominated_by & left[None, :]).any(axis=1)] = k
+        k += 1
+    return rank.tolist()
+
+
+# a coarse grid with -0.0 beside 0.0: ties in each coordinate, exact
+# duplicates and points equal but for the sign of a zero
+GRID = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(points=st.lists(st.tuples(GRID, GRID), min_size=1, max_size=150))
+def test_front_ranks_match_peeling_on_tied_grids(points):
+    rank = front_ranks(np.array(points))
+    assert rank.tolist() == ranks_by_peeling(points)
+    assert nondominated_fronts(points) == [
+        [i for i, r in enumerate(rank.tolist()) if r == k] for k in range(rank.max() + 1)
+    ]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_crowding_matches_per_front_loop_on_tied_grids(data):
+    # Several fronts on a signed-zero grid; the overall extremes of each
+    # objective (extremes of their fronts) are repeated, once as the same
+    # genotype in another slot and once as another genotype.
+    n = data.draw(st.integers(1, 40))
+    values = data.draw(st.lists(st.tuples(GRID, GRID), min_size=n, max_size=n))
+    genes = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                               min_size=n, max_size=n))
+    pop = [ind(g, v) for g, v in zip(genes, values)]
+    for k in range(2):
+        edge = min(range(n), key=lambda i: (values[i][k], values[i][1 - k]))
+        pop += [pop[edge], ind((3, k), values[edge])]
+    slots = slots_of(pop)
+    rank = front_ranks(slots.values)
+    got = _crowding(slots.values, rank, slots.ranks).tolist()
+    want = [None] * len(pop)
+    for front_idx in brute_fronts(pop):
+        for i, c in zip(front_idx, crowding_loop([pop[i] for i in front_idx])):
+            want[i] = c
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +595,34 @@ def test_evolve_trajectory_is_pinned(request, space_name, cfg, evaluations,
     assert trace.duplicate_accepts == duplicate_accepts
 
 
+EVALUATIONS_SHA256 = "a8cba1d1ae5b9bebe788a5869589deb14608eada61aa681da60e9dee6b63cea3"
+POPULATIONS_SHA256 = "70e445cb0f88d584682acfd500ad8d2a00b043bd4ef7ada45c1ad8a0d4d1385c"
+
+
+def tied_sums_evaluate(rows):
+    """Integer sums of rank over two overlapping parts of the genome, one
+    minimized and one maximized: exact, free of BLAS, with many ties."""
+    rows = rows.astype(np.int64)
+    return np.column_stack([rows[:, :25].sum(axis=1), (2 - rows[:, 20:]).sum(axis=1)]) * 1.0
+
+
+def test_benchmark_scale_trajectory_is_pinned():
+    # The benchmark's inner-search scale (mobilenetv3-like, pop 50, 40
+    # generations); 472 distinct objective vectors among 2050 evaluations.
+    # Digests recorded with the list-based generation step this one replaced.
+    trace = evolve(get_preset("mobilenetv3-like"), EvolverConfig(50, 40, seed=19),
+                   tied_sums_evaluate, MIN2)
+    evaluations = "\n".join(
+        f"{e.gen}:{_digits(e.genotype.genes)}:{e.objectives_raw.values}" for e in trace.evaluations
+    )
+    populations = "\n".join(
+        " ".join(_digits(r.genotype.genes) for r in pop) for pop in trace.populations
+    )
+    assert (len(trace.evaluations), trace.duplicate_accepts) == (2050, 0)
+    assert hashlib.sha256(evaluations.encode()).hexdigest() == EVALUATIONS_SHA256
+    assert hashlib.sha256(populations.encode()).hexdigest() == POPULATIONS_SHA256
+
+
 def test_population_members_are_the_trace_records(tiny_space):
     trace = evolve(tiny_space, EvolverConfig(20, 4, seed=2),
                    two_objective_evaluate(tiny_space), MIN2)
@@ -630,6 +718,49 @@ def test_select_best_excludes_and_backfills():
     chosen = select_best(slots_of(pop), 3, exclude=[0, 1])
     assert len(chosen) == 3
     assert not set(chosen.ranks.ravel().tolist()) & {0, 1}
+
+
+def select_best_by_unique(pop, k, exclude):
+    """`select_best` by masks over the key order: drop excluded ids with
+    np.isin, keep each id's first slot with np.unique, restore key order."""
+    order = _ranked(pop)[2]
+    if len(exclude):
+        order = order[~np.isin(pop.ids[order], exclude)]
+    first = np.unique(pop.ids[order], return_index=True)[1]
+    return pop.take(order[np.sort(first)[:k]])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_select_best_walk_matches_unique_formula(data):
+    # Slots sharing an id share their rank row, objectives and hash; hashes
+    # from a small range tie too.
+    n = data.draw(st.integers(1, 60))
+    ids = np.array(data.draw(st.lists(st.integers(0, n // 2), min_size=n, max_size=n)))
+    m = int(ids.max()) + 1
+    values = np.array(data.draw(st.lists(st.tuples(GRID, GRID), min_size=m, max_size=m)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ranks = rng.integers(0, 3, size=(m, 4)).astype(np.uint8)
+    hashes = rng.integers(0, 4, size=m).astype(np.uint64)
+    pop = Slots(ranks[ids], values[ids], hashes[ids], ids)
+    k = data.draw(st.integers(1, n))
+    exclude = data.draw(st.lists(st.integers(0, n // 2 + 1), max_size=4))
+    for excluded in (exclude, np.array(exclude, dtype=np.intp)):
+        got, want = select_best(pop, k, exclude=excluded), select_best_by_unique(pop, k, excluded)
+        for a, b in zip((got.ranks, got.values, got.hashes, got.ids),
+                        (want.ranks, want.values, want.hashes, want.ids)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_ids_of_finds_evaluated_genotypes_by_row(toy_space):
+    evaluate = two_objective_evaluate(toy_space)
+    trace = evolve(toy_space, EvolverConfig(10, 3, seed=3), evaluate, MIN2)
+    evaluated = trace.genotypes(trace.table)
+    others = [g for g in sample_uniform(toy_space, 40, 9) if g not in set(evaluated)]
+    asked = evaluated[5::3] + others + evaluated[:2]
+    assert trace.ids_of(asked).tolist() == sorted(
+        {i for i, g in enumerate(evaluated) if g in set(asked)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +948,40 @@ def test_reduced_mutation_draws_another_allowed_value(toy_space):
     """With every gene hit, a mutated gene takes an allowed value other than
     its parent's, each of them in turn; a gene with one allowed value stays."""
     reduced = deep_reduced_toy(toy_space)
-    counts, table, slot = reduced.active_ranks
     parent = rank_matrix([Genotype(tuple(vals[-1] for vals in reduced.reduction))], reduced)
     parents = Slots(np.repeat(parent, 4, axis=0).astype(np.uint8), np.zeros((4, 2)),
                     np.zeros(4, dtype=np.uint64), np.arange(4))
     cfg = EvolverConfig(4, 1, crossover_rate=0.0, mutation_rate=1.0)
-    kids = _offspring(np.random.default_rng(0), parents, (counts, table.astype(np.uint8), slot),
+    kids = _offspring(np.random.default_rng(0), parents, _variation_tables(reduced, cfg, np.uint8),
                       cfg, pairs=100)
     genes = rank_genes(kids, reduced)
     for pos, vals in enumerate(reduced.reduction):
         others = [v for v in vals if v != vals[-1]] or [vals[-1]]
         assert sorted({g[pos] for g in genes}) == others
+
+
+def repair_loop(g, space):
+    """Gene by gene: snap to the nearest value an active gene may take (ties
+    to the smaller), then give every inactive gene its parameter's first
+    value; the oracle for `repair_unique`."""
+    snapped = Genotype(tuple(min(keep, key=lambda a: (abs(a - v), a))
+                             for v, keep in zip(g.genes, space.active_values)))
+    return Genotype(tuple(v if active else vals[0] for v, vals, active in zip(
+        snapped.genes, space.allowed, active_mask_loop(snapped, space))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
+def test_repair_unique_matches_gene_loop_on_reduced_spaces(oracle_spaces, name, data):
+    """Genes far outside the space (beyond int64 too), repeats, and
+    reductions that cut values at either end and in the middle."""
+    space = oracle_spaces[name]
+    reduced = dataclasses.replace(space, reduction=data.draw(reductions(space)))
+    far = st.one_of(st.integers(-3, 10), st.sampled_from([-(2**70), -(10**12), 10**12, 2**70]))
+    gs = data.draw(st.lists(st.one_of(
+        raw_genotypes(space),
+        st.tuples(*[far] * space.genome_length).map(Genotype),
+    ), min_size=1, max_size=8))
+    gs += data.draw(st.lists(st.sampled_from(gs), max_size=4))
+    for s in (space, reduced):
+        assert repair_unique(gs, s) == list(dict.fromkeys(repair_loop(g, s) for g in gs))

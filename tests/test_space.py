@@ -21,6 +21,7 @@ from subnetsearch.space import (
     encode_matrix,
     enumerate_genotypes,
     feature_dim,
+    genotype_ids,
     get_preset,
     inactive_genes,
     is_canonical,
@@ -33,7 +34,7 @@ from subnetsearch.space import (
     space_from_dict,
     space_to_dict,
 )
-from subnetsearch.util import genes_bytes
+from subnetsearch.util import genes_bytes, stable_hash64
 
 from conftest import (
     ORACLE_SPACES,
@@ -582,3 +583,10 @@ def test_reduced_space_keeps_the_parent_and_round_trips(tmp_path, toy_space):
 def test_malformed_allowed_is_config_error(toy_space, allowed, match):
     with pytest.raises(ConfigError, match=match):
         space_from_dict({**space_to_dict(toy_space), "allowed": allowed})
+
+
+def test_genotype_ids_are_the_stable_hash_of_the_gene_text():
+    gs = [Genotype(()), Genotype((3,)), Genotype((-1, 10**12, 7, 7)), Genotype((3,)),
+          *sample_uniform(get_preset("mobilenetv3-like"), 5, 2)]
+    assert genotype_ids(gs) == [format(stable_hash64(genes_bytes(g.genes)), "016x") for g in gs]
+    assert genotype_ids(iter(gs[:2])) == genotype_ids(gs)[:2]
