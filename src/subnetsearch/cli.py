@@ -312,7 +312,7 @@ def _cmd_popdb(args) -> int:
     save_space(reduced, out, history=str(history_path), threshold=args.threshold)
     print(f"points clustered: {len(idx)}")
     print(f"clusters found:   {labeling.n_clusters}")
-    noise = sum(1 for l in labeling.labels if l < 0)
+    noise = labeling.labels.count(-1)
     print(f"noise points:     {noise} ({noise / len(idx):.1%})")
     print(f"|original space|: {cardinality(space):.4e}")
     print(f"|reduced space|:  {cardinality(reduced):.4e}")

@@ -40,7 +40,7 @@ from .objectives import (
     hv_trace_to_csv,
     pareto_front,
 )
-from .predict import KernelSpec, fit_ridge, fit_svr, predict
+from .predict import KernelSpec, fit_ridge, fit_svr, predict, ridge_system
 from .space import (
     Genotype,
     SearchSpace,
@@ -264,10 +264,12 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str):
+def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str, system=None):
+    """The objective's predictor; a ridge fit uses `system`, X's
+    `ridge_system`, where one is given."""
     family = pcfg.family_for(objective)
     if family == "ridge":
-        return fit_ridge(X, y, pcfg.ridge_lambda)
+        return fit_ridge(X, y, pcfg.ridge_lambda, system)
     if family == "svr":
         return fit_svr(
             X,
@@ -280,14 +282,17 @@ def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str):
 
 
 def _train_models(store: ResultStore, pcfg: PredictorConfig, objectives):
-    """A predictor per objective, all fitted on one encoding of `training_rows`."""
+    """A predictor per objective, all fitted on one encoding of `training_rows`;
+    the ridge fits share one centered system."""
     X, raw = training_rows(store, pcfg.encoding)
     names = [s.name for s in store.specs]
-    models = {}
+    models, system = {}, None
     for name in objectives:
         y = np.ascontiguousarray(raw[:, names.index(name)])
         try:
-            models[name] = fit_objective_predictor(pcfg, X, y, name)
+            if system is None and pcfg.family_for(name) == "ridge":
+                system = ridge_system(X, pcfg.ridge_lambda)
+            models[name] = fit_objective_predictor(pcfg, X, y, name, system)
         except Exception as exc:
             raise EvaluationFailed(
                 f"predictor training failed for objective {name!r}: {exc}"

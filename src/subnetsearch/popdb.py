@@ -10,12 +10,15 @@ mutual-reachability distances from k-nearest core distances, a Prim minimum
 spanning tree, condensation of the single-linkage hierarchy at
 min_cluster_size, and excess-of-mass cluster selection (the root is never
 selected). Euclidean metric throughout. Time is O(n^2). Working memory is
-O(n) plus one row-chunk buffer of 2**19 entries for the core distances and,
-for Prim, one shrinking transposed copy of the open points and up to 64 rows
+O(n) plus one row-chunk buffer of 2**21 entries for the core distances and,
+for Prim, one shrinking transposed copy of the open points and up to 128 rows
 of distances to them. Prim stops updating a point once its best edge equals
 its own core distance, since no mutual-reachability distance to it can be
 smaller, and merges such settled points into a list sorted in descending
 (best, index) order, whose tail is the next settled point to join the tree.
+After the kernels, a union-find merges the sorted edges; pointer doubling
+over the dendrogram's arrays then finds each point's condensed cluster, and
+only the excess-of-mass selection walks the condensed clusters one by one.
 
 Both O(n^2) kernels work on squared distances: mutual reachability is
 compared as max(d^2, core_i^2, core_j^2), and only an emitted edge weight
@@ -29,7 +32,7 @@ is an exact float32 (a small dyadic grid: ordinal features of parameters
 with two or three values, as in every preset but transformer-like) the
 kernels run in float32. There neither chunking nor the BLAS summation order
 can change the result, which equals a dense float64 evaluation bit for bit
-and is never negative, and the buffer (2 MB) and the Prim copy take half the
+and is never negative, and the buffer (8 MB) and the Prim copy take half the
 memory. Otherwise (transformer-like, whose six-value depths fall on steps of
 1/5, or objectives included) they run in float64, where a product can round
 below zero and is clamped at zero, and it may differ in the last bit from a
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,7 @@ class ClusterLabeling:
 
     @property
     def n_clusters(self) -> int:
-        return len({l for l in self.labels if l >= 0})
+        return len(set(self.labels) - {-1})
 
 
 def _kernel_dtype(X: np.ndarray):
@@ -76,7 +78,7 @@ def _kernel_dtype(X: np.ndarray):
     at every larger s, so only the largest s that keeps the bound is tested.
     """
     d = X.shape[1]
-    top = float(np.abs(X).max(initial=0.0))
+    top = max(float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
     if top == 0.0:
         return np.float32
     # top * 2^s < 2^(11 - ceil(log2(d) / 2)), so 4 * d * (top * 2^s)^2 < 2^24
@@ -95,8 +97,11 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
 
     Each row chunk [x_i, 1, sq_i] is multiplied by the augmented operand
     [-2 X^T; sq; 1], which gives d^2_ij = sq_i + sq_j - 2 x_i . x_j in one
-    product, into one preallocated buffer of 2**19 entries; multiplying an
-    operand by -2 is exact. The k-th smallest entry of each row is then
+    product, into one preallocated buffer of 2**21 entries; multiplying an
+    operand by -2 is exact. BLAS packs the whole (d + 2) x n operand once per
+    product, so tall chunks pay: on a 10,000 x 45 history (209 rows a chunk,
+    2 vCPUs) the pass took 0.135 s against 0.19-0.20 s with 2**19 entries,
+    and 2**22 gained little more. The k-th smallest entry of each row is then
     selected by partitioning the same buffer viewed as signed integers of
     the same width: for IEEE floats that are non-negative and not -0.0, the
     order of the bit patterns is the order of the values.
@@ -118,7 +123,7 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
     operand = np.vstack([-2.0 * X.T, sq, ones])
     exact = X.dtype == np.float32
     core = np.empty(n, dtype=X.dtype)
-    chunk = max(1, min(n, 2**19 // max(n, 1)))
+    chunk = max(1, min(n, 2**21 // max(n, 1)))
     buf = np.empty((chunk, n), dtype=X.dtype)
     bits = buf.view(np.int32 if exact else np.int64)
     for start in range(0, n, chunk):
@@ -134,7 +139,8 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
 
 def _mst_prim(X: np.ndarray, core: np.ndarray):
     """MST of the complete mutual-reachability graph in O(n^2) time, from
-    the squared core distances `core`, in the dtype of X.
+    the squared core distances `core`, in the dtype of X. Returns the edges
+    as arrays (weights, parents, children), in the order the children join.
 
     The kernel compares squared mutual-reachability distances
     max(d^2, core_i, core_j); `core` >= 0 makes the clamp of d^2 at zero
@@ -153,18 +159,25 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     max(d^2, core_a) < best_a, those whose `best` also lies above the
     current point's core distance c improve, to max(d^2, core_a, c): the
     full-length test max(d^2, core_a, c) < best_a, with one pass fewer.
-    Every 64 steps the open points are compacted in order: tree members
-    leave, and settled points are merged into a list sorted in descending
-    (best, index) order, whose tail is the next settled point. Each step
-    then takes the lower of that tail and the open points' argmin; tree
-    members among the open points carry best = core = inf until the
-    compaction.
+    Every 128 steps the open points are compacted in order: tree members
+    leave, and settled points join the settled list, whose tail is the next
+    settled point. A settled point's `best` is its core distance, so the
+    list is an index array in descending (core, index) order, merged by one
+    integer sort of the points' places in that order. Each step then takes
+    the lower of that tail and the open points' argmin; tree members among
+    the open points carry best = core = inf until the compaction.
 
     The settled list only shrinks from its tail between compactions, so the
     settled points that can become current before the next one are its
     last entries. When a settled point becomes current, one product gives
     its row and those of the list's tail up to the compaction, and later
-    steps take their rows from it.
+    steps take their rows from it. Compacting every 128 steps rather than 64
+    halves the compactions and makes those products taller (BLAS packs the
+    (d + 2) x m operand once per product): on a 10,000-point history and 2
+    vCPUs Prim took 0.14-0.19 s against 0.16-0.20 s. The next point is the lowest
+    (best, index) over both lists whenever the compaction runs, so the
+    interval leaves the tree unchanged; in float64 it may move which rows
+    come from a one-row product, and so a last bit.
     """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
@@ -176,16 +189,21 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     opened = np.vstack([X[act].T, sq[act], ones[act]])
     corea = core[act]
     besta = np.full(len(act), np.inf, dtype=X.dtype)
-    settled: list[tuple[float, int]] = []  # descending (best, index)
-    ahead: dict[int, np.ndarray] = {}  # settled points' rows until the compaction
+    by_core = np.argsort(core, kind="stable")  # the (core, index) order
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_core] = np.arange(n)
+    sidx, top = act[:0], 0  # settled: sidx[:top], descending (core, index)
+    ahead = None  # rows of sidx[lo:top] and of current, until the compaction
     current, popped = 0, False
-    edges = []
+    weights, joined = [], []
     for step in range(n - 1):
-        if popped and current not in ahead:
-            tail = settled[max(0, len(settled) - 63 + step % 64) :]
-            batch = [current] + [i for _w, i in tail]
-            ahead = dict(zip(batch, steps[batch] @ opened))
-        mr = ahead.pop(current) if popped else steps[current] @ opened
+        if popped:
+            if ahead is None or top < lo:  # never a row from before the block
+                lo = max(0, top - 127 + step % 128)
+                ahead = steps[np.append(sidx[lo:top], current)] @ opened
+            mr = ahead[top - lo]
+        else:
+            mr = steps[current] @ opened
         np.maximum(mr, corea, out=mr)
         improved = (mr < besta).nonzero()[0]
         if improved.size:
@@ -194,121 +212,106 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
             besta[improved] = np.maximum(mr[improved], cc)
             parent[act[improved]] = current
         pos = int(besta.argmin()) if besta.size else -1
-        popped = pos < 0 or (
-            len(settled) > 0 and settled[-1] < (float(besta[pos]), int(act[pos]))
+        popped = top > 0 and (
+            pos < 0 or (cores[sidx[top - 1]], sidx[top - 1]) < (besta[pos], act[pos])
         )
         if popped:
-            weight, nxt = settled.pop()
+            top -= 1
+            current = sidx[top]
+            weight = cores[current]
         else:
-            weight, nxt = float(besta[pos]), int(act[pos])
+            weight, current = besta[pos], act[pos]
             besta[pos] = corea[pos] = np.inf
-        edges.append((math.sqrt(weight), int(parent[nxt]), nxt))
-        if step % 64 == 63:  # tree members leave, settled points join the list
+        weights.append(weight)
+        joined.append(current)
+        if step % 128 == 127:  # tree members leave, settled points join the list
             done = besta == corea
-            fresh = [
-                (w, i)
-                for w, i in zip(besta[done].tolist(), act[done].tolist())
-                if w != math.inf
-            ]
-            if fresh:
-                settled = sorted(settled + fresh, reverse=True)
+            fresh = act[done & (besta != np.inf)]
+            sidx = by_core[np.sort(rank[np.concatenate([sidx[:top], fresh])])[::-1]]
+            top = len(sidx)
             alive = ~done
             act, corea, besta = act[alive], corea[alive], besta[alive]
             opened = opened[:, alive]
-            ahead = {}
-        current = nxt
-    return edges
+            ahead = None
+    children = np.array(joined, dtype=np.intp)
+    return np.sqrt(np.array(weights, dtype=float)), parent[children], children
 
 
 def _single_linkage(edges, n: int):
-    """Merge MST edges ascending into a dendrogram.
+    """Merge MST edges (weights, parents, children) ascending, the earlier
+    edge first on a tie, into a dendrogram.
 
-    Returns merges[k] = (left_node, right_node, distance, size) where node ids
-    < n are points and node n+k is the cluster created by merge k.
+    Returns arrays (left, right, distance, size): merge k joins the nodes
+    left[k] and right[k] into node n + k; node ids < n are points.
     """
-    order = sorted(range(len(edges)), key=lambda i: edges[i][0])
-    parent = list(range(2 * n - 1))
-    size = [1] * (2 * n - 1)
+    weights, us, vs = edges
+    order = np.argsort(weights, kind="stable")
+    left, right = us[order].tolist(), vs[order].tolist()
+    root = list(range(2 * n - 1))
+    size = [1] * n
+    for k in range(n - 1):
+        u, v = left[k], right[k]
+        while root[u] != u:  # path halving
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        left[k], right[k] = u, v
+        root[u] = root[v] = n + k
+        size.append(size[u] + size[v])
+    return np.array(left), np.array(right), weights[order], np.array(size[n:])
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
-    merges = []
-    for k, idx in enumerate(order):
-        w, u, v = edges[idx]
-        ru, rv = find(u), find(v)
-        new = n + k
-        parent[ru] = new
-        parent[rv] = new
-        size[new] = size[ru] + size[rv]
-        merges.append((ru, rv, w, size[new]))
-    return merges
+def _roots(up: np.ndarray) -> np.ndarray:
+    """Each node's end of its chain of `up` pointers, by pointer doubling."""
+    while True:
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            return up
+        up = nxt
 
 
 def _condense(merges, n: int, min_cluster_size: int):
     """Condense the dendrogram: children smaller than min_cluster_size fall
-    out as points; larger splits spawn new condensed clusters.
+    out as points; larger splits spawn new condensed clusters, numbered
+    breadth first, left child first, from the root's 0.
 
-    Returns (entries, root_cid) with entries = list of
-    (parent_cid, child_id, lambda, size); child_id < n means a point.
+    Returns (parent, stability, fall): per condensed cluster the number of
+    its parent (-1 for the root) and its stability, the sum over member
+    departures of (lambda - birth lambda) * size added top-down and left
+    child first, as the walk down the dendrogram adds them; per point, the
+    cluster it falls out of.
     """
-    node_left = {}
-    node_right = {}
-    node_dist = {}
-    node_size = {}
-    for k, (l, r, w, s) in enumerate(merges):
-        node = n + k
-        node_left[node] = l
-        node_right[node] = r
-        node_dist[node] = w
-        node_size[node] = s
-
-    def size_of(node: int) -> int:
-        return 1 if node < n else node_size[node]
-
-    def leaves(node: int):
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            if x < n:
-                yield x
-            else:
-                stack.append(node_left[x])
-                stack.append(node_right[x])
-
-    root = 2 * n - 2
-    root_cid = n
-    next_cid = n + 1
-    entries: list[tuple[int, int, float, int]] = []
-    todo = deque([(root, root_cid)])
-    while todo:
-        node, cid = todo.popleft()
-        while True:
-            dist = node_dist[node]
-            lam = math.inf if dist <= 0 else 1.0 / dist
-            l, r = node_left[node], node_right[node]
-            sl, sr = size_of(l), size_of(r)
-            if sl >= min_cluster_size and sr >= min_cluster_size:
-                for child in (l, r):
-                    entries.append((cid, next_cid, lam, size_of(child)))
-                    todo.append((child, next_cid))
-                    next_cid += 1
-                break
-            if sl < min_cluster_size and sr < min_cluster_size:
-                for child in (l, r):
-                    for p in leaves(child):
-                        entries.append((cid, p, lam, 1))
-                break
-            big, small = (l, r) if sl >= min_cluster_size else (r, l)
-            for p in leaves(small):
-                entries.append((cid, p, lam, 1))
-            node = big  # the large child continues as the same condensed cluster
-    return entries, root_cid
+    left, right, dist, size = merges
+    nodes = np.arange(2 * n - 1)
+    big = np.concatenate([np.zeros(n, dtype=bool), size >= min_cluster_size])
+    up = nodes.copy()  # each node's parent; the root's is itself
+    up[left], up[right] = nodes[n:], nodes[n:]
+    lam = np.divide(1.0, dist, out=np.full(n - 1, np.inf), where=dist > 0)
+    split = (big[left] & big[right]).nonzero()[0]  # both children spawn clusters
+    low = _roots(np.where(big, nodes, up))[:n] - n  # the merge each point falls out at
+    first = np.concatenate([left[split], right[split]])
+    starts = up.copy()
+    starts[first] = first
+    starts = _roots(starts)  # the node each node's condensed cluster begins at
+    ends = dict(zip(starts[n + split].tolist(), split.tolist()))
+    begin, parent, birth = [2 * n - 2], [-1], [0.0]
+    for c, node in enumerate(begin):  # visits what the loop appends: breadth first
+        k = ends.get(node)
+        if k is not None:
+            begin += [int(left[k]), int(right[k])]
+            parent += [c, c]
+            birth += [float(lam[k])] * 2
+    number = np.empty(2 * n - 1, dtype=np.intp)
+    number[begin] = np.arange(len(begin))
+    fall = number[starts[:n]]
+    at = np.concatenate([low, split, split])
+    owner = np.concatenate([fall, np.tile(number[starts[n + split]], 2)])
+    mass = np.concatenate([np.ones(n), size[left[split] - n], size[right[split] - n]])
+    with np.errstate(invalid="ignore"):  # inf - inf where a cluster is born at 0
+        terms = (lam[at] - np.array(birth)[owner]) * mass
+    seq = np.argsort(-at, kind="stable")
+    stability = np.bincount(owner[seq], weights=terms[seq], minlength=len(begin))
+    return parent, stability.tolist(), fall
 
 
 def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
@@ -330,68 +333,25 @@ def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
     X = X.astype(_kernel_dtype(X), copy=False)
     core = _core_distances(X, min_samples)
     merges = _single_linkage(_mst_prim(X, core), n)
-    entries, root_cid = _condense(merges, n, min_cluster_size)
-
-    # stability = sum over member departures of (lambda - birth_lambda) * size
-    birth: dict[int, float] = {root_cid: 0.0}
-    cluster_children: dict[int, list[int]] = defaultdict(list)
-    for parent, child, lam, _size in entries:
-        if child >= n:
-            birth[child] = lam
-            cluster_children[parent].append(child)
-    stability: dict[int, float] = defaultdict(float)
-    for parent, _child, lam, size in entries:
-        stability[parent] += (lam - birth[parent]) * size
+    parent, stability, fall = _condense(merges, n, min_cluster_size)
 
     # excess of mass, bottom-up; the root never claims its subtree
-    cids = sorted(birth)
-    claimed: dict[int, bool] = {}
-    subtree: dict[int, float] = {}
-    for cid in reversed(cids):
-        child_sum = sum(subtree[c] for c in cluster_children[cid])
-        if cid != root_cid and stability[cid] >= child_sum:
-            claimed[cid] = True
-            subtree[cid] = stability[cid]
+    count = len(parent)
+    claimed, child_sum = [False] * count, [0.0] * count
+    for c in range(count - 1, 0, -1):
+        claimed[c] = stability[c] >= child_sum[c]
+        child_sum[parent[c]] += stability[c] if claimed[c] else child_sum[c]
+    # the selected clusters are the topmost claimed ones, labeled in order;
+    # a point takes the label of the selected cluster it falls out in or under
+    label, covered, selected = [-1] * count, [False] * count, 0
+    for c in range(1, count):
+        p = parent[c]
+        covered[c] = covered[p] or claimed[p]
+        if claimed[c] and not covered[c]:
+            label[c], selected = selected, selected + 1
         else:
-            claimed[cid] = False
-            subtree[cid] = child_sum
-    selected: list[int] = []
-    stack = [(root_cid, False)]
-    while stack:
-        cid, covered = stack.pop()
-        if not covered and claimed[cid]:
-            selected.append(cid)
-            covered = True
-        for c in cluster_children[cid]:
-            stack.append((c, covered))
-    selected.sort()
-    label_of_cid = {cid: i for i, cid in enumerate(selected)}
-
-    # assign points to the nearest selected ancestor of their fall-out cluster
-    cluster_parent = {child: parent for parent, child, _l, _s in entries if child >= n}
-    fall_out = {child: parent for parent, child, _l, _s in entries if child < n}
-    nearest_selected: dict[int, int | None] = {}
-
-    def resolve(cid: int):
-        path = []
-        cur: int | None = cid
-        while cur is not None and cur not in nearest_selected:
-            if cur in label_of_cid:
-                nearest_selected[cur] = cur
-                break
-            path.append(cur)
-            cur = cluster_parent.get(cur)
-        anchor = nearest_selected.get(cur) if cur is not None else None
-        for c in path:
-            nearest_selected[c] = anchor
-        return nearest_selected.setdefault(cid, anchor)
-
-    labels = [-1] * n
-    for p, cid in fall_out.items():
-        anchor = resolve(cid)
-        if anchor is not None:
-            labels[p] = label_of_cid[anchor]
-    return ClusterLabeling(labels=tuple(labels))
+            label[c] = label[p]
+    return ClusterLabeling(labels=tuple(np.array(label)[fall].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +378,14 @@ def elastic_frequencies(
     ranks = ranks[np.asarray(labeling.labels, dtype=int) >= 0]
     if not len(ranks):
         raise EmptyClusterSet("all points labeled noise; no frequencies to compute")
-    active = ~inactive_genes(ranks, space)
-    freqs = []
-    observations = []
-    for pos, vals in enumerate(space.allowed):
-        counts = np.bincount(ranks[active[:, pos], pos], minlength=len(vals))
-        total = int(counts.sum())
-        observations.append(total)
-        freqs.append(tuple((counts / max(total, 1)).tolist()))
-    return FrequencyTable(frequencies=tuple(freqs), observations=tuple(observations))
+    starts = space._one_hot_offsets  # each position's first count
+    counts = np.bincount(
+        (ranks + starts)[~inactive_genes(ranks, space)], minlength=len(space._flat_values)
+    )
+    totals = np.add.reduceat(counts, starts)
+    shares = (counts / np.maximum(totals, 1).repeat(np.diff(starts, append=len(counts)))).tolist()
+    freqs = (tuple(shares[a:a + len(vals)]) for a, vals in zip(starts.tolist(), space.allowed))
+    return FrequencyTable(frequencies=tuple(freqs), observations=tuple(totals.tolist()))
 
 
 def build_constraints(

@@ -34,26 +34,33 @@ class RidgeModel:
     bias: float
 
 
-def fit_ridge(X, y, lam: float) -> RidgeModel:
-    """Regularized least squares with an unpenalized intercept."""
+def ridge_system(X, lam: float):
+    """(x_mean, Xc, A): the column means of X, X centered and the normal
+    matrix Xc^T Xc + lam I, which every target fitted on X shares."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] < 1:
         raise ConfigError("fit_ridge needs a non-empty 2-D feature matrix")
-    if X.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"{X.shape[0]} rows vs {y.shape[0]} targets")
     if lam < 0:
         raise ConfigError("lambda must be >= 0")
     x_mean = X.mean(axis=0)
-    y_mean = y.mean()
     Xc = X - x_mean
-    yc = y - y_mean
     d = X.shape[1]
     if lam == 0 and np.linalg.matrix_rank(Xc) < d:
         raise SingularSystem(
             "centered feature matrix is rank-deficient at lambda=0; use lambda>0"
         )
-    A = Xc.T @ Xc + lam * np.eye(d)
+    return x_mean, Xc, Xc.T @ Xc + lam * np.eye(d)
+
+
+def fit_ridge(X, y, lam: float, system=None) -> RidgeModel:
+    """Regularized least squares with an unpenalized intercept; `system` is
+    X's `ridge_system`, computed here unless given."""
+    y = np.asarray(y, dtype=float).ravel()
+    x_mean, Xc, A = ridge_system(X, lam) if system is None else system
+    if Xc.shape[0] != y.shape[0]:
+        raise DimensionMismatch(f"{Xc.shape[0]} rows vs {y.shape[0]} targets")
+    y_mean = y.mean()
+    yc = y - y_mean
     try:
         w = np.linalg.solve(A, Xc.T @ yc)
     except np.linalg.LinAlgError as exc:

@@ -187,12 +187,13 @@ class SearchSpace:
     @cached_property
     def _rank_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, table): every value allowed anywhere, ascending, and per
-        position the rank of each of them there, -1 where it is forbidden."""
+        position the rank of each of them there, -1 where it is forbidden,
+        flat: the rank of values[j] at position p is table[p * len(values) + j]."""
         values = np.array(sorted(set().union(*self.allowed)), dtype=np.int64)
         table = np.full((self.genome_length, len(values)), -1, dtype=np.intp)
         for pos, vals in enumerate(self.allowed):
             table[pos, np.searchsorted(values, vals)] = np.arange(len(vals))
-        return values, table
+        return values, table.ravel()
 
     @cached_property
     def _flat_values(self) -> np.ndarray:
@@ -474,9 +475,8 @@ def rank_matrix(genotypes, s: SearchSpace) -> np.ndarray:
         genes = None  # ragged or beyond int64: the loop below words it
     if genes is not None:
         idx = np.minimum(np.searchsorted(values, genes), len(values) - 1)
-        ranks = table[np.arange(s.genome_length), idx]
-        ranks[values[idx] != genes] = -1
-        if ranks.min(initial=0) >= 0:
+        ranks = table.take(idx + np.arange(s.genome_length) * len(values))
+        if (values.take(idx) == genes).all() and ranks.min(initial=0) >= 0:
             return ranks
     for i, row in enumerate(rows):
         try:

@@ -3,8 +3,8 @@ Prim minimum spanning tree of the mutual-reachability graph. The kernels work
 on squared distances, in float32 on exact dyadic grids; the references work
 on distances, in float64."""
 
-import builtins
 import math
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,9 +13,11 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from subnetsearch import popdb
 from subnetsearch.popdb import (
+    _condense,
     _core_distances,
     _kernel_dtype,
     _mst_prim,
+    _single_linkage,
     hdbscan,
     history_features,
 )
@@ -138,9 +140,9 @@ def test_core_distances_close_on_continuous_data(case):
 
 
 def test_core_distances_exact_across_row_chunks():
-    # 1,000 rows take two chunks, the second one partial
-    X = tied_grid(7, 1000, 3)
-    for min_samples in (1, 2, 10, 1000, 1500):
+    # 1,500 rows take two chunks of the 2**21-entry buffer: 1,398 rows and 102
+    X = tied_grid(7, 1500, 3)
+    for min_samples in (1, 2, 10, 1500, 2000):
         assert np.array_equal(
             np.sqrt(_core_distances(X, min_samples)), np.sqrt(kth_sorted_sq(X, min_samples))
         )
@@ -200,8 +202,7 @@ def test_no_core_distance_or_weight_is_negative_zero_on_duplicate_rows():
             assert not np.signbit(core_sq).any()
             if min_samples == 2:
                 assert (core_sq == 0).sum() >= len(X) // 2  # the duplicates
-            weights = [w for w, _p, _c in _mst_prim(X, core_sq)]
-            assert not any(math.copysign(1.0, w) < 0 for w in weights)
+            assert not np.signbit(_mst_prim(X, core_sq)[0]).any()
 
 
 def test_float64_products_that_round_below_zero_are_clamped():
@@ -241,12 +242,18 @@ def test_float32_grid_at_the_dtype_bound_equals_float64_references():
         assert np.array_equal(core_sq.astype(float), kth_sorted_sq(X, min_samples))
         core = reference_core_distances(X, min_samples)
         assert np.array_equal(np.sqrt(core_sq.astype(float)), core)
-        assert _mst_prim(X32, core_sq) == reference_mst_prim(X, core)
+        assert prim_edges(X32, core_sq) == reference_mst_prim(X, core)
 
 
 # ---------------------------------------------------------------------------
 # _mst_prim
 # ---------------------------------------------------------------------------
+
+
+def prim_edges(X: np.ndarray, core_sq: np.ndarray):
+    """`_mst_prim`'s edges as the references give them: (weight, parent,
+    child) tuples in the order the children join."""
+    return list(zip(*(column.tolist() for column in _mst_prim(X, core_sq))))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -255,7 +262,7 @@ def test_mst_prim_matches_reference_on_tied_grids(case):
     seed, n, dim, min_samples = case
     X = tied_grid(seed, n, dim)
     core_sq = _core_distances(X, min_samples)
-    assert _mst_prim(X, core_sq) == reference_mst_prim(X, np.sqrt(core_sq))
+    assert prim_edges(X, core_sq) == reference_mst_prim(X, np.sqrt(core_sq))
 
 
 def test_mst_prim_matches_reference_on_large_tied_grids():
@@ -263,7 +270,7 @@ def test_mst_prim_matches_reference_on_large_tied_grids():
     for seed, dim in ((1, 2), (2, 4), (3, 8)):
         X = tied_grid(seed, 1500, dim)
         core_sq = _core_distances(X, 10)
-        assert _mst_prim(X, core_sq) == reference_mst_prim(X, np.sqrt(core_sq))
+        assert prim_edges(X, core_sq) == reference_mst_prim(X, np.sqrt(core_sq))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -273,7 +280,7 @@ def test_mst_prim_weights_match_scipy_on_continuous_data(case):
     X = distinct_lattice(seed, n, dim)
     n = len(X)
     core_sq = _core_distances(X, min_samples)
-    edges = _mst_prim(X, core_sq)
+    edges = prim_edges(X, core_sq)
     core = np.sqrt(core_sq)
     assert sorted(child for _w, _p, child in edges) == list(range(1, n))
     mr = np.maximum(np.sqrt(brute_sq_distances(X)), np.maximum.outer(core, core))
@@ -287,13 +294,13 @@ def test_mst_prim_weights_match_scipy_on_continuous_data(case):
 def assert_prim_matches_reference(X: np.ndarray, min_samples: int):
     core_sq = _core_distances(X, min_samples)
     core = np.sqrt(core_sq.astype(float))
-    assert _mst_prim(X, core_sq) == reference_mst_prim(X.astype(float), core)
+    assert prim_edges(X, core_sq) == reference_mst_prim(X.astype(float), core)
 
 
 def test_mst_prim_on_identical_points():
     # every point settles at the first step, so after the first compaction
     # every pick comes from the settled list and the open points run out
-    for n in (2, 64, 65, 200):
+    for n in (2, 64, 65, 127, 128, 129, 200, 257):
         assert_prim_matches_reference(np.ones((n, 3), dtype=np.float32), 5)
 
 
@@ -321,19 +328,152 @@ def test_mst_prim_matches_reference_across_merges_into_a_non_empty_settled_list(
     # On a shuffled 50 x 50 unit lattice with min_samples 2 the tree's whole
     # frontier is settled at best 1, so most compactions merge newly settled
     # points into a list that still holds earlier ones. A spy on the merge
-    # counts the entries each merge carries over from the previous one.
+    # counts the entries each merge carries over from the previous one: the
+    # merge sorts the settled points' places in the (core, index) order, the
+    # only np.sort of the kernel.
     carried, merged = [], [[]]
 
-    def spy(items, **kw):
-        carried.append(len(set(items) & set(merged[-1])))
-        merged.append(builtins.sorted(items, **kw))
-        return merged[-1]
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(popdb, "sorted", spy, raising=False)
+        def sort(self, a, *args, **kw):
+            out = np.sort(a, *args, **kw)
+            carried.append(len(set(a.tolist()) & set(merged[-1])))
+            merged.append(out.tolist())
+            return out
+
+    monkeypatch.setattr(popdb, "np", SpyNumpy())
     lattice = np.stack(np.meshgrid(np.arange(50.0), np.arange(50.0)), -1).reshape(-1, 2)
     X = lattice[np.random.default_rng(4).permutation(len(lattice))]
     assert_prim_matches_reference(X.astype(np.float32), 2)
     assert sum(c > 0 for c in carried) >= 10
+
+
+# ---------------------------------------------------------------------------
+# Single linkage and condensation: the array passes against the loops
+# ---------------------------------------------------------------------------
+
+
+def reference_single_linkage(edges, n: int):
+    """Union-find over the (weight, parent, child) edges, ascending and
+    stable: merges[k] = (left, right, distance, size) creates node n + k."""
+    order = sorted(range(len(edges)), key=lambda i: edges[i][0])
+    parent = list(range(2 * n - 1))
+    size = [1] * (2 * n - 1)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    merges = []
+    for k, idx in enumerate(order):
+        w, u, v = edges[idx]
+        ru, rv = find(u), find(v)
+        parent[ru] = parent[rv] = n + k
+        size[n + k] = size[ru] + size[rv]
+        merges.append((ru, rv, w, size[n + k]))
+    return merges
+
+
+def reference_condense(merges, n: int, min_cluster_size: int):
+    """The condensed tree walked top-down from the root, breadth first:
+    (parent, stability, fall) as `_condense` returns them, with stability
+    summed entry by entry in the walk's order."""
+    node = {n + k: m for k, m in enumerate(merges)}
+
+    def size_of(x: int) -> int:
+        return 1 if x < n else node[x][3]
+
+    def leaves(x: int):
+        return [x] if x < n else leaves(node[x][0]) + leaves(node[x][1])
+
+    parent, birth, stability, fall = [-1], [0.0], [0.0], [None] * n
+    todo = deque([(2 * n - 2, 0)])
+    while todo:
+        x, cid = todo.popleft()
+        while True:
+            l, r, dist, _size = node[x]
+            lam = math.inf if dist <= 0 else 1.0 / dist
+            big = [c for c in (l, r) if size_of(c) >= min_cluster_size]
+            if len(big) == 2:
+                for child in (l, r):
+                    stability[cid] += (lam - birth[cid]) * size_of(child)
+                    todo.append((child, len(parent)))
+                    parent.append(cid)
+                    birth.append(lam)
+                    stability.append(0.0)
+                break
+            for child in (l, r):
+                if child not in big:
+                    for p in leaves(child):
+                        stability[cid] += lam - birth[cid]
+                        fall[p] = cid
+            if not big:
+                break
+            x = big[0]
+    return parent, stability, fall
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=cases(400), min_cluster_size=st.integers(2, 30))
+def test_linkage_and_condensation_equal_the_loops_on_tied_grids(case, min_cluster_size):
+    seed, n, dim, min_samples = case
+    X = tied_grid(seed, max(n, min_cluster_size), dim)
+    n = len(X)
+    edges = _mst_prim(X, _core_distances(X, min_samples))
+    merges = _single_linkage(edges, n)
+    expected = reference_single_linkage(list(zip(*(c.tolist() for c in edges))), n)
+    assert list(zip(*(c.tolist() for c in merges))) == expected
+    parent, stability, fall = _condense(merges, n, min_cluster_size)
+    ref_parent, ref_stability, ref_fall = reference_condense(expected, n, min_cluster_size)
+    assert (parent, fall.tolist()) == (ref_parent, ref_fall)
+    assert np.array_equal(stability, ref_stability, equal_nan=True)
+
+
+def tie_line(m: int) -> np.ndarray:
+    """Points on a line with an exact excess-of-mass tie at min_samples 1:
+    groups A and B of m points at spacing 1, 2 apart, then 2m points at
+    spacing 2, then a group D of m points 4 further on. The cluster of A, B
+    and the 2m points is born at lambda 1/4 and loses the 2m points, then A
+    and B, at 1/2: a stability of m. A and B lose every point at 1, a
+    stability of m / 2 each, so the parent's stability equals its children's
+    sum and claims them."""
+    a = np.arange(m)
+    b = a + m + 1
+    extra = b[-1] + 2 * np.arange(1, 2 * m + 1)
+    return np.concatenate([a, b, extra, extra[-1] + 4 + a]).astype(float)[:, None]
+
+
+def test_condensation_equals_the_loops_where_mass_ties():
+    # the tie line in order and shuffled, and repeated rows of a tied grid,
+    # whose clusters are born at lambda = inf and have stabilities of nan
+    shuffled = tie_line(6)[np.random.default_rng(5).permutation(30)]
+    ties = 0
+    for X, min_samples, min_cluster_size in (
+        (tie_line(6), 1, 5),
+        (shuffled, 1, 5),
+        (np.repeat(tied_grid(13, 150, 2), 4, axis=0), 3, 6),
+        (tied_grid(12, 600, 3), 8, 20),
+    ):
+        n = len(X)
+        edges = _mst_prim(X, _core_distances(X, min_samples))
+        merges = _single_linkage(edges, n)
+        parent, stability, fall = _condense(merges, n, min_cluster_size)
+        expected = reference_single_linkage(list(zip(*(c.tolist() for c in edges))), n)
+        ref_parent, ref_stability, ref_fall = reference_condense(expected, n, min_cluster_size)
+        assert (parent, fall.tolist()) == (ref_parent, ref_fall)
+        assert np.array_equal(stability, ref_stability, equal_nan=True)
+        subtree = [0.0] * len(parent)  # excess of mass, as hdbscan selects
+        for c in range(len(parent) - 1, 0, -1):
+            kids = [subtree[k] for k, p in enumerate(parent) if p == c]
+            ties += bool(kids) and stability[c] == sum(kids)
+            subtree[c] = stability[c] if stability[c] >= sum(kids) else sum(kids)
+    assert ties == 2
+    for X in (tie_line(6), shuffled):
+        labels = hdbscan(X, min_cluster_size=5, min_samples=1).labels
+        assert labels == tuple(np.where(X[:, 0] > 38, 1, 0).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +523,7 @@ def test_float32_kernels_equal_references_on_dyadic_grids(case, step):
     assert core_sq.dtype == np.float32
     core = reference_core_distances(X, min_samples)
     assert np.array_equal(np.sqrt(core_sq.astype(float)), core)
-    assert _mst_prim(X32, core_sq) == reference_mst_prim(X, core)
+    assert prim_edges(X32, core_sq) == reference_mst_prim(X, core)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +557,9 @@ def assert_hdbscan_matches_references(monkeypatch, feats, min_cluster_size: int)
         popdb, "_core_distances", lambda X, k: reference_core_distances(X.astype(float), k)
     )
     monkeypatch.setattr(
-        popdb, "_mst_prim", lambda X, core: reference_mst_prim(X.astype(float), core)
+        popdb,
+        "_mst_prim",
+        lambda X, core: tuple(map(np.array, zip(*reference_mst_prim(X.astype(float), core)))),
     )
     reference = hdbscan(feats, min_cluster_size=min_cluster_size, min_samples=10)
     assert labeling.n_clusters >= 2

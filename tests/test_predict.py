@@ -20,6 +20,7 @@ from subnetsearch.predict import (
     kendall_tau,
     mape,
     predict,
+    ridge_system,
     run_prediction_trials,
 )
 
@@ -144,6 +145,19 @@ def test_ridge_local_optimality_against_perturbations():
         dw = rng.normal(size=6) * 0.05
         db = rng.normal() * 0.05
         assert loss(model.weights + dw, model.bias + db) >= base - 1e-9
+
+
+def test_ridge_fits_sharing_one_system_equal_separate_fits_bit_for_bit():
+    # one-hot rows like the concurrent tactic's, two objectives on one X
+    rng = np.random.default_rng(7)
+    X = np.eye(3)[rng.integers(0, 3, size=(250, 45))].reshape(250, -1)
+    system = ridge_system(X, 1.0)
+    for y in (rng.normal(size=250), rng.uniform(0.5, 9.0, size=250)):
+        shared, alone = fit_ridge(X, y, 1.0, system), fit_ridge(X, y, 1.0)
+        assert shared.weights.tobytes() == alone.weights.tobytes()
+        assert shared.bias == alone.bias
+    with pytest.raises(DimensionMismatch):
+        fit_ridge(X, np.ones(249), 1.0, system)
 
 
 # ---------------------------------------------------------------------------
