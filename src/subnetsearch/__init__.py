@@ -2,8 +2,9 @@
 
 Search spaces are fixed-length integer genomes with block activity rules;
 searches run NSGA-II directly against measurements or against cheap surrogate
-predictors (full search and concurrent search tactics), and search history can
-be distilled into a reduced space via density-based constraint extraction.
+predictors (one search loop under the full and concurrent tactics), and search
+history can be distilled into a reduced space via density-based constraint
+extraction.
 """
 
 from .errors import SubnetSearchError
@@ -17,7 +18,6 @@ from .evalmgr import (
     evaluate_batch,
     make_surface,
     synthetic_evaluate,
-    training_set,
 )
 from .evolver import (
     EvolverConfig,
@@ -29,10 +29,10 @@ from .driver import (
     ConcurrentNasConfig,
     FullSearchConfig,
     PredictorConfig,
+    SearchConfig,
     SearchReport,
-    concurrent_search,
-    full_search,
     hypervolume_trace,
+    search,
 )
 from .objectives import (
     LatencyNormalizer,
@@ -40,7 +40,6 @@ from .objectives import (
     ObjectiveVector,
     ParetoFront,
     dominates,
-    hypervolume_2d,
     normalize_latency,
     pareto_front,
 )

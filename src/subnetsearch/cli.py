@@ -25,11 +25,10 @@ from .driver import (
     PredictorConfig,
     SearchReport,
     check_objectives,
-    concurrent_search,
     config_from_doc,
     fit_objective_predictor,
-    full_search,
     hypervolume_trace,
+    search,
 )
 from .errors import (
     ConfigError,
@@ -86,6 +85,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EVALUATOR = 3
 EXIT_INTERNAL = 4
+
+# One search function under two names: perfbench/runner.py wraps each name,
+# as the entry into engine work, and `_cmd_search` calls through them.
+full_search = concurrent_search = search
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,7 @@ def _cmd_search(args) -> int:
         where=where,
     )
     check_objectives(tactic_cfg, specs)
-    search = full_search if args.tactic == "full" else concurrent_search
+    run_search = full_search if args.tactic == "full" else concurrent_search
     outdir = _resolve_out_dir(args.out, args.tactic, tactic_cfg.seed)
     extra = {
         "space": run.get("space", space.name),
@@ -262,7 +265,9 @@ def _cmd_search(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     store = ResultStore(specs, space=space, path=outdir / "evals.jsonl")
     try:
-        report = search(space, specs, evaluator, tactic_cfg, store=store, config_extra=extra)
+        report = run_search(
+            space, specs, evaluator, tactic_cfg, store=store, config_extra=extra
+        )
         report.export(outdir)
     finally:
         store.close()
@@ -569,8 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ConcurrentNAS iterations")
             p.add_argument("--inner-gens", dest="inner_generations", type=int,
                            help="inner search generations per iteration")
-            p.add_argument("--validation-only", dest="validation_only_objectives",
-                           action="append", help="objective measured, never predicted")
         else:
             p.add_argument("--gens", dest="generations", type=int, help="generations")
             p.add_argument("--train", dest="n_train", type=int,

@@ -1,12 +1,20 @@
-"""Search tactics: full search and concurrent (predictor-in-the-loop) search.
+"""Search tactics: one predictor-in-the-loop search, two configs.
 
-Full search trains one predictor per objective on an up-front validation
-sample, runs the evolver against the predictors, then validates the predicted
-front. Concurrent search alternates small validation batches with predictor
-retraining and long predictor-backed searches, so competitive configurations
-surface after very few real measurements. Both produce a SearchReport with a
-hypervolume-versus-evaluations trace against a reference frozen at the first
-validation population.
+`search` repeats one step: validate a batch, fit a predictor per objective
+on every validation so far, and run NSGA-II against the predictors. Under a
+`ConcurrentNasConfig` it takes `iterations` steps: the first batch is the
+(warm-started) population, each inner search starts from the validated
+front plus that batch, and the best not-yet-validated configurations it
+finds are the next batch, so competitive configurations surface after very
+few real measurements. A `FullSearchConfig` takes one step: its batch is a
+uniform sample of `n_train`, its inner search runs `generations` generations
+from the warm start, and the whole predicted front is then validated. With
+predictor family "none" the full tactic is NSGA-II on validations instead:
+the evolver measures every child.
+
+Both return a SearchReport with a hypervolume-versus-evaluations trace. Its
+reference is frozen at the first validated batch; under family "none" it is
+placed over every validation of the run, so no point is clamped out of it.
 """
 
 from __future__ import annotations
@@ -76,87 +84,77 @@ class PredictorConfig:
 
 
 @dataclass(frozen=True)
-class FullSearchConfig:
+class SearchConfig:
+    """The settings both tactics share; a subclass picks the tactic."""
+
     population_size: int = 50
-    generations: int = 200
-    n_train: int = 500  # up-front validation sample; unused with family "none"
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     warm_start: tuple[Genotype, ...] | None = None
     seed: int = 0
     crossover_rate: float = 0.9
     mutation_rate: float | None = None
 
+    def evolver(self, generations: int, seed: int) -> EvolverConfig:
+        """The EvolverConfig of a search under this config; raises
+        ConfigError on a bad size or rate."""
+        return EvolverConfig(
+            population_size=self.population_size,
+            generations=generations,
+            crossover_rate=self.crossover_rate,
+            mutation_rate=self.mutation_rate,
+            seed=seed,
+        )
+
+
+@dataclass(frozen=True)
+class FullSearchConfig(SearchConfig):
+    tactic: typing.ClassVar[str] = "full"
+    generations: int = 200
+    n_train: int = 500  # up-front validation sample; unused with family "none"
+
     def __post_init__(self):
-        _evolver_config(self, self.population_size, self.generations, self.seed)
+        self.evolver(self.generations, self.seed)
         if self.predictor.family != "none" and self.n_train < 1:
             raise ConfigError("n_train must be >= 1")
 
 
 @dataclass(frozen=True)
-class ConcurrentNasConfig:
-    population_size: int = 50
+class ConcurrentNasConfig(SearchConfig):
+    tactic: typing.ClassVar[str] = "concurrent"
     iterations: int = 3
     inner_generations: int = 250  # keep well above 200 so the inner search saturates
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    validation_only_objectives: tuple[str, ...] = ()
-    warm_start: tuple[Genotype, ...] | None = None
-    seed: int = 0
-    inner_population: int | None = None
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise ConfigError("population_size must be >= 1")
+        self.evolver(self.inner_generations, self.seed)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.inner_generations < 1:
             raise ConfigError("inner_generations must be >= 1")
-        _evolver_config(
-            self, self.inner_population or self.population_size,
-            self.inner_generations, self.seed,
-        )
 
 
-def _evolver_config(cfg, population_size: int, generations: int, seed: int):
-    """The EvolverConfig of a search under tactic config `cfg`; raises
-    ConfigError on a bad size or rate."""
-    return EvolverConfig(
-        population_size=population_size,
-        generations=generations,
-        crossover_rate=cfg.crossover_rate,
-        mutation_rate=cfg.mutation_rate,
-        seed=seed,
-    )
-
-
-def check_objectives(cfg, specs) -> None:
-    """Raise the ConfigError that a search under tactic config `cfg` with
-    objectives `specs` would raise before its first evaluation: duplicate
-    objective names, an unknown validation-only objective, or a predicted
-    objective whose predictor family is "none"."""
+def check_objectives(cfg: SearchConfig, specs) -> None:
+    """Raise the ConfigError that a search under `cfg` with objectives
+    `specs` would raise before its first evaluation: duplicate objective
+    names, or a predicted objective whose predictor family is "none"."""
     check_unique_names(specs)
-    names = [s.name for s in specs]
-    validation_only = getattr(cfg, "validation_only_objectives", ())
-    for name in validation_only:
-        if name not in names:
-            raise ConfigError(f"validation-only objective {name!r} not in run objectives")
     if isinstance(cfg, FullSearchConfig) and cfg.predictor.family == "none":
         return  # the evolver measures every child; nothing is predicted
-    for name in names:
-        if name not in validation_only and cfg.predictor.family_for(name) == "none":
-            raise ConfigError(f"objective {name!r} is predicted with predictor family 'none'")
+    for spec in specs:
+        if cfg.predictor.family_for(spec.name) == "none":
+            raise ConfigError(
+                f"objective {spec.name!r} is predicted with predictor family 'none'"
+            )
 
 
 def config_to_doc(
-    tactic: str, cfg, specs, reference, evaluator, extra: dict | None = None
+    cfg: SearchConfig, specs, reference, evaluator, extra: dict | None = None
 ) -> dict:
-    """The run's config.json document: `tactic`, every field of the tactic
+    """The run's config.json document: the tactic, every field of its
     config, the run's objectives, HV reference and evaluator id, then
     `extra` (facts the caller needs to rebuild the run)."""
     doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     doc.update(
-        tactic=tactic,
+        tactic=cfg.tactic,
         predictor=asdict(cfg.predictor),
         warm_start=[list(g.genes) for g in cfg.warm_start] if cfg.warm_start else None,
         objectives=[asdict(s) for s in specs],
@@ -166,6 +164,10 @@ def config_to_doc(
     doc.update(extra or {})
     return doc
 
+
+# Keys of removed features that older concurrent config.json files carry, as
+# [] and null; a value that turns one on would replay as a different search.
+REMOVED_KEYS = ("validation_only_objectives", "inner_population")
 
 _JSON_KINDS = {float: (int, float), tuple: list, PredictorConfig: dict}
 
@@ -195,8 +197,15 @@ def _fields_from(cls, doc, where: str) -> dict:
 def config_from_doc(cls, doc: dict, where: str = "config"):
     """Rebuild a tactic config (FullSearchConfig or ConcurrentNasConfig) from
     a config.json document. Keys that are not fields are ignored; a missing
-    or null key takes the field's default; a value of the wrong JSON type is
-    a ConfigError naming `where`."""
+    or null key takes the field's default; a value of the wrong JSON type,
+    or a removed feature that the document turns on, is a ConfigError
+    naming `where`."""
+    for key in REMOVED_KEYS:
+        if doc.get(key) not in (None, []):
+            raise ConfigError(
+                f"{where}: {key} is no longer supported (got {doc[key]!r}); "
+                "remove the key to replay"
+            )
     kw = _fields_from(cls, doc, where)
     if "predictor" in kw:
         kw["predictor"] = PredictorConfig(
@@ -212,8 +221,6 @@ def config_from_doc(cls, doc: dict, where: str = "config"):
                 f"got {kw['warm_start']!r}"
             )
         kw["warm_start"] = tuple(Genotype(tuple(g)) for g in kw["warm_start"])
-    if "validation_only_objectives" in kw:
-        kw["validation_only_objectives"] = tuple(kw["validation_only_objectives"])
     return cls(**kw)
 
 
@@ -281,74 +288,34 @@ def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str, system=
     raise ConfigError(f"cannot fit predictor family {family!r} for {objective}")
 
 
-def _train_models(store: ResultStore, pcfg: PredictorConfig, objectives):
+def _train_models(store: ResultStore, pcfg: PredictorConfig):
     """A predictor per objective, all fitted on one encoding of `training_rows`;
     the ridge fits share one centered system."""
     X, raw = training_rows(store, pcfg.encoding)
-    names = [s.name for s in store.specs]
     models, system = {}, None
-    for name in objectives:
-        y = np.ascontiguousarray(raw[:, names.index(name)])
+    for spec, y in zip(store.specs, raw.T):
         try:
-            if system is None and pcfg.family_for(name) == "ridge":
+            if system is None and pcfg.family_for(spec.name) == "ridge":
                 system = ridge_system(X, pcfg.ridge_lambda)
-            models[name] = fit_objective_predictor(pcfg, X, y, name, system)
+            models[spec.name] = fit_objective_predictor(
+                pcfg, X, np.ascontiguousarray(y), spec.name, system
+            )
         except Exception as exc:
             raise EvaluationFailed(
-                f"predictor training failed for objective {name!r}: {exc}"
+                f"predictor training failed for objective {spec.name!r}: {exc}"
             ) from exc
     return models
 
 
-def _worst_observed(store: ResultStore):
-    """Per-objective worst raw value seen so far, used as a stand-in when a
-    validation-only measurement fails inside the inner search."""
-    raw = store.validation_columns()[2]
-    if not len(raw):
-        return {}
-    return {
-        s.name: float(col.max() if s.direction == "minimize" else col.min())
-        for s, col in zip(store.specs, raw.T)
-    }
-
-
-def make_predictor_evaluate(
-    space: SearchSpace,
-    specs,
-    models: dict,
-    pcfg: PredictorConfig,
-    validation_only=(),
-    evaluator=None,
-    store: ResultStore | None = None,
-    gen: int | None = None,
-    warn_sink: list | None = None,
-):
-    """Evaluate function (see `evolver.EvaluateFn`) mixing surrogate
-    predictions, straight from the encoded rank rows, with real measurements
-    for objectives pinned to validation; only those measurements turn the
-    rows into `Genotype`s, for `evaluate_batch`."""
-    vo = set(validation_only)
-    if vo and (evaluator is None or store is None):
-        raise ConfigError("validation-only objectives need an evaluator and store")
+def make_predictor_evaluate(space: SearchSpace, specs, models: dict, pcfg: PredictorConfig):
+    """Evaluate function (see `evolver.EvaluateFn`) of surrogate predictions,
+    straight from the encoded rank rows."""
 
     def evaluate(ranks):
         X = encode_matrix(ranks, space, pcfg.encoding)
-        if vo:
-            genotypes = list(map(Genotype.of_ints, rank_genes(ranks, space)))
-            recs = evaluate_batch(genotypes, evaluator, store, gen=gen)
-            worst = _worst_observed(store)
-            failed = [f"validation-only measurement failed: {r.error}" for r in recs if not r.ok]
         out = np.empty((len(ranks), len(specs)))
         for k, spec in enumerate(specs):
-            if spec.name not in vo:
-                out[:, k] = predict(models[spec.name], X)
-                continue
-            out[:, k] = [
-                r.objectives_raw.value_of(spec.name) if r.ok else worst[spec.name]
-                for r in recs
-            ]
-            if warn_sink is not None:
-                warn_sink.extend(failed)
+            out[:, k] = predict(models[spec.name], X)
         return out
 
     return evaluate
@@ -410,102 +377,10 @@ def _maybe_reference(specs, raw):
     return default_reference(canonical_matrix(raw, specs))
 
 
-# ---------------------------------------------------------------------------
-# Full search
-# ---------------------------------------------------------------------------
-
-
-def full_search(
-    space: SearchSpace,
-    objectives,
-    evaluator,
-    cfg: FullSearchConfig,
-    store: ResultStore | None = None,
-    config_extra: dict | None = None,
-) -> SearchReport:
-    """Train predictors from an up-front sample, search against them, then
-    validate the predicted front. With predictor family "none" the evolver
-    measures every child instead (no sampling phase)."""
-    evolver_cfg = _evolver_config(cfg, cfg.population_size, cfg.generations, cfg.seed)
-    predictor_cfg, n_train = cfg.predictor, cfg.n_train
-    specs = tuple(objectives)
-    check_objectives(cfg, specs)
-    if store is None:
-        store = ResultStore(specs, space=space)
-    phase_seconds: dict[str, float] = {}
-    warn_list: list[str] = []
-    predicted_front = None
-
-    if predictor_cfg.family == "none":
-        t0 = time.perf_counter()
-        evolve(
-            space,
-            evolver_cfg,
-            make_validation_evaluate(space, evaluator, store),
-            specs,
-            warm_start=cfg.warm_start,
-        )
-        phase_seconds["search"] = time.perf_counter() - t0
-        first_raw = store.validation_columns()[2]
-    else:
-        if n_train < 100:
-            warnings.warn(
-                f"n_train={n_train} is small; predictors may be unreliable below "
-                "100 samples",
-                stacklevel=2,
-            )
-        t0 = time.perf_counter()
-        sample = sample_uniform(space, n_train, subseed(evolver_cfg.seed, "train-sample"))
-        recs = evaluate_batch(sample, evaluator, store, gen=0)
-        ok = [r for r in recs if r.ok]
-        warn_list.extend(r.error for r in recs if not r.ok)
-        if not ok:
-            raise EvaluationFailed("every training evaluation failed")
-        phase_seconds["train_sample"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        models = _train_models(store, predictor_cfg, [s.name for s in specs])
-        phase_seconds["train_predictors"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        trace = evolve(
-            space,
-            evolver_cfg,
-            make_predictor_evaluate(space, specs, models, predictor_cfg),
-            specs,
-            warm_start=cfg.warm_start,
-            source="predicted",
-        )
-        phase_seconds["search"] = time.perf_counter() - t0
-        predicted_front = pareto_front(trace.front())
-
-        t0 = time.perf_counter()
-        front_recs = evaluate_batch(
-            [entry.genotype for entry in predicted_front], evaluator, store, gen=1
-        )
-        warn_list.extend(r.error for r in front_recs if not r.ok)
-        phase_seconds["validate_front"] = time.perf_counter() - t0
-        first_raw = [r.objectives_raw.values for r in ok]
-
-    reference = _maybe_reference(specs, first_raw)
-    hv_trace = hypervolume_trace(store, reference) if reference is not None else []
-    return SearchReport(
-        tactic="full",
-        space=space,
-        specs=specs,
-        store=store,
-        predicted_front=predicted_front,
-        validated_front=pareto_front(store),
-        hv_reference=reference,
-        hv_trace=hv_trace,
-        phase_seconds=phase_seconds,
-        config=config_to_doc("full", cfg, specs, reference, evaluator, config_extra),
-        warnings=warn_list,
-    )
 
 
 # ---------------------------------------------------------------------------
-# Concurrent search
+# The search loop
 # ---------------------------------------------------------------------------
 
 
@@ -526,32 +401,54 @@ def _initial_population(space, cfg: ConcurrentNasConfig) -> list[Genotype]:
     )
 
 
-def concurrent_search(
+def search(
     space: SearchSpace,
     objectives,
     evaluator,
-    cfg: ConcurrentNasConfig,
+    cfg: SearchConfig,
     store: ResultStore | None = None,
     config_extra: dict | None = None,
 ) -> SearchReport:
-    """Iterate: validate the current population, retrain predictors on all
-    validation data, search the predictor landscape, and promote the best
-    not-yet-validated configurations into the next population."""
+    """Run the tactic of `cfg` (see the module docstring): per iteration,
+    validate a batch, fit the predictors on every validation so far and
+    search against them; between iterations, the best not-yet-validated
+    configurations of the inner search become the next batch."""
     specs = tuple(objectives)
     check_objectives(cfg, specs)
     if store is None:
         store = ResultStore(specs, space=space)
-    phase_seconds = {"validate": 0.0, "train_predictors": 0.0, "search": 0.0}
+    full = isinstance(cfg, FullSearchConfig)
+    phase_seconds = dict.fromkeys(("validate", "train_predictors", "search"), 0.0)
     warn_list: list[str] = []
-    predicted_names = [
-        s.name for s in specs if s.name not in set(cfg.validation_only_objectives)
-    ]
+    predicted_front = reference = None
 
-    population = _initial_population(space, cfg)
+    if full and cfg.predictor.family == "none":
+        t0 = time.perf_counter()
+        evolve(
+            space,
+            cfg.evolver(cfg.generations, cfg.seed),
+            make_validation_evaluate(space, evaluator, store),
+            specs,
+            warm_start=cfg.warm_start,
+        )
+        phase_seconds["search"] = time.perf_counter() - t0
+        reference = _maybe_reference(specs, store.validation_columns()[2])
+        iterations = 0  # nothing to predict
+    elif full:
+        if cfg.n_train < 100:
+            warnings.warn(
+                f"n_train={cfg.n_train} is small; predictors may be unreliable below "
+                "100 samples",
+                stacklevel=2,
+            )
+        population = sample_uniform(space, cfg.n_train, subseed(cfg.seed, "train-sample"))
+        iterations = 1
+    else:
+        population = _initial_population(space, cfg)
+        iterations = cfg.iterations
     validated: dict[tuple[int, ...], Genotype] = {}
-    reference = None
 
-    for i in range(cfg.iterations):
+    for i in range(iterations):
         t0 = time.perf_counter()
         recs = evaluate_batch(population, evaluator, store, gen=i)
         phase_seconds["validate"] += time.perf_counter() - t0
@@ -564,34 +461,29 @@ def concurrent_search(
             reference = _maybe_reference(specs, [r.objectives_raw.values for r in ok])
 
         t0 = time.perf_counter()
-        models = _train_models(store, cfg.predictor, predicted_names)
+        models = _train_models(store, cfg.predictor)
         phase_seconds["train_predictors"] += time.perf_counter() - t0
 
-        inner_cfg = _evolver_config(
-            cfg, cfg.inner_population or cfg.population_size,
-            cfg.inner_generations, subseed(cfg.seed, "inner", i),
-        )
-        validated_front = pareto_front(store)
-        inner_warm = [r.genotype for r in validated_front] + population
-        evaluate_fn = make_predictor_evaluate(
-            space,
-            specs,
-            models,
-            cfg.predictor,
-            validation_only=cfg.validation_only_objectives,
-            evaluator=evaluator,
-            store=store,
-            gen=i,
-            warn_sink=warn_list,
-        )
+        if full:
+            inner_cfg, inner_warm = cfg.evolver(cfg.generations, cfg.seed), cfg.warm_start
+        else:
+            inner_cfg = cfg.evolver(cfg.inner_generations, subseed(cfg.seed, "inner", i))
+            inner_warm = [r.genotype for r in pareto_front(store)] + population
         t0 = time.perf_counter()
         trace = evolve(
-            space, inner_cfg, evaluate_fn, specs, warm_start=inner_warm,
-            source="predicted",
+            space, inner_cfg, make_predictor_evaluate(space, specs, models, cfg.predictor),
+            specs, warm_start=inner_warm, source="predicted",
         )
         phase_seconds["search"] += time.perf_counter() - t0
-        if i == cfg.iterations - 1:
-            break  # the last search gives the predicted front, not a population
+        if i == iterations - 1:  # the last search gives the predicted front
+            predicted_front = pareto_front(trace.front())
+            if full:
+                t0 = time.perf_counter()
+                front_genotypes = [r.genotype for r in predicted_front]
+                recs = evaluate_batch(front_genotypes, evaluator, store, gen=1)
+                warn_list.extend(r.error for r in recs if not r.ok)
+                phase_seconds["validate"] += time.perf_counter() - t0
+            break
 
         validated_ids = trace.ids_of(validated.values())
         chosen = select_best(
@@ -615,17 +507,15 @@ def concurrent_search(
 
     hv_trace = hypervolume_trace(store, reference) if reference is not None else []
     return SearchReport(
-        tactic="concurrent",
+        tactic=cfg.tactic,
         space=space,
         specs=specs,
         store=store,
-        predicted_front=pareto_front(trace.front()),
+        predicted_front=predicted_front,
         validated_front=pareto_front(store),
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,
-        config=config_to_doc(
-            "concurrent", cfg, specs, reference, evaluator, config_extra
-        ),
+        config=config_to_doc(cfg, specs, reference, evaluator, config_extra),
         warnings=warn_list,
     )

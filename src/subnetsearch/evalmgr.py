@@ -618,15 +618,6 @@ def training_rows(store: ResultStore, scheme: str, evaluator_id: str | None = No
     return encode_matrix(ranks, store.space, scheme), raw
 
 
-def training_set(store: ResultStore, objective: str, scheme: str, evaluator_id: str | None = None):
-    """Encoded features and raw targets of one objective (see `training_rows`)."""
-    names = [s.name for s in store.specs]
-    if objective not in names:
-        raise ObjectiveMismatch(f"store has no objective named {objective!r}")
-    X, raw = training_rows(store, scheme, evaluator_id)
-    return X, np.ascontiguousarray(raw[:, names.index(objective)])
-
-
 # ---------------------------------------------------------------------------
 # Synthetic surfaces
 # ---------------------------------------------------------------------------

@@ -306,21 +306,6 @@ def dominated_area(points, reference) -> float:
     return area
 
 
-def hypervolume_2d(front: ParetoFront, reference) -> float:
-    """Hypervolume of a front's canonical-min vectors w.r.t. a reference point."""
-    if len(reference) != 2:
-        raise Unsupported2DOnly("reference point must be 2-D")
-    points = []
-    for rec in front:
-        vec = rec.objectives_raw
-        if len(vec.values) != 2:
-            raise Unsupported2DOnly(
-                f"front has {len(vec.values)} objectives; only 2 supported"
-            )
-        points.append(vec.canonical_min)
-    return dominated_area(points, reference)
-
-
 def default_reference(points) -> tuple[float, ...]:
     """Frozen hypervolume reference for canonical-min points (rows): worst
     observed value per objective, padded 5% toward the worse side so observed

@@ -165,24 +165,53 @@ def test_zero_run_size_is_config_error(tmp_path, toy_space_file, tactic, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tactic, flags", [
-    ("full", ["--train", "0"]),
-    ("concurrent", ["--predictor", "none"]),
-    ("concurrent", ["--predictor-for", "top1:none"]),
-    ("concurrent", ["--validation-only", "energy"]),
+@pytest.mark.parametrize("tactic, flags, removed", [
+    ("full", ["--train", "0"], None),
+    ("concurrent", ["--predictor", "none"], None),
+    ("concurrent", ["--predictor-for", "top1:none"], None),
+    ("concurrent", [], {"validation_only_objectives": ["latency_ms"]}),
+    ("concurrent", [], {"inner_population": 20}),
     ("full", ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-sum",
-              "--objective", "top1:maximize", "--objective", "top1:minimize"]),
+              "--objective", "top1:maximize", "--objective", "top1:minimize"], None),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
-        "duplicate-objective"])
+        "inner-population", "duplicate-objective"])
 def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
-                                                        tactic, flags):
+                                                        tactic, flags, removed):
+    # `removed`: a replayed config.json that turns on a removed feature
+    if removed:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(removed))
+        flags = ["--config", str(config)]
     out = tmp_path / "run"
     code = run_cli(
         "search", tactic, "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
         *RUN_SIZES[tactic], *flags, "--out", str(out),
     )
-    assert code == 2, capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert code == 2, err
     assert not out.exists()
+    if removed:
+        assert f"config error: {config}: {next(iter(removed))} " in err
+
+
+def test_config_with_the_removed_keys_unset_replays(tmp_path, toy_space_file):
+    """A concurrent config.json written while `validation_only_objectives`
+    and `inner_population` existed, as [] and null, replays byte for byte;
+    the replay's config.json no longer carries them."""
+    first = tmp_path / "first"
+    assert run_cli(
+        "search", "concurrent", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        *RUN_SIZES["concurrent"], "--seed", "5", "--out", str(first),
+    ) == 0
+    doc = json.loads((first / "config.json").read_text())
+    doc.update(validation_only_objectives=[], inner_population=None)
+    config = tmp_path / "old_config.json"
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    replayed = tmp_path / "replayed"
+    assert run_cli("search", "concurrent", "--config", str(config), "--out", str(replayed)) == 0
+    for name in ("evals.jsonl", "front.csv", "predicted_front.csv", "hv_trace.csv",
+                 "config.json"):
+        assert (first / name).read_bytes() == (replayed / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("tactic", ["concurrent", "full"])

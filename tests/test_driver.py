@@ -1,5 +1,6 @@
-"""Search tactics: full search, concurrent search, hypervolume traces."""
+"""The search loop under both tactics, and hypervolume traces."""
 
+import hashlib
 import json
 import warnings
 
@@ -10,10 +11,9 @@ from subnetsearch.driver import (
     ConcurrentNasConfig,
     FullSearchConfig,
     PredictorConfig,
-    concurrent_search,
-    full_search,
     hypervolume_trace,
     make_validation_evaluate,
+    search,
 )
 from subnetsearch.errors import ConfigError, EmptyInput
 from subnetsearch.evalmgr import (
@@ -69,7 +69,7 @@ def flat_toy_setup(toy_space):
 def test_full_search_recovers_most_of_true_front(flat_toy_setup):
     space, surface = flat_toy_setup
     truth = true_front_genes(space, surface)
-    report = full_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -121,7 +121,7 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
     truth = {r.genotype.genes for r in pareto_front([R(g) for g in all_genotypes])}
 
     evaluator = CallableEvaluator(measure, evaluator_id="linear")
-    report = full_search(
+    report = search(
         toy_space,
         specs,
         evaluator,
@@ -141,7 +141,7 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
 
 def test_full_search_zero_generations_front_equals_sample_front(toy_setup):
     space, surface = toy_setup
-    report = full_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -164,7 +164,7 @@ def test_full_search_zero_generations_front_equals_sample_front(toy_setup):
 
 def test_full_search_validation_only_mode(toy_setup):
     space, surface = toy_setup
-    report = full_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -184,7 +184,7 @@ def test_full_search_validation_only_mode(toy_setup):
 def test_full_search_warns_below_100_train(toy_setup):
     space, surface = toy_setup
     with pytest.warns(UserWarning, match="n_train"):
-        full_search(
+        search(
             space,
             surface.specs,
             SyntheticSurfaceEvaluator(surface),
@@ -206,7 +206,7 @@ def test_full_search_warns_below_100_train(toy_setup):
 def test_concurrent_bookkeeping_invariants(toy_setup):
     space, surface = toy_setup
     c, iters = 20, 3
-    report = concurrent_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -228,7 +228,7 @@ def test_concurrent_bookkeeping_invariants(toy_setup):
 
 def test_concurrent_i1_front_subset_of_predictor_outputs(toy_setup):
     space, surface = toy_setup
-    report = concurrent_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -244,7 +244,7 @@ def test_concurrent_i1_front_subset_of_predictor_outputs(toy_setup):
 
 def test_concurrent_deduplicates_promotions(toy_setup):
     space, surface = toy_setup
-    report = concurrent_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -257,33 +257,10 @@ def test_concurrent_deduplicates_promotions(toy_setup):
     assert len(genes) == len(set(genes))  # no genotype validated twice
 
 
-def test_concurrent_validation_only_objective_measured(toy_setup):
-    space, surface = toy_setup
-    report = concurrent_search(
-        space,
-        surface.specs,
-        SyntheticSurfaceEvaluator(surface),
-        ConcurrentNasConfig(
-            population_size=10,
-            iterations=2,
-            inner_generations=5,
-            validation_only_objectives=("latency_ms",),
-            seed=7,
-        ),
-    )
-    # every predictor-side evaluation measured latency for real, so the store
-    # grew beyond the two validation populations
-    assert report.validation_count > 20
-    # measured latencies agree with the surface on the final front
-    for rec in report.validated_front:
-        expect = synthetic_evaluate(rec.genotype, surface).values[1]
-        assert rec.objectives_raw.value_of("latency_ms") == pytest.approx(expect)
-
-
 def test_concurrent_warm_start_from_other_preset(toy_setup):
     space, surface = toy_setup
     other = make_surface(space, "v100-like")
-    source = full_search(
+    source = search(
         space,
         other.specs,
         SyntheticSurfaceEvaluator(other),
@@ -296,7 +273,7 @@ def test_concurrent_warm_start_from_other_preset(toy_setup):
         ),
     )
     seeds = tuple(r.genotype for r in source.validated_front)
-    report = concurrent_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -396,7 +373,7 @@ def test_hv_trace_clamps_with_warning(toy_setup):
 
 def test_report_export_artifacts(tmp_path, toy_setup):
     space, surface = toy_setup
-    report = concurrent_search(
+    report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
@@ -433,7 +410,7 @@ def test_oracle_predictors_match_validation_search(toy_setup):
 
     drv.make_predictor_evaluate = oracle
     try:
-        report = concurrent_search(
+        report = search(
             space,
             surface.specs,
             SyntheticSurfaceEvaluator(surface),
@@ -542,14 +519,14 @@ def test_run_reference_and_front_equal_the_record_forms(toy_setup, tactic):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if tactic == "concurrent":
-            report = concurrent_search(
+            report = search(
                 space, surface.specs, evaluator,
                 ConcurrentNasConfig(population_size=10, iterations=3,
                                     inner_generations=10, seed=4),
             )
         else:
             family = tactic.partition("-")[2]
-            report = full_search(
+            report = search(
                 space, surface.specs, evaluator,
                 FullSearchConfig(population_size=10, generations=5, n_train=30, seed=4,
                                  predictor=PredictorConfig(family=family)),
@@ -560,3 +537,61 @@ def test_run_reference_and_front_equal_the_record_forms(toy_setup, tactic):
         [r.objectives_raw.canonical_min for r in first]
     )
     assert report.validated_front.members == pareto_front(recs).members
+
+
+# ---------------------------------------------------------------------------
+# pinned trajectories
+# ---------------------------------------------------------------------------
+
+# sha256 of (evals.jsonl, predicted_front.csv) per run, recorded when each
+# tactic was still its own function; None where no predicted front exists.
+TACTIC_SHA256 = {
+    "full-ridge-warm": (
+        "b17ad058260a702a714191f8d6f3c83ad238a9200a37c00a03d31d311587c28a",
+        "9ee4668158fe8d66d36238e44da4bf345e21379a173e081b123dd446355fb44a",
+    ),
+    "full-none": (
+        "5d47c9b9ca3bef7dac3f89549d225554c8cd68833601b651baffc767ff1409a2",
+        None,
+    ),
+    "concurrent-ridge": (
+        "df809c74c967cebdb288873734b2bf86bedb9dc6b5983883d62c65a3dfd97474",
+        "74f37da6783fb1812dde6e84316cd654825b4fd0fda44a42c2b8eefbadad4665",
+    ),
+    "concurrent-svr-warm": (
+        "e464b6d7b4a3f79abda5f6b4eda0f8d21ecb596eddd955769858b45399542d13",
+        "b00c14525d62ffc1a00beba0a2969c05d53639c25faee571114f56e8ef0e2e2c",
+    ),
+}
+
+
+def pinned_run(space, surface, name):
+    warm = tuple(sample_uniform(space, 16, seed=20))
+    if name == "full-ridge-warm":
+        cfg = FullSearchConfig(population_size=12, generations=15, n_train=100,
+                               warm_start=warm, seed=21)
+    elif name == "full-none":
+        cfg = FullSearchConfig(population_size=10, generations=6, seed=22,
+                               predictor=PredictorConfig(family="none"))
+    elif name == "concurrent-ridge":
+        cfg = ConcurrentNasConfig(population_size=10, iterations=3, inner_generations=15,
+                                  seed=23)
+    else:
+        cfg = ConcurrentNasConfig(population_size=10, iterations=2, inner_generations=10,
+                                  predictor=PredictorConfig(family="svr"), warm_start=warm,
+                                  seed=24)
+    return search(space, surface.specs, SyntheticSurfaceEvaluator(surface), cfg)
+
+
+@pytest.mark.parametrize("name", list(TACTIC_SHA256))
+def test_tactic_trajectories_are_pinned(toy_setup, tmp_path, name):
+    space, surface = toy_setup
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the clamp warning of some runs
+        out = pinned_run(space, surface, name).export(tmp_path)
+    predicted = out / "predicted_front.csv"
+    got = (
+        hashlib.sha256((out / "evals.jsonl").read_bytes()).hexdigest(),
+        hashlib.sha256(predicted.read_bytes()).hexdigest() if predicted.exists() else None,
+    )
+    assert got == TACTIC_SHA256[name]

@@ -15,7 +15,6 @@ from subnetsearch.errors import (
     EvaluationFailed,
     InvalidGenotype,
     NonCanonicalInput,
-    ObjectiveMismatch,
 )
 from subnetsearch import evalmgr
 from subnetsearch.evalmgr import (
@@ -28,7 +27,6 @@ from subnetsearch.evalmgr import (
     make_surface,
     synthetic_evaluate,
     training_rows,
-    training_set,
 )
 from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
 from subnetsearch.predict import fit_ridge
@@ -596,7 +594,7 @@ def test_table_evaluator_lookup_and_missing(tmp_path, tiny_space):
 
 
 # ---------------------------------------------------------------------------
-# training_set
+# training_rows
 # ---------------------------------------------------------------------------
 
 
@@ -607,9 +605,9 @@ def test_training_set_filters_predicted_and_dedupes(toy_space):
     store.append_batch(
         gs[3:], [ObjectiveVector((9.0, 9.0), MIN2)] * 2, "e1", source="predicted"
     )
-    X, y = training_set(store, "f1", "one_hot")
+    X, raw = training_rows(store, "one_hot")
     assert X.shape[0] == 3
-    assert y.tolist() == [0.0, 1.0, 2.0]
+    assert raw[:, 0].tolist() == [0.0, 1.0, 2.0]
     ranks = canonical_ranks(gs[:3], toy_space)[0]
     assert np.allclose(X, encode_matrix(ranks, toy_space, "one_hot"))
 
@@ -619,15 +617,15 @@ def test_training_set_first_evaluator_wins_without_filter(toy_space):
     g = sample_uniform(toy_space, 1, 0)[0]
     store.append_batch([g], [ObjectiveVector((1.0, 0.0), MIN2)], "cpu")
     store.append_batch([g], [ObjectiveVector((2.0, 0.0), MIN2)], "gpu")
-    _, y = training_set(store, "f1", "one_hot")
-    assert y.tolist() == [1.0]
-    _, y_gpu = training_set(store, "f1", "one_hot", evaluator_id="gpu")
-    assert y_gpu.tolist() == [2.0]
+    _, raw = training_rows(store, "one_hot")
+    assert raw.tolist() == [[1.0, 0.0]]
+    _, raw_gpu = training_rows(store, "one_hot", evaluator_id="gpu")
+    assert raw_gpu.tolist() == [[2.0, 0.0]]
 
 
 def training_set_by_records(store, objective, scheme, evaluator_id=None):
-    """`training_set` from validation records, the first of each genotype
-    kept: the oracle for the columnar training rows."""
+    """Features and one objective's targets from validation records, the
+    first of each genotype kept: the oracle for the columnar training rows."""
     deduped = {}
     for r in store.validation_records(evaluator_id):
         deduped.setdefault(r.genotype.genes, r)
@@ -639,7 +637,8 @@ def training_set_by_records(store, objective, scheme, evaluator_id=None):
 def test_training_rows_match_records(toy_space):
     """A log with a failure, a predicted row, a genotype measured under two
     evaluator ids and one measured only by the second: the same rows,
-    targets and ridge coefficients, bit for bit, as from the records."""
+    targets and ridge coefficients (fitted on a contiguous target column, as
+    the search loop fits them), bit for bit, as from the records."""
     store = ResultStore(MIN2, space=toy_space)
     gs = sample_uniform(toy_space, 8, 11)
     vec = [ObjectiveVector((0.1 * i, 1.0 / (i + 1)), MIN2) for i in range(8)]
@@ -652,18 +651,15 @@ def test_training_rows_match_records(toy_space):
             X, raw = training_rows(store, scheme, evaluator_id)
             for k, spec in enumerate(MIN2):
                 want_X, want_y = training_set_by_records(store, spec.name, scheme, evaluator_id)
-                got_X, got_y = training_set(store, spec.name, scheme, evaluator_id)
-                assert X.tobytes() == got_X.tobytes() == want_X.tobytes()
-                assert raw[:, k].tolist() == got_y.tolist() == want_y.tolist()
-                got, want = fit_ridge(got_X, got_y, 1.0), fit_ridge(want_X, want_y, 1.0)
+                y = np.ascontiguousarray(raw[:, k])
+                assert X.tobytes() == want_X.tobytes()
+                assert y.tolist() == want_y.tolist()
+                got, want = fit_ridge(X, y, 1.0), fit_ridge(want_X, want_y, 1.0)
                 assert (got.weights.tobytes(), got.bias) == (want.weights.tobytes(), want.bias)
 
 
-def test_training_set_unknown_objective(toy_space):
-    store = ResultStore(MIN2, space=toy_space)
-    g = sample_uniform(toy_space, 1, 0)[0]
-    store.append_batch([g], [ObjectiveVector((1.0, 0.0), MIN2)], "e1")
-    with pytest.raises(ObjectiveMismatch):
-        training_set(store, "nope", "one_hot")
+def test_training_rows_need_records_and_a_space(toy_space):
     with pytest.raises(EmptyInput):
-        training_set(ResultStore(MIN2, space=toy_space), "f1", "one_hot")
+        training_rows(ResultStore(MIN2, space=toy_space), "one_hot")
+    with pytest.raises(ConfigError, match="no search space"):
+        training_rows(ResultStore(MIN2), "one_hot")

@@ -23,13 +23,11 @@ from subnetsearch.objectives import (
     LatencyNormalizer,
     ObjectiveSpec,
     ObjectiveVector,
-    ParetoFront,
     default_reference,
     dominated_area,
     dominates,
     front_to_csv,
     hv_trace_to_csv,
-    hypervolume_2d,
     normalize_latency,
     pareto_front,
 )
@@ -294,13 +292,10 @@ def test_hv_reference_violation():
         dominated_area([(1.5, 0.5)], (1.0, 1.0))
 
 
-def test_hv_front_api_and_arity_guard():
-    specs3 = tuple(ObjectiveSpec(f"f{i}", "minimize") for i in range(3))
-    bad = ParetoFront(members=(rec((0,), (0.1, 0.1, 0.1), specs=specs3),))
+def test_hv_arity_guard():
     with pytest.raises(Unsupported2DOnly):
-        hypervolume_2d(bad, (1.0, 1.0))
-    good = ParetoFront(members=(rec((0,), (0.5, 0.5)),))
-    assert hypervolume_2d(good, (1.0, 1.0)) == pytest.approx(0.25)
+        dominated_area([(0.1, 0.1, 0.1)], (1.0, 1.0))
+    assert dominated_area([(0.5, 0.5)], (1.0, 1.0)) == 0.25
 
 
 def test_hv_matches_monte_carlo_on_random_fronts():
