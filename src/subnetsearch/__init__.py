@@ -37,8 +37,8 @@ from .driver import (
 from .objectives import (
     LatencyNormalizer,
     ObjectiveSpec,
+    FrontColumns,
     ObjectiveVector,
-    ParetoFront,
     dominates,
     normalize_latency,
     pareto_front,

@@ -55,6 +55,7 @@ from .objectives import (
     hv_trace_to_csv,
     normalize_latency,
     pareto_front,
+    validated_front,
 )
 from .popdb import (
     build_constraints,
@@ -179,7 +180,7 @@ def _warm_start_from(path: str, space) -> list[Genotype]:
     store = ResultStore.load(p, space=space)
     if not len(store.validation_columns()[0]):
         raise ConfigError(f"warm-start log {p} has no validation records")
-    return [r.genotype for r in pareto_front(store)]
+    return validated_front(store).genotypes()
 
 
 def _predictor_doc(args, base: dict) -> dict:
@@ -451,7 +452,7 @@ def _cmd_analyze(args) -> int:
             f"{s.name}_normalized" for s in latency_specs
         ]
         writer.writerow(header)
-        for rec, gid in zip(front, genotype_ids(rec.genotype for rec in front)):
+        for rec, gid in zip(front, genotype_ids(rec.genotype.genes for rec in front)):
             row = [gid]
             row += [repr(v) for v in rec.objectives_raw.values]
             for s in latency_specs:
@@ -480,7 +481,7 @@ def _cmd_analyze(args) -> int:
         with open(pop_dir / f"gen_{gen:04d}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["genotype_id"] + [s.name for s in specs] + ["genes"])
-            for r, gid in zip(rows, genotype_ids(r.genotype for r in rows)):
+            for r, gid in zip(rows, genotype_ids(r.genotype.genes for r in rows)):
                 writer.writerow(
                     [gid]
                     + [repr(v) for v in r.objectives_raw.values]

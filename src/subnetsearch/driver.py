@@ -38,15 +38,16 @@ from .evalmgr import (
 )
 from .evolver import EvolverConfig, evolve, select_best
 from .objectives import (
+    FrontColumns,
     IncrementalFront2D,
     ObjectiveSpec,
-    ParetoFront,
     canonical_matrix,
     check_unique_names,
     default_reference,
     front_to_csv,
     hv_trace_to_csv,
-    pareto_front,
+    pareto_front,  # noqa: F401  (a trace site of perfbench/runner.py)
+    validated_front,
 )
 from .predict import KernelSpec, fit_ridge, fit_svr, predict, ridge_system
 from .space import (
@@ -54,7 +55,9 @@ from .space import (
     SearchSpace,
     encode_matrix,
     rank_genes,
+    rank_matrix,
     repair_unique,
+    repaired_ranks,
     sample_uniform,
     sample_unique,
 )
@@ -230,8 +233,8 @@ class SearchReport:
     space: SearchSpace
     specs: tuple[ObjectiveSpec, ...]
     store: ResultStore
-    predicted_front: ParetoFront | None
-    validated_front: ParetoFront
+    predicted_front: FrontColumns | None
+    validated_front: FrontColumns
     hv_reference: tuple[float, ...] | None
     hv_trace: list[tuple[int, float]]
     phase_seconds: dict[str, float]
@@ -251,17 +254,16 @@ class SearchReport:
         `outdir/evals.jsonl` is closed instead of dumped."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(self.config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(self.config, indent=2, sort_keys=True)  # one write, not one a token
+        (outdir / "config.json").write_text(text + "\n", "utf-8")
         log = outdir / "evals.jsonl"
         if self.store.path is not None and self.store.path.resolve() == log.resolve():
             self.store.close()
         else:
             self.store.dump(log)
-        front_to_csv(self.validated_front, outdir / "front.csv")
+        front_to_csv(self.validated_front, self.specs, outdir / "front.csv")
         if self.predicted_front is not None and len(self.predicted_front):
-            front_to_csv(self.predicted_front, outdir / "predicted_front.csv")
+            front_to_csv(self.predicted_front, self.specs, outdir / "predicted_front.csv")
         hv_trace_to_csv(self.hv_trace, outdir / "hv_trace.csv")
         return outdir
 
@@ -377,8 +379,6 @@ def _maybe_reference(specs, raw):
     return default_reference(canonical_matrix(raw, specs))
 
 
-
-
 # ---------------------------------------------------------------------------
 # The search loop
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def search(
             cfg.evolver(cfg.generations, cfg.seed),
             make_validation_evaluate(space, evaluator, store),
             specs,
-            warm_start=cfg.warm_start,
+            warm_start=repaired_ranks(cfg.warm_start or (), space),
         )
         phase_seconds["search"] = time.perf_counter() - t0
         reference = _maybe_reference(specs, store.validation_columns()[2])
@@ -445,8 +445,9 @@ def search(
         iterations = 1
     else:
         population = _initial_population(space, cfg)
+        rows = rank_matrix(population, space)
         iterations = cfg.iterations
-    validated: dict[tuple[int, ...], Genotype] = {}
+    validated = np.zeros((0, space.genome_length), np.intp)  # rank rows of every batch
 
     for i in range(iterations):
         t0 = time.perf_counter()
@@ -456,7 +457,6 @@ def search(
         warn_list.extend(r.error for r in recs if not r.ok)
         if not ok:
             raise EvaluationFailed(f"iteration {i}: every validation failed")
-        validated.update((r.genotype.genes, r.genotype) for r in recs)
         if reference is None:
             reference = _maybe_reference(specs, [r.objectives_raw.values for r in ok])
 
@@ -465,10 +465,11 @@ def search(
         phase_seconds["train_predictors"] += time.perf_counter() - t0
 
         if full:
-            inner_cfg, inner_warm = cfg.evolver(cfg.generations, cfg.seed), cfg.warm_start
+            inner_cfg = cfg.evolver(cfg.generations, cfg.seed)
+            inner_warm = repaired_ranks(cfg.warm_start or (), space)
         else:
             inner_cfg = cfg.evolver(cfg.inner_generations, subseed(cfg.seed, "inner", i))
-            inner_warm = [r.genotype for r in pareto_front(store)] + population
+            inner_warm = np.concatenate([rank_matrix(validated_front(store).genes, space), rows])
         t0 = time.perf_counter()
         trace = evolve(
             space, inner_cfg, make_predictor_evaluate(space, specs, models, cfg.predictor),
@@ -476,34 +477,36 @@ def search(
         )
         phase_seconds["search"] += time.perf_counter() - t0
         if i == iterations - 1:  # the last search gives the predicted front
-            predicted_front = pareto_front(trace.front())
+            predicted_front = trace.front()
             if full:
                 t0 = time.perf_counter()
-                front_genotypes = [r.genotype for r in predicted_front]
-                recs = evaluate_batch(front_genotypes, evaluator, store, gen=1)
+                recs = evaluate_batch(predicted_front.genotypes(), evaluator, store, gen=1)
                 warn_list.extend(r.error for r in recs if not r.ok)
                 phase_seconds["validate"] += time.perf_counter() - t0
             break
 
-        validated_ids = trace.ids_of(validated.values())
-        chosen = select_best(
+        validated = np.concatenate([validated, rows])
+        validated_ids = trace.ids_of(validated)
+        picks = [select_best(
             trace.table.take(trace.population_ids[-1]), cfg.population_size,
             exclude=validated_ids,
-        )
-        population = trace.genotypes(chosen)
-        if len(chosen) < cfg.population_size:
-            population += trace.genotypes(select_best(
-                trace.table, cfg.population_size - len(chosen),
-                exclude=np.concatenate([validated_ids, chosen.ids]),
+        )]
+        if len(picks[0]) < cfg.population_size:
+            picks.append(select_best(
+                trace.table, cfg.population_size - len(picks[0]),
+                exclude=np.concatenate([validated_ids, picks[0].ids]),
             ))
-        population += sample_unique(
+        population = [g for chosen in picks for g in trace.genotypes(chosen)]
+        pads = sample_unique(
             space,
             cfg.population_size - len(population),
             cfg.seed,
             "iter-pad",
             i,
-            exclude=validated.keys() | {g.genes for g in population},
+            exclude={*rank_genes(validated, space), *(g.genes for g in population)},
         )
+        population += pads
+        rows = np.concatenate([chosen.ranks for chosen in picks] + [rank_matrix(pads, space)])
 
     hv_trace = hypervolume_trace(store, reference) if reference is not None else []
     return SearchReport(
@@ -512,7 +515,7 @@ def search(
         specs=specs,
         store=store,
         predicted_front=predicted_front,
-        validated_front=pareto_front(store),
+        validated_front=validated_front(store),
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,

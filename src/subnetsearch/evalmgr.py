@@ -368,11 +368,6 @@ class ResultStore:
         with self._lock:
             return tuple(self._evaluators)
 
-    def records_at(self, seqs: Sequence[int]) -> list[EvaluationRecord]:
-        """The records with these sequence numbers, in the order given."""
-        with self._lock:
-            return self._records_of(seqs)
-
     def lookup(self, genotype: Genotype, evaluator_id: str) -> EvaluationRecord | None:
         return self.cached([genotype], evaluator_id).get(genotype.genes)
 
@@ -721,24 +716,6 @@ class SyntheticSurfaceEvaluator:
 
     def evaluate(self, genotypes):
         return [synthetic_evaluate(g, self.surface) for g in genotypes]
-
-
-class CallableEvaluator:
-    """Wraps a genotype -> ObjectiveVector function; exceptions become
-    per-genotype failures."""
-
-    def __init__(self, fn, evaluator_id: str = "callable"):
-        self.fn = fn
-        self.evaluator_id = evaluator_id
-
-    def evaluate(self, genotypes):
-        out = []
-        for g in genotypes:
-            try:
-                out.append(self.fn(g))
-            except Exception as exc:  # noqa: BLE001 - contract: flag, continue
-                out.append(EvaluationFailure(str(exc)))
-        return out
 
 
 class TableEvaluator:

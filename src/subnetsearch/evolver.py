@@ -41,22 +41,23 @@ import numpy as np
 from .errors import ConfigError, ObjectiveMismatch
 from .objectives import (
     EvaluationRecord,
+    FrontColumns,
     ObjectiveSpec,
     ObjectiveVector,
+    canonical_matrix,
     first_front,
+    front_by_x,
     front_ranks,
-    nondominated_fronts,
 )
 from .space import (
     Genotype,
     SearchSpace,
     canonical_form,
     canonicalize,  # noqa: F401  (a trace site of perfbench/runner.py)
+    gene_matrix,
     rank_genes,
-    rank_matrix,
-    repaired_ranks,
 )
-from .util import genes_bytes, stable_hash64, subseed
+from .util import subseed
 
 # (n, L) canonical rank rows -> (n, m) raw objectives, aligned with the rows
 EvaluateFn = Callable[[np.ndarray], np.ndarray]
@@ -135,8 +136,7 @@ class SearchTrace:
 
     def records(self, slots: Slots) -> list[EvaluationRecord]:
         """The evaluation records of slots of this trace."""
-        sign = [1.0 if s.direction == "minimize" else -1.0 for s in self.specs]
-        raw = (slots.values * sign).tolist()
+        raw = canonical_matrix(slots.values, self.specs).tolist()  # maximizers negated back
         return [
             EvaluationRecord(g, ObjectiveVector(v, self.specs), self.source, "", i, self.gens[i])
             for g, v, i in zip(self.genotypes(slots), raw, slots.ids.tolist())
@@ -146,25 +146,17 @@ class SearchTrace:
     def evaluations(self) -> list[EvaluationRecord]:
         return self.records(self.table)
 
-    @property
-    def populations(self) -> list[list[EvaluationRecord]]:
-        evaluations = self.evaluations
-        return [[evaluations[i] for i in ids.tolist()] for ids in self.population_ids]
+    def front(self) -> FrontColumns:
+        """The table's first non-dominated front as columns, in evaluation
+        order; builds no record."""
+        members = self.table.take(first_front(self.table.values))
+        raw = canonical_matrix(members.values, self.specs)  # maximizers negated back
+        return FrontColumns(gene_matrix(members.ranks, self.space), raw)
 
-    @property
-    def final_population(self) -> list[EvaluationRecord]:
-        return self.populations[-1]
-
-    def front(self) -> list[EvaluationRecord]:
-        """The records of the table's first non-dominated front, in
-        evaluation order."""
-        return self.records(self.table.take(first_front(self.table.values)))
-
-    def ids_of(self, genotypes) -> np.ndarray:
-        """The table ids of those of `genotypes` (of this trace's space)
-        that this trace evaluated, ascending."""
-        rows = rank_matrix(genotypes, self.space).astype(self.table.ranks.dtype)
-        wanted = set(_row_keys(rows).tolist())
+    def ids_of(self, ranks: np.ndarray) -> np.ndarray:
+        """The table ids of those rank rows (of this trace's space) that
+        this trace evaluated, ascending."""
+        wanted = set(_row_keys(ranks.astype(self.table.ranks.dtype)).tolist())
         return np.flatnonzero([key in wanted for key in _row_keys(self.table.ranks).tolist()])
 
 
@@ -173,15 +165,10 @@ class SearchTrace:
 # ---------------------------------------------------------------------------
 
 
-def tiebreak_hash(salt: int) -> Callable[[tuple[int, ...]], int]:
-    """Salted tie-break hash of a gene tuple: `stable_hash64` of its
-    `genes_bytes` and the salt."""
-    return lambda genes: stable_hash64(genes_bytes(genes), salt)
-
-
 def _row_hasher(space: SearchSpace, salt: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A function from rank rows of `space` to the uint64 `tiebreak_hash(salt)`
-    of their genotypes. One gather from a table of each (position, rank)'s
+    """A function from rank rows of `space` to the uint64 salted tie-break
+    hashes of their genotypes: `util.stable_hash64` of the genes' `genes_bytes`
+    and the salt. One gather from a table of each (position, rank)'s
     text padded with NULs writes the hashed bytes of every row: "value," at
     every position but the last, whose "value\n" ends the row."""
     ends = [b","] * (space.genome_length - 1) + [b"\n"]
@@ -190,20 +177,27 @@ def _row_hasher(space: SearchSpace, salt: int) -> Callable[[np.ndarray], np.ndar
     width = max(map(len, texts))
     table = np.array([list(t.ljust(width, b"\0")) for t in texts], dtype=np.uint8)
     tail = b"\x1f" + salt.to_bytes(16, "little", signed=True) + b"\x1f"
+    blank = hashlib.blake2b(digest_size=8)  # copying it is cheaper than a new one
 
     def hashes(rows: np.ndarray) -> np.ndarray:
         data = table.take(rows + offsets, axis=0).tobytes()
-        row_texts = data.replace(b"\0", b"").split(b"\n")[:-1]
-        digests = b"".join([hashlib.blake2b(t + tail, digest_size=8).digest() for t in row_texts])
-        return np.frombuffer(digests, dtype="<u8")
+        digests = []
+        for text in data.replace(b"\0", b"").split(b"\n")[:-1]:
+            h = blank.copy()
+            h.update(text)
+            h.update(tail)
+            digests.append(h.digest())
+        return np.frombuffer(b"".join(digests), dtype="<u8")
 
     return hashes
 
 
 def non_dominated_sort(pop: Slots) -> list[list[int]]:
-    """Non-dominated sort of `Slots`: the fronts best first as sorted index
-    lists (`nondominated_fronts`); slots with equal objectives share one."""
-    return nondominated_fronts(pop.values.tolist())
+    """Non-dominated sort of `Slots`: the fronts best first, each a sorted
+    list of slot indices (those of each `front_ranks` rank); slots with equal
+    objectives never dominate each other, so they share one."""
+    rank = front_ranks(pop.values)
+    return [np.flatnonzero(rank == k).tolist() for k in range(rank.max(initial=-1) + 1)]
 
 
 def _crowding(values: np.ndarray, front: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -261,12 +255,27 @@ def select_best(pop: Slots, k: int, exclude: Sequence[int] | np.ndarray = ()) ->
     """The top-k slots of `pop` by non-dominated sort + crowding, in key
     order: slots whose ids are in `exclude` and all but the first slot of
     each id are skipped, and later fronts backfill; the keys rank the whole
-    of `pop`."""
-    order = _ranked(pop)[2]
-    seen = set(np.asarray(exclude).tolist())
+    of `pop`. A first front with k ids not excluded fills the k slots, and
+    then only its keys are made; a 2-D front without equal rows has x rising
+    and y falling in (x, y) order, so its crowding comes from that order."""
+    seen, values = set(np.asarray(exclude).tolist()), pop.values
+    by_x, tied = front_by_x(values) if values.shape[1] == 2 else (first_front(values), True)
+    front = np.sort(by_x)
+    if len(set(pop.ids[front].tolist()) - seen) < k:
+        order = _ranked(pop)[2]
+    elif not tied:  # `_crowding`'s sums, in the same order; ties go by slot
+        x, y = values.take(by_x, axis=0).T
+        crowd = np.full(len(by_x), math.inf)
+        crowd[1:-1] = (x[2:] - x[:-2]) / (x[-1] - x[0]) + (y[:-2] - y[2:]) / (y[0] - y[-1])
+        order = by_x[np.lexsort((by_x, pop.hashes[by_x], -crowd))]
+    else:
+        crowd = _crowding(values[front], np.zeros(len(front), np.intp), pop.ranks[front])
+        order = front[np.lexsort((pop.hashes[front], -crowd))]
+    ids = pop.ids[order].tolist()
+    if not seen and len(set(ids)) == len(ids):  # every slot is kept
+        return pop.take(order[:k])
     # the first slot of each id not seen yet; `seen.add` returns None
-    keep = [slot for slot, i in zip(order.tolist(), pop.ids[order].tolist())
-            if not (i in seen or seen.add(i))]
+    keep = [slot for slot, i in zip(order.tolist(), ids) if not (i in seen or seen.add(i))]
     return pop.take(np.array(keep[:k], dtype=np.intp))
 
 
@@ -359,11 +368,15 @@ def evolve(
     cfg: EvolverConfig,
     evaluate: EvaluateFn,
     specs: Sequence[ObjectiveSpec],
-    warm_start: Sequence[Genotype] | None = None,
+    warm_start: np.ndarray | None = None,
     source: str = "validation",
 ) -> SearchTrace:
     """Run the generational loop; deterministic for a fixed config and a
     deterministic evaluate function.
+
+    `warm_start` holds canonical rank rows of `space` that seed the initial
+    population, a repeated row counting once (genotypes from outside go
+    through `space.repaired_ranks` first).
 
     `evaluate` receives an (n, L) matrix of distinct canonical rank rows,
     none evaluated before in this run, and returns an (n, m) matrix of raw
@@ -384,7 +397,7 @@ def evolve(
     counts, table, _ = space.active_ranks
     table, at = table.astype(dtype), np.arange(length)
     row_bytes = np.dtype((np.void, length * dtype.itemsize))
-    warm = repaired_ranks(warm_start or (), space).astype(dtype)
+    warm = np.reshape(() if warm_start is None else warm_start, (-1, length)).astype(dtype)
     # At each id: rank row, canonical-min objectives, tie-break hash and gen
     # (a generation evaluates at most pop_size); `known` maps row bytes to ids.
     most = max(pop_size, len(warm)) + cfg.generations * pop_size
@@ -416,13 +429,12 @@ def evolve(
         ranks[done], mins[done], ties[done] = rows, values * sign, tie_hashes(rows)
         gens.extend([gen] * len(rows))
 
-    def breed(gen: int, draw, seeds: np.ndarray) -> np.ndarray:
-        """The ids of the `seeds` (distinct rank rows, none evaluated yet)
-        and of children of rounds of `draw(need)`, taken under the duplicate
-        rule until there are pop_size; the fresh genotypes among them are
-        evaluated as generation `gen`."""
+    def breed(gen: int, draw, keys: list[bytes]) -> np.ndarray:
+        """The ids of the seed `keys` (distinct row bytes, none evaluated
+        yet; the list grows) and of children of rounds of `draw(need)`, taken
+        under the duplicate rule until there are pop_size; the fresh
+        genotypes among them are evaluated as generation `gen`."""
         nonlocal duplicate_accepts
-        keys = seeds.view(row_bytes).ravel().tolist()
         fresh, budget = dict.fromkeys(keys), 10 * pop_size
         while len(keys) < pop_size:
             need = pop_size - len(keys)
@@ -438,7 +450,8 @@ def evolve(
         return Slots(ranks.take(ids, axis=0), mins.take(ids, axis=0), ties[ids], ids)
 
     members = slots(breed(
-        0, lambda need: table[at, rng.integers(0, counts, size=(need, length), dtype=dtype)], warm
+        0, lambda need: table[at, rng.integers(0, counts, size=(need, length), dtype=dtype)],
+        list(dict.fromkeys(warm.view(row_bytes).ravel().tolist())),
     ))
     if len(members) > pop_size:
         parents = select_best(members, pop_size)
@@ -447,7 +460,7 @@ def evolve(
     population_ids.append(parents.ids)
     for gen in range(1, cfg.generations + 1):
         draw = functools.partial(_offspring, rng, parents, tables, cfg)
-        pool = slots(np.concatenate([parents.ids, breed(gen, draw, warm[:0])]))
+        pool = slots(np.concatenate([parents.ids, breed(gen, draw, [])]))
         parents = select_best(pool, pop_size)
         population_ids.append(parents.ids)
 

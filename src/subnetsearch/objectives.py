@@ -107,40 +107,34 @@ class EvaluationRecord:
 
 
 @dataclass(frozen=True)
-class ParetoFront:
-    """Non-dominated evaluation records, in first-seen order."""
+class FrontColumns:
+    """A Pareto front as columns, members in first-seen order: their gene
+    rows ((n, L) ints) and raw objective rows ((n, m) floats)."""
 
-    members: tuple
+    genes: np.ndarray
+    raw: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.raw)
 
-    def __iter__(self):
-        return iter(self.members)
-
-
-def nondominated_fronts(points) -> list[list[int]]:
-    """Rank canonical-min points into non-dominated fronts.
-
-    Returns the fronts best first, each a sorted list of indices into
-    `points`: the index lists of `front_ranks`. Equal points never dominate
-    each other, so they share a front.
-    """
-    rank = front_ranks(points)
-    return [np.flatnonzero(rank == k).tolist() for k in range(rank.max(initial=-1) + 1)]
+    def genotypes(self) -> list[Genotype]:
+        """The members' genotypes, as evaluators and configs take them."""
+        return list(map(Genotype.of_ints, map(tuple, self.genes.tolist())))
 
 
 def front_ranks(points) -> np.ndarray:
     """Each canonical-min point's non-dominated front rank, 0 for the best.
 
     Two objectives take an O(n log n) sweep (Kung, Luccio & Preparata 1975;
-    Jensen 2003): in stable (x, y) order each front's last member has its
-    smallest y, so it dominates a later point iff its (y, x) is smaller, and
-    those keys rise with the rank; a bisection over the points' dense ranks
-    in (y, x) order finds the first front that does not dominate a point.
-    Other objective counts take NSGA-II's O(m n^2) counting sort (Deb et al.
-    2002)."""
-    pts = np.asarray(points, dtype=float)
+    Jensen 2003): in (x, y) order each front's last member has its smallest
+    y, so it dominates a later point iff its [y, x] is smaller, and those
+    keys rise with the rank; a bisection over them finds the first front
+    that does not dominate a point. When no two points share a y, y alone is
+    that key. One sort gives the order: a row viewed as the complex number
+    x + iy, which numpy orders lexicographically; equal points take one rank
+    in any order. Other objective counts take NSGA-II's O(m n^2) counting
+    sort (Deb et al. 2002)."""
+    pts = np.ascontiguousarray(points, dtype=float)
     n = len(pts)
     rank = np.zeros(n, dtype=np.intp)
     if not n:
@@ -149,18 +143,14 @@ def front_ranks(points) -> np.ndarray:
         for k, front in enumerate(_counting_fronts(pts)):
             rank[front] = k
         return rank
-    x, y = pts.T
-    by_yx = np.lexsort((x, y))
-    xs, ys = x[by_yx], y[by_yx]
-    new = np.zeros(n, dtype=np.intp)
-    new[1:] = (ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1])
-    yx = np.empty(n, dtype=np.intp)
-    yx[by_yx] = np.cumsum(new)
-    order = np.lexsort((y, x))
-    lasts: list[int] = []
+    order = np.argsort(pts.view(complex).ravel())
+    keys = pts[order, 1].tolist()
+    if len(set(keys)) < n:
+        keys = pts.take(order, axis=0)[:, ::-1].tolist()
+    lasts: list = []
     ranks = []
     bisect_left = bisect.bisect_left
-    for key in yx[order].tolist():
+    for key in keys:
         k = bisect_left(lasts, key)
         if k == len(lasts):
             lasts.append(key)
@@ -193,22 +183,30 @@ def _counting_fronts(points) -> list[list[int]]:
 
 def first_front(points) -> np.ndarray:
     """Ascending indices of the canonical-min rows that no row dominates;
-    equal rows share the front. Two objectives take one sort: in (x, y) order
-    a row is on the front iff its y is below every earlier y, or it equals
-    the row before it and that row is. Other counts take the first front of
-    `_counting_fronts`."""
-    pts = np.asarray(points, dtype=float)
+    equal rows share the front. Two objectives take `front_by_x`, other
+    counts the first front of `_counting_fronts`."""
+    pts = np.ascontiguousarray(points, dtype=float)
     if pts.shape[1] != 2:
         return np.array(_counting_fronts(pts)[0], dtype=np.intp)
-    n = len(pts)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    x, y = pts[order].T
-    below = np.ones(n, dtype=bool)
-    below[1:] = y[1:] < np.minimum.accumulate(y)[:-1]
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (x[1:] == x[:-1]) & (y[1:] == y[:-1])
-    run_start = np.maximum.accumulate(np.where(repeat, 0, np.arange(n)))
-    return np.sort(order[below[run_start]])
+    return np.sort(front_by_x(pts)[0])
+
+
+def front_by_x(points) -> tuple[np.ndarray, bool]:
+    """The indices of the 2-D canonical-min rows that no row dominates, in
+    (x, y) order, and whether two of them are equal. One sort: in (x, y)
+    order a row is on the front iff its y is below every earlier y, or it
+    equals the row before it and that row is."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    xy = pts.view(complex).ravel()  # x + iy, in (x, y) order when sorted; see `front_ranks`
+    order = np.argsort(xy)
+    xy, below = xy[order], np.ones(len(pts), dtype=bool)
+    below[1:] = xy.imag[1:] < np.minimum.accumulate(xy.imag)[:-1]
+    repeat = np.zeros(len(pts), dtype=bool)
+    repeat[1:] = xy[1:] == xy[:-1]
+    if not repeat.any():
+        return order[below], False
+    below = below[np.maximum.accumulate(np.where(repeat, 0, np.arange(len(pts))))]
+    return order[below], bool(repeat[below].any())  # a repeat's run starts on the front too
 
 
 def canonical_matrix(raw, specs) -> np.ndarray:
@@ -218,26 +216,14 @@ def canonical_matrix(raw, specs) -> np.ndarray:
     return np.asarray(raw, dtype=float) * signs
 
 
-def pareto_front(records) -> ParetoFront:
+def pareto_front(records) -> list[EvaluationRecord]:
     """Extract the non-dominated subset of evaluation records.
 
     Records sharing a canonical genotype are collapsed to the earliest one, so
     fronts are deterministic even when the same configuration was measured in
     several batches. Distinct genotypes with equal objective vectors are all
     kept. Members come back in first-seen order (see `first_front`).
-    `records` may also be a `ResultStore`: its successful validation records
-    are then read from its columns, and only the front's records are built.
     """
-    if hasattr(records, "validation_columns"):
-        store = records
-        seqs, genes, raw = store.validation_columns()
-        if not len(seqs):
-            raise EmptyInput("pareto_front requires at least one record")
-        rows = np.arange(len(seqs))
-        if len(store.evaluator_ids) > 1:  # else no genotype is logged twice
-            rows = np.sort(np.unique(genes, axis=0, return_index=True)[1])
-        members = rows[first_front(canonical_matrix(raw[rows], store.specs))]
-        return ParetoFront(members=tuple(store.records_at(seqs[members].tolist())))
     records = list(records)
     if not records:
         raise EmptyInput("pareto_front requires at least one record")
@@ -249,7 +235,21 @@ def pareto_front(records) -> ParetoFront:
         deduped.setdefault(rec.genotype.genes, rec)
     recs = list(deduped.values())
     first = first_front([r.objectives_raw.canonical_min for r in recs])
-    return ParetoFront(members=tuple(recs[i] for i in first))
+    return [recs[i] for i in first]
+
+
+def validated_front(store) -> FrontColumns:
+    """The front of a `ResultStore`'s successful validations by the rules of
+    `pareto_front` (a genotype logged under two evaluator ids keeps its first
+    row), read from its columns without building a record."""
+    seqs, genes, raw = store.validation_columns()
+    if not len(seqs):
+        raise EmptyInput("a front needs at least one validation record")
+    if len(store.evaluator_ids) > 1:  # else no genotype is logged twice
+        rows = np.sort(np.unique(genes, axis=0, return_index=True)[1])
+        genes, raw = genes[rows], raw[rows]
+    members = first_front(canonical_matrix(raw, store.specs))
+    return FrontColumns(genes[members], raw[members])
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,8 @@ def dominated_area(points, reference) -> float:
     Sorts on the first coordinate and sums disjoint horizontal strips; points
     must be strictly better than the reference in both coordinates.
     """
+    if len(reference) != 2:
+        raise Unsupported2DOnly(f"reference point must be 2-D, got {len(reference)}-D")
     ref_x, ref_y = float(reference[0]), float(reference[1])
     pts = []
     for p in points:
@@ -375,27 +377,27 @@ class IncrementalFront2D:
 # ---------------------------------------------------------------------------
 
 
-def front_to_csv(front: ParetoFront, path: str | Path) -> None:
-    """Columns: genotype_id, per-objective raw values, per-objective canonical."""
-    rows = list(front)
-    if not rows:
+def front_to_csv(front: FrontColumns, specs, path: str | Path) -> None:
+    """Columns: genotype_id, per-objective raw values, per-objective canonical
+    values; a row per member, written in one pass over the columns with the
+    csv module's \\r\\n line ends (ids and float reprs need no quoting).
+    A negated value's repr is its repr with the sign toggled."""
+    if not len(front):
         raise EmptyInput("cannot export an empty front")
-    specs = rows[0].objectives_raw.specs
     header = (
         ["genotype_id"]
         + [f"{s.name}_raw" for s in specs]
         + [f"{s.name}_canonical" for s in specs]
     )
+    flip = [s.direction == "maximize" for s in specs]
+    lines = []
+    for gid, raw in zip(genotype_ids(front.genes.tolist()), front.raw.tolist()):
+        texts = list(map(repr, raw))
+        canonical = [(t[1:] if t[0] == "-" else "-" + t) if f else t for t, f in zip(texts, flip)]
+        lines.append(",".join([gid, *texts, *canonical]) + "\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec, gid in zip(rows, genotype_ids(rec.genotype for rec in rows)):
-            vec = rec.objectives_raw
-            writer.writerow(
-                [gid]
-                + [repr(v) for v in vec.values]
-                + [repr(v) for v in vec.canonical_min]
-            )
+        csv.writer(fh).writerow(header)
+        fh.write("".join(lines))
 
 
 def hv_trace_to_csv(trace, path: str | Path) -> None:

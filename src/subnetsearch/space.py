@@ -99,12 +99,12 @@ class Genotype:
         return g
 
 
-def genotype_ids(genotypes) -> list[str]:
+def genotype_ids(gene_rows) -> list[str]:
     """Short stable hex ids used to join CSV exports with evaluation logs:
-    `stable_hash64` of each genotype's `genes_bytes`, in 16 hex digits, made
+    `stable_hash64` of each gene row's `genes_bytes`, in 16 hex digits, made
     in one pass that writes each distinct gene value's text once."""
     text = GeneText()
-    joined = (",".join(map(text.__getitem__, g.genes)).encode("ascii") for g in genotypes)
+    joined = (",".join(map(text.__getitem__, genes)).encode("ascii") for genes in gene_rows)
     return [hashlib.blake2b(b + b"\x1f", digest_size=8).digest()[::-1].hex() for b in joined]
 
 
@@ -486,10 +486,14 @@ def rank_matrix(genotypes, s: SearchSpace) -> np.ndarray:
     raise AssertionError("rank_matrix: no invalid row found")
 
 
+def gene_matrix(ranks: np.ndarray, s: SearchSpace) -> np.ndarray:
+    """The gene-value matrix of a rank matrix; inverse of `rank_matrix`."""
+    return np.take(s._flat_values, ranks + s._one_hot_offsets)
+
+
 def rank_genes(ranks: np.ndarray, s: SearchSpace) -> list[tuple[int, ...]]:
-    """The gene tuples of a rank matrix's rows; inverse of `rank_matrix`."""
-    values = np.take(s._flat_values, ranks + s._one_hot_offsets)
-    return list(map(tuple, values.tolist()))
+    """The gene tuples of a rank matrix's rows."""
+    return list(map(tuple, gene_matrix(ranks, s).tolist()))
 
 
 def encode_matrix(ranks: np.ndarray, s: SearchSpace, scheme: str) -> np.ndarray:

@@ -4,7 +4,26 @@ per-gene loop oracle of the block activity rule."""
 import pytest
 from hypothesis import strategies as st
 
+from subnetsearch.evalmgr import EvaluationFailure
 from subnetsearch.space import PRESETS, Genotype, build_space, get_preset
+
+
+class CallableEvaluator:
+    """An evaluator of a genotype -> ObjectiveVector function; exceptions
+    become per-genotype failures."""
+
+    def __init__(self, fn, evaluator_id: str = "callable"):
+        self.fn = fn
+        self.evaluator_id = evaluator_id
+
+    def evaluate(self, genotypes):
+        out = []
+        for g in genotypes:
+            try:
+                out.append(self.fn(g))
+            except Exception as exc:  # noqa: BLE001 - contract: flag, continue
+                out.append(EvaluationFailure(str(exc)))
+        return out
 
 
 @pytest.fixture(scope="session")

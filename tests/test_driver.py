@@ -1,11 +1,14 @@
 """The search loop under both tactics, and hypervolume traces."""
 
+import csv
 import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnetsearch.driver import (
     ConcurrentNasConfig,
@@ -24,15 +27,40 @@ from subnetsearch.evalmgr import (
     make_surface,
     synthetic_evaluate,
 )
+from subnetsearch.evolver import SearchTrace, Slots
 from subnetsearch.objectives import (
     IncrementalFront2D,
+    ObjectiveSpec,
     ObjectiveVector,
     canonical_matrix,
     default_reference,
     dominated_area,
+    first_front,
+    front_to_csv,
     pareto_front,
+    validated_front,
 )
-from subnetsearch.space import Genotype, enumerate_genotypes, rank_genes, sample_uniform
+from subnetsearch.space import (
+    Genotype,
+    enumerate_genotypes,
+    genotype_ids,
+    rank_genes,
+    rank_matrix,
+    sample_uniform,
+)
+
+
+def front_genes(front):
+    """The gene tuples of a front's members (`FrontColumns`)."""
+    return [tuple(genes) for genes in front.genes.tolist()]
+
+
+def same_front(front, records):
+    """The columns of `front` hold the genotypes and raw objectives of
+    `records`, in order."""
+    return front_genes(front) == [r.genotype.genes for r in records] and (
+        front.raw.tolist() == [list(r.objectives_raw.values) for r in records]
+    )
 
 
 def true_front_genes(space, surface):
@@ -81,7 +109,7 @@ def test_full_search_recovers_most_of_true_front(flat_toy_setup):
             seed=0,
         ),
     )
-    found = {r.genotype.genes for r in report.validated_front}
+    found = set(front_genes(report.validated_front))
     recovered = len(truth & found) / len(truth)
     assert recovered >= 0.9
     assert report.predicted_front is not None
@@ -93,7 +121,7 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
     is exact, so the predicted front equals the true front."""
     import numpy as np
 
-    from subnetsearch.evalmgr import CallableEvaluator
+    from conftest import CallableEvaluator
     from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
     from subnetsearch.space import canonical_ranks, encode_matrix
 
@@ -133,9 +161,9 @@ def test_full_search_exhaustive_training_recovers_exact_front(toy_space):
             seed=1,
         ),
     )
-    predicted = {r.genotype.genes for r in report.predicted_front}
+    predicted = set(front_genes(report.predicted_front))
     assert truth <= predicted  # every true front member is predicted optimal
-    validated = {r.genotype.genes for r in report.validated_front}
+    validated = set(front_genes(report.validated_front))
     assert truth <= validated
 
 
@@ -157,7 +185,7 @@ def test_full_search_zero_generations_front_equals_sample_front(toy_setup):
     # population; every validated-front member must come from the training
     # sample or that population's validation
     sample_front = pareto_front(report.store.validation_records())
-    assert {r.genotype.genes for r in report.validated_front} == {
+    assert set(front_genes(report.validated_front)) == {
         r.genotype.genes for r in sample_front
     }
 
@@ -236,10 +264,10 @@ def test_concurrent_i1_front_subset_of_predictor_outputs(toy_setup):
             population_size=15, iterations=1, inner_generations=20, seed=5
         ),
     )
-    # the predicted front is a non-dominated set of the inner search's records
-    front = list(report.predicted_front)
-    assert front and {r.source for r in front} == {"predicted"}
-    assert len(pareto_front(front)) == len(front)
+    # the predicted front is a non-dominated set of distinct genotypes
+    front = report.predicted_front
+    assert len(front) and len(set(front_genes(front))) == len(front)
+    assert len(first_front(canonical_matrix(front.raw, surface.specs))) == len(front)
 
 
 def test_concurrent_deduplicates_promotions(toy_setup):
@@ -272,7 +300,7 @@ def test_concurrent_warm_start_from_other_preset(toy_setup):
             seed=8,
         ),
     )
-    seeds = tuple(r.genotype for r in source.validated_front)
+    seeds = tuple(map(Genotype, front_genes(source.validated_front)))
     report = search(
         space,
         surface.specs,
@@ -421,9 +449,10 @@ def test_oracle_predictors_match_validation_search(toy_setup):
     finally:
         drv.make_predictor_evaluate = orig
     # the predicted front under an oracle matches true objective values
-    for entry in report.predicted_front:
-        truth = synthetic_evaluate(entry.genotype, surface).values
-        assert entry.objectives_raw.values == pytest.approx(truth)
+    front = report.predicted_front
+    for genes, raw in zip(front_genes(front), front.raw.tolist()):
+        truth = synthetic_evaluate(Genotype(genes), surface).values
+        assert raw == pytest.approx(truth)
 
 
 def test_hv_trace_equals_full_recompute_exactly(toy_setup):
@@ -485,17 +514,109 @@ def test_column_front_and_reference_equal_the_record_forms(toy_setup, tmp_path):
     space, surface = toy_setup
     store = mixed_log(space, surface)
     recs = store.validation_records()
-    expected = [r.sequence_number for r in pareto_front(recs)]
-    assert [r.sequence_number for r in pareto_front(store)] == expected
+    expected = list(pareto_front(recs))
+    assert same_front(validated_front(store), expected)
     assert default_reference(
         canonical_matrix(store.validation_columns()[2], store.specs)
     ) == default_reference([r.objectives_raw.canonical_min for r in recs])
-    # a loaded log builds the records of the front's members only
+    # a loaded log gives the same front and builds no record for it
     store.dump(tmp_path / "evals.jsonl")
     loaded = ResultStore.load(tmp_path / "evals.jsonl", space=space)
-    front = pareto_front(loaded)
-    assert [r.sequence_number for r in front] == expected
-    assert sum(r is not None for r in loaded._recs) == len(front)
+    assert same_front(validated_front(loaded), expected)
+    assert not any(r is not None for r in loaded._recs)
+
+
+def record_front_to_csv(front, path):
+    """The record path that wrote front.csv and predicted_front.csv before
+    both were written from columns, kept as the oracle of `front_to_csv`:
+    a `pareto_front` of records, one csv row per record."""
+    rows = list(front)
+    specs = rows[0].objectives_raw.specs
+    header = (
+        ["genotype_id"]
+        + [f"{s.name}_raw" for s in specs]
+        + [f"{s.name}_canonical" for s in specs]
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rec, gid in zip(rows, genotype_ids(rec.genotype.genes for rec in rows)):
+            vec = rec.objectives_raw
+            writer.writerow(
+                [gid] + [repr(v) for v in vec.values] + [repr(v) for v in vec.canonical_min]
+            )
+
+
+# Objective values on a grid with signed zeros, so that distinct genotypes
+# share objective vectors, mixed with arbitrary finite floats.
+FRONT_VALUES = st.one_of(
+    st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.25]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def objective_specs(draw):
+    """Two or three objectives, each maximized or minimized; the names need
+    csv quoting."""
+    m = draw(st.integers(2, 3))
+    return tuple(ObjectiveSpec(f'f{k},"{k}"', draw(st.sampled_from(["minimize", "maximize"])))
+                 for k in range(m))
+
+
+@pytest.fixture(scope="module")
+def toy_genotypes(toy_space):
+    return list(enumerate_genotypes(toy_space))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_column_fronts_write_the_record_path_bytes(toy_space, toy_genotypes, tmp_path_factory,
+                                                   data):
+    """front.csv from a store's columns and predicted_front.csv from a trace
+    table equal `record_front_to_csv(pareto_front(records))` byte for byte:
+    with genotypes logged under two evaluator ids, failures and rows of
+    other sources in the log, distinct genotypes with equal objective
+    vectors, maximized and minimized objectives, signed zeros and one-row
+    fronts."""
+    specs = data.draw(objective_specs())
+    m = len(specs)
+    pool = toy_genotypes
+    n = data.draw(st.integers(1, 24))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n,
+                               unique=True))
+    gs = [pool[i] for i in picks]
+    values = data.draw(st.lists(st.tuples(*[FRONT_VALUES] * m), min_size=n, max_size=n))
+    if data.draw(st.booleans()):  # a row that dominates every other one
+        values[data.draw(st.integers(0, n - 1))] = tuple(
+            -1e300 if s.direction == "minimize" else 1e300 for s in specs
+        )
+    out = tmp_path_factory.mktemp("fronts")
+
+    # a trace table of distinct genotypes, as `evolve` makes one
+    sign = np.array([1.0 if s.direction == "minimize" else -1.0 for s in specs])
+    ranks = rank_matrix(gs, toy_space).astype(np.uint8)
+    table = Slots(ranks, np.array(values) * sign, np.zeros(n, np.uint64), np.arange(n))
+    trace = SearchTrace(toy_space, specs, "predicted", table, [0] * n, [np.arange(n)], 0)
+    front_to_csv(trace.front(), specs, out / "predicted_front.csv")
+    record_front_to_csv(pareto_front(trace.evaluations), out / "oracle_predicted.csv")
+    assert (out / "predicted_front.csv").read_bytes() == (out / "oracle_predicted.csv").read_bytes()
+
+    # a log: a failure, rows of another source, and a second evaluator that
+    # measures some genotypes again and some new ones
+    store = ResultStore(specs, space=toy_space)
+    k = data.draw(st.integers(1, n))
+    store.append_batch(gs[:k], [ObjectiveVector(v, specs) for v in values[:k]], "a")
+    store.append_batch([gs[0]], [EvaluationFailure("crashed")], "a")
+    store.append_batch(gs[:1], [ObjectiveVector(values[0], specs)], "a", source="predicted")
+    again = data.draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
+    second = [gs[i] for i in again] + gs[k:]
+    second_values = data.draw(st.lists(st.tuples(*[FRONT_VALUES] * m), min_size=len(again),
+                                       max_size=len(again))) + values[k:]
+    store.append_batch(second, [ObjectiveVector(v, specs) for v in second_values], "b")
+    front_to_csv(validated_front(store), specs, out / "front.csv")
+    record_front_to_csv(pareto_front(store.validation_records()), out / "oracle.csv")
+    assert (out / "front.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
 
 def test_hv_trace_equals_dominated_area_of_every_prefix(toy_setup):
@@ -536,31 +657,41 @@ def test_run_reference_and_front_equal_the_record_forms(toy_setup, tactic):
     assert report.hv_reference == default_reference(
         [r.objectives_raw.canonical_min for r in first]
     )
-    assert report.validated_front.members == pareto_front(recs).members
+    assert same_front(report.validated_front, pareto_front(recs))
 
 
 # ---------------------------------------------------------------------------
 # pinned trajectories
 # ---------------------------------------------------------------------------
 
-# sha256 of (evals.jsonl, predicted_front.csv) per run, recorded when each
-# tactic was still its own function; None where no predicted front exists.
+# sha256 of (evals.jsonl, predicted_front.csv, front.csv, hv_trace.csv) per
+# run. The first two were recorded when each tactic was still its own
+# function, the last two while both fronts were still written from records;
+# None where no predicted front exists.
 TACTIC_SHA256 = {
     "full-ridge-warm": (
         "b17ad058260a702a714191f8d6f3c83ad238a9200a37c00a03d31d311587c28a",
         "9ee4668158fe8d66d36238e44da4bf345e21379a173e081b123dd446355fb44a",
+        "2dab9d9905a53df70648f68c410331237a8fac3e6a2b3b21bbd0cebea0a8684c",
+        "15c26dc0a026e82dce679d689cbc1763c4d7d9cd25ec3e13a6c5ece41d722477",
     ),
     "full-none": (
         "5d47c9b9ca3bef7dac3f89549d225554c8cd68833601b651baffc767ff1409a2",
         None,
+        "6c4e54ade29652c59af43a9d4de69ae4c5a7bc1164b148cf33d5694ec6cdb997",
+        "f204c055085affc7e4150c1900c5809ad1de5b96fc1386b7d6378d220a2818c8",
     ),
     "concurrent-ridge": (
         "df809c74c967cebdb288873734b2bf86bedb9dc6b5983883d62c65a3dfd97474",
         "74f37da6783fb1812dde6e84316cd654825b4fd0fda44a42c2b8eefbadad4665",
+        "de15d49107fbe76137490583810624c4fa419a3901cc1f6e7132e69cdc7ed986",
+        "fd4205c43c13895fd0a05046d3ce4216894594e294971d3de9c99e18ec920575",
     ),
     "concurrent-svr-warm": (
         "e464b6d7b4a3f79abda5f6b4eda0f8d21ecb596eddd955769858b45399542d13",
         "b00c14525d62ffc1a00beba0a2969c05d53639c25faee571114f56e8ef0e2e2c",
+        "8b8dfae5a6ea86429d1871c15d3b26de00abacd8f7cd69c373175d58bc54f3e4",
+        "4e90eea33e588c5bd5452be319f85e2fb2457320e6dfa1d26d4b0db964943352",
     ),
 }
 
@@ -589,9 +720,9 @@ def test_tactic_trajectories_are_pinned(toy_setup, tmp_path, name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the clamp warning of some runs
         out = pinned_run(space, surface, name).export(tmp_path)
-    predicted = out / "predicted_front.csv"
-    got = (
-        hashlib.sha256((out / "evals.jsonl").read_bytes()).hexdigest(),
-        hashlib.sha256(predicted.read_bytes()).hexdigest() if predicted.exists() else None,
+    got = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        for path in (out / f for f in ("evals.jsonl", "predicted_front.csv", "front.csv",
+                                        "hv_trace.csv"))
     )
     assert got == TACTIC_SHA256[name]

@@ -18,7 +18,6 @@ from subnetsearch.errors import (
 )
 from subnetsearch import evalmgr
 from subnetsearch.evalmgr import (
-    CallableEvaluator,
     EvaluationFailure,
     ResultStore,
     SyntheticSurfaceEvaluator,
@@ -41,7 +40,7 @@ from subnetsearch.space import (
 )
 from subnetsearch.util import pseudo_noise
 
-from conftest import active_mask_loop
+from conftest import CallableEvaluator, active_mask_loop
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 

@@ -25,7 +25,6 @@ from subnetsearch.evolver import (
     evolve,
     non_dominated_sort,
     select_best,
-    tiebreak_hash,
 )
 from subnetsearch.objectives import (
     EvaluationRecord,
@@ -34,7 +33,6 @@ from subnetsearch.objectives import (
     ObjectiveVector,
     default_reference,
     front_ranks,
-    nondominated_fronts,
     pareto_front,
 )
 from subnetsearch.space import (
@@ -46,9 +44,10 @@ from subnetsearch.space import (
     rank_genes,
     rank_matrix,
     repair_unique,
+    repaired_ranks,
     sample_uniform,
 )
-from subnetsearch.util import subseed
+from subnetsearch.util import genes_bytes, stable_hash64, subseed
 
 from conftest import (
     ORACLE_SPACES,
@@ -59,6 +58,19 @@ from conftest import (
 )
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
+
+
+def tiebreak_hash(salt):
+    """The salted tie-break hash of a gene tuple by its definition,
+    `stable_hash64` of its `genes_bytes` and the salt: the oracle of
+    `_row_hasher`."""
+    return lambda genes: stable_hash64(genes_bytes(genes), salt)
+
+
+def population_records(trace):
+    """The evaluation records of each generation's population of a trace."""
+    evaluations = trace.evaluations
+    return [[evaluations[i] for i in ids.tolist()] for ids in trace.population_ids]
 
 
 def ind(genes, values, specs=MIN2):
@@ -184,7 +196,10 @@ GRID = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
 def test_front_ranks_match_peeling_on_tied_grids(points):
     rank = front_ranks(np.array(points))
     assert rank.tolist() == ranks_by_peeling(points)
-    assert nondominated_fronts(points) == [
+    n = len(points)
+    slots = Slots(np.zeros((n, 1), np.uint8), np.array(points), np.zeros(n, np.uint64),
+                  np.arange(n))
+    assert non_dominated_sort(slots) == [
         [i for i, r in enumerate(rank.tolist()) if r == k] for k in range(rank.max() + 1)
     ]
 
@@ -425,7 +440,7 @@ def test_evolve_finds_global_optimum_on_toy_problem(toy_space):
     )[:, 0].min()
     cfg = EvolverConfig(population_size=20, generations=30, seed=3)
     trace = evolve(toy_space, cfg, evaluate, MIN2)
-    best_found = min(r.objectives_raw.values[0] for r in trace.final_population)
+    best_found = min(r.objectives_raw.values[0] for r in population_records(trace)[-1])
     assert best_found == best_true
 
 
@@ -433,9 +448,9 @@ def test_evolve_zero_generations_front_is_initial_front(tiny_space):
     evaluate = two_objective_evaluate(tiny_space)
     cfg = EvolverConfig(population_size=10, generations=0, seed=1)
     trace = evolve(tiny_space, cfg, evaluate, MIN2)
-    assert len(trace.populations) == 1
+    assert len(population_records(trace)) == 1
     front_from_trace = pareto_front(trace.evaluations)
-    init_genes = {i.genotype.genes for i in trace.populations[0]}
+    init_genes = {i.genotype.genes for i in population_records(trace)[0]}
     assert {r.genotype.genes for r in front_from_trace} <= init_genes
 
 
@@ -447,8 +462,8 @@ def test_evolve_deterministic(toy_space):
     assert [(e.gen, e.genotype.genes, e.objectives_raw.values) for e in t1.evaluations] == [
         (e.gen, e.genotype.genes, e.objectives_raw.values) for e in t2.evaluations
     ]
-    assert [[i.genotype.genes for i in pop] for pop in t1.populations] == [
-        [i.genotype.genes for i in pop] for pop in t2.populations
+    assert [[i.genotype.genes for i in pop] for pop in population_records(t1)] == [
+        [i.genotype.genes for i in pop] for pop in population_records(t2)
     ]
 
 
@@ -590,7 +605,7 @@ def test_evolve_trajectory_is_pinned(request, space_name, cfg, evaluations,
         for e in trace.evaluations
     ] == _parse_evaluations(evaluations)
     assert [
-        " ".join(_digits(r.genotype.genes) for r in pop) for pop in trace.populations
+        " ".join(_digits(r.genotype.genes) for r in pop) for pop in population_records(trace)
     ] == populations
     assert trace.duplicate_accepts == duplicate_accepts
 
@@ -616,7 +631,7 @@ def test_benchmark_scale_trajectory_is_pinned():
         f"{e.gen}:{_digits(e.genotype.genes)}:{e.objectives_raw.values}" for e in trace.evaluations
     )
     populations = "\n".join(
-        " ".join(_digits(r.genotype.genes) for r in pop) for pop in trace.populations
+        " ".join(_digits(r.genotype.genes) for r in pop) for pop in population_records(trace)
     )
     assert (len(trace.evaluations), trace.duplicate_accepts) == (2050, 0)
     assert hashlib.sha256(evaluations.encode()).hexdigest() == EVALUATIONS_SHA256
@@ -630,7 +645,7 @@ def test_population_members_are_the_trace_records(tiny_space):
         range(len(trace.evaluations))
     )
     by_genes = {e.genotype.genes: e for e in trace.evaluations}
-    for pop in trace.populations:
+    for pop in population_records(trace):
         assert all(r is by_genes[r.genotype.genes] for r in pop)
 
 
@@ -655,7 +670,7 @@ def test_warm_start_beats_random_init_at_gen_zero(toy_space):
     seeds = [r.genotype for r in pareto_front(long.evaluations)]
 
     cfg = EvolverConfig(population_size=12, generations=0, seed=11)
-    warm = evolve(toy_space, cfg, evaluate, MIN2, warm_start=seeds)
+    warm = evolve(toy_space, cfg, evaluate, MIN2, warm_start=repaired_ranks(seeds, toy_space))
     cold = evolve(toy_space, cfg, evaluate, MIN2)
 
     def gen0_hv(trace, ref):
@@ -677,8 +692,8 @@ def test_warm_start_truncates_oversized_seed_list(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     seeds = sample_uniform(toy_space, 30, seed=1)
     cfg = EvolverConfig(population_size=10, generations=1, seed=0)
-    trace = evolve(toy_space, cfg, evaluate, MIN2, warm_start=seeds)
-    assert len(trace.populations[0]) == 10
+    trace = evolve(toy_space, cfg, evaluate, MIN2, warm_start=rank_matrix(seeds, toy_space))
+    assert len(population_records(trace)[0]) == 10
     # every distinct seed was evaluated before truncation
     seed_keys = {g.genes for g in seeds}
     gen0 = {e.genotype.genes for e in trace.evaluations if e.gen == 0}
@@ -689,18 +704,33 @@ def test_warm_start_repairs_invalid_entries(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     bad = Genotype((9,) * toy_space.genome_length)
     cfg = EvolverConfig(population_size=6, generations=1, seed=0)
-    trace = evolve(toy_space, cfg, evaluate, MIN2, warm_start=[bad])
+    trace = evolve(toy_space, cfg, evaluate, MIN2, warm_start=repaired_ranks([bad], toy_space))
     from subnetsearch.space import is_canonical
 
-    assert all(is_canonical(i.genotype, toy_space) for i in trace.populations[0])
+    assert all(is_canonical(i.genotype, toy_space) for i in population_records(trace)[0])
+    assert repair_unique([bad], toy_space)[0] in {i.genotype for i in population_records(trace)[0]}
 
 
-def test_tiebreak_hash_is_the_salted_stable_hash():
-    from subnetsearch.util import genes_bytes, stable_hash64
+def test_warm_start_rows_count_once(toy_space):
+    """A repeated warm-start row seeds one slot: the trace equals the trace
+    of the rows without repeats."""
+    evaluate = two_objective_evaluate(toy_space)
+    rows = rank_matrix(sample_uniform(toy_space, 8, seed=4), toy_space)
+    cfg = EvolverConfig(population_size=10, generations=2, seed=1)
+    once = evolve(toy_space, cfg, evaluate, MIN2, warm_start=rows)
+    twice = evolve(toy_space, cfg, evaluate, MIN2, warm_start=np.concatenate([rows, rows[::-1]]))
+    assert np.array_equal(once.table.ranks, twice.table.ranks)
+    assert [p.tolist() for p in once.population_ids] == [p.tolist() for p in twice.population_ids]
 
-    for salt in (0, 7, -3, 2**63 + 5):
-        for genes in ((), (1,), (3, 5, 7, 2), (-1, 10**12)):
-            assert tiebreak_hash(salt)(genes) == stable_hash64(genes_bytes(genes), salt)
+
+def test_tiebreak_hash_is_the_salted_stable_hash(oracle_spaces):
+    for name in ("toy", "mobilenetv3-like", "transformer-like"):
+        space = oracle_spaces[name]
+        genotypes = sample_uniform(space, 20, seed=5)
+        ranks = rank_matrix(genotypes, space)
+        for salt in (0, 7, -3, 2**63 + 5):
+            hashes = _row_hasher(space, salt)(ranks).tolist()
+            assert hashes == [tiebreak_hash(salt)(g.genes) for g in genotypes]
 
 
 def test_slot_keys_belong_to_slots_not_genotypes():
@@ -752,13 +782,40 @@ def test_select_best_walk_matches_unique_formula(data):
             assert a.tobytes() == b.tobytes()
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_select_best_on_untied_fronts_matches_the_full_ranking(data):
+    # A staircase of distinct float points plus points it dominates: the
+    # first front has no equal rows, so whenever it fills the k slots
+    # select_best takes its crowding from the front's (x, y) order. Hashes
+    # from a small range tie, so slot order decides too.
+    coords = st.floats(-100, 100, allow_nan=False)
+    f = data.draw(st.integers(1, 30))
+    xs = sorted(data.draw(st.lists(coords, min_size=f, max_size=f, unique=True)))
+    ys = sorted(data.draw(st.lists(coords, min_size=f, max_size=f, unique=True)), reverse=True)
+    extra = data.draw(st.lists(st.tuples(st.integers(0, f - 1), st.floats(0.5, 50),
+                                         st.floats(0.5, 50)), max_size=20))
+    points = list(zip(xs, ys)) + [(xs[i] + dx, ys[i] + dy) for i, dx, dy in extra]
+    order = data.draw(st.permutations(range(len(points))))
+    values = np.array([points[i] for i in order])
+    n = len(values)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    pop = Slots(rng.integers(0, 3, size=(n, 4)).astype(np.uint8), values,
+                rng.integers(0, 4, size=n).astype(np.uint64), np.arange(n))
+    k = data.draw(st.integers(1, f))
+    exclude = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    got, want = select_best(pop, k, exclude=exclude), select_best_by_unique(pop, k, exclude)
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_ids_of_finds_evaluated_genotypes_by_row(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     trace = evolve(toy_space, EvolverConfig(10, 3, seed=3), evaluate, MIN2)
     evaluated = trace.genotypes(trace.table)
     others = [g for g in sample_uniform(toy_space, 40, 9) if g not in set(evaluated)]
     asked = evaluated[5::3] + others + evaluated[:2]
-    assert trace.ids_of(asked).tolist() == sorted(
+    assert trace.ids_of(rank_matrix(asked, toy_space)).tolist() == sorted(
         {i for i, g in enumerate(evaluated) if g in set(asked)}
     )
 
@@ -861,7 +918,7 @@ def test_trace_table_is_aligned_with_evaluations(toy_space):
     assert table.hashes.tolist() == [tiebreak_hash(salt)(e.genotype.genes)
                                      for e in trace.evaluations]
     final = trace.table.take(trace.population_ids[-1])
-    assert trace.records(final) == trace.final_population
+    assert trace.records(final) == population_records(trace)[-1]
 
 
 def nan_in_last_row(values):
@@ -906,7 +963,8 @@ def test_reduced_space_draws_keep_active_genes_allowed(oracle_spaces, name, data
     seed = data.draw(st.integers(0, 2**16))
     warm = data.draw(st.lists(raw_genotypes(space), max_size=6))
     cfg = EvolverConfig(8, 4, mutation_rate=0.3, seed=seed)
-    trace = evolve(reduced, cfg, two_objective_evaluate(space), MIN2, warm_start=warm)
+    trace = evolve(reduced, cfg, two_objective_evaluate(space), MIN2,
+                   warm_start=repaired_ranks(warm, reduced))
     for gs in (sample_uniform(reduced, 20, seed), repair_unique(warm, reduced),
                trace.genotypes(trace.table)):
         assert all(in_reduced_form_loop(g, space, reduction) for g in gs)
@@ -920,8 +978,8 @@ def test_a_reduction_allowing_every_value_draws_as_no_reduction(oracle_spaces, n
     warm = sample_uniform(space, 10, 4)
     assert repair_unique(warm, full) == repair_unique(warm, space)
     cfg = EvolverConfig(12, 6, mutation_rate=0.2, seed=5)
-    a, b = (evolve(s, cfg, two_objective_evaluate(space), MIN2, warm_start=warm)
-            for s in (full, space))
+    a, b = (evolve(s, cfg, two_objective_evaluate(space), MIN2,
+                   warm_start=repaired_ranks(warm, s)) for s in (full, space))
     assert np.array_equal(a.table.ranks, b.table.ranks)
     assert a.population_ids[-1].tolist() == b.population_ids[-1].tolist()
 

@@ -19,6 +19,7 @@ from subnetsearch.errors import (
 from subnetsearch.objectives import (
     DIRECTIONS,
     EvaluationRecord,
+    FrontColumns,
     IncrementalFront2D,
     LatencyNormalizer,
     ObjectiveSpec,
@@ -201,8 +202,8 @@ def test_front_dedupes_same_genotype_keeps_earliest():
     first = rec((0,), (1.0, 1.0))
     later = rec((0,), (1.0, 1.0), seq=1)
     front = pareto_front([first, later, rec((1,), (0.5, 2.0))])
-    assert first in front.members
-    assert later not in front.members
+    assert first in front
+    assert later not in front
 
 
 def test_front_keeps_distinct_genotypes_with_tied_vectors():
@@ -298,6 +299,13 @@ def test_hv_arity_guard():
     assert dominated_area([(0.5, 0.5)], (1.0, 1.0)) == 0.25
 
 
+@pytest.mark.parametrize("reference", [(1.0, 1.0, -5.0), (1.0,), ()])
+def test_hv_reference_must_be_2d(reference):
+    for points in ([(0.5, 0.5)], []):
+        with pytest.raises(Unsupported2DOnly, match="reference"):
+            dominated_area(points, reference)
+
+
 def test_hv_matches_monte_carlo_on_random_fronts():
     rng = np.random.default_rng(2024)
     for trial in range(10):
@@ -364,13 +372,15 @@ def test_default_reference_pads_toward_worse():
 
 
 def test_front_csv_schema(tmp_path):
-    recs = [rec((0, 1), (0.8, 10.0), specs=MIXED), rec((1, 1), (0.6, 5.0), specs=MIXED)]
-    front = pareto_front(recs)
+    front = FrontColumns(np.array([[0, 1], [1, 1]]), np.array([[0.8, 10.0], [0.6, 5.0]]))
     path = tmp_path / "front.csv"
-    front_to_csv(front, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "genotype_id,acc_raw,lat_raw,acc_canonical,lat_canonical"
-    assert len(lines) == 1 + len(front)
+    front_to_csv(front, MIXED, path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == b"genotype_id,acc_raw,lat_raw,acc_canonical,lat_canonical"
+    assert lines[1].split(b",")[1:] == [b"0.8", b"10.0", b"-0.8", b"10.0"]
+    assert len(lines) == 2 + len(front) and lines[-1] == b""
+    with pytest.raises(EmptyInput):
+        front_to_csv(FrontColumns(np.zeros((0, 2), int), np.zeros((0, 2))), MIXED, path)
 
 
 def test_hv_trace_csv_equals_the_csv_module_output(tmp_path):
