@@ -40,6 +40,7 @@ from .errors import (
     SubnetSearchError,
 )
 from .evalmgr import (
+    SOURCE_VALIDATION,
     ExternalEvaluator,
     ResultStore,
     SyntheticSurfaceEvaluator,
@@ -54,7 +55,7 @@ from .objectives import (
     default_reference,
     hv_trace_to_csv,
     normalize_latency,
-    pareto_front,
+    pareto_front,  # noqa: F401  (a trace site of perfbench/runner.py)
     validated_front,
 )
 from .popdb import (
@@ -66,10 +67,9 @@ from .popdb import (
 )
 from .predict import run_prediction_trials
 from .space import (
-    Genotype,
-    canonical_ranks,
     cardinality,
     encode_matrix,
+    gene_matrix,
     genotype_ids,
     rank_matrix,
     resolve_space,
@@ -112,6 +112,8 @@ def _parse_objective(text: str) -> ObjectiveSpec:
 def _build_evaluator(run: dict, space, declared_specs):
     """Returns (evaluator, objective specs) from the run's evaluator spec
     string: synthetic:<preset>, table:<path>, or external:<command>."""
+    if not run["timeout"] > 0:
+        raise ConfigError(f"--timeout must be > 0, got {run['timeout']}")
     spec_str = run["evaluator"]
     kind, _, rest = spec_str.partition(":")
     if kind == "synthetic":
@@ -173,14 +175,15 @@ def _objectives_from(doc, where: str) -> list[ObjectiveSpec]:
         raise ConfigError(f"{where}: objectives: {exc}") from exc
 
 
-def _warm_start_from(path: str, space) -> list[Genotype]:
+def _warm_start_from(path: str, space) -> np.ndarray:
+    """The gene rows of the validated front of the log at `path`."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"warm-start file not found: {p}")
     store = ResultStore.load(p, space=space)
     if not len(store.validation_columns()[0]):
         raise ConfigError(f"warm-start log {p} has no validation records")
-    return validated_front(store).genotypes()
+    return validated_front(store).genes
 
 
 def _predictor_doc(args, base: dict) -> dict:
@@ -246,7 +249,7 @@ def _cmd_search(args) -> int:
         )
     run["predictor"] = _predictor_doc(args, predictor)
     if args.warm_start:
-        run["warm_start"] = [g.genes for g in _warm_start_from(args.warm_start, space)]
+        run["warm_start"] = _warm_start_from(args.warm_start, space).tolist()
     tactic_cfg = config_from_doc(
         FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig,
         run,
@@ -358,6 +361,11 @@ def _cmd_predict_bench(args) -> int:
             f"({[s.name for s in specs]})"
         )
     sizes = _parse_sizes(args.train_sizes)
+    if args.test_size < 2:
+        raise ConfigError(f"--test-size must be >= 2, got {args.test_size}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    pcfg = PredictorConfig(**_predictor_doc(args, {}))
     needed = args.test_size + max(sizes)
     pool = sample_unique(space, needed, args.seed, "bench-pool")
     if len(pool) < needed:
@@ -365,13 +373,11 @@ def _cmd_predict_bench(args) -> int:
             f"space too small for bench: need {needed} distinct genotypes"
         )
     store = ResultStore(specs, space=space)
-    recs = evaluate_batch(pool, evaluator, store)
-    bad = [r for r in recs if not r.ok]
-    if bad:
-        raise EvaluationFailed(f"{len(bad)} bench evaluations failed: {bad[0].error}")
-    pcfg = PredictorConfig(**_predictor_doc(args, {}))
-    X = encode_matrix(canonical_ranks(pool, space)[0], space, pcfg.encoding)
-    y = np.array([r.objectives_raw.value_of(args.objective) for r in recs])
+    raw, errors = evaluate_batch(gene_matrix(pool, space), evaluator, store)
+    if errors:
+        raise EvaluationFailed(f"{len(errors)} bench evaluations failed: {errors[0]}")
+    X = encode_matrix(pool, space, pcfg.encoding)
+    y = raw[:, [s.name for s in specs].index(args.objective)]
     results = run_prediction_trials(
         X,
         y,
@@ -433,37 +439,28 @@ def _cmd_analyze(args) -> int:
             f"{config_path}: hv_reference must be two numbers or null, got {reference!r}"
         )
     store = ResultStore.load(evals_path)
-    recs = store.validation_records()
+    recs = [r for r in store.records if r.ok and r.source == SOURCE_VALIDATION]
     if not recs:
         raise ConfigError(f"{evals_path}: no validation records")
     outdir = Path(args.out) if args.out else run_dir / "analysis"
     outdir.mkdir(parents=True, exist_ok=True)
 
-    front = pareto_front(recs)
+    front = validated_front(store)
     specs = store.specs
-    latency_specs = [s for s in specs if "latency" in s.name.lower()]
-    normalizers = {}
-    for s in latency_specs:
-        col = [r.objectives_raw.value_of(s.name) for r in recs]
-        normalizers[s.name] = LatencyNormalizer(l_min=min(col), l_max=max(col))
+    columns = store.validation_columns()[2].T.tolist()  # each objective's values
+    latency = [k for k, s in enumerate(specs) if "latency" in s.name.lower()]
+    normalizers = {
+        k: LatencyNormalizer(l_min=min(columns[k]), l_max=max(columns[k])) for k in latency
+    }
     with open(outdir / "normalized_front.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["genotype_id"] + [f"{s.name}_raw" for s in specs] + [
-            f"{s.name}_normalized" for s in latency_specs
+            f"{specs[k].name}_normalized" for k in latency
         ]
         writer.writerow(header)
-        for rec, gid in zip(front, genotype_ids(rec.genotype.genes for rec in front)):
-            row = [gid]
-            row += [repr(v) for v in rec.objectives_raw.values]
-            for s in latency_specs:
-                row.append(
-                    repr(
-                        normalize_latency(
-                            rec.objectives_raw.value_of(s.name), normalizers[s.name]
-                        )
-                    )
-                )
-            writer.writerow(row)
+        for gid, values in zip(genotype_ids(front.genes.tolist()), front.raw.tolist()):
+            normalized = [normalize_latency(values[k], normalizers[k]) for k in latency]
+            writer.writerow([gid, *map(repr, values), *map(repr, normalized)])
 
     by_gen: dict[int, list] = {}
     for r in recs:
@@ -494,8 +491,7 @@ def _cmd_analyze(args) -> int:
         f"validation records: {len(recs)}",
         f"front size: {len(front)}",
     ]
-    for s in specs:
-        col = [r.objectives_raw.value_of(s.name) for r in recs]
+    for s, col in zip(specs, columns):
         lines.append(
             f"{s.name}: min={min(col):.6g} mean={statistics.fmean(col):.6g} "
             f"max={max(col):.6g} ({s.direction})"

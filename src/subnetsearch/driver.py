@@ -51,15 +51,15 @@ from .objectives import (
 )
 from .predict import KernelSpec, fit_ridge, fit_svr, predict, ridge_system
 from .space import (
+    ENCODINGS,
     Genotype,
     SearchSpace,
     encode_matrix,
-    rank_genes,
+    gene_matrix,
     rank_matrix,
-    repair_unique,
     repaired_ranks,
-    sample_uniform,
     sample_unique,
+    uniform_ranks,
 )
 from .util import subseed
 
@@ -78,9 +78,22 @@ class PredictorConfig:
     families: dict[str, str] = field(default_factory=dict)  # per-objective override
 
     def __post_init__(self):
+        """Raise ConfigError on a setting no fit could use, so that a run
+        fails before its first evaluation."""
         for fam in [self.family, *self.families.values()]:
             if fam not in PREDICTOR_FAMILIES:
                 raise ConfigError(f"unknown predictor family {fam!r}")
+        if self.encoding not in ENCODINGS:
+            raise ConfigError(f"unknown encoding {self.encoding!r}; available: {ENCODINGS}")
+        KernelSpec(self.svr_kernel)  # raises on an unknown kernel
+        for name, ok, rule in (
+            ("ridge_lambda", self.ridge_lambda >= 0, ">= 0"),
+            ("svr_c", self.svr_c > 0, "> 0"),
+            ("svr_epsilon", self.svr_epsilon >= 0, ">= 0"),
+            ("svr_gamma", self.svr_gamma is None or self.svr_gamma > 0, "null or > 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def family_for(self, objective: str) -> str:
         return self.families.get(objective, self.family)
@@ -325,18 +338,16 @@ def make_predictor_evaluate(space: SearchSpace, specs, models: dict, pcfg: Predi
 
 def make_validation_evaluate(space: SearchSpace, evaluator, store: ResultStore):
     """Evaluate function (see `evolver.EvaluateFn`) that measures every rank
-    row as a `Genotype`; batch index becomes the gen tag in the log."""
+    row; batch index becomes the gen tag in the log."""
     batches = itertools.count()
 
     def evaluate(ranks):
-        genotypes = list(map(Genotype.of_ints, rank_genes(ranks, space)))
-        recs = evaluate_batch(genotypes, evaluator, store, gen=next(batches))
-        bad = [r for r in recs if not r.ok]
-        if bad:
+        raw, errors = evaluate_batch(gene_matrix(ranks, space), evaluator, store, next(batches))
+        if errors:
             raise EvaluationFailed(
-                f"{len(bad)} validation evaluations failed; first: {bad[0].error}"
+                f"{len(errors)} validation evaluations failed; first: {errors[0]}"
             )
-        return [r.objectives_raw.values for r in recs]
+        return raw
 
     return evaluate
 
@@ -384,21 +395,17 @@ def _maybe_reference(specs, raw):
 # ---------------------------------------------------------------------------
 
 
-def _initial_population(space, cfg: ConcurrentNasConfig) -> list[Genotype]:
-    chosen = repair_unique(cfg.warm_start or (), space)
+def _initial_population(space, cfg: ConcurrentNasConfig) -> np.ndarray:
+    """The rank rows of the first batch: the repaired warm start (a sample
+    of it, when larger than a population), padded by uniform draws."""
+    chosen = repaired_ranks(cfg.warm_start or (), space)
     if len(chosen) > cfg.population_size:
         rng = np.random.default_rng(subseed(cfg.seed, "warm-subsample"))
-        idx = sorted(
-            int(i) for i in rng.choice(len(chosen), cfg.population_size, replace=False)
-        )
-        chosen = [chosen[i] for i in idx]
-    return chosen + sample_unique(
-        space,
-        cfg.population_size - len(chosen),
-        cfg.seed,
-        "init-pad",
-        exclude={g.genes for g in chosen},
+        chosen = chosen[np.sort(rng.choice(len(chosen), cfg.population_size, replace=False))]
+    pads = sample_unique(
+        space, cfg.population_size - len(chosen), cfg.seed, "init-pad", exclude=chosen
     )
+    return np.concatenate([chosen, pads])
 
 
 def search(
@@ -441,24 +448,22 @@ def search(
                 "100 samples",
                 stacklevel=2,
             )
-        population = sample_uniform(space, cfg.n_train, subseed(cfg.seed, "train-sample"))
+        rows = uniform_ranks(space, cfg.n_train, subseed(cfg.seed, "train-sample"))
         iterations = 1
     else:
-        population = _initial_population(space, cfg)
-        rows = rank_matrix(population, space)
+        rows = _initial_population(space, cfg)
         iterations = cfg.iterations
     validated = np.zeros((0, space.genome_length), np.intp)  # rank rows of every batch
 
     for i in range(iterations):
         t0 = time.perf_counter()
-        recs = evaluate_batch(population, evaluator, store, gen=i)
+        raw, errors = evaluate_batch(gene_matrix(rows, space), evaluator, store, gen=i)
         phase_seconds["validate"] += time.perf_counter() - t0
-        ok = [r for r in recs if r.ok]
-        warn_list.extend(r.error for r in recs if not r.ok)
-        if not ok:
+        warn_list.extend(errors)
+        if len(errors) == len(raw):
             raise EvaluationFailed(f"iteration {i}: every validation failed")
         if reference is None:
-            reference = _maybe_reference(specs, [r.objectives_raw.values for r in ok])
+            reference = _maybe_reference(specs, raw[~np.isnan(raw).any(axis=1)])
 
         t0 = time.perf_counter()
         models = _train_models(store, cfg.predictor)
@@ -480,8 +485,7 @@ def search(
             predicted_front = trace.front()
             if full:
                 t0 = time.perf_counter()
-                recs = evaluate_batch(predicted_front.genotypes(), evaluator, store, gen=1)
-                warn_list.extend(r.error for r in recs if not r.ok)
+                warn_list.extend(evaluate_batch(predicted_front.genes, evaluator, store, gen=1)[1])
                 phase_seconds["validate"] += time.perf_counter() - t0
             break
 
@@ -496,17 +500,12 @@ def search(
                 trace.table, cfg.population_size - len(picks[0]),
                 exclude=np.concatenate([validated_ids, picks[0].ids]),
             ))
-        population = [g for chosen in picks for g in trace.genotypes(chosen)]
+        chosen = np.concatenate([c.ranks for c in picks])
         pads = sample_unique(
-            space,
-            cfg.population_size - len(population),
-            cfg.seed,
-            "iter-pad",
-            i,
-            exclude={*rank_genes(validated, space), *(g.genes for g in population)},
+            space, cfg.population_size - len(chosen), cfg.seed, "iter-pad", i,
+            exclude=np.concatenate([validated, chosen]),
         )
-        population += pads
-        rows = np.concatenate([chosen.ranks for chosen in picks] + [rank_matrix(pads, space)])
+        rows = np.concatenate([chosen, pads])
 
     hv_trace = hypervolume_trace(store, reference) if reference is not None else []
     return SearchReport(

@@ -40,6 +40,7 @@ from .objectives import (
     ObjectiveSpec,
     ObjectiveVector,
     check_unique_names,
+    first_validations,
 )
 from .space import (
     Genotype,
@@ -67,19 +68,16 @@ _BLOCK = 256  # rows per block of whole-log passes, which bounds their temporari
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps's output, built once
 
 
-def _first_repeat(genes: np.ndarray, rows: np.ndarray, tags: list) -> int | None:
-    """The first of `rows` whose row of `genes`, with its tag, equals that
-    of an earlier one."""
+def _keys(genes: np.ndarray, rows: np.ndarray, codes: list[int]):
+    """The key of a validation, (gene-row bytes, evaluator code), of each of
+    `rows` of an int64 gene matrix with its code: one routine keys the
+    validation cache and `load`'s duplicate check. Rows are gathered a block
+    at a time, which bounds the temporaries."""
     width = genes.shape[1] * genes.itemsize
-    seen = set()
     for start in range(0, len(rows), _BLOCK):
         blob = genes[rows[start : start + _BLOCK]].tobytes()
-        for i, tag in enumerate(tags[start : start + _BLOCK], start):
-            key = (blob[(i - start) * width : (i - start + 1) * width], tag)
-            if key in seen:
-                return int(rows[i])
-            seen.add(key)
-    return None
+        for i, code in enumerate(codes[start : start + _BLOCK]):
+            yield blob[i * width : (i + 1) * width], code
 
 
 def _columns(rows: int, length: int, objectives: int) -> np.ndarray:
@@ -112,8 +110,8 @@ class ResultStore:
     (a warm start may load values from outside the space), its raw objective
     values (NaN for a failure), its gen, and codes of its source and
     evaluator id; a failure's message is kept beside the columns.
-    `EvaluationRecord`s are built from rows only when `records`, `lookup` or
-    `validation_records` asks for them, and kept.
+    `EvaluationRecord`s are built from rows only when `records` asks for
+    them, and are not kept.
 
     Concurrent appends are serialized under a lock; sequence numbers define
     the total order. When `path` is given the store streams: the file starts
@@ -138,11 +136,10 @@ class ResultStore:
         self._errors: dict[int, str] = {}
         self._sources: dict[str, int] = {}  # value -> code, in code order
         self._evaluators: dict[str, int] = {}
-        self._recs: list[EvaluationRecord | None] = []
         self._gene_text = GeneText()
-        # (genes, evaluator id) -> row of each successful validation; built
-        # on first use after a load
-        self._index: dict[tuple[tuple[int, ...], str], int] | None = {}
+        # `_keys` key -> row of each successful validation; built on first
+        # use after a load
+        self._index: dict[tuple[bytes, int], int] | None = {}
         self._lock = threading.Lock()
         self.path = None if path is None else Path(path)
         self._fh = None
@@ -155,16 +152,16 @@ class ResultStore:
 
     def append_batch(
         self,
-        genotypes: Sequence[Genotype],
+        genes,
         outputs: Sequence[ObjectiveVector | EvaluationFailure],
         evaluator_id: str,
         gen: int | None = None,
         source: str = SOURCE_VALIDATION,
-    ) -> list[EvaluationRecord]:
+    ) -> None:
         """Append one batch of evaluator outputs, successes and failures, in
-        order, and return their records; a single record is a batch of one.
+        order, for the gene rows `genes`; a single record is a batch of one.
 
-        The batch is checked whole before anything is appended: a genotype of
+        The batch is checked whole before anything is appended: a row of
         another length than the log's is an InvalidGenotype, and a successful
         validation of a genotype already cached under `evaluator_id`, or
         twice in the batch, a ConfigError. Its rows go into the columns in
@@ -172,13 +169,12 @@ class ResultStore:
         never cached. A streaming store writes the batch's lines at once and
         flushes them before returning.
         """
-        if len(outputs) != len(genotypes):
+        if len(outputs) != len(genes):
             raise EvaluationFailed(
-                f"{len(outputs)} evaluator outputs for {len(genotypes)} genotypes"
+                f"{len(outputs)} evaluator outputs for {len(genes)} genotypes"
             )
-        if not genotypes:
-            return []
-        genes = [g.genes for g in genotypes]
+        if not len(genes):
+            return
         failed = [isinstance(out, EvaluationFailure) for out in outputs]
         with self._lock:
             if self.path is not None and self._fh is None:
@@ -187,24 +183,24 @@ class ResultStore:
             length = self._cols.dtype["genes"].shape[0]
             if self.space is None and not i:
                 length = len(genes[0])  # a spaceless log's first batch
-            if set(map(len, genes)) != {length}:
-                bad = next(g for g in genes if len(g) != length)
+            bad = next((len(g) for g in genes if len(g) != length), None)
+            if bad is not None:
                 raise InvalidGenotype(
-                    f"genotype has {len(bad)} genes, the log's genotypes have {length}"
+                    f"genotype has {bad} genes, the log's genotypes have {length}"
                 )
+            genes = np.asarray(genes, dtype=np.int64)
+            code = self._evaluators.get(evaluator_id, len(self._evaluators))
             index = self._validation_index() if source == SOURCE_VALIDATION else None
             if index is not None:
-                measured = [g for g, bad in zip(genes, failed) if not bad]
-                keys = [(g, evaluator_id) for g in measured]
-                if len(set(measured)) < len(measured) or not index.keys().isdisjoint(keys):
-                    seen = set()
-                    for g, key in zip(measured, keys):
-                        if key in index or key in seen:
-                            raise ConfigError(
-                                "duplicate validation record for genotype "
-                                f"{g} under evaluator {evaluator_id!r}"
-                            )
-                        seen.add(key)
+                measured = np.flatnonzero(np.logical_not(failed))
+                keys, seen = list(_keys(genes, measured, [code] * len(measured))), set()
+                for row, key in zip(measured, keys):
+                    if key in index or key in seen:
+                        raise ConfigError(
+                            "duplicate validation record for genotype "
+                            f"{tuple(genes[row].tolist())} under evaluator {evaluator_id!r}"
+                        )
+                    seen.add(key)
             if length != self._cols.dtype["genes"].shape[0]:
                 self._cols = _columns(0, length, len(self.specs))
             self._cols = _room(self._cols, i + k)
@@ -216,25 +212,18 @@ class ResultStore:
             ]
             block["gen"] = _NO_GEN if gen is None else gen
             block["source"] = self._sources.setdefault(source, len(self._sources))
-            block["evaluator"] = self._evaluators.setdefault(
-                evaluator_id, len(self._evaluators)
-            )
+            block["evaluator"] = self._evaluators.setdefault(evaluator_id, code)
             block["failed"] = failed
-            recs = [
-                EvaluationRecord(g, None, source, evaluator_id, seq, gen, out.message)
-                if bad else EvaluationRecord(g, out, source, evaluator_id, seq, gen)
-                for seq, g, out, bad in zip(range(i, i + k), genotypes, outputs, failed)
-            ]
-            if any(failed):
-                self._errors.update((r.sequence_number, r.error) for r in recs if not r.ok)
-            self._recs.extend(recs)
+            self._errors.update(
+                (seq, out.message) for seq, out, bad in zip(range(i, i + k), outputs, failed)
+                if bad
+            )
             if index is not None:
-                index.update(zip(keys, (r.sequence_number for r in recs if r.ok)))
+                index.update(zip(keys, (measured + i).tolist()))
             self._n = i + k
             if self._fh is not None:
                 self._fh.writelines(self._lines(i, i + k))
                 self._fh.flush()
-            return recs
 
     def _rows(self, rows: np.ndarray):
         """(sequence number, genes, objective values, gen, source, evaluator
@@ -317,26 +306,6 @@ class ResultStore:
 
     # -- reading -----------------------------------------------------------
 
-    def _records_of(self, rows) -> list[EvaluationRecord]:
-        """The records of rows (sequence numbers), building those not built
-        yet; the caller holds the lock."""
-        missing = [i for i in rows if self._recs[i] is None]
-        for start in range(0, len(missing), _BLOCK):
-            block = self._rows(np.array(missing[start : start + _BLOCK]))
-            for seq, genes, values, gen, source, evaluator_id, error in block:
-                self._recs[seq] = EvaluationRecord(
-                    genotype=Genotype.of_ints(tuple(genes)),
-                    objectives_raw=(
-                        None if error is not None else ObjectiveVector(tuple(values), self.specs)
-                    ),
-                    source=source,
-                    evaluator_id=evaluator_id,
-                    sequence_number=seq,
-                    gen=gen,
-                    error=error,
-                )
-        return [self._recs[i] for i in rows]
-
     def _validation_rows(self, evaluator_id: str | None) -> np.ndarray:
         cols = self._cols[: self._n]
         ok = ~cols["failed"] & (cols["source"] == self._sources.get(SOURCE_VALIDATION, -1))
@@ -347,45 +316,33 @@ class ResultStore:
     def _validation_index(self) -> dict:
         if self._index is None:
             rows = self._validation_rows(None)
-            evaluators = list(self._evaluators)
-            cols = self._cols[rows]
-            self._index = {
-                (tuple(genes), evaluators[code]): seq
-                for genes, code, seq in zip(
-                    cols["genes"].tolist(), cols["evaluator"].tolist(), rows.tolist()
-                )
-            }
+            cols = self._cols[: self._n]
+            codes = cols["evaluator"][rows].tolist()
+            self._index = dict(zip(_keys(cols["genes"], rows, codes), rows.tolist()))
         return self._index
 
     @property
     def records(self) -> list[EvaluationRecord]:
+        """Every record in sequence order, built anew on each call."""
         with self._lock:
-            return self._records_of(range(self._n))
+            out = []
+            for start in range(0, self._n, _BLOCK):
+                block = self._rows(np.arange(start, min(start + _BLOCK, self._n)))
+                out += [
+                    EvaluationRecord(
+                        Genotype(genes),
+                        None if error is not None else ObjectiveVector(values, self.specs),
+                        source, evaluator_id, seq, gen, error,
+                    )
+                    for seq, genes, values, gen, source, evaluator_id, error in block
+                ]
+            return out
 
     @property
     def evaluator_ids(self) -> tuple[str, ...]:
         """The evaluator ids in the log, in the order first logged."""
         with self._lock:
             return tuple(self._evaluators)
-
-    def lookup(self, genotype: Genotype, evaluator_id: str) -> EvaluationRecord | None:
-        return self.cached([genotype], evaluator_id).get(genotype.genes)
-
-    def cached(
-        self, genotypes: Sequence[Genotype], evaluator_id: str
-    ) -> dict[tuple[int, ...], EvaluationRecord]:
-        """{genes: record} of the successful validations of these genotypes
-        under `evaluator_id`, looked up under one lock."""
-        with self._lock:
-            index = self._validation_index()
-            seqs = {g.genes: index.get((g.genes, evaluator_id)) for g in genotypes}
-            hits = {genes: seq for genes, seq in seqs.items() if seq is not None}
-            return dict(zip(hits, self._records_of(list(hits.values()))))
-
-    def validation_records(self, evaluator_id: str | None = None) -> list[EvaluationRecord]:
-        """Successful validation records in sequence order."""
-        with self._lock:
-            return self._records_of(self._validation_rows(evaluator_id).tolist())
 
     def validation_columns(self, evaluator_id: str | None = None):
         """(sequence numbers, gene-value matrix, raw-objective matrix) of the
@@ -539,16 +496,18 @@ class ResultStore:
         rows = np.flatnonzero(
             ~cols["failed"] & (cols["source"] == source_codes.get(SOURCE_VALIDATION, -1))
         )
-        i = _first_repeat(cols["genes"], rows, cols["evaluator"][rows].tolist())
-        if i is not None:  # its line precedes a fault's
-            raise ConfigError(
-                f"{path}:{cls.record_line(path, i)}: duplicate validation record for "
-                f"genotype {tuple(cols['genes'][i].tolist())} under evaluator "
-                f"{list(evaluator_codes)[cols['evaluator'][i]]!r}"
-            )
+        seen, codes = set(), cols["evaluator"][rows].tolist()
+        for i, key in zip(rows.tolist(), _keys(cols["genes"], rows, codes)):
+            if key in seen:  # its line precedes a fault's
+                raise ConfigError(
+                    f"{path}:{cls.record_line(path, i)}: duplicate validation record for "
+                    f"genotype {tuple(cols['genes'][i].tolist())} under evaluator "
+                    f"{list(evaluator_codes)[key[1]]!r}"
+                )
+            seen.add(key)
         if fault is not None:
             raise fault
-        store._cols, store._n, store._recs = cols, n, [None] * n
+        store._cols, store._n = cols, n
         store._errors, store._sources, store._evaluators = errors, source_codes, evaluator_codes
         store._index = None
         return store
@@ -559,56 +518,61 @@ class ResultStore:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_batch(
-    genotypes: Sequence[Genotype],
-    evaluator,
-    store: ResultStore,
-    gen: int | None = None,
-) -> list[EvaluationRecord]:
-    """Evaluate a batch, returning records aligned with the input.
+def evaluate_batch(genes, evaluator, store: ResultStore, gen: int | None = None):
+    """Evaluate the rows of an (n, L) gene-value matrix, the store's row
+    form. Returns the (n, m) raw-objective matrix aligned with the rows, NaN
+    in a failed row, and the failed rows' messages in row order.
 
     Cache hits (same canonical genotype and evaluator) perform no dispatch;
-    the dispatched genotypes are appended to the store as one batch.
-    Failures are logged and returned with `error` set; they are not cached, so
-    a later batch may retry them. When the evaluator raises, the outputs it
-    carries as `completed` are appended before the error propagates.
+    every other genotype goes to the evaluator once, as a `Genotype`, and
+    the dispatched ones are appended to the store as one batch. Failures
+    are logged but not cached, so a later batch may retry them. When the
+    evaluator raises, the outputs it carries as `completed` are appended
+    before the error propagates.
     """
     if store.space is not None:
-        canonical_ranks(genotypes, store.space)  # raises on the first bad one
-    results = store.cached(genotypes, evaluator.evaluator_id)
-    queued: dict[tuple[int, ...], Genotype] = {}
-    for g in genotypes:
-        if g.genes not in results:
-            queued.setdefault(g.genes, g)
-    missing = list(queued.values())
-    if missing:
-        try:
-            outs = evaluator.evaluate(missing)
-        except SubnetSearchError as exc:
-            done = sorted(getattr(exc, "completed", {}).items())
-            store.append_batch(
-                [missing[j] for j, _ in done], [out for _, out in done],
-                evaluator.evaluator_id, gen,
-            )
-            raise
-        recs = store.append_batch(missing, outs, evaluator.evaluator_id, gen)
-        results.update(zip(queued, recs))
-    return [results[g.genes] for g in genotypes]
+        canonical_ranks(genes, store.space)  # raises on the first bad one
+    genes = np.asarray(genes, dtype=np.int64)
+    evaluator_id = evaluator.evaluator_id
+    raw = np.full((len(genes), len(store.specs)), math.nan)
+    with store._lock:
+        code = store._evaluators.get(evaluator_id, -1)
+        keys = list(_keys(genes, np.arange(len(genes)), [code] * len(genes)))
+        hits = list(map(store._validation_index().get, keys))
+        found = [row for row, hit in enumerate(hits) if hit is not None]
+        raw[found] = store._cols["objectives"][[hits[row] for row in found]]
+    first: dict[tuple[bytes, int], int] = {}  # the first row of each genotype to dispatch
+    for row, (key, hit) in enumerate(zip(keys, hits)):
+        if hit is None:
+            first.setdefault(key, row)
+    missing = genes[list(first.values())]
+    try:
+        outs = evaluator.evaluate([Genotype(g) for g in missing.tolist()]) if first else []
+    except SubnetSearchError as exc:
+        done = sorted(getattr(exc, "completed", {}).items())
+        store.append_batch(
+            missing[[j for j, _ in done]], [out for _, out in done], evaluator_id, gen
+        )
+        raise
+    store.append_batch(missing, outs, evaluator_id, gen)
+    out_of, errors = dict(zip(first, outs)), []
+    for row, key in enumerate(keys):
+        out = out_of.get(key)
+        if isinstance(out, EvaluationFailure):
+            errors.append(out.message)
+        elif out is not None:
+            raw[row] = out.values
+    return raw, errors
 
 
 def training_rows(store: ResultStore, scheme: str, evaluator_id: str | None = None):
     """(X, raw): encoded features and the raw objective matrix (columns in
-    spec order) of the successful validation records, read from the store's
-    columns in sequence order. A genotype logged under more than one
-    evaluator id keeps its first row."""
+    spec order) of the store's `first_validations`."""
     if store.space is None:
         raise ConfigError("store has no search space attached")
-    seqs, genes, raw = store.validation_columns(evaluator_id)
-    if not len(seqs):
+    genes, raw = first_validations(store, evaluator_id)
+    if not len(raw):
         raise EmptyInput("no validation records to train from")
-    if len(store.evaluator_ids) > 1:  # else no genotype is logged twice
-        rows = np.sort(np.unique(genes, axis=0, return_index=True)[1])
-        genes, raw = genes[rows], raw[rows]
     ranks = canonical_ranks(genes, store.space)[0]
     return encode_matrix(ranks, store.space, scheme), raw
 

@@ -130,16 +130,15 @@ class SearchTrace:
     population_ids: list[np.ndarray]
     duplicate_accepts: int
 
-    def genotypes(self, slots: Slots) -> list[Genotype]:
-        """The genotypes of slots of this trace."""
-        return list(map(Genotype.of_ints, rank_genes(slots.ranks, self.space)))
-
     def records(self, slots: Slots) -> list[EvaluationRecord]:
         """The evaluation records of slots of this trace."""
+        genes = rank_genes(slots.ranks, self.space)
         raw = canonical_matrix(slots.values, self.specs).tolist()  # maximizers negated back
         return [
-            EvaluationRecord(g, ObjectiveVector(v, self.specs), self.source, "", i, self.gens[i])
-            for g, v, i in zip(self.genotypes(slots), raw, slots.ids.tolist())
+            EvaluationRecord(
+                Genotype(g), ObjectiveVector(v, self.specs), self.source, "", i, self.gens[i]
+            )
+            for g, v, i in zip(genes, raw, slots.ids.tolist())
         ]
 
     @functools.cached_property

@@ -117,10 +117,6 @@ class FrontColumns:
     def __len__(self) -> int:
         return len(self.raw)
 
-    def genotypes(self) -> list[Genotype]:
-        """The members' genotypes, as evaluators and configs take them."""
-        return list(map(Genotype.of_ints, map(tuple, self.genes.tolist())))
-
 
 def front_ranks(points) -> np.ndarray:
     """Each canonical-min point's non-dominated front rank, 0 for the best.
@@ -238,16 +234,24 @@ def pareto_front(records) -> list[EvaluationRecord]:
     return [recs[i] for i in first]
 
 
-def validated_front(store) -> FrontColumns:
-    """The front of a `ResultStore`'s successful validations by the rules of
-    `pareto_front` (a genotype logged under two evaluator ids keeps its first
-    row), read from its columns without building a record."""
-    seqs, genes, raw = store.validation_columns()
-    if not len(seqs):
-        raise EmptyInput("a front needs at least one validation record")
+def first_validations(store, evaluator_id: str | None = None):
+    """(gene matrix, raw-objective matrix) of a `ResultStore`'s successful
+    validations (under `evaluator_id`, if given) in sequence order, read
+    from its columns; a genotype logged under more than one evaluator id
+    keeps its first row."""
+    _, genes, raw = store.validation_columns(evaluator_id)
     if len(store.evaluator_ids) > 1:  # else no genotype is logged twice
         rows = np.sort(np.unique(genes, axis=0, return_index=True)[1])
         genes, raw = genes[rows], raw[rows]
+    return genes, raw
+
+
+def validated_front(store) -> FrontColumns:
+    """The front of a `ResultStore`'s `first_validations` by the rules of
+    `pareto_front`, built without a record."""
+    genes, raw = first_validations(store)
+    if not len(raw):
+        raise EmptyInput("a front needs at least one validation record")
     members = first_front(canonical_matrix(raw, store.specs))
     return FrontColumns(genes[members], raw[members])
 

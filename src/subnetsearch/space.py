@@ -89,15 +89,6 @@ class Genotype:
     def __len__(self) -> int:
         return len(self.genes)
 
-    @classmethod
-    def of_ints(cls, genes: tuple[int, ...]) -> "Genotype":
-        """A Genotype of a tuple that already holds Python ints, such as a
-        child built from a space's allowed values; skips the conversion
-        `__init__` makes."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "genes", genes)
-        return g
-
 
 def genotype_ids(gene_rows) -> list[str]:
     """Short stable hex ids used to join CSV exports with evaluation logs:
@@ -285,13 +276,6 @@ class SearchSpace:
         for pos, value in enumerate(g.genes):
             self.value_rank(pos, value)
 
-    def reset_inactive(self, genes: tuple[int, ...]) -> tuple[int, ...]:
-        """`genes` in canonical form (see `canonical_form`); the same tuple
-        when nothing changes. Invalid genes raise InvalidGenotype."""
-        ranks = canonical_form(rank_matrix([Genotype.of_ints(genes)], self), self)
-        out = rank_genes(ranks, self)[0]
-        return genes if out == genes else out
-
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -312,28 +296,20 @@ def canonical_form(ranks: np.ndarray, s: SearchSpace) -> np.ndarray:
 
 
 def canonicalize(g: Genotype, s: SearchSpace) -> Genotype:
-    """`g` in canonical form (see `canonical_form`)."""
-    genes = s.reset_inactive(g.genes)
-    return g if genes is g.genes else Genotype(genes)
+    """`g` in canonical form (see `canonical_form`); InvalidGenotype if it
+    is not a genotype of `s`."""
+    return Genotype(rank_genes(canonical_form(rank_matrix([g], s), s), s)[0])
 
 
 def is_canonical(g: Genotype, s: SearchSpace) -> bool:
-    return s.reset_inactive(g.genes) is g.genes
-
-
-def repair_unique(genotypes, s: SearchSpace) -> list[Genotype]:
-    """Snap each genotype's genes to the nearest value an active gene may
-    take (ties go to the smaller), canonicalize, and keep the first of each
-    canonical form in input order.
-
-    Used when transferring genotypes into a space they were not sampled from
-    (warm starts across reduced spaces).
-    """
-    return list(map(Genotype.of_ints, rank_genes(repaired_ranks(genotypes, s), s)))
+    return canonicalize(g, s) == g
 
 
 def repaired_ranks(genotypes, s: SearchSpace) -> np.ndarray:
-    """The rank rows of `repair_unique(genotypes, s)`."""
+    """The canonical rank rows of genotypes from outside `s` (warm starts
+    across reduced spaces): each gene snapped to the nearest value an active
+    gene may take (ties go to the smaller), then canonicalized; the first
+    row of each canonical form is kept, in input order."""
     rows = [g.genes for g in genotypes]
     bad = [len(genes) for genes in rows if len(genes) != s.genome_length]
     if bad:
@@ -357,8 +333,14 @@ def repaired_ranks(genotypes, s: SearchSpace) -> np.ndarray:
     nearest = table[np.arange(s.genome_length), dist.argmin(axis=2)]
     repaired = canonical_form(nearest, s)
     index: dict[bytes, int] = {}
-    keys = repaired.view(np.dtype((np.void, repaired.itemsize * s.genome_length))).ravel().tolist()
+    keys = _row_bytes(repaired)
     return repaired[[i for i, key in enumerate(keys) if index.setdefault(key, i) == i]]
+
+
+def _row_bytes(ranks) -> list[bytes]:
+    """The bytes of each row of a rank matrix, as intp: equal iff the rows are."""
+    ranks = np.ascontiguousarray(ranks, np.intp)
+    return ranks.view(np.dtype((np.void, ranks.itemsize * ranks.shape[1]))).ravel().tolist()
 
 
 def cardinality(s: SearchSpace) -> int:
@@ -382,36 +364,39 @@ def cardinality(s: SearchSpace) -> int:
     return total
 
 
-def sample_uniform(s: SearchSpace, n: int, seed: int) -> list[Genotype]:
-    """Draw n canonical genotypes, each gene uniform over the values an
-    active gene may take at its position."""
+def uniform_ranks(s: SearchSpace, n: int, seed: int) -> np.ndarray:
+    """The rank rows of n canonical genotypes, each gene drawn uniformly
+    from the values an active gene may take at its position."""
     if n < 1:
         raise ConfigError("sample_uniform: n must be >= 1")
     rng = np.random.default_rng(seed)
     counts, table, _ = s.active_ranks
     at = np.arange(s.genome_length)
-    ranks = canonical_form(table[at, rng.integers(0, counts, size=(n, len(at)))], s)
-    return list(map(Genotype.of_ints, rank_genes(ranks, s)))
+    return canonical_form(table[at, rng.integers(0, counts, size=(n, len(at)))], s)
 
 
-def sample_unique(
-    s: SearchSpace, n: int, seed: int, *labels, exclude=frozenset()
-) -> list[Genotype]:
-    """Up to n distinct canonical genotypes outside `exclude`.
+def sample_uniform(s: SearchSpace, n: int, seed: int) -> list[Genotype]:
+    """The genotypes of `uniform_ranks(s, n, seed)`."""
+    return list(map(Genotype, rank_genes(uniform_ranks(s, n, seed), s)))
+
+
+def sample_unique(s: SearchSpace, n: int, seed: int, *labels, exclude=()) -> np.ndarray:
+    """Up to n distinct canonical rank rows, none a row of the rank matrix
+    `exclude`.
 
     Attempt k draws the shortfall uniformly with sub-seed (seed, *labels, k);
     after 100 attempts a space too small to fill gives fewer than n.
     """
-    out: list[Genotype] = []
-    seen = set(exclude)
+    out: list[bytes] = []
+    seen = set(_row_bytes(np.reshape(exclude, (-1, s.genome_length))))
     for attempt in range(100):
         if len(out) >= n:
             break
-        for g in sample_uniform(s, n - len(out), subseed(seed, *labels, attempt)):
-            if g.genes not in seen:
-                seen.add(g.genes)
-                out.append(g)
-    return out
+        for key in _row_bytes(uniform_ranks(s, n - len(out), subseed(seed, *labels, attempt))):
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return np.frombuffer(b"".join(out), np.intp).reshape(len(out), s.genome_length)
 
 
 def enumerate_genotypes(s: SearchSpace):

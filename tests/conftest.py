@@ -1,6 +1,7 @@
 """Shared fixtures: toy spaces small enough for exhaustive oracles, and the
 per-gene loop oracle of the block activity rule."""
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -24,6 +25,21 @@ class CallableEvaluator:
             except Exception as exc:  # noqa: BLE001 - contract: flag, continue
                 out.append(EvaluationFailure(str(exc)))
         return out
+
+
+def validation_records(store, evaluator_id=None):
+    """A result store's successful validation records in sequence order
+    (under `evaluator_id`, if given): the record form of its
+    `validation_columns`."""
+    return [
+        r for r in store.records
+        if r.ok and r.source == "validation" and evaluator_id in (None, r.evaluator_id)
+    ]
+
+
+def gene_rows(genotypes):
+    """The (n, L) int64 gene matrix of Genotypes, as `evaluate_batch` takes it."""
+    return np.array([g.genes for g in genotypes], dtype=np.int64)
 
 
 @pytest.fixture(scope="session")

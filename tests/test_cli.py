@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -17,7 +18,9 @@ import pytest
 
 import subnetsearch
 from subnetsearch.cli import main
-from subnetsearch.space import save_space, space_from_dict, space_to_dict
+from subnetsearch.space import canonicalize, save_space, space_from_dict, space_to_dict
+
+from conftest import gene_rows, validation_records
 
 DOUBLE = Path(__file__).parent / "doubles" / "scripted_evaluator.py"
 
@@ -147,7 +150,7 @@ def test_space_flag_overrides_config_space(tmp_path, toy_space_file, tiny_space)
     assert cfg["space_doc"] == space_to_dict(tiny_space)
     from subnetsearch.evalmgr import ResultStore
 
-    recs = ResultStore.load(second / "evals.jsonl").validation_records()
+    recs = validation_records(ResultStore.load(second / "evals.jsonl"))
     assert {len(r.genotype.genes) for r in recs} == {tiny_space.genome_length}
 
 
@@ -165,22 +168,37 @@ def test_zero_run_size_is_config_error(tmp_path, toy_space_file, tactic, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tactic, flags, removed", [
-    ("full", ["--train", "0"], None),
-    ("concurrent", ["--predictor", "none"], None),
-    ("concurrent", ["--predictor-for", "top1:none"], None),
-    ("concurrent", [], {"validation_only_objectives": ["latency_ms"]}),
-    ("concurrent", [], {"inner_population": 20}),
-    ("full", ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-sum",
-              "--objective", "top1:maximize", "--objective", "top1:minimize"], None),
+EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-sum",
+                      "--objective", "top1:maximize", "--objective", "latency_ms:minimize"]
+
+
+@pytest.mark.parametrize("tactic, flags, doc, message", [
+    ("full", ["--train", "0"], None, "n_train must be >= 1"),
+    ("concurrent", ["--predictor", "none"], None,
+     "objective 'top1' is predicted with predictor family 'none'"),
+    ("concurrent", ["--predictor-for", "top1:none"], None,
+     "objective 'top1' is predicted with predictor family 'none'"),
+    ("concurrent", [], {"validation_only_objectives": ["latency_ms"]},
+     "{config}: validation_only_objectives "),
+    ("concurrent", [], {"inner_population": 20}, "{config}: inner_population "),
+    ("full", [*EXTERNAL_GENES_SUM[:2], "--objective", "top1:maximize",
+              "--objective", "top1:minimize"], None, "objective names must be unique"),
+    ("concurrent", ["--ridge-lambda", "-1"], None, "ridge_lambda must be >= 0, got -1.0"),
+    ("concurrent", [], {"predictor": {"svr_c": -1}}, "svr_c must be > 0, got -1"),
+    ("concurrent", [], {"predictor": {"svr_epsilon": -0.5}}, "svr_epsilon must be >= 0"),
+    ("concurrent", [], {"predictor": {"svr_kernel": "poly"}}, "unknown kernel 'poly'"),
+    ("concurrent", [], {"predictor": {"svr_gamma": -2}}, "svr_gamma must be null or > 0"),
+    ("concurrent", [], {"predictor": {"encoding": "binary"}}, "unknown encoding 'binary'"),
+    ("full", [*EXTERNAL_GENES_SUM, "--timeout", "-1"], None, "--timeout must be > 0"),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
-        "inner-population", "duplicate-objective"])
+        "inner-population", "duplicate-objective", "ridge-lambda", "svr-c", "svr-epsilon",
+        "svr-kernel", "svr-gamma", "encoding", "timeout"])
 def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
-                                                        tactic, flags, removed):
-    # `removed`: a replayed config.json that turns on a removed feature
-    if removed:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(removed))
+                                                        tactic, flags, doc, message):
+    # `doc`: a replayed config.json, which may turn on a removed feature
+    config = tmp_path / "config.json"
+    if doc:
+        config.write_text(json.dumps(doc))
         flags = ["--config", str(config)]
     out = tmp_path / "run"
     code = run_cli(
@@ -190,8 +208,7 @@ def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file
     err = capsys.readouterr().err
     assert code == 2, err
     assert not out.exists()
-    if removed:
-        assert f"config error: {config}: {next(iter(removed))} " in err
+    assert f"config error: {message.format(config=config)}" in err
 
 
 def test_config_with_the_removed_keys_unset_replays(tmp_path, toy_space_file):
@@ -548,7 +565,7 @@ def test_popdb_command_threshold_rule(tmp_path, toy_space_file):
 
     space = load_space(toy_space_file)
     store = ResultStore.load(run_dir / "evals.jsonl", space=space)
-    ranks = rank_matrix([r.genotype for r in store.validation_records()], space)
+    ranks = rank_matrix(store.validation_columns()[1], space)
     feats, idx = history_features(ranks, space)
     labeling = hdbscan(feats, 20, 5)
     table = elastic_frequencies(labeling, ranks[idx], space)
@@ -608,7 +625,7 @@ def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space, toy_sp
             "--warm-start", str(warm / "evals.jsonl"), "--out", str(tmp_path / "warm"),
         ) == 0
     for r in ResultStore.load(tmp_path / "warm" / "evals.jsonl", space=reduced).records:
-        assert r.genotype.genes == reduced.reset_inactive(r.genotype.genes)
+        assert canonicalize(r.genotype, reduced) == r.genotype
     capsys.readouterr()
     assert run_cli("space", "info", "--space", str(doc_path)) == 0
     assert f"cardinality:   {cardinality(reduced):.4e}" in capsys.readouterr().out
@@ -653,7 +670,7 @@ def write_toy_history(path, toy_space, n=60):
     store = ResultStore(specs, space=toy_space, path=path)
     genotypes = list(dict.fromkeys(sample_uniform(toy_space, 2 * n, 3)))[:n]
     outs = [ObjectiveVector((float(i), float(n - i)), specs) for i in range(len(genotypes))]
-    store.append_batch(genotypes, outs, "e1")
+    store.append_batch(gene_rows(genotypes), outs, "e1")
     store.close()
 
 
@@ -756,7 +773,7 @@ def test_analyze_outputs(tmp_path, toy_space_file):
     from subnetsearch.evalmgr import ResultStore
 
     store = ResultStore.load(run_dir / "evals.jsonl")
-    lats = [r.objectives_raw.value_of("latency_ms") for r in store.validation_records()]
+    lats = [r.objectives_raw.value_of("latency_ms") for r in validation_records(store)]
     l_min, l_max = min(lats), max(lats)
     with open(analysis / "normalized_front.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -772,6 +789,55 @@ def test_analyze_outputs(tmp_path, toy_space_file):
     with open(analysis / "hv_vs_evals.csv", newline="") as fh:
         analyze_rows = list(csv.reader(fh))[1:]
     assert driver_rows == analyze_rows
+
+
+# sha256 of every file `analyze` writes, per run, recorded while `analyze`
+# still read its rows from records
+ANALYZE_SHA256 = {
+    "concurrent": {
+        "hv_vs_evals.csv": "a707b1c7b31d20bdd710c5d6f748aab5d2dbd9c05fb62da166a2825c46a7d86f",
+        "normalized_front.csv": "9f3b23bf13db9d8dc7d8dc2daee49832f1f1af2c1da31d09040351694003a83e",
+        "populations/gen_0000.csv": "ba1d8e4cc652381f217ec8150628503cc4eda252ae7f629d867e4533c74a7f34",
+        "populations/gen_0001.csv": "8c95f42881521f1bf6f1f8b0d04d1211a9f6df5bfe8efc16e03b50d64e157704",
+        "populations/gen_0002.csv": "8f4cf4ec0dca21d72c4fe482afcce45bdbb5c26669c36b277720be2d617079db",
+        "summary.txt": "6bf3380edcce9f7fffe118040246c1e070a82565c24617b737ae2905108ce42d",
+    },
+    "full-none": {
+        "hv_vs_evals.csv": "d84271e844b93f7a9c3511a550a1b1ce38472ca176bacf8c58e6f67507eeb4dd",
+        "normalized_front.csv": "16f34241d182a325af499d17dc2a9df4032d5e059ba8e2d99bf54e609b2d8eb5",
+        "populations/gen_0000.csv": "656e7fd10fc436dcf8ea4df2d1a733c40290195ef63fdbcaf06c78aee189c8b6",
+        "populations/gen_0001.csv": "6f475366c5ea58df051f73214bbd7990f8984abd881a7c1879d762101d8c1301",
+        "populations/gen_0002.csv": "713d82f0dabe1a95d3c9baa8af39044e7c5eaaf60b88b77aca2c601909283780",
+        "populations/gen_0003.csv": "ae8ec38dc3ec8f4ef26d6f23b0ad32b692f3bd2ce0b618b20f897f42205a3f22",
+        "populations/gen_0004.csv": "39b64bd4e1b101287dc24e939bdab5d0f37884393118b74c95d0671622d65e63",
+        "populations/gen_0005.csv": "93facc7616874ab1409843f0ca935016297dc17a7ee2f4a6ae73b966b551139d",
+        "summary.txt": "0ebc8310dafd5b7628625e7247b69b17c5173c405e0b8274c7aba7c8de77232d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYZE_SHA256))
+def test_analyze_outputs_are_pinned(tmp_path, toy_space_file, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # summary.txt names the run directory as given
+    flags = {
+        "concurrent": ("concurrent", "--pop", "10", "--iters", "3", "--inner-gens", "8",
+                       "--seed", "9"),
+        "full-none": ("full", "--predictor", "none", "--pop", "8", "--gens", "5",
+                      "--seed", "5"),
+    }[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the clamp warning of some runs
+        assert run_cli(
+            "search", flags[0], "--space", toy_space_file,
+            "--evaluator", "synthetic:clx-like", *flags[1:], "--out", "run",
+        ) == 0
+        assert run_cli("analyze", "run") == 0
+    analysis = Path("run") / "analysis"
+    got = {
+        str(path.relative_to(analysis)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(analysis.rglob("*")) if path.is_file()
+    }
+    assert got == ANALYZE_SHA256[name]
 
 
 def test_analyze_missing_artifact_diagnostic(tmp_path, capsys):
@@ -838,6 +904,23 @@ def test_predict_bench_bad_train_sizes_is_config_error(toy_space_file, capsys, s
     )
     assert code == 2
     assert "--train-sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"), ("--trials", "-1"), ("--test-size", "0"), ("--test-size", "1"),
+])
+def test_predict_bench_bad_sizes_are_config_errors(toy_space_file, capsys, flag, value):
+    """Each size flag is checked before any evaluation, naming the flag."""
+    argv = {"--train-sizes": "20", "--test-size": "20", "--trials": "1", flag: value}
+    code = run_cli(
+        "predict", "bench", "--space", toy_space_file,
+        "--evaluator", f"external:{sys.executable} {DOUBLE} no-handshake",
+        "--objective-spec", "top1:maximize", "--objective", "top1",
+        *(text for item in argv.items() for text in item),
+    )
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error: {flag} must be" in err
 
 
 def test_space_info_and_constraints(tmp_path, toy_space_file, capsys):

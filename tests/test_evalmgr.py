@@ -40,7 +40,7 @@ from subnetsearch.space import (
 )
 from subnetsearch.util import pseudo_noise
 
-from conftest import CallableEvaluator, active_mask_loop
+from conftest import CallableEvaluator, active_mask_loop, gene_rows, validation_records
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 
@@ -59,20 +59,25 @@ def constant_evaluator(values=(1.0, 2.0), specs=MIN2, evaluator_id="const"):
 def test_store_appends_and_indexes(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    [rec] = store.append_batch([g], [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
-    assert rec.sequence_number == 0
-    assert store.lookup(g, "e1") is rec
-    assert store.lookup(g, "e2") is None
+    assert store.append_batch([g.genes], [ObjectiveVector((1.0, 2.0), MIN2)], "e1") is None
+    assert [r.sequence_number for r in store.records] == [0]
+    # cached under e1: no dispatch; under e2 the genotype is measured
+    raw, _ = evaluate_batch(gene_rows([g]), constant_evaluator((5.0, 6.0), evaluator_id="e1"),
+                            store)
+    assert raw.tolist() == [[1.0, 2.0]] and len(store.records) == 1
+    raw, _ = evaluate_batch(gene_rows([g]), constant_evaluator((5.0, 6.0), evaluator_id="e2"),
+                            store)
+    assert raw.tolist() == [[5.0, 6.0]] and len(store.records) == 2
 
 
 def test_store_rejects_duplicate_validation(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    store.append_batch([g], [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
+    store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
     with pytest.raises(ConfigError):
-        store.append_batch([g], [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
+        store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
     # same genotype under a different evaluator is a separate measurement
-    store.append_batch([g], [ObjectiveVector((1.0, 3.0), MIN2)], "e2")
+    store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 3.0), MIN2)], "e2")
 
 
 def test_store_replay_round_trip(tmp_path, toy_space):
@@ -80,8 +85,8 @@ def test_store_replay_round_trip(tmp_path, toy_space):
     store = ResultStore(MIN2, space=toy_space, path=path)
     gs = sample_uniform(toy_space, 5, 1)
     outs = [ObjectiveVector((float(i), 1.0), MIN2) for i in range(len(gs))]
-    store.append_batch(gs, outs, "e1", gen=0)
-    store.append_batch([gs[0]], [EvaluationFailure("exploded")], "e1", gen=1)
+    store.append_batch(gene_rows(gs), outs, "e1", gen=0)
+    store.append_batch(gene_rows([gs[0]]), [EvaluationFailure("exploded")], "e1", gen=1)
     store.close()
 
     replayed = ResultStore.load(path, space=toy_space)
@@ -92,10 +97,11 @@ def test_store_replay_round_trip(tmp_path, toy_space):
         assert a.error == b.error
         if a.ok:
             assert a.objectives_raw.values == b.objectives_raw.values
-    for g in gs:
-        assert replayed.lookup(g, "e1").objectives_raw.values == store.lookup(
-            g, "e1"
-        ).objectives_raw.values
+    # the replayed cache answers every genotype as the store that wrote it
+    ev = constant_evaluator(evaluator_id="e1")
+    assert evaluate_batch(gene_rows(gs), ev, replayed)[0].tolist() == evaluate_batch(
+        gene_rows(gs), ev, store)[0].tolist() == [[float(i), 1.0] for i in range(len(gs))]
+    assert len(replayed.records) == len(store.records)  # nothing was dispatched
 
 
 def mixed_log(path, toy_space):
@@ -105,16 +111,16 @@ def mixed_log(path, toy_space):
     store = ResultStore(MIN2, space=toy_space, path=path)
     gs = sample_uniform(toy_space, 4, 4)
     outside = Genotype((-1, 2**40) + gs[3].genes[2:])
-    store.append_batch([gs[0]], [ObjectiveVector((1.5, -0.0), MIN2)], "e1", gen=0)
-    store.append_batch([gs[0]], [ObjectiveVector((2.5, 1e-300), MIN2)], "e2")
+    store.append_batch([gs[0].genes], [ObjectiveVector((1.5, -0.0), MIN2)], "e1", gen=0)
+    store.append_batch(gene_rows([gs[0]]), [ObjectiveVector((2.5, 1e-300), MIN2)], "e2")
     store.append_batch(
-        [gs[1], gs[1]], [EvaluationFailure("exploded"), ObjectiveVector((0.1, 0.2), MIN2)],
-        "e1", gen=1,
+        gene_rows([gs[1], gs[1]]),
+        [EvaluationFailure("exploded"), ObjectiveVector((0.1, 0.2), MIN2)], "e1", gen=1,
     )
     store.append_batch(
-        [gs[2]], [ObjectiveVector((9.0, 9.0), MIN2)], "e1", gen=2, source="predicted"
+        gene_rows([gs[2]]), [ObjectiveVector((9.0, 9.0), MIN2)], "e1", gen=2, source="predicted"
     )
-    store.append_batch([outside], [ObjectiveVector((3.0, 4.0), MIN2)], "e2", gen=2)
+    store.append_batch([outside.genes], [ObjectiveVector((3.0, 4.0), MIN2)], "e2", gen=2)
     store.close()
     return store
 
@@ -145,9 +151,10 @@ def test_store_load_keeps_every_column_and_dumps_the_same_bytes(tmp_path, toy_sp
         assert seqs.tolist() == [1, 5]
         assert genes[1].tolist()[:2] == [-1, 2**40]
         assert raw.tolist() == [[2.5, 1e-300], [3.0, 4.0]]
-        assert [r.sequence_number for r in replayed.validation_records()] == [0, 1, 3, 5]
-        assert replayed.lookup(store.records[3].genotype, "e1").objectives_raw.values == (
-            0.1, 0.2)
+        assert replayed.validation_columns()[0].tolist() == [0, 1, 3, 5]
+        raw, _ = evaluate_batch(gene_rows([store.records[3].genotype]),
+                                constant_evaluator(evaluator_id="e1"), replayed)
+        assert raw.tolist() == [[0.1, 0.2]] and len(replayed.records) == 6
 
 
 def test_spaceless_load_keeps_the_space_name_and_dumps_the_same_bytes(tmp_path, toy_space):
@@ -167,7 +174,7 @@ def bad_log_lines(path, toy_space):
     record is on line 5."""
     store = ResultStore(MIN2, space=toy_space, path=path)
     for i, g in enumerate(sample_uniform(toy_space, 3, 6)):
-        store.append_batch([g], [ObjectiveVector((float(i), 1.0), MIN2)], "e1", gen=i)
+        store.append_batch([g.genes], [ObjectiveVector((float(i), 1.0), MIN2)], "e1", gen=i)
     store.close()
     lines = path.read_text().splitlines(keepends=True)
     return lines[:3] + ["\n"] + lines[3:]
@@ -219,7 +226,7 @@ def test_store_load_names_the_first_of_two_faulty_lines(
     path = tmp_path / "evals.jsonl"
     store = ResultStore(MIN2, space=toy_space, path=path)
     for i, g in enumerate(sample_uniform(toy_space, 6, 6)):
-        store.append_batch([g], [ObjectiveVector((float(i), 1.0), MIN2)], "e1", gen=i)
+        store.append_batch([g.genes], [ObjectiveVector((float(i), 1.0), MIN2)], "e1", gen=i)
     store.close()
     lines = path.read_text().splitlines(keepends=True)
     for lineno, kind in ((4, early), (6, late)):
@@ -262,7 +269,7 @@ def test_store_dump_equals_streamed_log(tmp_path, toy_space):
     dumped = tmp_path / "b.jsonl"
     lines = 1
     for genotypes, outs, gen in batches:
-        store.append_batch(genotypes, outs, "e1", gen=gen)
+        store.append_batch(gene_rows(genotypes), outs, "e1", gen=gen)
         lines += len(outs)
         on_disk = path.read_bytes()
         assert on_disk.count(b"\n") == lines
@@ -311,7 +318,7 @@ def test_store_lines_are_json_dumps_of_each_record(tmp_path_factory, names, batc
             doc.update(evaluator_id=evaluator_id)
             expected.append(doc)
             genotypes.append(Genotype(tuple(genes)))
-        store.append_batch(genotypes, outs, evaluator_id, gen=gen, source=source)
+        store.append_batch(gene_rows(genotypes), outs, evaluator_id, gen=gen, source=source)
     path = tmp_path_factory.mktemp("log") / "evals.jsonl"
     store.dump(path)
     assert path.read_text(encoding="utf-8").splitlines() == [
@@ -323,7 +330,7 @@ def test_store_rejects_a_faulty_batch_whole(tmp_path, toy_space):
     store = ResultStore(MIN2, space=toy_space, path=path)
     gs = sample_uniform(toy_space, 3, 8)
     ok = ObjectiveVector((1.0, 2.0), MIN2)
-    store.append_batch(gs[:1], [ok], "e1")
+    store.append_batch(gene_rows(gs[:1]), [ok], "e1")
     # a genotype twice in the batch, or already cached, or of another length
     for batch, error in (
         ([gs[1], gs[1]], ConfigError),
@@ -331,17 +338,17 @@ def test_store_rejects_a_faulty_batch_whole(tmp_path, toy_space):
         ([gs[2], Genotype(gs[2].genes[:-1])], InvalidGenotype),
     ):
         with pytest.raises(error):
-            store.append_batch(batch, [ok, ok], "e1")
+            store.append_batch([g.genes for g in batch], [ok, ok], "e1")
     with pytest.raises(EvaluationFailed):  # an output short
-        store.append_batch(gs[1:], [ok], "e1")
+        store.append_batch(gene_rows(gs[1:]), [ok], "e1")
     # a failure and a success of one genotype are not duplicates
-    store.append_batch([gs[1], gs[1]], [EvaluationFailure("x"), ok], "e1")
+    store.append_batch(gene_rows([gs[1], gs[1]]), [EvaluationFailure("x"), ok], "e1")
     assert [r.sequence_number for r in store.records] == [0, 1, 2]
-    assert store.lookup(gs[1], "e1").sequence_number == 2
+    assert store.validation_columns()[0].tolist() == [0, 2]
     store.close()
     assert len(path.read_text().splitlines()) == 4
     with pytest.raises(ValueError, match="closed"):
-        store.append_batch(gs[2:], [ok], "e1")
+        store.append_batch(gene_rows(gs[2:]), [ok], "e1")
 
 
 def test_store_concurrent_appends_keep_total_order(toy_space):
@@ -351,7 +358,7 @@ def test_store_concurrent_appends_keep_total_order(toy_space):
     def worker(chunk):
         for g in chunk:
             store.append_batch(
-                [g], [ObjectiveVector((0.0, 0.0), MIN2)], "e1", source="predicted"
+                gene_rows([g]), [ObjectiveVector((0.0, 0.0), MIN2)], "e1", source="predicted"
             )
 
     threads = [threading.Thread(target=worker, args=(gs[i::4],)) for i in range(4)]
@@ -378,12 +385,12 @@ def test_batch_caches_within_and_across_batches(toy_space):
     ev = CallableEvaluator(fn, evaluator_id="count")
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    recs = evaluate_batch([g, g], ev, store)
-    assert len(calls) == 1
-    assert recs[0] is recs[1]
-    recs2 = evaluate_batch([g], ev, store)
-    assert len(calls) == 1  # cache hit, no dispatch
-    assert recs2[0] is recs[0]
+    raw, errors = evaluate_batch(gene_rows([g, g]), ev, store)
+    assert len(calls) == 1 and len(store.records) == 1
+    assert raw.tolist() == [[1.0, 2.0]] * 2 and errors == []
+    raw2, _ = evaluate_batch(gene_rows([g]), ev, store)
+    assert len(calls) == 1 and len(store.records) == 1  # cache hit, no dispatch
+    assert raw2.tolist() == [[1.0, 2.0]]
 
 
 def test_batch_preserves_input_order(toy_space):
@@ -392,15 +399,16 @@ def test_batch_preserves_input_order(toy_space):
     )
     store = ResultStore(MIN2, space=toy_space)
     gs = sample_uniform(toy_space, 10, 4)
-    recs = evaluate_batch(gs, ev, store)
-    assert [r.genotype.genes for r in recs] == [g.genes for g in gs]
-    for g, r in zip(gs, recs):
-        assert r.objectives_raw.values[0] == float(sum(g.genes))
+    raw, _ = evaluate_batch(gene_rows(gs), ev, store)
+    assert raw[:, 0].tolist() == [float(sum(g.genes)) for g in gs]
+    assert [r.genotype for r in store.records] == gs
 
 
 def test_batch_empty_returns_empty(toy_space):
     store = ResultStore(MIN2, space=toy_space)
-    assert evaluate_batch([], constant_evaluator(), store) == []
+    raw, errors = evaluate_batch(np.zeros((0, toy_space.genome_length), np.int64),
+                                 constant_evaluator(), store)
+    assert raw.shape == (0, 2) and errors == [] and not store.records
 
 
 def test_batch_rejects_non_canonical(toy_space):
@@ -415,7 +423,7 @@ def test_batch_rejects_non_canonical(toy_space):
     bad = Genotype(tuple(genes))
     if canonicalize(bad, toy_space).genes != bad.genes:
         with pytest.raises(NonCanonicalInput):
-            evaluate_batch([bad], constant_evaluator(), store)
+            evaluate_batch(gene_rows([bad]), constant_evaluator(), store)
 
 
 def test_batch_failures_flagged_not_cached(toy_space):
@@ -430,11 +438,11 @@ def test_batch_failures_flagged_not_cached(toy_space):
     ev = CallableEvaluator(fn, evaluator_id="flaky")
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    first = evaluate_batch([g], ev, store)[0]
-    assert not first.ok and "flaky" in first.error
-    assert store.lookup(g, "flaky") is None  # failures are not cached
-    second = evaluate_batch([g], ev, store)[0]  # retry succeeds
-    assert second.ok
+    raw, errors = evaluate_batch(gene_rows([g]), ev, store)
+    assert np.isnan(raw).all() and len(errors) == 1 and "flaky" in errors[0]
+    assert not store.validation_columns()[0].size  # failures are not cached
+    raw, errors = evaluate_batch(gene_rows([g]), ev, store)  # retry succeeds
+    assert raw.tolist() == [[1.0, 1.0]] and errors == [] and attempts["n"] == 2
 
 
 def test_batch_mixed_failure_keeps_successes(toy_space):
@@ -446,11 +454,12 @@ def test_batch_mixed_failure_keeps_successes(toy_space):
     ev = CallableEvaluator(fn, evaluator_id="picky")
     store = ResultStore(MIN2, space=toy_space)
     gs = list({g.genes: g for g in sample_uniform(toy_space, 30, 7)}.values())
-    recs = evaluate_batch(gs, ev, store)
-    ok = [r for r in recs if r.ok]
-    bad = [r for r in recs if not r.ok]
-    assert ok and bad
-    assert len(store.validation_records()) == len(ok)
+    raw, errors = evaluate_batch(gene_rows(gs), ev, store)
+    failed = np.isnan(raw).all(axis=1)
+    assert failed.any() and not failed.all() and np.isfinite(raw[~failed]).all()
+    assert failed.tolist() == [g.genes[0] == 1 for g in gs]
+    assert errors == ["no depth-1 allowed"] * int(failed.sum())
+    assert len(validation_records(store)) == int((~failed).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +609,11 @@ def test_table_evaluator_lookup_and_missing(tmp_path, tiny_space):
 def test_training_set_filters_predicted_and_dedupes(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     gs = sample_uniform(toy_space, 5, 6)
-    store.append_batch(gs[:3], [ObjectiveVector((float(i), 0.0), MIN2) for i in range(3)], "e1")
     store.append_batch(
-        gs[3:], [ObjectiveVector((9.0, 9.0), MIN2)] * 2, "e1", source="predicted"
+        gene_rows(gs[:3]), [ObjectiveVector((float(i), 0.0), MIN2) for i in range(3)], "e1"
+    )
+    store.append_batch(
+        gene_rows(gs[3:]), [ObjectiveVector((9.0, 9.0), MIN2)] * 2, "e1", source="predicted"
     )
     X, raw = training_rows(store, "one_hot")
     assert X.shape[0] == 3
@@ -614,8 +625,8 @@ def test_training_set_filters_predicted_and_dedupes(toy_space):
 def test_training_set_first_evaluator_wins_without_filter(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     g = sample_uniform(toy_space, 1, 0)[0]
-    store.append_batch([g], [ObjectiveVector((1.0, 0.0), MIN2)], "cpu")
-    store.append_batch([g], [ObjectiveVector((2.0, 0.0), MIN2)], "gpu")
+    store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 0.0), MIN2)], "cpu")
+    store.append_batch(gene_rows([g]), [ObjectiveVector((2.0, 0.0), MIN2)], "gpu")
     _, raw = training_rows(store, "one_hot")
     assert raw.tolist() == [[1.0, 0.0]]
     _, raw_gpu = training_rows(store, "one_hot", evaluator_id="gpu")
@@ -626,7 +637,7 @@ def training_set_by_records(store, objective, scheme, evaluator_id=None):
     """Features and one objective's targets from validation records, the
     first of each genotype kept: the oracle for the columnar training rows."""
     deduped = {}
-    for r in store.validation_records(evaluator_id):
+    for r in validation_records(store, evaluator_id):
         deduped.setdefault(r.genotype.genes, r)
     ranks = canonical_ranks([r.genotype for r in deduped.values()], store.space)[0]
     y = np.array([r.objectives_raw.value_of(objective) for r in deduped.values()])
@@ -641,10 +652,10 @@ def test_training_rows_match_records(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     gs = sample_uniform(toy_space, 8, 11)
     vec = [ObjectiveVector((0.1 * i, 1.0 / (i + 1)), MIN2) for i in range(8)]
-    store.append_batch(gs[:3], vec[:2] + [EvaluationFailure("exploded")], "e1")
-    store.append_batch(gs[3:5], vec[3:5], "e1", source="predicted")
-    store.append_batch([gs[1], gs[5], gs[6]], vec[5:8], "e2")
-    store.append_batch([gs[2], gs[7]], vec[2:4], "e1")
+    store.append_batch(gene_rows(gs[:3]), vec[:2] + [EvaluationFailure("exploded")], "e1")
+    store.append_batch(gene_rows(gs[3:5]), vec[3:5], "e1", source="predicted")
+    store.append_batch(gene_rows([gs[1], gs[5], gs[6]]), vec[5:8], "e2")
+    store.append_batch(gene_rows([gs[2], gs[7]]), vec[2:4], "e1")
     for scheme in ("one_hot", "ordinal_normalized"):
         for evaluator_id in (None, "e1", "e2"):
             X, raw = training_rows(store, scheme, evaluator_id)

@@ -43,7 +43,6 @@ from subnetsearch.space import (
     inactive_genes,
     rank_genes,
     rank_matrix,
-    repair_unique,
     repaired_ranks,
     sample_uniform,
 )
@@ -58,6 +57,11 @@ from conftest import (
 )
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
+
+
+def genotypes_of(ranks, space):
+    """The Genotypes of rank rows of `space`."""
+    return [Genotype(genes) for genes in rank_genes(ranks, space)]
 
 
 def tiebreak_hash(salt):
@@ -684,8 +688,8 @@ def test_warm_start_beats_random_init_at_gen_zero(toy_space):
         + [e.objectives_raw.canonical_min for e in warm.evaluations]
     )
     assert gen0_hv(warm, ref) >= gen0_hv(cold, ref)
-    repaired = set(repair_unique(seeds, toy_space))
-    assert repaired and repaired <= {e.genotype for e in warm.evaluations if e.gen == 0}
+    repaired = set(rank_genes(repaired_ranks(seeds, toy_space), toy_space))
+    assert repaired and repaired <= {e.genotype.genes for e in warm.evaluations if e.gen == 0}
 
 
 def test_warm_start_truncates_oversized_seed_list(toy_space):
@@ -708,7 +712,8 @@ def test_warm_start_repairs_invalid_entries(toy_space):
     from subnetsearch.space import is_canonical
 
     assert all(is_canonical(i.genotype, toy_space) for i in population_records(trace)[0])
-    assert repair_unique([bad], toy_space)[0] in {i.genotype for i in population_records(trace)[0]}
+    repaired = rank_genes(repaired_ranks([bad], toy_space), toy_space)[0]
+    assert repaired in {i.genotype.genes for i in population_records(trace)[0]}
 
 
 def test_warm_start_rows_count_once(toy_space):
@@ -812,7 +817,7 @@ def test_select_best_on_untied_fronts_matches_the_full_ranking(data):
 def test_ids_of_finds_evaluated_genotypes_by_row(toy_space):
     evaluate = two_objective_evaluate(toy_space)
     trace = evolve(toy_space, EvolverConfig(10, 3, seed=3), evaluate, MIN2)
-    evaluated = trace.genotypes(trace.table)
+    evaluated = [e.genotype for e in trace.evaluations]
     others = [g for g in sample_uniform(toy_space, 40, 9) if g not in set(evaluated)]
     asked = evaluated[5::3] + others + evaluated[:2]
     assert trace.ids_of(rank_matrix(asked, toy_space)).tolist() == sorted(
@@ -965,8 +970,9 @@ def test_reduced_space_draws_keep_active_genes_allowed(oracle_spaces, name, data
     cfg = EvolverConfig(8, 4, mutation_rate=0.3, seed=seed)
     trace = evolve(reduced, cfg, two_objective_evaluate(space), MIN2,
                    warm_start=repaired_ranks(warm, reduced))
-    for gs in (sample_uniform(reduced, 20, seed), repair_unique(warm, reduced),
-               trace.genotypes(trace.table)):
+    for gs in (sample_uniform(reduced, 20, seed),
+               genotypes_of(repaired_ranks(warm, reduced), reduced),
+               genotypes_of(trace.table.ranks, reduced)):
         assert all(in_reduced_form_loop(g, space, reduction) for g in gs)
 
 
@@ -976,7 +982,7 @@ def test_a_reduction_allowing_every_value_draws_as_no_reduction(oracle_spaces, n
     full = dataclasses.replace(space, reduction=space.allowed)
     assert sample_uniform(full, 50, 3) == sample_uniform(space, 50, 3)
     warm = sample_uniform(space, 10, 4)
-    assert repair_unique(warm, full) == repair_unique(warm, space)
+    assert np.array_equal(repaired_ranks(warm, full), repaired_ranks(warm, space))
     cfg = EvolverConfig(12, 6, mutation_rate=0.2, seed=5)
     a, b = (evolve(s, cfg, two_objective_evaluate(space), MIN2,
                    warm_start=repaired_ranks(warm, s)) for s in (full, space))
@@ -997,7 +1003,7 @@ def test_reduced_draws_reach_every_allowed_value(toy_space):
     pick among the allowed values: each of them turns up, and no other."""
     reduced = deep_reduced_toy(toy_space)
     trace = evolve(reduced, EvolverConfig(60, 0, seed=2), two_objective_evaluate(toy_space), MIN2)
-    for gs in (sample_uniform(reduced, 200, 1), trace.genotypes(trace.table)):
+    for gs in (sample_uniform(reduced, 200, 1), genotypes_of(trace.table.ranks, reduced)):
         seen = [sorted({g.genes[pos] for g in gs}) for pos in range(toy_space.genome_length)]
         assert seen == [list(vals) for vals in reduced.reduction]
 
@@ -1021,7 +1027,7 @@ def test_reduced_mutation_draws_another_allowed_value(toy_space):
 def repair_loop(g, space):
     """Gene by gene: snap to the nearest value an active gene may take (ties
     to the smaller), then give every inactive gene its parameter's first
-    value; the oracle for `repair_unique`."""
+    value; the oracle for `repaired_ranks`."""
     snapped = Genotype(tuple(min(keep, key=lambda a: (abs(a - v), a))
                              for v, keep in zip(g.genes, space.active_values)))
     return Genotype(tuple(v if active else vals[0] for v, vals, active in zip(
@@ -1030,7 +1036,7 @@ def repair_loop(g, space):
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
-def test_repair_unique_matches_gene_loop_on_reduced_spaces(oracle_spaces, name, data):
+def test_repaired_ranks_matches_gene_loop_on_reduced_spaces(oracle_spaces, name, data):
     """Genes far outside the space (beyond int64 too), repeats, and
     reductions that cut values at either end and in the middle."""
     space = oracle_spaces[name]
@@ -1042,4 +1048,5 @@ def test_repair_unique_matches_gene_loop_on_reduced_spaces(oracle_spaces, name, 
     ), min_size=1, max_size=8))
     gs += data.draw(st.lists(st.sampled_from(gs), max_size=4))
     for s in (space, reduced):
-        assert repair_unique(gs, s) == list(dict.fromkeys(repair_loop(g, s) for g in gs))
+        assert genotypes_of(repaired_ranks(gs, s), s) == list(
+            dict.fromkeys(repair_loop(g, s) for g in gs))

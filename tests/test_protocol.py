@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subnetsearch.errors import EvaluationTimeout, ProtocolError
@@ -16,6 +17,8 @@ from subnetsearch.evalmgr import (
 )
 from subnetsearch.objectives import ObjectiveSpec
 from subnetsearch.space import Genotype, sample_uniform
+
+from conftest import gene_rows
 
 DOUBLE = Path(__file__).parent / "doubles" / "scripted_evaluator.py"
 SPECS = (
@@ -78,13 +81,11 @@ def test_crash_mid_batch_fails_remaining_persists_rest(toy_space):
     gs = sample_uniform(toy_space, 6, 3)
     store = ResultStore(SPECS, space=toy_space)
     ev = make_evaluator("crash-after=2")
-    recs = evaluate_batch(gs, ev, store)
-    ok = [r for r in recs if r.ok]
-    failed = [r for r in recs if not r.ok]
-    assert len(ok) == 2
-    assert len(failed) == 4
-    assert all("exited" in r.error for r in failed)
-    assert len(store.validation_records()) == 2  # completed ones persisted
+    raw, errors = evaluate_batch(gene_rows(gs), ev, store)
+    failed = np.isnan(raw).all(axis=1)
+    assert failed.tolist() == [False] * 2 + [True] * 4
+    assert len(errors) == 4 and all("exited" in e for e in errors)
+    assert len(store.validation_columns()[0]) == 2  # completed ones persisted
 
 
 def _released(proc) -> bool:
@@ -182,8 +183,8 @@ def test_evaluate_batch_over_external_evaluator(toy_space):
     gs = sample_uniform(toy_space, 4, 7)
     store = ResultStore(SPECS, space=toy_space)
     with make_evaluator("genes-sum") as ev:
-        recs = evaluate_batch(gs, ev, store)
+        raw, errors = evaluate_batch(gene_rows(gs), ev, store)
         # cache hit: second batch with same genotypes sends nothing new
-        recs2 = evaluate_batch(gs, ev, store)
-    assert all(r.ok for r in recs)
-    assert [r.sequence_number for r in recs2] == [r.sequence_number for r in recs]
+        raw2, _ = evaluate_batch(gene_rows(gs), ev, store)
+    assert errors == [] and np.isfinite(raw).all()
+    assert raw2.tolist() == raw.tolist() and len(store.records) == len(gs)

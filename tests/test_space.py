@@ -15,6 +15,7 @@ from subnetsearch.space import (
     Genotype,
     SearchSpace,
     build_space,
+    canonical_form,
     canonical_ranks,
     canonicalize,
     cardinality,
@@ -28,7 +29,7 @@ from subnetsearch.space import (
     load_space,
     rank_genes,
     rank_matrix,
-    repair_unique,
+    repaired_ranks,
     sample_uniform,
     save_space,
     space_from_dict,
@@ -155,12 +156,6 @@ def test_genome_layout(tiny_space):
 # ---------------------------------------------------------------------------
 
 
-def test_genotype_of_ints_equals_the_converted_genotype():
-    g = Genotype.of_ints((2, 7, 5))
-    assert g == Genotype([2.0, 7, 5]) and hash(g) == hash(Genotype((2, 7, 5)))
-    assert g.genes == (2, 7, 5)
-
-
 def test_canonicalize_resets_inactive_layers():
     # one block, max_layers=4, kernels {3,5,7}; depth 2 leaves slots 2,3 inactive
     space = build_space("one", [("b", (2, 3, 4), 4, [("kernel", (3, 5, 7))])])
@@ -222,14 +217,14 @@ def test_table_canonicalize_matches_loop_oracle(oracle_spaces, name, data):
     expected = canonicalize_loop(g, space)
     assert canonicalize(g, space).genes == expected.genes
     assert is_canonical(g, space) == (expected.genes == g.genes)
-    assert space.reset_inactive(g.genes) == expected.genes
+    assert rank_genes(canonical_form(rank_matrix([g], space), space), space) == [expected.genes]
 
 
 def test_repair_snaps_to_nearest_allowed(toy_space):
     raw = list(next(iter(sample_uniform(toy_space, 1, 3))).genes)
     raw[1] = 4  # kernel allows {3,5,7}; 4 ties 3/5 -> smaller wins
     raw[2] = 9  # -> 7
-    fixed = repair_unique([Genotype(tuple(raw))], toy_space)[0]
+    fixed = Genotype(rank_genes(repaired_ranks([Genotype(tuple(raw))], toy_space), toy_space)[0])
     assert fixed.genes[1] in (3, 5)
     assert fixed.genes[1] == 3
     assert is_canonical(fixed, toy_space)
@@ -463,7 +458,7 @@ def test_resnet50_depth_zero_block_fully_inactive():
 
 
 def repair_loop(g, space):
-    """The gene-by-gene oracle for `repair_unique`: snap each gene to the
+    """The gene-by-gene oracle for `repaired_ranks`: snap each gene to the
     nearest allowed value, ties to the smaller, then canonicalize."""
     genes = tuple(min(vals, key=lambda a: (abs(a - v), a))
                   for v, vals in zip(g.genes, space.allowed))
@@ -472,7 +467,7 @@ def repair_loop(g, space):
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
-def test_batch_repair_unique_matches_gene_by_gene_repair(oracle_spaces, name, data):
+def test_batch_repaired_ranks_matches_gene_by_gene_repair(oracle_spaces, name, data):
     space = oracle_spaces[name]
     values = sorted(set().union(*space.allowed))
     gs = data.draw(st.lists(st.one_of(
@@ -482,8 +477,9 @@ def test_batch_repair_unique_matches_gene_by_gene_repair(oracle_spaces, name, da
     ), min_size=1, max_size=8))
     gs += data.draw(st.lists(st.sampled_from(gs), max_size=4))  # repeats
     want = list(dict.fromkeys(repair_loop(g, space) for g in gs))
-    assert repair_unique(gs, space) == want
-    assert [repair_unique([g], space) for g in gs] == [[repair_loop(g, space)] for g in gs]
+    assert np.array_equal(repaired_ranks(gs, space), rank_matrix(want, space))
+    assert [rank_genes(repaired_ranks([g], space), space) for g in gs] == [
+        [repair_loop(g, space).genes] for g in gs]
     assert rank_genes(rank_matrix(want, space), space) == [g.genes for g in want]
 
 
