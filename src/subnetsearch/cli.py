@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import statistics
 import sys
 import time
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .driver import (
     ConcurrentNasConfig,
@@ -27,7 +27,6 @@ from .driver import (
     check_objectives,
     config_from_doc,
     fit_objective_predictor,
-    hypervolume_trace,
     search,
 )
 from .errors import (
@@ -52,8 +51,6 @@ from .objectives import (
     LatencyNormalizer,
     ObjectiveSpec,
     canonical_matrix,
-    default_reference,
-    hv_trace_to_csv,
     normalize_latency,
     pareto_front,  # noqa: F401  (a trace site of perfbench/runner.py)
     validated_front,
@@ -67,18 +64,20 @@ from .popdb import (
 )
 from .predict import run_prediction_trials
 from .space import (
+    Genotype,
     cardinality,
     encode_matrix,
     gene_matrix,
     genotype_ids,
     rank_matrix,
+    repaired_ranks,
     resolve_space,
     sample_unique,
     save_space,
     space_from_dict,
     space_to_dict,
 )
-from .util import read_json
+from .util import check_rules, read_json
 
 OUTPUT_DIR_ENV = "SUBNETSEARCH_OUTPUT_DIR"
 
@@ -109,20 +108,14 @@ def _parse_objective(text: str) -> ObjectiveSpec:
     return ObjectiveSpec(name, direction, unit)
 
 
-def _build_evaluator(run: dict, space, declared_specs):
-    """Returns (evaluator, objective specs) from the run's evaluator spec
-    string: synthetic:<preset>, table:<path>, or external:<command>."""
-    if not run["timeout"] > 0:
-        raise ConfigError(f"--timeout must be > 0, got {run['timeout']}")
-    spec_str = run["evaluator"]
+def _build_evaluator(spec_str: str, space, declared_specs, timeout, noise_scale, noise_seed):
+    """Returns (evaluator, objective specs) from an evaluator spec string:
+    synthetic:<preset>, table:<path>, or external:<command>."""
+    if not 0 < timeout < math.inf:
+        raise ConfigError(f"--timeout must be finite and > 0, got {timeout}")
     kind, _, rest = spec_str.partition(":")
     if kind == "synthetic":
-        surface = make_surface(
-            space,
-            rest or "clx-like",
-            noise_scale=run["noise_scale"],
-            noise_seed=run["noise_seed"],
-        )
+        surface = make_surface(space, rest or "clx-like", noise_scale, noise_seed)
         return SyntheticSurfaceEvaluator(surface), surface.specs
     if kind == "table":
         if not rest:
@@ -140,7 +133,7 @@ def _build_evaluator(run: dict, space, declared_specs):
             rest,
             declared_specs,
             space_name=space.name,
-            timeout=run["timeout"],
+            timeout=timeout,
         )
         return ev, tuple(declared_specs)
     raise ConfigError(
@@ -165,42 +158,20 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _objectives_from(doc, where: str) -> list[ObjectiveSpec]:
-    """Objective specs from a config's `objectives` list of objects."""
-    if not isinstance(doc, list) or not all(isinstance(o, dict) for o in doc):
-        raise ConfigError(f"{where}: objectives must be a list of objects, got {doc!r}")
-    try:
-        return [ObjectiveSpec(**o) for o in doc]
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{where}: objectives: {exc}") from exc
-
-
-def _warm_start_from(path: str, space) -> np.ndarray:
-    """The gene rows of the validated front of the log at `path`."""
+def _warm_start_from(path: str, space) -> tuple[Genotype, ...]:
+    """The validated front of the log at `path`."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"warm-start file not found: {p}")
     store = ResultStore.load(p, space=space)
     if not len(store.validation_columns()[0]):
         raise ConfigError(f"warm-start log {p} has no validation records")
-    return validated_front(store).genes
+    return tuple(map(Genotype, validated_front(store).genes.tolist()))
 
 
-def _predictor_doc(args, base: dict) -> dict:
-    """The predictor section of a run config: `base` with every predictor
-    flag that was given laid over it."""
-    doc = dict(base)
-    for key in ("family", "encoding", "ridge_lambda"):
-        if getattr(args, key) is not None:
-            doc[key] = getattr(args, key)
-    families = dict(doc.get("families") or {})
-    for item in args.predictor_for or []:
-        name, _, fam = item.partition(":")
-        if not fam:
-            raise ConfigError(f"--predictor-for {item!r}: expected objective:family")
-        families[name] = fam
-    doc["families"] = families
-    return doc
+def _given(args, names) -> dict:
+    """The flags among `names` (argparse dests) that were given."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
 
 
 def _print_summary(report: SearchReport, outdir: Path, elapsed: float) -> None:
@@ -222,56 +193,50 @@ def _print_summary(report: SearchReport, outdir: Path, elapsed: float) -> None:
 
 def _cmd_search(args) -> int:
     """Both tactics: --config values first, then every flag given."""
-    cfg = _load_config(args.config) if args.config else {}
-    if cfg.get("tactic", args.tactic) != args.tactic:
-        raise ConfigError(f"--config has tactic {cfg['tactic']!r}, not {args.tactic!r}")
-    run = {"noise_scale": 0.0, "noise_seed": 0, **cfg}
-    run.update((k, v) for k, v in vars(args).items() if v is not None)
-    if cfg.get("space_doc") and not args.space:
-        space = space_from_dict(cfg["space_doc"])
-    elif run.get("space"):
-        space = resolve_space(run["space"])
+    doc = _load_config(args.config) if args.config else {}
+    if doc.get("tactic", args.tactic) != args.tactic:
+        raise ConfigError(f"--config has tactic {doc['tactic']!r}, not {args.tactic!r}")
+    cls = FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig
+    cfg = config_from_doc(cls, doc, where=args.config or "config")
+    flags = _given(args, (f.name for f in fields(cls)))
+    if args.objective:
+        flags["objectives"] = tuple(map(_parse_objective, args.objective))
+    predictor = _given(args, ("family", "encoding", "ridge_lambda"))
+    families = dict(cfg.predictor.families)
+    for item in args.predictor_for or []:
+        name, _, fam = item.partition(":")
+        if not fam:
+            raise ConfigError(f"--predictor-for {item!r}: expected objective:family")
+        families[name] = fam
+    cfg = replace(cfg, **flags, predictor=replace(cfg.predictor, **predictor, families=families))
+    if cfg.space_doc and not args.space:
+        space = space_from_dict(cfg.space_doc)
+    elif cfg.space:
+        space = resolve_space(cfg.space)
     else:
         raise ConfigError("missing --space (preset name or space file)")
-    if not run.get("evaluator"):
+    if not cfg.evaluator:
         raise ConfigError("missing --evaluator")
-    where = args.config or "flags"
-    if not isinstance(run["evaluator"], str):
-        raise ConfigError(f"{where}: evaluator must be a string, got {run['evaluator']!r}")
-    declared = [_parse_objective(o) for o in args.objective or ()] or (
-        _objectives_from(cfg.get("objectives") or [], where)
+    evaluator, specs = _build_evaluator(
+        cfg.evaluator, space, cfg.objectives, args.timeout, cfg.noise_scale, cfg.noise_seed
     )
-    evaluator, specs = _build_evaluator(run, space, declared)
-    predictor = cfg.get("predictor") or {}
-    if not isinstance(predictor, dict):
-        raise ConfigError(
-            f"{args.config}: predictor must be an object, got {predictor!r}"
-        )
-    run["predictor"] = _predictor_doc(args, predictor)
-    if args.warm_start:
-        run["warm_start"] = _warm_start_from(args.warm_start, space).tolist()
-    tactic_cfg = config_from_doc(
-        FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig,
-        run,
-        where=where,
-    )
-    check_objectives(tactic_cfg, specs)
+    if args.warm_start_log:
+        cfg = replace(cfg, warm_start=_warm_start_from(args.warm_start_log, space))
+    try:  # a config's warm start of another genome length
+        repaired_ranks(cfg.warm_start or (), space)
+    except InvalidGenotype as exc:
+        raise ConfigError(f"{args.config}: warm_start: {exc}") from exc
+    cfg = replace(cfg, space=cfg.space or space.name, space_doc=space_to_dict(space))
+    check_objectives(cfg, specs)
     run_search = full_search if args.tactic == "full" else concurrent_search
-    outdir = _resolve_out_dir(args.out, args.tactic, tactic_cfg.seed)
-    extra = {
-        "space": run.get("space", space.name),
-        "space_doc": space_to_dict(space),
-        **{k: run[k] for k in ("evaluator", "noise_scale", "noise_seed")},
-    }
+    outdir = _resolve_out_dir(args.out, args.tactic, cfg.seed)
     t0 = time.perf_counter()
     # every check above precedes the run directory; the log streams into it
     # from the first batch, replacing the log of a run already there
     outdir.mkdir(parents=True, exist_ok=True)
     store = ResultStore(specs, space=space, path=outdir / "evals.jsonl")
     try:
-        report = run_search(
-            space, specs, evaluator, tactic_cfg, store=store, config_extra=extra
-        )
+        report = run_search(space, specs, evaluator, cfg, store=store)
         report.export(outdir)
     finally:
         store.close()
@@ -285,6 +250,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_popdb(args) -> int:
+    check_rules(  # before the log load and the O(n^2) clustering
+        args,
+        ("threshold", 0 <= args.threshold <= 1, "in [0, 1]"),
+        ("min_cluster_size", args.min_cluster_size >= 2, ">= 2"),
+        ("min_samples", args.min_samples >= 1, ">= 1"),
+        ("max_points", args.max_points >= 1, ">= 1"),
+        ("seed", args.seed >= 0, ">= 0"),
+    )
     history_path = Path(args.history)
     if not history_path.exists():
         raise ConfigError(f"history file not found: {history_path}")
@@ -354,7 +327,9 @@ def _parse_sizes(text: str) -> list[int]:
 def _cmd_predict_bench(args) -> int:
     space = resolve_space(args.space)
     declared = tuple(_parse_objective(o) for o in args.objective_spec or [])
-    evaluator, specs = _build_evaluator(vars(args), space, declared)
+    evaluator, specs = _build_evaluator(
+        args.evaluator, space, declared, args.timeout, args.noise_scale, args.noise_seed
+    )
     if args.objective not in {s.name for s in specs}:
         raise ConfigError(
             f"objective {args.objective!r} not provided by evaluator "
@@ -365,7 +340,7 @@ def _cmd_predict_bench(args) -> int:
         raise ConfigError(f"--test-size must be >= 2, got {args.test_size}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    pcfg = PredictorConfig(**_predictor_doc(args, {}))
+    pcfg = PredictorConfig(**_given(args, ("family", "encoding", "ridge_lambda")))
     needed = args.test_size + max(sizes)
     pool = sample_unique(space, needed, args.seed, "bench-pool")
     if len(pool) < needed:
@@ -426,18 +401,9 @@ def _cmd_analyze(args) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"not a report directory: {run_dir}")
-    config_path = _require_artifact(run_dir, "config.json")
+    cfg = _load_config(_require_artifact(run_dir, "config.json"))
     evals_path = _require_artifact(run_dir, "evals.jsonl")
-    cfg = _load_config(config_path)
-    reference = cfg.get("hv_reference")
-    if reference is not None and (
-        not isinstance(reference, list)
-        or len(reference) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in reference)
-    ):
-        raise ConfigError(
-            f"{config_path}: hv_reference must be two numbers or null, got {reference!r}"
-        )
+    trace_path = _require_artifact(run_dir, "hv_trace.csv")
     store = ResultStore.load(evals_path)
     recs = [r for r in store.records if r.ok and r.source == SOURCE_VALIDATION]
     if not recs:
@@ -465,12 +431,6 @@ def _cmd_analyze(args) -> int:
     by_gen: dict[int, list] = {}
     for r in recs:
         by_gen.setdefault(r.gen if r.gen is not None else 0, []).append(r)
-    if len(specs) == 2:
-        if reference is None:
-            first = by_gen[min(by_gen)]
-            reference = default_reference([r.objectives_raw.canonical_min for r in first])
-        trace = hypervolume_trace(store, tuple(reference))
-        hv_trace_to_csv(trace, outdir / "hv_vs_evals.csv")
 
     pop_dir = outdir / "populations"
     pop_dir.mkdir(exist_ok=True)
@@ -496,8 +456,13 @@ def _cmd_analyze(args) -> int:
             f"{s.name}: min={min(col):.6g} mean={statistics.fmean(col):.6g} "
             f"max={max(col):.6g} ({s.direction})"
         )
-    if len(specs) == 2:
-        lines.append(f"final hypervolume: {trace[-1][1]:.6g}")
+    trace = trace_path.read_text("utf-8").splitlines()  # a header, then count,hv rows
+    if len(trace) > 1:
+        try:
+            hv = float(trace[-1].split(",")[1])
+        except (IndexError, ValueError):
+            raise ConfigError(f"{trace_path}:{len(trace)}: not count,hypervolume") from None
+        lines.append(f"final hypervolume: {hv:.6g}")
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     print(f"analysis written to {outdir}")
@@ -545,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Run flags default to None and their dests are config.json keys, so a
-    # flag given with --config overrides the config's value.
+    # flag given with --config overrides the config's value; the front of
+    # the --warm-start log replaces the config's warm_start.
     def add_run_options(p, concurrent: bool):
         p.add_argument("--space", help="space preset name or JSON file")
         p.add_argument("--evaluator", help="synthetic:<preset> | table:<path> | external:<cmd>")
@@ -555,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help=f"artifacts directory (or ${OUTPUT_DIR_ENV})")
         p.add_argument("--config", help="replay a persisted config.json")
-        p.add_argument("--warm-start", help="evals.jsonl whose front seeds the search")
+        p.add_argument("--warm-start", dest="warm_start_log",
+                       help="evals.jsonl whose front seeds the search")
         p.add_argument("--predictor", dest="family", choices=["ridge", "svr", "none"])
         p.add_argument("--predictor-for", action="append",
                        help="objective:family per-objective override")
@@ -611,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="name:direction[:unit] for external evaluators")
     p_bench.add_argument("--predictor", dest="family", choices=["ridge", "svr"],
                          default="ridge")
-    p_bench.add_argument("--predictor-for", action="append", help=argparse.SUPPRESS)
     p_bench.add_argument("--encoding", choices=["one_hot", "ordinal_normalized"],
                          default=None)
     p_bench.add_argument("--ridge-lambda", type=float, default=None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 import types
 import typing
@@ -61,7 +62,7 @@ from .space import (
     sample_unique,
     uniform_ranks,
 )
-from .util import subseed
+from .util import SEED_RANGE, check_rules, subseed
 
 PREDICTOR_FAMILIES = ("ridge", "svr", "none")
 
@@ -80,20 +81,24 @@ class PredictorConfig:
     def __post_init__(self):
         """Raise ConfigError on a setting no fit could use, so that a run
         fails before its first evaluation."""
+        if not isinstance(self.families, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in self.families.items()
+        ):
+            raise ConfigError(f"families must be an object of strings, got {self.families!r}")
         for fam in [self.family, *self.families.values()]:
             if fam not in PREDICTOR_FAMILIES:
                 raise ConfigError(f"unknown predictor family {fam!r}")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"unknown encoding {self.encoding!r}; available: {ENCODINGS}")
         KernelSpec(self.svr_kernel)  # raises on an unknown kernel
-        for name, ok, rule in (
-            ("ridge_lambda", self.ridge_lambda >= 0, ">= 0"),
-            ("svr_c", self.svr_c > 0, "> 0"),
-            ("svr_epsilon", self.svr_epsilon >= 0, ">= 0"),
-            ("svr_gamma", self.svr_gamma is None or self.svr_gamma > 0, "null or > 0"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_rules(
+            self,
+            ("ridge_lambda", 0 <= self.ridge_lambda < math.inf, "finite and >= 0"),
+            ("svr_c", 0 < self.svr_c < math.inf, "finite and > 0"),
+            ("svr_epsilon", 0 <= self.svr_epsilon < math.inf, "finite and >= 0"),
+            ("svr_gamma", self.svr_gamma is None or 0 < self.svr_gamma < math.inf,
+             "null or finite and > 0"),
+        )
 
     def family_for(self, objective: str) -> str:
         return self.families.get(objective, self.family)
@@ -101,7 +106,8 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The settings both tactics share; a subclass picks the tactic."""
+    """The settings both tactics share; a subclass picks the tactic. The last
+    six fields rebuild the run's space and evaluator; `search` reads none."""
 
     population_size: int = 50
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
@@ -109,6 +115,22 @@ class SearchConfig:
     seed: int = 0
     crossover_rate: float = 0.9
     mutation_rate: float | None = None
+    space: str | None = None  # a preset name or a space file
+    space_doc: dict | None = None  # the space document, which replay prefers
+    evaluator: str | None = None
+    noise_scale: float = 0.0
+    noise_seed: int = 0
+    objectives: tuple[ObjectiveSpec, ...] = ()
+
+    def __post_init__(self):
+        """Raise ConfigError on a setting no search could use, so that a run
+        fails before its first evaluation."""
+        check_rules(
+            self,
+            ("seed", self.seed in SEED_RANGE, "in [-2**127, 2**127)"),
+            ("noise_seed", self.noise_seed in SEED_RANGE, "in [-2**127, 2**127)"),
+            ("noise_scale", 0 <= self.noise_scale < math.inf, "finite and >= 0"),
+        )
 
     def evolver(self, generations: int, seed: int) -> EvolverConfig:
         """The EvolverConfig of a search under this config; raises
@@ -129,9 +151,9 @@ class FullSearchConfig(SearchConfig):
     n_train: int = 500  # up-front validation sample; unused with family "none"
 
     def __post_init__(self):
+        super().__post_init__()
         self.evolver(self.generations, self.seed)
-        if self.predictor.family != "none" and self.n_train < 1:
-            raise ConfigError("n_train must be >= 1")
+        check_rules(self, ("n_train", self.predictor.family == "none" or self.n_train >= 1, ">= 1"))
 
 
 @dataclass(frozen=True)
@@ -141,11 +163,10 @@ class ConcurrentNasConfig(SearchConfig):
     inner_generations: int = 250  # keep well above 200 so the inner search saturates
 
     def __post_init__(self):
+        super().__post_init__()
         self.evolver(self.inner_generations, self.seed)
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.inner_generations < 1:
-            raise ConfigError("inner_generations must be >= 1")
+        check_rules(self, ("iterations", self.iterations >= 1, ">= 1"),
+                    ("inner_generations", self.inner_generations >= 1, ">= 1"))
 
 
 def check_objectives(cfg: SearchConfig, specs) -> None:
@@ -162,12 +183,10 @@ def check_objectives(cfg: SearchConfig, specs) -> None:
             )
 
 
-def config_to_doc(
-    cfg: SearchConfig, specs, reference, evaluator, extra: dict | None = None
-) -> dict:
-    """The run's config.json document: the tactic, every field of its
-    config, the run's objectives, HV reference and evaluator id, then
-    `extra` (facts the caller needs to rebuild the run)."""
+def config_to_doc(cfg: SearchConfig, specs, reference, evaluator) -> dict:
+    """The run's config.json document: every field of its config, then the
+    run's facts: the tactic, the objectives (the evaluator's, in place of
+    the declared ones), the HV reference and the evaluator id."""
     doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     doc.update(
         tactic=cfg.tactic,
@@ -177,7 +196,6 @@ def config_to_doc(
         hv_reference=list(reference) if reference else None,
         evaluator_id=evaluator.evaluator_id,
     )
-    doc.update(extra or {})
     return doc
 
 
@@ -189,55 +207,55 @@ _JSON_KINDS = {float: (int, float), tuple: list, PredictorConfig: dict}
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value can fill a field annotated `hint`."""
+    """Whether a JSON value can fill a field annotated `hint`; true and false
+    fill only a bool field."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_fits(value, h) for h in typing.get_args(hint))
     kind = typing.get_origin(hint) or hint
+    if isinstance(value, bool) != (kind is bool):
+        return False
     return isinstance(value, _JSON_KINDS.get(kind, kind))
 
 
-def _fields_from(cls, doc, where: str) -> dict:
+def _fields_from(cls, doc) -> dict:
     """The non-null fields of `cls` in `doc`; a value whose JSON type does not
-    fit its field is a ConfigError naming `where`."""
+    fit its field is a ConfigError."""
     hints = typing.get_type_hints(cls)
     kw = {f.name: doc[f.name] for f in fields(cls) if doc.get(f.name) is not None}
     for name, value in kw.items():
         if not _fits(value, hint := hints[name]):
-            raise ConfigError(
-                f"{where}: {name} must be {getattr(hint, '__name__', hint)}, "
-                f"got {value!r}"
-            )
+            raise ConfigError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
     return kw
 
 
 def config_from_doc(cls, doc: dict, where: str = "config"):
     """Rebuild a tactic config (FullSearchConfig or ConcurrentNasConfig) from
     a config.json document. Keys that are not fields are ignored; a missing
-    or null key takes the field's default; a value of the wrong JSON type,
-    or a removed feature that the document turns on, is a ConfigError
-    naming `where`."""
-    for key in REMOVED_KEYS:
-        if doc.get(key) not in (None, []):
-            raise ConfigError(
-                f"{where}: {key} is no longer supported (got {doc[key]!r}); "
-                "remove the key to replay"
-            )
-    kw = _fields_from(cls, doc, where)
-    if "predictor" in kw:
-        kw["predictor"] = PredictorConfig(
-            **_fields_from(PredictorConfig, kw["predictor"], where)
-        )
-    if "warm_start" in kw:
-        if not all(
-            isinstance(g, (list, tuple)) and all(isinstance(v, int) for v in g)
-            for g in kw["warm_start"]
-        ):
-            raise ConfigError(
-                f"{where}: warm_start must be a list of gene lists, "
-                f"got {kw['warm_start']!r}"
-            )
-        kw["warm_start"] = tuple(Genotype(tuple(g)) for g in kw["warm_start"])
-    return cls(**kw)
+    or null key takes the field's default; a value of the wrong JSON type or
+    out of its field's range, or a removed feature that the document turns
+    on, is a ConfigError naming `where`."""
+    try:
+        for key in REMOVED_KEYS:
+            if doc.get(key) not in (None, []):
+                raise ConfigError(
+                    f"{key} is no longer supported (got {doc[key]!r}); remove the key to replay"
+                )
+        kw = _fields_from(cls, doc)
+        if "predictor" in kw:
+            kw["predictor"] = PredictorConfig(**_fields_from(PredictorConfig, kw["predictor"]))
+        if "warm_start" in kw:
+            rows = kw["warm_start"]
+            if not all(isinstance(g, list) and all(_fits(v, int) for v in g) for g in rows):
+                raise ConfigError(f"warm_start must be a list of gene lists, got {rows!r}")
+            kw["warm_start"] = tuple(Genotype(tuple(g)) for g in rows)
+        if "objectives" in kw:
+            try:
+                kw["objectives"] = tuple(ObjectiveSpec(**o) for o in kw["objectives"])
+            except TypeError as exc:  # not an object, or a key missing or unknown
+                raise ConfigError(f"objectives: {exc}") from exc
+        return cls(**kw)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -414,12 +432,13 @@ def search(
     evaluator,
     cfg: SearchConfig,
     store: ResultStore | None = None,
-    config_extra: dict | None = None,
 ) -> SearchReport:
     """Run the tactic of `cfg` (see the module docstring): per iteration,
     validate a batch, fit the predictors on every validation so far and
     search against them; between iterations, the best not-yet-validated
-    configurations of the inner search become the next batch."""
+    configurations of the inner search become the next batch. It writes the
+    space, evaluator, noise and declared objectives of `cfg` to the report's
+    config but reads none of them: the arguments are the run's own."""
     specs = tuple(objectives)
     check_objectives(cfg, specs)
     if store is None:
@@ -518,6 +537,6 @@ def search(
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,
-        config=config_to_doc(cfg, specs, reference, evaluator, config_extra),
+        config=config_to_doc(cfg, specs, reference, evaluator),
         warnings=warn_list,
     )

@@ -1,4 +1,4 @@
-"""Seed derivation, stable hashing and JSON input helpers.
+"""Seed derivation, stable hashing, JSON input and setting-check helpers.
 
 All randomness in a run flows from a single seed through named sub-seeds so
 that independent phases (sampling, evolution, noise) stay decoupled and
@@ -13,6 +13,18 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import ConfigError
+
+
+# the seeds `stable_hash64` can take: it packs an int into 16 signed bytes
+SEED_RANGE = range(-(2**127), 2**127)
+
+
+def check_rules(obj, *rules) -> None:
+    """Raise a ConfigError for the first (attribute, holds, rule) of `rules`
+    that does not hold, naming the attribute of `obj` and its value."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
 
 
 def stable_hash64(*parts: bytes | str | int) -> int:

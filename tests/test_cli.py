@@ -154,6 +154,78 @@ def test_space_flag_overrides_config_space(tmp_path, toy_space_file, tiny_space)
     assert {len(r.genotype.genes) for r in recs} == {tiny_space.genome_length}
 
 
+# sha256 of the config.json and evals.jsonl of each run, recorded while cli
+# still added the space, evaluator, noise and declared objectives to the
+# tactic's fields itself; every file is named relative to the run's working
+# directory, so no digest holds an absolute path
+CONFIG_SHA256 = {
+    "concurrent-noise": (
+        "e3be4193ca7dbf11710a9e8ead3ebe1189e3a2dcb9decf198dc0422364d1b083",
+        "adb19f1409f53c25ca13c6db9f9ec37292ff29d35ebfd2822c9013f7bcd0ff6b",
+    ),
+    "concurrent-table": (
+        "e90fbd67dcabaf337b1965d0775298e5d4370b1e8a2497c5b2f85bc075318254",
+        "a2dc7977747df4d165c63e25644740ea5bc0e7c7b56d18226a8fd41b2ec51ed5",
+    ),
+    "concurrent-warm-start": (
+        "771081fa649fe590e3394eadecff3327f61bfcf34f69338a04255252ae7ce397",
+        "d6fea4a661a55a2662e6aed9dfa83964ae739c18e20a0fb65a66b151be70b70c",
+    ),
+    "concurrent-other-space": (
+        "ac808769fe50388ad77732f6eda8d969ecf4120bc2e61d5bf467bb9be3318aee",
+        "7c1fa1c1cdb1d2ea9d00bcfbc98d787fe689b3164c95bc765508c3aea42be980",
+    ),
+    "full-noise": (
+        "6dbf137eaaad328f7b83b8662ef1f3543008653b4932ec87b01b3dbb9852d898",
+        "bede8037401fc9f6659565ca41d2209132ae70df0a97afc929abbb4126673c6d",
+    ),
+    "full-table": (
+        "075a45b2328398b56cc97ea4dec6f0d1045dddc9378cdfa7c45bb6ab9761afbc",
+        "ea54d61cb68d523b6bc3827f64a141218525891b29fcb89c096cf5060919ef78",
+    ),
+    "full-warm-start": (
+        "9b646d1a342c7ec71251f9b77b27ae19b00271593a7a8f3113994bfbe31af31f",
+        "79f862c9b00cf9fcef89d251a9801b303b878730ad5e07768adc19c7d204f71c",
+    ),
+    "full-other-space": (
+        "8f68fbf0c4d8aa4ee6301e7553ec9468d8b31efcf7bd50be53814043104a0d10",
+        "caea7b020d306ab58656ec5d117bc7a778e7ac83c5a5ed63b0d42275b403e725",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_SHA256))
+def test_persisted_config_and_log_are_pinned(tmp_path, toy_space, tiny_space,
+                                             toy_table_file, monkeypatch, name):
+    """The runs of `test_rerun_from_persisted_config` whose command holds no
+    interpreter path, plus a replay onto another space file: each run and
+    its replay from config.json write the pinned bytes."""
+    tactic, _, mode = name.partition("-")
+    monkeypatch.chdir(tmp_path)
+    save_space(toy_space, "toy_space.json")
+    run_args = ["--space", "toy_space.json", "--evaluator", "synthetic:clx-like"]
+    if mode == "noise":
+        run_args += ["--noise-scale", "0.05", "--noise-seed", "3"]
+    elif mode == "table":
+        shutil.copyfile(toy_table_file, "toy_table.json")
+        run_args[3] = "table:toy_table.json"
+    elif mode == "warm-start":
+        write_toy_history(tmp_path / "history.jsonl", toy_space)
+        run_args += ["--warm-start", "history.jsonl"]
+    assert run_cli("search", tactic, *run_args, *RUN_SIZES[tactic], "--seed", "11",
+                   "--out", "first") == 0
+    replay = ["--config", "first/config.json"]
+    if mode == "other-space":
+        save_space(tiny_space, "tiny_space.json")
+        replay += ["--space", "tiny_space.json"]
+    assert run_cli("search", tactic, *replay, "--out", "second") == 0
+    runs = ("second",) if mode == "other-space" else ("first", "second")
+    for run in runs:
+        got = tuple(hashlib.sha256(Path(run, f).read_bytes()).hexdigest()
+                    for f in ("config.json", "evals.jsonl"))
+        assert got == CONFIG_SHA256[name], run
+
+
 @pytest.mark.parametrize(
     "tactic, flag", [("concurrent", "--pop"), ("concurrent", "--iters"), ("full", "--pop")]
 )
@@ -183,16 +255,42 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
     ("concurrent", [], {"inner_population": 20}, "{config}: inner_population "),
     ("full", [*EXTERNAL_GENES_SUM[:2], "--objective", "top1:maximize",
               "--objective", "top1:minimize"], None, "objective names must be unique"),
-    ("concurrent", ["--ridge-lambda", "-1"], None, "ridge_lambda must be >= 0, got -1.0"),
-    ("concurrent", [], {"predictor": {"svr_c": -1}}, "svr_c must be > 0, got -1"),
-    ("concurrent", [], {"predictor": {"svr_epsilon": -0.5}}, "svr_epsilon must be >= 0"),
-    ("concurrent", [], {"predictor": {"svr_kernel": "poly"}}, "unknown kernel 'poly'"),
-    ("concurrent", [], {"predictor": {"svr_gamma": -2}}, "svr_gamma must be null or > 0"),
-    ("concurrent", [], {"predictor": {"encoding": "binary"}}, "unknown encoding 'binary'"),
-    ("full", [*EXTERNAL_GENES_SUM, "--timeout", "-1"], None, "--timeout must be > 0"),
+    ("concurrent", ["--ridge-lambda", "-1"], None,
+     "ridge_lambda must be finite and >= 0, got -1.0"),
+    ("concurrent", ["--ridge-lambda", "inf"], None,
+     "ridge_lambda must be finite and >= 0, got inf"),
+    ("concurrent", [], {"predictor": {"svr_c": -1}},
+     "{config}: svr_c must be finite and > 0, got -1"),
+    ("concurrent", [], {"predictor": {"svr_epsilon": -0.5}},
+     "{config}: svr_epsilon must be finite and >= 0"),
+    ("concurrent", [], {"predictor": {"svr_kernel": "poly"}},
+     "{config}: unknown kernel 'poly'"),
+    ("concurrent", [], {"predictor": {"svr_gamma": -2}},
+     "{config}: svr_gamma must be null or finite and > 0"),
+    ("concurrent", [], {"predictor": {"encoding": "binary"}},
+     "{config}: unknown encoding 'binary'"),
+    ("concurrent", [], {"predictor": {"families": [1]}},
+     "{config}: families must be dict, got [1]"),
+    ("full", [*EXTERNAL_GENES_SUM, "--timeout", "-1"], None,
+     "--timeout must be finite and > 0, got -1.0"),
+    ("full", [*EXTERNAL_GENES_SUM, "--timeout", "inf"], None,
+     "--timeout must be finite and > 0, got inf"),
+    ("concurrent", ["--noise-scale", "inf"], None,
+     "noise_scale must be finite and >= 0, got inf"),
+    ("concurrent", ["--noise-scale", "nan"], None,
+     "noise_scale must be finite and >= 0, got nan"),
+    ("full", ["--noise-scale", "-1"], None, "noise_scale must be finite and >= 0, got -1.0"),
+    ("full", ["--seed", str(10**39)], None,
+     f"seed must be in [-2**127, 2**127), got {10**39}"),
+    ("concurrent", ["--noise-seed", str(10**39)], None,
+     f"noise_seed must be in [-2**127, 2**127), got {10**39}"),
+    ("full", [], {"warm_start": [[1, 3]]},
+     "{config}: warm_start: cannot repair genotype of length 2 for genome length 10"),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
-        "inner-population", "duplicate-objective", "ridge-lambda", "svr-c", "svr-epsilon",
-        "svr-kernel", "svr-gamma", "encoding", "timeout"])
+        "inner-population", "duplicate-objective", "ridge-lambda", "ridge-lambda-inf", "svr-c",
+        "svr-epsilon", "svr-kernel", "svr-gamma", "encoding", "families", "timeout",
+        "timeout-inf", "noise-scale-inf", "noise-scale-nan", "noise-scale-negative",
+        "seed-beyond-hash", "noise-seed-beyond-hash", "warm-start-length"])
 def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
                                                         tactic, flags, doc, message):
     # `doc`: a replayed config.json, which may turn on a removed feature
@@ -237,10 +335,13 @@ def test_config_with_the_removed_keys_unset_replays(tmp_path, toy_space_file):
     [[1, 2], {"population_size": "8"}, {"predictor": "ridge"},
      {"predictor": {"ridge_lambda": "x"}}, {"objectives": 5},
      {"objectives": [{"name": "top1"}]}, {"warm_start": [1, 2]},
-     {"evaluator": 5}],
+     {"evaluator": 5}, {"noise_scale": "abc"}, {"space": 5}, {"seed": True},
+     {"noise_seed": "x"}, {"warm_start": [[1, True, 3]]}],
     ids=["not-an-object", "mistyped-field", "mistyped-predictor",
          "mistyped-predictor-field", "mistyped-objectives",
-         "incomplete-objective", "mistyped-warm-start", "mistyped-evaluator"],
+         "incomplete-objective", "mistyped-warm-start", "mistyped-evaluator",
+         "mistyped-noise-scale", "mistyped-space", "bool-seed", "mistyped-noise-seed",
+         "bool-gene"],
 )
 def test_malformed_config_is_config_error(tmp_path, toy_space_file, capsys,
                                           tactic, doc):
@@ -661,6 +762,32 @@ def test_popdb_max_points_below_one_is_config_error(tmp_path, toy_space, toy_spa
     assert not (tmp_path / "doc.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threshold", "1.5", "threshold must be in [0, 1], got 1.5"),
+    ("--threshold", "nan", "threshold must be in [0, 1], got nan"),
+    ("--min-cluster-size", "1", "min_cluster_size must be >= 2, got 1"),
+    ("--min-samples", "0", "min_samples must be >= 1, got 0"),
+    ("--max-points", "0", "max_points must be >= 1, got 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+])
+def test_popdb_flags_are_checked_before_the_history_loads(tmp_path, toy_space_file,
+                                                          monkeypatch, capsys,
+                                                          flag, value, message):
+    from subnetsearch import cli
+
+    def load(*args, **kwargs):
+        raise AssertionError("the history was loaded")
+
+    monkeypatch.setattr(cli.ResultStore, "load", load)
+    code = run_cli(
+        "popdb", "--history", str(tmp_path / "evals.jsonl"), "--space", toy_space_file,
+        "--max-points", "5", flag, value, "--out", str(tmp_path / "doc.json"),
+    )
+    assert code == 2
+    assert f"config error: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "doc.json").exists()
+
+
 def write_toy_history(path, toy_space, n=60):
     from subnetsearch.evalmgr import ResultStore
     from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
@@ -765,7 +892,6 @@ def test_analyze_outputs(tmp_path, toy_space_file):
     assert before == after  # original artifacts untouched
     analysis = run_dir / "analysis"
     assert (analysis / "normalized_front.csv").exists()
-    assert (analysis / "hv_vs_evals.csv").exists()
     assert (analysis / "summary.txt").exists()
     assert list((analysis / "populations").glob("gen_*.csv"))
 
@@ -783,19 +909,11 @@ def test_analyze_outputs(tmp_path, toy_space_file):
             (raw - l_min) / l_max
         )
 
-    # HV trace export matches the driver's own trace
-    with open(run_dir / "hv_trace.csv", newline="") as fh:
-        driver_rows = list(csv.reader(fh))[1:]
-    with open(analysis / "hv_vs_evals.csv", newline="") as fh:
-        analyze_rows = list(csv.reader(fh))[1:]
-    assert driver_rows == analyze_rows
-
 
 # sha256 of every file `analyze` writes, per run, recorded while `analyze`
 # still read its rows from records
 ANALYZE_SHA256 = {
     "concurrent": {
-        "hv_vs_evals.csv": "a707b1c7b31d20bdd710c5d6f748aab5d2dbd9c05fb62da166a2825c46a7d86f",
         "normalized_front.csv": "9f3b23bf13db9d8dc7d8dc2daee49832f1f1af2c1da31d09040351694003a83e",
         "populations/gen_0000.csv": "ba1d8e4cc652381f217ec8150628503cc4eda252ae7f629d867e4533c74a7f34",
         "populations/gen_0001.csv": "8c95f42881521f1bf6f1f8b0d04d1211a9f6df5bfe8efc16e03b50d64e157704",
@@ -803,7 +921,6 @@ ANALYZE_SHA256 = {
         "summary.txt": "6bf3380edcce9f7fffe118040246c1e070a82565c24617b737ae2905108ce42d",
     },
     "full-none": {
-        "hv_vs_evals.csv": "d84271e844b93f7a9c3511a550a1b1ce38472ca176bacf8c58e6f67507eeb4dd",
         "normalized_front.csv": "16f34241d182a325af499d17dc2a9df4032d5e059ba8e2d99bf54e609b2d8eb5",
         "populations/gen_0000.csv": "656e7fd10fc436dcf8ea4df2d1a733c40290195ef63fdbcaf06c78aee189c8b6",
         "populations/gen_0001.csv": "6f475366c5ea58df051f73214bbd7990f8984abd881a7c1879d762101d8c1301",
@@ -861,12 +978,11 @@ TORN = '{"objectives": [\n  {"name": "top1",'
           "--out", "{out}"], TORN),
         (["analyze", "{run}"], TORN),
         (["analyze", "{run}"], "[1, 2]"),
-        (["analyze", "{run}"], '{"hv_reference": [1]}'),
         (["search", "concurrent", "--space", "{doc}",
           "--evaluator", "synthetic:clx-like", "--out", "{out}"], b"\xff\xfe{}"),
     ],
     ids=["torn-space", "torn-space-info", "torn-table", "torn-run-config",
-         "run-config-not-an-object", "one-number-hv-reference", "space-not-utf8"],
+         "run-config-not-an-object", "space-not-utf8"],
 )
 def test_malformed_input_document_is_config_error(tmp_path, toy_space_file, capsys,
                                                   argv, content):

@@ -409,9 +409,9 @@ def test_report_export_artifacts(tmp_path, toy_setup):
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
         ConcurrentNasConfig(
-            population_size=10, iterations=2, inner_generations=10, seed=12
+            population_size=10, iterations=2, inner_generations=10, seed=12,
+            space="toy", evaluator="synthetic:clx-like",
         ),
-        config_extra={"space": "toy", "evaluator": "synthetic:clx-like"},
     )
     out = report.export(tmp_path / "run")
     for name in ("front.csv", "hv_trace.csv", "evals.jsonl", "config.json"):
@@ -419,6 +419,7 @@ def test_report_export_artifacts(tmp_path, toy_setup):
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["tactic"] == "concurrent"
     assert cfg["hv_reference"] is not None
+    assert (cfg["space"], cfg["evaluator"]) == ("toy", "synthetic:clx-like")
     # evals.jsonl replays into the same number of validation records
     replayed = ResultStore.load(out / "evals.jsonl", space=space)
     assert len(validation_records(replayed)) == report.validation_count
