@@ -77,7 +77,7 @@ from .space import (
     space_from_dict,
     space_to_dict,
 )
-from .util import check_rules, read_json
+from .util import SEED_RANGE, check_rules, read_json
 
 OUTPUT_DIR_ENV = "SUBNETSEARCH_OUTPUT_DIR"
 
@@ -210,7 +210,10 @@ def _cmd_search(args) -> int:
         families[name] = fam
     cfg = replace(cfg, **flags, predictor=replace(cfg.predictor, **predictor, families=families))
     if cfg.space_doc and not args.space:
-        space = space_from_dict(cfg.space_doc)
+        try:
+            space = space_from_dict(cfg.space_doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: space_doc: {exc}") from exc
     elif cfg.space:
         space = resolve_space(cfg.space)
     else:
@@ -325,6 +328,14 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_predict_bench(args) -> int:
+    check_rules(  # before any evaluation
+        args,
+        ("--test-size", args.test_size >= 2, ">= 2"),
+        ("--trials", args.trials >= 1, ">= 1"),
+        ("--seed", args.seed in SEED_RANGE, "in [-2**127, 2**127)"),
+        ("--noise-seed", args.noise_seed in SEED_RANGE, "in [-2**127, 2**127)"),
+        ("--noise-scale", 0 <= args.noise_scale < math.inf, "finite and >= 0"),
+    )
     space = resolve_space(args.space)
     declared = tuple(_parse_objective(o) for o in args.objective_spec or [])
     evaluator, specs = _build_evaluator(
@@ -336,10 +347,6 @@ def _cmd_predict_bench(args) -> int:
             f"({[s.name for s in specs]})"
         )
     sizes = _parse_sizes(args.train_sizes)
-    if args.test_size < 2:
-        raise ConfigError(f"--test-size must be >= 2, got {args.test_size}")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     pcfg = PredictorConfig(**_given(args, ("family", "encoding", "ridge_lambda")))
     needed = args.test_size + max(sizes)
     pool = sample_unique(space, needed, args.seed, "bench-pool")

@@ -10,37 +10,29 @@ mutual-reachability distances from k-nearest core distances, a Prim minimum
 spanning tree, condensation of the single-linkage hierarchy at
 min_cluster_size, and excess-of-mass cluster selection (the root is never
 selected). Euclidean metric throughout. Time is O(n^2). Working memory is
-O(n) plus one row-chunk buffer of 2**21 entries for the core distances and,
-for Prim, one shrinking transposed copy of the open points and up to 128 rows
-of distances to them. Prim stops updating a point once its best edge equals
-its own core distance, since no mutual-reachability distance to it can be
-smaller, and merges such settled points into a list sorted in descending
-(best, index) order, whose tail is the next settled point to join the tree.
-After the kernels, a union-find merges the sorted edges; pointer doubling
-over the dendrogram's arrays then finds each point's condensed cluster, and
-only the excess-of-mass selection walks the condensed clusters one by one.
+O(n) plus one row-chunk buffer of _CORE_BUFFER entries for the core distances
+and, for Prim, one shrinking transposed copy of the open points and up to
+_COMPACT_EVERY rows of distances to them. Prim stops updating a point once
+its best edge equals its own core distance, since no mutual-reachability
+distance to it can be smaller, and merges such settled points into a list
+sorted in descending (best, index) order, whose tail is the next settled
+point to join the tree. After the kernels, a union-find merges the sorted
+edges; pointer doubling over the dendrogram's arrays then finds each point's
+condensed cluster, and only the excess-of-mass selection walks the condensed
+clusters one by one.
 
-Both O(n^2) kernels work on squared distances: mutual reachability is
-compared as max(d^2, core_i^2, core_j^2), and only an emitted edge weight
-takes a square root. A correctly rounded square root is monotone, so that
-weight equals max(d, core_i, core_j) of a square-root-domain kernel bit for
-bit. The distances come from row-chunk and point-subset matrix products, in a
-dtype chosen once per call; the core-distance product is fused, giving
-sq_i + sq_j - 2 x_i . x_j itself, and its k-th smallest entry is selected by
-integer bit order. Where every squared distance, norm and gram partial sum
-is an exact float32 (a small dyadic grid: ordinal features of parameters
-with two or three values, as in every preset but transformer-like) the
-kernels run in float32. There neither chunking nor the BLAS summation order
-can change the result, which equals a dense float64 evaluation bit for bit
-and is never negative, and the buffer (8 MB) and the Prim copy take half the
-memory. Otherwise (transformer-like, whose six-value depths fall on steps of
-1/5, or objectives included) they run in float64, where a product can round
-below zero and is clamped at zero, and it may differ in the last bit from a
-dense evaluation: a weight may move by one ulp and an exact tie may break
-the other way. Ties between squared values are not always ties
-between their square roots, so there an exact tie may also resolve
-differently from a square-root-domain kernel, with the same multiset of
-weights up to that last bit.
+Both O(n^2) kernels work on squared distances, from row-chunk and
+point-subset matrix products: mutual reachability is compared as
+max(d^2, core_i^2, core_j^2), and only an emitted edge weight takes a square
+root, which is monotone. They run on `_grid`'s integer points, on which every
+partial sum is an exact integer in the dtype it picks: float32, in half the
+memory, for the ordinal features of every preset but transformer-like, else
+float64. So no
+chunking or BLAS summation order can change a result, and the grid's one
+power-of-two scale changes no label. Dyadic features (parameters with two,
+three or five values) lie on the grid exactly; other coordinates
+(transformer-like's six-value depths, objectives) are rounded to it, by at
+most 2^-22 of the largest column range for up to 64 features.
 """
 
 from __future__ import annotations
@@ -68,27 +60,34 @@ class ClusterLabeling:
         return len(set(self.labels) - {-1})
 
 
-def _kernel_dtype(X: np.ndarray):
-    """float32 when the points lie on a dyadic grid on which every squared
-    distance, norm and gram partial sum is an exact float32, else float64.
+# entries of the core-distance buffer; steps between Prim's compactions
+_CORE_BUFFER = 2**21
+_COMPACT_EVERY = 128
 
-    With Y = X * 2^s integral and |Y| <= m, every such quantity is an integer
-    of magnitude at most 4 * d * m^2 times 2^(-2s); below 2^24 it is exact in
-    float32 whatever the order of summation. Integrality at some s implies it
-    at every larger s, so only the largest s that keeps the bound is tested.
+
+def _grid(X: np.ndarray) -> np.ndarray:
+    """The points on an integer grid on which both kernels are exact: each
+    column translated by its minimum, all scaled by one power of two and
+    rounded to integers y with 4 * d * max(y)^2 < 2^53, then divided by the
+    largest power of two that divides them all; in float32 where
+    4 * d * max(y)^2 < 2^24, else float64. Every squared distance, norm and
+    gram partial sum, in any order, is then an integer of magnitude at most
+    4 * d * max(y)^2, exact in that dtype.
     """
     d = X.shape[1]
-    top = max(float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
-    if top == 0.0:
-        return np.float32
-    # top * 2^s < 2^(11 - ceil(log2(d) / 2)), so 4 * d * (top * 2^s)^2 < 2^24
-    s = 11 - math.frexp(top)[1] - math.ceil(math.log2(d) / 2)
-    if not -60 <= s <= 60:  # keeps every nonzero quantity a normal float32
-        return np.float64
-    while 4 * d * math.ldexp(top, s + 1) ** 2 < 2**24:
-        s += 1
-    Y = np.ldexp(X, s)
-    return np.float32 if np.array_equal(Y, np.rint(Y)) else np.float64
+    Y = X - X.min(axis=0)
+    top = float(Y.max(initial=0.0))
+    if not math.isfinite(top):
+        raise ConfigError("a feature's range exceeds the float64 range")
+    if top > 0.0:
+        # top * 2^s < 2^e, and 4 * d * (2^e)^2 <= 2^52
+        e = 25 - math.ceil(math.log2(d) / 2)
+        np.rint(np.ldexp(Y, e - math.frexp(top)[1], out=Y), out=Y)
+    Y = Y.astype(np.int64)  # +0 for every zero, -0.0 included
+    low = int(np.bitwise_or.reduce(Y, axis=None))
+    Y >>= (low & -low).bit_length() - 1 if low else 0
+    top = int(Y.max(initial=0))
+    return Y.astype(np.float32 if 4 * d * top * top < 2**24 else np.float64)
 
 
 def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
@@ -97,23 +96,18 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
 
     Each row chunk [x_i, 1, sq_i] is multiplied by the augmented operand
     [-2 X^T; sq; 1], which gives d^2_ij = sq_i + sq_j - 2 x_i . x_j in one
-    product, into one preallocated buffer of 2**21 entries; multiplying an
-    operand by -2 is exact. BLAS packs the whole (d + 2) x n operand once per
-    product, so tall chunks pay: on a 10,000 x 45 history (209 rows a chunk,
-    2 vCPUs) the pass took 0.135 s against 0.19-0.20 s with 2**19 entries,
-    and 2**22 gained little more. The k-th smallest entry of each row is then
-    selected by partitioning the same buffer viewed as signed integers of
-    the same width: for IEEE floats that are non-negative and not -0.0, the
-    order of the bit patterns is the order of the values.
+    product, into one preallocated buffer of _CORE_BUFFER entries. BLAS
+    packs the whole (d + 2) x n operand once per product, so tall chunks
+    pay: on a 10,000 x 45 history (209 rows a chunk, 2 vCPUs) the pass took
+    0.135 s against 0.19-0.20 s with 2**19 entries, and 2**22 gained little
+    more. The k-th smallest entry of each row is then selected by
+    partitioning the same buffer viewed as signed integers of the same
+    width: for IEEE floats that are non-negative and not -0.0, the order of
+    the bit patterns is the order of the values.
 
-    On exact float32 grids every partial sum of the product, in any order,
-    is an integer times 2^(-2s) of magnitude at most d m^2 + d m^2 + 2 d m^2
-    (sq_i, sq_j and the gram terms), which the bound 4 * d * m^2 < 2^24 of
-    `_kernel_dtype` keeps exact; so each entry is d^2_ij bit for bit and
-    never negative. Nor is it -0.0: the terms sq_i and sq_j are +0.0 or
-    positive, and an exact cancellation rounds to +0.0. A float64 product
-    may round below zero, so there the buffer is clamped at zero before the
-    selection, and the changed order of the sums may move the last bit.
+    On `_grid`'s points each entry is d^2_ij exactly, so never negative.
+    Nor is it -0.0: the terms sq_i and sq_j are +0.0 or positive, and an
+    exact cancellation rounds to +0.0.
     """
     n = X.shape[0]
     k = min(min_samples, n)
@@ -121,17 +115,14 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
     ones = np.ones(n, dtype=X.dtype)
     rows = np.column_stack([X, ones, sq])
     operand = np.vstack([-2.0 * X.T, sq, ones])
-    exact = X.dtype == np.float32
     core = np.empty(n, dtype=X.dtype)
-    chunk = max(1, min(n, 2**21 // max(n, 1)))
+    chunk = max(1, min(n, _CORE_BUFFER // max(n, 1)))
     buf = np.empty((chunk, n), dtype=X.dtype)
-    bits = buf.view(np.int32 if exact else np.int64)
+    bits = buf.view(f"i{buf.itemsize}")
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         part = buf[: stop - start]
         np.matmul(rows[start:stop], operand, out=part)
-        if not exact:
-            np.maximum(part, 0.0, out=part)
         bits[: stop - start].partition(k - 1, axis=1)
         core[start:stop] = part[:, k - 1]
     return core
@@ -143,10 +134,9 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     as arrays (weights, parents, children), in the order the children join.
 
     The kernel compares squared mutual-reachability distances
-    max(d^2, core_i, core_j); `core` >= 0 makes the clamp of d^2 at zero
-    implicit. An edge's weight is the correctly rounded square root of that
-    value, which equals max(sqrt(d^2), sqrt(core_i), sqrt(core_j)) bit for bit,
-    since such a square root is monotone.
+    max(d^2, core_i, core_j). An edge's weight is the correctly rounded
+    square root of that value, which equals max(sqrt(d^2), sqrt(core_i),
+    sqrt(core_j)) bit for bit, since such a square root is monotone.
 
     Prim from point 0; the next point is the one with the lowest `best`,
     the lower index on a tie, and a point's parent changes only on a strict
@@ -159,9 +149,9 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     max(d^2, core_a) < best_a, those whose `best` also lies above the
     current point's core distance c improve, to max(d^2, core_a, c): the
     full-length test max(d^2, core_a, c) < best_a, with one pass fewer.
-    Every 128 steps the open points are compacted in order: tree members
-    leave, and settled points join the settled list, whose tail is the next
-    settled point. A settled point's `best` is its core distance, so the
+    Every _COMPACT_EVERY steps the open points are compacted in order: tree
+    members leave, and settled points join the settled list, whose tail is
+    the next settled point. A settled point's `best` is its core distance, so the
     list is an index array in descending (core, index) order, merged by one
     integer sort of the points' places in that order. Each step then takes
     the lower of that tail and the open points' argmin; tree members among
@@ -174,10 +164,9 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     steps take their rows from it. Compacting every 128 steps rather than 64
     halves the compactions and makes those products taller (BLAS packs the
     (d + 2) x m operand once per product): on a 10,000-point history and 2
-    vCPUs Prim took 0.14-0.19 s against 0.16-0.20 s. The next point is the lowest
-    (best, index) over both lists whenever the compaction runs, so the
-    interval leaves the tree unchanged; in float64 it may move which rows
-    come from a one-row product, and so a last bit.
+    vCPUs Prim took 0.14-0.19 s against 0.16-0.20 s. The next point is the
+    lowest (best, index) over both lists whenever the compaction runs, and
+    every product is exact, so the interval leaves the tree unchanged.
     """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
@@ -199,7 +188,7 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
     for step in range(n - 1):
         if popped:
             if ahead is None or top < lo:  # never a row from before the block
-                lo = max(0, top - 127 + step % 128)
+                lo = max(0, top - _COMPACT_EVERY + 1 + step % _COMPACT_EVERY)
                 ahead = steps[np.append(sidx[lo:top], current)] @ opened
             mr = ahead[top - lo]
         else:
@@ -224,7 +213,7 @@ def _mst_prim(X: np.ndarray, core: np.ndarray):
             besta[pos] = corea[pos] = np.inf
         weights.append(weight)
         joined.append(current)
-        if step % 128 == 127:  # tree members leave, settled points join the list
+        if step % _COMPACT_EVERY == _COMPACT_EVERY - 1:  # tree members leave, settled join
             done = besta == corea
             fresh = act[done & (besta != np.inf)]
             sidx = by_core[np.sort(rank[np.concatenate([sidx[:top], fresh])])[::-1]]
@@ -330,7 +319,7 @@ def hdbscan(points, min_cluster_size: int, min_samples: int) -> ClusterLabeling:
     if n < min_cluster_size:
         return ClusterLabeling(labels=(-1,) * n)
 
-    X = X.astype(_kernel_dtype(X), copy=False)
+    X = _grid(X)
     core = _core_distances(X, min_samples)
     merges = _single_linkage(_mst_prim(X, core), n)
     parent, stability, fall = _condense(merges, n, min_cluster_size)

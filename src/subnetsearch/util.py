@@ -20,11 +20,13 @@ SEED_RANGE = range(-(2**127), 2**127)
 
 
 def check_rules(obj, *rules) -> None:
-    """Raise a ConfigError for the first (attribute, holds, rule) of `rules`
-    that does not hold, naming the attribute of `obj` and its value."""
+    """Raise a ConfigError for the first (name, holds, rule) of `rules` that
+    does not hold, naming it and its value: an attribute of `obj`, or a flag
+    such as --noise-seed for the attribute noise_seed."""
     for name, ok, rule in rules:
         if not ok:
-            raise ConfigError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+            value = getattr(obj, name.lstrip("-").replace("-", "_"))
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 def stable_hash64(*parts: bytes | str | int) -> int:

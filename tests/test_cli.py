@@ -336,27 +336,32 @@ def test_config_with_the_removed_keys_unset_replays(tmp_path, toy_space_file):
      {"predictor": {"ridge_lambda": "x"}}, {"objectives": 5},
      {"objectives": [{"name": "top1"}]}, {"warm_start": [1, 2]},
      {"evaluator": 5}, {"noise_scale": "abc"}, {"space": 5}, {"seed": True},
-     {"noise_seed": "x"}, {"warm_start": [[1, True, 3]]}],
+     {"noise_seed": "x"}, {"warm_start": [[1, True, 3]]},
+     {"space_doc": {"name": "x"}, "evaluator": "synthetic:clx-like"}],
     ids=["not-an-object", "mistyped-field", "mistyped-predictor",
          "mistyped-predictor-field", "mistyped-objectives",
          "incomplete-objective", "mistyped-warm-start", "mistyped-evaluator",
          "mistyped-noise-scale", "mistyped-space", "bool-seed", "mistyped-noise-seed",
-         "bool-gene"],
+         "bool-gene", "malformed-space-doc"],
 )
 def test_malformed_config_is_config_error(tmp_path, toy_space_file, capsys,
                                           tactic, doc):
     config = tmp_path / "bad_config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    # a flag would override the config's evaluator
+    # a flag would override the config's evaluator or space document
     evaluator = [] if "evaluator" in doc else ["--evaluator", "synthetic:clx-like"]
+    space = [] if "space_doc" in doc else ["--space", toy_space_file]
     code = run_cli(
-        "search", tactic, "--space", toy_space_file,
+        "search", tactic, *space,
         *evaluator, "--config", str(config),
         "--out", str(out),
     )
     assert code == 2
-    assert str(config) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(config) in err
+    if "space_doc" in doc:
+        assert f"config error: {config}: space_doc: malformed search-space document" in err
     assert not out.exists()
 
 
@@ -1024,9 +1029,12 @@ def test_predict_bench_bad_train_sizes_is_config_error(toy_space_file, capsys, s
 
 @pytest.mark.parametrize("flag, value", [
     ("--trials", "0"), ("--trials", "-1"), ("--test-size", "0"), ("--test-size", "1"),
+    ("--seed", str(10**39)), ("--noise-seed", str(10**39)), ("--noise-seed", str(-(2**127) - 1)),
+    ("--noise-scale", "nan"), ("--noise-scale", "-1"), ("--noise-scale", "inf"),
 ])
 def test_predict_bench_bad_sizes_are_config_errors(toy_space_file, capsys, flag, value):
-    """Each size flag is checked before any evaluation, naming the flag."""
+    """Each size, seed and noise flag is checked before any evaluation,
+    naming the flag."""
     argv = {"--train-sizes": "20", "--test-size": "20", "--trials": "1", flag: value}
     code = run_cli(
         "predict", "bench", "--space", toy_space_file,

@@ -1,7 +1,8 @@
 """Oracle tests for the two O(n^2) HDBSCAN kernels: core distances and the
-Prim minimum spanning tree of the mutual-reachability graph. The kernels work
-on squared distances, in float32 on exact dyadic grids; the references work
-on distances, in float64."""
+Prim minimum spanning tree of the mutual-reachability graph, and the integer
+grid that makes them exact. The kernels work on squared distances, in float32
+or float64 as the grid's bound allows; the references work on distances, in
+float64."""
 
 import math
 from collections import deque
@@ -15,12 +16,13 @@ from subnetsearch import popdb
 from subnetsearch.popdb import (
     _condense,
     _core_distances,
-    _kernel_dtype,
+    _grid,
     _mst_prim,
     _single_linkage,
     hdbscan,
     history_features,
 )
+from subnetsearch.evalmgr import make_surface, synthetic_evaluate
 from subnetsearch.space import Genotype, canonicalize, get_preset, rank_matrix, sample_uniform
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ def dyadic_grid(seed: int, n: int, dim: int, step: float) -> np.ndarray:
 
 def distinct_lattice(seed: int, n: int, dim: int) -> np.ndarray:
     """Distinct points on a 1e-3 lattice in [0, 1]^dim; coordinates are not
-    dyadic, so the gram form rounds, but no two points are closer than 1e-3."""
+    dyadic, but no two points are closer than 1e-3."""
     rng = np.random.default_rng(seed)
     X = np.unique(rng.integers(0, 1001, size=(n, dim)), axis=0) / 1000.0
     return X[rng.permutation(len(X))]
@@ -130,13 +132,13 @@ def test_core_distances_exact_on_tied_grids(case):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(case=cases(300))
-def test_core_distances_close_on_continuous_data(case):
-    # (sq_i + sq_j) - 2 * gram carries rounding in the squared distance,
-    # which a square root near zero would magnify, so compare squares
+def test_core_distances_exact_on_gridded_continuous_data(case):
+    # continuous points on the grid: integers far past float32's bound, whose
+    # float64 products are exact in any order of summation
     seed, n, dim, min_samples = case
-    X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, dim))
-    core_sq = _core_distances(X, min_samples)
-    np.testing.assert_allclose(core_sq, kth_sorted_sq(X, min_samples), rtol=0, atol=1e-12)
+    X = _grid(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, dim)))
+    assert X.dtype == np.float64
+    assert np.array_equal(_core_distances(X, min_samples), kth_sorted_sq(X, min_samples))
 
 
 def test_core_distances_exact_across_row_chunks():
@@ -181,20 +183,30 @@ def test_kth_by_integer_bit_order_equals_float_partition(dtype, data):
     assert not np.signbit(b[:, k - 1]).any()
 
 
-def duplicate_rows(seed: int, n: int, dim: int, dtype) -> np.ndarray:
+def duplicate_rows(seed: int, n: int, dim: int) -> np.ndarray:
     """Continuous rows, each repeated, plus zero rows."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n // 3, dim))
     X = np.vstack([X, X, np.zeros((n - 2 * len(X), dim))])
-    return X[rng.permutation(n)].astype(dtype)
+    return X[rng.permutation(n)]
+
+
+def near_duplicates(seed: int) -> np.ndarray:
+    """Continuous rows and copies moved by about 1e-9, where an inexact
+    sq_i + sq_j - 2 x_i . x_j would cancel to below zero."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, size=(100, 6))
+    X = np.vstack([base, base + rng.normal(0.0, 1e-9, size=base.shape)])
+    return X[rng.permutation(len(X))]
 
 
 def test_no_core_distance_or_weight_is_negative_zero_on_duplicate_rows():
     for dtype, X in (
         (np.float32, tied_grid(4, 300, 3).astype(np.float32)),
         (np.float32, np.zeros((70, 2), dtype=np.float32)),
-        (np.float64, duplicate_rows(5, 300, 4, np.float64)),
-        (np.float64, duplicate_rows(6, 130, 45, np.float64)),
+        (np.float64, _grid(duplicate_rows(5, 300, 4))),
+        (np.float64, _grid(duplicate_rows(6, 130, 45))),
+        (np.float64, _grid(near_duplicates(8))),
     ):
         for min_samples in (1, 2, 5):
             core_sq = _core_distances(X, min_samples)
@@ -205,25 +217,21 @@ def test_no_core_distance_or_weight_is_negative_zero_on_duplicate_rows():
             assert not np.signbit(_mst_prim(X, core_sq)[0]).any()
 
 
-def test_float64_products_that_round_below_zero_are_clamped():
-    # near-duplicate continuous points: sq_i + sq_j - 2 x_i . x_j cancels
-    # to a value whose rounding error exceeds it, often below zero
+def test_float64_kernels_equal_references_on_integer_grids():
+    # integers up to 2^20 in 4-D, past float32's bound, with rows one unit
+    # from another and repeated rows: every float64 product is an integer
+    # below 2^53, so the kernels equal the references bit for bit
     rng = np.random.default_rng(8)
-    base = rng.uniform(-1.0, 1.0, size=(100, 6))
-    X = np.vstack([base, base + rng.normal(0.0, 1e-9, size=base.shape)])
+    base = rng.integers(0, 2**20 + 1, size=(150, 4)).astype(float)
+    X = np.vstack([base, base + rng.integers(-1, 2, size=base.shape), base[:30]])
     X = X[rng.permutation(len(X))]
-    assert _kernel_dtype(X) == np.float64
-    sq = np.einsum("ij,ij->i", X, X)
-    fused = np.column_stack([X, np.ones(len(X)), sq]) @ np.vstack(
-        [-2.0 * X.T, sq, np.ones(len(X))]
-    )
-    assert (fused < 0).any()  # the fixture reaches the clamp
-    for min_samples in (2, 3):
+    assert _grid(X).dtype == np.float64
+    for min_samples in (1, 2, 3, 10):
         core_sq = _core_distances(X, min_samples)
-        assert (core_sq >= 0).all() and not np.signbit(core_sq).any()
-        np.testing.assert_allclose(
-            core_sq, kth_sorted_sq(X, min_samples), rtol=0, atol=1e-12
-        )
+        assert np.array_equal(core_sq, kth_sorted_sq(X, min_samples))
+        core = reference_core_distances(X, min_samples)
+        assert np.array_equal(np.sqrt(core_sq), core)
+        assert prim_edges(X, core_sq) == reference_mst_prim(X, core)
 
 
 def test_float32_grid_at_the_dtype_bound_equals_float64_references():
@@ -235,7 +243,7 @@ def test_float32_grid_at_the_dtype_bound_equals_float64_references():
     X[:40] = rng.choice([-511.5, 511.5], size=(40, 4))
     X[40:60] = X[:20]
     X = X[rng.permutation(len(X))]
-    assert _kernel_dtype(X) == np.float32
+    assert 4 * 4 * np.abs(2 * X).max() ** 2 < 2**24  # 2X is integral
     X32 = X.astype(np.float32)
     for min_samples in (1, 2, 10):
         core_sq = _core_distances(X32, min_samples)
@@ -276,8 +284,10 @@ def test_mst_prim_matches_reference_on_large_tied_grids():
 @settings(max_examples=40, deadline=None, database=None)
 @given(case=cases(200))
 def test_mst_prim_weights_match_scipy_on_continuous_data(case):
+    # the lattice on the grid; every spanning tree of least weight has the
+    # same multiset of weights, whichever way its ties break
     seed, n, dim, min_samples = case
-    X = distinct_lattice(seed, n, dim)
+    X = _grid(distinct_lattice(seed, n, dim))
     n = len(X)
     core_sq = _core_distances(X, min_samples)
     edges = prim_edges(X, core_sq)
@@ -285,10 +295,10 @@ def test_mst_prim_weights_match_scipy_on_continuous_data(case):
     assert sorted(child for _w, _p, child in edges) == list(range(1, n))
     mr = np.maximum(np.sqrt(brute_sq_distances(X)), np.maximum.outer(core, core))
     np.fill_diagonal(mr, 0.0)  # distinct points: every other entry is > 0
-    oracle = np.sort(minimum_spanning_tree(mr).data)
+    oracle = np.sort(minimum_spanning_tree(mr.astype(float)).data)
     weights = np.sort([w for w, _p, _c in edges])
     assert len(oracle) == n - 1
-    np.testing.assert_allclose(weights**2, oracle**2, rtol=0, atol=1e-12)
+    assert np.array_equal(weights, oracle)
 
 
 def assert_prim_matches_reference(X: np.ndarray, min_samples: int):
@@ -477,39 +487,103 @@ def test_condensation_equals_the_loops_where_mass_ties():
 
 
 # ---------------------------------------------------------------------------
-# Kernel dtype: float32 only where it is exact
+# The grid: exact in either dtype, float32 where it fits
 # ---------------------------------------------------------------------------
 
 
-def test_kernel_dtype_is_float32_only_on_exact_dyadic_grids():
+def scaled_by_a_power_of_two(G: np.ndarray, X: np.ndarray) -> bool:
+    """G is X translated by its column minima and scaled by some 2^k."""
+    Y = X - X.min(axis=0)
+    if not Y.any():
+        return not G.any()
+    mantissa, k = np.frexp(G.max() / Y.max())
+    return mantissa == 0.5 and np.array_equal(G, np.ldexp(Y, k - 1))
+
+
+def test_grid_keeps_dyadic_points_and_picks_float32_exactly_where_the_bound_allows():
     rng = np.random.default_rng(3)
-    assert _kernel_dtype(np.zeros((4, 3))) == np.float32
-    assert _kernel_dtype(rng.integers(0, 3, size=(50, 45)) / 2.0) == np.float32
-    assert _kernel_dtype(np.arange(12.0).reshape(4, 3) / 3.0) == np.float64
-    assert _kernel_dtype(rng.uniform(-1.0, 1.0, size=(50, 4))) == np.float64
-    # d = 4 with a half step: Y = 2X, and 4 * d * max|Y|^2 must stay below 2^24
+    for X in (
+        np.zeros((4, 3)),
+        rng.integers(0, 3, size=(50, 45)) / 2.0,
+        dyadic_grid(3, 60, 5, 0.125),
+        np.array([[0.0], [2.0**100]]),  # squares past float32's range
+        np.array([[0.0], [2.0**-100]]),  # below its normal range
+    ):
+        G = _grid(X)
+        assert G.dtype == np.float32 and scaled_by_a_power_of_two(G, X)
+    # d = 4 with an odd coordinate: 4 * d * max^2 must stay below 2^24
     under = np.zeros((3, 4))
-    under[0, 3], under[1, 0], under[2, 1] = 0.5, 511.5, -511.5
-    assert _kernel_dtype(under) == np.float32  # max|Y| = 1023: 16 * 1023^2 < 2^24
+    under[0, 3], under[1, 0] = 1.0, 1023.0
+    assert _grid(under).dtype == np.float32  # 16 * 1023^2 < 2^24
     past = under.copy()
-    past[1, 0] = 512.0  # max|Y| = 1024: 4 * 4 * 1024^2 = 2^24
-    assert _kernel_dtype(past) == np.float64
-    past[1, 0], past[2, 1] = 511.5, -512.0
-    assert _kernel_dtype(past) == np.float64
-    # exact grids whose squares would overflow or leave float32's normal range
-    assert _kernel_dtype(np.array([[0.0], [2.0**100]])) == np.float64
-    assert _kernel_dtype(np.array([[0.0], [2.0**-100]])) == np.float64
+    past[1, 0] = 1024.0  # 4 * 4 * 1024^2 = 2^24
+    assert _grid(past).dtype == np.float64 and np.array_equal(_grid(past), past)
+    past[1, 0], past[2, 1] = 1023.0, -1.0  # translated, column 1 spans 0..2
+    assert _grid(past).dtype == np.float32
+    past[2, 1] = -2.0**20
+    assert _grid(past).dtype == np.float64 and scaled_by_a_power_of_two(_grid(past), past)
 
 
-def test_kernel_dtype_of_preset_histories():
-    for name, dtype in (
-        ("mobilenetv3-like", np.float32),
-        ("resnet50-like", np.float32),
-        ("transformer-like", np.float64),  # 6-value parameters: steps of 1/5
+def test_grid_rounds_continuous_points_at_about_2_to_the_minus_20_of_their_range():
+    X = np.random.default_rng(4).uniform(-3.0, 5.0, size=(200, 7))
+    G = _grid(X)
+    Y = X - X.min(axis=0)
+    assert G.dtype == np.float64 and 4 * 7 * G.max() ** 2 < 2**53
+    assert np.abs(G / G.max() - Y / Y.max()).max() <= 2.0**-20
+
+
+def test_grid_translation_keeps_the_spread_of_offset_points():
+    D = dyadic_grid(5, 80, 3, 0.25)
+    assert np.array_equal(_grid(D + 1e6), _grid(D))
+    L = distinct_lattice(6, 300, 3)
+    assert len(np.unique(_grid(L + 1e6), axis=0)) == len(L)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_grid_is_integral_and_exact_and_emits_no_negative_zero(data):
+    # any finite points, with zeros of both signs, subnormals and repeats:
+    # non-negative integers without a common factor 2, in the dtype the bound
+    # picks, whose squared distances the kernels give bit for bit
+    rows, cols = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 5))
+    pool = data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]),
+                  st.floats(-1e6, 1e6, allow_nan=False)),
+        min_size=1, max_size=8,
+    ))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=rows * cols, max_size=rows * cols))
+    X = np.array([pool[i] for i in picks], dtype=float).reshape(rows, cols)
+    G = _grid(X)
+    top = float(G.max(initial=0.0))
+    assert G.shape == X.shape and not np.signbit(G).any()
+    assert np.array_equal(G, np.rint(G)) and 4 * cols * top**2 < 2**53
+    assert G.dtype == (np.float32 if 4 * cols * top**2 < 2**24 else np.float64)
+    assert not G.any() or np.bitwise_or.reduce(G.astype(np.int64), axis=None) % 2 == 1
+    for k in (1, 2):
+        core_sq = _core_distances(G, k)
+        assert not np.signbit(core_sq).any()
+        assert np.array_equal(core_sq, kth_sorted_sq(G, k))
+
+
+def test_grid_of_preset_histories():
+    # the ordinal features of parameters with two or three values are
+    # dyadic: the grid keeps them up to a power of two, in float32;
+    # transformer-like's six-value depths (steps of 1/5) and objectives are
+    # rounded, in float64
+    for name, with_objectives, dtype in (
+        ("mobilenetv3-like", False, np.float32),
+        ("resnet50-like", False, np.float32),
+        ("transformer-like", False, np.float64),
+        ("mobilenetv3-like", True, np.float64),
     ):
         space = get_preset(name)
-        feats, _ = history_features(rank_matrix(sample_uniform(space, 200, 5), space), space)
-        assert _kernel_dtype(feats) == dtype, name
+        ranks = rank_matrix(sample_uniform(space, 200, 5), space)
+        objectives = np.random.default_rng(5).uniform(size=(200, 2)) if with_objectives else None
+        feats, _ = history_features(ranks, space, objectives=objectives)
+        G = _grid(feats)
+        assert G.dtype == dtype, name
+        assert scaled_by_a_power_of_two(G, feats) == (dtype == np.float32), name
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -517,7 +591,7 @@ def test_kernel_dtype_of_preset_histories():
 def test_float32_kernels_equal_references_on_dyadic_grids(case, step):
     seed, n, dim, min_samples = case
     X = dyadic_grid(seed, n, dim, step)
-    assert _kernel_dtype(X) == np.float32
+    assert _grid(X).dtype == np.float32
     X32 = X.astype(np.float32)
     core_sq = _core_distances(X32, min_samples)
     assert core_sq.dtype == np.float32
@@ -575,5 +649,38 @@ def test_hdbscan_matches_reference_pipeline(monkeypatch):
 def test_hdbscan_matches_reference_pipeline_on_float64_features(monkeypatch):
     space = get_preset("transformer-like")
     feats, _ = history_features(rank_matrix(clustered_history(space, 1500, 5), space), space)
-    assert _kernel_dtype(feats) == np.float64
+    X = _grid(feats)
+    assert X.dtype == np.float64
+    core_sq = _core_distances(X, 10)
+    core = reference_core_distances(X, 10)
+    assert np.array_equal(np.sqrt(core_sq), core)
+    assert prim_edges(X, core_sq) == reference_mst_prim(X, core)
     assert_hdbscan_matches_references(monkeypatch, feats, 30)
+
+
+def test_hdbscan_does_not_depend_on_the_buffer_or_the_compaction_interval(monkeypatch):
+    # float64 grids, as popdb clusters transformer-like histories and
+    # histories with --include-objectives: other chunk and block sizes
+    # change which products give which rows, and nothing else
+    transformer = get_preset("transformer-like")
+    feats, _ = history_features(
+        rank_matrix(clustered_history(transformer, 1500, 5), transformer), transformer
+    )
+    mbv3 = get_preset("mobilenetv3-like")
+    history = clustered_history(mbv3, 1500, 11)
+    surface = make_surface(mbv3, "clx-like")
+    objectives = np.array([synthetic_evaluate(g, surface).values for g in history])
+    joint, _ = history_features(rank_matrix(history, mbv3), mbv3, objectives=objectives)
+
+    def run(X):
+        G = _grid(X)
+        assert G.dtype == np.float64
+        core_sq = _core_distances(G, 10)
+        edges = [c.tolist() for c in _mst_prim(G, core_sq)]
+        return core_sq.tolist(), edges, hdbscan(X, min_cluster_size=30, min_samples=10).labels
+
+    before = [run(feats), run(joint)]
+    assert all(len(set(labels)) > 2 for *_kernels, labels in before)
+    monkeypatch.setattr(popdb, "_CORE_BUFFER", 2**12)  # 2 rows a chunk
+    monkeypatch.setattr(popdb, "_COMPACT_EVERY", 16)
+    assert [run(feats), run(joint)] == before
