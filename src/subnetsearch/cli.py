@@ -39,7 +39,6 @@ from .errors import (
     SubnetSearchError,
 )
 from .evalmgr import (
-    SOURCE_VALIDATION,
     ExternalEvaluator,
     ResultStore,
     SyntheticSurfaceEvaluator,
@@ -412,7 +411,7 @@ def _cmd_analyze(args) -> int:
     evals_path = _require_artifact(run_dir, "evals.jsonl")
     trace_path = _require_artifact(run_dir, "hv_trace.csv")
     store = ResultStore.load(evals_path)
-    recs = [r for r in store.records if r.ok and r.source == SOURCE_VALIDATION]
+    recs = [r for r in store.records if r.ok]
     if not recs:
         raise ConfigError(f"{evals_path}: no validation records")
     outdir = Path(args.out) if args.out else run_dir / "analysis"

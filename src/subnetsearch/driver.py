@@ -172,8 +172,16 @@ class ConcurrentNasConfig(SearchConfig):
 def check_objectives(cfg: SearchConfig, specs) -> None:
     """Raise the ConfigError that a search under `cfg` with objectives
     `specs` would raise before its first evaluation: duplicate objective
-    names, or a predicted objective whose predictor family is "none"."""
+    names, a per-objective predictor family for no objective of the run, or
+    a predicted objective whose predictor family is "none"."""
     check_unique_names(specs)
+    names = [s.name for s in specs]
+    for name in cfg.predictor.families:
+        if name not in names:
+            raise ConfigError(
+                f"predictor families name {name!r}, which is not an objective of "
+                f"this run: {names}"
+            )
     if isinstance(cfg, FullSearchConfig) and cfg.predictor.family == "none":
         return  # the evolver measures every child; nothing is predicted
     for spec in specs:
@@ -497,7 +505,7 @@ def search(
         t0 = time.perf_counter()
         trace = evolve(
             space, inner_cfg, make_predictor_evaluate(space, specs, models, cfg.predictor),
-            specs, warm_start=inner_warm, source="predicted",
+            specs, warm_start=inner_warm,
         )
         phase_seconds["search"] += time.perf_counter() - t0
         if i == iterations - 1:  # the last search gives the predicted front

@@ -4,9 +4,9 @@ Evaluators are duck-typed: an `evaluator_id` string plus an
 `evaluate(genotypes) -> list[ObjectiveVector | EvaluationFailure]` method.
 An evaluator interrupted mid-batch may raise a `SubnetSearchError` with a
 `completed` attribute, {batch index: output} of the results that did arrive;
-`evaluate_batch` logs those before the error propagates. Validation results
-are cached per (canonical genotype, evaluator) in an append-only store whose
-JSON-lines log replays to the identical index.
+`evaluate_batch` logs those before the error propagates. A log is one
+run: the validations of one evaluator, cached per canonical genotype in an
+append-only store whose JSON-lines log replays to the identical index.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .objectives import (
     ObjectiveSpec,
     ObjectiveVector,
     check_unique_names,
-    first_validations,
 )
 from .space import (
     Genotype,
@@ -50,8 +49,6 @@ from .space import (
     is_canonical,  # noqa: F401  (a trace site of perfbench/runner.py)
 )
 from .util import GeneText, pseudo_noise, read_json, subseed
-
-SOURCE_VALIDATION = "validation"
 
 
 @dataclass(frozen=True)
@@ -68,16 +65,16 @@ _BLOCK = 256  # rows per block of whole-log passes, which bounds their temporari
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps's output, built once
 
 
-def _keys(genes: np.ndarray, rows: np.ndarray, codes: list[int]):
-    """The key of a validation, (gene-row bytes, evaluator code), of each of
-    `rows` of an int64 gene matrix with its code: one routine keys the
-    validation cache and `load`'s duplicate check. Rows are gathered a block
-    at a time, which bounds the temporaries."""
+def _keys(genes: np.ndarray, rows: np.ndarray):
+    """The key of a validation, its gene-row bytes, of each of `rows` of an
+    int64 gene matrix: one routine keys the validation cache, which `load`
+    builds as its duplicate check. Rows are gathered a block at a time, which
+    bounds the temporaries."""
     width = genes.shape[1] * genes.itemsize
     for start in range(0, len(rows), _BLOCK):
         blob = genes[rows[start : start + _BLOCK]].tobytes()
-        for i, code in enumerate(codes[start : start + _BLOCK]):
-            yield blob[i * width : (i + 1) * width], code
+        for i in range(min(_BLOCK, len(rows) - start)):
+            yield blob[i * width : (i + 1) * width]
 
 
 def _columns(rows: int, length: int, objectives: int) -> np.ndarray:
@@ -87,8 +84,6 @@ def _columns(rows: int, length: int, objectives: int) -> np.ndarray:
         ("genes", np.int64, (length,)),
         ("objectives", np.float64, (objectives,)),
         ("gen", np.int64),
-        ("source", np.int32),
-        ("evaluator", np.int32),
         ("failed", np.bool_),
     ], align=True))
 
@@ -104,14 +99,16 @@ def _room(cols: np.ndarray, rows: int) -> np.ndarray:
 
 
 class ResultStore:
-    """Append-only evaluation log with a validation cache, held as columns.
+    """One run's append-only evaluation log with a validation cache, held as
+    columns.
 
-    Row i holds the record with sequence number i: its gene values as logged
-    (a warm start may load values from outside the space), its raw objective
-    values (NaN for a failure), its gen, and codes of its source and
-    evaluator id; a failure's message is kept beside the columns.
-    `EvaluationRecord`s are built from rows only when `records` asks for
-    them, and are not kept.
+    A log holds one evaluator's validations and failures: its first record
+    fixes `evaluator_id`, and a record of another is refused. Row i holds the
+    record with sequence number i: its gene values as logged (a warm start
+    may load values from outside the space), its raw objective values (NaN
+    for a failure) and its gen; a failure's message is kept beside the
+    columns. `EvaluationRecord`s are built from rows only when `records`
+    asks for them, and are not kept.
 
     Concurrent appends are serialized under a lock; sequence numbers define
     the total order. When `path` is given the store streams: the file starts
@@ -134,12 +131,9 @@ class ResultStore:
         self._n = 0
         self._cols = _columns(0, space.genome_length if space is not None else 0, len(self.specs))
         self._errors: dict[int, str] = {}
-        self._sources: dict[str, int] = {}  # value -> code, in code order
-        self._evaluators: dict[str, int] = {}
+        self.evaluator_id: str | None = None  # fixed by the first record
         self._gene_text = GeneText()
-        # `_keys` key -> row of each successful validation; built on first
-        # use after a load
-        self._index: dict[tuple[bytes, int], int] | None = {}
+        self._index: dict[bytes, int] = {}  # `_keys` key -> row of each success
         self._lock = threading.Lock()
         self.path = None if path is None else Path(path)
         self._fh = None
@@ -156,18 +150,17 @@ class ResultStore:
         outputs: Sequence[ObjectiveVector | EvaluationFailure],
         evaluator_id: str,
         gen: int | None = None,
-        source: str = SOURCE_VALIDATION,
     ) -> None:
         """Append one batch of evaluator outputs, successes and failures, in
         order, for the gene rows `genes`; a single record is a batch of one.
 
         The batch is checked whole before anything is appended: a row of
-        another length than the log's is an InvalidGenotype, and a successful
-        validation of a genotype already cached under `evaluator_id`, or
-        twice in the batch, a ConfigError. Its rows go into the columns in
-        one block. Successful validations are cached; failures are logged but
-        never cached. A streaming store writes the batch's lines at once and
-        flushes them before returning.
+        another length than the log's is an InvalidGenotype, and an
+        `evaluator_id` other than the log's, or a successful validation of a
+        genotype already cached or twice in the batch, a ConfigError. Its
+        rows go into the columns in one block. Successful validations are
+        cached; failures are logged but never cached. A streaming store
+        writes the batch's lines at once and flushes them before returning.
         """
         if len(outputs) != len(genes):
             raise EvaluationFailed(
@@ -180,6 +173,7 @@ class ResultStore:
             if self.path is not None and self._fh is None:
                 raise ValueError(f"append to the closed result log {self.path}")
             i, k = self._n, len(genes)
+            self._check_evaluator(evaluator_id)
             length = self._cols.dtype["genes"].shape[0]
             if self.space is None and not i:
                 length = len(genes[0])  # a spaceless log's first batch
@@ -189,18 +183,14 @@ class ResultStore:
                     f"genotype has {bad} genes, the log's genotypes have {length}"
                 )
             genes = np.asarray(genes, dtype=np.int64)
-            code = self._evaluators.get(evaluator_id, len(self._evaluators))
-            index = self._validation_index() if source == SOURCE_VALIDATION else None
-            if index is not None:
-                measured = np.flatnonzero(np.logical_not(failed))
-                keys, seen = list(_keys(genes, measured, [code] * len(measured))), set()
-                for row, key in zip(measured, keys):
-                    if key in index or key in seen:
-                        raise ConfigError(
-                            "duplicate validation record for genotype "
-                            f"{tuple(genes[row].tolist())} under evaluator {evaluator_id!r}"
-                        )
-                    seen.add(key)
+            measured = np.flatnonzero(np.logical_not(failed))
+            keys, seen = list(_keys(genes, measured)), set()
+            for row, key in zip(measured, keys):
+                if key in self._index or key in seen:
+                    raise ConfigError(
+                        f"duplicate validation record for genotype {tuple(genes[row].tolist())}"
+                    )
+                seen.add(key)
             if length != self._cols.dtype["genes"].shape[0]:
                 self._cols = _columns(0, length, len(self.specs))
             self._cols = _room(self._cols, i + k)
@@ -211,36 +201,24 @@ class ResultStore:
                 nan_row if bad else out.values for out, bad in zip(outputs, failed)
             ]
             block["gen"] = _NO_GEN if gen is None else gen
-            block["source"] = self._sources.setdefault(source, len(self._sources))
-            block["evaluator"] = self._evaluators.setdefault(evaluator_id, code)
             block["failed"] = failed
             self._errors.update(
                 (seq, out.message) for seq, out, bad in zip(range(i, i + k), outputs, failed)
                 if bad
             )
-            if index is not None:
-                index.update(zip(keys, (measured + i).tolist()))
+            self._index.update(zip(keys, (measured + i).tolist()))
+            self.evaluator_id = evaluator_id
             self._n = i + k
             if self._fh is not None:
                 self._fh.writelines(self._lines(i, i + k))
                 self._fh.flush()
 
-    def _rows(self, rows: np.ndarray):
-        """(sequence number, genes, objective values, gen, source, evaluator
-        id, error) of the rows with these sequence numbers, as Python
-        values."""
-        sources, evaluators = list(self._sources), list(self._evaluators)
-        cols = self._cols[rows]
-        seqs = rows.tolist()
-        return zip(
-            seqs,
-            cols["genes"].tolist(),
-            cols["objectives"].tolist(),
-            [None if g == _NO_GEN else g for g in cols["gen"].tolist()],
-            [sources[c] for c in cols["source"].tolist()],
-            [evaluators[c] for c in cols["evaluator"].tolist()],
-            [self._errors.get(i) for i in seqs],
-        )
+    def _check_evaluator(self, evaluator_id: str) -> None:
+        if self.evaluator_id not in (None, evaluator_id):
+            raise ConfigError(
+                f"evaluator {evaluator_id!r} cannot add to the log of evaluator "
+                f"{self.evaluator_id!r}: a log holds one run"
+            )
 
     def _lines(self, start: int, stop: int) -> list[str]:
         """The log lines of the rows from `start` to `stop`; the caller holds
@@ -253,31 +231,29 @@ class ResultStore:
             return _ENCODER.encode(value).replace("%", "%%")
 
         objectives = ",".join(quoted(s.name) + ":%r" for s in self.specs)
+        evaluator = quoted(self.evaluator_id)
         eval_format = (
             '{"type":"eval","seq":%d,"gen":%s,"genotype":[%s],'
-            f'"objectives_raw":{{{objectives}}},"source":%s,"evaluator_id":%s}}\n'
+            f'"objectives_raw":{{{objectives}}},"source":"validation",'
+            f'"evaluator_id":{evaluator}}}\n'
         )
         failure_format = (
             '{"type":"failure","seq":%d,"gen":%s,"genotype":[%s],'
-            '"error":%s,"evaluator_id":%s}\n'
+            f'"error":%s,"evaluator_id":{evaluator}}}\n'
         )
-        sources = list(map(_ENCODER.encode, self._sources))
-        evaluators = list(map(_ENCODER.encode, self._evaluators))
         text = self._gene_text
         cols = self._cols[start:stop]
         genes = [",".join(map(text.__getitem__, row)) for row in cols["genes"].tolist()]
         gens = ["null" if gen == _NO_GEN else gen for gen in cols["gen"].tolist()]
         return [
-            failure_format % (seq, gen, g, _ENCODER.encode(self._errors[seq]), evaluators[e])
+            failure_format % (seq, gen, g, _ENCODER.encode(self._errors[seq]))
             if failed
-            else eval_format % (seq, gen, g, *values, sources[source], evaluators[e])
-            for seq, g, values, gen, source, e, failed in zip(
+            else eval_format % (seq, gen, g, *values)
+            for seq, g, values, gen, failed in zip(
                 range(start, stop),
                 genes,
                 cols["objectives"].tolist(),
                 gens,
-                cols["source"].tolist(),
-                cols["evaluator"].tolist(),
                 cols["failed"].tolist(),
             )
         ]
@@ -306,50 +282,33 @@ class ResultStore:
 
     # -- reading -----------------------------------------------------------
 
-    def _validation_rows(self, evaluator_id: str | None) -> np.ndarray:
-        cols = self._cols[: self._n]
-        ok = ~cols["failed"] & (cols["source"] == self._sources.get(SOURCE_VALIDATION, -1))
-        if evaluator_id is not None:
-            ok &= cols["evaluator"] == self._evaluators.get(evaluator_id, -1)
-        return np.flatnonzero(ok)
-
-    def _validation_index(self) -> dict:
-        if self._index is None:
-            rows = self._validation_rows(None)
-            cols = self._cols[: self._n]
-            codes = cols["evaluator"][rows].tolist()
-            self._index = dict(zip(_keys(cols["genes"], rows, codes), rows.tolist()))
-        return self._index
-
     @property
     def records(self) -> list[EvaluationRecord]:
         """Every record in sequence order, built anew on each call."""
         with self._lock:
             out = []
             for start in range(0, self._n, _BLOCK):
-                block = self._rows(np.arange(start, min(start + _BLOCK, self._n)))
+                cols = self._cols[start : min(start + _BLOCK, self._n)]
                 out += [
                     EvaluationRecord(
                         Genotype(genes),
-                        None if error is not None else ObjectiveVector(values, self.specs),
-                        source, evaluator_id, seq, gen, error,
+                        None if seq in self._errors else ObjectiveVector(values, self.specs),
+                        self.evaluator_id, seq, None if gen == _NO_GEN else gen,
+                        self._errors.get(seq),
                     )
-                    for seq, genes, values, gen, source, evaluator_id, error in block
+                    for seq, genes, values, gen in zip(
+                        range(start, start + len(cols)), cols["genes"].tolist(),
+                        cols["objectives"].tolist(), cols["gen"].tolist(),
+                    )
                 ]
             return out
 
-    @property
-    def evaluator_ids(self) -> tuple[str, ...]:
-        """The evaluator ids in the log, in the order first logged."""
-        with self._lock:
-            return tuple(self._evaluators)
-
-    def validation_columns(self, evaluator_id: str | None = None):
+    def validation_columns(self):
         """(sequence numbers, gene-value matrix, raw-objective matrix) of the
         successful validation records, in sequence order; builds no record."""
         with self._lock:
-            rows = self._validation_rows(evaluator_id)
             cols = self._cols[: self._n]
+            rows = np.flatnonzero(~cols["failed"])
             return rows, cols["genes"][rows], cols["objectives"][rows]
 
     @staticmethod
@@ -368,25 +327,26 @@ class ResultStore:
     def load(cls, path: str | Path, space: SearchSpace | None = None) -> "ResultStore":
         """Replay a persisted log: each line is parsed with `json.loads` and
         its values go into the columns a block of records at a time; no
-        record is built.
+        record is built. The keys of the duplicate check become the loaded
+        store's validation index.
 
         The first faulty line raises ConfigError naming `path:line`: a torn
         or malformed line, a missing or mistyped field, an unknown record
-        type, a non-finite objective, a genotype of the wrong length (against
-        `space`, else against the first record) or a second validation record
-        of a genotype under one evaluator. Gene values are not checked
-        against `space`.
+        type, a `seq` other than the record's position, a source other than
+        "validation", an evaluator id that is not a string or not the first
+        record's, a failure's error that is not a string, a non-finite
+        objective, a genotype of the wrong length (against `space`, else
+        against the first record) or a second validation record of a
+        genotype. Gene values are not checked against `space`.
         """
-        store = cols = fault = None
+        store = cols = fault = evaluator_id = None
         lineno = n = 0
         # the records read since the last flush into the columns, with their
         # lines; genes and values are kept flat, so that no list of a record
         # outlives its line (a block of such lists makes the cyclic garbage
         # collector run full passes)
-        genes, values, gens, sources, evaluators, lines = [], [], [], [], [], []
+        genes, values, gens, lines = [], [], [], []
         errors: dict[int, str] = {}
-        source_codes: dict[str, int] = {}
-        evaluator_codes: dict[str, int] = {}
 
         def flush() -> None:
             """Move the pending records into the columns. Where numpy cannot
@@ -405,17 +365,14 @@ class ResultStore:
                         np.array(genes[k * length : (k + 1) * length], dtype=np.int64)
                     except (TypeError, ValueError, OverflowError):
                         lineno = lines[k]
-                        del genes[k * length :], values[k * len(names) :]
-                        del gens[k:], sources[k:], evaluators[k:]
+                        del genes[k * length :], values[k * len(names) :], gens[k:]
                         flush()
                         raise
             block["objectives"] = np.reshape(values, (len(gens), len(names)))
             block["gen"] = gens
-            block["source"] = sources
-            block["evaluator"] = evaluators
             block["failed"] = False
             n += len(gens)
-            for column in (genes, values, gens, sources, evaluators, lines):
+            for column in (genes, values, gens, lines):
                 column.clear()
 
         try:
@@ -445,11 +402,28 @@ class ResultStore:
                             row = [float(raw[name]) for name in names]
                             if not all(map(math.isfinite, row)):
                                 raise ConfigError(f"non-finite objective value in {tuple(row)}")
-                            source = doc["source"]
+                            if doc["source"] != "validation":
+                                raise ConfigError(
+                                    f"source {doc['source']!r} is not 'validation': "
+                                    "a log holds one run's validations"
+                                )
                         elif kind == "failure":
-                            row, source, error = nan_row, SOURCE_VALIDATION, doc["error"]
+                            row, error = nan_row, doc["error"]
+                            if not isinstance(error, str):
+                                raise ConfigError(f"error must be a string, got {error!r}")
                         else:
                             raise ConfigError(f"unknown record type {kind!r}")
+                        seq = doc["seq"]
+                        if type(seq) is not int or seq != n + len(gens):
+                            raise ConfigError(
+                                f"seq {seq!r} is not the record's position {n + len(gens)}"
+                            )
+                        if evaluator_id is None and isinstance(doc["evaluator_id"], str):
+                            evaluator_id = doc["evaluator_id"]  # the first record's
+                        elif evaluator_id is None or doc["evaluator_id"] != evaluator_id:
+                            raise ConfigError(f"evaluator_id {doc['evaluator_id']!r} is not " + (
+                                "a string" if evaluator_id is None
+                                else f"the log's {evaluator_id!r}: a log holds one run"))
                         if length is None:
                             length = len(g)
                         if len(g) != length:
@@ -464,16 +438,11 @@ class ResultStore:
                             gen = _NO_GEN
                         elif type(gen) is not int or not _NO_GEN < gen < 2**63:
                             raise ConfigError(f"gen must be an integer or null, got {gen!r}")
-                        evaluator = evaluator_codes.setdefault(
-                            doc["evaluator_id"], len(evaluator_codes)
-                        )
                         if kind == "failure":
                             errors[n + len(gens)] = error
                         genes.extend(g)
                         values.extend(row)
                         gens.append(gen)
-                        sources.append(source_codes.setdefault(source, len(source_codes)))
-                        evaluators.append(evaluator)
                         lines.append(lineno)
                         if cols is None:
                             cols = _columns(0, length, len(names))
@@ -493,23 +462,18 @@ class ResultStore:
             raise fault or ConfigError(f"{path}: missing run header line")
         cols = store._cols if cols is None else cols[:n]
         cols["failed"][[i for i in errors if i < n]] = True
-        rows = np.flatnonzero(
-            ~cols["failed"] & (cols["source"] == source_codes.get(SOURCE_VALIDATION, -1))
-        )
-        seen, codes = set(), cols["evaluator"][rows].tolist()
-        for i, key in zip(rows.tolist(), _keys(cols["genes"], rows, codes)):
-            if key in seen:  # its line precedes a fault's
+        rows = np.flatnonzero(~cols["failed"])
+        index: dict[bytes, int] = {}
+        for i, key in zip(rows.tolist(), _keys(cols["genes"], rows)):
+            if index.setdefault(key, i) != i:  # its line precedes a fault's
                 raise ConfigError(
                     f"{path}:{cls.record_line(path, i)}: duplicate validation record for "
-                    f"genotype {tuple(cols['genes'][i].tolist())} under evaluator "
-                    f"{list(evaluator_codes)[key[1]]!r}"
+                    f"genotype {tuple(cols['genes'][i].tolist())}"
                 )
-            seen.add(key)
         if fault is not None:
             raise fault
-        store._cols, store._n = cols, n
-        store._errors, store._sources, store._evaluators = errors, source_codes, evaluator_codes
-        store._index = None
+        store._cols, store._n, store._errors, store._index = cols, n, errors, index
+        store.evaluator_id = evaluator_id
         return store
 
 
@@ -523,7 +487,8 @@ def evaluate_batch(genes, evaluator, store: ResultStore, gen: int | None = None)
     form. Returns the (n, m) raw-objective matrix aligned with the rows, NaN
     in a failed row, and the failed rows' messages in row order.
 
-    Cache hits (same canonical genotype and evaluator) perform no dispatch;
+    An evaluator other than the store's is a ConfigError raised before any
+    dispatch. Cache hits (same canonical genotype) perform no dispatch;
     every other genotype goes to the evaluator once, as a `Genotype`, and
     the dispatched ones are appended to the store as one batch. Failures
     are logged but not cached, so a later batch may retry them. When the
@@ -536,12 +501,12 @@ def evaluate_batch(genes, evaluator, store: ResultStore, gen: int | None = None)
     evaluator_id = evaluator.evaluator_id
     raw = np.full((len(genes), len(store.specs)), math.nan)
     with store._lock:
-        code = store._evaluators.get(evaluator_id, -1)
-        keys = list(_keys(genes, np.arange(len(genes)), [code] * len(genes)))
-        hits = list(map(store._validation_index().get, keys))
+        store._check_evaluator(evaluator_id)
+        keys = list(_keys(genes, np.arange(len(genes))))
+        hits = list(map(store._index.get, keys))
         found = [row for row, hit in enumerate(hits) if hit is not None]
         raw[found] = store._cols["objectives"][[hits[row] for row in found]]
-    first: dict[tuple[bytes, int], int] = {}  # the first row of each genotype to dispatch
+    first: dict[bytes, int] = {}  # the first row of each genotype to dispatch
     for row, (key, hit) in enumerate(zip(keys, hits)):
         if hit is None:
             first.setdefault(key, row)
@@ -565,12 +530,12 @@ def evaluate_batch(genes, evaluator, store: ResultStore, gen: int | None = None)
     return raw, errors
 
 
-def training_rows(store: ResultStore, scheme: str, evaluator_id: str | None = None):
+def training_rows(store: ResultStore, scheme: str):
     """(X, raw): encoded features and the raw objective matrix (columns in
-    spec order) of the store's `first_validations`."""
+    spec order) of the store's `validation_columns`."""
     if store.space is None:
         raise ConfigError("store has no search space attached")
-    genes, raw = first_validations(store, evaluator_id)
+    _, genes, raw = store.validation_columns()
     if not len(raw):
         raise EmptyInput("no validation records to train from")
     ranks = canonical_ranks(genes, store.space)[0]

@@ -124,7 +124,6 @@ class SearchTrace:
 
     space: SearchSpace
     specs: tuple[ObjectiveSpec, ...]
-    source: str
     table: Slots
     gens: list[int]
     population_ids: list[np.ndarray]
@@ -136,7 +135,7 @@ class SearchTrace:
         raw = canonical_matrix(slots.values, self.specs).tolist()  # maximizers negated back
         return [
             EvaluationRecord(
-                Genotype(g), ObjectiveVector(v, self.specs), self.source, "", i, self.gens[i]
+                Genotype(g), ObjectiveVector(v, self.specs), "", i, self.gens[i]
             )
             for g, v, i in zip(genes, raw, slots.ids.tolist())
         ]
@@ -368,7 +367,6 @@ def evolve(
     evaluate: EvaluateFn,
     specs: Sequence[ObjectiveSpec],
     warm_start: np.ndarray | None = None,
-    source: str = "validation",
 ) -> SearchTrace:
     """Run the generational loop; deterministic for a fixed config and a
     deterministic evaluate function.
@@ -465,6 +463,4 @@ def evolve(
 
     n = len(gens)
     table = Slots(ranks[:n], mins[:n], ties[:n], np.arange(n))
-    return SearchTrace(
-        space, specs, source, table, gens, population_ids, duplicate_accepts
-    )
+    return SearchTrace(space, specs, table, gens, population_ids, duplicate_accepts)

@@ -90,12 +90,13 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One evaluated genotype, as held by logs, evolver traces, populations
-    and fronts; a failed measurement has `error` set and no objectives."""
+    """One evaluated genotype, built from a log's row or an evolver trace's
+    when it leaves the engine; a failed measurement has `error` set and no
+    objectives. A log's records share its one evaluator id; a trace's have
+    none ("")."""
 
     genotype: Genotype
     objectives_raw: ObjectiveVector | None
-    source: str
     evaluator_id: str
     sequence_number: int
     gen: int | None = None
@@ -234,22 +235,10 @@ def pareto_front(records) -> list[EvaluationRecord]:
     return [recs[i] for i in first]
 
 
-def first_validations(store, evaluator_id: str | None = None):
-    """(gene matrix, raw-objective matrix) of a `ResultStore`'s successful
-    validations (under `evaluator_id`, if given) in sequence order, read
-    from its columns; a genotype logged under more than one evaluator id
-    keeps its first row."""
-    _, genes, raw = store.validation_columns(evaluator_id)
-    if len(store.evaluator_ids) > 1:  # else no genotype is logged twice
-        rows = np.sort(np.unique(genes, axis=0, return_index=True)[1])
-        genes, raw = genes[rows], raw[rows]
-    return genes, raw
-
-
 def validated_front(store) -> FrontColumns:
-    """The front of a `ResultStore`'s `first_validations` by the rules of
+    """The front of a `ResultStore`'s `validation_columns` by the rules of
     `pareto_front`, built without a record."""
-    genes, raw = first_validations(store)
+    _, genes, raw = store.validation_columns()
     if not len(raw):
         raise EmptyInput("a front needs at least one validation record")
     members = first_front(canonical_matrix(raw, store.specs))

@@ -27,14 +27,10 @@ class CallableEvaluator:
         return out
 
 
-def validation_records(store, evaluator_id=None):
-    """A result store's successful validation records in sequence order
-    (under `evaluator_id`, if given): the record form of its
-    `validation_columns`."""
-    return [
-        r for r in store.records
-        if r.ok and r.source == "validation" and evaluator_id in (None, r.evaluator_id)
-    ]
+def validation_records(store):
+    """A result store's successful validation records in sequence order: the
+    record form of its `validation_columns`."""
+    return [r for r in store.records if r.ok]
 
 
 def gene_rows(genotypes):

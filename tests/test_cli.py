@@ -271,6 +271,11 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
      "{config}: unknown encoding 'binary'"),
     ("concurrent", [], {"predictor": {"families": [1]}},
      "{config}: families must be dict, got [1]"),
+    ("concurrent", ["--predictor-for", "latency:svr"], None,
+     "predictor families name 'latency', which is not an objective of this run: "
+     "['top1', 'latency_ms']"),
+    ("full", [], {"predictor": {"families": {"latency": "svr"}}},
+     "predictor families name 'latency', which is not an objective of this run"),
     ("full", [*EXTERNAL_GENES_SUM, "--timeout", "-1"], None,
      "--timeout must be finite and > 0, got -1.0"),
     ("full", [*EXTERNAL_GENES_SUM, "--timeout", "inf"], None,
@@ -288,7 +293,8 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
      "{config}: warm_start: cannot repair genotype of length 2 for genome length 10"),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
         "inner-population", "duplicate-objective", "ridge-lambda", "ridge-lambda-inf", "svr-c",
-        "svr-epsilon", "svr-kernel", "svr-gamma", "encoding", "families", "timeout",
+        "svr-epsilon", "svr-kernel", "svr-gamma", "encoding", "families",
+        "predictor-for-unknown-objective", "families-unknown-objective", "timeout",
         "timeout-inf", "noise-scale-inf", "noise-scale-nan", "noise-scale-negative",
         "seed-beyond-hash", "noise-seed-beyond-hash", "warm-start-length"])
 def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
@@ -826,12 +832,40 @@ def unknown_record_type(lines):
 
 
 def duplicate_validation(lines):
-    lines[4] = lines[1]  # record 0 again, under the same evaluator
+    doc = json.loads(lines[1])  # record 0 again, at record 3's position
+    doc["seq"] = 3
+    lines[4] = json.dumps(doc) + "\n"
     return 5
 
 
+def edit_record(line: int, message: str, **fields):
+    """A corruption that sets `fields` in the record on `line`, which `load`
+    reports with `message`."""
+    def corrupt(lines):
+        doc = json.loads(lines[line - 1])
+        doc.update(fields)
+        lines[line - 1] = json.dumps(doc) + "\n"
+        return line
+
+    corrupt.__name__ = "_".join(f"{k}={v}" for k, v in fields.items())
+    corrupt.message = message
+    return corrupt
+
+
+# records that a log of one run cannot hold: another evaluator's, one of
+# another source, an evaluator id that is not a string, and a repeated seq
+ONE_RUN_FAULTS = [
+    edit_record(5, "evaluator_id 'synthetic:v100-like' is not the log's 'e1'",
+                evaluator_id="synthetic:v100-like"),
+    edit_record(4, "source 'predicted' is not 'validation'", source="predicted"),
+    edit_record(2, "evaluator_id 7 is not a string", evaluator_id=7),
+    edit_record(3, "seq 0 is not the record's position 1", seq=0),
+]
+
+
 @pytest.mark.parametrize(
-    "corrupt", [tear_line, drop_objectives, unknown_record_type, duplicate_validation]
+    "corrupt",
+    [tear_line, drop_objectives, unknown_record_type, duplicate_validation, *ONE_RUN_FAULTS],
 )
 def test_popdb_malformed_history_is_config_error(tmp_path, toy_space, toy_space_file,
                                                  capsys, corrupt):
@@ -847,6 +881,23 @@ def test_popdb_malformed_history_is_config_error(tmp_path, toy_space, toy_space_
     assert code == 2
     assert f"{history}:{lineno}:" in capsys.readouterr().err
     assert not (tmp_path / "constraints.json").exists()
+
+
+@pytest.mark.parametrize("corrupt", ONE_RUN_FAULTS)
+def test_warm_start_from_a_log_of_more_than_one_run_is_config_error(
+        tmp_path, toy_space, toy_space_file, capsys, corrupt):
+    history = tmp_path / "evals.jsonl"
+    write_toy_history(history, toy_space)
+    lines = history.read_text().splitlines(keepends=True)
+    lineno = corrupt(lines)
+    history.write_text("".join(lines))
+    code = run_cli(
+        "search", "concurrent", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        "--warm-start", str(history), *RUN_SIZES["concurrent"], "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert f"config error: {history}:{lineno}: {corrupt.message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_popdb_history_with_a_forbidden_gene_value_is_config_error(

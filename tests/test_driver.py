@@ -487,11 +487,11 @@ def test_hv_trace_equals_full_recompute_exactly(toy_setup):
 
 
 def mixed_log(space, surface):
-    """A log with a failure row and a second evaluator id, which validates a
-    new genotype and again one that the first evaluator validated, with
-    objectives that dominate every other record."""
+    """A log with a failure row and a later batch that measures the failed
+    genotype, with objectives that dominate every other record, and a new
+    one."""
     store = ResultStore(surface.specs, space=space)
-    gs = sample_uniform(space, 60, seed=21)
+    gs = list(dict.fromkeys(sample_uniform(space, 60, seed=21)))
     evaluator = SyntheticSurfaceEvaluator(surface)
     evaluate_batch(gene_rows(gs[:50]), evaluator, store)
     store.append_batch([gs[50].genes], [EvaluationFailure("crashed")], evaluator.evaluator_id)
@@ -499,19 +499,21 @@ def mixed_log(space, surface):
     top1 = max(r.objectives_raw.value_of("top1") for r in recs) + 1.0
     latency = min(r.objectives_raw.value_of("latency_ms") for r in recs) / 2
     store.append_batch(
-        gene_rows([gs[3], gs[51]]),
+        gene_rows([gs[50], gs[51]]),
         [ObjectiveVector((top1, latency), surface.specs),
          synthetic_evaluate(gs[51], surface)],
-        "second",
+        evaluator.evaluator_id,
     )
     return store
 
 
-def test_mixed_log_repeats_a_genotype_under_a_second_evaluator(toy_setup):
+def test_mixed_log_measures_a_failed_genotype_again(toy_setup):
     space, surface = toy_setup
-    recs = validation_records(mixed_log(space, surface))
-    assert {r.evaluator_id for r in recs} == {"synthetic:clx-like", "second"}
-    assert len({r.genotype for r in recs}) == len(recs) - 1
+    store = mixed_log(space, surface)
+    failed = [r.genotype for r in store.records if not r.ok]
+    recs = validation_records(store)
+    assert len(failed) == 1 and recs[-2].genotype == failed[0]
+    assert len({r.genotype for r in recs}) == len(recs) == 52
 
 
 def test_column_front_and_reference_equal_the_record_forms(toy_setup, tmp_path, monkeypatch):
@@ -579,8 +581,7 @@ def test_column_fronts_write_the_record_path_bytes(toy_space, toy_genotypes, tmp
                                                    data):
     """front.csv from a store's columns and predicted_front.csv from a trace
     table equal `record_front_to_csv(pareto_front(records))` byte for byte:
-    with genotypes logged under two evaluator ids, failures and rows of
-    other sources in the log, distinct genotypes with equal objective
+    with failures in the log, distinct genotypes with equal objective
     vectors, maximized and minimized objectives, signed zeros and one-row
     fronts."""
     specs = data.draw(objective_specs())
@@ -601,25 +602,18 @@ def test_column_fronts_write_the_record_path_bytes(toy_space, toy_genotypes, tmp
     sign = np.array([1.0 if s.direction == "minimize" else -1.0 for s in specs])
     ranks = rank_matrix(gs, toy_space).astype(np.uint8)
     table = Slots(ranks, np.array(values) * sign, np.zeros(n, np.uint64), np.arange(n))
-    trace = SearchTrace(toy_space, specs, "predicted", table, [0] * n, [np.arange(n)], 0)
+    trace = SearchTrace(toy_space, specs, table, [0] * n, [np.arange(n)], 0)
     front_to_csv(trace.front(), specs, out / "predicted_front.csv")
     record_front_to_csv(pareto_front(trace.evaluations), out / "oracle_predicted.csv")
     assert (out / "predicted_front.csv").read_bytes() == (out / "oracle_predicted.csv").read_bytes()
 
-    # a log: a failure, rows of another source, and a second evaluator that
-    # measures some genotypes again and some new ones
+    # a log of two batches with failures between them: of a measured
+    # genotype, and of one that the second batch measures
     store = ResultStore(specs, space=toy_space)
     k = data.draw(st.integers(1, n))
     store.append_batch(gene_rows(gs[:k]), [ObjectiveVector(v, specs) for v in values[:k]], "a")
-    store.append_batch([gs[0].genes], [EvaluationFailure("crashed")], "a")
-    store.append_batch([gs[0].genes], [ObjectiveVector(values[0], specs)], "a",
-                       source="predicted")
-    again = data.draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
-    second = [gs[i] for i in again] + gs[k:]
-    second_values = data.draw(st.lists(st.tuples(*[FRONT_VALUES] * m), min_size=len(again),
-                                       max_size=len(again))) + values[k:]
-    store.append_batch(gene_rows(second), [ObjectiveVector(v, specs) for v in second_values],
-                       "b")
+    store.append_batch([gs[0].genes, gs[-1].genes], [EvaluationFailure("crashed")] * 2, "a")
+    store.append_batch(gene_rows(gs[k:]), [ObjectiveVector(v, specs) for v in values[k:]], "a")
     front_to_csv(validated_front(store), specs, out / "front.csv")
     record_front_to_csv(pareto_front(validation_records(store)), out / "oracle.csv")
     assert (out / "front.csv").read_bytes() == (out / "oracle.csv").read_bytes()

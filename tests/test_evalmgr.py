@@ -58,16 +58,15 @@ def constant_evaluator(values=(1.0, 2.0), specs=MIN2, evaluator_id="const"):
 
 def test_store_appends_and_indexes(toy_space):
     store = ResultStore(MIN2, space=toy_space)
+    assert store.evaluator_id is None
     g = sample_uniform(toy_space, 1, 0)[0]
     assert store.append_batch([g.genes], [ObjectiveVector((1.0, 2.0), MIN2)], "e1") is None
     assert [r.sequence_number for r in store.records] == [0]
-    # cached under e1: no dispatch; under e2 the genotype is measured
+    assert store.evaluator_id == "e1"  # the first record fixes the log's evaluator
+    # cached: no dispatch
     raw, _ = evaluate_batch(gene_rows([g]), constant_evaluator((5.0, 6.0), evaluator_id="e1"),
                             store)
     assert raw.tolist() == [[1.0, 2.0]] and len(store.records) == 1
-    raw, _ = evaluate_batch(gene_rows([g]), constant_evaluator((5.0, 6.0), evaluator_id="e2"),
-                            store)
-    assert raw.tolist() == [[5.0, 6.0]] and len(store.records) == 2
 
 
 def test_store_rejects_duplicate_validation(toy_space):
@@ -76,8 +75,31 @@ def test_store_rejects_duplicate_validation(toy_space):
     store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
     with pytest.raises(ConfigError):
         store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 2.0), MIN2)], "e1")
-    # same genotype under a different evaluator is a separate measurement
-    store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 3.0), MIN2)], "e2")
+    # a log holds one run: another evaluator's measurement is refused, even of
+    # a genotype the log has not measured
+    for genes in (g.genes, sample_uniform(toy_space, 2, 1)[1].genes):
+        with pytest.raises(ConfigError, match="a log holds one run"):
+            store.append_batch([genes], [ObjectiveVector((1.0, 3.0), MIN2)], "e2")
+    assert len(store.records) == 1 and store.evaluator_id == "e1"
+
+
+def test_batch_refuses_another_evaluator_before_dispatch(tmp_path, toy_space):
+    """A batch of another evaluator than the log's raises before that
+    evaluator is called, in the store that wrote the log and in its load."""
+    path = tmp_path / "evals.jsonl"
+    store = ResultStore(MIN2, space=toy_space, path=path)
+    gs = sample_uniform(toy_space, 3, 2)
+    evaluate_batch(gene_rows(gs[:1]), constant_evaluator(evaluator_id="e1"), store)
+    store.close()
+
+    def never(g):
+        raise AssertionError("dispatched to the other evaluator")
+
+    for log in (store, ResultStore.load(path, space=toy_space)):
+        with pytest.raises(ConfigError, match="evaluator 'e2' cannot add to the log of "
+                                              "evaluator 'e1': a log holds one run"):
+            evaluate_batch(gene_rows(gs), CallableEvaluator(never, "e2"), log)
+        assert len(log.records) == 1
 
 
 def test_store_replay_round_trip(tmp_path, toy_space):
@@ -105,30 +127,26 @@ def test_store_replay_round_trip(tmp_path, toy_space):
 
 
 def mixed_log(path, toy_space):
-    """A streamed log with failures, a null gen, two evaluator ids, a
-    non-validation record and gene values the space forbids, one of them
-    beyond 32 bits; returns its store."""
+    """A streamed log with a failure, a null gen and gene values the space
+    forbids, one of them beyond 32 bits; returns its store."""
     store = ResultStore(MIN2, space=toy_space, path=path)
     gs = sample_uniform(toy_space, 4, 4)
     outside = Genotype((-1, 2**40) + gs[3].genes[2:])
     store.append_batch([gs[0].genes], [ObjectiveVector((1.5, -0.0), MIN2)], "e1", gen=0)
-    store.append_batch(gene_rows([gs[0]]), [ObjectiveVector((2.5, 1e-300), MIN2)], "e2")
+    store.append_batch(gene_rows([gs[2]]), [ObjectiveVector((2.5, 1e-300), MIN2)], "e1")
     store.append_batch(
         gene_rows([gs[1], gs[1]]),
         [EvaluationFailure("exploded"), ObjectiveVector((0.1, 0.2), MIN2)], "e1", gen=1,
     )
-    store.append_batch(
-        gene_rows([gs[2]]), [ObjectiveVector((9.0, 9.0), MIN2)], "e1", gen=2, source="predicted"
-    )
-    store.append_batch([outside.genes], [ObjectiveVector((3.0, 4.0), MIN2)], "e2", gen=2)
+    store.append_batch([outside.genes], [ObjectiveVector((3.0, 4.0), MIN2)], "e1", gen=2)
     store.close()
     return store
 
 
 def record_fields(rec):
     values = rec.objectives_raw.values if rec.ok else None
-    return (rec.genotype.genes, values, rec.source, rec.evaluator_id,
-            rec.sequence_number, rec.gen, rec.error)
+    return (rec.genotype.genes, values, rec.evaluator_id, rec.sequence_number, rec.gen,
+            rec.error)
 
 
 def test_store_load_keeps_every_column_and_dumps_the_same_bytes(tmp_path, toy_space):
@@ -147,14 +165,14 @@ def test_store_load_keeps_every_column_and_dumps_the_same_bytes(tmp_path, toy_sp
         copy = tmp_path / "copy.jsonl"
         replayed.dump(copy)
         assert copy.read_bytes() == path.read_bytes()
-        seqs, genes, raw = replayed.validation_columns("e2")
-        assert seqs.tolist() == [1, 5]
-        assert genes[1].tolist()[:2] == [-1, 2**40]
-        assert raw.tolist() == [[2.5, 1e-300], [3.0, 4.0]]
-        assert replayed.validation_columns()[0].tolist() == [0, 1, 3, 5]
+        assert replayed.evaluator_id == "e1"
+        seqs, genes, raw = replayed.validation_columns()
+        assert seqs.tolist() == [0, 1, 3, 4]
+        assert genes[3].tolist()[:2] == [-1, 2**40]
+        assert raw.tolist() == [[1.5, -0.0], [2.5, 1e-300], [0.1, 0.2], [3.0, 4.0]]
         raw, _ = evaluate_batch(gene_rows([store.records[3].genotype]),
                                 constant_evaluator(evaluator_id="e1"), replayed)
-        assert raw.tolist() == [[0.1, 0.2]] and len(replayed.records) == 6
+        assert raw.tolist() == [[0.1, 0.2]] and len(replayed.records) == 5
 
 
 def test_spaceless_load_keeps_the_space_name_and_dumps_the_same_bytes(tmp_path, toy_space):
@@ -189,8 +207,16 @@ def bad_log_lines(path, toy_space):
     (lambda doc, first: doc.pop("evaluator_id"), "malformed record: KeyError"),
     (lambda doc, first: doc.update(type="evaluation"), "unknown record type"),
     (lambda doc, first: doc.update(genotype=first["genotype"]), "duplicate validation record"),
+    (lambda doc, first: doc.update(seq=0), "seq 0 is not the record's position 2"),
+    (lambda doc, first: doc.update(seq=2.0), "seq 2.0 is not the record's position 2"),
+    (lambda doc, first: doc.pop("seq"), "malformed record: KeyError"),
+    (lambda doc, first: doc.update(source="predicted"), "source 'predicted' is not 'validation'"),
+    (lambda doc, first: doc.update(evaluator_id="e2"),
+     "evaluator_id 'e2' is not the log's 'e1': a log holds one run"),
+    (lambda doc, first: doc.update(type="failure", error=None),
+     "error must be a string, got None"),
 ], ids=["gen", "gene", "huge_gene", "length", "non_finite", "missing_field", "type",
-        "duplicate"])
+        "duplicate", "seq", "float_seq", "missing_seq", "source", "evaluator", "error"])
 def test_store_load_names_the_line_of_a_bad_record(tmp_path, toy_space, edit, message):
     path = tmp_path / "evals.jsonl"
     lines = bad_log_lines(path, toy_space)
@@ -242,6 +268,53 @@ def test_store_load_names_the_first_of_two_faulty_lines(
         ResultStore.load(path, space=toy_space)
 
 
+@pytest.mark.parametrize("evaluator_id", [None, 7, ["e1"]])
+def test_store_load_refuses_an_evaluator_id_that_is_not_a_string(tmp_path, toy_space,
+                                                                 evaluator_id):
+    path = tmp_path / "evals.jsonl"
+    lines = bad_log_lines(path, toy_space)
+    doc = json.loads(lines[1])
+    doc["evaluator_id"] = evaluator_id
+    lines[1] = json.dumps(doc, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=f"^{path}:2: evaluator_id .* is not a string$"):
+        ResultStore.load(path, space=toy_space)
+
+
+def test_store_load_refuses_a_seq_that_is_not_the_position(tmp_path, toy_space):
+    """A log whose records all carry one seq fails at the first record whose
+    seq is not its position, rather than loading with new numbers."""
+    path = tmp_path / "evals.jsonl"
+    lines = bad_log_lines(path, toy_space)
+    lines = [lines[0]] + [
+        line if not line.strip() else json.dumps({**json.loads(line), "seq": 7}) + "\n"
+        for line in lines[1:]
+    ]
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=f"^{path}:2: seq 7 is not the record's position 0"):
+        ResultStore.load(path, space=toy_space)
+
+
+def test_loaded_log_dispatches_none_of_its_genotypes(tmp_path, toy_space):
+    """`load` builds the validation index as its duplicate check: a loaded
+    log answers each of its own genotypes from the cache, and only its
+    failed genotype is dispatched again."""
+    path = tmp_path / "evals.jsonl"
+    store = ResultStore(MIN2, space=toy_space, path=path)
+    gs = list(enumerate_genotypes(toy_space))[:300]
+    outs = [ObjectiveVector((float(i), 1.0), MIN2) for i in range(len(gs))]
+    outs[5] = EvaluationFailure("exploded")
+    store.append_batch(gene_rows(gs), outs, "e1", gen=0)
+    store.close()
+    loaded = ResultStore.load(path, space=toy_space)
+    assert loaded._index == store._index
+    dispatched = []
+    ev = CallableEvaluator(lambda g: dispatched.append(g) or outs[0], "e1")
+    raw, errors = evaluate_batch(gene_rows(gs), ev, loaded)
+    assert dispatched == [gs[5]] and errors == []
+    assert raw[:, 0].tolist() == [0.0 if i == 5 else float(i) for i in range(len(gs))]
+
+
 def test_spaceless_load_measures_genotypes_against_the_first_record(tmp_path, toy_space):
     path = tmp_path / "evals.jsonl"
     lines = bad_log_lines(path, toy_space)
@@ -288,22 +361,25 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=60, deadline=None)
 @given(
     names=st.lists(TEXT, min_size=1, max_size=3, unique=True),
-    batches=st.lists(st.tuples(
-        st.lists(st.tuples(st.lists(st.integers(-2**63 + 1, 2**63 - 1), min_size=3,
-                                    max_size=3), st.one_of(TEXT, st.none()), FLOATS),
-                 min_size=1, max_size=4),
-        st.one_of(st.none(), st.integers(-2**63 + 1, 2**63 - 1)),
-        TEXT.filter(lambda source: source != "validation"), TEXT,
-    ), max_size=4),
+    evaluator_id=TEXT,
+    records=st.lists(
+        st.tuples(st.lists(st.integers(-2**63 + 1, 2**63 - 1), min_size=3, max_size=3),
+                  st.one_of(TEXT, st.none()), FLOATS),
+        max_size=16, unique_by=lambda record: tuple(record[0]),
+    ),
+    batches=st.lists(st.tuples(st.integers(1, 4), st.one_of(
+        st.none(), st.integers(-2**63 + 1, 2**63 - 1))), max_size=4),
 )
-def test_store_lines_are_json_dumps_of_each_record(tmp_path_factory, names, batches):
+def test_store_lines_are_json_dumps_of_each_record(tmp_path_factory, names, evaluator_id,
+                                                   records, batches):
     """The formatted log lines equal `json.dumps` of each record's document,
     for any strings, integers in int64 range and finite floats."""
     specs = tuple(ObjectiveSpec(name, "minimize") for name in names)
     store = ResultStore(specs)
     expected = [{"type": "run", "space": "", "objectives": [
         {"name": s.name, "direction": s.direction, "unit": s.unit} for s in specs]}]
-    for rows, gen, source, evaluator_id in batches:
+    for size, gen in batches:
+        rows, records = records[:size], records[size:]
         genotypes, outs = [], []
         for genes, error, value in rows:
             doc = {"type": "eval" if error is None else "failure", "seq": len(expected) - 1,
@@ -311,14 +387,14 @@ def test_store_lines_are_json_dumps_of_each_record(tmp_path_factory, names, batc
             if error is None:
                 values = tuple(value + k for k in range(len(specs)))
                 outs.append(ObjectiveVector(values, specs))
-                doc.update(objectives_raw=dict(zip(names, values)), source=source)
+                doc.update(objectives_raw=dict(zip(names, values)), source="validation")
             else:
                 outs.append(EvaluationFailure(error))
                 doc.update(error=error)
             doc.update(evaluator_id=evaluator_id)
             expected.append(doc)
             genotypes.append(Genotype(tuple(genes)))
-        store.append_batch(gene_rows(genotypes), outs, evaluator_id, gen=gen, source=source)
+        store.append_batch(gene_rows(genotypes), outs, evaluator_id, gen=gen)
     path = tmp_path_factory.mktemp("log") / "evals.jsonl"
     store.dump(path)
     assert path.read_text(encoding="utf-8").splitlines() == [
@@ -343,6 +419,8 @@ def test_store_rejects_a_faulty_batch_whole(tmp_path, toy_space):
         store.append_batch(gene_rows(gs[1:]), [ok], "e1")
     # a failure and a success of one genotype are not duplicates
     store.append_batch(gene_rows([gs[1], gs[1]]), [EvaluationFailure("x"), ok], "e1")
+    with pytest.raises(ConfigError, match="a log holds one run"):  # another evaluator's
+        store.append_batch(gene_rows(gs[2:]), [ok], "e2")
     assert [r.sequence_number for r in store.records] == [0, 1, 2]
     assert store.validation_columns()[0].tolist() == [0, 2]
     store.close()
@@ -353,13 +431,11 @@ def test_store_rejects_a_faulty_batch_whole(tmp_path, toy_space):
 
 def test_store_concurrent_appends_keep_total_order(toy_space):
     store = ResultStore(MIN2, space=toy_space)
-    gs = sample_uniform(toy_space, 64, 3)
+    gs = list(enumerate_genotypes(toy_space))[:64]
 
     def worker(chunk):
         for g in chunk:
-            store.append_batch(
-                gene_rows([g]), [ObjectiveVector((0.0, 0.0), MIN2)], "e1", source="predicted"
-            )
+            store.append_batch(gene_rows([g]), [ObjectiveVector((0.0, 0.0), MIN2)], "e1")
 
     threads = [threading.Thread(target=worker, args=(gs[i::4],)) for i in range(4)]
     for t in threads:
@@ -606,15 +682,13 @@ def test_table_evaluator_lookup_and_missing(tmp_path, tiny_space):
 # ---------------------------------------------------------------------------
 
 
-def test_training_set_filters_predicted_and_dedupes(toy_space):
+def test_training_set_skips_failures(toy_space):
     store = ResultStore(MIN2, space=toy_space)
     gs = sample_uniform(toy_space, 5, 6)
     store.append_batch(
         gene_rows(gs[:3]), [ObjectiveVector((float(i), 0.0), MIN2) for i in range(3)], "e1"
     )
-    store.append_batch(
-        gene_rows(gs[3:]), [ObjectiveVector((9.0, 9.0), MIN2)] * 2, "e1", source="predicted"
-    )
+    store.append_batch(gene_rows(gs[3:]), [EvaluationFailure("exploded")] * 2, "e1")
     X, raw = training_rows(store, "one_hot")
     assert X.shape[0] == 3
     assert raw[:, 0].tolist() == [0.0, 1.0, 2.0]
@@ -622,50 +696,35 @@ def test_training_set_filters_predicted_and_dedupes(toy_space):
     assert np.allclose(X, encode_matrix(ranks, toy_space, "one_hot"))
 
 
-def test_training_set_first_evaluator_wins_without_filter(toy_space):
-    store = ResultStore(MIN2, space=toy_space)
-    g = sample_uniform(toy_space, 1, 0)[0]
-    store.append_batch(gene_rows([g]), [ObjectiveVector((1.0, 0.0), MIN2)], "cpu")
-    store.append_batch(gene_rows([g]), [ObjectiveVector((2.0, 0.0), MIN2)], "gpu")
-    _, raw = training_rows(store, "one_hot")
-    assert raw.tolist() == [[1.0, 0.0]]
-    _, raw_gpu = training_rows(store, "one_hot", evaluator_id="gpu")
-    assert raw_gpu.tolist() == [[2.0, 0.0]]
-
-
-def training_set_by_records(store, objective, scheme, evaluator_id=None):
-    """Features and one objective's targets from validation records, the
-    first of each genotype kept: the oracle for the columnar training rows."""
-    deduped = {}
-    for r in validation_records(store, evaluator_id):
-        deduped.setdefault(r.genotype.genes, r)
-    ranks = canonical_ranks([r.genotype for r in deduped.values()], store.space)[0]
-    y = np.array([r.objectives_raw.value_of(objective) for r in deduped.values()])
+def training_set_by_records(store, objective, scheme):
+    """Features and one objective's targets from validation records: the
+    oracle for the columnar training rows."""
+    recs = validation_records(store)
+    ranks = canonical_ranks([r.genotype for r in recs], store.space)[0]
+    y = np.array([r.objectives_raw.value_of(objective) for r in recs])
     return encode_matrix(ranks, store.space, scheme), y
 
 
 def test_training_rows_match_records(toy_space):
-    """A log with a failure, a predicted row, a genotype measured under two
-    evaluator ids and one measured only by the second: the same rows,
-    targets and ridge coefficients (fitted on a contiguous target column, as
-    the search loop fits them), bit for bit, as from the records."""
+    """A log with a failure, a genotype measured after it failed, and
+    distinct genotypes with equal objectives: the same rows, targets and
+    ridge coefficients (fitted on a contiguous target column, as the search
+    loop fits them), bit for bit, as from the records."""
     store = ResultStore(MIN2, space=toy_space)
     gs = sample_uniform(toy_space, 8, 11)
     vec = [ObjectiveVector((0.1 * i, 1.0 / (i + 1)), MIN2) for i in range(8)]
     store.append_batch(gene_rows(gs[:3]), vec[:2] + [EvaluationFailure("exploded")], "e1")
-    store.append_batch(gene_rows(gs[3:5]), vec[3:5], "e1", source="predicted")
-    store.append_batch(gene_rows([gs[1], gs[5], gs[6]]), vec[5:8], "e2")
-    store.append_batch(gene_rows([gs[2], gs[7]]), vec[2:4], "e1")
+    store.append_batch(gene_rows(gs[3:7]), vec[3:7], "e1", gen=1)
+    store.append_batch(gene_rows([gs[2], gs[7]]), [vec[2], vec[3]], "e1", gen=2)
     for scheme in ("one_hot", "ordinal_normalized"):
-        for evaluator_id in (None, "e1", "e2"):
-            X, raw = training_rows(store, scheme, evaluator_id)
-            for k, spec in enumerate(MIN2):
-                want_X, want_y = training_set_by_records(store, spec.name, scheme, evaluator_id)
-                y = np.ascontiguousarray(raw[:, k])
-                assert X.tobytes() == want_X.tobytes()
-                assert y.tolist() == want_y.tolist()
-                got, want = fit_ridge(X, y, 1.0), fit_ridge(want_X, want_y, 1.0)
-                assert (got.weights.tobytes(), got.bias) == (want.weights.tobytes(), want.bias)
+        X, raw = training_rows(store, scheme)
+        for k, spec in enumerate(MIN2):
+            want_X, want_y = training_set_by_records(store, spec.name, scheme)
+            y = np.ascontiguousarray(raw[:, k])
+            assert X.tobytes() == want_X.tobytes()
+            assert y.tolist() == want_y.tolist()
+            got, want = fit_ridge(X, y, 1.0), fit_ridge(want_X, want_y, 1.0)
+            assert (got.weights.tobytes(), got.bias) == (want.weights.tobytes(), want.bias)
 
 
 def test_training_rows_need_records_and_a_space(toy_space):

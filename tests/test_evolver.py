@@ -79,7 +79,7 @@ def population_records(trace):
 
 def ind(genes, values, specs=MIN2):
     return EvaluationRecord(
-        Genotype(genes), ObjectiveVector(values, specs), "validation", "", 0
+        Genotype(genes), ObjectiveVector(values, specs), "", 0
     )
 
 

@@ -40,7 +40,7 @@ MIXED = (ObjectiveSpec("acc", "maximize"), ObjectiveSpec("lat", "minimize"))
 
 def rec(genes, values, specs=MIN2, seq=0):
     return EvaluationRecord(
-        Genotype(genes), ObjectiveVector(values, specs), "validation", "", seq
+        Genotype(genes), ObjectiveVector(values, specs), "", seq
     )
 
 
