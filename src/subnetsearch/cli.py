@@ -160,8 +160,6 @@ def _load_config(path) -> dict:
 def _warm_start_from(path: str, space) -> tuple[Genotype, ...]:
     """The validated front of the log at `path`."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"warm-start file not found: {p}")
     store = ResultStore.load(p, space=space)
     if not len(store.validation_columns()[0]):
         raise ConfigError(f"warm-start log {p} has no validation records")
@@ -261,8 +259,6 @@ def _cmd_popdb(args) -> int:
         ("seed", args.seed >= 0, ">= 0"),
     )
     history_path = Path(args.history)
-    if not history_path.exists():
-        raise ConfigError(f"history file not found: {history_path}")
     space = resolve_space(args.space)
     store = ResultStore.load(history_path, space=space)
     seqs, genes, raw = store.validation_columns()
@@ -636,6 +632,9 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
         except Exception as exc:  # noqa: BLE001 - top-level exit-code mapping
+            if isinstance(exc, OSError) and exc.filename is not None:  # a path not openable
+                print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+                return EXIT_CONFIG
             print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
 

@@ -98,6 +98,9 @@ class PredictorConfig:
             ("svr_epsilon", 0 <= self.svr_epsilon < math.inf, "finite and >= 0"),
             ("svr_gamma", self.svr_gamma is None or 0 < self.svr_gamma < math.inf,
              "null or finite and > 0"),
+            ("ridge_lambda", self.ridge_lambda > 0 or self.encoding != "one_hot"
+             or "ridge" not in (self.family, *self.families.values()),
+             "> 0 for ridge on one_hot features, whose centered columns sum to 0 per position"),
         )
 
     def family_for(self, objective: str) -> str:

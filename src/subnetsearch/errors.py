@@ -7,7 +7,14 @@ evaluator/channel faults, and internal failures.
 
 
 class SubnetSearchError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    `row` is the offending item's index when a batch was checked.
+    """
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(SubnetSearchError):
@@ -17,14 +24,7 @@ class ConfigError(SubnetSearchError):
 # --- space ---------------------------------------------------------------
 
 class InvalidGenotype(SubnetSearchError):
-    """Gene value outside its parameter's allowed set, or wrong length.
-
-    `row` is the offending genotype's index when a batch was checked.
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """Gene value outside its parameter's allowed set, or wrong length."""
 
 
 class NonCanonicalInput(SubnetSearchError):
@@ -39,10 +39,6 @@ class ObjectiveMismatch(SubnetSearchError):
 
 class EmptyInput(SubnetSearchError):
     """Operation requires at least one element."""
-
-
-class DegenerateNormalizer(SubnetSearchError):
-    """Latency normalizer with l_max = 0."""
 
 
 class ReferenceViolation(SubnetSearchError):

@@ -16,9 +16,10 @@ import math
 import queue
 import shlex
 import subprocess
-import sys
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -48,7 +49,7 @@ from .space import (
     encode_matrix,
     is_canonical,  # noqa: F401  (a trace site of perfbench/runner.py)
 )
-from .util import GeneText, pseudo_noise, read_json, subseed
+from .util import GeneText, is_json_finite, is_json_int64, pseudo_noise, read_json, subseed
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,7 @@ _BLOCK = 256  # rows per block of whole-log passes, which bounds their temporari
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps's output, built once
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def _keys(genes: np.ndarray, rows: np.ndarray):
@@ -75,6 +77,18 @@ def _keys(genes: np.ndarray, rows: np.ndarray):
         blob = genes[rows[start : start + _BLOCK]].tobytes()
         for i in range(min(_BLOCK, len(rows) - start)):
             yield blob[i * width : (i + 1) * width]
+
+
+def _int64_rows(rows, length: int) -> np.ndarray | None:
+    """The int64 matrix of gene rows of `length` values, or None when a value
+    is not an integer within int64 (a bool or a float is not one)."""
+    if isinstance(rows, np.ndarray):
+        return rows.astype(np.int64, copy=False).reshape(len(rows), length)
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        with suppress(OverflowError):
+            flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * length)
+            return flat.reshape(len(rows), length)
+    return None
 
 
 def _columns(rows: int, length: int, objectives: int) -> np.ndarray:
@@ -108,13 +122,14 @@ class ResultStore:
     may load values from outside the space), its raw objective values (NaN
     for a failure) and its gen; a failure's message is kept beside the
     columns. `EvaluationRecord`s are built from rows only when `records`
-    asks for them, and are not kept.
+    asks for them, and are not kept. Every record enters through one block
+    writer, `_append`, whether `append_batch` brings it or `load` replays it.
 
-    Concurrent appends are serialized under a lock; sequence numbers define
-    the total order. When `path` is given the store streams: the file starts
-    with a header line carrying the objective specs, so that it replays
-    without outside context, and every appended batch is written to it as
-    one JSON line per record and flushed, with the same bytes `dump` writes.
+    Appends are serialized under a lock; sequence numbers define the total
+    order. When `path` is given the store streams: the file starts with a
+    header line carrying the objective specs, so that it replays without
+    outside context, and every block is written to it as one JSON line per
+    record and flushed, with the same bytes `dump` writes.
     """
 
     def __init__(
@@ -152,63 +167,73 @@ class ResultStore:
         gen: int | None = None,
     ) -> None:
         """Append one batch of evaluator outputs, successes and failures, in
-        order, for the gene rows `genes`; a single record is a batch of one.
-
-        The batch is checked whole before anything is appended: a row of
-        another length than the log's is an InvalidGenotype, and an
-        `evaluator_id` other than the log's, or a successful validation of a
-        genotype already cached or twice in the batch, a ConfigError. Its
-        rows go into the columns in one block. Successful validations are
-        cached; failures are logged but never cached. A streaming store
-        writes the batch's lines at once and flushes them before returning.
-        """
+        order, for the gene rows `genes`, through the store's one write path
+        `_append`; a single record is a batch of one."""
         if len(outputs) != len(genes):
             raise EvaluationFailed(
                 f"{len(outputs)} evaluator outputs for {len(genes)} genotypes"
             )
+        errors = {
+            r: out.message for r, out in enumerate(outputs) if isinstance(out, EvaluationFailure)
+        }
+        nan_row = (math.nan,) * len(self.specs)
+        raw = [nan_row if r in errors else out.values for r, out in enumerate(outputs)]
+        self._append(genes, raw, errors, _NO_GEN if gen is None else gen, evaluator_id)
+
+    def _append(self, genes, raw, errors: dict[int, str], gens, evaluator_id: str) -> None:
+        """Append a block of k records, the one write path of a run's batches
+        and of `load`: k gene rows (an int64 matrix or lists of ints), k
+        objective rows, flat or not (NaN for a failure), the failures'
+        {row: message} and the gens (`_NO_GEN` for null), or one gen for all.
+
+        The block is checked whole before anything is appended; a fault
+        carries as `row` the first faulty row. Another evaluator than the
+        log's (row 0), a gene that is not an integer within int64, or a
+        validation of a genotype cached or earlier in the block is a
+        ConfigError; a row of another length than the log's (a spaceless
+        log's first block sets it) an InvalidGenotype. Failures are never
+        cached. A streaming store writes and flushes the block's lines."""
         if not len(genes):
             return
-        failed = [isinstance(out, EvaluationFailure) for out in outputs]
         with self._lock:
             if self.path is not None and self._fh is None:
                 raise ValueError(f"append to the closed result log {self.path}")
-            i, k = self._n, len(genes)
+            i, k, width = self._n, len(genes), self._cols.dtype["genes"].shape[0]
             self._check_evaluator(evaluator_id)
-            length = self._cols.dtype["genes"].shape[0]
-            if self.space is None and not i:
-                length = len(genes[0])  # a spaceless log's first batch
-            bad = next((len(g) for g in genes if len(g) != length), None)
-            if bad is not None:
-                raise InvalidGenotype(
-                    f"genotype has {bad} genes, the log's genotypes have {length}"
+            length = len(genes[0]) if self.space is None and not i else width
+            # each check looks only at the rows before the last fault found
+            stop = next((r for r, g in enumerate(genes) if len(g) != length), k)
+            fault = InvalidGenotype(
+                f"genotype has {len(genes[stop])} genes, the log's genotypes have {length}", stop
+            ) if stop < k else None
+            matrix = _int64_rows(genes[:stop], length)
+            if matrix is None:
+                stop = next(r for r, g in enumerate(genes) if not all(map(is_json_int64, g)))
+                fault = ConfigError(
+                    f"gene values {list(genes[stop])} are not all integers within int64", stop
                 )
-            genes = np.asarray(genes, dtype=np.int64)
-            measured = np.flatnonzero(np.logical_not(failed))
-            keys, seen = list(_keys(genes, measured)), set()
-            for row, key in zip(measured, keys):
-                if key in self._index or key in seen:
-                    raise ConfigError(
-                        f"duplicate validation record for genotype {tuple(genes[row].tolist())}"
-                    )
-                seen.add(key)
-            if length != self._cols.dtype["genes"].shape[0]:
+                matrix = _int64_rows(genes[:stop], length)
+            failed = np.isin(np.arange(stop), list(errors))
+            measured = np.flatnonzero(~failed)
+            keys = list(_keys(matrix, measured))
+            if len(set(keys)) < len(keys) or not self._index.keys().isdisjoint(keys):
+                seen: set[bytes] = set()  # the first key cached or seen before
+                row = next(r for r, key in zip(measured.tolist(), keys)
+                           if key in self._index or key in seen or seen.add(key))
+                fault = ConfigError(
+                    f"duplicate validation record for genotype {tuple(matrix[row].tolist())}", row
+                )
+            if fault is not None:
+                raise fault
+            if length != width:  # a spaceless log's first block
                 self._cols = _columns(0, length, len(self.specs))
             self._cols = _room(self._cols, i + k)
-            nan_row = (math.nan,) * len(self.specs)
             block = self._cols[i : i + k]
-            block["genes"] = genes
-            block["objectives"] = [
-                nan_row if bad else out.values for out, bad in zip(outputs, failed)
-            ]
-            block["gen"] = _NO_GEN if gen is None else gen
-            block["failed"] = failed
-            self._errors.update(
-                (seq, out.message) for seq, out, bad in zip(range(i, i + k), outputs, failed)
-                if bad
-            )
+            block["genes"], block["gen"], block["failed"] = matrix, gens, failed
+            block["objectives"] = np.reshape(raw, (k, len(self.specs)))
+            self._errors.update((i + row, message) for row, message in errors.items())
             self._index.update(zip(keys, (measured + i).tolist()))
-            self.evaluator_id = evaluator_id
-            self._n = i + k
+            self.evaluator_id, self._n = evaluator_id, i + k
             if self._fh is not None:
                 self._fh.writelines(self._lines(i, i + k))
                 self._fh.flush()
@@ -217,7 +242,7 @@ class ResultStore:
         if self.evaluator_id not in (None, evaluator_id):
             raise ConfigError(
                 f"evaluator {evaluator_id!r} cannot add to the log of evaluator "
-                f"{self.evaluator_id!r}: a log holds one run"
+                f"{self.evaluator_id!r}: a log holds one run", 0  # every row of a block
             )
 
     def _lines(self, start: int, stop: int) -> list[str]:
@@ -313,9 +338,8 @@ class ResultStore:
 
     @staticmethod
     def record_line(path: str | Path, sequence_number: int) -> int:
-        """The line of a persisted log that holds the record with this
-        sequence number: records follow the header line, blank lines
-        aside."""
+        """The line of a persisted log that holds record `sequence_number`:
+        records follow the header line, blank lines aside."""
         with open(path, encoding="utf-8") as fh:
             nonblank = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
             for seq, lineno in enumerate(nonblank, -1):
@@ -325,63 +349,49 @@ class ResultStore:
 
     @classmethod
     def load(cls, path: str | Path, space: SearchSpace | None = None) -> "ResultStore":
-        """Replay a persisted log: each line is parsed with `json.loads` and
-        its values go into the columns a block of records at a time; no
-        record is built. The keys of the duplicate check become the loaded
-        store's validation index.
+        """Replay a persisted log: each line is parsed and checked, and the
+        records go to `_append`, a run's write path, a block at a time.
 
-        The first faulty line raises ConfigError naming `path:line`: a torn
-        or malformed line, a missing or mistyped field, an unknown record
-        type, a `seq` other than the record's position, a source other than
-        "validation", an evaluator id that is not a string or not the first
-        record's, a failure's error that is not a string, a non-finite
-        objective, a genotype of the wrong length (against `space`, else
-        against the first record) or a second validation record of a
-        genotype. Gene values are not checked against `space`.
-        """
-        store = cols = fault = evaluator_id = None
-        lineno = n = 0
-        # the records read since the last flush into the columns, with their
-        # lines; genes and values are kept flat, so that no list of a record
-        # outlives its line (a block of such lists makes the cyclic garbage
-        # collector run full passes)
+        The first faulty line raises ConfigError naming `path:line`. The
+        parse finds a torn line, a missing or mistyped field (an evaluator
+        id or failure error that is not a string, an objective that is not a
+        finite JSON number), an unknown record type, a `seq` other than the
+        record's position or a source other than "validation"; the writer
+        what `append_batch` refuses: another evaluator than the first
+        record's, a genotype of the wrong length (against `space`, else the
+        first record), a gene that is not a JSON integer within int64, or a
+        second validation of a genotype. Genes are not checked against
+        `space`."""
+        store = fault = None
+        evaluator_id, lineno = "", 0  # the block's evaluator: a string, so the first is checked
+        # the block read since the last flush, with its lines; values are flat
         genes, values, gens, lines = [], [], [], []
         errors: dict[int, str] = {}
 
         def flush() -> None:
-            """Move the pending records into the columns. Where numpy cannot
-            read a genotype as int64 values, the records before it are moved
-            and the error is raised with `lineno` set to its line."""
-            nonlocal n, cols, lineno
-            if not gens:
+            """Append the block; a writer's fault moves `lineno` to its row's."""
+            nonlocal lineno
+            if not lines:
                 return
-            cols = _room(cols, n + len(gens))
-            block = cols[n : n + len(gens)]
             try:
-                block["genes"] = np.array(genes, dtype=np.int64).reshape(len(gens), length)
-            except (TypeError, ValueError, OverflowError):
-                for k in range(len(gens)):
-                    try:
-                        np.array(genes[k * length : (k + 1) * length], dtype=np.int64)
-                    except (TypeError, ValueError, OverflowError):
-                        lineno = lines[k]
-                        del genes[k * length :], values[k * len(names) :], gens[k:]
-                        flush()
-                        raise
-            block["objectives"] = np.reshape(values, (len(gens), len(names)))
-            block["gen"] = gens
-            block["failed"] = False
-            n += len(gens)
-            for column in (genes, values, gens, lines):
-                column.clear()
+                store._append(genes, values, errors, gens, evaluator_id)
+            except (ConfigError, InvalidGenotype) as exc:
+                lineno = lines[exc.row]
+                raise
+            finally:
+                for pending in (genes, values, gens, lines, errors):
+                    pending.clear()
 
         try:
             try:
                 with open(path, encoding="utf-8") as fh:
                     for lineno, line in enumerate(fh, 1):
-                        if not line.strip():
+                        line = line.strip()
+                        if not line:
                             continue
-                        doc = json.loads(line)
+                        doc, end = _DECODE(line)  # json.loads, less its whitespace scans
+                        if end < len(line):
+                            raise json.JSONDecodeError("Extra data", line, end)
                         if store is None:
                             if doc.get("type") != "run":
                                 raise ConfigError("missing run header line")
@@ -394,14 +404,14 @@ class ResultStore:
                                 store.space_name = doc.get("space", "")
                             names = [s.name for s in specs]
                             nan_row = [math.nan] * len(names)
-                            length = space.genome_length if space is not None else None
                             continue
-                        g, kind, error = doc["genotype"], doc["type"], None
+                        g, kind, eid = doc["genotype"], doc["type"], doc["evaluator_id"]
                         if kind == "eval":
-                            raw = doc["objectives_raw"]
-                            row = [float(raw[name]) for name in names]
-                            if not all(map(math.isfinite, row)):
-                                raise ConfigError(f"non-finite objective value in {tuple(row)}")
+                            raw, error = doc["objectives_raw"], None
+                            row = [raw[name] for name in names]
+                            if not all(map(is_json_finite, row)):
+                                raise ConfigError(f"non-finite objective value in {tuple(row)}: "
+                                                  "each must be a finite JSON number")
                             if doc["source"] != "validation":
                                 raise ConfigError(
                                     f"source {doc['source']!r} is not 'validation': "
@@ -413,40 +423,28 @@ class ResultStore:
                                 raise ConfigError(f"error must be a string, got {error!r}")
                         else:
                             raise ConfigError(f"unknown record type {kind!r}")
-                        seq = doc["seq"]
-                        if type(seq) is not int or seq != n + len(gens):
-                            raise ConfigError(
-                                f"seq {seq!r} is not the record's position {n + len(gens)}"
-                            )
-                        if evaluator_id is None and isinstance(doc["evaluator_id"], str):
-                            evaluator_id = doc["evaluator_id"]  # the first record's
-                        elif evaluator_id is None or doc["evaluator_id"] != evaluator_id:
-                            raise ConfigError(f"evaluator_id {doc['evaluator_id']!r} is not " + (
-                                "a string" if evaluator_id is None
-                                else f"the log's {evaluator_id!r}: a log holds one run"))
-                        if length is None:
-                            length = len(g)
-                        if len(g) != length:
-                            raise InvalidGenotype(
-                                f"genotype has {len(g)} genes, "
-                                + (f"space {space.name!r}" if space is not None
-                                   else "the first record")
-                                + f" has {length}"
-                            )
+                        seq, n = doc["seq"], store._n + len(lines)
+                        if type(seq) is not int or seq != n:
+                            raise ConfigError(f"seq {seq!r} is not the record's position {n}")
+                        if type(g) is not list:
+                            raise ConfigError(f"genotype must be a list, got {g!r}")
                         gen = doc.get("gen")
                         if gen is None:
                             gen = _NO_GEN
                         elif type(gen) is not int or not _NO_GEN < gen < 2**63:
                             raise ConfigError(f"gen must be an integer or null, got {gen!r}")
-                        if kind == "failure":
-                            errors[n + len(gens)] = error
-                        genes.extend(g)
+                        if eid != evaluator_id:  # a block holds one evaluator
+                            if type(eid) is not str:
+                                raise ConfigError(f"evaluator_id {eid!r} is not a string")
+                            flush()
+                            evaluator_id = eid
+                        if error is not None:
+                            errors[len(lines)] = error
+                        genes.append(g)
                         values.extend(row)
                         gens.append(gen)
                         lines.append(lineno)
-                        if cols is None:
-                            cols = _columns(0, length, len(names))
-                        if len(gens) == _BLOCK:
+                        if len(lines) == _BLOCK:
                             flush()
             finally:
                 flush()  # the records read before a faulty line precede it
@@ -458,22 +456,8 @@ class ResultStore:
             )
         except (ConfigError, InvalidGenotype) as exc:
             fault = ConfigError(f"{path}:{lineno}: {exc}")
-        if store is None:
+        if store is None or fault is not None:
             raise fault or ConfigError(f"{path}: missing run header line")
-        cols = store._cols if cols is None else cols[:n]
-        cols["failed"][[i for i in errors if i < n]] = True
-        rows = np.flatnonzero(~cols["failed"])
-        index: dict[bytes, int] = {}
-        for i, key in zip(rows.tolist(), _keys(cols["genes"], rows)):
-            if index.setdefault(key, i) != i:  # its line precedes a fault's
-                raise ConfigError(
-                    f"{path}:{cls.record_line(path, i)}: duplicate validation record for "
-                    f"genotype {tuple(cols['genes'][i].tolist())}"
-                )
-        if fault is not None:
-            raise fault
-        store._cols, store._n, store._errors, store._index = cols, n, errors, index
-        store.evaluator_id = evaluator_id
         return store
 
 
@@ -658,25 +642,21 @@ class TableEvaluator:
                 for o in doc["objectives"]
             )
             self._table = {}
-            for entry in doc["entries"]:
-                genes = tuple(int(v) for v in entry["genes"])
-                values = tuple(
-                    float(entry["objectives"][s.name]) for s in self.specs
-                )
-                self._table[genes] = ObjectiveVector(values, self.specs)
+            for entry in doc["entries"]:  # JSON numbers as written, never coerced
+                genes, values = entry["genes"], [entry["objectives"][s.name] for s in self.specs]
+                if not all(map(is_json_int64, genes)) or not all(map(is_json_finite, values)):
+                    raise ValueError(f"entry {entry}: genes must be integers within int64 "
+                                     "and objectives finite numbers")
+                self._table[tuple(genes)] = ObjectiveVector(values, self.specs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed table file {path}: {exc}") from exc
         self.evaluator_id = evaluator_id or f"table:{Path(path).name}"
 
     def evaluate(self, genotypes):
-        out = []
-        for g in genotypes:
-            vec = self._table.get(g.genes)
-            if vec is None:
-                out.append(EvaluationFailure(f"genotype {list(g.genes)} not in table"))
-            else:
-                out.append(vec)
-        return out
+        return [
+            self._table.get(g.genes) or EvaluationFailure(f"genotype {list(g.genes)} not in table")
+            for g in genotypes
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -728,13 +708,14 @@ class ExternalEvaluator:
     def start(self) -> None:
         if self._proc is not None:
             return
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
+            )
+        except OSError as exc:  # a handshake failure: no evaluator to greet
+            raise ProtocolError(
+                f"cannot start evaluator {self.command[0]!r}: {exc.strerror}"
+            ) from exc
         self._pump_thread = threading.Thread(target=self._pump, daemon=True)
         self._pump_thread.start()
         self._send({"type": "hello", "objectives": [s.name for s in self.specs],
@@ -860,9 +841,7 @@ class ExternalEvaluator:
                         f"response missing objectives {missing}", payload=json.dumps(msg)
                     )
                 values = [objs[s.name] for s in self.specs]
-                if not all(
-                    type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values
-                ):
+                if not all(map(is_json_finite, values)):
                     raise ProtocolError(
                         f"objective values {values} are not all finite numbers",
                         payload=json.dumps(msg),

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateNormalizer,
     EmptyInput,
     ObjectiveMismatch,
     ReferenceViolation,
@@ -261,8 +260,6 @@ class LatencyNormalizer:
 
 def normalize_latency(l: float, n: LatencyNormalizer) -> float:
     """(l - l_min) / l_max, applied exactly as stated, with no clamping."""
-    if n.l_max == 0:
-        raise DegenerateNormalizer("l_max = 0")
     if not math.isfinite(l) or l < 0:
         raise ConfigError(f"latency must be finite and >= 0, got {l}")
     return (l - n.l_min) / n.l_max

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidGenotype, NonCanonicalInput
-from .util import GeneText, read_json, subseed
+from .util import GeneText, is_json_int64, read_json, subseed
 
 ROLES = ("block_depth", "per_layer", "global")
 ENCODINGS = ("one_hot", "ordinal_normalized")
@@ -547,31 +547,43 @@ def space_to_dict(s: SearchSpace) -> dict:
 
 
 def space_from_dict(d: dict) -> SearchSpace:
+    """The space of a document whose integers are JSON integers within int64."""
+    def integer(value) -> int:
+        if not is_json_int64(value):
+            raise ValueError(f"{value!r} is not an integer")
+        return value
+
     try:
         params = tuple(
             ElasticParamSpec(
                 name=p["name"],
-                position_count=int(p["position_count"]),
-                allowed_values=tuple(int(v) for v in p["allowed_values"]),
+                position_count=integer(p["position_count"]),
+                allowed_values=tuple(map(integer, p["allowed_values"])),
                 role=p["role"],
             )
             for p in d["params"]
         )
         blocks = tuple(
             BlockRule(
-                depth_gene_index=int(b["depth_gene"]),
-                governed_gene_indices=tuple(int(i) for i in b["governed_genes"]),
-                max_layers=int(b["max_layers"]),
+                depth_gene_index=integer(b["depth_gene"]),
+                governed_gene_indices=tuple(map(integer, b["governed_genes"])),
+                max_layers=integer(b["max_layers"]),
             )
             for b in d.get("blocks", [])
         )
-        return SearchSpace(d["name"], params, blocks, d.get("allowed"))
+        allowed = d.get("allowed")
+        allowed = None if allowed is None else [tuple(map(integer, v)) for v in allowed]
+        return SearchSpace(d["name"], params, blocks, allowed)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed search-space document: {exc}") from exc
 
 
 def load_space(path: str | Path) -> SearchSpace:
-    return space_from_dict(read_json(path))
+    doc = read_json(path)
+    try:
+        return space_from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_space(s: SearchSpace, path: str | Path, **extra) -> None:

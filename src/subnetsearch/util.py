@@ -1,4 +1,4 @@
-"""Seed derivation, stable hashing, JSON input and setting-check helpers.
+"""Seed derivation, stable hashing, JSON input and value checks, setting checks.
 
 All randomness in a run flows from a single seed through named sub-seeds so
 that independent phases (sampling, evolution, noise) stay decoupled and
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -65,6 +66,16 @@ def pseudo_noise(genes: Iterable[int], noise_seed: int, label: str = "") -> floa
     """Deterministic zero-mean uniform noise in [-0.5, 0.5) keyed by genotype."""
     u = stable_hash64(genes_bytes(genes), noise_seed, label)
     return u / 2.0**64 - 0.5
+
+
+def is_json_int64(value) -> bool:
+    """Whether a JSON value is an integer within int64, not a bool."""
+    return type(value) is int and -(2**63) <= value < 2**63
+
+
+def is_json_finite(value) -> bool:
+    """Whether a JSON value is a finite number, not a bool."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def read_json(path: str | Path):

@@ -291,12 +291,18 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
      f"noise_seed must be in [-2**127, 2**127), got {10**39}"),
     ("full", [], {"warm_start": [[1, 3]]},
      "{config}: warm_start: cannot repair genotype of length 2 for genome length 10"),
+    ("concurrent", ["--ridge-lambda", "0"], None,
+     "ridge_lambda must be > 0 for ridge on one_hot features, whose centered columns sum to 0 "
+     "per position, got 0.0"),
+    ("full", ["--predictor", "svr", "--predictor-for", "latency_ms:ridge", "--ridge-lambda", "0"],
+     None, "ridge_lambda must be > 0 for ridge on one_hot features"),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
         "inner-population", "duplicate-objective", "ridge-lambda", "ridge-lambda-inf", "svr-c",
         "svr-epsilon", "svr-kernel", "svr-gamma", "encoding", "families",
         "predictor-for-unknown-objective", "families-unknown-objective", "timeout",
         "timeout-inf", "noise-scale-inf", "noise-scale-nan", "noise-scale-negative",
-        "seed-beyond-hash", "noise-seed-beyond-hash", "warm-start-length"])
+        "seed-beyond-hash", "noise-seed-beyond-hash", "warm-start-length",
+        "ridge-lambda-zero-one-hot", "ridge-lambda-zero-for-one-objective"])
 def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
                                                         tactic, flags, doc, message):
     # `doc`: a replayed config.json, which may turn on a removed feature
@@ -490,6 +496,20 @@ def test_evaluator_handshake_failure_exit_code(tmp_path, toy_space_file):
         "--out", str(tmp_path / "x"),
     )
     assert code == 3
+
+
+def test_evaluator_command_that_cannot_start_exit_code(tmp_path, toy_space_file, capsys):
+    """A command that cannot be started is a handshake failure, not an
+    internal error."""
+    missing = tmp_path / "no-such-evaluator"
+    code = run_cli(
+        "search", "concurrent", "--space", toy_space_file, "--evaluator", f"external:{missing}",
+        "--objective", "top1:maximize", "--objective", "latency_ms:minimize:ms",
+        *RUN_SIZES["concurrent"], "--out", str(tmp_path / "x"),
+    )
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"evaluator error: cannot start evaluator '{missing}': No such file or directory\n"
 
 
 def test_external_evaluator_end_to_end(tmp_path, toy_space_file):
@@ -855,7 +875,7 @@ def edit_record(line: int, message: str, **fields):
 # records that a log of one run cannot hold: another evaluator's, one of
 # another source, an evaluator id that is not a string, and a repeated seq
 ONE_RUN_FAULTS = [
-    edit_record(5, "evaluator_id 'synthetic:v100-like' is not the log's 'e1'",
+    edit_record(5, "evaluator 'synthetic:v100-like' cannot add to the log of evaluator 'e1'",
                 evaluator_id="synthetic:v100-like"),
     edit_record(4, "source 'predicted' is not 'validation'", source="predicted"),
     edit_record(2, "evaluator_id 7 is not a string", evaluator_id=7),
@@ -1065,6 +1085,106 @@ def test_malformed_input_document_is_config_error(tmp_path, toy_space_file, caps
     if content is TORN:
         assert f"{doc}:2: invalid JSON" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["popdb", "predict bench", "search", "analyze"])
+def test_out_that_cannot_be_opened_is_config_error(tmp_path, toy_space, toy_space_file,
+                                                   capsys, command):
+    """An --out path that is a directory where a file is written, or a file
+    where a directory is made, exits 2 naming it."""
+    run, history = tmp_path / "run", tmp_path / "evals.jsonl"
+    if command in ("search", "analyze"):
+        out = tmp_path / "a-file"
+        out.write_text("")
+    else:
+        out = tmp_path / "a-directory"
+        out.mkdir()
+    argv = {
+        "popdb": ("popdb", "--history", str(history), "--space", toy_space_file,
+                  "--min-cluster-size", "5", "--min-samples", "3"),
+        "predict bench": ("predict", "bench", "--space", toy_space_file,
+                          "--evaluator", "synthetic:clx-like", "--objective", "top1",
+                          "--train-sizes", "20", "--test-size", "20", "--trials", "1"),
+        "search": ("search", "concurrent", "--space", toy_space_file,
+                   "--evaluator", "synthetic:clx-like", *RUN_SIZES["concurrent"]),
+        "analyze": ("analyze", str(run)),
+    }[command]
+    write_toy_history(history, toy_space, n=200)
+    assert run_cli("search", "concurrent", "--space", toy_space_file, "--evaluator",
+                   "synthetic:clx-like", *RUN_SIZES["concurrent"], "--out", str(run)) == 0
+    capsys.readouterr()
+    code = run_cli(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"config error: {out}: ")
+
+
+@pytest.mark.parametrize("command", ["popdb", "warm start"])
+def test_missing_log_is_config_error(tmp_path, toy_space_file, capsys, command):
+    """A log path that does not exist, or is a directory, exits 2 naming it."""
+    for log in (tmp_path / "no-such-log.jsonl", tmp_path):
+        argv = {
+            "popdb": ("popdb", "--history", str(log), "--space", toy_space_file),
+            "warm start": ("search", "concurrent", "--space", toy_space_file, "--evaluator",
+                           "synthetic:clx-like", "--warm-start", str(log),
+                           *RUN_SIZES["concurrent"]),
+        }[command]
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: {log}: ")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["params"][1].update(allowed_values=[0.5, 1, 2.9]),
+    lambda doc: doc["params"][1].update(allowed_values=[True, 5]),
+    lambda doc: doc["params"][1].update(allowed_values=[3, "5"]),
+    lambda doc: doc["blocks"][0].update(max_layers=2.7),
+    lambda doc: doc["params"][0].update(position_count=1.0),
+], ids=["float-values", "bool-value", "string-value", "float-max-layers", "float-count"])
+def test_space_file_numbers_are_checked_not_coerced(tmp_path, toy_space, capsys, edit):
+    doc = space_to_dict(toy_space)
+    edit(doc)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("space", "info", "--space", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: malformed search-space document: ")
+    assert "is not an integer" in err
+
+
+@pytest.mark.parametrize("genes, top1", [
+    ([1.9, "2"], 0.5), ([True, 3, 3, 3, 3, 1, 3, 3, 3, 3], 0.5),
+    ([1, 3, 3, 3, 3, 1, 3, 3, 3, 3], "0.5"), ([1, 3, 3, 3, 3, 1, 3, 3, 3, 3], True),
+], ids=["float-and-string-genes", "bool-gene", "string-objective", "bool-objective"])
+def test_table_file_numbers_are_checked_not_coerced(tmp_path, toy_space_file, capsys,
+                                                    genes, top1):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({
+        "objectives": [{"name": "top1", "direction": "maximize"},
+                       {"name": "latency_ms", "direction": "minimize"}],
+        "entries": [{"genes": genes, "objectives": {"top1": top1, "latency_ms": 2.0}}],
+    }))
+    out = tmp_path / "run"
+    code = run_cli("search", "full", "--space", toy_space_file, "--evaluator", f"table:{table}",
+                   *RUN_SIZES["full"], "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: malformed table file {table}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("encoding, code", [("one_hot", 2), ("ordinal_normalized", 0)])
+def test_predict_bench_ridge_lambda_zero(toy_space_file, capsys, encoding, code):
+    """λ = 0 cannot fit one-hot features and exits 2 before any evaluation
+    (the evaluator would exit 3 at its handshake); ordinal features fit."""
+    evaluator = {2: f"external:{sys.executable} {DOUBLE} no-handshake",
+                 0: "synthetic:clx-like"}[code]
+    assert run_cli(
+        "predict", "bench", "--space", toy_space_file, "--evaluator", evaluator,
+        "--objective-spec", "top1:maximize", "--objective", "top1", "--ridge-lambda", "0",
+        "--encoding", encoding, "--train-sizes", "100", "--test-size", "50", "--trials", "1",
+    ) == code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes", ["a,b", "100:50:10", "0,10", "10:100:0"])

@@ -198,12 +198,20 @@ def bad_log_lines(path, toy_space):
     return lines[:3] + ["\n"] + lines[3:]
 
 
+GENE_FAULT = r"gene values \[.*\] are not all integers within int64"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc, first: doc.update(gen="2"), "gen must be an integer or null"),
-    (lambda doc, first: doc["genotype"].__setitem__(0, "x"), "malformed record"),
-    (lambda doc, first: doc["genotype"].__setitem__(0, 2**70), "malformed record"),
+    (lambda doc, first: doc["genotype"].__setitem__(0, "x"), GENE_FAULT),
+    (lambda doc, first: doc["genotype"].__setitem__(0, 2**70), GENE_FAULT),
+    (lambda doc, first: doc["genotype"].__setitem__(0, 3.5), GENE_FAULT),
+    (lambda doc, first: doc["genotype"].__setitem__(0, True), GENE_FAULT),
+    (lambda doc, first: doc["genotype"].__setitem__(0, "3"), GENE_FAULT),
     (lambda doc, first: doc["genotype"].pop(), "genotype has 9 genes"),
     (lambda doc, first: doc["objectives_raw"].update(f2=math.inf), "non-finite objective"),
+    (lambda doc, first: doc["objectives_raw"].update(f2="0.5"), "non-finite objective"),
+    (lambda doc, first: doc["objectives_raw"].update(f2=True), "non-finite objective"),
     (lambda doc, first: doc.pop("evaluator_id"), "malformed record: KeyError"),
     (lambda doc, first: doc.update(type="evaluation"), "unknown record type"),
     (lambda doc, first: doc.update(genotype=first["genotype"]), "duplicate validation record"),
@@ -212,12 +220,15 @@ def bad_log_lines(path, toy_space):
     (lambda doc, first: doc.pop("seq"), "malformed record: KeyError"),
     (lambda doc, first: doc.update(source="predicted"), "source 'predicted' is not 'validation'"),
     (lambda doc, first: doc.update(evaluator_id="e2"),
-     "evaluator_id 'e2' is not the log's 'e1': a log holds one run"),
+     "evaluator 'e2' cannot add to the log of evaluator 'e1': a log holds one run"),
     (lambda doc, first: doc.update(type="failure", error=None),
      "error must be a string, got None"),
-], ids=["gen", "gene", "huge_gene", "length", "non_finite", "missing_field", "type",
+], ids=["gen", "gene", "huge_gene", "float_gene", "bool_gene", "string_gene", "length",
+        "non_finite", "string_objective", "bool_objective", "missing_field", "type",
         "duplicate", "seq", "float_seq", "missing_seq", "source", "evaluator", "error"])
 def test_store_load_names_the_line_of_a_bad_record(tmp_path, toy_space, edit, message):
+    """Each fault names its line; genes and objectives are JSON numbers as
+    written, never coerced (a gene 3.5, true or "3" is not 3)."""
     path = tmp_path / "evals.jsonl"
     lines = bad_log_lines(path, toy_space)
     doc = json.loads(lines[4])
@@ -229,7 +240,9 @@ def test_store_load_names_the_line_of_a_bad_record(tmp_path, toy_space, edit, me
 
 
 FAULTS = {
-    "gene": (lambda doc, first: doc["genotype"].__setitem__(0, "x"), "malformed record"),
+    "gene": (lambda doc, first: doc["genotype"].__setitem__(0, "x"), GENE_FAULT),
+    "float_gene": (lambda doc, first: doc["genotype"].__setitem__(0, 3.0), GENE_FAULT),
+    "bool_gene": (lambda doc, first: doc["genotype"].__setitem__(0, False), GENE_FAULT),
     "torn": (None, "malformed JSON"),
     "non_finite": (
         lambda doc, first: doc["objectives_raw"].update(f2=math.inf), "non-finite objective"),
@@ -245,9 +258,9 @@ FAULTS = {
 def test_store_load_names_the_first_of_two_faulty_lines(
     tmp_path, toy_space, monkeypatch, early, late, block
 ):
-    """Faults found when a block of genotypes is read (a gene numpy cannot
-    read) or after the whole log (a duplicate) are still reported before a
-    fault on a later line, and after one on an earlier line."""
+    """Faults that the block writer finds (a gene that is not an integer, a
+    duplicate) are still reported before a fault on a later line of the same
+    block, and after one on an earlier line."""
     monkeypatch.setattr(evalmgr, "_BLOCK", block)
     path = tmp_path / "evals.jsonl"
     store = ResultStore(MIN2, space=toy_space, path=path)
@@ -315,6 +328,37 @@ def test_loaded_log_dispatches_none_of_its_genotypes(tmp_path, toy_space):
     assert raw[:, 0].tolist() == [0.0 if i == 5 else float(i) for i in range(len(gs))]
 
 
+@pytest.mark.parametrize("with_space", [True, False])
+def test_loaded_log_continues_as_the_run_that_wrote_it(tmp_path, toy_space, with_space):
+    """Replay, then continue: a log of 300 records (two blocks of the writer)
+    that is loaded, with or without its space, and then given further
+    batches through `evaluate_batch` dumps the bytes of one store that
+    appended every batch. The later batches repeat cached genotypes and a
+    failed one, which is measured again."""
+    gs = list(enumerate_genotypes(toy_space))[:600]
+    position = {g: i for i, g in enumerate(gs)}
+
+    def fn(g):
+        if position[g] % 97 == 0:
+            raise RuntimeError(f"no measurement of genotype {position[g]}")
+        return ObjectiveVector((float(position[g]), 1.0 / (1 + position[g])), MIN2)
+
+    batches = [gs[:300], gs[300:450] + gs[:10], gs[450:]]
+    whole = ResultStore(MIN2, space=toy_space, path=tmp_path / "whole.jsonl")
+    first = ResultStore(MIN2, space=toy_space, path=tmp_path / "first.jsonl")
+    for gen, batch in enumerate(batches):
+        evaluate_batch(gene_rows(batch), CallableEvaluator(fn, "e1"), whole, gen)
+    evaluate_batch(gene_rows(batches[0]), CallableEvaluator(fn, "e1"), first, 0)
+    whole.close()
+    first.close()
+    resumed = ResultStore.load(tmp_path / "first.jsonl", space=toy_space if with_space else None)
+    for gen, batch in enumerate(batches[1:], 1):
+        evaluate_batch(gene_rows(batch), CallableEvaluator(fn, "e1"), resumed, gen)
+    resumed.dump(tmp_path / "resumed.jsonl")
+    assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+    assert len(resumed.records) == 600 + 1  # genotype 0 failed twice
+
+
 def test_spaceless_load_measures_genotypes_against_the_first_record(tmp_path, toy_space):
     path = tmp_path / "evals.jsonl"
     lines = bad_log_lines(path, toy_space)
@@ -322,7 +366,7 @@ def test_spaceless_load_measures_genotypes_against_the_first_record(tmp_path, to
     doc["genotype"].pop()
     lines[4] = json.dumps(doc, separators=(",", ":")) + "\n"
     path.write_text("".join(lines))
-    message = "genotype has 9 genes, the first record has 10"
+    message = "genotype has 9 genes, the log's genotypes have 10"
     with pytest.raises(ConfigError, match=f"^{path}:5: {message}"):
         ResultStore.load(path)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from subnetsearch.errors import (
     ConfigError,
-    DegenerateNormalizer,
     EmptyInput,
     ObjectiveMismatch,
     ReferenceViolation,
@@ -250,16 +249,6 @@ def test_normalizer_validation():
         LatencyNormalizer(l_min=0.0, l_max=1.0)
     with pytest.raises(ConfigError):
         LatencyNormalizer(l_min=2.0, l_max=1.0)
-
-
-def test_degenerate_normalizer_unreachable_via_ctor():
-    # l_max = 0 requires l_min <= 0 which the constructor forbids; the
-    # operation still guards against a hand-built degenerate instance
-    n = LatencyNormalizer.__new__(LatencyNormalizer)
-    object.__setattr__(n, "l_min", 0.0)
-    object.__setattr__(n, "l_max", 0.0)
-    with pytest.raises(DegenerateNormalizer):
-        normalize_latency(1.0, n)
 
 
 # ---------------------------------------------------------------------------
