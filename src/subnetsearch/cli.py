@@ -47,10 +47,8 @@ from .evalmgr import (
     make_surface,
 )
 from .objectives import (
-    LatencyNormalizer,
     ObjectiveSpec,
     canonical_matrix,
-    normalize_latency,
     pareto_front,  # noqa: F401  (a trace site of perfbench/runner.py)
     validated_front,
 )
@@ -166,6 +164,15 @@ def _warm_start_from(path: str, space) -> tuple[Genotype, ...]:
     return tuple(map(Genotype, validated_front(store).genes.tolist()))
 
 
+def _out_file(path: Path) -> Path:
+    """`path` as a command's output file, checked before the command's work:
+    its directory is made, and a directory at `path` itself is refused."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise ConfigError(f"{path}: Is a directory")
+    return path
+
+
 def _given(args, names) -> dict:
     """The flags among `names` (argparse dests) that were given."""
     return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
@@ -260,6 +267,7 @@ def _cmd_popdb(args) -> int:
     )
     history_path = Path(args.history)
     space = resolve_space(args.space)
+    out = _out_file(Path(args.out) if args.out else history_path.parent / "constraints.json")
     store = ResultStore.load(history_path, space=space)
     seqs, genes, raw = store.validation_columns()
     if not len(seqs):
@@ -287,8 +295,6 @@ def _cmd_popdb(args) -> int:
             f"--min-samples {args.min_samples}; no frequencies to compute"
         ) from exc
     reduced = constrain_space(space, build_constraints(freqs, args.threshold, space))
-    out = Path(args.out) if args.out else history_path.parent / "constraints.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_space(reduced, out, history=str(history_path), threshold=args.threshold)
     print(f"points clustered: {len(idx)}")
     print(f"clusters found:   {labeling.n_clusters}")
@@ -343,6 +349,7 @@ def _cmd_predict_bench(args) -> int:
         )
     sizes = _parse_sizes(args.train_sizes)
     pcfg = PredictorConfig(**_given(args, ("family", "encoding", "ridge_lambda")))
+    out = _out_file(Path(args.out)) if args.out else None
     needed = args.test_size + max(sizes)
     pool = sample_unique(space, needed, args.seed, "bench-pool")
     if len(pool) < needed:
@@ -377,13 +384,12 @@ def _cmd_predict_bench(args) -> int:
         tau_mean = statistics.fmean(taus)
         print(f"{size:10d}  {mape_mean:9.4f}  {mape_std:8.4f}  {tau_mean:8.4f}")
         out_rows.append([size, mape_mean, mape_std, tau_mean])
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["train_size", "mape_mean", "mape_std", "tau_mean"])
             writer.writerows(out_rows)
-        print(f"wrote {args.out}")
+        print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -410,24 +416,29 @@ def _cmd_analyze(args) -> int:
     recs = [r for r in store.records if r.ok]
     if not recs:
         raise ConfigError(f"{evals_path}: no validation records")
+    specs = store.specs
+    columns = store.validation_columns()[2].T.tolist()  # each objective's values
+    # a latency l is normalized as (l - l_min) / l_max over its column
+    bounds = {
+        k: (min(columns[k]), max(columns[k]))
+        for k, s in enumerate(specs) if "latency" in s.name.lower()
+    }
+    for k, (_, l_max) in bounds.items():
+        if l_max == 0:
+            raise ConfigError(f"{evals_path}: objective {specs[k].name!r} has largest "
+                              "value 0, so (l - l_min) / l_max is undefined")
     outdir = Path(args.out) if args.out else run_dir / "analysis"
     outdir.mkdir(parents=True, exist_ok=True)
 
     front = validated_front(store)
-    specs = store.specs
-    columns = store.validation_columns()[2].T.tolist()  # each objective's values
-    latency = [k for k, s in enumerate(specs) if "latency" in s.name.lower()]
-    normalizers = {
-        k: LatencyNormalizer(l_min=min(columns[k]), l_max=max(columns[k])) for k in latency
-    }
     with open(outdir / "normalized_front.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["genotype_id"] + [f"{s.name}_raw" for s in specs] + [
-            f"{specs[k].name}_normalized" for k in latency
+            f"{specs[k].name}_normalized" for k in bounds
         ]
         writer.writerow(header)
         for gid, values in zip(genotype_ids(front.genes.tolist()), front.raw.tolist()):
-            normalized = [normalize_latency(values[k], normalizers[k]) for k in latency]
+            normalized = [(values[k] - l_min) / l_max for k, (l_min, l_max) in bounds.items()]
             writer.writerow([gid, *map(repr, values), *map(repr, normalized)])
 
     by_gen: dict[int, list] = {}

@@ -1,4 +1,4 @@
-"""Objective vectors, Pareto dominance, latency normalization, 2-D hypervolume.
+"""Objective vectors, Pareto fronts, 2-D hypervolume, CSV export.
 
 All comparisons happen in canonical minimization space: maximize objectives
 are negated once, at vector construction, and never again downstream.
@@ -69,22 +69,6 @@ class ObjectiveVector:
             v if s.direction == "minimize" else -v
             for v, s in zip(self.values, self.specs)
         )
-
-    def value_of(self, name: str) -> float:
-        for v, s in zip(self.values, self.specs):
-            if s.name == name:
-                return v
-        raise ObjectiveMismatch(f"no objective named {name!r}")
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """True iff a is no worse everywhere and strictly better somewhere."""
-    if a.specs != b.specs:
-        raise ObjectiveMismatch("objective specs differ between vectors")
-    av, bv = a.canonical_min, b.canonical_min
-    return all(x <= y for x, y in zip(av, bv)) and any(
-        x < y for x, y in zip(av, bv)
-    )
 
 
 @dataclass(frozen=True)
@@ -242,27 +226,6 @@ def validated_front(store) -> FrontColumns:
         raise EmptyInput("a front needs at least one validation record")
     members = first_front(canonical_matrix(raw, store.specs))
     return FrontColumns(genes[members], raw[members])
-
-
-@dataclass(frozen=True)
-class LatencyNormalizer:
-    l_min: float
-    l_max: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.l_min) and math.isfinite(self.l_max)):
-            raise ConfigError("latency normalizer bounds must be finite")
-        if self.l_min <= 0:
-            raise ConfigError("l_min must be > 0")
-        if self.l_max < self.l_min:
-            raise ConfigError("l_max must be >= l_min")
-
-
-def normalize_latency(l: float, n: LatencyNormalizer) -> float:
-    """(l - l_min) / l_max, applied exactly as stated, with no clamping."""
-    if not math.isfinite(l) or l < 0:
-        raise ConfigError(f"latency must be finite and >= 0, got {l}")
-    return (l - n.l_min) / n.l_max
 
 
 # ---------------------------------------------------------------------------

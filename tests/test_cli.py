@@ -975,7 +975,8 @@ def test_analyze_outputs(tmp_path, toy_space_file):
     from subnetsearch.evalmgr import ResultStore
 
     store = ResultStore.load(run_dir / "evals.jsonl")
-    lats = [r.objectives_raw.value_of("latency_ms") for r in validation_records(store)]
+    k = [s.name for s in store.specs].index("latency_ms")
+    lats = [r.objectives_raw.values[k] for r in validation_records(store)]
     l_min, l_max = min(lats), max(lats)
     with open(analysis / "normalized_front.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -984,6 +985,54 @@ def test_analyze_outputs(tmp_path, toy_space_file):
         assert float(row["latency_ms_normalized"]) == pytest.approx(
             (raw - l_min) / l_max
         )
+
+
+def run_with_latencies(tmp_path, toy_space_file, latency):
+    """A small validation-only run whose log's latency_ms values are replaced
+    by `latency(seq, value)`, as an outside evaluator could have measured
+    them; returns the run directory and the new latencies."""
+    run_dir = tmp_path / "run"
+    assert run_cli(
+        "search", "full", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        "--predictor", "none", "--pop", "8", "--gens", "3", "--seed", "5",
+        "--out", str(run_dir),
+    ) == 0
+    log = run_dir / "evals.jsonl"
+    header, *docs = map(json.loads, log.read_text().splitlines())
+    for doc in docs:
+        raw = doc["objectives_raw"]
+        raw["latency_ms"] = latency(doc["seq"], raw["latency_ms"])
+    log.write_text("".join(json.dumps(d, separators=(",", ":")) + "\n"
+                           for d in [header, *docs]))
+    return run_dir, [d["objectives_raw"]["latency_ms"] for d in docs]
+
+
+def test_analyze_normalizes_zero_and_negative_latencies(tmp_path, toy_space_file):
+    """(l - l_min) / l_max needs only l_max != 0: a measured latency of 0.0 or
+    below is normalized like any other, with the same float operations."""
+    run_dir, lats = run_with_latencies(
+        tmp_path, toy_space_file, lambda seq, v: {0: 0.0, 1: -1.5}.get(seq, v)
+    )
+    assert run_cli("analyze", str(run_dir)) == 0
+    l_min, l_max = min(lats), max(lats)
+    with open(run_dir / "analysis" / "normalized_front.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {"0.0", "-1.5"} <= {row["latency_ms_raw"] for row in rows}
+    for row in rows:
+        l = float(row["latency_ms_raw"])
+        assert row["latency_ms_normalized"] == repr((l - l_min) / l_max)
+
+
+def test_analyze_refuses_a_latency_column_whose_largest_value_is_0(tmp_path, toy_space_file,
+                                                                    capsys):
+    run_dir, _ = run_with_latencies(
+        tmp_path, toy_space_file, lambda seq, v: 0.0 if seq == 3 else -v
+    )
+    capsys.readouterr()
+    assert run_cli("analyze", str(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {run_dir / 'evals.jsonl'}: objective 'latency_ms' ")
+    assert not (run_dir / "analysis").exists()
 
 
 # sha256 of every file `analyze` writes, per run, recorded while `analyze`
@@ -1089,9 +1138,12 @@ def test_malformed_input_document_is_config_error(tmp_path, toy_space_file, caps
 
 @pytest.mark.parametrize("command", ["popdb", "predict bench", "search", "analyze"])
 def test_out_that_cannot_be_opened_is_config_error(tmp_path, toy_space, toy_space_file,
-                                                   capsys, command):
+                                                   monkeypatch, capsys, command):
     """An --out path that is a directory where a file is written, or a file
-    where a directory is made, exits 2 naming it."""
+    where a directory is made, exits 2 naming it; popdb and predict bench
+    find it before they load the history or evaluate, and nothing prints."""
+    from subnetsearch import cli
+
     run, history = tmp_path / "run", tmp_path / "evals.jsonl"
     if command in ("search", "analyze"):
         out = tmp_path / "a-file"
@@ -1113,10 +1165,18 @@ def test_out_that_cannot_be_opened_is_config_error(tmp_path, toy_space, toy_spac
     assert run_cli("search", "concurrent", "--space", toy_space_file, "--evaluator",
                    "synthetic:clx-like", *RUN_SIZES["concurrent"], "--out", str(run)) == 0
     capsys.readouterr()
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work began before --out was checked")
+
+    if command in ("popdb", "predict bench"):
+        monkeypatch.setattr(cli.ResultStore, "load", work)
+        monkeypatch.setattr(cli, "evaluate_batch", work)
     code = run_cli(*argv, "--out", str(out))
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert code == 2, err
     assert err.startswith(f"config error: {out}: ")
+    assert printed == ""
 
 
 @pytest.mark.parametrize("command", ["popdb", "warm start"])

@@ -496,8 +496,8 @@ def mixed_log(space, surface):
     evaluate_batch(gene_rows(gs[:50]), evaluator, store)
     store.append_batch([gs[50].genes], [EvaluationFailure("crashed")], evaluator.evaluator_id)
     recs = validation_records(store)
-    top1 = max(r.objectives_raw.value_of("top1") for r in recs) + 1.0
-    latency = min(r.objectives_raw.value_of("latency_ms") for r in recs) / 2
+    top1 = max(r.objectives_raw.values[0] for r in recs) + 1.0  # specs: top1, latency_ms
+    latency = min(r.objectives_raw.values[1] for r in recs) / 2
     store.append_batch(
         gene_rows([gs[50], gs[51]]),
         [ObjectiveVector((top1, latency), surface.specs),

@@ -745,7 +745,8 @@ def training_set_by_records(store, objective, scheme):
     oracle for the columnar training rows."""
     recs = validation_records(store)
     ranks = canonical_ranks([r.genotype for r in recs], store.space)[0]
-    y = np.array([r.objectives_raw.value_of(objective) for r in recs])
+    k = [s.name for s in store.specs].index(objective)
+    y = np.array([r.objectives_raw.values[k] for r in recs])
     return encode_matrix(ranks, store.space, scheme), y
 
 

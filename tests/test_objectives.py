@@ -1,4 +1,4 @@
-"""Dominance, Pareto extraction, latency normalization, 2-D hypervolume."""
+"""Objective vectors, Pareto extraction, 2-D hypervolume, CSV export."""
 
 import csv
 import math
@@ -20,15 +20,12 @@ from subnetsearch.objectives import (
     EvaluationRecord,
     FrontColumns,
     IncrementalFront2D,
-    LatencyNormalizer,
     ObjectiveSpec,
     ObjectiveVector,
     default_reference,
     dominated_area,
-    dominates,
     front_to_csv,
     hv_trace_to_csv,
-    normalize_latency,
     pareto_front,
 )
 from subnetsearch.space import Genotype
@@ -108,40 +105,6 @@ def test_spec_requires_unique_direction():
 
 
 # ---------------------------------------------------------------------------
-# dominates
-# ---------------------------------------------------------------------------
-
-
-def test_dominates_basic():
-    assert dominates(vec(0.1, 0.2), vec(0.2, 0.3))
-    assert not dominates(vec(0.2, 0.3), vec(0.1, 0.2))
-
-
-def test_equal_vectors_do_not_dominate():
-    assert not dominates(vec(0.1, 0.2), vec(0.1, 0.2))
-
-
-def test_dominates_respects_directions():
-    a = vec(0.9, 100.0, specs=MIXED)  # higher accuracy, same latency
-    b = vec(0.8, 100.0, specs=MIXED)
-    assert dominates(a, b)
-    assert not dominates(b, a)
-
-
-def test_dominates_mismatched_specs():
-    with pytest.raises(ObjectiveMismatch):
-        dominates(vec(1, 2), vec(1, 2, specs=MIXED))
-
-
-def test_dominates_matches_brute_force_on_random_pairs():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        a = vec(*rng.uniform(0, 1, 2))
-        b = vec(*rng.uniform(0, 1, 2))
-        assert dominates(a, b) == brute_dominates(a, b)
-
-
-# ---------------------------------------------------------------------------
 # pareto_front
 # ---------------------------------------------------------------------------
 
@@ -216,39 +179,6 @@ def test_front_idempotent():
     once = pareto_front(recs)
     twice = pareto_front(list(once))
     assert {r.genotype.genes for r in once} == {r.genotype.genes for r in twice}
-
-
-# ---------------------------------------------------------------------------
-# normalize_latency
-# ---------------------------------------------------------------------------
-
-
-def test_normalize_latency_examples():
-    n = LatencyNormalizer(l_min=2.0, l_max=10.0)
-    assert normalize_latency(2.0, n) == 0.0
-    assert normalize_latency(5.0, n) == pytest.approx(0.3)
-    assert normalize_latency(10.0, n) == pytest.approx(0.8)  # < 1 by design
-
-
-def test_normalize_latency_no_clamping():
-    n = LatencyNormalizer(l_min=2.0, l_max=10.0)
-    assert normalize_latency(1.0, n) == pytest.approx(-0.1)
-    assert normalize_latency(20.0, n) == pytest.approx(1.8)
-
-
-def test_normalize_latency_order_preserving():
-    n = LatencyNormalizer(l_min=1.0, l_max=7.0)
-    rng = np.random.default_rng(1)
-    ls = sorted(rng.uniform(0, 20, 50))
-    normed = [normalize_latency(l, n) for l in ls]
-    assert all(a < b for a, b in zip(normed, normed[1:]))
-
-
-def test_normalizer_validation():
-    with pytest.raises(ConfigError):
-        LatencyNormalizer(l_min=0.0, l_max=1.0)
-    with pytest.raises(ConfigError):
-        LatencyNormalizer(l_min=2.0, l_max=1.0)
 
 
 # ---------------------------------------------------------------------------
