@@ -37,7 +37,7 @@ from .evalmgr import (
     evaluate_batch,
     training_rows,
 )
-from .evolver import EvolverConfig, evolve, select_best
+from .evolver import CROSSOVER_RATE, EvolverConfig, evolve, select_best
 from .objectives import (
     FrontColumns,
     IncrementalFront2D,
@@ -50,7 +50,7 @@ from .objectives import (
     pareto_front,  # noqa: F401  (a trace site of perfbench/runner.py)
     validated_front,
 )
-from .predict import KernelSpec, fit_ridge, fit_svr, predict, ridge_system
+from .predict import fit_ridge, fit_svr, predict, ridge_system
 from .space import (
     ENCODINGS,
     Genotype,
@@ -72,10 +72,6 @@ class PredictorConfig:
     family: str = "ridge"  # "none" -> validation-backed search, no surrogates
     encoding: str = "one_hot"
     ridge_lambda: float = 1.0
-    svr_c: float = 1.0
-    svr_epsilon: float = 0.01
-    svr_kernel: str = "rbf"
-    svr_gamma: float | None = None
     families: dict[str, str] = field(default_factory=dict)  # per-objective override
 
     def __post_init__(self):
@@ -90,14 +86,9 @@ class PredictorConfig:
                 raise ConfigError(f"unknown predictor family {fam!r}")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"unknown encoding {self.encoding!r}; available: {ENCODINGS}")
-        KernelSpec(self.svr_kernel)  # raises on an unknown kernel
         check_rules(
             self,
             ("ridge_lambda", 0 <= self.ridge_lambda < math.inf, "finite and >= 0"),
-            ("svr_c", 0 < self.svr_c < math.inf, "finite and > 0"),
-            ("svr_epsilon", 0 <= self.svr_epsilon < math.inf, "finite and >= 0"),
-            ("svr_gamma", self.svr_gamma is None or 0 < self.svr_gamma < math.inf,
-             "null or finite and > 0"),
             ("ridge_lambda", self.ridge_lambda > 0 or self.encoding != "one_hot"
              or "ridge" not in (self.family, *self.families.values()),
              "> 0 for ridge on one_hot features, whose centered columns sum to 0 per position"),
@@ -116,8 +107,6 @@ class SearchConfig:
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     warm_start: tuple[Genotype, ...] | None = None
     seed: int = 0
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None
     space: str | None = None  # a preset name or a space file
     space_doc: dict | None = None  # the space document, which replay prefers
     evaluator: str | None = None
@@ -137,14 +126,8 @@ class SearchConfig:
 
     def evolver(self, generations: int, seed: int) -> EvolverConfig:
         """The EvolverConfig of a search under this config; raises
-        ConfigError on a bad size or rate."""
-        return EvolverConfig(
-            population_size=self.population_size,
-            generations=generations,
-            crossover_rate=self.crossover_rate,
-            mutation_rate=self.mutation_rate,
-            seed=seed,
-        )
+        ConfigError on a bad size."""
+        return EvolverConfig(self.population_size, generations, seed)
 
 
 @dataclass(frozen=True)
@@ -210,9 +193,21 @@ def config_to_doc(cfg: SearchConfig, specs, reference, evaluator) -> dict:
     return doc
 
 
-# Keys of removed features that older concurrent config.json files carry, as
-# [] and null; a value that turns one on would replay as a different search.
-REMOVED_KEYS = ("validation_only_objectives", "inner_population")
+# Keys of removed settings that older config.json files carry, top-level or
+# under "predictor": per key, the values, of the document's population size,
+# that replay as the search every run now makes. Those or null replay; any
+# other would replay as a different search.
+REMOVED_KEYS = {
+    "validation_only_objectives": lambda pop: ([],),
+    "inner_population": lambda pop: ([], pop),
+    "crossover_rate": lambda pop: (CROSSOVER_RATE,),
+    "mutation_rate": lambda pop: (1.0 / pop,),
+    "duplicate_retry_budget": lambda pop: (10 * pop,),
+    "predictor.svr_c": lambda pop: (1.0,),
+    "predictor.svr_epsilon": lambda pop: (0.01,),
+    "predictor.svr_kernel": lambda pop: ("rbf",),
+    "predictor.svr_gamma": lambda pop: (),
+}
 
 _JSON_KINDS = {float: (int, float), tuple: list, PredictorConfig: dict}
 
@@ -243,14 +238,10 @@ def config_from_doc(cls, doc: dict, where: str = "config"):
     """Rebuild a tactic config (FullSearchConfig or ConcurrentNasConfig) from
     a config.json document. Keys that are not fields are ignored; a missing
     or null key takes the field's default; a value of the wrong JSON type or
-    out of its field's range, or a removed feature that the document turns
-    on, is a ConfigError naming `where`."""
+    out of its field's range, or a removed setting (`REMOVED_KEYS`) at
+    another value than every run now uses, is a ConfigError naming
+    `where`."""
     try:
-        for key in REMOVED_KEYS:
-            if doc.get(key) not in (None, []):
-                raise ConfigError(
-                    f"{key} is no longer supported (got {doc[key]!r}); remove the key to replay"
-                )
         kw = _fields_from(cls, doc)
         if "predictor" in kw:
             kw["predictor"] = PredictorConfig(**_fields_from(PredictorConfig, kw["predictor"]))
@@ -264,7 +255,16 @@ def config_from_doc(cls, doc: dict, where: str = "config"):
                 kw["objectives"] = tuple(ObjectiveSpec(**o) for o in kw["objectives"])
             except TypeError as exc:  # not an object, or a key missing or unknown
                 raise ConfigError(f"objectives: {exc}") from exc
-        return cls(**kw)
+        cfg = cls(**kw)
+        for path, used in REMOVED_KEYS.items():
+            *section, key = path.split(".")
+            value = (doc.get(section[0]) or {} if section else doc).get(key)
+            if value is not None and (value not in used(cfg.population_size)
+                                      or isinstance(value, bool)):
+                raise ConfigError(
+                    f"{key} is no longer supported (got {value!r}); remove the key to replay"
+                )
+        return cfg
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -322,13 +322,7 @@ def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str, system=
     if family == "ridge":
         return fit_ridge(X, y, pcfg.ridge_lambda, system)
     if family == "svr":
-        return fit_svr(
-            X,
-            y,
-            C=pcfg.svr_c,
-            epsilon=pcfg.svr_epsilon,
-            kernel=KernelSpec(pcfg.svr_kernel, pcfg.svr_gamma),
-        )
+        return fit_svr(X, y)
     raise ConfigError(f"cannot fit predictor family {family!r} for {objective}")
 
 

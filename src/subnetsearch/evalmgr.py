@@ -623,9 +623,9 @@ def make_surface(
 
 
 class SyntheticSurfaceEvaluator:
-    def __init__(self, surface: SyntheticSurface, evaluator_id: str | None = None):
+    def __init__(self, surface: SyntheticSurface):
         self.surface = surface
-        self.evaluator_id = evaluator_id or f"synthetic:{surface.name}"
+        self.evaluator_id = f"synthetic:{surface.name}"
 
     def evaluate(self, genotypes):
         return [synthetic_evaluate(g, self.surface) for g in genotypes]
@@ -634,7 +634,7 @@ class SyntheticSurfaceEvaluator:
 class TableEvaluator:
     """Static lookup-table evaluator reading a genotype -> objectives file."""
 
-    def __init__(self, path: str | Path, evaluator_id: str | None = None):
+    def __init__(self, path: str | Path):
         doc = read_json(path)
         try:
             self.specs = tuple(
@@ -650,7 +650,7 @@ class TableEvaluator:
                 self._table[tuple(genes)] = ObjectiveVector(values, self.specs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed table file {path}: {exc}") from exc
-        self.evaluator_id = evaluator_id or f"table:{Path(path).name}"
+        self.evaluator_id = f"table:{Path(path).name}"
 
     def evaluate(self, genotypes):
         return [
@@ -691,13 +691,12 @@ class ExternalEvaluator:
         specs: Sequence[ObjectiveSpec],
         space_name: str = "",
         timeout: float = 600.0,
-        evaluator_id: str | None = None,
     ):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.specs = tuple(specs)
         self.space_name = space_name
         self.timeout = timeout
-        self.evaluator_id = evaluator_id or f"external:{Path(self.command[0]).name}"
+        self.evaluator_id = f"external:{Path(self.command[0]).name}"
         self._proc: subprocess.Popen | None = None
         self._pump_thread: threading.Thread | None = None
         self._lines: queue.Queue = queue.Queue()

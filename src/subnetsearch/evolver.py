@@ -63,12 +63,13 @@ from .util import subseed
 EvaluateFn = Callable[[np.ndarray], np.ndarray]
 
 
+CROSSOVER_RATE = 0.9  # per pair; the per-gene mutation rate is 1 / population_size
+
+
 @dataclass(frozen=True)
 class EvolverConfig:
     population_size: int
     generations: int
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None  # None -> 1 / population_size
     seed: int = 0
 
     def __post_init__(self):
@@ -76,17 +77,6 @@ class EvolverConfig:
             raise ConfigError("population_size must be >= 1")
         if self.generations < 0:
             raise ConfigError("generations must be >= 0")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise ConfigError("crossover_rate must be in [0, 1]")
-        rate = self.resolved_mutation_rate
-        if not (0.0 < rate <= 1.0):
-            raise ConfigError("mutation_rate must be in (0, 1]")
-
-    @property
-    def resolved_mutation_rate(self) -> float:
-        if self.mutation_rate is None:
-            return 1.0 / self.population_size
-        return self.mutation_rate
 
 
 def _row_keys(ranks: np.ndarray) -> np.ndarray:
@@ -299,17 +289,18 @@ def _other_rank(rank: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _variation_tables(space: SearchSpace, cfg: EvolverConfig, dtype):
     """The constants of one search's `_offspring` calls: a table whose row c
     marks the positions before cut point c; per position, the mutation rate
-    (0 where an active gene has one rank) and the count of other active
-    ranks; and the space's `active_ranks` table (in `dtype`, the rank rows')
-    and slot, flattened, with their row width w: (p, r) is at p * w + r."""
+    1 / population_size (0 where an active gene has one rank) and the count
+    of other active ranks; and the space's `active_ranks` table (in `dtype`,
+    the rank rows') and slot, flattened, with their row width w: (p, r) is
+    at p * w + r."""
     counts, table, slot = space.active_ranks
     at = np.arange(space.genome_length)
-    rates = np.where(counts > 1, cfg.resolved_mutation_rate, 0.0)
+    rates = np.where(counts > 1, 1.0 / cfg.population_size, 0.0)
     before = at < np.arange(len(at) + 1)[:, None]
     return before, rates, counts - 1, table.shape[1], table.astype(dtype).ravel(), slot.ravel()
 
 
-def _offspring(rng, parents: Slots, tables, cfg: EvolverConfig, pairs: int) -> np.ndarray:
+def _offspring(rng, parents: Slots, tables, pairs: int) -> np.ndarray:
     """The rank rows of 2 * `pairs` children of `parents` (in key order),
     those of one pair adjacent, drawn as the module docstring says with the
     constants `tables` (`_variation_tables`)."""
@@ -317,7 +308,7 @@ def _offspring(rng, parents: Slots, tables, cfg: EvolverConfig, pairs: int) -> n
     before, rates, others, width, table, slot = tables
     duels = rng.integers(n, size=(2 * pairs, 2))
     family = parents.ranks.take(np.minimum(duels[:, 0], duels[:, 1]), axis=0).reshape(pairs, 2, -1)
-    cross = rng.random(pairs) < cfg.crossover_rate
+    cross = rng.random(pairs) < CROSSOVER_RATE
     if length >= 2:
         lo, hi = _cut_points(rng.integers((length + 1) * length, size=pairs), length)
         # swap the pair's genes in [lo, hi), or none without crossover
@@ -456,7 +447,7 @@ def evolve(
         parents = members.take(_ranked(members)[2])
     population_ids.append(parents.ids)
     for gen in range(1, cfg.generations + 1):
-        draw = functools.partial(_offspring, rng, parents, tables, cfg)
+        draw = functools.partial(_offspring, rng, parents, tables)
         pool = slots(np.concatenate([parents.ids, breed(gen, draw, [])]))
         parents = select_best(pool, pop_size)
         population_ids.append(parents.ids)

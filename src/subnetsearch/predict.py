@@ -1,4 +1,4 @@
-"""Surrogate objective predictors: ridge regression and epsilon-SVR.
+"""Surrogate objective predictors: ridge regression and RBF epsilon-SVR.
 
 Ridge solves the normal equations on centered data (intercept unpenalized).
 The SVR solves the epsilon-insensitive dual by sequential optimization of
@@ -73,26 +73,15 @@ def fit_ridge(X, y, lam: float, system=None) -> RidgeModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    kind: str  # "rbf" | "linear"
-    gamma: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("rbf", "linear"):
-            raise ConfigError(f"unknown kernel {self.kind!r}")
-
-
-def _kernel(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if spec.kind == "linear":
-        return A @ B.T
+def _kernel(gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The RBF kernel exp(-gamma |a - b|^2) of every row pair."""
     sq = (
         np.sum(A * A, axis=1)[:, None]
         + np.sum(B * B, axis=1)[None, :]
         - 2.0 * (A @ B.T)
     )
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-spec.gamma * sq)
+    return np.exp(-gamma * sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +89,7 @@ class SvrModel:
     support_vectors: np.ndarray
     dual_coeffs: np.ndarray
     bias: float
-    kernel: KernelSpec
+    gamma: float
     C: float
     epsilon: float
     feature_dim: int
@@ -114,11 +103,11 @@ def fit_svr(
     y,
     C: float = 1.0,
     epsilon: float = 0.01,
-    kernel: KernelSpec = KernelSpec("rbf"),
     tol: float = 1e-3,
     max_iter: int = 200_000,
 ) -> SvrModel:
-    """Solve the epsilon-insensitive dual to KKT tolerance `tol`.
+    """Solve the epsilon-insensitive dual of the RBF kernel of gamma 1 / d
+    to KKT tolerance `tol`.
 
     Raises ConvergenceFailure (carrying the best iterate) if the pairwise
     optimizer hits `max_iter` before the maximal KKT violation drops below tol.
@@ -134,10 +123,9 @@ def fit_svr(
         raise ConfigError("C must be > 0")
     if epsilon < 0:
         raise ConfigError("epsilon must be >= 0")
-    if kernel.kind == "rbf" and kernel.gamma is None:
-        kernel = KernelSpec("rbf", gamma=1.0 / d)
+    gamma = 1.0 / d
 
-    K = _kernel(kernel, X, X)
+    K = _kernel(gamma, X, X)
     # Dual variables z = [alpha; alpha*], signs q, linear term p.
     q = np.concatenate([np.ones(n), -np.ones(n)])
     p = np.concatenate([epsilon - y, epsilon + y])
@@ -203,7 +191,7 @@ def fit_svr(
         support_vectors=X[sv],
         dual_coeffs=beta[sv],
         bias=bias,
-        kernel=kernel,
+        gamma=gamma,
         C=float(C),
         epsilon=float(epsilon),
         feature_dim=d,
@@ -239,7 +227,7 @@ def predict(model: RidgeModel | SvrModel, X) -> np.ndarray:
             )
         if model.support_vectors.shape[0] == 0:
             return np.full(X.shape[0], model.bias)
-        return _kernel(model.kernel, X, model.support_vectors) @ model.dual_coeffs + model.bias
+        return _kernel(model.gamma, X, model.support_vectors) @ model.dual_coeffs + model.bias
     raise ConfigError(f"unknown model type {type(model).__name__}")
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import subnetsearch
-from subnetsearch.cli import main
+from subnetsearch.cli import build_parser, main
+from subnetsearch.driver import ConcurrentNasConfig, FullSearchConfig, PredictorConfig
 from subnetsearch.space import canonicalize, save_space, space_from_dict, space_to_dict
 
 from conftest import gene_rows, validation_records
@@ -157,38 +158,40 @@ def test_space_flag_overrides_config_space(tmp_path, toy_space_file, tiny_space)
 # sha256 of the config.json and evals.jsonl of each run, recorded while cli
 # still added the space, evaluator, noise and declared objectives to the
 # tactic's fields itself; every file is named relative to the run's working
-# directory, so no digest holds an absolute path
+# directory, so no digest holds an absolute path. The config.json digests were
+# taken again when crossover_rate, mutation_rate and the four svr_* settings
+# left the file; the evals.jsonl digests did not change.
 CONFIG_SHA256 = {
     "concurrent-noise": (
-        "e3be4193ca7dbf11710a9e8ead3ebe1189e3a2dcb9decf198dc0422364d1b083",
+        "ca63fa039206a91279cb928d0dbdf126e26874c322b12cdcf7db8d5eb6a30d09",
         "adb19f1409f53c25ca13c6db9f9ec37292ff29d35ebfd2822c9013f7bcd0ff6b",
     ),
     "concurrent-table": (
-        "e90fbd67dcabaf337b1965d0775298e5d4370b1e8a2497c5b2f85bc075318254",
+        "dbf56808bc208aee12e650dd51d0dd8ea667ca757a705d7ad028da265ae35cd9",
         "a2dc7977747df4d165c63e25644740ea5bc0e7c7b56d18226a8fd41b2ec51ed5",
     ),
     "concurrent-warm-start": (
-        "771081fa649fe590e3394eadecff3327f61bfcf34f69338a04255252ae7ce397",
+        "addb1ea4bac7c41be129e8ef1c18155e6402739383354f4510c47f7c3bfba0bc",
         "d6fea4a661a55a2662e6aed9dfa83964ae739c18e20a0fb65a66b151be70b70c",
     ),
     "concurrent-other-space": (
-        "ac808769fe50388ad77732f6eda8d969ecf4120bc2e61d5bf467bb9be3318aee",
+        "9a37a03f21a9132f871039f6dbb6c2151f1b4b91bce79260496c7a1bb8560216",
         "7c1fa1c1cdb1d2ea9d00bcfbc98d787fe689b3164c95bc765508c3aea42be980",
     ),
     "full-noise": (
-        "6dbf137eaaad328f7b83b8662ef1f3543008653b4932ec87b01b3dbb9852d898",
+        "262285e9ce9e14547c46d5e6ba984b2e7c3a69f1fc5c85a67d99d5961d57a96f",
         "bede8037401fc9f6659565ca41d2209132ae70df0a97afc929abbb4126673c6d",
     ),
     "full-table": (
-        "075a45b2328398b56cc97ea4dec6f0d1045dddc9378cdfa7c45bb6ab9761afbc",
+        "a3fbf608216a4e69cede15dd457bdfeed8c7d266b511fed3a56c3a47e4fa1110",
         "ea54d61cb68d523b6bc3827f64a141218525891b29fcb89c096cf5060919ef78",
     ),
     "full-warm-start": (
-        "9b646d1a342c7ec71251f9b77b27ae19b00271593a7a8f3113994bfbe31af31f",
+        "afb0d8e0961c375db177a1b541ad623c3f0b9be674cb5300e5c6971277e2f5b4",
         "79f862c9b00cf9fcef89d251a9801b303b878730ad5e07768adc19c7d204f71c",
     ),
     "full-other-space": (
-        "8f68fbf0c4d8aa4ee6301e7553ec9468d8b31efcf7bd50be53814043104a0d10",
+        "d9014a40b616403837e07a6e0298ed463678091d2dddb8d79736eb92b4655ce0",
         "caea7b020d306ab58656ec5d117bc7a778e7ac83c5a5ed63b0d42275b403e725",
     ),
 }
@@ -259,14 +262,20 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
      "ridge_lambda must be finite and >= 0, got -1.0"),
     ("concurrent", ["--ridge-lambda", "inf"], None,
      "ridge_lambda must be finite and >= 0, got inf"),
+    ("concurrent", [], {"crossover_rate": 0.8},
+     "{config}: crossover_rate is no longer supported (got 0.8)"),
+    ("concurrent", [], {"mutation_rate": 0.3},
+     "{config}: mutation_rate is no longer supported (got 0.3)"),
+    ("full", [], {"duplicate_retry_budget": 5},
+     "{config}: duplicate_retry_budget is no longer supported (got 5)"),
     ("concurrent", [], {"predictor": {"svr_c": -1}},
-     "{config}: svr_c must be finite and > 0, got -1"),
-    ("concurrent", [], {"predictor": {"svr_epsilon": -0.5}},
-     "{config}: svr_epsilon must be finite and >= 0"),
-    ("concurrent", [], {"predictor": {"svr_kernel": "poly"}},
-     "{config}: unknown kernel 'poly'"),
-    ("concurrent", [], {"predictor": {"svr_gamma": -2}},
-     "{config}: svr_gamma must be null or finite and > 0"),
+     "{config}: svr_c is no longer supported (got -1)"),
+    ("concurrent", [], {"predictor": {"svr_epsilon": 0.5}},
+     "{config}: svr_epsilon is no longer supported (got 0.5)"),
+    ("concurrent", [], {"predictor": {"svr_kernel": "linear"}},
+     "{config}: svr_kernel is no longer supported (got 'linear')"),
+    ("concurrent", [], {"predictor": {"svr_gamma": 2}},
+     "{config}: svr_gamma is no longer supported (got 2)"),
     ("concurrent", [], {"predictor": {"encoding": "binary"}},
      "{config}: unknown encoding 'binary'"),
     ("concurrent", [], {"predictor": {"families": [1]}},
@@ -297,7 +306,8 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
     ("full", ["--predictor", "svr", "--predictor-for", "latency_ms:ridge", "--ridge-lambda", "0"],
      None, "ridge_lambda must be > 0 for ridge on one_hot features"),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
-        "inner-population", "duplicate-objective", "ridge-lambda", "ridge-lambda-inf", "svr-c",
+        "inner-population", "duplicate-objective", "ridge-lambda", "ridge-lambda-inf",
+        "crossover-rate", "mutation-rate", "duplicate-retry-budget", "svr-c",
         "svr-epsilon", "svr-kernel", "svr-gamma", "encoding", "families",
         "predictor-for-unknown-objective", "families-unknown-objective", "timeout",
         "timeout-inf", "noise-scale-inf", "noise-scale-nan", "noise-scale-negative",
@@ -321,24 +331,41 @@ def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file
     assert f"config error: {message.format(config=config)}" in err
 
 
+@pytest.mark.parametrize("tactic", ["concurrent", "full"])
+def test_every_config_key_has_a_flag(tactic):
+    """Each key a tactic's config.json sets is the dest of a `search` flag,
+    or is set by the flag named here: no setting is one that only a
+    hand-edited file could change."""
+    dests = set(vars(build_parser().parse_args(["search", tactic])))
+    cls = FullSearchConfig if tactic == "full" else ConcurrentNasConfig
+    keys = {f.name for f in dataclasses.fields(cls) if f.name != "predictor"}
+    keys |= {f.name for f in dataclasses.fields(PredictorConfig)}
+    by_other_flag = {"warm_start": "warm_start_log", "space_doc": "space",
+                     "objectives": "objective", "families": "predictor_for"}
+    assert {by_other_flag.get(k, k) for k in keys} <= dests
+
+
 def test_config_with_the_removed_keys_unset_replays(tmp_path, toy_space_file):
     """A concurrent config.json written while `validation_only_objectives`
-    and `inner_population` existed, as [] and null, replays byte for byte;
-    the replay's config.json no longer carries them."""
+    and `inner_population` existed, as [] and null or with `inner_population`
+    resolved to the population size, replays byte for byte; the replay's
+    config.json no longer carries them."""
     first = tmp_path / "first"
     assert run_cli(
         "search", "concurrent", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
         *RUN_SIZES["concurrent"], "--seed", "5", "--out", str(first),
     ) == 0
     doc = json.loads((first / "config.json").read_text())
-    doc.update(validation_only_objectives=[], inner_population=None)
-    config = tmp_path / "old_config.json"
-    config.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    replayed = tmp_path / "replayed"
-    assert run_cli("search", "concurrent", "--config", str(config), "--out", str(replayed)) == 0
-    for name in ("evals.jsonl", "front.csv", "predicted_front.csv", "hv_trace.csv",
-                 "config.json"):
-        assert (first / name).read_bytes() == (replayed / name).read_bytes(), name
+    for inner_population in (None, doc["population_size"]):
+        doc.update(validation_only_objectives=[], inner_population=inner_population)
+        config = tmp_path / f"old_config_{inner_population}.json"
+        config.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        replayed = tmp_path / f"replayed_{inner_population}"
+        assert run_cli("search", "concurrent", "--config", str(config),
+                       "--out", str(replayed)) == 0
+        for name in ("evals.jsonl", "front.csv", "predicted_front.csv", "hv_trace.csv",
+                     "config.json"):
+            assert (first / name).read_bytes() == (replayed / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("tactic", ["concurrent", "full"])
@@ -380,7 +407,8 @@ def test_malformed_config_is_config_error(tmp_path, toy_space_file, capsys,
 def test_config_written_before_the_dataclass_schema_replays(tmp_path, toy_space,
                                                              toy_space_file):
     """A full-search config.json in the older format (resolved mutation_rate,
-    duplicate_retry_budget) replays to the log of the same run by flags."""
+    duplicate_retry_budget) replays to the log of the same run by flags; the
+    replay's config.json carries none of the removed keys."""
     doc = {
         "crossover_rate": 0.9,
         "duplicate_retry_budget": 80,
@@ -423,6 +451,11 @@ def test_config_written_before_the_dataclass_schema_replays(tmp_path, toy_space,
     replayed = tmp_path / "replayed"
     assert run_cli("search", "full", "--config", str(config), "--out", str(replayed)) == 0
     assert (by_flags / "evals.jsonl").read_bytes() == (replayed / "evals.jsonl").read_bytes()
+    written = json.loads((replayed / "config.json").read_text())
+    keys = {*written, *(f"predictor.{k}" for k in written["predictor"])}
+    assert not keys & {"crossover_rate", "mutation_rate", "duplicate_retry_budget",
+                       "predictor.svr_c", "predictor.svr_epsilon", "predictor.svr_kernel",
+                       "predictor.svr_gamma"}
 
 
 def test_warm_start_of_another_genome_length_is_config_error(tmp_path, toy_space,

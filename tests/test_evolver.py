@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from subnetsearch.errors import ConfigError, ObjectiveMismatch
 from subnetsearch.evolver import (
+    CROSSOVER_RATE,
     EvolverConfig,
     Slots,
     _admit,
@@ -421,19 +422,20 @@ def two_objective_evaluate(space):
     return evaluate
 
 
-def test_config_defaults_match_convention():
+def test_config_defaults_match_convention(toy_space):
+    """Crossover rate 0.9 per pair, and per-gene mutation rate 1 / population
+    size at every position with more than one active rank."""
     cfg = EvolverConfig(population_size=40, generations=5)
-    assert cfg.crossover_rate == 0.9
-    assert cfg.resolved_mutation_rate == pytest.approx(1 / 40)
+    assert CROSSOVER_RATE == 0.9
+    rates = _variation_tables(toy_space, cfg, np.uint8)[1]
+    assert rates.tolist() == [1 / 40] * toy_space.genome_length
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         EvolverConfig(population_size=0, generations=1)
     with pytest.raises(ConfigError):
-        EvolverConfig(population_size=10, generations=1, crossover_rate=1.5)
-    with pytest.raises(ConfigError):
-        EvolverConfig(population_size=10, generations=1, mutation_rate=0.0)
+        EvolverConfig(population_size=10, generations=-1)
 
 
 def test_evolve_finds_global_optimum_on_toy_problem(toy_space):
@@ -967,7 +969,7 @@ def test_reduced_space_draws_keep_active_genes_allowed(oracle_spaces, name, data
     reduced = dataclasses.replace(space, reduction=reduction)
     seed = data.draw(st.integers(0, 2**16))
     warm = data.draw(st.lists(raw_genotypes(space), max_size=6))
-    cfg = EvolverConfig(8, 4, mutation_rate=0.3, seed=seed)
+    cfg = EvolverConfig(3, 10, seed=seed)  # mutation rate 1/3
     trace = evolve(reduced, cfg, two_objective_evaluate(space), MIN2,
                    warm_start=repaired_ranks(warm, reduced))
     for gs in (sample_uniform(reduced, 20, seed),
@@ -983,7 +985,7 @@ def test_a_reduction_allowing_every_value_draws_as_no_reduction(oracle_spaces, n
     assert sample_uniform(full, 50, 3) == sample_uniform(space, 50, 3)
     warm = sample_uniform(space, 10, 4)
     assert np.array_equal(repaired_ranks(warm, full), repaired_ranks(warm, space))
-    cfg = EvolverConfig(12, 6, mutation_rate=0.2, seed=5)
+    cfg = EvolverConfig(5, 14, seed=5)  # mutation rate 0.2
     a, b = (evolve(s, cfg, two_objective_evaluate(space), MIN2,
                    warm_start=repaired_ranks(warm, s)) for s in (full, space))
     assert np.array_equal(a.table.ranks, b.table.ranks)
@@ -1010,14 +1012,15 @@ def test_reduced_draws_reach_every_allowed_value(toy_space):
 
 def test_reduced_mutation_draws_another_allowed_value(toy_space):
     """With every gene hit, a mutated gene takes an allowed value other than
-    its parent's, each of them in turn; a gene with one allowed value stays."""
+    its parent's, each of them in turn; a gene with one allowed value stays.
+    Population 1 gives mutation rate 1, and the parents are identical, so
+    crossover changes nothing."""
     reduced = deep_reduced_toy(toy_space)
     parent = rank_matrix([Genotype(tuple(vals[-1] for vals in reduced.reduction))], reduced)
     parents = Slots(np.repeat(parent, 4, axis=0).astype(np.uint8), np.zeros((4, 2)),
                     np.zeros(4, dtype=np.uint64), np.arange(4))
-    cfg = EvolverConfig(4, 1, crossover_rate=0.0, mutation_rate=1.0)
-    kids = _offspring(np.random.default_rng(0), parents, _variation_tables(reduced, cfg, np.uint8),
-                      cfg, pairs=100)
+    tables = _variation_tables(reduced, EvolverConfig(1, 1), np.uint8)
+    kids = _offspring(np.random.default_rng(0), parents, tables, pairs=100)
     genes = rank_genes(kids, reduced)
     for pos, vals in enumerate(reduced.reduction):
         others = [v for v in vals if v != vals[-1]] or [vals[-1]]
