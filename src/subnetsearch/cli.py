@@ -548,9 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="external evaluator response timeout (s)")
         if concurrent:
             p.add_argument("--iters", dest="iterations", type=int,
-                           help="ConcurrentNAS iterations")
+                           help="validation batches, with an inner search between two")
             p.add_argument("--inner-gens", dest="inner_generations", type=int,
-                           help="inner search generations per iteration")
+                           help="generations of each inner search")
         else:
             p.add_argument("--gens", dest="generations", type=int, help="generations")
             p.add_argument("--train", dest="n_train", type=int,

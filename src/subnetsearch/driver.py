@@ -1,16 +1,22 @@
 """Search tactics: one predictor-in-the-loop search, two configs.
 
-`search` repeats one step: validate a batch, fit a predictor per objective
-on every validation so far, and run NSGA-II against the predictors. Under a
-`ConcurrentNasConfig` it takes `iterations` steps: the first batch is the
+`search` validates batches. Between two batches it fits a predictor per
+objective on every validation so far and runs NSGA-II against the
+predictors; that inner search picks the next batch. Under a
+`ConcurrentNasConfig` it validates `iterations` batches: the first is the
 (warm-started) population, each inner search starts from the validated
-front plus that batch, and the best not-yet-validated configurations it
-finds are the next batch, so competitive configurations surface after very
-few real measurements. A `FullSearchConfig` takes one step: its batch is a
-uniform sample of `n_train`, its inner search runs `generations` generations
-from the warm start, and the whole predicted front is then validated. With
-predictor family "none" the full tactic is NSGA-II on validations instead:
-the evolver measures every child.
+front plus the batch before it, and the best not-yet-validated
+configurations it finds are the next batch, so competitive configurations
+surface after very few real measurements. The run ends when the last batch
+is logged: no search runs whose picks no batch would measure. Under a
+`FullSearchConfig` the first batch is a uniform sample of `n_train`, its one
+inner search runs `generations` generations from the warm start, and the
+second batch is that search's whole predicted front. With predictor family
+"none" the full tactic is NSGA-II on validations instead: the evolver
+measures every child.
+
+The predicted front is the front of the last inner search; a concurrent run
+of one iteration, and a full run under family "none", have none.
 
 Both return a SearchReport with a hypervolume-versus-evaluations trace. Its
 reference is frozen at the first validated batch; under family "none" it is
@@ -234,14 +240,34 @@ def _fields_from(cls, doc) -> dict:
     return kw
 
 
+def _check_keys(cls, doc: dict) -> None:
+    """Raise ConfigError on a key of `doc`, top-level or under "predictor",
+    that is no field, run fact of `config_to_doc` or removed setting
+    (`REMOVED_KEYS`) there: a misspelled key would replay as the default."""
+    allowed = {
+        "": {f.name for f in fields(cls)} | {"tactic", "hv_reference", "evaluator_id"},
+        "predictor": {f.name for f in fields(PredictorConfig)},
+    }
+    for path in REMOVED_KEYS:
+        section, _, key = path.rpartition(".")
+        allowed[section].add(key)
+    for section, names in allowed.items():
+        part = doc.get(section) if section else doc
+        for key in part if isinstance(part, dict) else ():
+            if key not in names:
+                under = f" under {section}" if section else ""
+                raise ConfigError(f"unknown key {key!r}{under} for the {cls.tactic} tactic")
+
+
 def config_from_doc(cls, doc: dict, where: str = "config"):
     """Rebuild a tactic config (FullSearchConfig or ConcurrentNasConfig) from
-    a config.json document. Keys that are not fields are ignored; a missing
-    or null key takes the field's default; a value of the wrong JSON type or
-    out of its field's range, or a removed setting (`REMOVED_KEYS`) at
-    another value than every run now uses, is a ConfigError naming
-    `where`."""
+    a config.json document. A missing or null key takes the field's default;
+    a key that is no field, run fact or removed setting, a value of the
+    wrong JSON type or out of its field's range, or a removed setting
+    (`REMOVED_KEYS`) at another value than every run now uses, is a
+    ConfigError naming `where`."""
     try:
+        _check_keys(cls, doc)
         kw = _fields_from(cls, doc)
         if "predictor" in kw:
             kw["predictor"] = PredictorConfig(**_fields_from(PredictorConfig, kw["predictor"]))
@@ -438,12 +464,13 @@ def search(
     cfg: SearchConfig,
     store: ResultStore | None = None,
 ) -> SearchReport:
-    """Run the tactic of `cfg` (see the module docstring): per iteration,
-    validate a batch, fit the predictors on every validation so far and
-    search against them; between iterations, the best not-yet-validated
-    configurations of the inner search become the next batch. It writes the
-    space, evaluator, noise and declared objectives of `cfg` to the report's
-    config but reads none of them: the arguments are the run's own."""
+    """Run the tactic of `cfg` (see the module docstring): validate a batch
+    per iteration and, between two batches, fit the predictors on every
+    validation so far and search against them; the best not-yet-validated
+    configurations of that inner search become the next batch, and the last
+    search's front is the report's predicted front. It writes the space,
+    evaluator, noise and declared objectives of `cfg` to the report's config
+    but reads none of them: the arguments are the run's own."""
     specs = tuple(objectives)
     check_objectives(cfg, specs)
     if store is None:
@@ -478,6 +505,7 @@ def search(
         rows = _initial_population(space, cfg)
         iterations = cfg.iterations
     validated = np.zeros((0, space.genome_length), np.intp)  # rank rows of every batch
+    trace = None  # the last inner search
 
     for i in range(iterations):
         t0 = time.perf_counter()
@@ -488,6 +516,8 @@ def search(
             raise EvaluationFailed(f"iteration {i}: every validation failed")
         if reference is None:
             reference = _maybe_reference(specs, raw[~np.isnan(raw).any(axis=1)])
+        if i == iterations - 1 and not full:
+            break  # the last batch: no batch would measure a search after it
 
         t0 = time.perf_counter()
         models = _train_models(store, cfg.predictor)
@@ -505,13 +535,8 @@ def search(
             specs, warm_start=inner_warm,
         )
         phase_seconds["search"] += time.perf_counter() - t0
-        if i == iterations - 1:  # the last search gives the predicted front
-            predicted_front = trace.front()
-            if full:
-                t0 = time.perf_counter()
-                warn_list.extend(evaluate_batch(predicted_front.genes, evaluator, store, gen=1)[1])
-                phase_seconds["validate"] += time.perf_counter() - t0
-            break
+        if full:
+            break  # its whole predicted front is validated below
 
         validated = np.concatenate([validated, rows])
         validated_ids = trace.ids_of(validated)
@@ -530,6 +555,13 @@ def search(
             exclude=np.concatenate([validated, chosen]),
         )
         rows = np.concatenate([chosen, pads])
+
+    if trace is not None:
+        predicted_front = trace.front()
+        if full:
+            t0 = time.perf_counter()
+            warn_list.extend(evaluate_batch(predicted_front.genes, evaluator, store, gen=1)[1])
+            phase_seconds["validate"] += time.perf_counter() - t0
 
     hv_trace = hypervolume_trace(store, reference) if reference is not None else []
     return SearchReport(

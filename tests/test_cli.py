@@ -368,6 +368,34 @@ def test_config_with_the_removed_keys_unset_replays(tmp_path, toy_space_file):
             assert (first / name).read_bytes() == (replayed / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("tactic, key, section, message", [
+    ("concurrent", "inner_generation", None,
+     "unknown key 'inner_generation' for the concurrent tactic"),
+    ("concurrent", "generations", None, "unknown key 'generations' for the concurrent tactic"),
+    ("full", "iterations", None, "unknown key 'iterations' for the full tactic"),
+    ("full", "svr_cc", "predictor", "unknown key 'svr_cc' under predictor for the full tactic"),
+], ids=["misspelled", "other-tactic", "other-tactic-full", "misspelled-predictor"])
+def test_config_with_an_unknown_key_is_config_error(tmp_path, toy_space_file, capsys,
+                                                     tactic, key, section, message):
+    """A run's own config.json with one key added that no version wrote
+    there: the replay names the key and the file, and makes no run
+    directory."""
+    first = tmp_path / "first"
+    assert run_cli(
+        "search", tactic, "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        *RUN_SIZES[tactic], "--out", str(first),
+    ) == 0
+    doc = json.loads((first / "config.json").read_text())
+    (doc[section] if section else doc)[key] = 5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "replayed"
+    assert run_cli("search", tactic, "--config", str(config), "--out", str(out)) == 2
+    assert f"config error: {config}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tactic", ["concurrent", "full"])
 @pytest.mark.parametrize(
     "doc",

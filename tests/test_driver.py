@@ -257,14 +257,14 @@ def test_concurrent_bookkeeping_invariants(toy_setup):
     assert len({r.genotype.genes for r in recs}) == len(recs)
 
 
-def test_concurrent_i1_front_subset_of_predictor_outputs(toy_setup):
+def test_concurrent_i2_front_subset_of_predictor_outputs(toy_setup):
     space, surface = toy_setup
     report = search(
         space,
         surface.specs,
         SyntheticSurfaceEvaluator(surface),
         ConcurrentNasConfig(
-            population_size=15, iterations=1, inner_generations=20, seed=5
+            population_size=15, iterations=2, inner_generations=20, seed=5
         ),
     )
     # the predicted front is a non-dominated set of distinct genotypes
@@ -457,6 +457,54 @@ def test_oracle_predictors_match_validation_search(toy_setup):
     for genes, raw in zip(front_genes(front), front.raw.tolist()):
         truth = synthetic_evaluate(Genotype(genes), surface).values
         assert raw == pytest.approx(truth)
+
+
+def counted_search(monkeypatch, space, surface, cfg):
+    """`search` under `cfg` with its evaluator batches, predictor fits and
+    inner searches counted: the report and the three counts."""
+    import subnetsearch.driver as drv
+
+    counts = dict.fromkeys(("evaluate_batch", "_train_models", "evolve"), 0)
+
+    def counting(name):
+        orig = getattr(drv, name)
+
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return orig(*args, **kw)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(drv, name, counting(name))
+    report = search(space, surface.specs, SyntheticSurfaceEvaluator(surface), cfg)
+    return report, tuple(counts.values())
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_concurrent_run_ends_at_its_last_batch(toy_setup, monkeypatch, iterations):
+    """k batches, with a fit and an inner search only between two of them."""
+    space, surface = toy_setup
+    cfg = ConcurrentNasConfig(population_size=8, iterations=iterations,
+                              inner_generations=6, seed=9)
+    report, counts = counted_search(monkeypatch, space, surface, cfg)
+    assert counts == (iterations, iterations - 1, iterations - 1)
+    assert report.validation_count == 8 * iterations
+    assert set(report.phase_seconds) == {"validate", "train_predictors", "search"}
+    if iterations == 1:
+        assert report.phase_seconds["train_predictors"] == 0.0
+        assert report.phase_seconds["search"] == 0.0
+        assert report.predicted_front is None
+    else:
+        assert len(report.predicted_front)
+
+
+def test_full_run_validates_the_front_of_its_one_search(toy_setup, monkeypatch):
+    space, surface = toy_setup
+    cfg = FullSearchConfig(population_size=8, generations=4, n_train=100, seed=9)
+    report, counts = counted_search(monkeypatch, space, surface, cfg)
+    assert counts == (2, 1, 1)
+    assert len(report.predicted_front)
 
 
 def test_hv_trace_equals_full_recompute_exactly(toy_setup):
@@ -666,8 +714,9 @@ def test_run_reference_and_front_equal_the_record_forms(toy_setup, tactic):
 
 # sha256 of (evals.jsonl, predicted_front.csv, front.csv, hv_trace.csv) per
 # run. The first two were recorded when each tactic was still its own
-# function, the last two while both fronts were still written from records;
-# None where no predicted front exists.
+# function, the last two while both fronts were still written from records,
+# and the concurrent runs' predicted fronts once the search after their last
+# batch was gone; None where no predicted front exists.
 TACTIC_SHA256 = {
     "full-ridge-warm": (
         "b17ad058260a702a714191f8d6f3c83ad238a9200a37c00a03d31d311587c28a",
@@ -683,13 +732,13 @@ TACTIC_SHA256 = {
     ),
     "concurrent-ridge": (
         "df809c74c967cebdb288873734b2bf86bedb9dc6b5983883d62c65a3dfd97474",
-        "74f37da6783fb1812dde6e84316cd654825b4fd0fda44a42c2b8eefbadad4665",
+        "e7f1841f1b5d9b394ebc5e4ce791f1622e67f91068c8db98e02cdf5e026cbdf9",
         "de15d49107fbe76137490583810624c4fa419a3901cc1f6e7132e69cdc7ed986",
         "fd4205c43c13895fd0a05046d3ce4216894594e294971d3de9c99e18ec920575",
     ),
     "concurrent-svr-warm": (
         "e464b6d7b4a3f79abda5f6b4eda0f8d21ecb596eddd955769858b45399542d13",
-        "b00c14525d62ffc1a00beba0a2969c05d53639c25faee571114f56e8ef0e2e2c",
+        "97630d21aba3dea6ede59eb60b3c37e4d972e9d3da2f39f6c4e11078ab719d68",
         "8b8dfae5a6ea86429d1871c15d3b26de00abacd8f7cd69c373175d58bc54f3e4",
         "4e90eea33e588c5bd5452be319f85e2fb2457320e6dfa1d26d4b0db964943352",
     ),
