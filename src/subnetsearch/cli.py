@@ -3,7 +3,8 @@ analytics export, and space inspection.
 
 Exit codes: 0 success, 2 configuration error, 3 evaluator error, 4 internal
 error. The fully resolved configuration is persisted with every run so a run
-directory can be reproduced exactly via --config.
+directory can be reproduced exactly via --config, under the trajectory
+version that wrote it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .driver import (
+    TRAJECTORY,
     ConcurrentNasConfig,
     FullSearchConfig,
     PredictorConfig,
@@ -197,11 +199,8 @@ def _print_summary(report: SearchReport, outdir: Path, elapsed: float) -> None:
 
 def _cmd_search(args) -> int:
     """Both tactics: --config values first, then every flag given."""
-    doc = _load_config(args.config) if args.config else {}
-    if doc.get("tactic", args.tactic) != args.tactic:
-        raise ConfigError(f"--config has tactic {doc['tactic']!r}, not {args.tactic!r}")
     cls = FullSearchConfig if args.tactic == "full" else ConcurrentNasConfig
-    cfg = config_from_doc(cls, doc, where=args.config or "config")
+    cfg = config_from_doc(cls, _load_config(args.config), args.config) if args.config else cls()
     flags = _given(args, (f.name for f in fields(cls)))
     if args.objective:
         flags["objectives"] = tuple(map(_parse_objective, args.objective))
@@ -533,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pop", dest="population_size", type=int, help="population size")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help=f"artifacts directory (or ${OUTPUT_DIR_ENV})")
-        p.add_argument("--config", help="replay a persisted config.json")
+        p.add_argument("--config", help="replay a persisted config.json of trajectory "
+                       f"version {TRAJECTORY}; a file of another version is refused")
         p.add_argument("--warm-start", dest="warm_start_log",
                        help="evals.jsonl whose front seeds the search")
         p.add_argument("--predictor", dest="family", choices=["ridge", "svr", "none"])

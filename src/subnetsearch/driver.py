@@ -43,7 +43,7 @@ from .evalmgr import (
     evaluate_batch,
     training_rows,
 )
-from .evolver import CROSSOVER_RATE, EvolverConfig, evolve, select_best
+from .evolver import EvolverConfig, evolve, select_best
 from .objectives import (
     FrontColumns,
     IncrementalFront2D,
@@ -71,6 +71,11 @@ from .space import (
 from .util import SEED_RANGE, check_rules, subseed
 
 PREDICTOR_FAMILIES = ("ridge", "svr", "none")
+
+# The trajectory version a config.json names: a file replays byte for byte
+# only under the version that wrote it. A change that moves a logged byte for
+# an unchanged config bumps it.
+TRAJECTORY = 1
 
 
 @dataclass(frozen=True)
@@ -185,10 +190,12 @@ def check_objectives(cfg: SearchConfig, specs) -> None:
 
 def config_to_doc(cfg: SearchConfig, specs, reference, evaluator) -> dict:
     """The run's config.json document: every field of its config, then the
-    run's facts: the tactic, the objectives (the evaluator's, in place of
-    the declared ones), the HV reference and the evaluator id."""
+    run's facts: the trajectory version, the tactic, the objectives (the
+    evaluator's, in place of the declared ones), the HV reference and the
+    evaluator id."""
     doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     doc.update(
+        trajectory=TRAJECTORY,
         tactic=cfg.tactic,
         predictor=asdict(cfg.predictor),
         warm_start=[list(g.genes) for g in cfg.warm_start] if cfg.warm_start else None,
@@ -198,22 +205,6 @@ def config_to_doc(cfg: SearchConfig, specs, reference, evaluator) -> dict:
     )
     return doc
 
-
-# Keys of removed settings that older config.json files carry, top-level or
-# under "predictor": per key, the values, of the document's population size,
-# that replay as the search every run now makes. Those or null replay; any
-# other would replay as a different search.
-REMOVED_KEYS = {
-    "validation_only_objectives": lambda pop: ([],),
-    "inner_population": lambda pop: ([], pop),
-    "crossover_rate": lambda pop: (CROSSOVER_RATE,),
-    "mutation_rate": lambda pop: (1.0 / pop,),
-    "duplicate_retry_budget": lambda pop: (10 * pop,),
-    "predictor.svr_c": lambda pop: (1.0,),
-    "predictor.svr_epsilon": lambda pop: (0.01,),
-    "predictor.svr_kernel": lambda pop: ("rbf",),
-    "predictor.svr_gamma": lambda pop: (),
-}
 
 _JSON_KINDS = {float: (int, float), tuple: list, PredictorConfig: dict}
 
@@ -242,15 +233,13 @@ def _fields_from(cls, doc) -> dict:
 
 def _check_keys(cls, doc: dict) -> None:
     """Raise ConfigError on a key of `doc`, top-level or under "predictor",
-    that is no field, run fact of `config_to_doc` or removed setting
-    (`REMOVED_KEYS`) there: a misspelled key would replay as the default."""
+    that is no field or run fact of `config_to_doc` there: a misspelled key
+    would replay as the default."""
     allowed = {
-        "": {f.name for f in fields(cls)} | {"tactic", "hv_reference", "evaluator_id"},
+        "": {f.name for f in fields(cls)}
+        | {"trajectory", "tactic", "hv_reference", "evaluator_id"},
         "predictor": {f.name for f in fields(PredictorConfig)},
     }
-    for path in REMOVED_KEYS:
-        section, _, key = path.rpartition(".")
-        allowed[section].add(key)
     for section, names in allowed.items():
         part = doc.get(section) if section else doc
         for key in part if isinstance(part, dict) else ():
@@ -259,14 +248,23 @@ def _check_keys(cls, doc: dict) -> None:
                 raise ConfigError(f"unknown key {key!r}{under} for the {cls.tactic} tactic")
 
 
-def config_from_doc(cls, doc: dict, where: str = "config"):
+def config_from_doc(cls, doc: dict, where: str):
     """Rebuild a tactic config (FullSearchConfig or ConcurrentNasConfig) from
-    a config.json document. A missing or null key takes the field's default;
-    a key that is no field, run fact or removed setting, a value of the
-    wrong JSON type or out of its field's range, or a removed setting
-    (`REMOVED_KEYS`) at another value than every run now uses, is a
-    ConfigError naming `where`."""
+    a config.json document. A ConfigError naming `where` is raised, in this
+    order, for a `trajectory` that is missing or not the int `TRAJECTORY`, a
+    tactic other than `cls`'s, a key that is no field or run fact, and a
+    value of the wrong JSON type or out of its field's range. A missing or
+    null field takes its default."""
     try:
+        version = doc.get("trajectory")
+        if type(version) is not int or version != TRAJECTORY:
+            found = repr(version) if "trajectory" in doc else "none"
+            raise ConfigError(
+                f"trajectory version {found}, not {TRAJECTORY}: a config.json replays "
+                "only under the trajectory version that wrote it"
+            )
+        if doc.get("tactic", cls.tactic) != cls.tactic:
+            raise ConfigError(f"tactic {doc['tactic']!r}, not {cls.tactic!r}")
         _check_keys(cls, doc)
         kw = _fields_from(cls, doc)
         if "predictor" in kw:
@@ -281,16 +279,7 @@ def config_from_doc(cls, doc: dict, where: str = "config"):
                 kw["objectives"] = tuple(ObjectiveSpec(**o) for o in kw["objectives"])
             except TypeError as exc:  # not an object, or a key missing or unknown
                 raise ConfigError(f"objectives: {exc}") from exc
-        cfg = cls(**kw)
-        for path, used in REMOVED_KEYS.items():
-            *section, key = path.split(".")
-            value = (doc.get(section[0]) or {} if section else doc).get(key)
-            if value is not None and (value not in used(cfg.population_size)
-                                      or isinstance(value, bool)):
-                raise ConfigError(
-                    f"{key} is no longer supported (got {value!r}); remove the key to replay"
-                )
-        return cfg
+        return cls(**kw)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

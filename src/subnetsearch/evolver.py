@@ -23,9 +23,10 @@ tournament, (2) p crossover uniforms and p cut-point draws (`_cut_points`),
 discarded. The initial population draws one (n, L) block of uniform ranks per
 round, one row per empty slot. Every draw picks among the ranks an active
 gene may take, mapped by `SearchSpace.active_ranks` (the identity without a
-reduction). This draw order fixes trajectories: a log written by a version
-that drew child by child does not replay byte-identically under this one,
-while a replay within one version is exact.
+reduction). This draw order is part of the trajectory version that a
+run's config.json names (`driver.TRAJECTORY`): a replay within one version
+is exact, and a file of another version, such as one written when the
+evolver drew child by child, is refused.
 """
 
 from __future__ import annotations

@@ -27,6 +27,13 @@ class CallableEvaluator:
         return out
 
 
+# The failure message of every pinned-digest test.
+DIGEST_MOVED = (
+    "a pinned digest moved: a change that moves a logged evals.jsonl byte for an "
+    "unchanged config bumps driver.TRAJECTORY and names the new version in CHANGES.md"
+)
+
+
 def validation_records(store):
     """A result store's successful validation records in sequence order: the
     record form of its `validation_columns`."""

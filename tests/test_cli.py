@@ -18,10 +18,15 @@ import pytest
 
 import subnetsearch
 from subnetsearch.cli import build_parser, main
-from subnetsearch.driver import ConcurrentNasConfig, FullSearchConfig, PredictorConfig
+from subnetsearch.driver import (
+    TRAJECTORY,
+    ConcurrentNasConfig,
+    FullSearchConfig,
+    PredictorConfig,
+)
 from subnetsearch.space import canonicalize, save_space, space_from_dict, space_to_dict
 
-from conftest import gene_rows, validation_records
+from conftest import DIGEST_MOVED, gene_rows, validation_records
 
 DOUBLE = Path(__file__).parent / "doubles" / "scripted_evaluator.py"
 
@@ -35,6 +40,15 @@ def toy_space_file(tmp_path, toy_space):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def drop_trajectory(run_dir):
+    """Make `run_dir` a run of an older version: its config.json without
+    `trajectory`."""
+    config = Path(run_dir, "config.json")
+    doc = json.loads(config.read_text())
+    del doc["trajectory"]
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def test_search_concurrent_writes_artifacts(tmp_path, toy_space_file, capsys):
@@ -160,38 +174,39 @@ def test_space_flag_overrides_config_space(tmp_path, toy_space_file, tiny_space)
 # tactic's fields itself; every file is named relative to the run's working
 # directory, so no digest holds an absolute path. The config.json digests were
 # taken again when crossover_rate, mutation_rate and the four svr_* settings
-# left the file; the evals.jsonl digests did not change.
+# left the file, and again when it gained `trajectory`; the evals.jsonl
+# digests did not change.
 CONFIG_SHA256 = {
     "concurrent-noise": (
-        "ca63fa039206a91279cb928d0dbdf126e26874c322b12cdcf7db8d5eb6a30d09",
+        "0869c7005c94c542854c7989fba49e0ad7c77cc293d79c5c77e0a90f2dec31c4",
         "adb19f1409f53c25ca13c6db9f9ec37292ff29d35ebfd2822c9013f7bcd0ff6b",
     ),
     "concurrent-table": (
-        "dbf56808bc208aee12e650dd51d0dd8ea667ca757a705d7ad028da265ae35cd9",
+        "6843c50d591ceaeab9247f66bc49c26ba7052646e48ce3f6725ebd748e1b4293",
         "a2dc7977747df4d165c63e25644740ea5bc0e7c7b56d18226a8fd41b2ec51ed5",
     ),
     "concurrent-warm-start": (
-        "addb1ea4bac7c41be129e8ef1c18155e6402739383354f4510c47f7c3bfba0bc",
+        "e66f1771891792137ee0c0f70930e60a13d6f73db4b4a2541387098f61a45c5a",
         "d6fea4a661a55a2662e6aed9dfa83964ae739c18e20a0fb65a66b151be70b70c",
     ),
     "concurrent-other-space": (
-        "9a37a03f21a9132f871039f6dbb6c2151f1b4b91bce79260496c7a1bb8560216",
+        "80760cce70a4bcd62dfd4cbfc0a5002f0e5b05f762dda88b4c938816a6fa66fc",
         "7c1fa1c1cdb1d2ea9d00bcfbc98d787fe689b3164c95bc765508c3aea42be980",
     ),
     "full-noise": (
-        "262285e9ce9e14547c46d5e6ba984b2e7c3a69f1fc5c85a67d99d5961d57a96f",
+        "f453e0026a6c6befc853adf1d421c69ac15755a0ef0a2abfe06fa757ba7b445c",
         "bede8037401fc9f6659565ca41d2209132ae70df0a97afc929abbb4126673c6d",
     ),
     "full-table": (
-        "a3fbf608216a4e69cede15dd457bdfeed8c7d266b511fed3a56c3a47e4fa1110",
+        "607e9b9a9846018e558c2599a0b4efa03b3a87b305fcb3483d89cb22fc953a55",
         "ea54d61cb68d523b6bc3827f64a141218525891b29fcb89c096cf5060919ef78",
     ),
     "full-warm-start": (
-        "afb0d8e0961c375db177a1b541ad623c3f0b9be674cb5300e5c6971277e2f5b4",
+        "ab0fc5f3f493ba6f83b3520bf01dcd23d557e4e82d537734478d8cd84d9f6077",
         "79f862c9b00cf9fcef89d251a9801b303b878730ad5e07768adc19c7d204f71c",
     ),
     "full-other-space": (
-        "d9014a40b616403837e07a6e0298ed463678091d2dddb8d79736eb92b4655ce0",
+        "e5a21c802df0e8cbe234c36b2715a8d86a97d055149ec79ee0d936d64ad23fcd",
         "caea7b020d306ab58656ec5d117bc7a778e7ac83c5a5ed63b0d42275b403e725",
     ),
 }
@@ -226,7 +241,7 @@ def test_persisted_config_and_log_are_pinned(tmp_path, toy_space, tiny_space,
     for run in runs:
         got = tuple(hashlib.sha256(Path(run, f).read_bytes()).hexdigest()
                     for f in ("config.json", "evals.jsonl"))
-        assert got == CONFIG_SHA256[name], run
+        assert got == CONFIG_SHA256[name], f"{run}: {DIGEST_MOVED}"
 
 
 @pytest.mark.parametrize(
@@ -246,6 +261,10 @@ def test_zero_run_size_is_config_error(tmp_path, toy_space_file, tactic, flag):
 EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-sum",
                       "--objective", "top1:maximize", "--objective", "latency_ms:minimize"]
 
+# A file that carries a removed setting predates trajectory versions: its
+# replay reports its version, not the key.
+OLDER_FILE = f"{{config}}: trajectory version none, not {TRAJECTORY}: "
+
 
 @pytest.mark.parametrize("tactic, flags, doc, message", [
     ("full", ["--train", "0"], None, "n_train must be >= 1"),
@@ -253,37 +272,29 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
      "objective 'top1' is predicted with predictor family 'none'"),
     ("concurrent", ["--predictor-for", "top1:none"], None,
      "objective 'top1' is predicted with predictor family 'none'"),
-    ("concurrent", [], {"validation_only_objectives": ["latency_ms"]},
-     "{config}: validation_only_objectives "),
-    ("concurrent", [], {"inner_population": 20}, "{config}: inner_population "),
+    ("concurrent", [], {"validation_only_objectives": ["latency_ms"]}, OLDER_FILE),
+    ("concurrent", [], {"inner_population": 20}, OLDER_FILE),
     ("full", [*EXTERNAL_GENES_SUM[:2], "--objective", "top1:maximize",
               "--objective", "top1:minimize"], None, "objective names must be unique"),
     ("concurrent", ["--ridge-lambda", "-1"], None,
      "ridge_lambda must be finite and >= 0, got -1.0"),
     ("concurrent", ["--ridge-lambda", "inf"], None,
      "ridge_lambda must be finite and >= 0, got inf"),
-    ("concurrent", [], {"crossover_rate": 0.8},
-     "{config}: crossover_rate is no longer supported (got 0.8)"),
-    ("concurrent", [], {"mutation_rate": 0.3},
-     "{config}: mutation_rate is no longer supported (got 0.3)"),
-    ("full", [], {"duplicate_retry_budget": 5},
-     "{config}: duplicate_retry_budget is no longer supported (got 5)"),
-    ("concurrent", [], {"predictor": {"svr_c": -1}},
-     "{config}: svr_c is no longer supported (got -1)"),
-    ("concurrent", [], {"predictor": {"svr_epsilon": 0.5}},
-     "{config}: svr_epsilon is no longer supported (got 0.5)"),
-    ("concurrent", [], {"predictor": {"svr_kernel": "linear"}},
-     "{config}: svr_kernel is no longer supported (got 'linear')"),
-    ("concurrent", [], {"predictor": {"svr_gamma": 2}},
-     "{config}: svr_gamma is no longer supported (got 2)"),
-    ("concurrent", [], {"predictor": {"encoding": "binary"}},
+    ("concurrent", [], {"crossover_rate": 0.8}, OLDER_FILE),
+    ("concurrent", [], {"mutation_rate": 0.3}, OLDER_FILE),
+    ("full", [], {"duplicate_retry_budget": 5}, OLDER_FILE),
+    ("concurrent", [], {"predictor": {"svr_c": -1}}, OLDER_FILE),
+    ("concurrent", [], {"predictor": {"svr_epsilon": 0.5}}, OLDER_FILE),
+    ("concurrent", [], {"predictor": {"svr_kernel": "linear"}}, OLDER_FILE),
+    ("concurrent", [], {"predictor": {"svr_gamma": 2}}, OLDER_FILE),
+    ("concurrent", [], {"trajectory": TRAJECTORY, "predictor": {"encoding": "binary"}},
      "{config}: unknown encoding 'binary'"),
-    ("concurrent", [], {"predictor": {"families": [1]}},
+    ("concurrent", [], {"trajectory": TRAJECTORY, "predictor": {"families": [1]}},
      "{config}: families must be dict, got [1]"),
     ("concurrent", ["--predictor-for", "latency:svr"], None,
      "predictor families name 'latency', which is not an objective of this run: "
      "['top1', 'latency_ms']"),
-    ("full", [], {"predictor": {"families": {"latency": "svr"}}},
+    ("full", [], {"trajectory": TRAJECTORY, "predictor": {"families": {"latency": "svr"}}},
      "predictor families name 'latency', which is not an objective of this run"),
     ("full", [*EXTERNAL_GENES_SUM, "--timeout", "-1"], None,
      "--timeout must be finite and > 0, got -1.0"),
@@ -298,7 +309,7 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
      f"seed must be in [-2**127, 2**127), got {10**39}"),
     ("concurrent", ["--noise-seed", str(10**39)], None,
      f"noise_seed must be in [-2**127, 2**127), got {10**39}"),
-    ("full", [], {"warm_start": [[1, 3]]},
+    ("full", [], {"trajectory": TRAJECTORY, "warm_start": [[1, 3]]},
      "{config}: warm_start: cannot repair genotype of length 2 for genome length 10"),
     ("concurrent", ["--ridge-lambda", "0"], None,
      "ridge_lambda must be > 0 for ridge on one_hot features, whose centered columns sum to 0 "
@@ -315,7 +326,7 @@ EXTERNAL_GENES_SUM = ["--evaluator", f"external:{sys.executable} {DOUBLE} genes-
         "ridge-lambda-zero-one-hot", "ridge-lambda-zero-for-one-objective"])
 def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
                                                         tactic, flags, doc, message):
-    # `doc`: a replayed config.json, which may turn on a removed feature
+    # `doc`: a replayed config.json; without `trajectory`, an older version's
     config = tmp_path / "config.json"
     if doc:
         config.write_text(json.dumps(doc))
@@ -345,27 +356,31 @@ def test_every_config_key_has_a_flag(tactic):
     assert {by_other_flag.get(k, k) for k in keys} <= dests
 
 
-def test_config_with_the_removed_keys_unset_replays(tmp_path, toy_space_file):
-    """A concurrent config.json written while `validation_only_objectives`
-    and `inner_population` existed, as [] and null or with `inner_population`
-    resolved to the population size, replays byte for byte; the replay's
-    config.json no longer carries them."""
+@pytest.mark.parametrize("version", [None, TRAJECTORY + 1, 0, True, "1", 1.0],
+                         ids=["missing", "next", "zero", "true", "string", "float"])
+def test_config_of_another_trajectory_version_is_config_error(tmp_path, toy_space_file,
+                                                              capsys, version):
+    """A run's own config.json with its `trajectory` removed (None here) or
+    set to anything but the int TRAJECTORY: the replay names the file and
+    both versions, and makes no run directory."""
     first = tmp_path / "first"
     assert run_cli(
         "search", "concurrent", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
-        *RUN_SIZES["concurrent"], "--seed", "5", "--out", str(first),
+        *RUN_SIZES["concurrent"], "--out", str(first),
     ) == 0
     doc = json.loads((first / "config.json").read_text())
-    for inner_population in (None, doc["population_size"]):
-        doc.update(validation_only_objectives=[], inner_population=inner_population)
-        config = tmp_path / f"old_config_{inner_population}.json"
-        config.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        replayed = tmp_path / f"replayed_{inner_population}"
-        assert run_cli("search", "concurrent", "--config", str(config),
-                       "--out", str(replayed)) == 0
-        for name in ("evals.jsonl", "front.csv", "predicted_front.csv", "hv_trace.csv",
-                     "config.json"):
-            assert (first / name).read_bytes() == (replayed / name).read_bytes(), name
+    assert doc.pop("trajectory") == TRAJECTORY
+    if version is not None:
+        doc["trajectory"] = version
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "replayed"
+    assert run_cli("search", "concurrent", "--config", str(config), "--out", str(out)) == 2
+    found = "none" if version is None else repr(version)
+    assert (f"config error: {config}: trajectory version {found}, not {TRAJECTORY}: "
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tactic, key, section, message", [
@@ -413,6 +428,8 @@ def test_config_with_an_unknown_key_is_config_error(tmp_path, toy_space_file, ca
 )
 def test_malformed_config_is_config_error(tmp_path, toy_space_file, capsys,
                                           tactic, doc):
+    if isinstance(doc, dict):  # the version check comes first
+        doc = {"trajectory": TRAJECTORY, **doc}
     config = tmp_path / "bad_config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "run"
@@ -426,64 +443,10 @@ def test_malformed_config_is_config_error(tmp_path, toy_space_file, capsys,
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert str(config) in err
+    assert str(config) in err and "trajectory version" not in err
     if "space_doc" in doc:
         assert f"config error: {config}: space_doc: malformed search-space document" in err
     assert not out.exists()
-
-
-def test_config_written_before_the_dataclass_schema_replays(tmp_path, toy_space,
-                                                             toy_space_file):
-    """A full-search config.json in the older format (resolved mutation_rate,
-    duplicate_retry_budget) replays to the log of the same run by flags; the
-    replay's config.json carries none of the removed keys."""
-    doc = {
-        "crossover_rate": 0.9,
-        "duplicate_retry_budget": 80,
-        "evaluator": "synthetic:clx-like",
-        "evaluator_id": "synthetic:clx-like",
-        "generations": 4,
-        "hv_reference": [-0.5, 60.0],
-        "mutation_rate": 0.125,
-        "n_train": 40,
-        "noise_scale": 0.0,
-        "noise_seed": 0,
-        "objectives": [
-            {"direction": "maximize", "name": "top1", "unit": "fraction"},
-            {"direction": "minimize", "name": "latency_ms", "unit": "ms"},
-        ],
-        "population_size": 8,
-        "predictor": {
-            "encoding": "one_hot",
-            "families": {},
-            "family": "ridge",
-            "ridge_lambda": 1.0,
-            "svr_c": 1.0,
-            "svr_epsilon": 0.01,
-            "svr_gamma": None,
-            "svr_kernel": "rbf",
-        },
-        "seed": 3,
-        "space": toy_space_file,
-        "space_doc": space_to_dict(toy_space),
-        "tactic": "full",
-        "warm_start": None,
-    }
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    by_flags = tmp_path / "by_flags"
-    assert run_cli(
-        "search", "full", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
-        *RUN_SIZES["full"], "--seed", "3", "--out", str(by_flags),
-    ) == 0
-    replayed = tmp_path / "replayed"
-    assert run_cli("search", "full", "--config", str(config), "--out", str(replayed)) == 0
-    assert (by_flags / "evals.jsonl").read_bytes() == (replayed / "evals.jsonl").read_bytes()
-    written = json.loads((replayed / "config.json").read_text())
-    keys = {*written, *(f"predictor.{k}" for k in written["predictor"])}
-    assert not keys & {"crossover_rate", "mutation_rate", "duplicate_retry_budget",
-                       "predictor.svr_c", "predictor.svr_epsilon", "predictor.svr_kernel",
-                       "predictor.svr_gamma"}
 
 
 def test_warm_start_of_another_genome_length_is_config_error(tmp_path, toy_space,
@@ -508,6 +471,7 @@ def test_search_full_and_warm_start(tmp_path, toy_space_file):
         "--pop", "10", "--gens", "5", "--train", "120",
         "--seed", "1", "--out", str(source),
     ) == 0
+    drop_trajectory(source)  # a log seeds a search whatever version wrote it
     warm = tmp_path / "warm"
     assert run_cli(
         "search", "full",
@@ -1134,13 +1098,14 @@ def test_analyze_outputs_are_pinned(tmp_path, toy_space_file, monkeypatch, name)
             "search", flags[0], "--space", toy_space_file,
             "--evaluator", "synthetic:clx-like", *flags[1:], "--out", "run",
         ) == 0
+        drop_trajectory("run")  # analyze reads a run of any version
         assert run_cli("analyze", "run") == 0
     analysis = Path("run") / "analysis"
     got = {
         str(path.relative_to(analysis)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(analysis.rglob("*")) if path.is_file()
     }
-    assert got == ANALYZE_SHA256[name]
+    assert got == ANALYZE_SHA256[name], DIGEST_MOVED
 
 
 def test_analyze_missing_artifact_diagnostic(tmp_path, capsys):

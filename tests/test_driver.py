@@ -50,7 +50,7 @@ from subnetsearch.space import (
     sample_uniform,
 )
 
-from conftest import gene_rows, validation_records
+from conftest import DIGEST_MOVED, gene_rows, validation_records
 
 
 def front_genes(front):
@@ -774,4 +774,4 @@ def test_tactic_trajectories_are_pinned(toy_setup, tmp_path, name):
         for path in (out / f for f in ("evals.jsonl", "predicted_front.csv", "front.csv",
                                         "hv_trace.csv"))
     )
-    assert got == TACTIC_SHA256[name]
+    assert got == TACTIC_SHA256[name], DIGEST_MOVED

@@ -50,6 +50,7 @@ from subnetsearch.space import (
 from subnetsearch.util import genes_bytes, stable_hash64, subseed
 
 from conftest import (
+    DIGEST_MOVED,
     ORACLE_SPACES,
     active_mask_loop,
     in_reduced_form_loop,
@@ -640,8 +641,8 @@ def test_benchmark_scale_trajectory_is_pinned():
         " ".join(_digits(r.genotype.genes) for r in pop) for pop in population_records(trace)
     )
     assert (len(trace.evaluations), trace.duplicate_accepts) == (2050, 0)
-    assert hashlib.sha256(evaluations.encode()).hexdigest() == EVALUATIONS_SHA256
-    assert hashlib.sha256(populations.encode()).hexdigest() == POPULATIONS_SHA256
+    assert hashlib.sha256(evaluations.encode()).hexdigest() == EVALUATIONS_SHA256, DIGEST_MOVED
+    assert hashlib.sha256(populations.encode()).hexdigest() == POPULATIONS_SHA256, DIGEST_MOVED
 
 
 def test_population_members_are_the_trace_records(tiny_space):
