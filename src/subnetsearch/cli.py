@@ -13,7 +13,6 @@ import argparse
 import csv
 import math
 import os
-import statistics
 import sys
 import time
 import warnings
@@ -51,6 +50,7 @@ from .evalmgr import (
 from .objectives import (
     ObjectiveSpec,
     canonical_matrix,
+    check_two_objectives,
     pareto_front,  # noqa: F401  (a trace site of perfbench/runner.py)
     validated_front,
 )
@@ -124,10 +124,6 @@ def _build_evaluator(spec_str: str, space, declared_specs, timeout, noise_scale,
     if kind == "external":
         if not rest:
             raise ConfigError("external evaluator needs a command: external:<cmd>")
-        if not declared_specs:
-            raise ConfigError(
-                "external evaluators need --objective name:direction declarations"
-            )
         ev = ExternalEvaluator(
             rest,
             declared_specs,
@@ -161,6 +157,7 @@ def _warm_start_from(path: str, space) -> tuple[Genotype, ...]:
     """The validated front of the log at `path`."""
     p = Path(path)
     store = ResultStore.load(p, space=space)
+    check_two_objectives(store.specs, f"{p}: ")
     if not len(store.validation_columns()[0]):
         raise ConfigError(f"warm-start log {p} has no validation records")
     return tuple(map(Genotype, validated_front(store).genes.tolist()))
@@ -181,11 +178,10 @@ def _given(args, names) -> dict:
 
 
 def _print_summary(report: SearchReport, outdir: Path, elapsed: float) -> None:
-    hv = report.final_hypervolume()
     print(f"tactic:           {report.tactic}")
     print(f"validations:      {report.validation_count}")
     print(f"front size:       {len(report.validated_front)}")
-    print(f"final hypervolume: {hv if hv is not None else 'n/a (not 2-D)'}")
+    print(f"final hypervolume: {report.final_hypervolume()}")
     print(f"elapsed:          {elapsed:.2f} s")
     print(f"artifacts:        {outdir}")
     for w in report.warnings[:5]:
@@ -328,6 +324,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_predict_bench(args) -> int:
+    import statistics  # here, off every other command's start-up
     check_rules(  # before any evaluation
         args,
         ("--test-size", args.test_size >= 2, ">= 2"),
@@ -405,6 +402,7 @@ def _require_artifact(run_dir: Path, name: str) -> Path:
 
 
 def _cmd_analyze(args) -> int:
+    import statistics  # here, off every other command's start-up
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"not a report directory: {run_dir}")
@@ -412,6 +410,7 @@ def _cmd_analyze(args) -> int:
     evals_path = _require_artifact(run_dir, "evals.jsonl")
     trace_path = _require_artifact(run_dir, "hv_trace.csv")
     store = ResultStore.load(evals_path)
+    check_two_objectives(store.specs, f"{evals_path}: ")
     recs = [r for r in store.records if r.ok]
     if not recs:
         raise ConfigError(f"{evals_path}: no validation records")
@@ -469,12 +468,11 @@ def _cmd_analyze(args) -> int:
             f"max={max(col):.6g} ({s.direction})"
         )
     trace = trace_path.read_text("utf-8").splitlines()  # a header, then count,hv rows
-    if len(trace) > 1:
-        try:
-            hv = float(trace[-1].split(",")[1])
-        except (IndexError, ValueError):
-            raise ConfigError(f"{trace_path}:{len(trace)}: not count,hypervolume") from None
-        lines.append(f"final hypervolume: {hv:.6g}")
+    try:
+        hv = float(trace[-1].split(",")[1])
+    except (IndexError, ValueError):
+        raise ConfigError(f"{trace_path}:{len(trace)}: not count,hypervolume") from None
+    lines.append(f"final hypervolume: {hv:.6g}")
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     print(f"analysis written to {outdir}")
@@ -528,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", help="space preset name or JSON file")
         p.add_argument("--evaluator", help="synthetic:<preset> | table:<path> | external:<cmd>")
         p.add_argument("--objective", action="append",
-                       help="name:direction[:unit]; needed for external evaluators")
+                       help="name:direction[:unit]; an external evaluator needs exactly two")
         p.add_argument("--pop", dest="population_size", type=int, help="population size")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help=f"artifacts directory (or ${OUTPUT_DIR_ENV})")

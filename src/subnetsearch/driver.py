@@ -49,6 +49,7 @@ from .objectives import (
     IncrementalFront2D,
     ObjectiveSpec,
     canonical_matrix,
+    check_two_objectives,
     check_unique_names,
     default_reference,
     front_to_csv,
@@ -168,9 +169,11 @@ class ConcurrentNasConfig(SearchConfig):
 
 def check_objectives(cfg: SearchConfig, specs) -> None:
     """Raise the ConfigError that a search under `cfg` with objectives
-    `specs` would raise before its first evaluation: duplicate objective
-    names, a per-objective predictor family for no objective of the run, or
-    a predicted objective whose predictor family is "none"."""
+    `specs` would raise before its first evaluation: other than two
+    objectives, duplicate objective names, a per-objective predictor family
+    for no objective of the run, or a predicted objective whose predictor
+    family is "none"."""
+    check_two_objectives(specs)
     check_unique_names(specs)
     names = [s.name for s in specs]
     for name in cfg.predictor.families:
@@ -200,7 +203,7 @@ def config_to_doc(cfg: SearchConfig, specs, reference, evaluator) -> dict:
         predictor=asdict(cfg.predictor),
         warm_start=[list(g.genes) for g in cfg.warm_start] if cfg.warm_start else None,
         objectives=[asdict(s) for s in specs],
-        hv_reference=list(reference) if reference else None,
+        hv_reference=list(reference),
         evaluator_id=evaluator.evaluator_id,
     )
     return doc
@@ -286,13 +289,16 @@ def config_from_doc(cls, doc: dict, where: str):
 
 @dataclass
 class SearchReport:
+    """A finished search of two objectives: its log, its fronts, and its
+    hypervolume trace, a row per validation, against `hv_reference`."""
+
     tactic: str
     space: SearchSpace
     specs: tuple[ObjectiveSpec, ...]
     store: ResultStore
     predicted_front: FrontColumns | None
     validated_front: FrontColumns
-    hv_reference: tuple[float, ...] | None
+    hv_reference: tuple[float, ...]
     hv_trace: list[tuple[int, float]]
     phase_seconds: dict[str, float]
     config: dict
@@ -302,8 +308,8 @@ class SearchReport:
     def validation_count(self) -> int:
         return len(self.store.validation_columns()[0])
 
-    def final_hypervolume(self) -> float | None:
-        return self.hv_trace[-1][1] if self.hv_trace else None
+    def final_hypervolume(self) -> float:
+        return self.hv_trace[-1][1]
 
     def export(self, outdir: str | Path) -> Path:
         """Write front.csv, hv_trace.csv, config.json, the predicted front
@@ -420,14 +426,6 @@ def hypervolume_trace(store: ResultStore, reference) -> list[tuple[int, float]]:
     return out
 
 
-def _maybe_reference(specs, raw):
-    """The HV reference of a run whose first validated population has these
-    raw objective rows; None unless there are two objectives."""
-    if len(specs) != 2:
-        return None
-    return default_reference(canonical_matrix(raw, specs))
-
-
 # ---------------------------------------------------------------------------
 # The search loop
 # ---------------------------------------------------------------------------
@@ -467,7 +465,7 @@ def search(
     full = isinstance(cfg, FullSearchConfig)
     phase_seconds = dict.fromkeys(("validate", "train_predictors", "search"), 0.0)
     warn_list: list[str] = []
-    predicted_front = reference = None
+    predicted_front = None
 
     if full and cfg.predictor.family == "none":
         t0 = time.perf_counter()
@@ -479,7 +477,7 @@ def search(
             warm_start=repaired_ranks(cfg.warm_start or (), space),
         )
         phase_seconds["search"] = time.perf_counter() - t0
-        reference = _maybe_reference(specs, store.validation_columns()[2])
+        reference = default_reference(canonical_matrix(store.validation_columns()[2], specs))
         iterations = 0  # nothing to predict
     elif full:
         if cfg.n_train < 100:
@@ -503,8 +501,9 @@ def search(
         warn_list.extend(errors)
         if len(errors) == len(raw):
             raise EvaluationFailed(f"iteration {i}: every validation failed")
-        if reference is None:
-            reference = _maybe_reference(specs, raw[~np.isnan(raw).any(axis=1)])
+        if i == 0:
+            ok = raw[~np.isnan(raw).any(axis=1)]
+            reference = default_reference(canonical_matrix(ok, specs))
         if i == iterations - 1 and not full:
             break  # the last batch: no batch would measure a search after it
 
@@ -552,7 +551,7 @@ def search(
             warn_list.extend(evaluate_batch(predicted_front.genes, evaluator, store, gen=1)[1])
             phase_seconds["validate"] += time.perf_counter() - t0
 
-    hv_trace = hypervolume_trace(store, reference) if reference is not None else []
+    hv_trace = hypervolume_trace(store, reference)
     return SearchReport(
         tactic=cfg.tactic,
         space=space,

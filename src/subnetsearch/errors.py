@@ -2,7 +2,9 @@
 
 Every error raised by the library derives from SubnetSearchError so callers
 (and the CLI exit-code mapping) can distinguish configuration problems,
-evaluator/channel faults, and internal failures.
+evaluator/channel faults, and internal failures. A search, a warm start or
+an analysis of other than two objectives is a ConfigError, raised before
+any front is built: fronts and hypervolume take two objectives only.
 """
 
 
@@ -43,10 +45,6 @@ class EmptyInput(SubnetSearchError):
 
 class ReferenceViolation(SubnetSearchError):
     """Hypervolume member not strictly inside the reference box."""
-
-
-class Unsupported2DOnly(SubnetSearchError):
-    """Hypervolume is implemented for exactly two objectives."""
 
 
 # --- predictors ----------------------------------------------------------

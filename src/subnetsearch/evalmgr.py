@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import queue
-import shlex
-import subprocess
 import threading
 from contextlib import suppress
 from dataclasses import dataclass
@@ -692,6 +689,8 @@ class ExternalEvaluator:
         space_name: str = "",
         timeout: float = 600.0,
     ):
+        import queue  # imported by this class alone, off every command's start-up
+        import shlex
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.specs = tuple(specs)
         self.space_name = space_name
@@ -707,6 +706,7 @@ class ExternalEvaluator:
     def start(self) -> None:
         if self._proc is not None:
             return
+        import subprocess
         try:
             self._proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
@@ -737,6 +737,7 @@ class ExternalEvaluator:
         """Say bye, reap the child (killed if it has not exited within 5 s),
         let the reader thread drain, and close both pipes. The next
         `evaluate` starts a new child."""
+        import subprocess
         proc = self._proc
         if proc is None:
             return
@@ -772,6 +773,7 @@ class ExternalEvaluator:
         self._proc.stdin.flush()
 
     def _read(self, timeout: float):
+        import queue
         try:
             line = self._lines.get(timeout=timeout)
         except queue.Empty:

@@ -248,7 +248,7 @@ def select_best(pop: Slots, k: int, exclude: Sequence[int] | np.ndarray = ()) ->
     then only its keys are made; a 2-D front without equal rows has x rising
     and y falling in (x, y) order, so its crowding comes from that order."""
     seen, values = set(np.asarray(exclude).tolist()), pop.values
-    by_x, tied = front_by_x(values) if values.shape[1] == 2 else (first_front(values), True)
+    by_x, tied = front_by_x(values)
     front = np.sort(by_x)
     if len(set(pop.ids[front].tolist()) - seen) < k:
         order = _ranked(pop)[2]

@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyInput,
-    ObjectiveMismatch,
-    ReferenceViolation,
-    Unsupported2DOnly,
-)
+from .errors import ConfigError, EmptyInput, ObjectiveMismatch, ReferenceViolation
 from .space import Genotype, genotype_ids
 
 DIRECTIONS = ("minimize", "maximize")
@@ -44,6 +38,14 @@ def check_unique_names(specs) -> None:
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"objective names must be unique, got {names}")
+
+
+def check_two_objectives(specs, where: str = "") -> None:
+    """Raise ConfigError, its message after `where`, unless there are two
+    specs: fronts and hypervolume take exactly two objectives."""
+    if len(specs) != 2:
+        raise ConfigError(f"{where}fronts and hypervolume take exactly two objectives, "
+                          f"got {len(specs)}: {[s.name for s in specs]}")
 
 
 @dataclass(frozen=True)
@@ -103,25 +105,20 @@ class FrontColumns:
 
 
 def front_ranks(points) -> np.ndarray:
-    """Each canonical-min point's non-dominated front rank, 0 for the best.
+    """Each 2-D canonical-min point's non-dominated front rank, 0 for the best.
 
-    Two objectives take an O(n log n) sweep (Kung, Luccio & Preparata 1975;
-    Jensen 2003): in (x, y) order each front's last member has its smallest
-    y, so it dominates a later point iff its [y, x] is smaller, and those
-    keys rise with the rank; a bisection over them finds the first front
-    that does not dominate a point. When no two points share a y, y alone is
-    that key. One sort gives the order: a row viewed as the complex number
-    x + iy, which numpy orders lexicographically; equal points take one rank
-    in any order. Other objective counts take NSGA-II's O(m n^2) counting
-    sort (Deb et al. 2002)."""
+    An O(n log n) sweep (Kung, Luccio & Preparata 1975; Jensen 2003): in
+    (x, y) order each front's last member has its smallest y, so it
+    dominates a later point iff its [y, x] is smaller, and those keys rise
+    with the rank; a bisection over them finds the first front that does not
+    dominate a point. When no two points share a y, y alone is that key. One
+    sort gives the order: a row viewed as the complex number x + iy, which
+    numpy orders lexicographically; equal points take one rank in any order.
+    Two objectives are the only count a search takes (`check_two_objectives`)."""
     pts = np.ascontiguousarray(points, dtype=float)
     n = len(pts)
     rank = np.zeros(n, dtype=np.intp)
     if not n:
-        return rank
-    if pts.shape[1] != 2:
-        for k, front in enumerate(_counting_fronts(pts)):
-            rank[front] = k
         return rank
     order = np.argsort(pts.view(complex).ravel())
     keys = pts[order, 1].tolist()
@@ -141,34 +138,10 @@ def front_ranks(points) -> np.ndarray:
     return rank
 
 
-def _counting_fronts(points) -> list[list[int]]:
-    pts = np.array(points, dtype=float)
-    dominated_count = np.zeros(len(pts), dtype=int)
-    dominates_idx: list[np.ndarray] = []
-    for p in pts:
-        idx = np.flatnonzero((p <= pts).all(axis=1) & (p < pts).any(axis=1))
-        dominates_idx.append(idx)
-        dominated_count[idx] += 1
-    fronts: list[list[int]] = []
-    current = np.flatnonzero(dominated_count == 0)
-    while len(current):
-        fronts.append(current.tolist())
-        # no point of this front or a later one dominates a point of this one
-        dominated_count[current] = -1
-        for i in current:
-            dominated_count[dominates_idx[i]] -= 1
-        current = np.flatnonzero(dominated_count == 0)
-    return fronts
-
-
 def first_front(points) -> np.ndarray:
-    """Ascending indices of the canonical-min rows that no row dominates;
-    equal rows share the front. Two objectives take `front_by_x`, other
-    counts the first front of `_counting_fronts`."""
-    pts = np.ascontiguousarray(points, dtype=float)
-    if pts.shape[1] != 2:
-        return np.array(_counting_fronts(pts)[0], dtype=np.intp)
-    return np.sort(front_by_x(pts)[0])
+    """Ascending indices of the 2-D canonical-min rows that no row
+    dominates, by `front_by_x`; equal rows share the front."""
+    return np.sort(front_by_x(points)[0])
 
 
 def front_by_x(points) -> tuple[np.ndarray, bool]:
@@ -239,13 +212,9 @@ def dominated_area(points, reference) -> float:
     Sorts on the first coordinate and sums disjoint horizontal strips; points
     must be strictly better than the reference in both coordinates.
     """
-    if len(reference) != 2:
-        raise Unsupported2DOnly(f"reference point must be 2-D, got {len(reference)}-D")
     ref_x, ref_y = float(reference[0]), float(reference[1])
     pts = []
     for p in points:
-        if len(p) != 2:
-            raise Unsupported2DOnly(f"hypervolume needs 2-D points, got {len(p)}-D")
         x, y = float(p[0]), float(p[1])
         if x >= ref_x or y >= ref_y:
             raise ReferenceViolation(
@@ -287,8 +256,6 @@ class IncrementalFront2D:
     """
 
     def __init__(self, reference):
-        if len(reference) != 2:
-            raise Unsupported2DOnly("reference point must be 2-D")
         self.reference = (float(reference[0]), float(reference[1]))
         self._points: list[tuple[float, float]] = []  # sorted by x asc, y desc
         self._areas: list[float] = []  # _areas[i]: strip sum of _points[: i + 1]

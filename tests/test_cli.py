@@ -276,6 +276,13 @@ OLDER_FILE = f"{{config}}: trajectory version none, not {TRAJECTORY}: "
     ("concurrent", [], {"inner_population": 20}, OLDER_FILE),
     ("full", [*EXTERNAL_GENES_SUM[:2], "--objective", "top1:maximize",
               "--objective", "top1:minimize"], None, "objective names must be unique"),
+    ("concurrent", [*EXTERNAL_GENES_SUM[:2]], None,
+     "fronts and hypervolume take exactly two objectives, got 0: []"),
+    ("concurrent", [*EXTERNAL_GENES_SUM[:2], "--objective", "top1:maximize"], None,
+     "fronts and hypervolume take exactly two objectives, got 1: ['top1']"),
+    ("full", [*EXTERNAL_GENES_SUM, "--objective", "params:minimize"], None,
+     "fronts and hypervolume take exactly two objectives, got 3: "
+     "['top1', 'latency_ms', 'params']"),
     ("concurrent", ["--ridge-lambda", "-1"], None,
      "ridge_lambda must be finite and >= 0, got -1.0"),
     ("concurrent", ["--ridge-lambda", "inf"], None,
@@ -317,7 +324,9 @@ OLDER_FILE = f"{{config}}: trajectory version none, not {TRAJECTORY}: "
     ("full", ["--predictor", "svr", "--predictor-for", "latency_ms:ridge", "--ridge-lambda", "0"],
      None, "ridge_lambda must be > 0 for ridge on one_hot features"),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
-        "inner-population", "duplicate-objective", "ridge-lambda", "ridge-lambda-inf",
+        "inner-population", "duplicate-objective", "external-without-objectives",
+        "one-objective", "three-objectives",
+        "ridge-lambda", "ridge-lambda-inf",
         "crossover-rate", "mutation-rate", "duplicate-retry-budget", "svr-c",
         "svr-epsilon", "svr-kernel", "svr-gamma", "encoding", "families",
         "predictor-for-unknown-objective", "families-unknown-objective", "timeout",
@@ -340,6 +349,65 @@ def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file
     assert code == 2, err
     assert not out.exists()
     assert f"config error: {message.format(config=config)}" in err
+
+
+THREE_SPECS = [{"name": name, "direction": "minimize", "unit": ""}
+               for name in ("top1", "latency_ms", "params")]
+
+
+@pytest.mark.parametrize("source", ["table", "config"])
+def test_search_of_three_objectives_from_a_file_is_config_error(tmp_path, toy_space_file,
+                                                               capsys, source):
+    """Three objectives declared by a `table:` file, or by a replayed
+    config.json's `objectives` for its external evaluator: the search names
+    the count before the run directory exists or the evaluator is started."""
+    spoken = tmp_path / "spoken.jsonl"  # the evaluator's record of each line it reads
+    if source == "table":
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"objectives": THREE_SPECS, "entries": []}))
+        flags = ["--space", toy_space_file, "--evaluator", f"table:{table}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "trajectory": TRAJECTORY, "space": toy_space_file, "objectives": THREE_SPECS,
+            "evaluator": f"external:{sys.executable} {DOUBLE} genes-sum record={spoken}",
+        }))
+        flags = ["--config", str(config)]
+    out = tmp_path / "run"
+    assert run_cli("search", "concurrent", *flags, *RUN_SIZES["concurrent"],
+                   "--out", str(out)) == 2
+    assert ("config error: fronts and hypervolume take exactly two objectives, got 3: "
+            "['top1', 'latency_ms', 'params']") in capsys.readouterr().err
+    assert not out.exists()
+    assert not spoken.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "warm-start"])
+def test_log_of_three_objectives_is_config_error(tmp_path, toy_space, toy_space_file,
+                                                 capsys, command):
+    """A log whose header declares three objectives has no front to analyze
+    or warm-start from: the command names the log and the count, and makes
+    no analysis or run directory."""
+    run_dir = tmp_path / "source"
+    run_dir.mkdir()
+    log = run_dir / "evals.jsonl"
+    write_toy_history(log, toy_space, objectives=3)
+    if command == "analyze":
+        (run_dir / "config.json").write_text("{}")
+        (run_dir / "hv_trace.csv").write_text("evaluation_count,hypervolume\r\n")
+        out = run_dir / "analysis"
+        code = run_cli("analyze", str(run_dir))
+    else:
+        out = tmp_path / "run"
+        code = run_cli(
+            "search", "concurrent", "--space", toy_space_file, "--evaluator",
+            "synthetic:clx-like", "--warm-start", str(log), *RUN_SIZES["concurrent"],
+            "--out", str(out),
+        )
+    assert code == 2
+    assert (f"config error: {log}: fronts and hypervolume take exactly two objectives, "
+            "got 3: ['f1', 'f2', 'f3']") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tactic", ["concurrent", "full"])
@@ -844,15 +912,16 @@ def test_popdb_flags_are_checked_before_the_history_loads(tmp_path, toy_space_fi
     assert not (tmp_path / "doc.json").exists()
 
 
-def write_toy_history(path, toy_space, n=60):
+def write_toy_history(path, toy_space, n=60, objectives=2):
     from subnetsearch.evalmgr import ResultStore
     from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
     from subnetsearch.space import sample_uniform
 
-    specs = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
+    specs = tuple(ObjectiveSpec(f"f{k}", "minimize") for k in range(1, objectives + 1))
     store = ResultStore(specs, space=toy_space, path=path)
     genotypes = list(dict.fromkeys(sample_uniform(toy_space, 2 * n, 3)))[:n]
-    outs = [ObjectiveVector((float(i), float(n - i)), specs) for i in range(len(genotypes))]
+    outs = [ObjectiveVector((float(i), float(n - i), float(i % 7))[:objectives], specs)
+            for i in range(len(genotypes))]
     store.append_batch(gene_rows(genotypes), outs, "e1")
     store.close()
 
@@ -1383,6 +1452,25 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_engine_import_after_numpy_loads_no_subprocess_queue_shlex_or_statistics():
+    # the external evaluator and two commands import them where they use
+    # them, off the start-up of every command
+    src = str(Path(subnetsearch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy\n"
+         "before = set(sys.modules)\n"
+         "import subnetsearch.cli\n"
+         "print(*sorted(set(sys.modules) - before))"],
+        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+        check=True,
+    ).stdout
+    added = set(out.split())
+    assert "subnetsearch.cli" in added
+    assert not {"subprocess", "queue", "shlex", "statistics"} & added
 
 
 def test_predict_bench_loads_no_scipy(toy_space_file):

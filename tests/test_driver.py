@@ -611,11 +611,10 @@ FRONT_VALUES = st.one_of(
 
 @st.composite
 def objective_specs(draw):
-    """Two or three objectives, each maximized or minimized; the names need
-    csv quoting."""
-    m = draw(st.integers(2, 3))
+    """Two objectives, each maximized or minimized; the names need csv
+    quoting."""
     return tuple(ObjectiveSpec(f'f{k},"{k}"', draw(st.sampled_from(["minimize", "maximize"])))
-                 for k in range(m))
+                 for k in range(2))
 
 
 @pytest.fixture(scope="module")
