@@ -40,12 +40,12 @@ from .errors import (
     SubnetSearchError,
 )
 from .evalmgr import (
+    NO_GEN,
     ExternalEvaluator,
     ResultStore,
     SyntheticSurfaceEvaluator,
     TableEvaluator,
     evaluate_batch,
-    make_surface,
 )
 from .objectives import (
     ObjectiveSpec,
@@ -114,8 +114,8 @@ def _build_evaluator(spec_str: str, space, declared_specs, timeout, noise_scale,
         raise ConfigError(f"--timeout must be finite and > 0, got {timeout}")
     kind, _, rest = spec_str.partition(":")
     if kind == "synthetic":
-        surface = make_surface(space, rest or "clx-like", noise_scale, noise_seed)
-        return SyntheticSurfaceEvaluator(surface), surface.specs
+        ev = SyntheticSurfaceEvaluator(space, rest or "clx-like", noise_scale, noise_seed)
+        return ev, ev.specs
     if kind == "table":
         if not rest:
             raise ConfigError("table evaluator needs a file path: table:<path>")
@@ -264,7 +264,7 @@ def _cmd_popdb(args) -> int:
     space = resolve_space(args.space)
     out = _out_file(Path(args.out) if args.out else history_path.parent / "constraints.json")
     store = ResultStore.load(history_path, space=space)
-    seqs, genes, raw = store.validation_columns()
+    seqs, genes, raw, _ = store.validation_columns()
     if not len(seqs):
         raise ConfigError(f"{history_path}: no validation records to cluster")
     try:
@@ -411,11 +411,11 @@ def _cmd_analyze(args) -> int:
     trace_path = _require_artifact(run_dir, "hv_trace.csv")
     store = ResultStore.load(evals_path)
     check_two_objectives(store.specs, f"{evals_path}: ")
-    recs = [r for r in store.records if r.ok]
-    if not recs:
+    _, genes, raw, gens = store.validation_columns()
+    if not len(raw):
         raise ConfigError(f"{evals_path}: no validation records")
     specs = store.specs
-    columns = store.validation_columns()[2].T.tolist()  # each objective's values
+    columns = raw.T.tolist()  # each objective's values
     # a latency l is normalized as (l - l_min) / l_max over its column
     bounds = {
         k: (min(columns[k]), max(columns[k]))
@@ -439,9 +439,10 @@ def _cmd_analyze(args) -> int:
             normalized = [(values[k] - l_min) / l_max for k, (l_min, l_max) in bounds.items()]
             writer.writerow([gid, *map(repr, values), *map(repr, normalized)])
 
-    by_gen: dict[int, list] = {}
-    for r in recs:
-        by_gen.setdefault(r.gen if r.gen is not None else 0, []).append(r)
+    by_gen: dict[int, list[int]] = {}  # a null gen is written as gen 0
+    for row, gen in enumerate(gens.tolist()):
+        by_gen.setdefault(0 if gen == NO_GEN else gen, []).append(row)
+    ids, gene_rows, values = genotype_ids(genes.tolist()), genes.tolist(), raw.tolist()
 
     pop_dir = outdir / "populations"
     pop_dir.mkdir(exist_ok=True)
@@ -449,17 +450,14 @@ def _cmd_analyze(args) -> int:
         with open(pop_dir / f"gen_{gen:04d}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["genotype_id"] + [s.name for s in specs] + ["genes"])
-            for r, gid in zip(rows, genotype_ids(r.genotype.genes for r in rows)):
-                writer.writerow(
-                    [gid]
-                    + [repr(v) for v in r.objectives_raw.values]
-                    + [" ".join(str(g) for g in r.genotype.genes)]
-                )
+            for row in rows:
+                writer.writerow([ids[row], *map(repr, values[row]),
+                                 " ".join(map(str, gene_rows[row]))])
 
     lines = [
         f"run: {run_dir}",
         f"tactic: {cfg.get('tactic', 'unknown')}",
-        f"validation records: {len(recs)}",
+        f"validation records: {len(raw)}",
         f"front size: {len(front)}",
     ]
     for s, col in zip(specs, columns):

@@ -7,6 +7,9 @@ An evaluator interrupted mid-batch may raise a `SubnetSearchError` with a
 `evaluate_batch` logs those before the error propagates. A log is one
 run: the validations of one evaluator, cached per canonical genotype in an
 append-only store whose JSON-lines log replays to the identical index.
+
+`SyntheticSurfaceEvaluator` is the one synthetic evaluator, bit-exact on any
+host; it takes `Genotype`s, whose `genes` perfbench/runner.py's wrapper reads.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class EvaluationFailure:
     message: str
 
 
-_NO_GEN = -(2**63)  # a null gen, in the gen column
+NO_GEN = -(2**63)  # a null gen, in the gen column
 _BLOCK = 256  # rows per block of whole-log passes, which bounds their temporaries
 
 
@@ -175,13 +178,13 @@ class ResultStore:
         }
         nan_row = (math.nan,) * len(self.specs)
         raw = [nan_row if r in errors else out.values for r, out in enumerate(outputs)]
-        self._append(genes, raw, errors, _NO_GEN if gen is None else gen, evaluator_id)
+        self._append(genes, raw, errors, NO_GEN if gen is None else gen, evaluator_id)
 
     def _append(self, genes, raw, errors: dict[int, str], gens, evaluator_id: str) -> None:
         """Append a block of k records, the one write path of a run's batches
         and of `load`: k gene rows (an int64 matrix or lists of ints), k
         objective rows, flat or not (NaN for a failure), the failures'
-        {row: message} and the gens (`_NO_GEN` for null), or one gen for all.
+        {row: message} and the gens (`NO_GEN` for null), or one gen for all.
 
         The block is checked whole before anything is appended; a fault
         carries as `row` the first faulty row. Another evaluator than the
@@ -266,7 +269,7 @@ class ResultStore:
         text = self._gene_text
         cols = self._cols[start:stop]
         genes = [",".join(map(text.__getitem__, row)) for row in cols["genes"].tolist()]
-        gens = ["null" if gen == _NO_GEN else gen for gen in cols["gen"].tolist()]
+        gens = ["null" if gen == NO_GEN else gen for gen in cols["gen"].tolist()]
         return [
             failure_format % (seq, gen, g, _ENCODER.encode(self._errors[seq]))
             if failed
@@ -315,7 +318,7 @@ class ResultStore:
                     EvaluationRecord(
                         Genotype(genes),
                         None if seq in self._errors else ObjectiveVector(values, self.specs),
-                        self.evaluator_id, seq, None if gen == _NO_GEN else gen,
+                        self.evaluator_id, seq, None if gen == NO_GEN else gen,
                         self._errors.get(seq),
                     )
                     for seq, genes, values, gen in zip(
@@ -326,12 +329,13 @@ class ResultStore:
             return out
 
     def validation_columns(self):
-        """(sequence numbers, gene-value matrix, raw-objective matrix) of the
-        successful validation records, in sequence order; builds no record."""
+        """(sequence numbers, gene-value matrix, raw-objective matrix, gens,
+        `NO_GEN` for a null gen) of the successful validation records, in
+        sequence order; builds no record."""
         with self._lock:
             cols = self._cols[: self._n]
             rows = np.flatnonzero(~cols["failed"])
-            return rows, cols["genes"][rows], cols["objectives"][rows]
+            return rows, cols["genes"][rows], cols["objectives"][rows], cols["gen"][rows]
 
     @staticmethod
     def record_line(path: str | Path, sequence_number: int) -> int:
@@ -427,8 +431,8 @@ class ResultStore:
                             raise ConfigError(f"genotype must be a list, got {g!r}")
                         gen = doc.get("gen")
                         if gen is None:
-                            gen = _NO_GEN
-                        elif type(gen) is not int or not _NO_GEN < gen < 2**63:
+                            gen = NO_GEN
+                        elif type(gen) is not int or not NO_GEN < gen < 2**63:
                             raise ConfigError(f"gen must be an integer or null, got {gen!r}")
                         if eid != evaluator_id:  # a block holds one evaluator
                             if type(eid) is not str:
@@ -516,7 +520,7 @@ def training_rows(store: ResultStore, scheme: str):
     spec order) of the store's `validation_columns`."""
     if store.space is None:
         raise ConfigError("store has no search space attached")
-    _, genes, raw = store.validation_columns()
+    _, genes, raw, _ = store.validation_columns()
     if not len(raw):
         raise EmptyInput("no validation records to train from")
     ranks = canonical_ranks(genes, store.space)[0]
@@ -528,104 +532,66 @@ def training_rows(store: ResultStore, scheme: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SyntheticSurface:
-    """Deterministic desk-scale stand-in for measured objectives.
+SURFACE_PRESETS = ("clx-like", "v100-like")
+SYNTHETIC_SPECS = (
+    ObjectiveSpec("top1", "maximize", "fraction"),
+    ObjectiveSpec("latency_ms", "minimize", "ms"),
+)
+ACCURACY_MAX, ACCURACY_SPAN, LATENCY_BASE = 0.85, 0.45, 10.0
+
+
+class SyntheticSurfaceEvaluator:
+    """Deterministic desk-scale stand-in for measured objectives, on a named
+    preset: quality is shared across presets while latency cost vectors
+    differ, so Pareto-optimal genotypes differ between presets.
 
     Quality saturates with a weighted sum of ordinal gene ranks; cost sums
     per-gene contributions over *active* genes plus pairwise interaction
     terms, so deeper and wider configurations are slower. Optional noise is a
-    pure function of (genotype, noise_seed).
+    pure function of (genotype, noise_seed). `evaluate` scores a batch of
+    canonical `Genotype`s at once, adding both objectives up column by
+    column in position order with elementwise operations: every value is
+    the sequential sum's, whatever the batch, host or BLAS thread count.
     """
 
-    name: str
-    space: SearchSpace
-    specs: tuple[ObjectiveSpec, ...]
-    accuracy_weights: np.ndarray
-    accuracy_max: float
-    accuracy_span: float
-    temperature: float
-    latency_base: float
-    latency_costs: np.ndarray
-    latency_interactions: tuple[tuple[int, int, float], ...]
-    noise_seed: int = 0
-    noise_scale: float = 0.0
-
-
-def synthetic_evaluate(g: Genotype, surface: SyntheticSurface) -> ObjectiveVector:
-    space = surface.space
-    ranks, inactive = canonical_ranks([g], space)
-    feats = encode_matrix(ranks, space, "ordinal_normalized")[0]
-    acc = surface.accuracy_max - surface.accuracy_span * math.exp(
-        -float(surface.accuracy_weights @ feats) / surface.temperature
-    )
-    active = ~inactive[0]
-    lat = surface.latency_base
-    for pos in np.flatnonzero(active):
-        lat += surface.latency_costs[pos] * (1.0 + feats[pos])
-    for p, q_pos, w in surface.latency_interactions:
-        if active[p] and active[q_pos]:
-            lat += w * (1.0 + feats[p]) * (1.0 + feats[q_pos])
-    if surface.noise_scale > 0:
-        acc += pseudo_noise(g.genes, surface.noise_seed, surface.specs[0].name) * surface.noise_scale
-        lat += pseudo_noise(g.genes, surface.noise_seed, surface.specs[1].name) * surface.noise_scale
-    return ObjectiveVector((acc, float(lat)), surface.specs)
-
-
-SURFACE_PRESETS = ("clx-like", "v100-like")
-
-
-def make_surface(
-    space: SearchSpace,
-    preset: str = "clx-like",
-    noise_scale: float = 0.0,
-    noise_seed: int = 0,
-) -> SyntheticSurface:
-    """Named surface presets; quality is shared across presets while latency
-    cost vectors differ, so Pareto-optimal genotypes differ between presets."""
-    if preset not in SURFACE_PRESETS:
-        raise ConfigError(
-            f"unknown surface preset {preset!r}; available: {SURFACE_PRESETS}"
-        )
-    length = space.genome_length
-    # quality weights are hardware-independent; cost vectors are per preset and
-    # log-dispersed so random rank allocations sit far from the Pareto front
-    acc_rng = np.random.default_rng(subseed(101, "accuracy", space.name))
-    weights = acc_rng.uniform(0.5, 2.0, length)
-    lat_rng = np.random.default_rng(subseed(202, "latency", preset, space.name))
-    costs = np.exp(lat_rng.uniform(math.log(0.5), math.log(12.0), length))
-    n_pairs = min(10, length * (length - 1) // 2)
-    interactions = []
-    for _ in range(n_pairs):
-        i, j = sorted(int(v) for v in lat_rng.choice(length, size=2, replace=False))
-        interactions.append((i, j, float(lat_rng.uniform(0.02, 0.2))))
-    specs = (
-        ObjectiveSpec("top1", "maximize", "fraction"),
-        ObjectiveSpec("latency_ms", "minimize", "ms"),
-    )
-    return SyntheticSurface(
-        name=preset,
-        space=space,
-        specs=specs,
-        accuracy_weights=weights,
-        accuracy_max=0.85,
-        accuracy_span=0.45,
-        temperature=1.5 * float(weights.sum()),
-        latency_base=10.0,
-        latency_costs=costs,
-        latency_interactions=tuple(interactions),
-        noise_seed=noise_seed,
-        noise_scale=noise_scale,
-    )
-
-
-class SyntheticSurfaceEvaluator:
-    def __init__(self, surface: SyntheticSurface):
-        self.surface = surface
-        self.evaluator_id = f"synthetic:{surface.name}"
+    def __init__(self, space: SearchSpace, preset: str = "clx-like",
+                 noise_scale: float = 0.0, noise_seed: int = 0):
+        if preset not in SURFACE_PRESETS:
+            raise ConfigError(f"unknown surface preset {preset!r}; available: {SURFACE_PRESETS}")
+        length = space.genome_length
+        # quality weights are hardware-independent; cost vectors are per preset and
+        # log-dispersed so random rank allocations sit far from the Pareto front
+        acc_rng = np.random.default_rng(subseed(101, "accuracy", space.name))
+        self.weights = acc_rng.uniform(0.5, 2.0, length)
+        lat_rng = np.random.default_rng(subseed(202, "latency", preset, space.name))
+        self.costs = np.exp(lat_rng.uniform(math.log(0.5), math.log(12.0), length))
+        self.interactions = []
+        for _ in range(min(10, length * (length - 1) // 2)):
+            i, j = sorted(int(v) for v in lat_rng.choice(length, size=2, replace=False))
+            self.interactions.append((i, j, float(lat_rng.uniform(0.02, 0.2))))
+        self.temperature = 1.5 * float(self.weights.sum())
+        self.space, self.specs = space, SYNTHETIC_SPECS
+        self.noise_scale, self.noise_seed = noise_scale, noise_seed
+        self.evaluator_id = f"synthetic:{preset}"
 
     def evaluate(self, genotypes):
-        return [synthetic_evaluate(g, self.surface) for g in genotypes]
+        ranks, inactive = canonical_ranks(genotypes, self.space)
+        feats, active = encode_matrix(ranks, self.space, "ordinal_normalized"), ~inactive
+        score, lat = np.zeros(len(feats)), np.full(len(feats), LATENCY_BASE)
+        for pos in range(self.space.genome_length):
+            score += self.weights[pos] * feats[:, pos]
+            lat += np.where(active[:, pos], self.costs[pos] * (1.0 + feats[:, pos]), 0.0)
+        for p, q, w in self.interactions:
+            term = w * (1.0 + feats[:, p]) * (1.0 + feats[:, q])
+            lat += np.where(active[:, p] & active[:, q], term, 0.0)
+        out = []
+        for g, s, latency in zip(genotypes, score.tolist(), lat.tolist()):
+            top1 = ACCURACY_MAX - ACCURACY_SPAN * math.exp(-s / self.temperature)
+            if self.noise_scale > 0:
+                top1 += pseudo_noise(g.genes, self.noise_seed, "top1") * self.noise_scale
+                latency += pseudo_noise(g.genes, self.noise_seed, "latency_ms") * self.noise_scale
+            out.append(ObjectiveVector((top1, latency), self.specs))
+        return out
 
 
 class TableEvaluator:

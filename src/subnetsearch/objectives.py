@@ -194,7 +194,7 @@ def pareto_front(records) -> list[EvaluationRecord]:
 def validated_front(store) -> FrontColumns:
     """The front of a `ResultStore`'s `validation_columns` by the rules of
     `pareto_front`, built without a record."""
-    _, genes, raw = store.validation_columns()
+    _, genes, raw, _ = store.validation_columns()
     if not len(raw):
         raise EmptyInput("a front needs at least one validation record")
     members = first_front(canonical_matrix(raw, store.specs))

@@ -368,7 +368,7 @@ def uniform_ranks(s: SearchSpace, n: int, seed: int) -> np.ndarray:
     """The rank rows of n canonical genotypes, each gene drawn uniformly
     from the values an active gene may take at its position."""
     if n < 1:
-        raise ConfigError("sample_uniform: n must be >= 1")
+        raise ConfigError("uniform_ranks: n must be >= 1")
     rng = np.random.default_rng(seed)
     counts, table, _ = s.active_ranks
     at = np.arange(s.genome_length)

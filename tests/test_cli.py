@@ -94,21 +94,19 @@ RUN_SIZES = {
 @pytest.fixture(scope="module")
 def toy_table_file(tmp_path_factory, toy_space):
     """Every canonical toy genotype with its v100-like surface objectives."""
-    from subnetsearch.evalmgr import make_surface, synthetic_evaluate
+    from subnetsearch.evalmgr import SyntheticSurfaceEvaluator
     from subnetsearch.space import enumerate_genotypes
 
-    surface = make_surface(toy_space, "v100-like")
+    surface = SyntheticSurfaceEvaluator(toy_space, "v100-like")
+    gs = list(enumerate_genotypes(toy_space))
     doc = {
         "objectives": [dataclasses.asdict(s) for s in surface.specs],
         "entries": [
             {
                 "genes": list(g.genes),
-                "objectives": dict(
-                    zip([s.name for s in surface.specs],
-                        synthetic_evaluate(g, surface).values)
-                ),
+                "objectives": dict(zip([s.name for s in surface.specs], vec.values)),
             }
-            for g in enumerate_genotypes(toy_space)
+            for g, vec in zip(gs, surface.evaluate(gs))
         ],
     }
     path = tmp_path_factory.mktemp("table") / "toy_table.json"
@@ -174,39 +172,39 @@ def test_space_flag_overrides_config_space(tmp_path, toy_space_file, tiny_space)
 # tactic's fields itself; every file is named relative to the run's working
 # directory, so no digest holds an absolute path. The config.json digests were
 # taken again when crossover_rate, mutation_rate and the four svr_* settings
-# left the file, and again when it gained `trajectory`; the evals.jsonl
-# digests did not change.
+# left the file, again when it gained `trajectory`, and again when the
+# trajectory version became 2; the evals.jsonl digests did not change.
 CONFIG_SHA256 = {
     "concurrent-noise": (
-        "0869c7005c94c542854c7989fba49e0ad7c77cc293d79c5c77e0a90f2dec31c4",
+        "6e27f6a786459df3547cfb118e5273cae0359f2cec80a3c8fcddbbdc0b1d02b3",
         "adb19f1409f53c25ca13c6db9f9ec37292ff29d35ebfd2822c9013f7bcd0ff6b",
     ),
     "concurrent-table": (
-        "6843c50d591ceaeab9247f66bc49c26ba7052646e48ce3f6725ebd748e1b4293",
+        "59a11c3c51f675549277b4ed99cc9f1caf60e0326ac25610a9efa8426bea4e92",
         "a2dc7977747df4d165c63e25644740ea5bc0e7c7b56d18226a8fd41b2ec51ed5",
     ),
     "concurrent-warm-start": (
-        "e66f1771891792137ee0c0f70930e60a13d6f73db4b4a2541387098f61a45c5a",
+        "b1156b48fe0607d01d53cddd8a5a01dfaf00a3d49f2024e81d171274de6ef2a5",
         "d6fea4a661a55a2662e6aed9dfa83964ae739c18e20a0fb65a66b151be70b70c",
     ),
     "concurrent-other-space": (
-        "80760cce70a4bcd62dfd4cbfc0a5002f0e5b05f762dda88b4c938816a6fa66fc",
+        "785aa9cf4e624a60b87aec4dbaadc794f6280d938587477c13111528055fe9da",
         "7c1fa1c1cdb1d2ea9d00bcfbc98d787fe689b3164c95bc765508c3aea42be980",
     ),
     "full-noise": (
-        "f453e0026a6c6befc853adf1d421c69ac15755a0ef0a2abfe06fa757ba7b445c",
+        "d28961873cc25770e8f9d383a36464aa3996ed72d3f7400e89bd3fe3e8164ba1",
         "bede8037401fc9f6659565ca41d2209132ae70df0a97afc929abbb4126673c6d",
     ),
     "full-table": (
-        "607e9b9a9846018e558c2599a0b4efa03b3a87b305fcb3483d89cb22fc953a55",
+        "8870d9ac6d60f8051d08ac47b22a3e45039bc696080ae65385aeaf58c951b5db",
         "ea54d61cb68d523b6bc3827f64a141218525891b29fcb89c096cf5060919ef78",
     ),
     "full-warm-start": (
-        "ab0fc5f3f493ba6f83b3520bf01dcd23d557e4e82d537734478d8cd84d9f6077",
+        "77b8b4ab94e5b39ca5d7520c0638b376fc288a929c1657f34aac69548a649c5e",
         "79f862c9b00cf9fcef89d251a9801b303b878730ad5e07768adc19c7d204f71c",
     ),
     "full-other-space": (
-        "e5a21c802df0e8cbe234c36b2715a8d86a97d055149ec79ee0d936d64ad23fcd",
+        "418c2e91f8cd420ff0c395d1951d80453548af90cf4ca6a2af956f0b578ed84c",
         "caea7b020d306ab58656ec5d117bc7a778e7ac83c5a5ed63b0d42275b403e725",
     ),
 }
@@ -242,6 +240,23 @@ def test_persisted_config_and_log_are_pinned(tmp_path, toy_space, tiny_space,
         got = tuple(hashlib.sha256(Path(run, f).read_bytes()).hexdigest()
                     for f in ("config.json", "evals.jsonl"))
         assert got == CONFIG_SHA256[name], f"{run}: {DIGEST_MOVED}"
+
+
+# sha256 of the evals.jsonl of a validation-only full search on a preset
+# space, the first pin whose top1 sums run over more genes than the toy
+# space's: the synthetic surface adds them up in position order, and no BLAS
+# call lies on this run's path, so the bytes hold on any host and thread count.
+PRESET_EVALS_SHA256 = "c70c5433e309948e9b542934abb2b41b3e3cbd17bd9278f62ec6904b7aff351b"
+
+
+def test_preset_space_log_is_pinned(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(
+        "search", "full", "--space", "mobilenetv3-like", "--evaluator", "synthetic:clx-like",
+        "--predictor", "none", "--pop", "20", "--gens", "10", "--seed", "11", "--out", str(out),
+    ) == 0
+    got = hashlib.sha256((out / "evals.jsonl").read_bytes()).hexdigest()
+    assert got == PRESET_EVALS_SHA256, DIGEST_MOVED
 
 
 @pytest.mark.parametrize(
@@ -804,7 +819,7 @@ def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space, toy_sp
     through the CLI alone; `space info` reads the same document. The reduced
     run logs canonical genotypes of the full space, scored on its surface,
     and warm starts cross between the two spaces either way."""
-    from subnetsearch.evalmgr import ResultStore, make_surface, synthetic_evaluate
+    from subnetsearch.evalmgr import ResultStore, SyntheticSurfaceEvaluator
     from subnetsearch.space import canonical_ranks, cardinality
 
     history, doc_path = tmp_path / "history", tmp_path / "doc.json"
@@ -839,10 +854,10 @@ def test_popdb_space_document_closes_the_search_loop(tmp_path, toy_space, toy_sp
     assert len(recs) == 40 and store.space_name == "toy"
     # canonical in the full space, every active gene allowed, full-surface objectives
     inactive = canonical_ranks([r.genotype for r in recs], toy_space)[1]
-    surface = make_surface(toy_space, "clx-like")
-    for r, off in zip(recs, inactive):
+    scored = SyntheticSurfaceEvaluator(toy_space, "clx-like").evaluate([r.genotype for r in recs])
+    for r, off, vec in zip(recs, inactive, scored):
         assert all(o or v in vals for v, vals, o in zip(r.genotype.genes, doc["allowed"], off))
-        assert r.objectives_raw.values == synthetic_evaluate(r.genotype, surface).values
+        assert r.objectives_raw.values == vec.values
     for space, warm in ((toy_space_file, run), (str(doc_path), history)):
         assert run_cli(
             "search", "concurrent", "--space", space, "--evaluator", "synthetic:clx-like",

@@ -24,8 +24,6 @@ from subnetsearch.evalmgr import (
     ResultStore,
     SyntheticSurfaceEvaluator,
     evaluate_batch,
-    make_surface,
-    synthetic_evaluate,
 )
 from subnetsearch import evalmgr
 from subnetsearch.evolver import SearchTrace, Slots
@@ -67,16 +65,17 @@ def same_front(front, records):
 
 
 def true_front_genes(space, surface):
+    gs = list(enumerate_genotypes(space))
     records = [
-        type("R", (), {"genotype": g, "objectives_raw": synthetic_evaluate(g, surface)})()
-        for g in enumerate_genotypes(space)
+        type("R", (), {"genotype": g, "objectives_raw": vec})()
+        for g, vec in zip(gs, surface.evaluate(gs))
     ]
     return {r.genotype.genes for r in pareto_front(records)}
 
 
 @pytest.fixture(scope="module")
 def toy_setup(toy_space):
-    surface = make_surface(toy_space, "clx-like")
+    surface = SyntheticSurfaceEvaluator(toy_space, "clx-like")
     return toy_space, surface
 
 
@@ -84,11 +83,8 @@ def toy_setup(toy_space):
 def flat_toy_setup(toy_space):
     """Noiseless toy surface without latency interaction terms, so per-gene
     additive predictors can represent it well."""
-    import dataclasses
-
-    surface = dataclasses.replace(
-        make_surface(toy_space, "clx-like"), latency_interactions=()
-    )
+    surface = SyntheticSurfaceEvaluator(toy_space, "clx-like")
+    surface.interactions = ()
     return toy_space, surface
 
 
@@ -103,7 +99,7 @@ def test_full_search_recovers_most_of_true_front(flat_toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         FullSearchConfig(
             population_size=30,
             generations=60,
@@ -175,7 +171,7 @@ def test_full_search_zero_generations_front_equals_sample_front(toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         FullSearchConfig(
             population_size=10,
             generations=0,
@@ -198,7 +194,7 @@ def test_full_search_validation_only_mode(toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         FullSearchConfig(
             population_size=15,
             generations=10,
@@ -218,7 +214,7 @@ def test_full_search_warns_below_100_train(toy_setup):
         search(
             space,
             surface.specs,
-            SyntheticSurfaceEvaluator(surface),
+            surface,
             FullSearchConfig(
                 population_size=8,
                 generations=2,
@@ -240,7 +236,7 @@ def test_concurrent_bookkeeping_invariants(toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         ConcurrentNasConfig(
             population_size=c,
             iterations=iters,
@@ -262,7 +258,7 @@ def test_concurrent_i2_front_subset_of_predictor_outputs(toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         ConcurrentNasConfig(
             population_size=15, iterations=2, inner_generations=20, seed=5
         ),
@@ -278,7 +274,7 @@ def test_concurrent_deduplicates_promotions(toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         ConcurrentNasConfig(
             population_size=12, iterations=3, inner_generations=25, seed=6
         ),
@@ -290,11 +286,11 @@ def test_concurrent_deduplicates_promotions(toy_setup):
 
 def test_concurrent_warm_start_from_other_preset(toy_setup):
     space, surface = toy_setup
-    other = make_surface(space, "v100-like")
+    other = SyntheticSurfaceEvaluator(space, "v100-like")
     source = search(
         space,
         other.specs,
-        SyntheticSurfaceEvaluator(other),
+        other,
         FullSearchConfig(
             population_size=15,
             generations=15,
@@ -307,7 +303,7 @@ def test_concurrent_warm_start_from_other_preset(toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         ConcurrentNasConfig(
             population_size=10,
             iterations=1,
@@ -337,7 +333,7 @@ def test_hv_trace_single_record(toy_setup):
     space, surface = toy_setup
     store = ResultStore(surface.specs, space=space)
     g = sample_uniform(space, 1, 0)[0]
-    vec = synthetic_evaluate(g, surface)
+    vec = surface.evaluate([g])[0]
     store.append_batch([g.genes], [vec], "e1")
     ref = (vec.canonical_min[0] + 1.0, vec.canonical_min[1] + 10.0)
     trace = hypervolume_trace(store, ref)
@@ -348,11 +344,8 @@ def test_hv_trace_single_record(toy_setup):
 def test_hv_trace_non_decreasing_and_matches_recompute(toy_setup):
     space, surface = toy_setup
     store = ResultStore(surface.specs, space=space)
-    ev = SyntheticSurfaceEvaluator(surface)
-    from subnetsearch.evalmgr import evaluate_batch
-
     gs = sample_uniform(space, 120, seed=10)
-    evaluate_batch(gene_rows(gs), ev, store)
+    evaluate_batch(gene_rows(gs), surface, store)
     recs = validation_records(store)
     from subnetsearch.objectives import default_reference
 
@@ -386,7 +379,7 @@ def test_hv_trace_clamps_with_warning(toy_setup):
     from subnetsearch.evalmgr import evaluate_batch
 
     gs = sample_uniform(space, 40, seed=11)
-    evaluate_batch(gene_rows(gs), SyntheticSurfaceEvaluator(surface), store)
+    evaluate_batch(gene_rows(gs), surface, store)
     recs = validation_records(store)
     # reference tighter than some records -> those are clamped out, warned
     best = min(r.objectives_raw.canonical_min[0] for r in recs)
@@ -407,7 +400,7 @@ def test_report_export_artifacts(tmp_path, toy_setup):
     report = search(
         space,
         surface.specs,
-        SyntheticSurfaceEvaluator(surface),
+        surface,
         ConcurrentNasConfig(
             population_size=10, iterations=2, inner_generations=10, seed=12,
             space="toy", evaluator="synthetic:clx-like",
@@ -435,8 +428,8 @@ def test_oracle_predictors_match_validation_search(toy_setup):
 
     def oracle(space_, specs_, models, pcfg, **kw):
         def evaluate(ranks):
-            return [synthetic_evaluate(Genotype(genes), surface).values
-                    for genes in rank_genes(ranks, space_)]
+            gs = list(map(Genotype, rank_genes(ranks, space_)))
+            return [vec.values for vec in surface.evaluate(gs)]
 
         return evaluate
 
@@ -445,7 +438,7 @@ def test_oracle_predictors_match_validation_search(toy_setup):
         report = search(
             space,
             surface.specs,
-            SyntheticSurfaceEvaluator(surface),
+            surface,
             ConcurrentNasConfig(
                 population_size=12, iterations=2, inner_generations=40, seed=13
             ),
@@ -454,9 +447,9 @@ def test_oracle_predictors_match_validation_search(toy_setup):
         drv.make_predictor_evaluate = orig
     # the predicted front under an oracle matches true objective values
     front = report.predicted_front
-    for genes, raw in zip(front_genes(front), front.raw.tolist()):
-        truth = synthetic_evaluate(Genotype(genes), surface).values
-        assert raw == pytest.approx(truth)
+    truth = surface.evaluate(list(map(Genotype, front_genes(front))))
+    for raw, vec in zip(front.raw.tolist(), truth):
+        assert raw == pytest.approx(vec.values)
 
 
 def counted_search(monkeypatch, space, surface, cfg):
@@ -477,7 +470,7 @@ def counted_search(monkeypatch, space, surface, cfg):
 
     for name in counts:
         monkeypatch.setattr(drv, name, counting(name))
-    report = search(space, surface.specs, SyntheticSurfaceEvaluator(surface), cfg)
+    report = search(space, surface.specs, surface, cfg)
     return report, tuple(counts.values())
 
 
@@ -516,7 +509,7 @@ def test_hv_trace_equals_full_recompute_exactly(toy_setup):
     from subnetsearch.objectives import default_reference, dominated_area
 
     gs = sample_uniform(space, 150, seed=12)
-    evaluate_batch(gene_rows(gs), SyntheticSurfaceEvaluator(surface), store)
+    evaluate_batch(gene_rows(gs), surface, store)
     recs = validation_records(store)
     ref = default_reference([r.objectives_raw.canonical_min for r in recs[:20]])
     with warnings.catch_warnings():
@@ -540,17 +533,16 @@ def mixed_log(space, surface):
     one."""
     store = ResultStore(surface.specs, space=space)
     gs = list(dict.fromkeys(sample_uniform(space, 60, seed=21)))
-    evaluator = SyntheticSurfaceEvaluator(surface)
-    evaluate_batch(gene_rows(gs[:50]), evaluator, store)
-    store.append_batch([gs[50].genes], [EvaluationFailure("crashed")], evaluator.evaluator_id)
+    evaluate_batch(gene_rows(gs[:50]), surface, store)
+    store.append_batch([gs[50].genes], [EvaluationFailure("crashed")], surface.evaluator_id)
     recs = validation_records(store)
     top1 = max(r.objectives_raw.values[0] for r in recs) + 1.0  # specs: top1, latency_ms
     latency = min(r.objectives_raw.values[1] for r in recs) / 2
     store.append_batch(
         gene_rows([gs[50], gs[51]]),
         [ObjectiveVector((top1, latency), surface.specs),
-         synthetic_evaluate(gs[51], surface)],
-        evaluator.evaluator_id,
+         surface.evaluate([gs[51]])[0]],
+        surface.evaluator_id,
     )
     return store
 
@@ -683,19 +675,18 @@ def test_hv_trace_equals_dominated_area_of_every_prefix(toy_setup):
 @pytest.mark.parametrize("tactic", ["concurrent", "full-ridge", "full-none"])
 def test_run_reference_and_front_equal_the_record_forms(toy_setup, tactic):
     space, surface = toy_setup
-    evaluator = SyntheticSurfaceEvaluator(surface)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if tactic == "concurrent":
             report = search(
-                space, surface.specs, evaluator,
+                space, surface.specs, surface,
                 ConcurrentNasConfig(population_size=10, iterations=3,
                                     inner_generations=10, seed=4),
             )
         else:
             family = tactic.partition("-")[2]
             report = search(
-                space, surface.specs, evaluator,
+                space, surface.specs, surface,
                 FullSearchConfig(population_size=10, generations=5, n_train=30, seed=4,
                                  predictor=PredictorConfig(family=family)),
             )
@@ -759,7 +750,7 @@ def pinned_run(space, surface, name):
         cfg = ConcurrentNasConfig(population_size=10, iterations=2, inner_generations=10,
                                   predictor=PredictorConfig(family="svr"), warm_start=warm,
                                   seed=24)
-    return search(space, surface.specs, SyntheticSurfaceEvaluator(surface), cfg)
+    return search(space, surface.specs, surface, cfg)
 
 
 @pytest.mark.parametrize("name", list(TACTIC_SHA256))

@@ -18,13 +18,15 @@ from subnetsearch.errors import (
 )
 from subnetsearch import evalmgr
 from subnetsearch.evalmgr import (
+    ACCURACY_MAX,
+    ACCURACY_SPAN,
+    LATENCY_BASE,
+    NO_GEN,
     EvaluationFailure,
     ResultStore,
     SyntheticSurfaceEvaluator,
     TableEvaluator,
     evaluate_batch,
-    make_surface,
-    synthetic_evaluate,
     training_rows,
 )
 from subnetsearch.objectives import ObjectiveSpec, ObjectiveVector
@@ -166,8 +168,9 @@ def test_store_load_keeps_every_column_and_dumps_the_same_bytes(tmp_path, toy_sp
         replayed.dump(copy)
         assert copy.read_bytes() == path.read_bytes()
         assert replayed.evaluator_id == "e1"
-        seqs, genes, raw = replayed.validation_columns()
+        seqs, genes, raw, gens = replayed.validation_columns()
         assert seqs.tolist() == [0, 1, 3, 4]
+        assert gens.tolist() == [0, NO_GEN, 1, 2]
         assert genes[3].tolist()[:2] == [-1, 2**40]
         assert raw.tolist() == [[1.5, -0.0], [2.5, 1e-300], [0.1, 0.2], [3.0, 4.0]]
         raw, _ = evaluate_batch(gene_rows([store.records[3].genotype]),
@@ -587,74 +590,98 @@ def test_batch_mixed_failure_keeps_successes(toy_space):
 # ---------------------------------------------------------------------------
 
 
+def score(ev, genotypes):
+    """The objective tuples `ev` gives a batch of genotypes."""
+    return [v.values for v in ev.evaluate(genotypes)]
+
+
 def test_surface_pure_and_deterministic(toy_space):
-    surface = make_surface(toy_space, "clx-like", noise_scale=0.01)
+    surface = SyntheticSurfaceEvaluator(toy_space, "clx-like", noise_scale=0.01)
     g = sample_uniform(toy_space, 1, 0)[0]
-    first = synthetic_evaluate(g, surface).values
+    first = score(surface, [g])
     for _ in range(200):
-        assert synthetic_evaluate(g, surface).values == first
+        assert score(surface, [g]) == first
 
 
 def test_surface_closed_form_at_all_minimum_genotype(toy_space):
-    surface = make_surface(toy_space, "clx-like")
+    surface = SyntheticSurfaceEvaluator(toy_space, "clx-like")
     g_min = Genotype(tuple(vals[0] for vals in toy_space.allowed))
     g_min = canonicalize(g_min, toy_space)
-    vec = synthetic_evaluate(g_min, surface)
+    (vec,) = surface.evaluate([g_min])
     # all ordinal features are zero: accuracy = max - span, latency = base +
     # sum of costs over active genes + interactions among active pairs
-    assert vec.values[0] == pytest.approx(
-        surface.accuracy_max - surface.accuracy_span
-    )
+    assert vec.values[0] == pytest.approx(ACCURACY_MAX - ACCURACY_SPAN)
     mask = active_mask_loop(g_min, toy_space)
-    lat = surface.latency_base + sum(
-        c for c, m in zip(surface.latency_costs, mask) if m
+    lat = LATENCY_BASE + sum(
+        c for c, m in zip(surface.costs, mask) if m
     )
-    lat += sum(w for p, q, w in surface.latency_interactions if mask[p] and mask[q])
+    lat += sum(w for p, q, w in surface.interactions if mask[p] and mask[q])
     assert vec.values[1] == pytest.approx(lat)
 
 
 def synthetic_evaluate_loop(g, surface):
-    """The per-gene loop oracle of `synthetic_evaluate`: ordinal features and
-    the activity mask one gene at a time, accumulated in the same order."""
+    """The gene-by-gene oracle of `SyntheticSurfaceEvaluator.evaluate`:
+    ordinal features and the activity mask one gene at a time, and each
+    objective a plain Python sum in position order."""
     space = surface.space
-    feats = np.array([
+    feats = [
         space.value_rank(pos, v) / max(len(vals) - 1, 1)
         for pos, (v, vals) in enumerate(zip(g.genes, space.allowed))
-    ])
-    acc = surface.accuracy_max - surface.accuracy_span * math.exp(
-        -float(surface.accuracy_weights @ feats) / surface.temperature
-    )
+    ]
+    total = 0.0
+    for w, f in zip(surface.weights.tolist(), feats):
+        total += w * f
+    acc = ACCURACY_MAX - ACCURACY_SPAN * math.exp(-total / surface.temperature)
     mask = active_mask_loop(g, space)
-    lat = surface.latency_base
+    lat = LATENCY_BASE
     for pos, active in enumerate(mask):
         if active:
-            lat += surface.latency_costs[pos] * (1.0 + feats[pos])
-    for p, q, w in surface.latency_interactions:
+            lat += float(surface.costs[pos]) * (1.0 + feats[pos])
+    for p, q, w in surface.interactions:
         if mask[p] and mask[q]:
             lat += w * (1.0 + feats[p]) * (1.0 + feats[q])
     if surface.noise_scale > 0:
         acc += pseudo_noise(g.genes, surface.noise_seed, "top1") * surface.noise_scale
         lat += pseudo_noise(g.genes, surface.noise_seed, "latency_ms") * surface.noise_scale
-    return (acc, float(lat))
+    return (acc, lat)
 
 
 @pytest.mark.parametrize("preset", ["clx-like", "v100-like"])
-@pytest.mark.parametrize("space_name", ["mobilenetv3-like", "resnet50-like", "transformer-like"])
-def test_surface_matches_per_gene_loop_oracle(space_name, preset):
-    space = get_preset(space_name)
+@pytest.mark.parametrize(
+    "space_name", ["toy", "mobilenetv3-like", "resnet50-like", "transformer-like"]
+)
+def test_surface_matches_per_gene_loop_oracle(toy_space, space_name, preset):
+    """Both objectives have the oracle's bits, for every genotype of the toy
+    space and for 300 uniform rows of each preset space, scored as one batch."""
+    if space_name == "toy":
+        space, gs = toy_space, list(enumerate_genotypes(toy_space))
+    else:
+        space = get_preset(space_name)
+        gs = sample_uniform(space, 300, seed=17)
     for noise_scale in (0.0, 0.05):
-        surface = make_surface(space, preset, noise_scale=noise_scale, noise_seed=3)
-        for g in sample_uniform(space, 300, seed=17):
-            assert synthetic_evaluate(g, surface).values == synthetic_evaluate_loop(
-                g, surface
-            )
+        surface = SyntheticSurfaceEvaluator(space, preset, noise_scale=noise_scale, noise_seed=3)
+        assert score(surface, gs) == [synthetic_evaluate_loop(g, surface) for g in gs]
+
+
+@pytest.mark.parametrize("space_name", ["mobilenetv3-like", "transformer-like"])
+def test_surface_values_do_not_depend_on_the_batch(space_name):
+    """A batch's values are those of each of its rows scored alone, and
+    those of the batch reversed."""
+    space = get_preset(space_name)
+    gs = sample_uniform(space, 100, seed=5)
+    surface = SyntheticSurfaceEvaluator(space, "v100-like", noise_scale=0.05, noise_seed=1)
+    batch = score(surface, gs)
+    assert batch == [score(surface, [g])[0] for g in gs]
+    assert batch == score(surface, gs[::-1])[::-1]
 
 
 def test_surface_latency_monotone_in_depth(toy_space):
     """Exhaustive: raising any depth gene never lowers latency."""
-    surface = make_surface(toy_space, "clx-like")
-    for g in enumerate_genotypes(toy_space):
-        base = synthetic_evaluate(g, surface).values[1]
+    gs = list(enumerate_genotypes(toy_space))
+    latency = {g.genes: values[1] for g, values in zip(gs, score(
+        SyntheticSurfaceEvaluator(toy_space, "clx-like"), gs))}
+    for g in gs:
+        base = latency[g.genes]
         for b in toy_space.blocks:
             vals = toy_space.allowed[b.depth_gene_index]
             cur = g.genes[b.depth_gene_index]
@@ -664,21 +691,21 @@ def test_surface_latency_monotone_in_depth(toy_space):
                 genes = list(g.genes)
                 genes[b.depth_gene_index] = v
                 deeper = canonicalize(Genotype(tuple(genes)), toy_space)
-                assert synthetic_evaluate(deeper, surface).values[1] >= base - 1e-12
+                assert latency[deeper.genes] >= base - 1e-12
 
 
 def test_surface_presets_differ_in_latency_only(toy_space):
-    clx = make_surface(toy_space, "clx-like")
-    v100 = make_surface(toy_space, "v100-like")
+    clx = SyntheticSurfaceEvaluator(toy_space, "clx-like")
+    v100 = SyntheticSurfaceEvaluator(toy_space, "v100-like")
     g = sample_uniform(toy_space, 1, 1)[0]
-    a = synthetic_evaluate(g, clx).values
-    b = synthetic_evaluate(g, v100).values
+    (a,) = score(clx, [g])
+    (b,) = score(v100, [g])
     assert a[0] == b[0]  # quality is hardware-independent
     assert a[1] != b[1]
 
 
 def test_surface_rejects_non_canonical(toy_space):
-    surface = make_surface(toy_space, "clx-like")
+    surface = SyntheticSurfaceEvaluator(toy_space, "clx-like")
     g = sample_uniform(toy_space, 1, 0)[0]
     genes = list(g.genes)
     b = toy_space.blocks[0]
@@ -688,12 +715,12 @@ def test_surface_rejects_non_canonical(toy_space):
     bad = Genotype(tuple(genes))
     if canonicalize(bad, toy_space).genes != bad.genes:
         with pytest.raises(NonCanonicalInput):
-            synthetic_evaluate(bad, surface)
+            surface.evaluate([bad])
 
 
 def test_surface_unknown_preset(toy_space):
     with pytest.raises(ConfigError):
-        make_surface(toy_space, "tpu-like")
+        SyntheticSurfaceEvaluator(toy_space, "tpu-like")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from subnetsearch.popdb import (
     hdbscan,
     history_features,
 )
-from subnetsearch.evalmgr import make_surface, synthetic_evaluate
+from subnetsearch.evalmgr import SyntheticSurfaceEvaluator
 from subnetsearch.space import Genotype, canonicalize, get_preset, rank_matrix, sample_uniform
 
 # ---------------------------------------------------------------------------
@@ -668,8 +668,8 @@ def test_hdbscan_does_not_depend_on_the_buffer_or_the_compaction_interval(monkey
     )
     mbv3 = get_preset("mobilenetv3-like")
     history = clustered_history(mbv3, 1500, 11)
-    surface = make_surface(mbv3, "clx-like")
-    objectives = np.array([synthetic_evaluate(g, surface).values for g in history])
+    surface = SyntheticSurfaceEvaluator(mbv3, "clx-like")
+    objectives = np.array([vec.values for vec in surface.evaluate(history)])
     joint, _ = history_features(rank_matrix(history, mbv3), mbv3, objectives=objectives)
 
     def run(X):

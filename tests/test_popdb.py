@@ -403,11 +403,10 @@ def test_history_features_keep_non_canonical_rows(toy_space):
 
 
 def test_history_features_joint_space(toy_space):
-    from subnetsearch.evalmgr import make_surface, synthetic_evaluate
+    from subnetsearch.evalmgr import SyntheticSurfaceEvaluator
 
-    surface = make_surface(toy_space, "clx-like")
     gs = sample_uniform(toy_space, 50, seed=8)
-    vectors = [synthetic_evaluate(g, surface) for g in gs]
+    vectors = SyntheticSurfaceEvaluator(toy_space, "clx-like").evaluate(gs)
     objectives = np.array([v.canonical_min for v in vectors])
     feats, _ = history_features(rank_matrix(gs, toy_space), toy_space, objectives=objectives)
     assert feats.shape == (50, toy_space.genome_length + 2)

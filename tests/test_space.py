@@ -34,6 +34,7 @@ from subnetsearch.space import (
     save_space,
     space_from_dict,
     space_to_dict,
+    uniform_ranks,
 )
 from subnetsearch.util import genes_bytes, stable_hash64
 
@@ -444,6 +445,12 @@ def test_presets_construct():
         assert sample_uniform(space, 3, 0)
     with pytest.raises(ConfigError):
         get_preset("nope")
+
+
+@pytest.mark.parametrize("draw", [uniform_ranks, sample_uniform])
+def test_uniform_draw_of_no_rows_names_uniform_ranks(toy_space, draw):
+    with pytest.raises(ConfigError, match="^uniform_ranks: n must be >= 1$"):
+        draw(toy_space, 0, 0)
 
 
 def test_resnet50_depth_zero_block_fully_inactive():
