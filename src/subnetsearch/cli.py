@@ -27,8 +27,10 @@ from .driver import (
     SearchReport,
     check_objectives,
     config_from_doc,
+    config_to_doc,
     fit_objective_predictor,
     search,
+    write_config,
 )
 from .errors import (
     ConfigError,
@@ -233,9 +235,15 @@ def _cmd_search(args) -> int:
     run_search = full_search if args.tactic == "full" else concurrent_search
     outdir = _resolve_out_dir(args.out, args.tactic, cfg.seed)
     t0 = time.perf_counter()
-    # every check above precedes the run directory; the log streams into it
-    # from the first batch, replacing the log of a run already there
-    outdir.mkdir(parents=True, exist_ok=True)
+    # every check above precedes the run directory, made here. A run already
+    # there is replaced whole: a directory at one of its five file names is
+    # refused before any is touched, then its files go, config.json is written
+    # with a null reference, and the log streams in from the first batch
+    old = [_out_file(outdir / name) for name in ("evals.jsonl", "config.json", "front.csv",
+                                                 "hv_trace.csv", "predicted_front.csv")]
+    for path in old[1:]:  # the log is truncated by its store
+        path.unlink(missing_ok=True)
+    write_config(config_to_doc(cfg, specs, None, evaluator), outdir / "config.json")
     store = ResultStore(specs, space=space, path=outdir / "evals.jsonl")
     try:
         report = run_search(space, specs, evaluator, cfg, store=store)

@@ -21,6 +21,13 @@ of one iteration, and a full run under family "none", have none.
 Both return a SearchReport with a hypervolume-versus-evaluations trace. Its
 reference is frozen at the first validated batch; under family "none" it is
 placed over every validation of the run, so no point is clamped out of it.
+
+A search whose store streams its log into a file writes the run's other
+files into that file's directory as soon as their bytes are final:
+config.json and the trace's rows so far when the reference freezes, each
+later batch's trace rows once the batch is logged, and predicted_front.csv
+when the last inner search ends. Only front.csv waits for the end
+(`SearchReport.export`).
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 import types
 import typing
@@ -194,8 +202,8 @@ def check_objectives(cfg: SearchConfig, specs) -> None:
 def config_to_doc(cfg: SearchConfig, specs, reference, evaluator) -> dict:
     """The run's config.json document: every field of its config, then the
     run's facts: the trajectory version, the tactic, the objectives (the
-    evaluator's, in place of the declared ones), the HV reference and the
-    evaluator id."""
+    evaluator's, in place of the declared ones), the HV reference (null
+    while `reference` is None, before it freezes) and the evaluator id."""
     doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     doc.update(
         trajectory=TRAJECTORY,
@@ -203,10 +211,18 @@ def config_to_doc(cfg: SearchConfig, specs, reference, evaluator) -> dict:
         predictor=asdict(cfg.predictor),
         warm_start=[list(g.genes) for g in cfg.warm_start] if cfg.warm_start else None,
         objectives=[asdict(s) for s in specs],
-        hv_reference=list(reference),
+        hv_reference=None if reference is None else list(reference),
         evaluator_id=evaluator.evaluator_id,
     )
     return doc
+
+
+def write_config(doc: dict, path: Path) -> None:
+    """Write a config.json document through a temporary file beside `path`
+    and `os.replace`, so that `path` always holds a whole document."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")  # one write
+    os.replace(tmp, path)
 
 
 _JSON_KINDS = {float: (int, float), tuple: list, PredictorConfig: dict}
@@ -312,22 +328,23 @@ class SearchReport:
         return self.hv_trace[-1][1]
 
     def export(self, outdir: str | Path) -> Path:
-        """Write front.csv, hv_trace.csv, config.json, the predicted front
-        when one exists, and evals.jsonl. A store that already streams into
-        `outdir/evals.jsonl` is closed instead of dumped."""
+        """Write the run's files into `outdir`: config.json, evals.jsonl,
+        hv_trace.csv, predicted_front.csv when a predicted front exists, and
+        front.csv. A run whose store streams into `outdir/evals.jsonl` wrote
+        the first four there as it went (see `search`): its log is closed,
+        and only front.csv is written."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(self.config, indent=2, sort_keys=True)  # one write, not one a token
-        (outdir / "config.json").write_text(text + "\n", "utf-8")
         log = outdir / "evals.jsonl"
         if self.store.path is not None and self.store.path.resolve() == log.resolve():
             self.store.close()
         else:
+            write_config(self.config, outdir / "config.json")
             self.store.dump(log)
+            if self.predicted_front is not None and len(self.predicted_front):
+                front_to_csv(self.predicted_front, self.specs, outdir / "predicted_front.csv")
+            hv_trace_to_csv(self.hv_trace, outdir / "hv_trace.csv")
         front_to_csv(self.validated_front, self.specs, outdir / "front.csv")
-        if self.predicted_front is not None and len(self.predicted_front):
-            front_to_csv(self.predicted_front, self.specs, outdir / "predicted_front.csv")
-        hv_trace_to_csv(self.hv_trace, outdir / "hv_trace.csv")
         return outdir
 
 
@@ -401,29 +418,42 @@ def make_validation_evaluate(space: SearchSpace, evaluator, store: ResultStore):
 # ---------------------------------------------------------------------------
 
 
-def hypervolume_trace(store: ResultStore, reference) -> list[tuple[int, float]]:
+def hypervolume_trace(store: ResultStore, reference, front=None) -> list[tuple[int, float]]:
     """Cumulative-front hypervolume after every validation record, read from
     the store's columns: the exact strip sum of `dominated_area` over the
     front at that point. Records outside the (frozen) reference box are
-    clamped out of the front with a warning rather than raising.
+    clamped out of the front rather than raising.
+
+    A search continues its own `front` (an IncrementalFront2D over
+    `reference`) batch by batch: the rows start after the `front.seen`
+    records it holds, and the search warns of clamped records once, at its
+    end. Without a `front`, a new one takes every record and warns here.
     """
     raw = store.validation_columns()[2]
     if not len(raw):
         raise EmptyInput("no validation records")
-    front = IncrementalFront2D(reference)
+    new = front is None
+    if new:
+        front = IncrementalFront2D(reference)
+    start = front.seen
     out = []
     hv = front.hypervolume()
-    for k, point in enumerate(canonical_matrix(raw, store.specs).tolist(), 1):
+    for k, point in enumerate(canonical_matrix(raw[start:], store.specs).tolist(), start + 1):
         if front.insert(point):
             hv = front.hypervolume()
         out.append((k, hv))
+    if new:
+        _warn_clamped(front)
+    return out
+
+
+def _warn_clamped(front: IncrementalFront2D) -> None:
     if front.clamped:
         warnings.warn(
             f"{front.clamped} evaluations fell outside the hypervolume "
             "reference box and were clamped out of the front",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +487,34 @@ def search(
     configurations of that inner search become the next batch, and the last
     search's front is the report's predicted front. It writes the space,
     evaluator, noise and declared objectives of `cfg` to the report's config
-    but reads none of them: the arguments are the run's own."""
+    but reads none of them: the arguments are the run's own. A `store` that
+    streams into a file makes its directory the run directory (see the
+    module docstring)."""
     specs = tuple(objectives)
     check_objectives(cfg, specs)
     if store is None:
         store = ResultStore(specs, space=space)
+    outdir = None if store.path is None else store.path.parent
     full = isinstance(cfg, FullSearchConfig)
     phase_seconds = dict.fromkeys(("validate", "train_predictors", "search"), 0.0)
     warn_list: list[str] = []
-    predicted_front = None
+    predicted_front = front = config = None
+    hv_trace: list[tuple[int, float]] = []
+
+    def trace_logged(reference) -> None:
+        """Extend the HV trace over the validations logged since the last
+        call. The first call freezes `reference`: config.json is written
+        with it, and hv_trace.csv begins."""
+        nonlocal front, config
+        if front is None:
+            front = IncrementalFront2D(reference)
+            config = config_to_doc(cfg, specs, reference, evaluator)
+            if outdir is not None:
+                write_config(config, outdir / "config.json")
+        rows = hypervolume_trace(store, reference, front)
+        if outdir is not None:
+            hv_trace_to_csv(rows, outdir / "hv_trace.csv", append=bool(hv_trace))
+        hv_trace.extend(rows)
 
     if full and cfg.predictor.family == "none":
         t0 = time.perf_counter()
@@ -478,6 +527,7 @@ def search(
         )
         phase_seconds["search"] = time.perf_counter() - t0
         reference = default_reference(canonical_matrix(store.validation_columns()[2], specs))
+        trace_logged(reference)
         iterations = 0  # nothing to predict
     elif full:
         if cfg.n_train < 100:
@@ -492,7 +542,6 @@ def search(
         rows = _initial_population(space, cfg)
         iterations = cfg.iterations
     validated = np.zeros((0, space.genome_length), np.intp)  # rank rows of every batch
-    trace = None  # the last inner search
 
     for i in range(iterations):
         t0 = time.perf_counter()
@@ -504,6 +553,7 @@ def search(
         if i == 0:
             ok = raw[~np.isnan(raw).any(axis=1)]
             reference = default_reference(canonical_matrix(ok, specs))
+        trace_logged(reference)
         if i == iterations - 1 and not full:
             break  # the last batch: no batch would measure a search after it
 
@@ -523,8 +573,16 @@ def search(
             specs, warm_start=inner_warm,
         )
         phase_seconds["search"] += time.perf_counter() - t0
-        if full:
-            break  # its whole predicted front is validated below
+        if full or i == iterations - 2:  # the run's last inner search
+            predicted_front = trace.front()
+            if outdir is not None and len(predicted_front):
+                front_to_csv(predicted_front, specs, outdir / "predicted_front.csv")
+        if full:  # its whole predicted front is the second and last batch
+            t0 = time.perf_counter()
+            warn_list.extend(evaluate_batch(predicted_front.genes, evaluator, store, gen=1)[1])
+            phase_seconds["validate"] += time.perf_counter() - t0
+            trace_logged(reference)
+            break
 
         validated = np.concatenate([validated, rows])
         validated_ids = trace.ids_of(validated)
@@ -544,14 +602,7 @@ def search(
         )
         rows = np.concatenate([chosen, pads])
 
-    if trace is not None:
-        predicted_front = trace.front()
-        if full:
-            t0 = time.perf_counter()
-            warn_list.extend(evaluate_batch(predicted_front.genes, evaluator, store, gen=1)[1])
-            phase_seconds["validate"] += time.perf_counter() - t0
-
-    hv_trace = hypervolume_trace(store, reference)
+    _warn_clamped(front)
     return SearchReport(
         tactic=cfg.tactic,
         space=space,
@@ -562,6 +613,6 @@ def search(
         hv_reference=reference,
         hv_trace=hv_trace,
         phase_seconds=phase_seconds,
-        config=config_to_doc(cfg, specs, reference, evaluator),
+        config=config,
         warnings=warn_list,
     )

@@ -259,12 +259,14 @@ class IncrementalFront2D:
         self.reference = (float(reference[0]), float(reference[1]))
         self._points: list[tuple[float, float]] = []  # sorted by x asc, y desc
         self._areas: list[float] = []  # _areas[i]: strip sum of _points[: i + 1]
+        self.seen = 0  # points offered to `insert`, clamped ones included
         self.clamped = 0
 
     def insert(self, point) -> bool:
         """Insert a canonical-min point; returns True if the front changed."""
         x, y = float(point[0]), float(point[1])
         ref_x, ref_y = self.reference
+        self.seen += 1
         if x >= ref_x or y >= ref_y:
             self.clamped += 1
             return False
@@ -320,8 +322,10 @@ def front_to_csv(front: FrontColumns, specs, path: str | Path) -> None:
         fh.write("".join(lines))
 
 
-def hv_trace_to_csv(trace, path: str | Path) -> None:
+def hv_trace_to_csv(trace, path: str | Path, append: bool = False) -> None:
     """Columns: evaluation_count, hypervolume; written in one write, with the
-    csv module's \\r\\n line ends."""
+    csv module's \\r\\n line ends. With `append` the rows go to the end of
+    the file, without the header, so a trace can be written batch by batch."""
     rows = "".join(f"{count},{hv!r}\r\n" for count, hv in trace)
-    Path(path).write_text("evaluation_count,hypervolume\r\n" + rows, "utf-8", newline="")
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
+        fh.write(rows if append else "evaluation_count,hypervolume\r\n" + rows)

@@ -717,31 +717,48 @@ def test_interrupted_batch_keeps_the_answered_results(tmp_path, toy_space_file):
     assert all(r.ok and r.gen == 0 for r in recs)
 
 
-def test_killed_run_keeps_every_completed_batch(tmp_path, toy_space, toy_space_file):
+KILLED_RUNS = {
+    "full-none": EXTERNAL_FULL,
+    "concurrent": (
+        "search", "concurrent",
+        "--objective", "top1:maximize", "--objective", "latency_ms:minimize:ms",
+        "--pop", "8", "--iters", "4", "--inner-gens", "5", "--seed", "5",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(KILLED_RUNS))
+def test_killed_run_keeps_every_completed_batch(tmp_path, toy_space, toy_space_file, run):
     """SIGKILL while a batch is outstanding: the log holds the batches before
     it, replays without error, and equals the start of an uninterrupted
-    run's log."""
+    run's log. The run's config.json is there, and replayed with an
+    evaluator that answers it writes the uninterrupted run's log; a
+    concurrent run's hv_trace.csv has a row per logged validation, as the
+    uninterrupted run's begins, and a full --predictor none run, whose
+    reference spans every validation, has none yet."""
     from subnetsearch.evalmgr import ResultStore
 
+    argv = (*KILLED_RUNS[run], "--space", toy_space_file)
     whole = tmp_path / "whole"
     genes_sum = f"external:{sys.executable} {DOUBLE} genes-sum"
     assert cli_process(
-        *EXTERNAL_FULL, "--space", toy_space_file, "--evaluator", genes_sum,
-        "--out", str(whole), stdout=subprocess.DEVNULL,
+        *argv, "--evaluator", genes_sum, "--out", str(whole), stdout=subprocess.DEVNULL,
     ).wait(timeout=60) == 0
     whole_recs = ResultStore.load(whole / "evals.jsonl", space=toy_space).records
     kept = [r.gen for r in whole_recs].index(2)  # the records of batches 0 and 1
 
-    killed = tmp_path / "killed"
+    killed, wire = tmp_path / "killed", tmp_path / "wire.log"
     log = killed / "evals.jsonl"
-    cmd = f"{sys.executable} {DOUBLE} stall-after={kept + 1}"
+    cmd = f"{sys.executable} {DOUBLE} stall-after={kept + 1} record={wire}"
     proc = cli_process(
-        *EXTERNAL_FULL, "--space", toy_space_file, "--evaluator", f"external:{cmd}",
-        "--out", str(killed), start_new_session=True,
+        *argv, "--evaluator", f"external:{cmd}", "--out", str(killed),
+        stdout=subprocess.DEVNULL, start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60
-        while not log.exists() or log.read_bytes().count(b"\n") < kept + 1:
+        # the hello and every request of batches 0 and 1, then one of batch 2:
+        # batch 1 is logged and traced, and batch 2 is outstanding
+        while not wire.exists() or wire.read_bytes().count(b"\n") < kept + 2:
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.02)
     finally:
@@ -753,6 +770,129 @@ def test_killed_run_keeps_every_completed_batch(tmp_path, toy_space, toy_space_f
                         r.evaluator_id, r.error)
     assert list(map(fields, replayed)) == list(map(fields, whole_recs[:kept]))
     assert (whole / "evals.jsonl").read_bytes().startswith(log.read_bytes())
+    if run == "concurrent":
+        trace = (whole / "hv_trace.csv").read_bytes().splitlines(keepends=True)
+        assert (killed / "hv_trace.csv").read_bytes() == b"".join(trace[:1 + kept])
+    else:
+        assert not (killed / "hv_trace.csv").exists()
+    replay = tmp_path / "replay"
+    assert cli_process(
+        "search", argv[1], "--config", str(killed / "config.json"), "--evaluator", genes_sum,
+        "--out", str(replay), stdout=subprocess.DEVNULL,
+    ).wait(timeout=60) == 0
+    assert (replay / "evals.jsonl").read_bytes() == (whole / "evals.jsonl").read_bytes()
+
+
+class SnapshotEvaluator:
+    """Evaluator double: scores as `inner` does, and copies the run
+    directory to `copy` when it is asked for its batch number `batch`
+    (counted from 0), before scoring it."""
+
+    def __init__(self, inner, run_dir, batch, copy):
+        self.inner, self.run_dir, self.batch, self.copy = inner, run_dir, batch, copy
+        self.evaluator_id = inner.evaluator_id
+        self.calls = 0
+
+    def evaluate(self, genotypes):
+        if self.calls == self.batch:
+            shutil.copytree(self.run_dir, self.copy)
+        self.calls += 1
+        return self.inner.evaluate(genotypes)
+
+
+ARTIFACTS = ("config.json", "evals.jsonl", "front.csv", "hv_trace.csv", "predicted_front.csv")
+
+
+@pytest.mark.parametrize("tactic, sizes, last, traced", [
+    ("concurrent", ("--pop", "10", "--iters", "5", "--inner-gens", "10"), 4, 1 + 4 * 10),
+    ("full", ("--pop", "10", "--gens", "10", "--train", "30"), 1, 1 + 30),
+])
+def test_streamed_artifacts_are_final_before_the_last_batch(
+    tmp_path, toy_space, toy_space_file, monkeypatch, tactic, sizes, last, traced,
+):
+    """When the last batch is asked for, config.json and predicted_front.csv
+    already hold their final bytes and hv_trace.csv a row per validation
+    before that batch; the same config run in memory and exported writes
+    the streamed run's five files byte for byte."""
+    from subnetsearch import cli
+    from subnetsearch.driver import config_from_doc, search
+    from subnetsearch.evalmgr import SyntheticSurfaceEvaluator
+
+    run, copy = tmp_path / "run", tmp_path / "before-last-batch"
+    build = cli._build_evaluator
+
+    def snapshotting(*args, **kwargs):
+        evaluator, specs = build(*args, **kwargs)
+        return SnapshotEvaluator(evaluator, run, last, copy), specs
+
+    monkeypatch.setattr(cli, "_build_evaluator", snapshotting)
+    assert run_cli("search", tactic, "--space", toy_space_file, "--evaluator",
+                   "synthetic:clx-like", *sizes, "--seed", "9", "--out", str(run)) == 0
+    for name in ("config.json", "predicted_front.csv"):
+        assert (copy / name).read_bytes() == (run / name).read_bytes(), name
+    trace = (run / "hv_trace.csv").read_bytes().splitlines(keepends=True)
+    assert len(trace) > traced
+    assert (copy / "hv_trace.csv").read_bytes() == b"".join(trace[:traced])
+    assert not (copy / "front.csv").exists()
+
+    cls = FullSearchConfig if tactic == "full" else ConcurrentNasConfig
+    cfg = config_from_doc(cls, json.loads((run / "config.json").read_text()), "config.json")
+    surface = SyntheticSurfaceEvaluator(toy_space, "clx-like")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the clamp and small n_train warnings
+        memory = search(toy_space, surface.specs, surface, cfg).export(tmp_path / "memory")
+    for name in ARTIFACTS:
+        assert (memory / name).read_bytes() == (run / name).read_bytes(), name
+
+
+def test_rerun_into_a_run_directory_replaces_every_artifact(tmp_path, toy_space_file):
+    """A run into the directory of another writes the files a run into a
+    new directory writes, and no other: no predicted_front.csv of the
+    earlier run is left beside them. A rerun that fails partway leaves none
+    of the earlier run's files either."""
+    run = ("search", "concurrent", "--space", toy_space_file)
+    first = (*run, "--evaluator", "synthetic:clx-like",
+             "--pop", "20", "--iters", "3", "--inner-gens", "5", "--seed", "7")
+    x, fresh = tmp_path / "x", tmp_path / "fresh"
+    assert run_cli(*first, "--out", str(x)) == 0
+    assert (x / "predicted_front.csv").exists()
+    second = (*run, "--evaluator", "synthetic:clx-like", "--pop", "20", "--iters", "1",
+              "--seed", "8")
+    assert run_cli(*second, "--out", str(x)) == 0
+    assert run_cli(*second, "--out", str(fresh)) == 0
+    assert sorted(p.name for p in x.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in fresh.iterdir():
+        assert (x / path.name).read_bytes() == path.read_bytes(), path.name
+
+    assert run_cli(*first, "--out", str(x)) == 0
+    bad = f"external:{sys.executable} {DOUBLE} bad-value-after=25:null"
+    failing = (*run, "--evaluator", bad, "--objective", "top1:maximize",
+               "--objective", "latency_ms:minimize", "--pop", "20", "--iters", "3",
+               "--seed", "8")
+    assert run_cli(*failing, "--out", str(x)) == 3
+    assert sorted(p.name for p in x.iterdir()) == ["config.json", "evals.jsonl",
+                                                   "hv_trace.csv"]
+    assert json.loads((x / "config.json").read_text())["seed"] == 8
+    assert len((x / "hv_trace.csv").read_text().splitlines()) == 1 + 20
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_rerun_into_a_run_directory_with_a_directory_at_an_artifact_exits_2(
+    tmp_path, toy_space_file, capsys, name,
+):
+    """A directory at one of the five file names exits 2 naming it, before
+    the earlier run's files are touched or any genotype is evaluated."""
+    x = tmp_path / "x"
+    run = ("search", "concurrent", "--space", toy_space_file, "--evaluator",
+           "synthetic:clx-like", *RUN_SIZES["concurrent"], "--out", str(x))
+    assert run_cli(*run, "--seed", "1") == 0
+    (x / name).unlink()
+    (x / name).mkdir()
+    before = {p.name: p.read_bytes() for p in x.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert run_cli(*run, "--seed", "2") == 2
+    assert capsys.readouterr().err == f"config error: {x / name}: Is a directory\n"
+    assert {p.name: p.read_bytes() for p in x.iterdir() if p.is_file()} == before
 
 
 def test_warm_start_from_the_run_directory_it_replaces(tmp_path, toy_space_file):
