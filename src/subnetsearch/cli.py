@@ -35,10 +35,8 @@ from .driver import (
 from .errors import (
     ConfigError,
     EmptyClusterSet,
-    EvaluationFailed,
-    EvaluationTimeout,
+    EvaluatorError,
     InvalidGenotype,
-    ProtocolError,
     SubnetSearchError,
 )
 from .evalmgr import (
@@ -363,7 +361,7 @@ def _cmd_predict_bench(args) -> int:
     store = ResultStore(specs, space=space)
     raw, errors = evaluate_batch(gene_matrix(pool, space), evaluator, store)
     if errors:
-        raise EvaluationFailed(f"{len(errors)} bench evaluations failed: {errors[0]}")
+        raise EvaluatorError(f"{len(errors)} bench evaluations failed: {errors[0]}")
     X = encode_matrix(pool, space, pcfg.encoding)
     y = raw[:, [s.name for s in specs].index(args.objective)]
     results = run_prediction_trials(
@@ -640,7 +638,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except (ProtocolError, EvaluationTimeout, EvaluationFailed) as exc:
+        except EvaluatorError as exc:
             print(f"evaluator error: {exc}", file=sys.stderr)
             return EXIT_EVALUATOR
         except SubnetSearchError as exc:

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInput, EvaluationFailed
+from .errors import ConfigError, EvaluatorError, SubnetSearchError
 from .evalmgr import (
     ResultStore,
     evaluate_batch,
@@ -179,23 +179,42 @@ def check_objectives(cfg: SearchConfig, specs) -> None:
     """Raise the ConfigError that a search under `cfg` with objectives
     `specs` would raise before its first evaluation: other than two
     objectives, duplicate objective names, a per-objective predictor family
-    for no objective of the run, or a predicted objective whose predictor
-    family is "none"."""
+    for no objective of the run, one other than "none" in a full search of
+    family "none", which predicts nothing, a predicted objective whose
+    predictor family is "none", or an SVR objective whose first fit would
+    have fewer than two training rows."""
     check_two_objectives(specs)
     check_unique_names(specs)
     names = [s.name for s in specs]
-    for name in cfg.predictor.families:
+    full = isinstance(cfg, FullSearchConfig)
+    unfitted = full and cfg.predictor.family == "none"
+    for name, family in cfg.predictor.families.items():
         if name not in names:
             raise ConfigError(
                 f"predictor families name {name!r}, which is not an objective of "
                 f"this run: {names}"
             )
-    if isinstance(cfg, FullSearchConfig) and cfg.predictor.family == "none":
+        if unfitted and family != "none":
+            raise ConfigError(
+                f"predictor families give {name!r} family {family!r}, but a full "
+                "search of predictor family 'none' fits no predictor"
+            )
+    if unfitted:
         return  # the evolver measures every child; nothing is predicted
+    # the first fit's rows: the full tactic's sample, or a concurrent run's
+    # first batch, fitted on when a second batch follows it
+    rows = cfg.n_train if full else cfg.population_size
+    fitted = full or cfg.iterations > 1
     for spec in specs:
-        if cfg.predictor.family_for(spec.name) == "none":
+        family = cfg.predictor.family_for(spec.name)
+        if family == "none":
             raise ConfigError(
                 f"objective {spec.name!r} is predicted with predictor family 'none'"
+            )
+        if family == "svr" and fitted and rows < 2:
+            raise ConfigError(
+                f"objective {spec.name!r} is predicted with predictor family 'svr', "
+                f"which needs at least 2 training rows; the first fit has {rows}"
             )
 
 
@@ -360,7 +379,13 @@ def fit_objective_predictor(pcfg: PredictorConfig, X, y, objective: str, system=
     if family == "ridge":
         return fit_ridge(X, y, pcfg.ridge_lambda, system)
     if family == "svr":
-        return fit_svr(X, y)
+        tol = 1e-3
+        model = fit_svr(X, y, tol=tol)
+        if not model.converged:
+            raise SubnetSearchError(
+                f"SVR did not reach KKT tolerance {tol} in {model.n_iter} iterations"
+            )
+        return model
     raise ConfigError(f"cannot fit predictor family {family!r} for {objective}")
 
 
@@ -376,8 +401,8 @@ def _train_models(store: ResultStore, pcfg: PredictorConfig):
             models[spec.name] = fit_objective_predictor(
                 pcfg, X, np.ascontiguousarray(y), spec.name, system
             )
-        except Exception as exc:
-            raise EvaluationFailed(
+        except SubnetSearchError as exc:  # the same class, naming the objective
+            raise type(exc)(
                 f"predictor training failed for objective {spec.name!r}: {exc}"
             ) from exc
     return models
@@ -405,7 +430,7 @@ def make_validation_evaluate(space: SearchSpace, evaluator, store: ResultStore):
     def evaluate(ranks):
         raw, errors = evaluate_batch(gene_matrix(ranks, space), evaluator, store, next(batches))
         if errors:
-            raise EvaluationFailed(
+            raise EvaluatorError(
                 f"{len(errors)} validation evaluations failed; first: {errors[0]}"
             )
         return raw
@@ -431,7 +456,7 @@ def hypervolume_trace(store: ResultStore, reference, front=None) -> list[tuple[i
     """
     raw = store.validation_columns()[2]
     if not len(raw):
-        raise EmptyInput("no validation records")
+        raise SubnetSearchError("no validation records")
     new = front is None
     if new:
         front = IncrementalFront2D(reference)
@@ -549,7 +574,7 @@ def search(
         phase_seconds["validate"] += time.perf_counter() - t0
         warn_list.extend(errors)
         if len(errors) == len(raw):
-            raise EvaluationFailed(f"iteration {i}: every validation failed")
+            raise EvaluatorError(f"iteration {i}: every validation failed")
         if i == 0:
             ok = raw[~np.isnan(raw).any(axis=1)]
             reference = default_reference(canonical_matrix(ok, specs))

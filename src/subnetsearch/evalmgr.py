@@ -2,8 +2,8 @@
 
 Evaluators are duck-typed: an `evaluator_id` string plus an
 `evaluate(genotypes) -> list[ObjectiveVector | EvaluationFailure]` method.
-An evaluator interrupted mid-batch may raise a `SubnetSearchError` with a
-`completed` attribute, {batch index: output} of the results that did arrive;
+An evaluator interrupted mid-batch may raise an `EvaluatorError`, whose
+`completed` is {batch index: output} of the results that did arrive;
 `evaluate_batch` logs those before the error propagates. A log is one
 run: the validations of one evaluator, cached per canonical genotype in an
 append-only store whose JSON-lines log replays to the identical index.
@@ -25,17 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyInput,
-    EvaluationFailed,
-    EvaluationTimeout,
-    InvalidGenotype,
-    MissingObjective,
-    ObjectiveMismatch,
-    ProtocolError,
-    SubnetSearchError,
-)
+from .errors import ConfigError, EvaluatorError, InvalidGenotype, SubnetSearchError
 from .objectives import (
     EvaluationRecord,
     ObjectiveSpec,
@@ -170,7 +160,7 @@ class ResultStore:
         order, for the gene rows `genes`, through the store's one write path
         `_append`; a single record is a batch of one."""
         if len(outputs) != len(genes):
-            raise EvaluationFailed(
+            raise EvaluatorError(
                 f"{len(outputs)} evaluator outputs for {len(genes)} genotypes"
             )
         errors = {
@@ -522,7 +512,7 @@ def training_rows(store: ResultStore, scheme: str):
         raise ConfigError("store has no search space attached")
     _, genes, raw, _ = store.validation_columns()
     if not len(raw):
-        raise EmptyInput("no validation records to train from")
+        raise SubnetSearchError("no validation records to train from")
     ranks = canonical_ranks(genes, store.space)[0]
     return encode_matrix(ranks, store.space, scheme), raw
 
@@ -678,7 +668,7 @@ class ExternalEvaluator:
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
             )
         except OSError as exc:  # a handshake failure: no evaluator to greet
-            raise ProtocolError(
+            raise EvaluatorError(
                 f"cannot start evaluator {self.command[0]!r}: {exc.strerror}"
             ) from exc
         self._pump_thread = threading.Thread(target=self._pump, daemon=True)
@@ -687,11 +677,9 @@ class ExternalEvaluator:
                     "space": self.space_name})
         msg = self._read(self.timeout)
         if msg is _EOF:
-            raise ProtocolError("evaluator exited before handshake")
+            raise EvaluatorError("evaluator exited before handshake")
         if msg.get("type") != "ready":
-            raise ProtocolError(
-                f"expected ready, got {msg.get('type')!r}", payload=json.dumps(msg)
-            )
+            raise EvaluatorError(f"expected ready, got {msg.get('type')!r}")
 
     def _pump(self) -> None:
         assert self._proc is not None and self._proc.stdout is not None
@@ -743,7 +731,7 @@ class ExternalEvaluator:
         try:
             line = self._lines.get(timeout=timeout)
         except queue.Empty:
-            raise EvaluationTimeout(
+            raise EvaluatorError(
                 f"no evaluator response within {timeout} s"
             ) from None
         if line is _EOF:
@@ -751,9 +739,9 @@ class ExternalEvaluator:
         try:
             msg = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed response: {exc}", payload=line)
+            raise EvaluatorError(f"malformed response: {exc}")
         if not isinstance(msg, dict):
-            raise ProtocolError("malformed response: not a JSON object", payload=line)
+            raise EvaluatorError("malformed response: not a JSON object")
         return msg
 
     # -- evaluation ------------------------------------------------------------
@@ -785,36 +773,27 @@ class ExternalEvaluator:
                     break
                 mtype = msg.get("type")
                 if mtype not in ("result", "error"):
-                    raise ProtocolError(
-                        f"unexpected message type {mtype!r}", payload=json.dumps(msg)
-                    )
+                    raise EvaluatorError(f"unexpected message type {mtype!r}")
                 mid = msg.get("id")
                 if mid not in ids:
-                    raise ProtocolError(
-                        f"unknown response id {mid!r}", payload=json.dumps(msg)
-                    )
+                    raise EvaluatorError(f"unknown response id {mid!r}")
                 idx = ids.pop(mid)
                 if mtype == "error":
                     outs[idx] = EvaluationFailure(str(msg.get("message", "evaluator error")))
                     continue
                 objs = msg.get("objectives", {})
                 if not isinstance(objs, dict):
-                    raise ProtocolError(
-                        "result objectives are not a JSON object", payload=json.dumps(msg)
-                    )
+                    raise EvaluatorError("result objectives are not a JSON object")
                 missing = [s.name for s in self.specs if s.name not in objs]
                 if missing:
-                    raise MissingObjective(
-                        f"response missing objectives {missing}", payload=json.dumps(msg)
-                    )
+                    raise EvaluatorError(f"response missing objectives {missing}")
                 values = [objs[s.name] for s in self.specs]
                 if not all(map(is_json_finite, values)):
-                    raise ProtocolError(
-                        f"objective values {values} are not all finite numbers",
-                        payload=json.dumps(msg),
+                    raise EvaluatorError(
+                        f"objective values {values} are not all finite numbers"
                     )
                 outs[idx] = ObjectiveVector(tuple(map(float, values)), self.specs)
-        except (EvaluationTimeout, ProtocolError, ObjectiveMismatch) as exc:
+        except EvaluatorError as exc:
             exc.completed = {idx: out for idx, out in enumerate(outs) if out is not None}
             raise
         return outs

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ObjectiveMismatch
+from .errors import ConfigError, SubnetSearchError
 from .objectives import (
     EvaluationRecord,
     FrontColumns,
@@ -371,8 +371,8 @@ def evolve(
     none evaluated before in this run, and returns an (n, m) matrix of raw
     objectives in the order of `specs`; it may evaluate the batch in
     parallel internally. A batch of the wrong row count is a ConfigError;
-    one of the wrong column count or with a non-finite value is an
-    ObjectiveMismatch.
+    one of the wrong column count or with a non-finite value is a
+    SubnetSearchError.
     """
     if space.genome_length == 0:
         raise ConfigError(f"space {space.name!r} has no genes to evolve")
@@ -406,13 +406,13 @@ def evolve(
                 f"{len(rows)} genotypes"
             )
         if values.shape[1:] != sign.shape:
-            raise ObjectiveMismatch(
+            raise SubnetSearchError(
                 f"evaluate returned objectives of shape {values.shape} for "
                 f"{len(specs)} objective specs"
             )
         if not np.isfinite(values).all():
             bad = values[np.argmin(np.isfinite(values).all(axis=1))]
-            raise ObjectiveMismatch(f"non-finite objective value in {bad}")
+            raise SubnetSearchError(f"non-finite objective value in {bad}")
         done = slice(len(gens), len(gens) + len(rows))
         known.update(zip(fresh, range(done.start, done.stop)))
         ranks[done], mins[done], ties[done] = rows, values * sign, tie_hashes(rows)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInput, ObjectiveMismatch, ReferenceViolation
+from .errors import ConfigError, SubnetSearchError
 from .space import Genotype, genotype_ids
 
 DIRECTIONS = ("minimize", "maximize")
@@ -59,11 +59,11 @@ class ObjectiveVector:
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         object.__setattr__(self, "specs", tuple(self.specs))
         if len(self.values) != len(self.specs):
-            raise ObjectiveMismatch(
+            raise SubnetSearchError(
                 f"{len(self.values)} values for {len(self.specs)} objective specs"
             )
         if not all(map(math.isfinite, self.values)):
-            raise ObjectiveMismatch(f"non-finite objective value in {self.values}")
+            raise SubnetSearchError(f"non-finite objective value in {self.values}")
 
     @cached_property
     def canonical_min(self) -> tuple[float, ...]:
@@ -179,12 +179,12 @@ def pareto_front(records) -> list[EvaluationRecord]:
     """
     records = list(records)
     if not records:
-        raise EmptyInput("pareto_front requires at least one record")
+        raise SubnetSearchError("pareto_front requires at least one record")
     specs = records[0].objectives_raw.specs
     deduped = {}
     for rec in records:
         if rec.objectives_raw.specs != specs:
-            raise ObjectiveMismatch("records mix different objective spec lists")
+            raise SubnetSearchError("records mix different objective spec lists")
         deduped.setdefault(rec.genotype.genes, rec)
     recs = list(deduped.values())
     first = first_front([r.objectives_raw.canonical_min for r in recs])
@@ -196,7 +196,7 @@ def validated_front(store) -> FrontColumns:
     `pareto_front`, built without a record."""
     _, genes, raw, _ = store.validation_columns()
     if not len(raw):
-        raise EmptyInput("a front needs at least one validation record")
+        raise SubnetSearchError("a front needs at least one validation record")
     members = first_front(canonical_matrix(raw, store.specs))
     return FrontColumns(genes[members], raw[members])
 
@@ -217,7 +217,7 @@ def dominated_area(points, reference) -> float:
     for p in points:
         x, y = float(p[0]), float(p[1])
         if x >= ref_x or y >= ref_y:
-            raise ReferenceViolation(
+            raise SubnetSearchError(
                 f"point ({x}, {y}) not strictly inside reference ({ref_x}, {ref_y})"
             )
         pts.append((x, y))
@@ -237,7 +237,7 @@ def default_reference(points) -> tuple[float, ...]:
     """
     pts = np.asarray(points, dtype=float)
     if not len(pts):
-        raise EmptyInput("need at least one vector to place a reference point")
+        raise SubnetSearchError("need at least one vector to place a reference point")
     return tuple(
         worst + 0.05 * max(abs(worst), worst - best, 1e-9)
         for worst, best in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist())
@@ -305,7 +305,7 @@ def front_to_csv(front: FrontColumns, specs, path: str | Path) -> None:
     csv module's \\r\\n line ends (ids and float reprs need no quoting).
     A negated value's repr is its repr with the sign toggled."""
     if not len(front):
-        raise EmptyInput("cannot export an empty front")
+        raise SubnetSearchError("cannot export an empty front")
     header = (
         ["genotype_id"]
         + [f"{s.name}_raw" for s in specs]

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DimensionMismatch,
-    SingularSystem,
-    UndefinedCorrelation,
-    ZeroDenominator,
-)
+from .errors import ConfigError, SubnetSearchError
 from .util import subseed
 
 
@@ -46,7 +39,7 @@ def ridge_system(X, lam: float):
     Xc = X - x_mean
     d = X.shape[1]
     if lam == 0 and np.linalg.matrix_rank(Xc) < d:
-        raise SingularSystem(
+        raise ConfigError(
             "centered feature matrix is rank-deficient at lambda=0; use lambda>0"
         )
     return x_mean, Xc, Xc.T @ Xc + lam * np.eye(d)
@@ -58,13 +51,13 @@ def fit_ridge(X, y, lam: float, system=None) -> RidgeModel:
     y = np.asarray(y, dtype=float).ravel()
     x_mean, Xc, A = ridge_system(X, lam) if system is None else system
     if Xc.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"{Xc.shape[0]} rows vs {y.shape[0]} targets")
+        raise SubnetSearchError(f"{Xc.shape[0]} rows vs {y.shape[0]} targets")
     y_mean = y.mean()
     yc = y - y_mean
     try:
         w = np.linalg.solve(A, Xc.T @ yc)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"normal equations singular: {exc}") from exc
+        raise SubnetSearchError(f"normal equations singular: {exc}") from exc
     return RidgeModel(weights=w, bias=float(y_mean - x_mean @ w))
 
 
@@ -107,10 +100,9 @@ def fit_svr(
     max_iter: int = 200_000,
 ) -> SvrModel:
     """Solve the epsilon-insensitive dual of the RBF kernel of gamma 1 / d
-    to KKT tolerance `tol`.
-
-    Raises ConvergenceFailure (carrying the best iterate) if the pairwise
-    optimizer hits `max_iter` before the maximal KKT violation drops below tol.
+    to KKT tolerance `tol`. The model is the last iterate: `converged` is
+    false when the pairwise optimizer hit `max_iter` (its `n_iter`) before
+    the maximal KKT violation dropped below tol.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -118,7 +110,7 @@ def fit_svr(
     if n < 2:
         raise ConfigError("fit_svr needs at least 2 samples")
     if X.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"{n} rows vs {y.shape[0]} targets")
+        raise SubnetSearchError(f"{n} rows vs {y.shape[0]} targets")
     if C <= 0:
         raise ConfigError("C must be > 0")
     if epsilon < 0:
@@ -187,7 +179,7 @@ def fit_svr(
 
     beta = z[:n] - z[n:]
     sv = np.abs(beta) > 1e-12
-    model = SvrModel(
+    return SvrModel(
         support_vectors=X[sv],
         dual_coeffs=beta[sv],
         bias=bias,
@@ -199,12 +191,6 @@ def fit_svr(
         n_iter=it,
         converged=converged,
     )
-    if not converged:
-        raise ConvergenceFailure(
-            f"SVR did not reach KKT tolerance {tol} in {max_iter} iterations",
-            model=model,
-        )
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +202,13 @@ def predict(model: RidgeModel | SvrModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if isinstance(model, RidgeModel):
         if X.shape[1] != model.weights.shape[0]:
-            raise DimensionMismatch(
+            raise SubnetSearchError(
                 f"model expects {model.weights.shape[0]} features, got {X.shape[1]}"
             )
         return X @ model.weights + model.bias
     if isinstance(model, SvrModel):
         if X.shape[1] != model.feature_dim:
-            raise DimensionMismatch(
+            raise SubnetSearchError(
                 f"model expects {model.feature_dim} features, got {X.shape[1]}"
             )
         if model.support_vectors.shape[0] == 0:
@@ -236,9 +222,9 @@ def mape(actual, predicted) -> float:
     a = np.asarray(actual, dtype=float).ravel()
     p = np.asarray(predicted, dtype=float).ravel()
     if a.shape != p.shape:
-        raise DimensionMismatch(f"lengths differ: {a.shape[0]} vs {p.shape[0]}")
+        raise SubnetSearchError(f"lengths differ: {a.shape[0]} vs {p.shape[0]}")
     if np.any(a == 0):
-        raise ZeroDenominator("MAPE undefined for zero actual values")
+        raise SubnetSearchError("MAPE undefined for zero actual values")
     return float(np.mean(np.abs(a - p) / np.abs(a)) * 100.0)
 
 
@@ -253,12 +239,12 @@ def kendall_tau(a, b) -> float:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
-        raise DimensionMismatch(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
+        raise SubnetSearchError(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
     n = a.shape[0]
     if n < 2:
         raise ConfigError("kendall_tau needs length >= 2")
     if np.all(a == a[0]) or np.all(b == b[0]):
-        raise UndefinedCorrelation("tau undefined for an all-constant vector")
+        raise SubnetSearchError("tau undefined for an all-constant vector")
     both = untied_a = untied_b = 0
     for start in range(0, n - 1, _TAU_BLOCK):
         rows = min(_TAU_BLOCK, n - 1 - start)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidGenotype, NonCanonicalInput
+from .errors import ConfigError, InvalidGenotype, SubnetSearchError
 from .util import GeneText, is_json_int64, read_json, subseed
 
 ROLES = ("block_depth", "per_layer", "global")
@@ -505,12 +505,12 @@ def inactive_genes(ranks: np.ndarray, s: SearchSpace) -> np.ndarray:
 def canonical_ranks(genotypes, s: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
     """(rank matrix, inactive mask) of many canonical genotypes, given as
     Genotypes or as a matrix of gene values;
-    InvalidGenotype (see `rank_matrix`) or NonCanonicalInput names the first
-    offending row."""
+    InvalidGenotype (see `rank_matrix`) or, for a row that is not canonical,
+    a SubnetSearchError names the first offending row."""
     ranks = rank_matrix(genotypes, s)
     off = (canonical_form(ranks.copy(), s) != ranks).any(axis=1)
     if off.any():
-        raise NonCanonicalInput(f"genotype {rank_genes(ranks[off][:1], s)[0]} is not canonical")
+        raise SubnetSearchError(f"genotype {rank_genes(ranks[off][:1], s)[0]} is not canonical")
     return ranks, inactive_genes(ranks, s)
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures: toy spaces small enough for exhaustive oracles, and the
 per-gene loop oracle of the block activity rule."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -32,6 +34,14 @@ DIGEST_MOVED = (
     "a pinned digest moved: a change that moves a logged evals.jsonl byte for an "
     "unchanged config bumps driver.TRAJECTORY and names the new version in CHANGES.md"
 )
+
+
+@contextlib.contextmanager
+def raises_exactly(cls, match):
+    """`pytest.raises(cls, match=match)` that fails on a subclass of `cls`."""
+    with pytest.raises(cls, match=match) as excinfo:
+        yield excinfo
+    assert excinfo.type is cls, excinfo.type
 
 
 def validation_records(store):

@@ -24,6 +24,13 @@ from subnetsearch.driver import (
     FullSearchConfig,
     PredictorConfig,
 )
+from subnetsearch.errors import (
+    ConfigError,
+    EmptyClusterSet,
+    EvaluatorError,
+    InvalidGenotype,
+    SubnetSearchError,
+)
 from subnetsearch.space import canonicalize, save_space, space_from_dict, space_to_dict
 
 from conftest import DIGEST_MOVED, gene_rows, validation_records
@@ -338,6 +345,15 @@ OLDER_FILE = f"{{config}}: trajectory version none, not {TRAJECTORY}: "
      "per position, got 0.0"),
     ("full", ["--predictor", "svr", "--predictor-for", "latency_ms:ridge", "--ridge-lambda", "0"],
      None, "ridge_lambda must be > 0 for ridge on one_hot features"),
+    ("concurrent", ["--pop", "1", "--predictor", "svr"], None,
+     "objective 'top1' is predicted with predictor family 'svr', which needs at least 2 "
+     "training rows; the first fit has 1"),
+    ("full", ["--train", "1", "--predictor-for", "latency_ms:svr"], None,
+     "objective 'latency_ms' is predicted with predictor family 'svr', which needs at least 2 "
+     "training rows; the first fit has 1"),
+    ("full", ["--predictor", "none", "--predictor-for", "top1:ridge"], None,
+     "predictor families give 'top1' family 'ridge', but a full search of predictor family "
+     "'none' fits no predictor"),
 ], ids=["n-train", "predictor-none", "objective-predictor-none", "validation-only",
         "inner-population", "duplicate-objective", "external-without-objectives",
         "one-objective", "three-objectives",
@@ -347,7 +363,8 @@ OLDER_FILE = f"{{config}}: trajectory version none, not {TRAJECTORY}: "
         "predictor-for-unknown-objective", "families-unknown-objective", "timeout",
         "timeout-inf", "noise-scale-inf", "noise-scale-nan", "noise-scale-negative",
         "seed-beyond-hash", "noise-seed-beyond-hash", "warm-start-length",
-        "ridge-lambda-zero-one-hot", "ridge-lambda-zero-for-one-objective"])
+        "ridge-lambda-zero-one-hot", "ridge-lambda-zero-for-one-objective",
+        "svr-one-row-concurrent", "svr-one-row-full", "predictor-for-unused-under-none"])
 def test_search_config_error_precedes_the_run_directory(tmp_path, toy_space_file, capsys,
                                                         tactic, flags, doc, message):
     # `doc`: a replayed config.json; without `trajectory`, an older version's
@@ -685,16 +702,73 @@ def test_evaluator_objective_not_a_finite_number_exit_code(tmp_path, toy_space_f
     assert [r.genotype.genes for r in recs] == [tuple(r["genes"]) for r in requests]
 
 
-def test_engine_objective_mismatch_is_an_internal_error(monkeypatch, capsys):
+EXIT_CODES = [  # a raised class, its exit code and its stderr prefix
+    (ConfigError, 2, "config error: "),
+    (EvaluatorError, 3, "evaluator error: "),
+    (SubnetSearchError, 4, "error: "),
+    (InvalidGenotype, 4, "error: "),
+    (EmptyClusterSet, 4, "error: "),
+    (RuntimeError, 4, "internal error: RuntimeError: "),
+]
+
+
+@pytest.mark.parametrize("error, code, prefix", EXIT_CODES,
+                         ids=[error.__name__ for error, _, _ in EXIT_CODES])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code, prefix):
+    """The exit-code map: 2 for a bad setting, 3 for an evaluator's fault,
+    4 for any other engine fault and for a Python bug."""
     from subnetsearch import cli
-    from subnetsearch.errors import ObjectiveMismatch
 
-    def mismatch(args):
-        raise ObjectiveMismatch("records mix different objective spec lists")
+    def fail(args):
+        raise error("records mix different objective spec lists")
 
-    monkeypatch.setattr(cli, "_cmd_space_info", mismatch)
-    assert run_cli("space", "info", "--space", "mobilenetv3-like") == 4
-    assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.setattr(cli, "_cmd_space_info", fail)
+    assert run_cli("space", "info", "--space", "mobilenetv3-like") == code
+    assert capsys.readouterr().err == f"{prefix}records mix different objective spec lists\n"
+
+
+RANK_DEFICIENT = "centered feature matrix is rank-deficient at lambda=0; use lambda>0"
+
+
+def test_search_ridge_on_a_rank_deficient_batch_is_config_error(tmp_path, toy_space_file,
+                                                                capsys):
+    """Ridge at lambda 0 on six ordinal rows of ten genes: the fit after the
+    first batch names the objective and exits 2."""
+    code = run_cli(
+        "search", "concurrent", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        *RUN_SIZES["concurrent"], "--pop", "6", "--encoding", "ordinal_normalized",
+        "--ridge-lambda", "0", "--out", str(tmp_path / "run"),
+    )
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"config error: predictor training failed for objective 'top1': {RANK_DEFICIENT}\n"
+
+
+def test_predict_bench_ridge_on_a_rank_deficient_sample_is_config_error(toy_space_file, capsys):
+    code = run_cli(
+        "predict", "bench", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        "--objective", "top1", "--encoding", "ordinal_normalized", "--ridge-lambda", "0",
+        "--train-sizes", "6", "--test-size", "20", "--trials", "1",
+    )
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"config error: {RANK_DEFICIENT}\n"
+
+
+def test_search_svr_fit_that_hits_its_iteration_cap_is_an_engine_error(
+        tmp_path, toy_space_file, capsys, monkeypatch):
+    import subnetsearch.driver as drv
+    from subnetsearch.predict import fit_svr
+
+    monkeypatch.setattr(drv, "fit_svr", lambda X, y, tol: fit_svr(X, y, tol=tol, max_iter=3))
+    code = run_cli(
+        "search", "concurrent", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        *RUN_SIZES["concurrent"], "--predictor", "svr", "--out", str(tmp_path / "run"),
+    )
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err == ("error: predictor training failed for objective 'top1': SVR did not reach "
+                   "KKT tolerance 0.001 in 3 iterations\n")
 
 
 def test_interrupted_batch_keeps_the_answered_results(tmp_path, toy_space_file):

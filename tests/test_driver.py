@@ -14,11 +14,12 @@ from subnetsearch.driver import (
     ConcurrentNasConfig,
     FullSearchConfig,
     PredictorConfig,
+    check_objectives,
     hypervolume_trace,
     make_validation_evaluate,
     search,
 )
-from subnetsearch.errors import ConfigError, EmptyInput
+from subnetsearch.errors import ConfigError, SubnetSearchError
 from subnetsearch.evalmgr import (
     EvaluationFailure,
     ResultStore,
@@ -48,7 +49,7 @@ from subnetsearch.space import (
     sample_uniform,
 )
 
-from conftest import DIGEST_MOVED, gene_rows, validation_records
+from conftest import DIGEST_MOVED, gene_rows, raises_exactly, validation_records
 
 
 def front_genes(front):
@@ -324,6 +325,17 @@ def test_concurrent_config_validation():
         ConcurrentNasConfig(iterations=0)
 
 
+def test_checks_accept_the_settings_of_a_run_that_fits_nothing(toy_setup):
+    """A full search of family "none" takes an override to "none", and a
+    concurrent run of one batch takes SVR on one row: neither fits."""
+    _, surface = toy_setup
+    top1 = surface.specs[0].name
+    check_objectives(FullSearchConfig(predictor=PredictorConfig(
+        family="none", families={top1: "none"})), surface.specs)
+    check_objectives(ConcurrentNasConfig(population_size=1, iterations=1,
+                                         predictor=PredictorConfig(family="svr")), surface.specs)
+
+
 # ---------------------------------------------------------------------------
 # hypervolume trace
 # ---------------------------------------------------------------------------
@@ -369,7 +381,7 @@ def test_hv_trace_non_decreasing_and_matches_recompute(toy_setup):
 
 def test_hv_trace_requires_records(toy_setup):
     space, surface = toy_setup
-    with pytest.raises(EmptyInput):
+    with raises_exactly(SubnetSearchError, "^no validation records$"):
         hypervolume_trace(ResultStore(surface.specs, space=space), (1.0, 1.0))
 
 

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from subnetsearch.errors import (
     ConfigError,
-    EmptyInput,
-    EvaluationFailed,
+    EvaluatorError,
     InvalidGenotype,
-    NonCanonicalInput,
+    SubnetSearchError,
 )
 from subnetsearch import evalmgr
 from subnetsearch.evalmgr import (
@@ -42,7 +41,13 @@ from subnetsearch.space import (
 )
 from subnetsearch.util import pseudo_noise
 
-from conftest import CallableEvaluator, active_mask_loop, gene_rows, validation_records
+from conftest import (
+    CallableEvaluator,
+    active_mask_loop,
+    gene_rows,
+    raises_exactly,
+    validation_records,
+)
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 
@@ -462,7 +467,7 @@ def test_store_rejects_a_faulty_batch_whole(tmp_path, toy_space):
     ):
         with pytest.raises(error):
             store.append_batch([g.genes for g in batch], [ok, ok], "e1")
-    with pytest.raises(EvaluationFailed):  # an output short
+    with raises_exactly(EvaluatorError, "^1 evaluator outputs for 2 genotypes$"):
         store.append_batch(gene_rows(gs[1:]), [ok], "e1")
     # a failure and a success of one genotype are not duplicates
     store.append_batch(gene_rows([gs[1], gs[1]]), [EvaluationFailure("x"), ok], "e1")
@@ -545,7 +550,7 @@ def test_batch_rejects_non_canonical(toy_space):
     genes[last_slot] = toy_space.allowed[last_slot][-1]
     bad = Genotype(tuple(genes))
     if canonicalize(bad, toy_space).genes != bad.genes:
-        with pytest.raises(NonCanonicalInput):
+        with raises_exactly(SubnetSearchError, "is not canonical$"):
             evaluate_batch(gene_rows([bad]), constant_evaluator(), store)
 
 
@@ -714,7 +719,7 @@ def test_surface_rejects_non_canonical(toy_space):
     genes[slot] = toy_space.allowed[slot][-1]
     bad = Genotype(tuple(genes))
     if canonicalize(bad, toy_space).genes != bad.genes:
-        with pytest.raises(NonCanonicalInput):
+        with raises_exactly(SubnetSearchError, "is not canonical$"):
             surface.evaluate([bad])
 
 
@@ -800,7 +805,7 @@ def test_training_rows_match_records(toy_space):
 
 
 def test_training_rows_need_records_and_a_space(toy_space):
-    with pytest.raises(EmptyInput):
+    with raises_exactly(SubnetSearchError, "^no validation records to train from$"):
         training_rows(ResultStore(MIN2, space=toy_space), "one_hot")
     with pytest.raises(ConfigError, match="no search space"):
         training_rows(ResultStore(MIN2), "one_hot")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnetsearch.errors import ConfigError, ObjectiveMismatch
+from subnetsearch.errors import ConfigError, SubnetSearchError
 from subnetsearch.evolver import (
     CROSSOVER_RATE,
     EvolverConfig,
@@ -54,6 +54,7 @@ from conftest import (
     ORACLE_SPACES,
     active_mask_loop,
     in_reduced_form_loop,
+    raises_exactly,
     raw_genotypes,
     reductions,
 )
@@ -934,16 +935,16 @@ def nan_in_last_row(values):
     return values
 
 
-@pytest.mark.parametrize("corrupt, error", [
-    (lambda values: values[:-1], ConfigError),
-    (lambda values: values[:, :1], ObjectiveMismatch),
-    (nan_in_last_row, ObjectiveMismatch),
+@pytest.mark.parametrize("corrupt, error, match", [
+    (lambda values: values[:-1], ConfigError, r"shape \(5, 2\) for 6 genotypes"),
+    (lambda values: values[:, :1], SubnetSearchError, r"shape \(6, 1\) for 2 objective specs"),
+    (nan_in_last_row, SubnetSearchError, "non-finite objective value in"),
 ], ids=["one-row-too-few", "one-column-too-few", "nan"])
-def test_evaluate_batch_guards(toy_space, corrupt, error):
+def test_evaluate_batch_guards(toy_space, corrupt, error, match):
     """Each batch of objectives is checked once at the evaluate boundary:
     its row count, its column count and that every value is finite."""
     evaluate = two_objective_evaluate(toy_space)
-    with pytest.raises(error):
+    with raises_exactly(error, match):
         evolve(toy_space, EvolverConfig(6, 2), lambda rows: corrupt(evaluate(rows)), MIN2)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnetsearch.errors import ConfigError, EmptyInput, ObjectiveMismatch, ReferenceViolation
+from subnetsearch.errors import ConfigError, SubnetSearchError
 from subnetsearch.objectives import (
     DIRECTIONS,
     EvaluationRecord,
@@ -23,6 +23,8 @@ from subnetsearch.objectives import (
     pareto_front,
 )
 from subnetsearch.space import Genotype
+
+from conftest import raises_exactly
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
 MIXED = (ObjectiveSpec("acc", "maximize"), ObjectiveSpec("lat", "minimize"))
@@ -82,14 +84,14 @@ def test_canonical_min_negates_maximizers():
 
 
 def test_vector_rejects_non_finite():
-    with pytest.raises(ObjectiveMismatch):
+    with raises_exactly(SubnetSearchError, r"^non-finite objective value in \(nan, 1.0\)$"):
         vec(float("nan"), 1.0)
-    with pytest.raises(ObjectiveMismatch):
+    with raises_exactly(SubnetSearchError, r"^non-finite objective value in \(inf, 1.0\)$"):
         vec(float("inf"), 1.0)
 
 
 def test_vector_rejects_arity_mismatch():
-    with pytest.raises(ObjectiveMismatch):
+    with raises_exactly(SubnetSearchError, "^1 values for 2 objective specs$"):
         ObjectiveVector((1.0,), MIN2)
 
 
@@ -120,7 +122,7 @@ def test_front_simple_example():
 
 
 def test_front_empty_input():
-    with pytest.raises(EmptyInput):
+    with raises_exactly(SubnetSearchError, "^pareto_front requires at least one record$"):
         pareto_front([])
 
 
@@ -201,9 +203,9 @@ def test_hv_dominated_point_changes_nothing():
 
 
 def test_hv_reference_violation():
-    with pytest.raises(ReferenceViolation):
+    with raises_exactly(SubnetSearchError, r"^point \(1.0, 0.5\) not strictly inside"):
         dominated_area([(1.0, 0.5)], (1.0, 1.0))
-    with pytest.raises(ReferenceViolation):
+    with raises_exactly(SubnetSearchError, r"^point \(1.5, 0.5\) not strictly inside"):
         dominated_area([(1.5, 0.5)], (1.0, 1.0))
 
 
@@ -280,7 +282,7 @@ def test_front_csv_schema(tmp_path):
     assert lines[0] == b"genotype_id,acc_raw,lat_raw,acc_canonical,lat_canonical"
     assert lines[1].split(b",")[1:] == [b"0.8", b"10.0", b"-0.8", b"10.0"]
     assert len(lines) == 2 + len(front) and lines[-1] == b""
-    with pytest.raises(EmptyInput):
+    with raises_exactly(SubnetSearchError, "^cannot export an empty front$"):
         front_to_csv(FrontColumns(np.zeros((0, 2), int), np.zeros((0, 2))), MIXED, path)
 
 

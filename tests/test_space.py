@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnetsearch.errors import ConfigError, InvalidGenotype, NonCanonicalInput
+from subnetsearch.errors import ConfigError, InvalidGenotype, SubnetSearchError
 from subnetsearch.space import (
     BlockRule,
     ElasticParamSpec,
@@ -42,6 +42,7 @@ from conftest import (
     ORACLE_SPACES,
     active_mask_loop,
     in_reduced_form_loop,
+    raises_exactly,
     raw_genotypes,
     reductions,
 )
@@ -327,7 +328,7 @@ def test_ordinal_normalized_values():
 def test_encode_rejects_non_canonical(tiny_space):
     g = Genotype((1, 0, 1, 1, 0, 0))  # block a depth 1, slot 1 not at first value
     assert not is_canonical(g, tiny_space)
-    with pytest.raises(NonCanonicalInput):
+    with raises_exactly(SubnetSearchError, r"^genotype \(1, 0, 1, 1, 0, 0\) is not canonical$"):
         encode([g], tiny_space, "one_hot")
 
 
@@ -371,8 +372,9 @@ def test_batch_encoder_matches_row_loop_oracle(oracle_spaces, name, n, data):
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(ORACLE_SPACES), data=st.data())
 def test_batch_encoder_raises_like_the_row_loop(oracle_spaces, name, data):
-    """A wrong length or a forbidden value raises InvalidGenotype and a
-    non-canonical row raises NonCanonicalInput, naming the first bad row."""
+    """A wrong length or a forbidden value raises InvalidGenotype, naming
+    the first bad row, and a non-canonical row a SubnetSearchError naming
+    the first bad genotype."""
     space = oracle_spaces[name]
     good = canonicalize(data.draw(raw_genotypes(space)), space)
     pos = data.draw(st.integers(0, space.genome_length - 1))
@@ -382,22 +384,23 @@ def test_batch_encoder_raises_like_the_row_loop(oracle_spaces, name, data):
     genes = list(good.genes)
     genes[pos] = forbidden
     cases = [
-        (Genotype(good.genes[:-1]), InvalidGenotype),
-        (Genotype(good.genes + (good.genes[0],)), InvalidGenotype),
-        (Genotype(tuple(genes)), InvalidGenotype),
-        (Genotype((2**70,) + good.genes[1:]), InvalidGenotype),
+        (Genotype(good.genes[:-1]), InvalidGenotype, "length"),
+        (Genotype(good.genes + (good.genes[0],)), InvalidGenotype, "length"),
+        (Genotype(tuple(genes)), InvalidGenotype, f"value {forbidden} not allowed"),
+        (Genotype((2**70,) + good.genes[1:]), InvalidGenotype, "not allowed"),
     ]
     raw = data.draw(raw_genotypes(space))
     if not is_canonical(raw, space):
-        cases.append((raw, NonCanonicalInput))
+        cases.append((raw, SubnetSearchError, rf"^genotype \({', '.join(map(str, raw.genes))}"
+                      r",?\) is not canonical$"))
     bad_at = data.draw(st.integers(0, 3))
-    for bad, exc_type in cases:
+    for bad, exc_type, match in cases:
         if exc_type is InvalidGenotype:
             with pytest.raises(InvalidGenotype):
                 encode_row(bad, space, "one_hot")
         batch = [good] * bad_at + [bad, good]
         for scheme in ("one_hot", "ordinal_normalized"):
-            with pytest.raises(exc_type) as err:
+            with raises_exactly(exc_type, match) as err:
                 encode(batch, space, scheme)
             if exc_type is InvalidGenotype:
                 assert err.value.row == bad_at
@@ -556,7 +559,7 @@ def test_reduced_canonical_form_matches_loop_oracle(oracle_spaces, name, data):
     assert is_canonical(g, reduced) == (expected == g)
     assert in_reduced_form_loop(expected, space, reduced.reduction)
     if expected != g:
-        with pytest.raises(NonCanonicalInput):
+        with raises_exactly(SubnetSearchError, "is not canonical$"):
             canonical_ranks([g], reduced)
 
 
