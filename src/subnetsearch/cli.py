@@ -351,6 +351,8 @@ def _cmd_predict_bench(args) -> int:
         )
     sizes = _parse_sizes(args.train_sizes)
     pcfg = PredictorConfig(**_given(args, ("family", "encoding", "ridge_lambda")))
+    if pcfg.family_for(args.objective) == "svr" and min(sizes) < 2:
+        raise ConfigError("fit_svr needs at least 2 samples")  # before any evaluation
     out = _out_file(Path(args.out)) if args.out else None
     needed = args.test_size + max(sizes)
     pool = sample_unique(space, needed, args.seed, "bench-pool")

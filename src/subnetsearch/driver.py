@@ -84,7 +84,7 @@ PREDICTOR_FAMILIES = ("ridge", "svr", "none")
 # The trajectory version a config.json names: a file replays byte for byte
 # only under the version that wrote it. A change that moves a logged byte for
 # an unchanged config bumps it.
-TRAJECTORY = 2
+TRAJECTORY = 3
 
 
 @dataclass(frozen=True)

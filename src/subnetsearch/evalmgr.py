@@ -35,11 +35,13 @@ from .objectives import (
 from .space import (
     Genotype,
     SearchSpace,
+    _row_bytes,
     canonical_ranks,
     encode_matrix,
+    gene_matrix,
     is_canonical,  # noqa: F401  (a trace site of perfbench/runner.py)
 )
-from .util import GeneText, is_json_finite, is_json_int64, pseudo_noise, read_json, subseed
+from .util import GeneText, is_json_finite, is_json_int64, read_json, row_hash, subseed
 
 
 @dataclass(frozen=True)
@@ -55,18 +57,6 @@ _BLOCK = 256  # rows per block of whole-log passes, which bounds their temporari
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps's output, built once
 _DECODE = json.JSONDecoder().raw_decode
-
-
-def _keys(genes: np.ndarray, rows: np.ndarray):
-    """The key of a validation, its gene-row bytes, of each of `rows` of an
-    int64 gene matrix: one routine keys the validation cache, which `load`
-    builds as its duplicate check. Rows are gathered a block at a time, which
-    bounds the temporaries."""
-    width = genes.shape[1] * genes.itemsize
-    for start in range(0, len(rows), _BLOCK):
-        blob = genes[rows[start : start + _BLOCK]].tobytes()
-        for i in range(min(_BLOCK, len(rows) - start)):
-            yield blob[i * width : (i + 1) * width]
 
 
 def _int64_rows(rows, length: int) -> np.ndarray | None:
@@ -138,7 +128,7 @@ class ResultStore:
         self._errors: dict[int, str] = {}
         self.evaluator_id: str | None = None  # fixed by the first record
         self._gene_text = GeneText()
-        self._index: dict[bytes, int] = {}  # `_keys` key -> row of each success
+        self._index: dict[bytes, int] = {}  # gene-row bytes -> row of each success
         self._lock = threading.Lock()
         self.path = None if path is None else Path(path)
         self._fh = None
@@ -205,7 +195,7 @@ class ResultStore:
                 matrix = _int64_rows(genes[:stop], length)
             failed = np.isin(np.arange(stop), list(errors))
             measured = np.flatnonzero(~failed)
-            keys = list(_keys(matrix, measured))
+            keys = _row_bytes(matrix[measured])
             if len(set(keys)) < len(keys) or not self._index.keys().isdisjoint(keys):
                 seen: set[bytes] = set()  # the first key cached or seen before
                 row = next(r for r, key in zip(measured.tolist(), keys)
@@ -477,7 +467,7 @@ def evaluate_batch(genes, evaluator, store: ResultStore, gen: int | None = None)
     raw = np.full((len(genes), len(store.specs)), math.nan)
     with store._lock:
         store._check_evaluator(evaluator_id)
-        keys = list(_keys(genes, np.arange(len(genes))))
+        keys = _row_bytes(genes)
         hits = list(map(store._index.get, keys))
         found = [row for row, hit in enumerate(hits) if hit is not None]
         raw[found] = store._cols["objectives"][[hits[row] for row in found]]
@@ -537,11 +527,13 @@ class SyntheticSurfaceEvaluator:
 
     Quality saturates with a weighted sum of ordinal gene ranks; cost sums
     per-gene contributions over *active* genes plus pairwise interaction
-    terms, so deeper and wider configurations are slower. Optional noise is a
-    pure function of (genotype, noise_seed). `evaluate` scores a batch of
-    canonical `Genotype`s at once, adding both objectives up column by
-    column in position order with elementwise operations: every value is
-    the sequential sum's, whatever the batch, host or BLAS thread count.
+    terms, so deeper and wider configurations are slower. Optional noise, per
+    objective, is the gene row's `util.row_hash` under a sub-seed of
+    noise_seed, as a uniform in [-0.5, 0.5) times noise_scale. `evaluate`
+    scores a batch of canonical `Genotype`s at once, adding both objectives
+    up column by column in position order with elementwise operations: every
+    value is the sequential sum's, whatever the batch, host or BLAS thread
+    count.
     """
 
     def __init__(self, space: SearchSpace, preset: str = "clx-like",
@@ -574,14 +566,14 @@ class SyntheticSurfaceEvaluator:
         for p, q, w in self.interactions:
             term = w * (1.0 + feats[:, p]) * (1.0 + feats[:, q])
             lat += np.where(active[:, p] & active[:, q], term, 0.0)
-        out = []
-        for g, s, latency in zip(genotypes, score.tolist(), lat.tolist()):
-            top1 = ACCURACY_MAX - ACCURACY_SPAN * math.exp(-s / self.temperature)
-            if self.noise_scale > 0:
-                top1 += pseudo_noise(g.genes, self.noise_seed, "top1") * self.noise_scale
-                latency += pseudo_noise(g.genes, self.noise_seed, "latency_ms") * self.noise_scale
-            out.append(ObjectiveVector((top1, latency), self.specs))
-        return out
+        top1 = ACCURACY_MAX - ACCURACY_SPAN * np.array(
+            [math.exp(-s / self.temperature) for s in score.tolist()])
+        if self.noise_scale > 0:
+            genes = gene_matrix(ranks, self.space)
+            for col, spec in zip((top1, lat), self.specs):
+                bits = row_hash(genes, subseed(self.noise_seed, spec.name)) >> 11
+                col += (bits * 2.0**-53 - 0.5) * self.noise_scale
+        return [ObjectiveVector(v, self.specs) for v in zip(top1.tolist(), lat.tolist())]
 
 
 class TableEvaluator:
@@ -673,13 +665,17 @@ class ExternalEvaluator:
             ) from exc
         self._pump_thread = threading.Thread(target=self._pump, daemon=True)
         self._pump_thread.start()
-        self._send({"type": "hello", "objectives": [s.name for s in self.specs],
-                    "space": self.space_name})
-        msg = self._read(self.timeout)
-        if msg is _EOF:
-            raise EvaluatorError("evaluator exited before handshake")
-        if msg.get("type") != "ready":
-            raise EvaluatorError(f"expected ready, got {msg.get('type')!r}")
+        try:
+            self._send({"type": "hello", "objectives": [s.name for s in self.specs],
+                        "space": self.space_name})
+            msg = self._read(self.timeout)
+            if msg is _EOF:
+                raise EvaluatorError("evaluator exited before handshake")
+            if msg.get("type") != "ready":
+                raise EvaluatorError(f"expected ready, got {msg.get('type')!r}")
+        except (EvaluatorError, OSError):
+            self.close()  # a failed handshake leaves no child and no open pipe
+            raise
 
     def _pump(self) -> None:
         assert self._proc is not None and self._proc.stdout is not None
@@ -711,13 +707,6 @@ class ExternalEvaluator:
                 pipe.close()
             except OSError:
                 pass  # unflushed bytes for a child that is gone
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     # -- messaging ------------------------------------------------------------
 

@@ -10,9 +10,10 @@ in inactive genes are never measured twice.
 A genotype is a row of value ranks from start to finish: the evaluate
 function takes an (n, L) rank matrix and returns an (n, m) matrix of raw
 objectives, the vectorized problem contract of pymoo (Blank & Deb 2020). Each
-evaluated genotype's rank row, objectives and tie-break hash are stored at
-its id (evaluation order) in arrays sized for the run; populations are
-`Slots` gathered from them. A pool is ordered by front rank
+evaluated genotype's rank row, objectives and tie-break hash (the
+`util.row_hash` of its rank row under the run's "tiebreak" sub-seed) are
+stored at its id (evaluation order) in arrays sized for the run; populations
+are `Slots` gathered from them. A pool is ordered by front rank
 (`objectives.front_ranks`), crowding and tie-break hash, and `select_best`
 keeps the first slot of each id in one walk of that order. A generation is
 made in rounds of p pairs, one pair per child still needed; a round draws (1)
@@ -32,7 +33,6 @@ evolver drew child by child, is refused.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,12 +53,13 @@ from .objectives import (
 from .space import (
     Genotype,
     SearchSpace,
+    _row_bytes,
     canonical_form,
     canonicalize,  # noqa: F401  (a trace site of perfbench/runner.py)
     gene_matrix,
     rank_genes,
 )
-from .util import subseed
+from .util import row_hash, subseed
 
 # (n, L) canonical rank rows -> (n, m) raw objectives, aligned with the rows
 EvaluateFn = Callable[[np.ndarray], np.ndarray]
@@ -78,13 +79,6 @@ class EvolverConfig:
             raise ConfigError("population_size must be >= 1")
         if self.generations < 0:
             raise ConfigError("generations must be >= 0")
-
-
-def _row_keys(ranks: np.ndarray) -> np.ndarray:
-    """Per rank row, its big-endian bytes: keys that sort and compare as the
-    rows' genotypes do (rank order is value order)."""
-    rows = np.ascontiguousarray(ranks, dtype=ranks.dtype.newbyteorder(">"))
-    return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
 
 
 @dataclass(frozen=True)
@@ -145,40 +139,13 @@ class SearchTrace:
     def ids_of(self, ranks: np.ndarray) -> np.ndarray:
         """The table ids of those rank rows (of this trace's space) that
         this trace evaluated, ascending."""
-        wanted = set(_row_keys(ranks.astype(self.table.ranks.dtype)).tolist())
-        return np.flatnonzero([key in wanted for key in _row_keys(self.table.ranks).tolist()])
+        wanted = set(_row_bytes(ranks))
+        return np.flatnonzero([key in wanted for key in _row_bytes(self.table.ranks)])
 
 
 # ---------------------------------------------------------------------------
 # Sorting primitives
 # ---------------------------------------------------------------------------
-
-
-def _row_hasher(space: SearchSpace, salt: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A function from rank rows of `space` to the uint64 salted tie-break
-    hashes of their genotypes: `util.stable_hash64` of the genes' `genes_bytes`
-    and the salt. One gather from a table of each (position, rank)'s
-    text padded with NULs writes the hashed bytes of every row: "value," at
-    every position but the last, whose "value\n" ends the row."""
-    ends = [b","] * (space.genome_length - 1) + [b"\n"]
-    texts = [b"%d%s" % (v, end) for vals, end in zip(space.allowed, ends) for v in vals]
-    offsets = np.cumsum([0] + [len(vals) for vals in space.allowed[:-1]])
-    width = max(map(len, texts))
-    table = np.array([list(t.ljust(width, b"\0")) for t in texts], dtype=np.uint8)
-    tail = b"\x1f" + salt.to_bytes(16, "little", signed=True) + b"\x1f"
-    blank = hashlib.blake2b(digest_size=8)  # copying it is cheaper than a new one
-
-    def hashes(rows: np.ndarray) -> np.ndarray:
-        data = table.take(rows + offsets, axis=0).tobytes()
-        digests = []
-        for text in data.replace(b"\0", b"").split(b"\n")[:-1]:
-            h = blank.copy()
-            h.update(text)
-            h.update(tail)
-            digests.append(h.digest())
-        return np.frombuffer(b"".join(digests), dtype="<u8")
-
-    return hashes
 
 
 def non_dominated_sort(pop: Slots) -> list[list[int]]:
@@ -189,17 +156,16 @@ def non_dominated_sort(pop: Slots) -> list[list[int]]:
     return [np.flatnonzero(rank == k).tolist() for k in range(rank.max(initial=-1) + 1)]
 
 
-def _crowding(values: np.ndarray, front: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _crowding(values: np.ndarray, front: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Crowding distance of every point within its front.
 
     `values` is (n, m) canonical-min objectives, `front` each point's front
-    rank and `ranks` the points' rank rows, whose genotype order
-    (`_row_keys`) breaks ties in value: it is sorted on only for an objective
-    with such a tie, since long keys compare slowly. Per objective (a row of
-    (m, n) arrays), one lexsort orders every front; points at a front's
-    extremes get +inf, interior points add (next - previous) / span, and an
-    objective without range in a front adds nothing there. Fronts of one or
-    two points are all +inf."""
+    rank and `hashes` the points' tie-break hashes, which break ties in value
+    (and slot order ties in hash). Per objective (a row of (m, n) arrays),
+    one lexsort orders every front; points at a front's extremes get +inf,
+    interior points add (next - previous) / span, and an objective without
+    range in a front adds nothing there. Fronts of one or two points are all
+    +inf."""
     n, m = values.shape
     dist = np.zeros(n)
     if n == 0:
@@ -207,13 +173,9 @@ def _crowding(values: np.ndarray, front: np.ndarray, ranks: np.ndarray) -> np.nd
     order, v = np.empty((m, n), dtype=np.intp), np.empty((m, n))
     # fronts occupy the same contiguous runs of every objective's order
     in_order = np.sort(front)
-    same_front = in_order[1:] == in_order[:-1]
     for k, col in enumerate(values.T):
-        order[k] = np.lexsort((col, front))
+        order[k] = np.lexsort((hashes, col, front))
         v[k] = col[order[k]]
-        if (same_front & (v[k, 1:] == v[k, :-1])).any():
-            order[k] = np.lexsort((_row_keys(ranks), col, front))
-            v[k] = col[order[k]]
     first = np.searchsorted(in_order, in_order)
     last = np.searchsorted(in_order, in_order, side="right") - 1
     lo, hi = v.take(first, axis=1), v.take(last, axis=1)
@@ -236,7 +198,7 @@ def _ranked(slots: Slots):
     in key order (front rank, -crowding, tie-break hash; ties keep slot
     order). A genotype held in two slots may get two crowding distances."""
     rank = front_ranks(slots.values)
-    crowd = _crowding(slots.values, rank, slots.ranks)
+    crowd = _crowding(slots.values, rank, slots.hashes)
     return rank, crowd, np.lexsort((slots.hashes, -crowd, rank))
 
 
@@ -244,22 +206,18 @@ def select_best(pop: Slots, k: int, exclude: Sequence[int] | np.ndarray = ()) ->
     """The top-k slots of `pop` by non-dominated sort + crowding, in key
     order: slots whose ids are in `exclude` and all but the first slot of
     each id are skipped, and later fronts backfill; the keys rank the whole
-    of `pop`. A first front with k ids not excluded fills the k slots, and
-    then only its keys are made; a 2-D front without equal rows has x rising
-    and y falling in (x, y) order, so its crowding comes from that order."""
+    of `pop`. A first front without equal rows and with k ids not excluded
+    fills the k slots, and then only its keys are made: x rises and y falls
+    along its (x, y) order, so its crowding comes from that order."""
     seen, values = set(np.asarray(exclude).tolist()), pop.values
     by_x, tied = front_by_x(values)
-    front = np.sort(by_x)
-    if len(set(pop.ids[front].tolist()) - seen) < k:
+    if tied or len(set(pop.ids[by_x].tolist()) - seen) < k:
         order = _ranked(pop)[2]
-    elif not tied:  # `_crowding`'s sums, in the same order; ties go by slot
+    else:  # `_crowding`'s sums, in the same order; ties go by slot
         x, y = values.take(by_x, axis=0).T
         crowd = np.full(len(by_x), math.inf)
         crowd[1:-1] = (x[2:] - x[:-2]) / (x[-1] - x[0]) + (y[:-2] - y[2:]) / (y[0] - y[-1])
         order = by_x[np.lexsort((by_x, pop.hashes[by_x], -crowd))]
-    else:
-        crowd = _crowding(values[front], np.zeros(len(front), np.intp), pop.ranks[front])
-        order = front[np.lexsort((pop.hashes[front], -crowd))]
     ids = pop.ids[order].tolist()
     if not seen and len(set(ids)) == len(ids):  # every slot is kept
         return pop.take(order[:k])
@@ -378,7 +336,7 @@ def evolve(
         raise ConfigError(f"space {space.name!r} has no genes to evolve")
     specs = tuple(specs)
     rng = np.random.default_rng(subseed(cfg.seed, "evolver"))
-    tie_hashes = _row_hasher(space, subseed(cfg.seed, "tiebreak"))
+    tie_seed = subseed(cfg.seed, "tiebreak")
     sign = np.array([1.0 if s.direction == "minimize" else -1.0 for s in specs])
     pop_size, length = cfg.population_size, space.genome_length
     dtype = np.min_scalar_type(max(map(len, space.allowed)) - 1)
@@ -415,7 +373,7 @@ def evolve(
             raise SubnetSearchError(f"non-finite objective value in {bad}")
         done = slice(len(gens), len(gens) + len(rows))
         known.update(zip(fresh, range(done.start, done.stop)))
-        ranks[done], mins[done], ties[done] = rows, values * sign, tie_hashes(rows)
+        ranks[done], mins[done], ties[done] = rows, values * sign, row_hash(rows, tie_seed)
         gens.extend([gen] * len(rows))
 
     def breed(gen: int, draw, keys: list[bytes]) -> np.ndarray:

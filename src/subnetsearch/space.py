@@ -337,10 +337,12 @@ def repaired_ranks(genotypes, s: SearchSpace) -> np.ndarray:
     return repaired[[i for i, key in enumerate(keys) if index.setdefault(key, i) == i]]
 
 
-def _row_bytes(ranks) -> list[bytes]:
-    """The bytes of each row of a rank matrix, as intp: equal iff the rows are."""
-    ranks = np.ascontiguousarray(ranks, np.intp)
-    return ranks.view(np.dtype((np.void, ranks.itemsize * ranks.shape[1]))).ravel().tolist()
+def _row_bytes(rows) -> list[bytes]:
+    """The bytes of each row of an integer matrix, as int64: equal iff the rows are."""
+    rows = np.ascontiguousarray(rows, np.int64)
+    if not rows.shape[1]:  # a zero-width view would hold no rows
+        return [b""] * len(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def cardinality(s: SearchSpace) -> int:

@@ -2,16 +2,20 @@
 
 All randomness in a run flows from a single seed through named sub-seeds so
 that independent phases (sampling, evolution, noise) stay decoupled and
-reproducible.
+reproducible. A sub-seed is a `blake2b` digest, made a handful of times per
+run; every per-genotype draw (the evolver's tie-break, the synthetic
+surfaces' noise) is one `row_hash` of a whole matrix under a sub-seed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
-from collections.abc import Iterable
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -48,12 +52,6 @@ def subseed(seed: int, *labels: str | int) -> int:
     return stable_hash64(seed, *labels)
 
 
-def genes_bytes(genes: Iterable[int]) -> bytes:
-    """Compact byte serialization of a gene vector for hashing: the decimal
-    genes joined by commas."""
-    return ",".join(map(str, genes)).encode("ascii")
-
-
 class GeneText(dict):
     """int -> its decimal text, made on first use."""
 
@@ -62,10 +60,36 @@ class GeneText(dict):
         return text
 
 
-def pseudo_noise(genes: Iterable[int], noise_seed: int, label: str = "") -> float:
-    """Deterministic zero-mean uniform noise in [-0.5, 0.5) keyed by genotype."""
-    u = stable_hash64(genes_bytes(genes), noise_seed, label)
-    return u / 2.0**64 - 0.5
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA 2014), in place
+    on a uint64 array."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+@functools.lru_cache(maxsize=64)
+def _weights(seed: int, length: int) -> np.ndarray:
+    """`row_hash`'s weights: SplitMix64's first `length` outputs from state
+    `seed` mod 2**64, made odd; made once per seed and row length."""
+    steps = np.arange(1, length + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    weights = _mix64(steps + seed % 2**64) | 1
+    weights.flags.writeable = False
+    return weights
+
+
+def row_hash(rows, seed: int) -> np.ndarray:
+    """The uint64 hash of each row of an integer matrix under `seed`: the
+    dot product of (row + 1) with `_weights`, wrapping mod 2**64, then
+    SplitMix64's finalizer. Only integer arithmetic, which numpy does
+    without BLAS, so the hash is the same on every host, and a row hashes
+    alike in any integer dtype (a negative value as its two's complement).
+    Rows that collide only need some fixed order."""
+    rows = np.asarray(rows)
+    return _mix64((rows.astype(np.uint64) + 1) @ _weights(seed, rows.shape[1]))
 
 
 def is_json_int64(value) -> bool:

@@ -50,6 +50,25 @@ def validation_records(store):
     return [r for r in store.records if r.ok]
 
 
+def _mix64_loop(z):
+    """SplitMix64's finalizer in Python integers masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+    return z ^ (z >> 31)
+
+
+def row_hash_loop(row, seed):
+    """`util.row_hash` of one row by its definition, one value at a time in
+    Python integers masked to 64 bits: the sum of (value + 1) times the odd
+    SplitMix64 output from state seed at that position, then SplitMix64's
+    finalizer. The oracle of `row_hash`."""
+    total = 0
+    for k, value in enumerate(row, start=1):
+        weight = _mix64_loop((seed + k * 0x9E3779B97F4A7C15) & (2**64 - 1)) | 1
+        total = (total + (value + 1) * weight) & (2**64 - 1)
+    return _mix64_loop(total)
+
+
 def gene_rows(genotypes):
     """The (n, L) int64 gene matrix of Genotypes, as `evaluate_batch` takes it."""
     return np.array([g.genes for g in genotypes], dtype=np.int64)

@@ -10,6 +10,7 @@ chosen by argv, so protocol tests can exercise the full error taxonomy:
   crash-after=N        exit(1) after answering N requests
   bad-handshake        reply {"type":"nope"} to hello
   no-handshake         exit immediately
+  mute                 read hello and answer nothing; exit at the next line
   malformed            emit one non-JSON line instead of the first result
   reply=LINE           answer every request with the raw line LINE
   omit-last            results missing the last declared objective
@@ -64,6 +65,9 @@ def main() -> int:
     record(hello)
     if mode == "bad-handshake":
         send({"type": "nope"})
+        return 0
+    if mode == "mute":
+        sys.stdin.readline()
         return 0
     send({"type": "ready"})
 

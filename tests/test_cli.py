@@ -180,39 +180,41 @@ def test_space_flag_overrides_config_space(tmp_path, toy_space_file, tiny_space)
 # directory, so no digest holds an absolute path. The config.json digests were
 # taken again when crossover_rate, mutation_rate and the four svr_* settings
 # left the file, again when it gained `trajectory`, and again when the
-# trajectory version became 2; the evals.jsonl digests did not change.
+# trajectory version became 2; the evals.jsonl digests did not change. Both
+# were taken again at trajectory version 3, when the evolver's tie-break and
+# the surface noise became `util.row_hash`.
 CONFIG_SHA256 = {
     "concurrent-noise": (
-        "6e27f6a786459df3547cfb118e5273cae0359f2cec80a3c8fcddbbdc0b1d02b3",
-        "adb19f1409f53c25ca13c6db9f9ec37292ff29d35ebfd2822c9013f7bcd0ff6b",
+        "b0dd2e9b5a561de07d254c9ab4ed703fdaefc71624d2fee7548455446f2e7ec2",
+        "6dcb36c234b19c4f956a7ce8e9fc0e1c123a11207e9a02991ab1228feda97f50",
     ),
     "concurrent-table": (
-        "59a11c3c51f675549277b4ed99cc9f1caf60e0326ac25610a9efa8426bea4e92",
-        "a2dc7977747df4d165c63e25644740ea5bc0e7c7b56d18226a8fd41b2ec51ed5",
+        "7102565d2e430321c74945d5947d1913c1934d1f7db699e7f321346a471fa146",
+        "f23ac087132f3457834ae7aa21d4b79dae22d90330d5062d77a568d9fcd5b2f9",
     ),
     "concurrent-warm-start": (
-        "b1156b48fe0607d01d53cddd8a5a01dfaf00a3d49f2024e81d171274de6ef2a5",
-        "d6fea4a661a55a2662e6aed9dfa83964ae739c18e20a0fb65a66b151be70b70c",
+        "78981b6c8cfca482151799fdd2e335b1da4106b85eb78592e08d4153c126e2f4",
+        "ebf979111c4b4db79ad6cb5628100f736cfecd87e14b8426881b410be83fdcf8",
     ),
     "concurrent-other-space": (
-        "785aa9cf4e624a60b87aec4dbaadc794f6280d938587477c13111528055fe9da",
-        "7c1fa1c1cdb1d2ea9d00bcfbc98d787fe689b3164c95bc765508c3aea42be980",
+        "778e17059079df48a64f683c36dbf8a44430bcbfa18e75d49f337c83a643fb79",
+        "034045f02ed68f587d48c8638ae83dc195c6b29a251dda1705e5570fd1d9a07b",
     ),
     "full-noise": (
-        "d28961873cc25770e8f9d383a36464aa3996ed72d3f7400e89bd3fe3e8164ba1",
-        "bede8037401fc9f6659565ca41d2209132ae70df0a97afc929abbb4126673c6d",
+        "1126f4d49d4e1527ab69cf367a0d27a3f20e5e6f1a5d2d3400a614eb4f5d992c",
+        "eb63187ef96ef08f257a983f29f99925f79608f17712028e8766b589b07e657f",
     ),
     "full-table": (
-        "8870d9ac6d60f8051d08ac47b22a3e45039bc696080ae65385aeaf58c951b5db",
-        "ea54d61cb68d523b6bc3827f64a141218525891b29fcb89c096cf5060919ef78",
+        "0cb2a8aeeff6aca3ff714f51c388984050268fab8a179482cbae9710a12021c6",
+        "a8a333fdccaa56a6b1283a32df656e7258ff89289afbd4145dab373e1aa2bed6",
     ),
     "full-warm-start": (
-        "77b8b4ab94e5b39ca5d7520c0638b376fc288a929c1657f34aac69548a649c5e",
-        "79f862c9b00cf9fcef89d251a9801b303b878730ad5e07768adc19c7d204f71c",
+        "eab5e03c9cb7e10043df48b61e85d2ff4397a0af9cb2a9997ea1791980982ee3",
+        "d03f1984e5165a98c92b1c6c05a99cb86f244614a3774090b6cfa26d7978c1fc",
     ),
     "full-other-space": (
-        "418c2e91f8cd420ff0c395d1951d80453548af90cf4ca6a2af956f0b578ed84c",
-        "caea7b020d306ab58656ec5d117bc7a778e7ac83c5a5ed63b0d42275b403e725",
+        "e256859df3ce7d15ea1d1e20e4e8c7cfb8870f08fd07648feee8b5c619914492",
+        "59eb503e5eec509aad2e764296d69a5c7d410ea4ba7aa98b53df2c8922344387",
     ),
 }
 
@@ -253,7 +255,8 @@ def test_persisted_config_and_log_are_pinned(tmp_path, toy_space, tiny_space,
 # space, the first pin whose top1 sums run over more genes than the toy
 # space's: the synthetic surface adds them up in position order, and no BLAS
 # call lies on this run's path, so the bytes hold on any host and thread count.
-PRESET_EVALS_SHA256 = "c70c5433e309948e9b542934abb2b41b3e3cbd17bd9278f62ec6904b7aff351b"
+# Taken again at trajectory version 3 (the row-hash tie-break).
+PRESET_EVALS_SHA256 = "1f6ba79384d230005443d9bedbdd52a968b67d296d1df2db7ec1eddd0b4ec653"
 
 
 def test_preset_space_log_is_pinned(tmp_path):
@@ -753,6 +756,25 @@ def test_predict_bench_ridge_on_a_rank_deficient_sample_is_config_error(toy_spac
     err = capsys.readouterr().err
     assert code == 2, err
     assert err == f"config error: {RANK_DEFICIENT}\n"
+
+
+@pytest.mark.parametrize("sizes", ["1", "1,50", "1:5:2"])
+def test_predict_bench_svr_below_two_training_rows_evaluates_nothing(
+        toy_space_file, capsys, monkeypatch, sizes):
+    """An SVR training size below 2 exits 2 before the pool is evaluated."""
+    import subnetsearch.cli as cli_mod
+
+    def evaluate_batch(*args, **kwargs):
+        pytest.fail("predict bench evaluated its pool")
+
+    monkeypatch.setattr(cli_mod, "evaluate_batch", evaluate_batch)
+    code = run_cli(
+        "predict", "bench", "--space", toy_space_file, "--evaluator", "synthetic:clx-like",
+        "--objective", "top1", "--predictor", "svr", "--train-sizes", sizes,
+        "--test-size", "10", "--trials", "1",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "config error: fit_svr needs at least 2 samples\n"
 
 
 def test_search_svr_fit_that_hits_its_iteration_cap_is_an_engine_error(
@@ -1359,24 +1381,25 @@ def test_analyze_refuses_a_latency_column_whose_largest_value_is_0(tmp_path, toy
 
 
 # sha256 of every file `analyze` writes, per run, recorded while `analyze`
-# still read its rows from records
+# still read its rows from records, and taken again at trajectory version 3
+# (the row-hash tie-break)
 ANALYZE_SHA256 = {
     "concurrent": {
-        "normalized_front.csv": "9f3b23bf13db9d8dc7d8dc2daee49832f1f1af2c1da31d09040351694003a83e",
+        "normalized_front.csv": "ef0f1d65c945a819d51c000412cb5acd018ff4a0721c9e6f7ad83c6116d2245b",
         "populations/gen_0000.csv": "ba1d8e4cc652381f217ec8150628503cc4eda252ae7f629d867e4533c74a7f34",
-        "populations/gen_0001.csv": "8c95f42881521f1bf6f1f8b0d04d1211a9f6df5bfe8efc16e03b50d64e157704",
-        "populations/gen_0002.csv": "8f4cf4ec0dca21d72c4fe482afcce45bdbb5c26669c36b277720be2d617079db",
-        "summary.txt": "6bf3380edcce9f7fffe118040246c1e070a82565c24617b737ae2905108ce42d",
+        "populations/gen_0001.csv": "fdcadae93b1ba73bcfcbd704b85bb1f4be85eaacc82770e122fbc9ea0bd7fb56",
+        "populations/gen_0002.csv": "2b3edd9e4a7403dd3f265b2d25ff9149e434c0563b0a9c3c2884a0a8f1affcc0",
+        "summary.txt": "6d198daca6244243dae1d8bbbfe1274d0710340e3aa1c5c22d5d8945d7dbc03a",
     },
     "full-none": {
-        "normalized_front.csv": "16f34241d182a325af499d17dc2a9df4032d5e059ba8e2d99bf54e609b2d8eb5",
+        "normalized_front.csv": "aa1dedc325854722231990e526be3c7044431de95577fd0a1d8cc34ea274be1d",
         "populations/gen_0000.csv": "656e7fd10fc436dcf8ea4df2d1a733c40290195ef63fdbcaf06c78aee189c8b6",
-        "populations/gen_0001.csv": "6f475366c5ea58df051f73214bbd7990f8984abd881a7c1879d762101d8c1301",
-        "populations/gen_0002.csv": "713d82f0dabe1a95d3c9baa8af39044e7c5eaaf60b88b77aca2c601909283780",
-        "populations/gen_0003.csv": "ae8ec38dc3ec8f4ef26d6f23b0ad32b692f3bd2ce0b618b20f897f42205a3f22",
-        "populations/gen_0004.csv": "39b64bd4e1b101287dc24e939bdab5d0f37884393118b74c95d0671622d65e63",
-        "populations/gen_0005.csv": "93facc7616874ab1409843f0ca935016297dc17a7ee2f4a6ae73b966b551139d",
-        "summary.txt": "0ebc8310dafd5b7628625e7247b69b17c5173c405e0b8274c7aba7c8de77232d",
+        "populations/gen_0001.csv": "62e6fe37ed136b6a1d118a5536e15683996950a69e98f7073e183e6fcb80d6c4",
+        "populations/gen_0002.csv": "32cd6e766c4d8f39e18d677bc28ec7ae87ac552d9454a848ae4d3258e51a51cd",
+        "populations/gen_0003.csv": "41476243148e9dac47386f0c44a2bf5eb1ae726fb8cd006d5e969557a2e8fb7e",
+        "populations/gen_0004.csv": "6beaa43db439d8cf683c71846f99b5261b28a230ecf6e6fe98f182c7c9ebb833",
+        "populations/gen_0005.csv": "2a9cdacddf17e2d14ca19c312d757bbf3c789a5b0e5c7b3aadd87583efe444e7",
+        "summary.txt": "5346afe19cb8554b9012e107e068bffc0369412d15baff1a6d9930fc9cc43974",
     },
 }
 
@@ -1751,7 +1774,7 @@ def test_engine_warning_is_one_line_without_its_source(tmp_path, toy_space_file,
     assert code == 0
     err = capsys.readouterr().err
     assert err == (
-        "warning: 3 evaluations fell outside the hypervolume reference box "
+        "warning: 1 evaluations fell outside the hypervolume reference box "
         "and were clamped out of the front\n"
     )
     assert "driver.py:" not in err

@@ -718,31 +718,32 @@ def test_run_reference_and_front_equal_the_record_forms(toy_setup, tactic):
 # run. The first two were recorded when each tactic was still its own
 # function, the last two while both fronts were still written from records,
 # and the concurrent runs' predicted fronts once the search after their last
-# batch was gone; None where no predicted front exists.
+# batch was gone; None where no predicted front exists. All four were taken
+# again at trajectory version 3 (the row-hash tie-break).
 TACTIC_SHA256 = {
     "full-ridge-warm": (
-        "b17ad058260a702a714191f8d6f3c83ad238a9200a37c00a03d31d311587c28a",
-        "9ee4668158fe8d66d36238e44da4bf345e21379a173e081b123dd446355fb44a",
-        "2dab9d9905a53df70648f68c410331237a8fac3e6a2b3b21bbd0cebea0a8684c",
-        "15c26dc0a026e82dce679d689cbc1763c4d7d9cd25ec3e13a6c5ece41d722477",
+        "67b28f9e9dc26e77e615863e291b8606003a708657594e246973c2e9563647d9",
+        "9310eb195f211ac6b6798d568f769c9e184ba873754d4efd92a57a9210c25b1a",
+        "c880101f66c2f7a20f203fd1263105ef64d1bde4b5a8d684d5f9f0c73fd1abe7",
+        "9165449e2cbe9460ef51056b75e9ab9ca28e8b951b930a069745e6a2c74e1b8d",
     ),
     "full-none": (
-        "5d47c9b9ca3bef7dac3f89549d225554c8cd68833601b651baffc767ff1409a2",
+        "1b0f4feb0ae8b0bcb92351aba0c193983c255c8229380ebfb2f546bb515fea61",
         None,
-        "6c4e54ade29652c59af43a9d4de69ae4c5a7bc1164b148cf33d5694ec6cdb997",
-        "f204c055085affc7e4150c1900c5809ad1de5b96fc1386b7d6378d220a2818c8",
+        "6f096b52f1a3beab2cb4edca8a68abec5defbb7604cbd9d5347ea6ef8db272c3",
+        "6c675adf158b1c970bfb8b947f8b4c7c48251e5f8be498de900d6c0daff44eb1",
     ),
     "concurrent-ridge": (
-        "df809c74c967cebdb288873734b2bf86bedb9dc6b5983883d62c65a3dfd97474",
-        "e7f1841f1b5d9b394ebc5e4ce791f1622e67f91068c8db98e02cdf5e026cbdf9",
-        "de15d49107fbe76137490583810624c4fa419a3901cc1f6e7132e69cdc7ed986",
-        "fd4205c43c13895fd0a05046d3ce4216894594e294971d3de9c99e18ec920575",
+        "ddff43dc8af5938c0a04c009f8ff4c592a594f81ed3f63ab3ad6cc156a692d5f",
+        "2c9215fcda8a4d1d7a33aba38c9e35b961e0db4ccb23ff353b4c895ad3dbcf8e",
+        "0d4f5e00c1aabd36eced2ed5b3c086a5b681ba7db37bdd2bde77f32a05aee34a",
+        "043d57fc509440e94daa1a4b1d028f037e4b32819be9f3edeee0c404cd5e8210",
     ),
     "concurrent-svr-warm": (
-        "e464b6d7b4a3f79abda5f6b4eda0f8d21ecb596eddd955769858b45399542d13",
-        "97630d21aba3dea6ede59eb60b3c37e4d972e9d3da2f39f6c4e11078ab719d68",
-        "8b8dfae5a6ea86429d1871c15d3b26de00abacd8f7cd69c373175d58bc54f3e4",
-        "4e90eea33e588c5bd5452be319f85e2fb2457320e6dfa1d26d4b0db964943352",
+        "cc55fc228217e8eb35930ff1826d9162b3d282adda147651afecae3f44b3e5df",
+        "976260c5c9b4c3475b763189cd3675b739abab37196dc4efbf7b2f229401e9f7",
+        "68abeb154c531717ee25c585fd3fd1e96b58828fab665d40772c767cff596a1b",
+        "7562b04117324ce65139a1d10ee730b834e6491bf169184f6e11bfd6f3a06891",
     ),
 }
 

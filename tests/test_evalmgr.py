@@ -39,13 +39,14 @@ from subnetsearch.space import (
     get_preset,
     sample_uniform,
 )
-from subnetsearch.util import pseudo_noise
+from subnetsearch.util import subseed
 
 from conftest import (
     CallableEvaluator,
     active_mask_loop,
     gene_rows,
     raises_exactly,
+    row_hash_loop,
     validation_records,
 )
 
@@ -627,7 +628,9 @@ def test_surface_closed_form_at_all_minimum_genotype(toy_space):
 def synthetic_evaluate_loop(g, surface):
     """The gene-by-gene oracle of `SyntheticSurfaceEvaluator.evaluate`:
     ordinal features and the activity mask one gene at a time, and each
-    objective a plain Python sum in position order."""
+    objective a plain Python sum in position order; the noise of each
+    objective is the top 53 bits of the Python loop of `row_hash` over the
+    genes, under the objective's sub-seed, over 2**53, minus 0.5."""
     space = surface.space
     feats = [
         space.value_rank(pos, v) / max(len(vals) - 1, 1)
@@ -646,9 +649,13 @@ def synthetic_evaluate_loop(g, surface):
         if mask[p] and mask[q]:
             lat += w * (1.0 + feats[p]) * (1.0 + feats[q])
     if surface.noise_scale > 0:
-        acc += pseudo_noise(g.genes, surface.noise_seed, "top1") * surface.noise_scale
-        lat += pseudo_noise(g.genes, surface.noise_seed, "latency_ms") * surface.noise_scale
+        acc += noise_loop(g.genes, surface.noise_seed, "top1") * surface.noise_scale
+        lat += noise_loop(g.genes, surface.noise_seed, "latency_ms") * surface.noise_scale
     return (acc, lat)
+
+
+def noise_loop(genes, noise_seed, name):
+    return (row_hash_loop(genes, subseed(noise_seed, name)) >> 11) / 2**53 - 0.5
 
 
 @pytest.mark.parametrize("preset", ["clx-like", "v100-like"])

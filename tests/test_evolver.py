@@ -21,7 +21,6 @@ from subnetsearch.evolver import (
     _offspring,
     _other_rank,
     _ranked,
-    _row_hasher,
     _variation_tables,
     evolve,
     non_dominated_sort,
@@ -47,7 +46,7 @@ from subnetsearch.space import (
     repaired_ranks,
     sample_uniform,
 )
-from subnetsearch.util import genes_bytes, stable_hash64, subseed
+from subnetsearch.util import row_hash, subseed
 
 from conftest import (
     DIGEST_MOVED,
@@ -57,6 +56,7 @@ from conftest import (
     raises_exactly,
     raw_genotypes,
     reductions,
+    row_hash_loop,
 )
 
 MIN2 = (ObjectiveSpec("f1", "minimize"), ObjectiveSpec("f2", "minimize"))
@@ -68,10 +68,9 @@ def genotypes_of(ranks, space):
 
 
 def tiebreak_hash(salt):
-    """The salted tie-break hash of a gene tuple by its definition,
-    `stable_hash64` of its `genes_bytes` and the salt: the oracle of
-    `_row_hasher`."""
-    return lambda genes: stable_hash64(genes_bytes(genes), salt)
+    """The salted tie-break hash of a rank tuple by its definition, the
+    Python loop of `row_hash`."""
+    return lambda ranks: row_hash_loop(ranks, salt)
 
 
 def population_records(trace):
@@ -105,7 +104,7 @@ def slots_of(pop, salt=0):
 def crowding(front):
     """Crowding of records taken as one front, by the array form."""
     s = slots_of(front)
-    return _crowding(s.values, np.zeros(len(s), dtype=np.intp), s.ranks).tolist()
+    return _crowding(s.values, np.zeros(len(s), dtype=np.intp), s.hashes).tolist()
 
 
 def brute_rank(pop):
@@ -226,10 +225,11 @@ def test_crowding_matches_per_front_loop_on_tied_grids(data):
         pop += [pop[edge], ind((3, k), values[edge])]
     slots = slots_of(pop)
     rank = front_ranks(slots.values)
-    got = _crowding(slots.values, rank, slots.ranks).tolist()
+    got = _crowding(slots.values, rank, slots.hashes).tolist()
     want = [None] * len(pop)
     for front_idx in brute_fronts(pop):
-        for i, c in zip(front_idx, crowding_loop([pop[i] for i in front_idx])):
+        front = [pop[i] for i in front_idx]
+        for i, c in zip(front_idx, crowding_loop(front, tiebreak_hash(0))):
             want[i] = c
     assert got == want
 
@@ -284,8 +284,9 @@ def test_crowding_zero_range_objective_contributes_zero():
     assert dist[1] == pytest.approx((2.0 - 0.0) / 3.0)
 
 
-def crowding_loop(front):
-    """The per-objective loop oracle for the crowding of one front."""
+def crowding_loop(front, tiebreak):
+    """The per-objective loop oracle for the crowding of one front, whose
+    ties in value go by the `tiebreak` hash of the genes, then by position."""
     n = len(front)
     if n == 0:
         return []
@@ -299,7 +300,7 @@ def crowding_loop(front):
         span = vmax - vmin
         if span == 0.0:
             continue
-        order = sorted(range(n), key=lambda i: (vals[i], front[i].genotype.genes))
+        order = sorted(range(n), key=lambda i: (vals[i], tiebreak(front[i].genotype.genes)))
         for pos, i in enumerate(order):
             if vals[i] == vmin or vals[i] == vmax:
                 dist[i] = math.inf
@@ -315,7 +316,7 @@ def slot_keys_loop(pop, tiebreak):
     (front rank, -crowding, tie-break hash), lower is better."""
     keys = [None] * len(pop)
     for rank, front_idx in enumerate(brute_fronts(pop)):
-        crowd = crowding_loop([pop[i] for i in front_idx])
+        crowd = crowding_loop([pop[i] for i in front_idx], tiebreak)
         for i, c in zip(front_idx, crowd):
             keys[i] = (rank, -c, tiebreak(pop[i].genotype.genes))
     return keys
@@ -371,7 +372,7 @@ def test_vectorized_slot_keys_match_loop_oracles_on_tied_grids(m, data):
     tiebreak = tiebreak_hash(salt)
     slots = slots_of(pop, salt)
 
-    assert crowding(pop) == crowding_loop(pop)
+    assert crowding(pop) == crowding_loop(pop, tiebreak_hash(0))
     keys = slot_keys(slots)
     assert keys == slot_keys_loop(pop, tiebreak)
     assert all(type(c) is float for _, c, _ in keys)
@@ -512,48 +513,49 @@ def test_duplicate_exhaustion_flagged_on_tiny_space(tiny_space):
 # no predictor or BLAS call is involved, so they hold on every platform. An
 # evaluation is gen:genes:f1:f2 with the genes as digits (every gene value in
 # these spaces is one digit); a population is its genotypes in slot order.
+# Re-recorded at trajectory version 3 (the row-hash tie-break).
 TOY_EVALUATIONS = """
 0:2556427743:12:6 0:2534315333:4:14 0:2736415363:9:9 0:1533317333:3:15
-0:2556415333:7:11 0:2356327746:12:6 1:1536317343:6:12 1:2573315363:7:11
-1:2736327746:13:5 1:2756315363:9:9 1:2736417343:9:9 1:2556425334:9:9
-2:1534317343:5:13 2:2534415333:5:13 2:1533315333:2:16 2:2533425744:9:9
-2:2334313363:4:14 2:2554315333:5:13 3:2534315343:5:13 3:1736325743:9:9
-3:1736327746:12:6 3:1536327743:9:9 3:2733315333:4:14 3:2533615333:5:13
+0:2556415333:7:11 0:2356327746:12:6 1:2356417333:7:11 1:2576325363:10:8
+1:2733317333:5:13 1:1736315363:7:11 1:2736417343:9:9 1:2556425334:9:9
+2:2736417333:8:10 2:2773317333:7:11 2:2356415333:6:12 2:1533327743:7:11
+2:2353325746:9:9 2:2356323766:11:7 3:2353317333:4:14 3:1733315363:5:13
+3:2533317333:4:14 3:2336327746:11:7 3:2553317333:5:13 3:1536327743:9:9
 """
 TOY_POPULATIONS = [
     (
-        "2556427743 2356327746 1533317333 2736415363 2556415333 2534315333"
+        "2556427743 1533317333 2356327746 2736415363 2556415333 2534315333"
     ),
     (
-        "2736327746 1533317333 2534315333 1536317343 2756315363 2556425334"
+        "2556427743 1533317333 2356327746 2733317333 2576325363 2534315333"
     ),
     (
-        "1533315333 2736327746 1536317343 2756315363 2533425744 1533317333"
+        "2556427743 1533317333 2356327746 2733317333 2356415333 2356323766"
     ),
     (
-        "1533315333 2736327746 1736327746 1536317343 2756315363 1536327743"
+        "2556427743 1533317333 2356327746 1536327743 2356415333 2356323766"
     ),
 ]
 TINY_EVALUATIONS = """
 0:110100:1:5 0:211110:4:2 0:201100:2:4 0:201201:4:2 0:100200:1:5 0:200211:4:2
 0:110210:3:3 0:100210:2:4 0:110200:2:4 0:100201:2:4 0:201211:5:1 0:211200:4:2
 0:110201:3:3 0:110110:2:4 0:100110:1:5 0:200210:3:3 0:100100:0:6 0:200100:1:5
-0:110211:4:2 0:100211:3:3 1:200110:2:4 1:210200:3:3 1:200200:2:4 1:210210:4:2
-1:200201:3:3 1:211100:3:3 1:211210:5:1 1:210211:5:1 1:201110:3:3 1:211201:5:1
-1:211211:6:0 1:201200:3:3 1:210100:2:4 1:201210:4:2 1:210110:3:3 2:210201:4:2
+0:110211:4:2 0:100211:3:3 1:200110:2:4 1:201200:3:3 1:200200:2:4 1:200201:3:3
+1:210201:4:2 1:210210:4:2 1:201110:3:3 1:211100:3:3 1:211211:6:0 1:210200:3:3
+1:210211:5:1 1:211201:5:1 1:210110:3:3 2:201210:4:2 2:210100:2:4 2:211210:5:1
 """
 TINY_POPULATIONS = [
     (
-        "201211 100100 100211 100110 211200 110211 200100 201100 100201 200210 110100 "
-        "100200 110201 211110 100210 110110 200211 110200 110210 201201"
+        "201211 100100 110211 100110 201100 110210 201201 200100 100211 100201 211200 "
+        "200210 110200 200211 211110 110110 110100 100200 100210 110201"
     ),
     (
-        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
-        "211100 210211 110100 100200 210210 200201 110201 211110 100210"
+        "211211 100100 110211 201110 100110 201100 201211 211201 201201 200100 100211 "
+        "100201 210210 201200 210201 200110 211200 210211 110210 200210"
     ),
     (
-        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
-        "211100 210211 210201 110100 100200 210210 200201 110201 211110"
+        "211211 100100 110211 201110 100110 201100 211210 211201 201201 200100 100211 "
+        "100201 210210 201200 210201 200110 201210 201211 211200 210211"
     ),
 ]
 TINY40_EVALUATIONS = """
@@ -566,16 +568,16 @@ TINY40_EVALUATIONS = """
 """
 TINY40_POPULATIONS = [
     (
-        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
-        "211100 210211 210201 110100 100200 210210 200201 110201 211110 211110 211200 "
-        "100210 201210 211201 200200 201100 110110 200211 110200 210200 200110 110210 "
-        "201201 210110 201110 201110 200210 200210 201200"
+        "211211 100100 110211 201110 100110 201100 211210 211201 201201 200100 100211 "
+        "100201 201110 210210 201200 210201 200110 201210 201211 211200 211200 210211 "
+        "110210 200210 200210 210110 200200 211100 210100 110200 200211 211110 211110 "
+        "110110 110100 100200 200201 210200 100210 110201"
     ),
     (
-        "211211 100100 100211 210100 100110 211200 110211 200100 201211 211210 100201 "
-        "211100 210211 210201 110100 100200 210210 200201 110201 211110 100210 201210 "
-        "211201 200200 201100 110110 200211 110200 210200 200110 110210 201201 210110 "
-        "201110 200210 201200"
+        "211211 100100 110211 201110 100110 201100 211210 211201 201201 200100 100211 "
+        "100201 210210 201200 210201 200110 201210 201211 211200 210211 110210 200210 "
+        "210110 200200 211100 210100 110200 200211 211110 110110 110100 100200 200201 "
+        "210200 100210 110201"
     ),
 ]
 
@@ -617,8 +619,8 @@ def test_evolve_trajectory_is_pinned(request, space_name, cfg, evaluations,
     assert trace.duplicate_accepts == duplicate_accepts
 
 
-EVALUATIONS_SHA256 = "a8cba1d1ae5b9bebe788a5869589deb14608eada61aa681da60e9dee6b63cea3"
-POPULATIONS_SHA256 = "70e445cb0f88d584682acfd500ad8d2a00b043bd4ef7ada45c1ad8a0d4d1385c"
+EVALUATIONS_SHA256 = "7b918a4dd38bf20e22f7e1754795da426aa2fdcbe4c7ca8d417dc55a0d29f01a"
+POPULATIONS_SHA256 = "65b4a2e2b222b4c30ffd539e5b2165ec347ca0054507d4667c9d0fc36a97e82b"
 
 
 def tied_sums_evaluate(rows):
@@ -631,7 +633,8 @@ def tied_sums_evaluate(rows):
 def test_benchmark_scale_trajectory_is_pinned():
     # The benchmark's inner-search scale (mobilenetv3-like, pop 50, 40
     # generations); 472 distinct objective vectors among 2050 evaluations.
-    # Digests recorded with the list-based generation step this one replaced.
+    # Digests recorded with the list-based generation step this one replaced,
+    # and again at trajectory version 3 (the row-hash tie-break).
     trace = evolve(get_preset("mobilenetv3-like"), EvolverConfig(50, 40, seed=19),
                    tied_sums_evaluate, MIN2)
     evaluations = "\n".join(
@@ -731,14 +734,22 @@ def test_warm_start_rows_count_once(toy_space):
     assert [p.tolist() for p in once.population_ids] == [p.tolist() for p in twice.population_ids]
 
 
-def test_tiebreak_hash_is_the_salted_stable_hash(oracle_spaces):
+def test_tiebreak_hash_is_the_row_hash_of_rank_rows(oracle_spaces):
+    """The evolver's uint8 rank rows and intp rank rows hash alike, to the
+    loop oracle's hashes, and a trace's table holds those of its rows."""
     for name in ("toy", "mobilenetv3-like", "transformer-like"):
         space = oracle_spaces[name]
-        genotypes = sample_uniform(space, 20, seed=5)
-        ranks = rank_matrix(genotypes, space)
+        ranks = rank_matrix(sample_uniform(space, 20, seed=5), space)
         for salt in (0, 7, -3, 2**63 + 5):
-            hashes = _row_hasher(space, salt)(ranks).tolist()
-            assert hashes == [tiebreak_hash(salt)(g.genes) for g in genotypes]
+            want = [tiebreak_hash(salt)(r) for r in ranks.tolist()]
+            assert row_hash(ranks.astype(np.uint8), salt).tolist() == want
+            assert row_hash(ranks.astype(np.intp), salt).tolist() == want
+        trace = evolve(space, EvolverConfig(8, 2, seed=4), two_objective_evaluate(space), MIN2)
+        assert trace.table.ranks.dtype == np.uint8
+        salt = subseed(4, "tiebreak")
+        assert trace.table.hashes.tolist() == [
+            tiebreak_hash(salt)(r) for r in trace.table.ranks.astype(np.intp).tolist()
+        ]
 
 
 def test_slot_keys_belong_to_slots_not_genotypes():
@@ -901,14 +912,16 @@ def test_slots_select_matches_loop_oracle(toy_space):
     values = rng.integers(0, 4, size=(len(genes), 2)).astype(float)
     pop = [ind(g, tuple(v)) for g, v in zip(genes, values)]
     salt = 11
-    hashes = _row_hasher(toy_space, salt)(ranks)
-    assert hashes.tolist() == [tiebreak_hash(salt)(g) for g in genes]
+    hashes = row_hash(ranks, salt)
+    assert hashes.tolist() == [tiebreak_hash(salt)(r) for r in ranks.tolist()]
+    rank_rows = dict(zip(genes, ranks.tolist()))
+    tiebreak = lambda g: tiebreak_hash(salt)(rank_rows[g])  # the records hold genes  # noqa: E731
     first = {}
     slots = Slots(ranks, values, hashes,
                   np.array([first.setdefault(g, i) for i, g in enumerate(genes)]))
     for k in (1, 10, 40, 46):
         got = select_best(slots, k)
-        want = [rec for _, rec in select_best_loop(pop, k, set(), tiebreak_hash(salt))]
+        want = [rec for _, rec in select_best_loop(pop, k, set(), tiebreak)]
         assert rank_genes(got.ranks, toy_space) == [r.genotype.genes for r in want]
         assert got.values.tolist() == [list(r.objectives_raw.canonical_min) for r in want]
 
@@ -923,8 +936,9 @@ def test_trace_table_is_aligned_with_evaluations(toy_space):
     assert table.values.tolist() == [list(e.objectives_raw.canonical_min)
                                      for e in trace.evaluations]
     salt = subseed(3, "tiebreak")
-    assert table.hashes.tolist() == [tiebreak_hash(salt)(e.genotype.genes)
-                                     for e in trace.evaluations]
+    assert table.hashes.tolist() == [
+        tiebreak_hash(salt)(r) for r in rank_matrix(np.array(genes), toy_space).tolist()
+    ]
     final = trace.table.take(trace.population_ids[-1])
     assert trace.records(final) == population_records(trace)[-1]
 

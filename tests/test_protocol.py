@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def make_evaluator(mode, record_path=None, timeout=10.0):
 
 def test_handshake_and_fixed_results(toy_space):
     gs = sample_uniform(toy_space, 3, 0)
-    with make_evaluator("echo") as ev:
+    with closing(make_evaluator("echo")) as ev:
         outs = ev.evaluate(gs)
     assert all(out.values == (1.0, 2.0) for out in outs)
 
@@ -48,7 +49,7 @@ def test_request_and_handshake_bytes_match_documented_format(tmp_path, toy_space
     from subnetsearch.space import canonicalize
 
     g = canonicalize(g, toy_space)
-    with make_evaluator("echo", record_path=record) as ev:
+    with closing(make_evaluator("echo", record_path=record)) as ev:
         ev.evaluate([g])
     lines = record.read_bytes().splitlines()
     genes_json = json.dumps(list(g.genes), separators=(",", ":")).encode()
@@ -61,7 +62,7 @@ def test_request_and_handshake_bytes_match_documented_format(tmp_path, toy_space
 
 def test_out_of_order_responses_reassociated(toy_space):
     gs = sample_uniform(toy_space, 6, 1)  # answered in pairwise-reversed order
-    with make_evaluator("shuffle") as ev:
+    with closing(make_evaluator("shuffle")) as ev:
         outs = ev.evaluate(gs)
     for g, out in zip(gs, outs):
         assert out.values[0] == float(sum(g.genes))  # matched by id, not order
@@ -70,7 +71,7 @@ def test_out_of_order_responses_reassociated(toy_space):
 
 def test_per_item_errors_flagged(toy_space):
     gs = sample_uniform(toy_space, 4, 2)
-    with make_evaluator("error-even") as ev:
+    with closing(make_evaluator("error-even")) as ev:
         outs = ev.evaluate(gs)  # ids 1..4 -> 2 and 4 fail
     failures = [o for o in outs if isinstance(o, EvaluationFailure)]
     assert len(failures) == 2
@@ -126,18 +127,40 @@ def test_crash_mid_batch_releases_the_dead_child(toy_space):
     assert _released(proc)
 
 
-def test_bad_handshake_raises_protocol_error(toy_space):
+@pytest.fixture
+def children(monkeypatch):
+    """The evaluator children started during a test, in order."""
+    started = []
+
+    class Popen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Popen)
+    return started
+
+
+def test_bad_handshake_raises_protocol_error(toy_space, children):
     ev = make_evaluator("bad-handshake")
     with raises_exactly(EvaluatorError, "^expected ready, got 'nope'$"):
         ev.start()
-    ev.close()
+    assert _released(children[0])  # the failed start reaped it
 
 
-def test_no_handshake_process_exit(toy_space):
+def test_no_handshake_process_exit(toy_space, children):
     ev = make_evaluator("no-handshake")
     with raises_exactly(EvaluatorError, "^evaluator exited before handshake$"):
         ev.start()
-    ev.close()
+    assert _released(children[0])
+
+
+def test_handshake_timeout_reaps_the_child(children):
+    ev = make_evaluator("mute", timeout=0.5)
+    with raises_exactly(EvaluatorError, "^no evaluator response within 0.5 s$"):
+        ev.start()
+    assert _released(children[0])
+    assert children[0].returncode == 0  # it read the bye
 
 
 def test_malformed_response_raises_evaluator_error(toy_space):
@@ -182,7 +205,7 @@ def test_missing_objective_name_raises_evaluator_error(toy_space):
 def test_evaluate_batch_over_external_evaluator(toy_space):
     gs = sample_uniform(toy_space, 4, 7)
     store = ResultStore(SPECS, space=toy_space)
-    with make_evaluator("genes-sum") as ev:
+    with closing(make_evaluator("genes-sum")) as ev:
         raw, errors = evaluate_batch(gene_rows(gs), ev, store)
         # cache hit: second batch with same genotypes sends nothing new
         raw2, _ = evaluate_batch(gene_rows(gs), ev, store)

@@ -22,6 +22,7 @@ from subnetsearch.space import (
     encode_matrix,
     enumerate_genotypes,
     feature_dim,
+    gene_matrix,
     genotype_ids,
     get_preset,
     inactive_genes,
@@ -36,7 +37,7 @@ from subnetsearch.space import (
     space_to_dict,
     uniform_ranks,
 )
-from subnetsearch.util import genes_bytes, stable_hash64
+from subnetsearch.util import row_hash, stable_hash64
 
 from conftest import (
     ORACLE_SPACES,
@@ -45,6 +46,7 @@ from conftest import (
     raises_exactly,
     raw_genotypes,
     reductions,
+    row_hash_loop,
 )
 
 
@@ -201,14 +203,6 @@ def test_canonicalize_idempotent_random(toy_space):
         )
         c1 = canonicalize(Genotype(genes), toy_space)
         assert canonicalize(c1, toy_space).genes == c1.genes
-
-
-@given(st.lists(st.integers(-(10**20), 10**20) | st.integers(-3, 12), max_size=50))
-def test_genes_bytes_matches_per_gene_encoding(genes):
-    """Genotype ids, evaluator noise and tie-break hashes read these bytes."""
-    expected = b",".join(str(g).encode("ascii") for g in genes)
-    assert genes_bytes(genes) == expected
-    assert genes_bytes(Genotype(tuple(genes)).genes) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -591,10 +585,32 @@ def test_malformed_allowed_is_config_error(toy_space, allowed, match):
         space_from_dict({**space_to_dict(toy_space), "allowed": allowed})
 
 
+INT64_EDGES = [-(2**63), -(2**63) + 1, -2, -1, 0, 2**63 - 2, 2**63 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1, -3, 2**100])
+def test_row_hash_matches_the_python_loop(toy_space, seed):
+    """On every toy genotype's gene and rank rows, 50 uniform rows of each
+    preset space, and int64 rows of values near 0 and near -2**63 and
+    2**63, whose (value + 1) and products wrap."""
+    toy = rank_matrix(list(enumerate_genotypes(toy_space)), toy_space)
+    assert len(toy) == 8100
+    presets = [rank_matrix(sample_uniform(get_preset(name), 50, 3), get_preset(name))
+               for name in ("mobilenetv3-like", "resnet50-like", "transformer-like")]
+    rng = np.random.default_rng(abs(seed) % 2**32)
+    edges = np.array(INT64_EDGES)[rng.integers(len(INT64_EDGES), size=(60, 5))]
+    edges[:len(INT64_EDGES)] = np.array(INT64_EDGES)[:, None]
+    for rows in [toy, gene_matrix(toy, toy_space), *presets, edges]:
+        assert row_hash(rows, seed).tolist() == [row_hash_loop(r, seed) for r in rows.tolist()]
+    assert row_hash(np.zeros((0, 5), np.int64), seed).tolist() == []
+
+
 def test_genotype_ids_are_the_stable_hash_of_the_gene_text():
     gs = [Genotype(()), Genotype((3,)), Genotype((-1, 10**12, 7, 7)), Genotype((3,)),
           *sample_uniform(get_preset("mobilenetv3-like"), 5, 2)]
     rows = [g.genes for g in gs]
-    assert genotype_ids(rows) == [format(stable_hash64(genes_bytes(g)), "016x") for g in rows]
+    assert genotype_ids(rows) == [
+        format(stable_hash64(",".join(map(str, g)).encode()), "016x") for g in rows
+    ]
     assert genotype_ids(iter(rows[:2])) == genotype_ids(rows)[:2]
     assert genotype_ids([list(g) for g in rows]) == genotype_ids(rows)
